@@ -224,7 +224,7 @@ func benchmarkEngineRoundTrip(b *testing.B, poolSize int, cacheBytes int64, repe
 	}()
 	p, err := proxy.New(proxy.Config{
 		K:          2,
-		EngineHost: srv.Addr(),
+		Engines:    []proxy.EngineSpec{{Host: srv.Addr()}},
 		Seed:       1,
 		PoolSize:   poolSize,
 		CacheBytes: cacheBytes,

@@ -167,7 +167,7 @@ func run() error {
 		}
 		opts = append(opts, xsearch.WithEchoMode())
 	case len(engines) == 0:
-		opts = append(opts, xsearch.WithEngineHost("127.0.0.1:8090"))
+		opts = append(opts, xsearch.WithEngines(xsearch.EngineSpec{Host: "127.0.0.1:8090"}))
 	default:
 		opts = append(opts, xsearch.WithEngines(engines...))
 	}

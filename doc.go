@@ -25,7 +25,6 @@
 //     upstreams by weight (CYCLOSA-style load spreading); a failing
 //     upstream is failed over transparently and, once its breaker opens,
 //     costs one probe per cooldown instead of a stall per request.
-//     WithEngineHost/WithEngineTLS remain as single-upstream sugar.
 //   - The Engine (NewEngine) is the search engine substrate: a ranked
 //     inverted-index engine with Bing-compatible OR semantics and the
 //     honest-but-curious behaviour the adversary model assumes.
@@ -138,24 +137,37 @@
 // of magnitude more attested sessions at equal gateway memory with
 // secure-query p95 within a few percent of the per-request HTTP edge.
 //
-// # Pipeline layer
+// # Request stage
 //
-// The blocking hot path holds one enclave thread (TCS) for the full
-// engine round trip — the enclave-transition and thread-occupancy cost
-// the SGX switchless/async-call literature attacks. WithAsyncOcalls
-// rebuilds the hot path as a staged asynchronous pipeline: the enclave
-// submits each engine fetch to a switchless-style ocall ring (a
-// shared-memory submission/completion ring pair serviced by untrusted
-// worker goroutines, paying no boundary transition), parks the request in
-// a trusted pending table, and RETURNS from the ecall — the TCS is free
-// while the network waits, so obfuscation and filtering of request N+1
-// overlap the engine wait of request N. Completions re-enter through a
-// "resume" ecall that does the breaker accounting, parses and filters the
-// winning response, charges the cache (exactly once per flight), and
-// seals the reply; coalesced followers redeem the leader's results
-// through their own "claim" ecall, sealed per session. With few TCS and a
-// realistic engine latency the pipeline multiplies throughput several
-// times over the blocking path.
+// The trusted request stage exists once (internal/proxy/stage.go) and
+// every configuration runs it: open (decode, open the sealed record) →
+// obfuscate (Algorithm 1 + the history's EPC settlement) → probe (echo,
+// result cache, answer index) → engine → settle (Algorithm 2, redirect
+// stripping, cache and index stores) → reply (seal). The configurations
+// are parameter settings, not parallel implementations. The paper's
+// interface — one "request" ecall over four socket ocalls (§5.3.3) — is
+// the engine stage run to completion inside the ecall. WithAsyncOcalls
+// parks the request there instead and finishes it in a "resume" ecall.
+// WithBatching sends N requests through the same stages in one
+// "request-batch" crossing; an unbatched request is a batch of one.
+// Package internal/proxy documents the stage table — which function runs
+// in which ecall under each configuration, and what the host can observe
+// at each seam — and the full ecall list, all of it part of the measured
+// identity (ident v2.0).
+//
+// Why park: the blocking engine stage holds one enclave thread (TCS) for
+// the full engine round trip — the thread-occupancy cost the SGX
+// switchless/async-call literature attacks. Parked, the enclave has
+// submitted the fetch to a switchless-style ocall ring (a shared-memory
+// submission/completion ring pair serviced by untrusted worker
+// goroutines, paying no boundary transition) and RETURNED from the ecall,
+// so obfuscation and filtering of request N+1 overlap the engine wait of
+// request N. The completion re-enters through "resume", which does the
+// breaker accounting and, for the winning response, settle and reply
+// (the cache charged exactly once per flight); coalesced followers redeem
+// the leader's results through "claim", sealed per session. With few TCS
+// and a realistic engine latency parking multiplies throughput several
+// times over.
 //
 // On the same seam, WithHedging races slow upstreams: when a fetch has
 // not answered after a configurable delay — or, by default, after the
@@ -165,39 +177,32 @@
 // against their upstream exactly once, and coalesced followers never
 // hedge (only flight leaders own fetches). With one slow upstream in the
 // rotation, hedging collapses the p99 tail from the slow upstream's
-// latency to roughly hedge-delay plus the fast upstream's latency. The
-// pipeline requires plain-TCP upstreams (in-enclave TLS termination needs
-// the blocking path) and is part of the measured enclave identity: an
-// async build attests differently from a blocking one. WithFetchTimeout
-// adds a per-fetch read deadline in the untrusted fetcher: an upstream
-// that accepts the connection but never responds fails the fetch — and
-// counts against its breaker — instead of pinning an async worker until a
-// hedge winner, caller abandonment, or shutdown cancels it.
+// latency to roughly hedge-delay plus the fast upstream's latency.
+// WithFetchTimeout is one absolute deadline over a whole fetch on both
+// engine stages: an upstream that accepts the connection but never
+// responds fails the fetch — and counts against its breaker — instead of
+// pinning a TCS or an async worker.
 //
-// # Batching
-//
-// Even fully pipelined, every request still pays two boundary crossings —
-// the stage-1 submission ecall and the resume ecall — and with transitions
-// priced (EENTER/EEXIT cost) that fixed tax bounds throughput regardless
-// of TCS count. WithBatching adds group commit at the ecall seam: admitted
-// requests queue briefly in front of a single batcher goroutine that
-// coalesces up to BatchMax of them into one vectorized "request-batch"
-// ecall — one obfuscator pass drawing noise for the whole batch, one EPC
-// settlement, one pending-table critical section, one ring submission
-// burst — and completions drain in batches through a matching
-// "resume-batch" ecall, dividing the transition tax by the batch
-// occupancy. The policy is adaptive: a genuinely idle proxy (sole request
-// in flight) submits immediately and pays no added latency, while a
-// loaded one waits up to BatchWindow for the batch to fill, trading a
-// bounded hold for amortization — under real load batching improves
-// latency as well as throughput, because requests stop queueing behind
-// other requests' transition spins. Batching rides the same hedging,
-// coalescing, and abandonment machinery as the unbatched pipeline (each
-// batch entry parks individually; hedges and claims re-enter through the
-// existing seams) and is part of the measured identity (ident v1.6). The
-// batch ablation (-figs batch) sweeps BatchMax against the unbatched
-// async pipeline at the same TCS count and commits the
-// batch-size/latency curve to BENCH_baseline.json.
+// Why batch: even parked, every request pays two boundary crossings —
+// "request" and "resume" — and with transitions priced (EENTER/EEXIT
+// cost) that fixed tax bounds throughput regardless of TCS count.
+// WithBatching adds group commit at the ecall seam: admitted requests
+// queue briefly in front of a single batcher goroutine that coalesces up
+// to BatchMax of them into one "request-batch" ecall — one obfuscator
+// pass drawing noise for the whole batch, one EPC settlement, one
+// pending-table critical section, one ring submission burst — and the
+// resume workers carry up to BatchMax ready completions per "resume",
+// dividing the transition tax by the batch occupancy. The policy is
+// adaptive: a genuinely idle proxy (sole request in flight) submits
+// immediately and pays no added latency, while a loaded one waits up to
+// BatchWindow for the batch to fill, trading a bounded hold for
+// amortization — under real load batching improves latency as well as
+// throughput, because requests stop queueing behind other requests'
+// transition spins. Each batch entry parks individually, so hedges,
+// claims and abandonment work unchanged. The batch ablation (-figs
+// batch) sweeps BatchMax against the unbatched async configuration at
+// the same TCS count and commits the batch-size/latency curve to
+// BENCH_baseline.json.
 //
 // Proxy.Stats reports the node gauges (per-upstream pool reuse, breaker
 // and rate-limit state in Stats.Upstreams — sorted by host for stable
@@ -222,8 +227,8 @@
 // matching documents guards relevance) is answered entirely in-enclave,
 // with zero upstream round trips — the engine never learns the query
 // was asked again. The index is forward-private on update: inserts run
-// only inside the already-measured winner/resume ecalls the fetch was
-// paying anyway, memory charges are arena-quantized so the untrusted
+// only in the settle stage, inside the ecall the fetch was paying
+// anyway, memory charges are arena-quantized so the untrusted
 // host observes only coarse, term-count-independent allocation sizes,
 // and no per-term allocation pattern crosses the boundary. Every byte
 // is charged through the same env.Alloc/env.Free contract as the
@@ -231,8 +236,8 @@
 // + cache + index; eviction is FIFO by document with TTL expiry. On a
 // planned drain the index migrates to the successor shard as a sealed
 // blob through the same handoff seam as the history, and the enclave
-// identity (ident v1.7) measures the index configuration. Proxy.Stats
-// reports IndexHits/IndexDocs/IndexBytes and a LocalHitRatio combining
+// identity measures the index configuration. Proxy.Stats reports
+// IndexHits/IndexDocs/IndexBytes and a LocalHitRatio combining
 // cache and index serving; the answer ablation (-figs answer) sweeps
 // repeat-heavy workloads against the no-index baseline and commits the
 // local-hit/upstream-cut curve to BENCH_baseline.json.
@@ -285,7 +290,7 @@
 //	defer engine.Shutdown(context.Background())
 //
 //	proxy, _ := xsearch.NewProxy(
-//		xsearch.WithEngineHost(engine.Addr()),
+//		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 //		xsearch.WithFakeQueries(3),
 //	)
 //	_ = proxy.Start("127.0.0.1:0")

@@ -38,7 +38,7 @@ func run() error {
 
 	// --- First proxy lifetime: accumulate history, then shut down. ---
 	p1, err := xsearch.NewProxy(
-		xsearch.WithEngineHost(engine.Addr()),
+		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(2),
 		xsearch.WithStatePersistence(statePath, machine),
 	)
@@ -84,7 +84,7 @@ func run() error {
 
 	// --- Restart on the same machine: history restored inside the enclave.
 	p2, err := xsearch.NewProxy(
-		xsearch.WithEngineHost(engine.Addr()),
+		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(2),
 		xsearch.WithStatePersistence(statePath, machine),
 	)
@@ -100,7 +100,7 @@ func run() error {
 
 	// --- A different machine cannot unseal the state. ---
 	_, err = xsearch.NewProxy(
-		xsearch.WithEngineHost(engine.Addr()),
+		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(2),
 		xsearch.WithStatePersistence(statePath, []byte("attacker-machine")),
 	)

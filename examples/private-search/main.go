@@ -45,7 +45,7 @@ func run() error {
 
 	for _, k := range []int{0, 1, 3, 5} {
 		proxy, err := xsearch.NewProxy(
-			xsearch.WithEngineHost(engine.Addr()),
+			xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 			xsearch.WithFakeQueries(k),
 			xsearch.WithProxySeed(uint64(k)+1),
 		)

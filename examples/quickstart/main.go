@@ -34,7 +34,7 @@ func run() error {
 	// 2. The X-Search proxy on an "untrusted cloud host": enclave-hosted
 	//    obfuscation with k=3 real past queries.
 	proxy, err := xsearch.NewProxy(
-		xsearch.WithEngineHost(engine.Addr()),
+		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(3),
 	)
 	if err != nil {

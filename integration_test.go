@@ -34,7 +34,7 @@ func TestProxyRestartPreservesHistory(t *testing.T) {
 	mkProxy := func() *xsearch.Proxy {
 		t.Helper()
 		p, err := xsearch.NewProxy(
-			xsearch.WithEngineHost(engine.Addr()),
+			xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 			xsearch.WithFakeQueries(2),
 			xsearch.WithProxySeed(1),
 			xsearch.WithStatePersistence(statePath, machine),
@@ -221,7 +221,7 @@ func TestTwoClientsIsolatedChannels(t *testing.T) {
 		_ = engine.Shutdown(ctx)
 	}()
 	p, err := xsearch.NewProxy(
-		xsearch.WithEngineHost(engine.Addr()),
+		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(1),
 		xsearch.WithProxySeed(1))
 	if err != nil {

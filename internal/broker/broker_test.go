@@ -35,7 +35,7 @@ func newStack(t *testing.T) *stack {
 		defer cancel()
 		_ = engineSrv.Shutdown(ctx)
 	})
-	p, err := proxy.New(proxy.Config{K: 2, EngineHost: engineSrv.Addr(), Seed: 1})
+	p, err := proxy.New(proxy.Config{K: 2, Engines: []proxy.EngineSpec{{Host: engineSrv.Addr()}}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSearchRecoversFromSessionLoss(t *testing.T) {
 	}()
 	p, err := proxy.New(proxy.Config{
 		K:           1,
-		EngineHost:  engineSrv.Addr(),
+		Engines:     []proxy.EngineSpec{{Host: engineSrv.Addr()}},
 		Seed:        1,
 		MaxSessions: 1, // any second handshake evicts the first session
 	})

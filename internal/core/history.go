@@ -31,15 +31,19 @@ type History struct {
 	bytes int64
 }
 
-// HistoryCost returns the accounted byte cost of storing the given
-// queries, an upper bound on the Add delta of inserting them (evictions
-// only subtract). Callers that must charge the EPC before mutating the
-// window (e.g. a sealed-handoff merge) pre-charge this bound and refund
-// the difference.
+// QueryCost returns the accounted byte cost of storing q, an upper bound
+// on the Add delta of inserting it (an eviction only subtracts). Callers
+// that must charge the EPC before mutating the window — so a refused
+// charge leaves nothing recorded — pre-charge this bound and refund the
+// difference.
+func QueryCost(q string) int64 { return int64(len(q)) + perQueryOverhead }
+
+// HistoryCost is QueryCost summed over queries (a sealed-handoff merge
+// pre-charges the whole incoming window).
 func HistoryCost(queries []string) int64 {
 	var n int64
 	for _, q := range queries {
-		n += int64(len(q)) + perQueryOverhead
+		n += QueryCost(q)
 	}
 	return n
 }

@@ -78,6 +78,10 @@ type BatchPoint struct {
 	// how full the batches actually ran at this load.
 	OccupancyP50 float64
 	OccupancyP95 float64
+	// ECallsPerRequest is enclave crossings (request + resume + control)
+	// per served request: what batching amortizes, independent of the
+	// host's clock.
+	ECallsPerRequest float64
 }
 
 // BatchResult carries the ablation's measurements.
@@ -87,6 +91,9 @@ type BatchResult struct {
 	UnbatchedRPS float64
 	UnbatchedP50 time.Duration
 	UnbatchedP95 time.Duration
+	// UnbatchedECallsPerRequest is the baseline's crossings per request
+	// (≈ 2: one request ecall, one resume).
+	UnbatchedECallsPerRequest float64
 	// Curve is one point per configured BatchMax.
 	Curve []BatchPoint
 	// BestSpeedup is the curve's best throughput gain over the baseline.
@@ -111,7 +118,7 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	defer shutdownServer(srv)
 
 	res := &BatchResult{InvariantOK: true}
-	runOne := func(batchMax int) (rps float64, p50, p95 time.Duration, occ50, occ95 float64, err error) {
+	runOne := func(batchMax int) (BatchPoint, error) {
 		pc := proxy.Config{
 			K:             2,
 			Engines:       []proxy.EngineSpec{{Host: srv.Addr()}},
@@ -129,49 +136,50 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 		}
 		p, err := proxy.New(pc)
 		if err != nil {
-			return 0, 0, 0, 0, 0, err
+			return BatchPoint{}, err
 		}
 		defer shutdownProxy(p)
 		// Warm the history so obfuscation has fakes to draw.
 		for i := 0; i < 4; i++ {
 			if _, err := p.ServeQuery(context.Background(), fmt.Sprintf("batch warm %d", i)); err != nil {
-				return 0, 0, 0, 0, 0, err
+				return BatchPoint{}, err
 			}
 		}
+		warmECalls := p.Stats().Enclave.ECalls
 		hist := metrics.NewHistogram()
 		label := fmt.Sprintf("batch%d", batchMax)
 		elapsed, err := drivePipeline(p, cfg.Workers, cfg.Requests, label, hist)
 		if err != nil {
-			return 0, 0, 0, 0, 0, err
+			return BatchPoint{}, err
 		}
 		snap := hist.Snapshot()
 		st := p.Stats()
 		res.InvariantOK = res.InvariantOK && proxyInvariantOK(p)
-		return float64(cfg.Requests) / elapsed.Seconds(), snap.P50, snap.P95,
-			st.BatchOccupancyP50, st.BatchOccupancyP95, nil
+		return BatchPoint{
+			BatchMax:         float64(batchMax),
+			RPS:              float64(cfg.Requests) / elapsed.Seconds(),
+			P50:              snap.P50,
+			P95:              snap.P95,
+			OccupancyP50:     st.BatchOccupancyP50,
+			OccupancyP95:     st.BatchOccupancyP95,
+			ECallsPerRequest: float64(st.Enclave.ECalls-warmECalls) / float64(cfg.Requests),
+		}, nil
 	}
 
-	rps, p50, p95, _, _, err := runOne(0) // unbatched async baseline
+	base, err := runOne(0) // unbatched async baseline
 	if err != nil {
 		return nil, fmt.Errorf("batch baseline: %w", err)
 	}
-	res.UnbatchedRPS, res.UnbatchedP50, res.UnbatchedP95 = rps, p50, p95
+	res.UnbatchedRPS, res.UnbatchedP50, res.UnbatchedP95 = base.RPS, base.P50, base.P95
+	res.UnbatchedECallsPerRequest = base.ECallsPerRequest
 
 	for _, size := range cfg.BatchSizes {
-		rps, p50, p95, occ50, occ95, err := runOne(size)
+		pt, err := runOne(size)
 		if err != nil {
 			return nil, fmt.Errorf("batch max %d: %w", size, err)
 		}
-		pt := BatchPoint{
-			BatchMax:     float64(size),
-			RPS:          rps,
-			P50:          p50,
-			P95:          p95,
-			OccupancyP50: occ50,
-			OccupancyP95: occ95,
-		}
 		if res.UnbatchedRPS > 0 {
-			pt.Speedup = rps / res.UnbatchedRPS
+			pt.Speedup = pt.RPS / res.UnbatchedRPS
 		}
 		if pt.Speedup > res.BestSpeedup {
 			res.BestSpeedup = pt.Speedup

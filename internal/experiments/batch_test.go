@@ -15,7 +15,10 @@ func TestRunBatchValidation(t *testing.T) {
 // TCS slots scarce, vectorized ecalls must demonstrably beat the unbatched
 // async pipeline (>= 1.3x at BatchMax >= 8; measured well above — the
 // slack keeps the test robust on loaded CI machines), and the EPC
-// invariant must hold across every run of the sweep.
+// invariant must hold across every run of the sweep. Under the race
+// detector, whose instrumentation eats the wall-clock margin, the bar is
+// the behaviour instead: fewer enclave crossings per request than the
+// unbatched run, as the Fig. 5/7 shape tests already do.
 func TestRunBatchSpeedsUp(t *testing.T) {
 	cfg := BatchConfig{
 		Workers:        16,
@@ -48,7 +51,12 @@ func TestRunBatchSpeedsUp(t *testing.T) {
 	if deep == nil {
 		t.Fatal("sweep produced no BatchMax >= 8 point")
 	}
-	if deep.Speedup < 1.3 {
+	if raceEnabled {
+		if deep.ECallsPerRequest >= res.UnbatchedECallsPerRequest {
+			t.Errorf("batching at max %v crossed the boundary %.2f times per request, unbatched %.2f: nothing was amortized",
+				deep.BatchMax, deep.ECallsPerRequest, res.UnbatchedECallsPerRequest)
+		}
+	} else if deep.Speedup < 1.3 {
 		t.Errorf("batching at max %v only %.2fx of unbatched async (want >= 1.3x; baseline %.0f rps, batched %.0f rps)",
 			deep.BatchMax, deep.Speedup, res.UnbatchedRPS, deep.RPS)
 	}

@@ -131,7 +131,7 @@ func RunFig7(f *Fixture, cfg Fig7Config) (*Fig7Result, error) {
 	}
 	xsProxy, err := proxy.New(proxy.Config{
 		K:             cfg.K,
-		EngineHost:    engineSrv.Addr(),
+		Engines:       []proxy.EngineSpec{{Host: engineSrv.Addr()}},
 		Seed:          cfg.Seed,
 		EngineLink:    proxyEngineLink,
 		EnclaveConfig: enclave.Config{TransitionCost: 3 * time.Microsecond},

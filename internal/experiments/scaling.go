@@ -125,7 +125,7 @@ func RunConnScaling(cfg ConnScalingConfig) (*ConnScalingResult, error) {
 func runScalingVariant(v *ConnScalingVariant, engineAddr string, queries []string, cfg ConnScalingConfig) error {
 	p, err := proxy.New(proxy.Config{
 		K:          2,
-		EngineHost: engineAddr,
+		Engines:    []proxy.EngineSpec{{Host: engineAddr}},
 		Seed:       cfg.Seed,
 		PoolSize:   v.PoolSize,
 		CacheBytes: v.CacheBytes,

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"xsearch/internal/core"
@@ -246,13 +245,6 @@ func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]
 
 // --- HTTP front ---
 
-// maxBodyBytes caps request bodies on the client-facing handlers. The
-// gateway runs in the untrusted host, but an unbounded body still lets a
-// hostile client balloon host memory (json.Decode buffers what it reads)
-// and starve the fronting process; every legitimate body — a channel
-// offer, a sealed query record — is a few KB.
-const maxBodyBytes = 1 << 20
-
 // httpFront is the gateway's HTTP server state. The endpoint surface is
 // exactly the proxy's (/search, /handshake, /secure, /stats, /healthz), so
 // brokers and curl users point at a fleet the same way they point at a
@@ -265,9 +257,7 @@ type httpFront struct {
 
 func (g *Gateway) initHTTP() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/search", g.handlePlainSearch)
-	mux.HandleFunc("/handshake", g.handleHandshake)
-	mux.HandleFunc("/secure", g.handleSecure)
+	proxy.HandleFront(mux, g)
 	mux.HandleFunc("/mux", g.handleMuxUpgrade)
 	mux.HandleFunc("/stats", g.handleStats)
 	mux.HandleFunc("/metrics", g.handleMetrics)
@@ -300,68 +290,6 @@ func (g *Gateway) Addr() string { return g.front.Addr() }
 
 // URL returns the gateway base URL.
 func (g *Gateway) URL() string { return "http://" + g.Addr() }
-
-func (g *Gateway) handlePlainSearch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	q := r.URL.Query().Get("q")
-	if strings.TrimSpace(q) == "" {
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
-		return
-	}
-	results, err := g.ServeQuery(r.Context(), q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	if results == nil {
-		results = []core.Result{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(results)
-}
-
-func (g *Gateway) handleHandshake(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var body struct {
-		Offer json.RawMessage `json:"offer"`
-		Nonce []byte          `json:"nonce"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, "bad handshake body", http.StatusBadRequest)
-		return
-	}
-	resp, err := g.Handshake(r.Context(), body.Offer, body.Nonce)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func (g *Gateway) handleSecure(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var body proxy.SecureEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, "bad secure body", http.StatusBadRequest)
-		return
-	}
-	record, err := g.Secure(r.Context(), body.Session, body.Record)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(proxy.SecureEnvelope{Session: body.Session, Record: record})
-}
 
 // handleStats serves the fleet snapshot, or — with ?shard=N — one
 // shard's own node snapshot (the same JSON its /stats would serve).

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xsearch/internal/core"
 	"xsearch/internal/mux"
 	"xsearch/internal/proxy"
 )
@@ -130,50 +129,19 @@ func (g *Gateway) serveMuxConn(conn io.ReadWriteCloser) {
 	_ = mux.Serve(conn, g.serveMuxRequest, cfg)
 }
 
-// serveMuxRequest demuxes one completed stream onto the gateway route its
-// kind names, speaking exactly the HTTP handlers' JSON bodies.
+// serveMuxRequest serves one completed stream as the call its kind names,
+// speaking exactly the HTTP handlers' JSON bodies.
 func (g *Gateway) serveMuxRequest(ctx context.Context, kind byte, req []byte) ([]byte, error) {
 	g.muxStreams.Add(1)
-	switch kind {
-	case mux.KindHandshake:
-		var body struct {
-			Offer json.RawMessage `json:"offer"`
-			Nonce []byte          `json:"nonce"`
-		}
-		if err := json.Unmarshal(req, &body); err != nil {
-			return nil, fmt.Errorf("bad handshake body")
-		}
-		resp, err := g.Handshake(ctx, body.Offer, body.Nonce)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(resp)
-	case mux.KindSecure:
-		var body proxy.SecureEnvelope
-		if err := json.Unmarshal(req, &body); err != nil {
-			return nil, fmt.Errorf("bad secure body")
-		}
-		record, err := g.Secure(ctx, body.Session, body.Record)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(proxy.SecureEnvelope{Session: body.Session, Record: record})
-	case mux.KindPlain:
-		q := strings.TrimSpace(string(req))
-		if q == "" {
-			return nil, fmt.Errorf("missing query")
-		}
-		results, err := g.ServeQuery(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		if results == nil {
-			results = []core.Result{}
-		}
-		return json.Marshal(results)
-	default:
-		return nil, fmt.Errorf("unknown stream kind 0x%x", kind)
+	var query string
+	if kind == mux.KindPlain {
+		query = strings.TrimSpace(string(req))
 	}
+	reply, err := proxy.ServeCall(ctx, g, kind, query, func(v any) error { return json.Unmarshal(req, v) })
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(reply)
 }
 
 // muxStop tears the mux edge down: stop accepting, close every live

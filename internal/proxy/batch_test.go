@@ -167,7 +167,7 @@ func TestBatchConfigValidation(t *testing.T) {
 }
 
 // End-to-end through the batched seam: concurrent plain and secure traffic
-// is served through request-batch/resume-batch ecalls with per-request
+// is served through request-batch/resume ecalls with per-request
 // semantics intact, the occupancy gauges move, and the EPC invariant holds.
 func TestBatchedPipelineServesQueries(t *testing.T) {
 	_, srv := newDelayEngine(t, 2*time.Millisecond)
@@ -443,7 +443,7 @@ func TestHedgeRearmUsesHedgedUpstreamDelay(t *testing.T) {
 
 // Completion-batch delivery racing request abandon: batched stage-1 means a
 // caller can give up between queueing its item and the batcher submitting
-// it, and completions arrive via resume-batch while callers time out. No
+// it, and completions arrive via batched resumes while callers time out. No
 // interleaving may leak dispatcher state (stashed outcomes, abandon marks,
 // registered waiters) or break the EPC invariant.
 func TestBatchCompletionVsAbandonRace(t *testing.T) {

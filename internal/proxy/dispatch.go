@@ -3,19 +3,21 @@ package proxy
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xsearch/internal/enclave"
 	"xsearch/internal/obs"
 )
 
 // pipelineRuntime is the untrusted half of the async request pipeline: it
 // admits requests up to PipelineDepth, drains the enclave's completion
 // ring through a pool of resume workers (each re-entering the enclave with
-// one completion), routes final outcomes back to parked request
+// the completions it found ready), routes final outcomes back to parked request
 // goroutines, arms hedge timers, and aborts hedge losers. Nothing here is
 // trusted — it moves opaque descriptors and timing around; every decision
 // that matters (candidate choice, winner arbitration, breaker accounting,
@@ -43,10 +45,10 @@ type pipelineRuntime struct {
 
 	// Ecall batching (BatchMax >= 2): admitted plain/secure requests are
 	// funneled through submitQ into one group-commit batcher goroutine
-	// that vectorizes stage-1 crossings, and the resume workers drain
-	// completions in batches of the same bound. Handshakes and the
-	// control ecalls stay singletons. submitQ is nil when batching is
-	// off.
+	// that vectorizes request crossings, and the resume workers drain
+	// completions in batches of the same bound (one at a time when
+	// batching is off). Handshakes and the control ecalls stay
+	// singletons. submitQ is nil when batching is off.
 	batchMax    int
 	batchWindow time.Duration
 	submitQ     chan *batchItem
@@ -90,16 +92,12 @@ func newPipelineRuntime(p *Proxy, depth, batchMax int, batchWindow time.Duration
 	return pl
 }
 
-// start spawns the resume workers (batched variants when batching is on)
-// and the request batcher.
+// start spawns the resume workers and, when batching is on, the request
+// batcher.
 func (pl *pipelineRuntime) start() {
 	for i := 0; i < resumeWorkerCount; i++ {
 		pl.workers.Add(1)
-		if pl.batchMax > 1 {
-			go pl.resumeLoopBatched()
-		} else {
-			go pl.resumeLoop()
-		}
+		go pl.resumeLoop()
 	}
 	if pl.submitQ != nil {
 		pl.workers.Add(1)
@@ -142,100 +140,74 @@ func (pl *pipelineRuntime) drain(ctx context.Context) error {
 // inFlight reports currently admitted requests (a Stats gauge).
 func (pl *pipelineRuntime) inFlight() int { return len(pl.sem) }
 
-// resumeLoop drains the completion ring: each completion is re-entered
-// into the enclave via the "resume" ecall, and the enclave's verdict is
-// routed to whoever is parked on it.
+// resumeLoop drains the completion ring into the "resume" ecall: the
+// first ready completion is taken blocking, every other already-ready
+// completion (up to BatchMax; none when batching is off) rides the same
+// crossing, amortizing the re-entry transition, and the enclave's
+// per-entry verdicts are routed to whoever is parked on them.
 func (pl *pipelineRuntime) resumeLoop() {
 	defer pl.workers.Done()
 	comp := pl.p.encl.Completions()
-	for {
-		select {
-		case <-pl.stop:
-			return
-		case c := <-comp:
-			if c.Err != nil {
-				// Submission-time validation makes handler lookups
-				// infallible; an errored completion carries no token to
-				// route, so there is nothing to resume.
-				continue
-			}
-			if len(c.Result) == 0 {
-				// A pure tls_step close batch: fire-and-forget, no token
-				// to resume (fetch and flight steps always carry JSON).
-				continue
-			}
-			pl.handleCompletion(c.Result)
+	batch := make([][]byte, 0, max(pl.batchMax, 1))
+	// Submission-time validation makes handler lookups infallible, so an
+	// errored completion carries no token to route; an empty result is a
+	// pure tls_step close batch, fire-and-forget. Neither is resumed.
+	add := func(c enclave.AsyncCompletion) {
+		if c.Err == nil && len(c.Result) > 0 {
+			batch = append(batch, c.Result)
 		}
 	}
-}
-
-func (pl *pipelineRuntime) handleCompletion(raw []byte) {
-	out, err := pl.p.encl.ECall(context.Background(), "resume", raw)
-	if err != nil {
-		return // enclave destroyed mid-flight
-	}
-	pl.routeResume(out)
-}
-
-// resumeLoopBatched is resumeLoop's batching variant: the first ready
-// completion is taken blocking, every other already-ready completion (up
-// to BatchMax) rides the same "resume-batch" ecall, amortizing the
-// re-entry transition across the batch. Per-entry verdicts are routed
-// exactly as the singleton loop routes them.
-func (pl *pipelineRuntime) resumeLoopBatched() {
-	defer pl.workers.Done()
-	comp := pl.p.encl.Completions()
 	for {
 		select {
 		case <-pl.stop:
 			return
 		case c := <-comp:
-			batch := make([][]byte, 0, pl.batchMax)
-			if c.Err == nil && len(c.Result) > 0 {
-				batch = append(batch, c.Result)
-			}
+			batch = batch[:0]
+			add(c)
 		drain:
-			for len(batch) < pl.batchMax {
+			for len(batch) < cap(batch) {
 				select {
-				case c2 := <-comp:
-					// Empty results are pure tls_step close batches:
-					// nothing to resume.
-					if c2.Err == nil && len(c2.Result) > 0 {
-						batch = append(batch, c2.Result)
-					}
+				case c := <-comp:
+					add(c)
 				default:
 					break drain
 				}
 			}
-			if len(batch) == 0 {
-				continue
+			if len(batch) > 0 {
+				pl.resume(batch)
 			}
-			pl.handleCompletionBatch(batch)
 		}
 	}
 }
 
-func (pl *pipelineRuntime) handleCompletionBatch(batch [][]byte) {
-	pl.bstats.submitted.Add(1)
-	out, err := pl.p.encl.ECall(context.Background(), "resume-batch", encodeBatch(batch))
+func (pl *pipelineRuntime) resume(batch [][]byte) {
+	if pl.bstats != nil {
+		pl.bstats.submitted.Add(1)
+	}
+	frames, err := pl.batchECall("resume", batch)
 	if err != nil {
 		return // enclave destroyed mid-flight
 	}
-	replies, err := decodeBatch(out)
-	if err != nil {
-		return
-	}
-	for _, raw := range replies {
-		var item batchItemReply
-		if err := json.Unmarshal(raw, &item); err != nil || item.Err != "" {
-			continue
-		}
-		pl.routeResume(item.Reply)
+	for _, raw := range frames {
+		pl.routeResume(raw)
 	}
 }
 
-// routeResume routes one resume verdict — from a singleton or batched
-// re-entry — to whoever is parked on it.
+// batchECall crosses the boundary once with the framed blobs and returns
+// the per-entry reply frames, one per blob.
+func (pl *pipelineRuntime) batchECall(name string, blobs [][]byte) ([][]byte, error) {
+	out, err := pl.p.encl.ECall(context.Background(), name, encodeBatch(blobs))
+	if err != nil {
+		return nil, err
+	}
+	frames, err := decodeBatch(out)
+	if err != nil || len(frames) != len(blobs) {
+		return nil, fmt.Errorf("proxy: bad batch reply: %v", err)
+	}
+	return frames, nil
+}
+
+// routeResume routes one resume verdict to whoever is parked on it.
 func (pl *pipelineRuntime) routeResume(out []byte) {
 	var rr resumeReply
 	if err := json.Unmarshal(out, &rr); err != nil {
@@ -303,11 +275,25 @@ func (pl *pipelineRuntime) deliver(id uint64, out pendingOutcome) {
 
 // discardClaim redeems and drops an abandoned follower's results.
 func (pl *pipelineRuntime) discardClaim(id uint64) {
-	arg, err := json.Marshal(claimArg{PendingID: id})
+	var dropped envelopeReply
+	_ = pl.control(context.Background(), "claim", id, &dropped)
+}
+
+// control runs one of the pending-table ecalls ("hedge", "claim",
+// "abandon") on parked request id and decodes its reply.
+func (pl *pipelineRuntime) control(ctx context.Context, name string, id uint64, reply any) error {
+	arg, err := json.Marshal(pendingArg{PendingID: id})
 	if err != nil {
-		return
+		return err
 	}
-	_, _ = pl.p.encl.ECall(context.Background(), "claim", arg)
+	out, err := pl.p.encl.ECall(ctx, name, arg)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(out, reply); err != nil {
+		return fmt.Errorf("proxy: bad %s reply: %w", name, err)
+	}
+	return nil
 }
 
 // await parks the calling request goroutine until the dispatcher delivers
@@ -350,7 +336,8 @@ func (pl *pipelineRuntime) await(ctx context.Context, reply envelopeReply) (enve
 // follower claim via the claim ecall.
 func (pl *pipelineRuntime) consume(ctx context.Context, id uint64, out pendingOutcome) (envelopeReply, error) {
 	if out.claim {
-		reply, err := pl.claim(ctx, id)
+		var reply envelopeReply
+		err := pl.control(ctx, "claim", id, &reply)
 		if err != nil && ctx.Err() != nil {
 			// The claim ecall died on the caller's cancelled context;
 			// free the trusted entry so it cannot leak.
@@ -372,43 +359,34 @@ func (pl *pipelineRuntime) consume(ctx context.Context, id uint64, out pendingOu
 func (pl *pipelineRuntime) abandon(id uint64, ch chan pendingOutcome) {
 	pl.mu.Lock()
 	delete(pl.waiters, id)
-	if out, ok := pl.unclaimed[id]; ok {
+	out, raced := pl.unclaimed[id]
+	if raced {
 		// The outcome was stashed before any waiter registered — the
 		// batched submit path abandons ids whose caller never reached
 		// await(), so the stash (not the caller's channel) may hold the
 		// delivery. Consume it here or it lingers forever.
 		delete(pl.unclaimed, id)
-		pl.mu.Unlock()
-		if out.claim {
-			pl.discardClaim(id)
+	} else {
+		select {
+		case out = <-ch:
+			raced = true
+		default:
+			pl.abandoned[id] = struct{}{}
 		}
-		return
 	}
-	select {
-	case out := <-ch:
-		pl.mu.Unlock()
+	pl.mu.Unlock()
+	if raced {
 		if out.claim {
 			pl.discardClaim(id)
 		}
 		return
-	default:
-		pl.abandoned[id] = struct{}{}
-		pl.mu.Unlock()
 	}
 	if pl.p == nil {
 		return // dispatcher-only unit tests
 	}
-	arg, err := json.Marshal(abandonArg{PendingID: id})
-	if err != nil {
-		return
-	}
-	out, err := pl.p.encl.ECall(context.Background(), "abandon", arg)
-	if err != nil {
-		return // enclave destroyed mid-teardown; nothing left to cancel
-	}
 	var ar abandonReply
-	if err := json.Unmarshal(out, &ar); err != nil {
-		return
+	if err := pl.control(context.Background(), "abandon", id, &ar); err != nil {
+		return // enclave destroyed mid-teardown; nothing left to cancel
 	}
 	if ar.Freed {
 		// The enclave released the entry while live: no resume will ever
@@ -422,23 +400,6 @@ func (pl *pipelineRuntime) abandon(id uint64, ch chan pendingOutcome) {
 			f.cancelFetch(tok)
 		}
 	}
-}
-
-// claim redeems a coalesced follower's ready results.
-func (pl *pipelineRuntime) claim(ctx context.Context, id uint64) (envelopeReply, error) {
-	arg, err := json.Marshal(claimArg{PendingID: id})
-	if err != nil {
-		return envelopeReply{}, err
-	}
-	out, err := pl.p.encl.ECall(ctx, "claim", arg)
-	if err != nil {
-		return envelopeReply{}, err
-	}
-	var reply envelopeReply
-	if err := json.Unmarshal(out, &reply); err != nil {
-		return envelopeReply{}, fmt.Errorf("proxy: bad claim reply: %w", err)
-	}
-	return reply, nil
 }
 
 // fireHedge asks the enclave to hedge a still-parked request; the enclave
@@ -456,16 +417,8 @@ func (pl *pipelineRuntime) fireHedge(id uint64, armed time.Time) {
 		return
 	default:
 	}
-	arg, err := json.Marshal(hedgeArg{PendingID: id})
-	if err != nil {
-		return
-	}
-	out, err := pl.p.encl.ECall(context.Background(), "hedge", arg)
-	if err != nil {
-		return
-	}
 	var hr hedgeReply
-	if err := json.Unmarshal(out, &hr); err != nil {
+	if err := pl.control(context.Background(), "hedge", id, &hr); err != nil {
 		return
 	}
 	if hr.Hedged {
@@ -481,31 +434,39 @@ func (pl *pipelineRuntime) fireHedge(id uint64, armed time.Time) {
 	}
 }
 
-// run is the pipelined request path: admit, stage-1 ecall, then either the
-// short-circuit reply or a park-and-await.
-func (p *Proxy) run(ctx context.Context, req envelope) (envelopeReply, error) {
+// run serves one query envelope (plain or secure) and keeps the node's
+// request counters and latency histogram. Blocking, it is the "request"
+// ecall; pipelined, it is admit, the request crossing (batched when the
+// batcher runs), then either the short-circuit reply or a park-and-await.
+func (p *Proxy) run(ctx context.Context, req envelope) (reply envelopeReply, err error) {
+	p.requests.Add(1)
 	p.inflight.Add(1)
-	defer p.inflight.Add(-1)
-	replyStart := time.Now()
-	defer func() { p.trusted.stages.Since(obs.StageReply, replyStart) }()
+	start := time.Now()
+	defer func() {
+		p.inflight.Add(-1)
+		p.trusted.stages.Since(obs.StageReply, start)
+		if err != nil {
+			p.errors.Add(1)
+			reply = envelopeReply{}
+			return
+		}
+		p.latency.Record(time.Since(start))
+	}()
 	pl := p.pipeline
 	if pl == nil {
 		return p.ecall(ctx, req)
 	}
-	admitStart := time.Now()
 	select {
 	case pl.sem <- struct{}{}:
 	case <-ctx.Done():
-		return envelopeReply{}, fmt.Errorf("proxy: pipeline admission: %w", ctx.Err())
+		return reply, fmt.Errorf("proxy: pipeline admission: %w", ctx.Err())
 	case <-pl.stop:
-		return envelopeReply{}, fmt.Errorf("proxy: pipeline stopped")
+		return reply, fmt.Errorf("proxy: pipeline stopped")
 	}
-	p.trusted.stages.Since(obs.StageAdmit, admitStart)
+	p.trusted.stages.Since(obs.StageAdmit, start)
 	defer func() { <-pl.sem }()
 
-	var reply envelopeReply
-	var err error
-	if pl.submitQ != nil && req.Type != typeHandshake {
+	if pl.submitQ != nil {
 		reply, err = pl.runBatched(ctx, req)
 	} else {
 		reply, err = p.ecall(ctx, req)
@@ -553,13 +514,8 @@ const (
 // side ends up consuming the raced outcome abandons the parked entry.
 type batchItem struct {
 	arg  []byte
-	done chan batchItemOutcome
+	done chan pendingOutcome
 	gone atomic.Bool
-}
-
-type batchItemOutcome struct {
-	reply envelopeReply
-	err   error
 }
 
 // runBatched routes an admitted plain/secure request through the ecall
@@ -570,7 +526,7 @@ func (pl *pipelineRuntime) runBatched(ctx context.Context, req envelope) (envelo
 	if err != nil {
 		return envelopeReply{}, err
 	}
-	item := &batchItem{arg: arg, done: make(chan batchItemOutcome, 1)}
+	item := &batchItem{arg: arg, done: make(chan pendingOutcome, 1)}
 	submitStart := time.Now()
 	select {
 	case pl.submitQ <- item:
@@ -594,28 +550,28 @@ func (pl *pipelineRuntime) runBatched(ctx context.Context, req envelope) (envelo
 	}
 }
 
-// forsake marks a batch item whose caller stopped waiting, then drains an
+// forsake marks a batch item whose caller stopped waiting, then reaps an
 // outcome that raced in. Both the forsaking caller and the delivering
-// batcher attempt the same drain after observing gone; the buffered
+// batcher attempt the same reap after observing gone; the buffered
 // channel holds at most one outcome, so exactly one side wins it and owns
 // abandoning the parked entry — the other side's receive simply misses.
 func (pl *pipelineRuntime) forsake(item *batchItem) {
 	item.gone.Store(true)
+	pl.reap(item)
+}
+
+// reap drains an outcome nobody will consume and abandons the request it
+// parked. The fresh channel handed to abandon can never hold a delivery
+// (no waiter was ever registered for the id); abandon's unclaimed-stash
+// check covers a final outcome that already landed.
+func (pl *pipelineRuntime) reap(item *batchItem) {
 	select {
 	case out := <-item.done:
 		if out.err == nil && out.reply.Pending != 0 {
-			pl.abandonPending(out.reply.Pending)
+			pl.abandon(out.reply.Pending, make(chan pendingOutcome, 1))
 		}
 	default:
 	}
-}
-
-// abandonPending abandons a parked id on behalf of a caller that stopped
-// waiting before its batched stage-1 outcome arrived. The fresh channel
-// can never hold a delivery (no waiter was ever registered for it);
-// abandon's unclaimed-stash check covers an outcome that already landed.
-func (pl *pipelineRuntime) abandonPending(id uint64) {
-	pl.abandon(id, make(chan pendingOutcome, 1))
 }
 
 // batcherLoop is group commit at the ecall seam: the first queued request
@@ -682,51 +638,31 @@ func (pl *pipelineRuntime) dispatchBatch(batch []*batchItem) {
 	for i, it := range batch {
 		blobs[i] = it.arg
 	}
-	out, err := pl.p.encl.ECall(context.Background(), "request-batch", encodeBatch(blobs))
-	if err != nil {
-		pl.failBatch(batch, err)
-		return
-	}
-	replies, err := decodeBatch(out)
-	if err != nil || len(replies) != len(batch) {
-		pl.failBatch(batch, fmt.Errorf("proxy: bad batch reply: %v", err))
-		return
-	}
+	frames, err := pl.batchECall("request-batch", blobs)
 	for i, it := range batch {
-		var entry batchItemReply
-		var outc batchItemOutcome
-		if err := json.Unmarshal(replies[i], &entry); err != nil {
-			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", err)
-		} else if entry.Err != "" {
-			outc.err = fmt.Errorf("%s", entry.Err)
-		} else if err := json.Unmarshal(entry.Reply, &outc.reply); err != nil {
-			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", err)
+		var item batchItemReply
+		var outc pendingOutcome
+		if err != nil {
+			outc.err = err
+		} else if uerr := json.Unmarshal(frames[i], &item); uerr != nil {
+			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", uerr)
+		} else if item.Err != "" {
+			outc.err = errors.New(item.Err)
+		} else if uerr := json.Unmarshal(item.Reply, &outc.reply); uerr != nil {
+			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", uerr)
 		}
 		pl.deliverBatchItem(it, outc)
 	}
 }
 
-func (pl *pipelineRuntime) failBatch(batch []*batchItem, err error) {
-	for _, it := range batch {
-		pl.deliverBatchItem(it, batchItemOutcome{err: err})
-	}
-}
-
-// deliverBatchItem hands one entry's stage-1 outcome to its queued
-// caller, then re-checks the gone flag: a caller that forsook the item
-// concurrently may have missed this delivery, in which case this side
-// drains it and abandons the parked entry (see forsake for the
-// exactly-one-consumer argument).
-func (pl *pipelineRuntime) deliverBatchItem(it *batchItem, out batchItemOutcome) {
+// deliverBatchItem hands one entry's request-crossing outcome to its
+// queued caller, then re-checks the gone flag: a caller that forsook the
+// item concurrently may have missed this delivery, in which case this side
+// reaps it (see forsake for the exactly-one-consumer argument).
+func (pl *pipelineRuntime) deliverBatchItem(it *batchItem, out pendingOutcome) {
 	it.done <- out
 	if it.gone.Load() {
-		select {
-		case late := <-it.done:
-			if late.err == nil && late.reply.Pending != 0 {
-				pl.abandonPending(late.reply.Pending)
-			}
-		default:
-		}
+		pl.reap(it)
 	}
 }
 

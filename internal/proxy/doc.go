@@ -7,6 +7,41 @@
 // accepts unencrypted queries from third-party clients (curl/wget), as the
 // paper notes.
 //
+// # Request stage
+//
+// The trusted request stage is written once (stage.go) as a sequence of
+// stage functions over 1..N entries; the configurations are parameter
+// settings of it. Blocking — the paper's — is the engine stage run to
+// completion inside the "request" ecall over the socket ocalls; async
+// (Config.AsyncOcalls) parks the request there instead and finishes it
+// in "resume"; batching (Config.BatchMax) sends N entries through in one
+// "request-batch" crossing, and an unbatched request is a batch of one.
+//
+//	stage      function            blocking        async                     what the host can observe at the seam
+//	open       open                "request"       "request[-batch]"         a sealed record in, its size
+//	obfuscate  obfuscate           "request"       "request[-batch]"         one EPC charge + refund ≈ query length
+//	probe      probe               "request"       "request[-batch]"         hit or miss (a hit replies at once)
+//	engine     fetch (blocking)    socket ocalls,  parks: "fetch"/"tls_step" the k+1 obfuscated query (ciphertext
+//	           park (async)        TCS held        submitted, TCS released   under TLS), the upstream, timing
+//	settle     settle              "request"       "resume" (winner only)    cache/index EPC charges (quantized)
+//	reply      finishReply         "request"       "resume", or "claim"      a sealed record out, its size
+//	                                               for coalesced followers
+//
+// A request that probe answers (or any stage fails) replies in the
+// crossing it arrived in, under every configuration.
+//
+// Parked requests live in the pending table (pipeline.go), whose ecalls
+// carry everything that happens to a request between park and reply:
+// "resume" (1..N fetch completions: breaker accounting, hedge
+// arbitration, failover, the winner's settle and reply), "hedge" (the
+// runtime's timer asks for a second attempt), "claim" (a coalesced
+// follower redeems its leader's results, sealed on its own channel) and
+// "abandon" (the caller gave up). The remaining ecalls are "init" and the
+// sealed-state pairs "restore"/"snapshot"/"merge" and
+// "snapshot-index"/"merge-index". The untrusted half (dispatch.go) admits
+// requests, batches crossings, drains completions into "resume" and
+// routes outcomes; it moves opaque bytes and timing only.
+//
 // # TLS transport
 //
 // An upstream with pinned roots (EngineSpec.RootsPEM) is spoken to over

@@ -492,44 +492,6 @@ func TestConcurrentCoalescingWithSessionChurn(t *testing.T) {
 	}
 }
 
-// The legacy single-engine options remain supported sugar, and mixing
-// them inconsistently with the new set API is a loud error.
-func TestLegacyEngineOptionsShim(t *testing.T) {
-	if _, err := New(Config{
-		K:          1,
-		EngineHost: "127.0.0.1:1",
-		Engines:    []EngineSpec{{Host: "127.0.0.1:2"}},
-	}); err == nil {
-		t.Error("disagreeing EngineHost and Engines accepted")
-	}
-	if _, err := New(Config{
-		K:             1,
-		EngineCertPEM: []byte("irrelevant"),
-		Engines:       []EngineSpec{{Host: "127.0.0.1:2"}},
-	}); err == nil {
-		t.Error("EngineCertPEM alongside Engines accepted")
-	}
-	// Agreeing legacy + new config is redundant but allowed.
-	p, err := New(Config{
-		K:          1,
-		EngineHost: "127.0.0.1:9",
-		Engines:    []EngineSpec{{Host: "127.0.0.1:9"}},
-	})
-	if err != nil {
-		t.Fatalf("agreeing legacy+new rejected: %v", err)
-	}
-	p.encl.Destroy()
-	// Legacy alone builds a one-element upstream set.
-	p, err = New(Config{K: 1, EngineHost: "127.0.0.1:9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.encl.Destroy()
-	if s := p.Stats(); len(s.Upstreams) != 1 || s.Upstreams[0].Host != "127.0.0.1:9" {
-		t.Errorf("legacy shim upstreams = %+v", s.Upstreams)
-	}
-}
-
 // Upstream-set validation: duplicates, missing ports, negative weights.
 func TestEngineSpecValidation(t *testing.T) {
 	for name, engines := range map[string][]EngineSpec{

@@ -26,7 +26,7 @@ func TestEngineUnreachable(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	_ = ln.Close()
 
-	p, err := New(Config{K: 1, EngineHost: deadAddr, Seed: 1})
+	p, err := New(Config{K: 1, Engines: []EngineSpec{{Host: deadAddr}}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestEngineReturnsGarbage(t *testing.T) {
 		}
 	}()
 
-	p, err := New(Config{K: 1, EngineHost: garbage.Addr().String(), Seed: 1})
+	p, err := New(Config{K: 1, Engines: []EngineSpec{{Host: garbage.Addr().String()}}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEngineErrorStatus(t *testing.T) {
 			_ = conn.Close()
 		}
 	}()
-	p, err := New(Config{K: 1, EngineHost: srv.Addr().String(), Seed: 1})
+	p, err := New(Config{K: 1, Engines: []EngineSpec{{Host: srv.Addr().String()}}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

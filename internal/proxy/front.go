@@ -1,0 +1,157 @@
+package proxy
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strings"
+
+	"xsearch/internal/core"
+	"xsearch/internal/mux"
+)
+
+// Front is the client-facing surface a client edge drives: one node
+// (*Proxy) or a fleet's session-routing gateway. The HTTP handlers and the
+// multiplexed edge both reach it through ServeCall, so a client cannot
+// tell the transports — or a node from a fleet — apart past the edge.
+type Front interface {
+	ServeQuery(ctx context.Context, query string) ([]core.Result, error)
+	Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*HandshakeResponse, error)
+	Secure(ctx context.Context, session string, record []byte) ([]byte, error)
+}
+
+// HandshakeResponse is what the front returns for a handshake call.
+type HandshakeResponse struct {
+	// Offer is the enclave's securechannel offer.
+	Offer json.RawMessage `json:"offer"`
+	// Session identifies the established channel on subsequent requests.
+	Session string `json:"session"`
+	// VerificationReport is the attestation service's signed statement
+	// covering the enclave quote (bound to Offer's public key).
+	VerificationReport []byte `json:"verification_report"`
+}
+
+// SecureEnvelope is the body of a secure call, in both directions.
+type SecureEnvelope struct {
+	Session string `json:"session"`
+	Record  []byte `json:"record"`
+}
+
+// BadRequest is a ServeCall failure that is the client's doing — a
+// malformed body, a missing query — as opposed to the node's or the
+// engine's: HTTP 400 instead of 502.
+type BadRequest string
+
+func (e BadRequest) Error() string { return string(e) }
+
+// ServeCall runs one client call against f: decode the request of the
+// given kind (the mux stream kinds, which map one-to-one onto the HTTP
+// routes), call, and return the reply for the edge to JSON-encode in its
+// own way — streamed to an HTTP response, marshalled into a mux frame.
+// decode is the edge's JSON decode of its body, a Decoder over an HTTP
+// body or Unmarshal of a mux frame. Handshake body: {"offer": <client
+// offer JSON>, "nonce": <base64>}; secure body: a SecureEnvelope, one
+// sealed query record in, one sealed response record out; the plain kind
+// has no body to decode, only the query text.
+func ServeCall(ctx context.Context, f Front, kind byte, query string, decode func(v any) error) (any, error) {
+	switch kind {
+	case mux.KindHandshake:
+		var req struct {
+			Offer json.RawMessage `json:"offer"`
+			Nonce []byte          `json:"nonce"`
+		}
+		if err := decode(&req); err != nil {
+			return nil, BadRequest("bad handshake body")
+		}
+		return f.Handshake(ctx, req.Offer, req.Nonce)
+	case mux.KindSecure:
+		var req SecureEnvelope
+		if err := decode(&req); err != nil {
+			return nil, BadRequest("bad secure body")
+		}
+		record, err := f.Secure(ctx, req.Session, req.Record)
+		if err != nil {
+			return nil, err
+		}
+		return SecureEnvelope{Session: req.Session, Record: record}, nil
+	case mux.KindPlain:
+		if strings.TrimSpace(query) == "" {
+			return nil, BadRequest("missing query")
+		}
+		results, err := f.ServeQuery(ctx, query)
+		if err != nil {
+			return nil, err
+		}
+		if results == nil {
+			results = []core.Result{}
+		}
+		return results, nil
+	default:
+		return nil, BadRequest(fmt.Sprintf("unknown stream kind 0x%x", kind))
+	}
+}
+
+// maxBodyBytes caps request bodies on the client-facing handlers. The
+// front runs in the untrusted host, but an unbounded body still lets a
+// hostile client balloon host memory (json.Decode buffers what it reads)
+// and starve the fronting process; every legitimate body — a channel
+// offer, a sealed query record — is a few KB.
+const maxBodyBytes = 1 << 20
+
+// HandleFront registers f's client routes on routes: GET /search?q= for
+// third-party (curl/wget) clients, POST /handshake and POST /secure for
+// brokers.
+func HandleFront(routes *http.ServeMux, f Front) {
+	routes.HandleFunc("/search", frontHandler(f, mux.KindPlain))
+	routes.HandleFunc("/handshake", frontHandler(f, mux.KindHandshake))
+	routes.HandleFunc("/secure", frontHandler(f, mux.KindSecure))
+}
+
+// frontHandler is the HTTP form of one call kind.
+func frontHandler(f Front, kind byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var query string
+		var decode func(v any) error
+		if kind == mux.KindPlain {
+			// The query reaches the enclave as sent: padding is part of
+			// the history and cache key.
+			query = r.URL.Query().Get("q")
+		} else {
+			if r.Method != http.MethodPost {
+				http.Error(w, "POST required", http.StatusMethodNotAllowed)
+				return
+			}
+			decode = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode
+		}
+		reply, err := ServeCall(r.Context(), f, kind, query, decode)
+		if err != nil {
+			status, msg := http.StatusBadGateway, err.Error()
+			var bad BadRequest
+			if errors.As(err, &bad) {
+				status = http.StatusBadRequest
+				if kind == mux.KindPlain {
+					msg = "missing q parameter"
+				}
+				if p, ok := f.(*Proxy); ok {
+					p.countRefused(kind)
+				}
+			}
+			http.Error(w, msg, status)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(reply)
+	}
+}
+
+// countRefused keeps the node's counters for a client call refused at the
+// front, before run could count it: a refused plain search is a request
+// and an error, a malformed handshake or secure body an error.
+func (p *Proxy) countRefused(kind byte) {
+	if kind == mux.KindPlain {
+		p.requests.Add(1)
+	}
+	p.errors.Add(1)
+}

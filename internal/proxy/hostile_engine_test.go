@@ -66,7 +66,7 @@ func TestSmuggledPipelinedResponseNotPooled(t *testing.T) {
 			legit := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(tt.body), tt.body)
 			ln := scriptedEngine(t, legit+forged)
 
-			p, err := New(Config{K: 1, EngineHost: ln.Addr().String(), Seed: 1})
+			p, err := New(Config{K: 1, Engines: []EngineSpec{{Host: ln.Addr().String()}}, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

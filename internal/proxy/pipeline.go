@@ -3,43 +3,28 @@ package proxy
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/obs"
-	"xsearch/internal/searchengine"
 )
 
-// This file is the trusted half of the async request pipeline. The sync
-// hot path holds one TCS for the full engine round trip (decrypt →
-// obfuscate → BLOCKING ocall fetch → filter → encrypt); the pipeline
-// splits it into CPU-only stages separated by switchless async fetches:
-//
-//	ecall "request":  decrypt, obfuscate (history charge), cache probe,
-//	                  coalesce or submit async fetch, PARK → TCS released
-//	ecall "hedge":    (runtime timer) issue a hedge fetch to the next
-//	                  healthy upstream for a still-parked request
-//	ecall "resume":   one fetch completion in: breaker accounting,
-//	                  failover/hedge arbitration, and on the winning
-//	                  response parse → filter → cache → seal → final reply
-//	ecall "claim":    a coalesced follower redeems the leader's results
-//	                  (sealed per-session inside the enclave)
-//
-// While a fetch is in flight NO enclave thread is occupied, so request
-// N+1's obfuscation/filtering overlaps request N's network wait — the
+// This file is the trusted half of the async engine stage: the pending
+// table a request parks in, and the "resume", "hedge", "claim" and
+// "abandon" ecalls that act on it (doc.go has the stage table). While a
+// fetch is in flight NO enclave thread is occupied, so request N+1's
+// obfuscation/filtering overlaps request N's network wait — the
 // switchless/async-call design the SGX literature uses to beat transition
 // and TCS costs, applied to the paper's §6.3 bottleneck.
 //
-// Parked requests live in the pendingTable below. Entries hold only
-// bounded per-request state (the obfuscated query and routing bookkeeping)
-// for the duration of one engine round trip; like single-flight results on
-// the sync path they are transient working state, not retained data, so
-// they are not charged to the EPC meter — the history and cache charges
-// (the retained state) happen exactly as on the sync path.
+// Pending-table entries hold only bounded per-request state (the
+// obfuscated query and routing bookkeeping) for the duration of one engine
+// round trip; like single-flight results on the blocking stage they are
+// transient working state, not retained data, so they are not charged to
+// the EPC meter — the history, cache and index charges (the retained
+// state) happen in the shared stages.
 
 // pendingAttempt is one issued fetch of a parked request.
 type pendingAttempt struct {
@@ -64,7 +49,6 @@ type pendingReq struct {
 	key     string
 	oq      core.ObfuscatedQuery
 	path    string
-	keep    bool // pool keep-alive wanted
 
 	attempts []*pendingAttempt
 	tried    map[*upstream]bool
@@ -101,58 +85,15 @@ func newPendingTable() *pendingTable {
 	}
 }
 
-// finishReply builds the final marshalled reply for one request: plain
-// results as-is, secure results sealed under the session's channel with
-// request-level errors folded into the sealed secureResponse, exactly as
-// the sync path does. The session is re-looked-up at seal time: a session
-// evicted while its request was parked fails here (the channel died with
-// its table slot).
-func (ts *trustedState) finishReply(kind, session string, results []core.Result, errstr string) ([]byte, error) {
-	switch kind {
-	case typePlain:
-		if errstr != "" {
-			return nil, fmt.Errorf("%s", errstr)
-		}
-		return json.Marshal(envelopeReply{Results: results})
-	case typeSecure:
-		ts.mu.Lock()
-		sess, ok := ts.sessions[session]
-		ts.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("proxy: unknown session %q", session)
-		}
-		respPT, err := json.Marshal(secureResponse{Results: results, Err: errstr})
-		if err != nil {
-			return nil, err
-		}
-		sealed, err := sess.channel.Seal(respPT)
-		if err != nil {
-			return nil, fmt.Errorf("proxy: seal response: %w", err)
-		}
-		return json.Marshal(envelopeReply{Record: sealed})
-	default:
-		return nil, fmt.Errorf("proxy: unknown pending kind %q", kind)
-	}
-}
-
 // nextCandidate picks the next upstream a parked request may try: the
-// registry's preference order minus already-tried upstreams, gated by the
-// rate limiter and breaker exactly like the sync path. Caller holds the
-// pending-table lock (tried map); the limiter/breaker have their own.
+// registry's preference order minus already-tried upstreams, gated like
+// the blocking walk. Caller holds the pending-table lock (tried map); the
+// limiter/breaker have their own.
 func (ts *trustedState) nextCandidate(p *pendingReq) *upstream {
 	for _, u := range ts.registry.order() {
-		if p.tried[u] {
-			continue
+		if !p.tried[u] && ts.admit(u, &p.lastErr) {
+			return u
 		}
-		if u.limiter != nil && !u.limiter.allow(time.Now()) {
-			u.rateLimited.Add(1)
-			p.lastErr = fmt.Sprintf("proxy: engine %s rate-limited", u.host)
-			continue
-		}
-		if !u.acquire(time.Now(), ts.registry.threshold) {
-			continue
-		}
-		return u
 	}
 	return nil
 }
@@ -191,7 +132,7 @@ func (ts *trustedState) submitFetch(env enclave.Env, p *pendingReq, att *pending
 		Token:     att.token,
 		Host:      att.u.host,
 		Path:      p.path,
-		KeepAlive: p.keep,
+		KeepAlive: ts.asyncKeepAlive,
 	})
 	if err != nil {
 		return err
@@ -202,148 +143,48 @@ func (ts *trustedState) submitFetch(env enclave.Env, p *pendingReq, att *pending
 	return nil
 }
 
-// beginAsync is the pipeline's stage-1: everything the sync path does
-// before the engine round trip, ending in a parked request instead of a
-// blocking fetch. Returns the final marshalled reply for the short
-// circuits (echo, cache hit, no upstream available) and a Pending reply
-// otherwise.
-func (ts *trustedState) beginAsync(env enclave.Env, kind, session, query string, count int) ([]byte, error) {
-	obfStart := time.Now()
-	oq, delta := ts.obfuscator.Obfuscate(query)
-	if delta > 0 {
-		if err := env.Alloc(delta); err != nil {
-			return ts.stageError(kind, session, fmt.Sprintf("proxy: history alloc: %v", err))
-		}
-	} else if delta < 0 {
-		env.Free(-delta)
-	}
-	ts.stages.Since(obs.StageObfuscate, obfStart)
-	if ts.echoMode {
-		return ts.finishReply(kind, session, []core.Result{}, "")
-	}
-	key := cacheKey(query, count)
-	probeStart := time.Now()
-	if ts.cache != nil {
-		if cached, ok := ts.cache.Get(key, time.Now(), env.Free); ok {
-			ts.cacheHits.Hit()
-			ts.stages.Since(obs.StageProbe, probeStart)
-			return ts.finishReply(kind, session, cached, "")
-		}
-		ts.cacheHits.Miss()
-	}
-	if ts.index != nil {
-		if hits, ok := ts.index.Query(query, count, time.Now(), env.Free); ok {
-			ts.indexHits.Hit()
-			ts.stages.Since(obs.StageProbe, probeStart)
-			return ts.finishReply(kind, session, hits, "")
-		}
-		ts.indexHits.Miss()
-	}
-	ts.stages.Since(obs.StageProbe, probeStart)
-
-	pt := ts.pending
-	pt.mu.Lock()
-	pt.nextID++
-	p := &pendingReq{
-		id:      pt.nextID,
-		kind:    kind,
-		session: session,
-		key:     key,
-	}
-	coalesce := ts.flights != nil // same switch as the sync path
-	if coalesce {
-		if leader, ok := pt.byKey[key]; ok && !leader.done {
-			// Follower: ride the leader's flight. No fetch, no hedging.
-			p.leader = leader
-			leader.waiters = append(leader.waiters, p)
-			pt.byID[p.id] = p
-			pt.mu.Unlock()
-			ts.coalesce.Hit()
-			return json.Marshal(envelopeReply{Pending: p.id})
-		}
-	}
-	// Leader: build the fetch and submit the primary attempt.
-	p.oq = oq
-	p.path = "/search?q=" + queryEscape(oq.Query()) + "&count=" + strconv.Itoa(count)
-	p.keep = ts.asyncKeepAlive
-	p.tried = make(map[*upstream]bool)
-	u := ts.nextCandidate(p)
-	if u == nil {
-		lastErr := p.lastErr
-		pt.mu.Unlock()
-		if lastErr == "" {
-			lastErr = "proxy: no engine upstream available (all cooling down)"
-		}
-		return ts.stageError(kind, session, lastErr)
-	}
-	att := pt.reserveAttempt(p, u, false)
-	pt.byID[p.id] = p
-	pt.mu.Unlock()
-	if coalesce {
-		ts.coalesce.Miss()
-	}
-	if err := ts.submitFetch(env, p, att); err != nil {
-		pt.unreserve(att)
-		pt.mu.Lock()
-		p.done = true
-		delete(pt.byID, p.id)
-		pt.mu.Unlock()
-		return ts.stageError(kind, session, err.Error())
-	}
-	if coalesce {
-		// Publish the coalescing key only once the fetch is airborne: a
-		// leader published before its submission could collect followers
-		// in the failure window, and the cleanup above has no way to
-		// ready them (follower wake-ups ride the resume ecall's reply,
-		// which a failed submission never produces). A completion that
-		// already finalized the request must not resurrect the key, and
-		// a concurrent leader that published first keeps the key while
-		// it lives (displacing it would strand its coalescing window).
-		pt.mu.Lock()
-		if existing, ok := pt.byKey[key]; !p.done && (!ok || existing.done) {
-			pt.byKey[key] = p
-		}
-		pt.mu.Unlock()
-	}
-	return json.Marshal(envelopeReply{
-		Pending:  p.id,
-		Upstream: u.host,
-		CanHedge: ts.hedgeMax > 0 && len(ts.registry.ups) > 1,
-	})
-}
-
-// stageError turns a pipeline-stage failure into the sync path's shape:
-// plain queries fail the ecall, secure queries seal the error into the
-// response record.
-func (ts *trustedState) stageError(kind, session, errstr string) ([]byte, error) {
-	if kind == typePlain {
-		return nil, fmt.Errorf("%s", errstr)
-	}
-	return ts.finishReply(kind, session, nil, errstr)
-}
-
-// handleResume is the "resume" ecall: one async fetch completion enters
-// the enclave. It performs the upstream accounting the sync loop does
-// inline (breaker, served counters), arbitrates hedges (first success
-// wins), fails over when every outstanding attempt is gone, and on the
-// winning response runs the pipeline's stage-2: parse → filter → cache →
-// final reply, plus readying any coalesced followers.
+// handleResume is the "resume" ecall: every completion the resume worker
+// had ready re-enters in one transition (one, on an unbatched proxy).
+// Each entry is resumed on its own — failover, hedge-loser accounting and
+// coalesced-follower wake-ups keep their per-request semantics — so only
+// the EENTER pair is amortized, and the reply frames one resumeReply per
+// entry.
 func (ts *trustedState) handleResume(env enclave.Env, arg []byte) ([]byte, error) {
+	blobs, err := decodeBatch(arg)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([][]byte, len(blobs))
+	for i, blob := range blobs {
+		if outs[i], err = json.Marshal(ts.resumeOne(env, blob)); err != nil {
+			return nil, err
+		}
+	}
+	return encodeBatch(outs), nil
+}
+
+// resumeOne takes one async fetch completion into the enclave. It performs
+// the upstream accounting the blocking walk does inline (breaker, served
+// counters), arbitrates hedges (first success wins), fails over when every
+// outstanding attempt is gone, and on the winning response settles the
+// request and builds its final reply, readying any coalesced followers.
+func (ts *trustedState) resumeOne(env enclave.Env, arg []byte) resumeReply {
 	var fr fetchReply
-	if err := json.Unmarshal(arg, &fr); err != nil {
-		return nil, fmt.Errorf("proxy: bad resume arg: %w", err)
+	if json.Unmarshal(arg, &fr) != nil {
+		// A garbled completion names no token: nothing to act on.
+		return resumeReply{State: "orphan"}
 	}
 	pt := ts.pending
 	pt.mu.Lock()
 	att, ok := pt.byToken[fr.Token]
-	if !ok {
+	switch {
+	case !ok:
 		pt.mu.Unlock()
 		// Unknown token: a late or already-cancelled completion. Echo it
 		// as DoneToken so a TLS flight's untrusted per-token state is
 		// dropped; for a plain token that cleanup is a no-op.
-		return tlsOrphanReply(fr.Token)
-	}
-	if att.flight != nil {
+		return resumeReply{State: "orphan", DoneToken: fr.Token}
+	case att.flight != nil:
 		// TLS attempt: this completion is a ciphertext step, not a fetch
 		// reply. The flight driver advances the trusted TLS state machine
 		// and re-enters completeFetchLocked only on a terminal outcome.
@@ -357,10 +198,10 @@ func (ts *trustedState) handleResume(env enclave.Env, arg []byte) ([]byte, error
 
 // completeFetchLocked is the completion tail shared by plain fetches and
 // terminal TLS flight outcomes: breaker accounting, hedge arbitration,
-// failover, and the winner's parse → filter → cache → seal stage-2.
+// failover, and the winner's settle → seal.
 // Entered with the table lock HELD, att.done already set and its token
 // removed; the lock is released before returning.
-func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt, fr *fetchReply) ([]byte, error) {
+func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt, fr *fetchReply) resumeReply {
 	pt := ts.pending
 	p := att.p
 	if fr.Cancelled {
@@ -374,9 +215,9 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 			if p.lastErr == "" {
 				p.lastErr = fmt.Sprintf("proxy: engine %s: fetch cancelled", att.u.host)
 			}
-			out, err := ts.failOverLocked(env, pt, p)
+			rr := ts.failOverLocked(env, pt, p)
 			att.u.reportCancelled()
-			return out, err
+			return rr
 		}
 		wasDone := p.done
 		pt.mu.Unlock()
@@ -387,7 +228,7 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 			// request (outstanding > 0) is not.
 			ts.hedgeCancelled.Add(1)
 		}
-		return orphanReply()
+		return resumeReply{State: "orphan"}
 	}
 	if p.done {
 		// Late loser that ran to completion before the runtime's cancel
@@ -395,7 +236,7 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 		// result), nothing else to do.
 		pt.mu.Unlock()
 		ts.accountOutcome(att.u, fr)
-		return orphanReply()
+		return resumeReply{State: "orphan"}
 	}
 
 	if failMsg := fetchFailure(fr); failMsg != "" {
@@ -404,13 +245,13 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 			// A hedge (or the primary) is still in flight; let it race on.
 			pt.mu.Unlock()
 			att.u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
-			return pendingReply(p.id)
+			return resumeReply{State: "pending", PendingID: p.id}
 		}
 		// Last attempt standing failed: fail over immediately, like the
-		// sync loop walking to the next upstream.
-		out, err := ts.failOverLocked(env, pt, p)
+		// blocking stage walking to the next upstream.
+		rr := ts.failOverLocked(env, pt, p)
 		att.u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
-		return out, err
+		return rr
 	}
 
 	// The attempt reached the engine. Claim the win under the lock so a
@@ -425,47 +266,13 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 	}
 
 	resumeStart := time.Now()
-	var results []core.Result
-	var errstr string
-	switch {
-	case fr.Status != 200:
-		// Healthy upstream, error status: final request error (sync path
-		// returns it without failing over).
-		errstr = fmt.Sprintf("proxy: engine status %d", fr.Status)
-	default:
-		var engineResults []searchengine.Result
-		if err := json.Unmarshal(fr.Body, &engineResults); err != nil {
-			errstr = fmt.Sprintf("proxy: engine response: %v", err)
-			break
-		}
-		raw := make([]core.Result, len(engineResults))
-		for i, r := range engineResults {
-			raw[i] = core.Result{URL: r.URL, Title: r.Title, Snippet: r.Snippet}
-		}
-		filterStart := time.Now()
-		results = core.FilterResults(p.oq.Original(), p.oq.Fakes(), raw)
-		for i := range results {
-			results[i].URL = core.StripRedirects(results[i].URL)
-		}
-		ts.stages.Since(obs.StageFilter, filterStart)
-		if ts.cache != nil {
-			// Charged to the EPC exactly once, by the flight leader —
-			// followers only copy.
-			ts.cache.Put(p.key, results, time.Now(), env.Alloc, env.Free)
-		}
-		if ts.index != nil {
-			// Forward-private insert: runs inside the already-measured
-			// resume ecall with arena-quantized charges, so the host
-			// observes no term-dependent allocation pattern.
-			ts.index.Insert(results, time.Now(), env.Alloc, env.Free)
-		}
-	}
+	results, err := ts.settle(env, p.oq, p.key, fr)
 
 	pt.mu.Lock()
-	raw := ts.finalizeLocked(pt, p, results, errstr, cancelToks)
+	rr := ts.finalizeLocked(pt, p, results, errString(err), cancelToks)
 	pt.mu.Unlock()
 	ts.stages.Since(obs.StageResume, resumeStart)
-	return raw, nil
+	return rr
 }
 
 // failOverLocked advances a live request whose last outstanding attempt
@@ -473,28 +280,28 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 // — finalize with the request's last error. Called with the table lock
 // held; the lock is released before returning (submitFetch must not run
 // under it).
-func (ts *trustedState) failOverLocked(env enclave.Env, pt *pendingTable, p *pendingReq) ([]byte, error) {
+func (ts *trustedState) failOverLocked(env enclave.Env, pt *pendingTable, p *pendingReq) resumeReply {
 	next := ts.nextCandidate(p)
 	if next == nil {
-		raw := ts.finalizeLocked(pt, p, nil, p.lastErr, nil)
+		rr := ts.finalizeLocked(pt, p, nil, p.lastErr, nil)
 		pt.mu.Unlock()
-		return raw, nil
+		return rr
 	}
 	att := pt.reserveAttempt(p, next, false)
 	pt.mu.Unlock()
 	if err := ts.submitFetch(env, p, att); err != nil {
 		pt.unreserve(att)
 		pt.mu.Lock()
-		raw := ts.finalizeLocked(pt, p, nil, err.Error(), nil)
+		rr := ts.finalizeLocked(pt, p, nil, err.Error(), nil)
 		pt.mu.Unlock()
-		return raw, nil
+		return rr
 	}
-	return pendingReply(p.id)
+	return resumeReply{State: "pending", PendingID: p.id}
 }
 
 // fetchFailure classifies a completion as an upstream failure ("" means
 // the upstream held up its end). 5xx and transport errors count against
-// the breaker, like the sync loop; an oversized body is the untrusted
+// the breaker on either engine stage; an oversized body is the untrusted
 // runtime violating the response cap and counts as a failed exchange.
 func fetchFailure(fr *fetchReply) string {
 	switch {
@@ -508,13 +315,25 @@ func fetchFailure(fr *fetchReply) string {
 	return ""
 }
 
-// accountOutcome applies a late loser's breaker accounting.
-func (ts *trustedState) accountOutcome(u *upstream, fr *fetchReply) {
-	if fetchFailure(fr) != "" {
+// accountOutcome charges one finished exchange to its upstream's breaker
+// and returns fetchFailure's verdict.
+func (ts *trustedState) accountOutcome(u *upstream, fr *fetchReply) string {
+	failMsg := fetchFailure(fr)
+	if failMsg != "" {
 		u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
-		return
+	} else {
+		u.reportSuccess()
 	}
-	u.reportSuccess()
+	return failMsg
+}
+
+// errString is err's message, "" for nil: request errors cross the ecall
+// seam and the pending table as strings.
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // outstanding counts a pending request's fetches still in flight.
@@ -548,9 +367,9 @@ func cancelTokens(p *pendingReq) []uint64 {
 }
 
 // finalizeLocked completes a leader: stores the outcome, readies every
-// follower, clears the table entries, and marshals the resume reply
-// carrying the leader's final reply. Caller holds the table lock.
-func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results []core.Result, errstr string, cancelToks []uint64) []byte {
+// follower, clears the table entries, and builds the resume reply carrying
+// the leader's final reply. Caller holds the table lock.
+func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results []core.Result, errstr string, cancelToks []uint64) resumeReply {
 	p.done = true
 	p.results = results
 	p.errstr = errstr
@@ -571,20 +390,7 @@ func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results 
 	} else {
 		rr.Reply = reply
 	}
-	out, err := json.Marshal(rr)
-	if err != nil {
-		// Marshalling our own struct cannot fail; keep the contract total.
-		out, _ = json.Marshal(resumeReply{State: "done", PendingID: p.id, Err: err.Error()})
-	}
-	return out
-}
-
-func orphanReply() ([]byte, error) {
-	return json.Marshal(resumeReply{State: "orphan"})
-}
-
-func pendingReply(id uint64) ([]byte, error) {
-	return json.Marshal(resumeReply{State: "pending", PendingID: id})
+	return rr
 }
 
 // handleHedge is the "hedge" ecall: the runtime's hedge timer fired for a
@@ -592,7 +398,7 @@ func pendingReply(id uint64) ([]byte, error) {
 // flight state are trusted concerns; only the TIMING is untrusted (the
 // host observes request timing anyway).
 func (ts *trustedState) handleHedge(env enclave.Env, arg []byte) ([]byte, error) {
-	var ha hedgeArg
+	var ha pendingArg
 	if err := json.Unmarshal(arg, &ha); err != nil {
 		return nil, fmt.Errorf("proxy: bad hedge arg: %w", err)
 	}
@@ -634,7 +440,7 @@ func (ts *trustedState) handleHedge(env enclave.Env, arg []byte) ([]byte, error)
 // still want the results; only the abandoned caller's reply is dropped),
 // and an abandoning follower is unhooked from its leader.
 func (ts *trustedState) handleAbandon(_ enclave.Env, arg []byte) ([]byte, error) {
-	var aa abandonArg
+	var aa pendingArg
 	if err := json.Unmarshal(arg, &aa); err != nil {
 		return nil, fmt.Errorf("proxy: bad abandon arg: %w", err)
 	}
@@ -702,7 +508,7 @@ func (ts *trustedState) handleAbandon(_ enclave.Env, arg []byte) ([]byte, error)
 // built fresh per follower — secure followers get their own sealed record
 // on their own channel.
 func (ts *trustedState) handleClaim(_ enclave.Env, arg []byte) ([]byte, error) {
-	var ca claimArg
+	var ca pendingArg
 	if err := json.Unmarshal(arg, &ca); err != nil {
 		return nil, fmt.Errorf("proxy: bad claim arg: %w", err)
 	}
@@ -725,304 +531,4 @@ func (ts *trustedState) handleClaim(_ enclave.Env, arg []byte) ([]byte, error) {
 	out := make([]core.Result, len(results))
 	copy(out, results)
 	return ts.finishReply(w.kind, w.session, out, errstr)
-}
-
-// batchEntry is handleRequestBatch's per-entry staging state. An entry is
-// settled (out/err final) as soon as its outcome is known; later phases
-// skip settled entries.
-type batchEntry struct {
-	kind    string
-	session string
-	query   string
-	count   int
-	key     string
-	oq      core.ObfuscatedQuery
-	p       *pendingReq
-	att     *pendingAttempt // nil for coalesced followers
-	host    string
-	errstr  string // stage error recorded under the table lock, framed after
-	out     []byte
-	err     error
-	settled bool
-}
-
-func (e *batchEntry) settle(out []byte, err error) {
-	e.out, e.err, e.settled = out, err, true
-}
-
-func (e *batchEntry) fail(err error) { e.settle(nil, err) }
-
-// handleRequestBatch is the "request-batch" ecall: several admitted
-// requests cross the boundary in one transition. Per-entry semantics are
-// identical to the singleton "request" ecall — each entry ends with
-// exactly the reply (or error) it would have gotten alone, framed
-// per-entry by batchItemReply — while the fixed costs are paid once per
-// batch: one EENTER pair, one obfuscator-lock acquisition drawing noise
-// for every query, one aggregate EPC settlement for the history delta,
-// one pending-table critical section, and one burst of fetch submissions
-// into the async ring. Handshakes never batch (the untrusted batcher
-// routes them to the singleton ecall; one arriving here is a per-entry
-// error, not a batch failure).
-//
-// Identical queries inside one batch do NOT coalesce onto each other:
-// the coalescing key is published only after a leader's fetch is airborne
-// (the singleton path's rule), and publication happens after the whole
-// burst, so same-key entries each lead their own flight — exactly the
-// window two concurrent singleton ecalls already race through.
-func (ts *trustedState) handleRequestBatch(env enclave.Env, arg []byte) ([]byte, error) {
-	raw, err := decodeBatch(arg)
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]*batchEntry, len(raw))
-
-	// Phase 1: per-entry decode/decrypt, mirroring handlePlain and
-	// handleSecure up to the obfuscation step. Records from one session
-	// arrive in submission order, so channel sequencing is preserved.
-	for i, blob := range raw {
-		e := &batchEntry{}
-		entries[i] = e
-		var req envelope
-		if err := json.Unmarshal(blob, &req); err != nil {
-			e.fail(fmt.Errorf("proxy: bad envelope: %w", err))
-			continue
-		}
-		switch req.Type {
-		case typePlain:
-			if strings.TrimSpace(req.Query) == "" {
-				e.fail(fmt.Errorf("proxy: empty query"))
-				continue
-			}
-			e.kind, e.query, e.count = typePlain, req.Query, ts.perList
-		case typeSecure:
-			ts.mu.Lock()
-			sess, ok := ts.sessions[req.Session]
-			ts.mu.Unlock()
-			if !ok {
-				e.fail(fmt.Errorf("proxy: unknown session %q", req.Session))
-				continue
-			}
-			plaintext, err := sess.channel.Open(req.Record)
-			if err != nil {
-				e.fail(fmt.Errorf("proxy: open record: %w", err))
-				continue
-			}
-			var sreq secureRequest
-			if err := json.Unmarshal(plaintext, &sreq); err != nil {
-				e.fail(fmt.Errorf("proxy: bad secure request: %w", err))
-				continue
-			}
-			count := sreq.Count
-			if count <= 0 || count > 100 {
-				count = ts.perList
-			}
-			e.kind, e.session, e.query, e.count = typeSecure, req.Session, sreq.Query, count
-		default:
-			e.fail(fmt.Errorf("proxy: request type %q cannot batch", req.Type))
-		}
-	}
-
-	// Phase 2: one obfuscation pass for the whole batch, one EPC
-	// settlement for the aggregate history delta. An EPC-exhausted Alloc
-	// fails every live entry the way it would have failed each singleton.
-	var queries []string
-	for _, e := range entries {
-		if !e.settled {
-			queries = append(queries, e.query)
-		}
-	}
-	obfStart := time.Now()
-	if len(queries) > 0 {
-		oqs, delta := ts.obfuscator.ObfuscateBatch(queries)
-		if delta > 0 {
-			if err := env.Alloc(delta); err != nil {
-				for _, e := range entries {
-					if !e.settled {
-						e.settle(ts.stageError(e.kind, e.session, fmt.Sprintf("proxy: history alloc: %v", err)))
-					}
-				}
-			}
-		} else if delta < 0 {
-			env.Free(-delta)
-		}
-		j := 0
-		for _, e := range entries {
-			if !e.settled {
-				e.oq = oqs[j]
-				j++
-			}
-		}
-		// One observation per batch crossing: the amortized cost IS the
-		// quantity of interest, and per-entry splits of a shared pass
-		// would be arbitrary.
-		ts.stages.Since(obs.StageObfuscate, obfStart)
-	}
-
-	// Phase 3: echo short-circuit and per-entry cache → local-index probe.
-	probeStart := time.Now()
-	for _, e := range entries {
-		if e.settled {
-			continue
-		}
-		if ts.echoMode {
-			e.settle(ts.finishReply(e.kind, e.session, []core.Result{}, ""))
-			continue
-		}
-		e.key = cacheKey(e.query, e.count)
-		if ts.cache != nil {
-			if cached, ok := ts.cache.Get(e.key, time.Now(), env.Free); ok {
-				ts.cacheHits.Hit()
-				e.settle(ts.finishReply(e.kind, e.session, cached, ""))
-				continue
-			}
-			ts.cacheHits.Miss()
-		}
-		if ts.index != nil {
-			if hits, ok := ts.index.Query(e.query, e.count, time.Now(), env.Free); ok {
-				ts.indexHits.Hit()
-				e.settle(ts.finishReply(e.kind, e.session, hits, ""))
-				continue
-			}
-			ts.indexHits.Miss()
-		}
-	}
-	ts.stages.Since(obs.StageProbe, probeStart)
-
-	// Phase 4: one pending-table critical section builds every entry's
-	// flight — follower attach, or leader create + candidate + attempt
-	// reservation (registered BEFORE submission, the table's invariant).
-	pt := ts.pending
-	coalesce := ts.flights != nil
-	pt.mu.Lock()
-	for _, e := range entries {
-		if e.settled {
-			continue
-		}
-		pt.nextID++
-		p := &pendingReq{id: pt.nextID, kind: e.kind, session: e.session, key: e.key}
-		if coalesce {
-			if leader, ok := pt.byKey[e.key]; ok && !leader.done {
-				p.leader = leader
-				leader.waiters = append(leader.waiters, p)
-				pt.byID[p.id] = p
-				e.p = p
-				continue
-			}
-		}
-		p.oq = e.oq
-		p.path = "/search?q=" + queryEscape(e.oq.Query()) + "&count=" + strconv.Itoa(e.count)
-		p.keep = ts.asyncKeepAlive
-		p.tried = make(map[*upstream]bool)
-		u := ts.nextCandidate(p)
-		if u == nil {
-			if p.lastErr == "" {
-				p.lastErr = "proxy: no engine upstream available (all cooling down)"
-			}
-			e.errstr = p.lastErr
-			continue
-		}
-		e.att = pt.reserveAttempt(p, u, false)
-		pt.byID[p.id] = p
-		e.p = p
-		e.host = u.host
-	}
-	pt.mu.Unlock()
-	for _, e := range entries {
-		if e.settled {
-			continue
-		}
-		if e.errstr != "" {
-			e.settle(ts.stageError(e.kind, e.session, e.errstr))
-			continue
-		}
-		if coalesce {
-			if e.att == nil {
-				ts.coalesce.Hit()
-			} else {
-				ts.coalesce.Miss()
-			}
-		}
-	}
-
-	// Phase 5: burst every leader's primary fetch into the async ring.
-	// OCallAsync re-checks the enclave's destroy signal around each ring
-	// send, so each submission in the burst individually observes a
-	// destroy: a destroy mid-burst deterministically fails this entry and
-	// every remaining one with ErrDestroyed instead of leaving them
-	// parked with no fetch in flight (no resume would ever finalize
-	// them). Never under the table lock: a full ring blocks, and the
-	// resume path needs the lock to drain it.
-	for _, e := range entries {
-		if e.settled || e.att == nil {
-			continue
-		}
-		if err := ts.submitFetch(env, e.p, e.att); err != nil {
-			pt.unreserve(e.att)
-			pt.mu.Lock()
-			e.p.done = true
-			delete(pt.byID, e.p.id)
-			pt.mu.Unlock()
-			e.att = nil
-			e.settle(ts.stageError(e.kind, e.session, err.Error()))
-		}
-	}
-
-	// Phase 6: publish coalescing keys for the airborne leaders, under
-	// the singleton path's late-publication rule (only a live leader with
-	// its fetch in flight may collect followers; a concurrent leader that
-	// published first keeps the key).
-	if coalesce {
-		pt.mu.Lock()
-		for _, e := range entries {
-			if e.settled || e.att == nil {
-				continue
-			}
-			if existing, ok := pt.byKey[e.key]; !e.p.done && (!ok || existing.done) {
-				pt.byKey[e.key] = e.p
-			}
-		}
-		pt.mu.Unlock()
-	}
-
-	// Phase 7: frame the parked replies. Followers carry only the pending
-	// id; leaders also name their upstream so the runtime can derive the
-	// hedge delay per entry, exactly as the singleton reply does.
-	for _, e := range entries {
-		if e.settled {
-			continue
-		}
-		if e.att == nil {
-			e.settle(json.Marshal(envelopeReply{Pending: e.p.id}))
-			continue
-		}
-		e.settle(json.Marshal(envelopeReply{
-			Pending:  e.p.id,
-			Upstream: e.host,
-			CanHedge: ts.hedgeMax > 0 && len(ts.registry.ups) > 1,
-		}))
-	}
-	outs := make([][]byte, len(entries))
-	for i, e := range entries {
-		outs[i] = marshalBatchItem(e.out, e.err)
-	}
-	return encodeBatch(outs), nil
-}
-
-// handleResumeBatch is the "resume-batch" ecall: every completion the
-// resume worker had ready re-enters in one transition. Each entry runs
-// the exact singleton resume logic — failover, hedge-loser accounting,
-// and coalesced-follower wake-ups keep their per-request semantics — so
-// only the EENTER pair is amortized; a failover submitted by one entry
-// uses the same per-call destroy guarantee as the singleton path.
-func (ts *trustedState) handleResumeBatch(env enclave.Env, arg []byte) ([]byte, error) {
-	raw, err := decodeBatch(arg)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([][]byte, len(raw))
-	for i, blob := range raw {
-		out, err := ts.handleResume(env, blob)
-		outs[i] = marshalBatchItem(out, err)
-	}
-	return encodeBatch(outs), nil
 }

@@ -36,27 +36,13 @@ type Config struct {
 	// Engines is the set of engine upstreams the enclave spreads
 	// obfuscated queries across (weighted fan-out with failover and a
 	// per-upstream circuit breaker). At least one upstream is required
-	// unless EchoMode; the legacy EngineHost/EngineCertPEM pair is sugar
-	// for a one-element set and must agree with Engines when both are set.
+	// unless EchoMode.
 	Engines []EngineSpec
-	// EngineHost is the host:port of the search engine.
-	//
-	// Deprecated: legacy single-upstream option, kept as sugar for a
-	// one-element Engines set. New configurations should set Engines.
-	EngineHost string
 	// ResultsPerList bounds each sub-query's result list (paper uses 20).
 	ResultsPerList int
 	// EchoMode answers immediately after obfuscation without contacting
 	// the engine — the paper's §6.3 capacity-measurement configuration.
 	EchoMode bool
-	// EngineCertPEM, when set, makes the enclave speak HTTPS to the
-	// engine (paper footnote 2), pinning these PEM-encoded root
-	// certificates. The pins are part of the measured enclave identity.
-	//
-	// Deprecated: legacy single-upstream option, applied to the engine
-	// named by EngineHost. New configurations should set RootsPEM on the
-	// relevant EngineSpec in Engines.
-	EngineCertPEM []byte
 	// Seed fixes obfuscation randomness; zero draws a random seed.
 	Seed uint64
 	// MaxSessions bounds concurrent secure channels (FIFO eviction).
@@ -111,10 +97,10 @@ type Config struct {
 	// max(1, ceil(UpstreamRateLimit)); only consulted when
 	// UpstreamRateLimit > 0.
 	UpstreamRateBurst int
-	// AsyncOcalls switches the request hot path from the blocking
-	// ecall→ocall chain to the staged asynchronous pipeline: engine
-	// fetches are submitted to a switchless-style ocall ring serviced by
-	// untrusted worker goroutines, the enclave thread (TCS) is released
+	// AsyncOcalls switches the request stage's engine stage from blocking
+	// (the ecall→ocall chain) to parking: engine fetches are submitted to
+	// a switchless-style ocall ring serviced by untrusted worker
+	// goroutines, the enclave thread (TCS) is released
 	// while the round trip is in flight, and the request is resumed by a
 	// later ecall carrying the completion. Obfuscation/filtering of
 	// request N+1 overlaps the network wait of request N. Upstreams with
@@ -149,11 +135,10 @@ type Config struct {
 	FetchTimeout time.Duration
 	// BatchMax enables the adaptive ecall batcher when >= 2: admitted
 	// requests are coalesced into vectorized "request-batch" ecalls of up
-	// to BatchMax entries, and ready completions re-enter through
-	// "resume-batch" ecalls of the same bound, amortizing the fixed
-	// enclave transition cost (and the per-crossing obfuscator-lock and
-	// EPC traffic) across the batch. Zero disables batching — every
-	// request pays its own EENTER pair, the pre-batching behaviour.
+	// to BatchMax entries, and each "resume" ecall carries up to BatchMax
+	// ready completions, amortizing the fixed enclave transition cost (and
+	// the per-crossing obfuscator-lock and EPC traffic) across the batch.
+	// Zero disables batching — every request pays its own EENTER pair.
 	// Requires AsyncOcalls; capped by PipelineDepth (a batch is drawn
 	// from admitted requests and can never fill past the admission
 	// bound).
@@ -289,7 +274,7 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	if !cfg.EchoMode && len(engines) == 0 {
-		return nil, fmt.Errorf("proxy: Engines (or EngineHost) required unless EchoMode")
+		return nil, fmt.Errorf("proxy: Engines required unless EchoMode")
 	}
 	if cfg.HedgeMax < 0 {
 		return nil, fmt.Errorf("proxy: negative HedgeMax")
@@ -343,8 +328,13 @@ func New(cfg Config) (*Proxy, error) {
 		// stage-1 ecalls can block in OCallAsync on a full submission
 		// ring while holding every TCS, starving the resume workers that
 		// drain the completion ring the async workers are blocked pushing
-		// to — a four-way deadlock Shutdown cannot break.
-		workersNeed := cfg.PipelineDepth * (1 + cfg.HedgeMax)
+		// to — a four-way deadlock Shutdown cannot break. needNote tells
+		// the sizing errors below why the requirement grew beyond
+		// PipelineDepth.
+		workersNeed, needNote := cfg.PipelineDepth*(1+cfg.HedgeMax), ""
+		if cfg.HedgeMax > 0 {
+			needNote = fmt.Sprintf(" ×%d with hedging", 1+cfg.HedgeMax)
+		}
 		// A batched stage-1 ecall bursts up to BatchMax submissions while
 		// holding its TCS, so the ring must guarantee that much free
 		// space even in the transient where every admitted request still
@@ -354,6 +344,9 @@ func New(cfg Config) (*Proxy, error) {
 		// TCS held — the same four-way-deadlock shape the base
 		// requirement exists to exclude, now reachable by one ecall.
 		workersNeed += cfg.BatchMax
+		if cfg.BatchMax > 0 {
+			needNote += fmt.Sprintf(" +%d batch-burst headroom", cfg.BatchMax)
+		}
 		if tlsUpstreams {
 			// A TLS flight keeps at most one "tls_step" in the ring at a
 			// time (strict ping-pong), but terminal steps also carry
@@ -362,8 +355,8 @@ func New(cfg Config) (*Proxy, error) {
 			// possible attempt one slot of close headroom so a burst of
 			// terminals cannot block an ecall on a full ring.
 			workersNeed += cfg.PipelineDepth * (1 + cfg.HedgeMax)
+			needNote += " ×2 TLS close-step headroom"
 		}
-		needNote := hedgeFactorNote(cfg.HedgeMax) + batchBurstNote(cfg.BatchMax) + tlsHeadroomNote(tlsUpstreams)
 		if cfg.EnclaveConfig.AsyncWorkers == 0 {
 			cfg.EnclaveConfig.AsyncWorkers = workersNeed
 		} else if cfg.EnclaveConfig.AsyncWorkers < workersNeed {
@@ -484,7 +477,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v1.9 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v2.0 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
@@ -502,67 +495,42 @@ func New(cfg Config) (*Proxy, error) {
 			}
 		}
 	}
-	if len(engines) == 0 && len(cfg.EngineCertPEM) > 0 {
-		// Hostless legacy pin (echo mode): still part of the measurement.
-		if err := builder.AddData(cfg.EngineCertPEM); err != nil {
-			return nil, err
-		}
-	}
 	builder.SetSigner(VendorSigner)
-	if err := builder.RegisterECall("init", func(env enclave.Env, arg []byte) ([]byte, error) {
+	type ecall struct {
+		name    string
+		handler func(enclave.Env, []byte) ([]byte, error)
+	}
+	ecalls := []ecall{
 		// Setup options arrive before serving; currently a no-op beyond
 		// existing to match the paper's interface.
-		return nil, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := builder.RegisterECall("request", trusted.handleRequest); err != nil {
-		return nil, err
-	}
-	if err := builder.RegisterECall("restore", trusted.handleRestore); err != nil {
-		return nil, err
-	}
-	if err := builder.RegisterECall("snapshot", trusted.handleSnapshot); err != nil {
-		return nil, err
-	}
-	if err := builder.RegisterECall("merge", trusted.handleMerge); err != nil {
-		return nil, err
-	}
-	// The answer index's sealed handoff seam, measured like the history's
-	// snapshot/merge pair (registered unconditionally so the drain path
-	// is uniform; with the index off they carry an empty index).
-	if err := builder.RegisterECall("snapshot-index", trusted.handleSnapshotIndex); err != nil {
-		return nil, err
-	}
-	if err := builder.RegisterECall("merge-index", trusted.handleMergeIndex); err != nil {
-		return nil, err
+		{"init", func(enclave.Env, []byte) ([]byte, error) { return nil, nil }},
+		{"request", trusted.handleRequest},
+		{"restore", trusted.handleRestore},
+		{"snapshot", trusted.handleSnapshot},
+		{"merge", trusted.handleMerge},
+		// The answer index's sealed handoff seam, measured like the
+		// history's snapshot/merge pair (registered unconditionally so the
+		// drain path is uniform; with the index off they carry an empty
+		// index).
+		{"snapshot-index", trusted.handleSnapshotIndex},
+		{"merge-index", trusted.handleMergeIndex},
 	}
 	if cfg.AsyncOcalls {
-		// The staged pipeline's re-entry points. They are part of the
-		// measured surface: an async-pipelined build attests differently
-		// from a blocking one.
-		if err := builder.RegisterECall("resume", trusted.handleResume); err != nil {
+		// The parked request's re-entry points. They are part of the
+		// measured surface: an async build attests differently from a
+		// blocking one.
+		ecalls = append(ecalls, ecall{"resume", trusted.handleResume}, ecall{"hedge", trusted.handleHedge},
+			ecall{"claim", trusted.handleClaim}, ecall{"abandon", trusted.handleAbandon})
+	}
+	if cfg.BatchMax > 0 {
+		// The vectorized request crossing is its own measured surface: a
+		// batching build attests differently from a one-request-per-ecall
+		// one.
+		ecalls = append(ecalls, ecall{"request-batch", trusted.handleRequestBatch})
+	}
+	for _, e := range ecalls {
+		if err := builder.RegisterECall(e.name, e.handler); err != nil {
 			return nil, err
-		}
-		if err := builder.RegisterECall("hedge", trusted.handleHedge); err != nil {
-			return nil, err
-		}
-		if err := builder.RegisterECall("claim", trusted.handleClaim); err != nil {
-			return nil, err
-		}
-		if err := builder.RegisterECall("abandon", trusted.handleAbandon); err != nil {
-			return nil, err
-		}
-		if cfg.BatchMax > 0 {
-			// Vectorized boundary crossings are their own measured
-			// surface: a batching build attests differently from a
-			// singleton-ecall one.
-			if err := builder.RegisterECall("request-batch", trusted.handleRequestBatch); err != nil {
-				return nil, err
-			}
-			if err := builder.RegisterECall("resume-batch", trusted.handleResumeBatch); err != nil {
-				return nil, err
-			}
 		}
 	}
 	encl, err := builder.Build()
@@ -620,9 +588,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.pipeline.start()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/search", p.handlePlainSearch)
-	mux.HandleFunc("/handshake", p.handleHandshake)
-	mux.HandleFunc("/secure", p.handleSecure)
+	HandleFront(mux, p)
 	mux.HandleFunc("/stats", p.handleStats)
 	mux.HandleFunc("/metrics", p.handleMetrics)
 	mux.HandleFunc("/events", p.handleEvents)
@@ -720,33 +686,6 @@ const (
 	// succeeded (nothing in flight).
 	stragglerGrace = 250 * time.Millisecond
 )
-
-// hedgeFactorNote annotates the async-sizing errors with why the
-// requirement grew beyond PipelineDepth.
-func hedgeFactorNote(hedgeMax int) string {
-	if hedgeMax > 0 {
-		return fmt.Sprintf(" ×%d with hedging", 1+hedgeMax)
-	}
-	return ""
-}
-
-// batchBurstNote annotates the async-sizing errors with the batch-burst
-// headroom term.
-func batchBurstNote(batchMax int) string {
-	if batchMax > 0 {
-		return fmt.Sprintf(" +%d batch-burst headroom", batchMax)
-	}
-	return ""
-}
-
-// tlsHeadroomNote annotates the async-sizing errors with the TLS
-// close-step headroom term (one extra slot per possible attempt).
-func tlsHeadroomNote(tlsUpstreams bool) string {
-	if tlsUpstreams {
-		return " ×2 TLS close-step headroom"
-	}
-	return ""
-}
 
 // Measurement returns the enclave's MRENCLAVE, which clients pin.
 func (p *Proxy) Measurement() enclave.Measurement { return p.encl.Measurement() }
@@ -957,15 +896,8 @@ func (p *Proxy) Handshake(ctx context.Context, offer json.RawMessage, nonce []by
 // returns the sealed response record. Fleet gateways call it directly to
 // route a pinned session's traffic to its shard.
 func (p *Proxy) Secure(ctx context.Context, session string, record []byte) ([]byte, error) {
-	p.requests.Add(1)
-	start := time.Now()
 	reply, err := p.run(ctx, envelope{Type: typeSecure, Session: session, Record: record})
-	if err != nil {
-		p.errors.Add(1)
-		return nil, err
-	}
-	p.latency.Record(time.Since(start))
-	return reply.Record, nil
+	return reply.Record, err
 }
 
 // SnapshotHistory returns the query history as an enclave-sealed blob
@@ -983,13 +915,17 @@ func (p *Proxy) SnapshotHistory(ctx context.Context) ([]byte, error) {
 // charging the EPC for the growth. It returns how many queries arrived and
 // the net byte delta.
 func (p *Proxy) MergeHistory(ctx context.Context, blob []byte) (added int, bytes int64, err error) {
-	out, err := p.encl.ECall(ctx, "merge", blob)
+	return p.mergeECall(ctx, "merge", blob)
+}
+
+func (p *Proxy) mergeECall(ctx context.Context, name string, blob []byte) (added int, bytes int64, err error) {
+	out, err := p.encl.ECall(ctx, name, blob)
 	if err != nil {
 		return 0, 0, err
 	}
 	var rep mergeReply
 	if err := json.Unmarshal(out, &rep); err != nil {
-		return 0, 0, fmt.Errorf("proxy: merge reply: %w", err)
+		return 0, 0, fmt.Errorf("proxy: %s reply: %w", name, err)
 	}
 	return rep.Added, rep.Bytes, nil
 }
@@ -1009,15 +945,7 @@ func (p *Proxy) SnapshotIndex(ctx context.Context) ([]byte, error) {
 // holds at every step). An empty blob, or a merge into a node with the
 // index disabled, is a no-op. Returns documents added and bytes charged.
 func (p *Proxy) MergeIndex(ctx context.Context, blob []byte) (added int, bytes int64, err error) {
-	out, err := p.encl.ECall(ctx, "merge-index", blob)
-	if err != nil {
-		return 0, 0, err
-	}
-	var rep mergeReply
-	if err := json.Unmarshal(out, &rep); err != nil {
-		return 0, 0, fmt.Errorf("proxy: merge-index reply: %w", err)
-	}
-	return rep.Added, rep.Bytes, nil
+	return p.mergeECall(ctx, "merge-index", blob)
 }
 
 // Stats reports request counters plus enclave resource accounting and the
@@ -1219,15 +1147,8 @@ func (p *Proxy) StageSnapshots() map[string]metrics.LatencySnapshot {
 // processing limit without the host network stack in the way, as the
 // paper's wrk2-on-bare-metal setup does.
 func (p *Proxy) ServeQuery(ctx context.Context, query string) ([]core.Result, error) {
-	p.requests.Add(1)
-	start := time.Now()
 	reply, err := p.run(ctx, envelope{Type: typePlain, Query: query})
-	if err != nil {
-		p.errors.Add(1)
-		return nil, err
-	}
-	p.latency.Record(time.Since(start))
-	return reply.Results, nil
+	return reply.Results, err
 }
 
 // ecall sends an envelope through the "request" ecall.
@@ -1245,90 +1166,6 @@ func (p *Proxy) ecall(ctx context.Context, req envelope) (envelopeReply, error) 
 		return reply, fmt.Errorf("proxy: bad reply: %w", err)
 	}
 	return reply, nil
-}
-
-// maxBodyBytes caps request bodies on the client-facing handlers. The
-// proxy runs in the untrusted host, but an unbounded body still lets a
-// hostile client balloon host memory (json.Decode buffers what it reads)
-// and starve the fronting process; every legitimate body — a channel
-// offer, a sealed query record — is a few KB.
-const maxBodyBytes = 1 << 20
-
-// handlePlainSearch serves GET /search?q= for third-party clients.
-func (p *Proxy) handlePlainSearch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	p.requests.Add(1)
-	q := r.URL.Query().Get("q")
-	if strings.TrimSpace(q) == "" {
-		p.errors.Add(1)
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
-		return
-	}
-	start := time.Now()
-	reply, err := p.run(r.Context(), envelope{Type: typePlain, Query: q})
-	if err == nil {
-		p.latency.Record(time.Since(start))
-	}
-	if err != nil {
-		p.errors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	results := reply.Results
-	if results == nil {
-		results = []core.Result{}
-	}
-	_ = json.NewEncoder(w).Encode(results)
-}
-
-// handleHandshake serves POST /handshake: the attested channel setup.
-// Body: {"offer": <client offer JSON>, "nonce": <base64>}.
-func (p *Proxy) handleHandshake(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var body struct {
-		Offer json.RawMessage `json:"offer"`
-		Nonce []byte          `json:"nonce"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		p.errors.Add(1)
-		http.Error(w, "bad handshake body", http.StatusBadRequest)
-		return
-	}
-	resp, err := p.Handshake(r.Context(), body.Offer, body.Nonce)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// handleSecure serves POST /secure: one sealed query record in, one sealed
-// response record out.
-func (p *Proxy) handleSecure(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var body SecureEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		p.errors.Add(1)
-		http.Error(w, "bad secure body", http.StatusBadRequest)
-		return
-	}
-	record, err := p.Secure(r.Context(), body.Session, body.Record)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(SecureEnvelope{Session: body.Session, Record: record})
 }
 
 // handleStats serves GET /stats (operational, non-sensitive aggregates).

@@ -36,9 +36,9 @@ func newTestStack(t *testing.T, mutate func(*Config)) *testStack {
 		_ = engineSrv.Shutdown(ctx)
 	})
 	cfg := Config{
-		K:          2,
-		EngineHost: engineSrv.Addr(),
-		Seed:       1,
+		K:       2,
+		Engines: []EngineSpec{{Host: engineSrv.Addr()}},
+		Seed:    1,
 	}
 	if mutate != nil {
 		mutate(&cfg)

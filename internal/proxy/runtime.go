@@ -110,16 +110,9 @@ func (ct *connTable) ocallConnect(arg []byte) ([]byte, error) {
 	if err := json.Unmarshal(arg, &req); err != nil {
 		return nil, fmt.Errorf("proxy: connect arg: %w", err)
 	}
-	addr := net.JoinHostPort(req.Host, fmt.Sprintf("%d", req.Port))
-	if ct.link != nil {
-		ct.link.Wait() // connection establishment traverses the WAN
-	}
-	conn, err := net.DialTimeout("tcp", addr, ct.dialTimeout)
+	conn, err := ct.dial(net.JoinHostPort(req.Host, fmt.Sprintf("%d", req.Port)))
 	if err != nil {
-		return nil, fmt.Errorf("proxy: dial %s: %w", addr, err)
-	}
-	if ct.link != nil {
-		conn = &delayedConn{Conn: conn, link: ct.link}
+		return nil, fmt.Errorf("proxy: %w", err)
 	}
 	ct.mu.Lock()
 	ct.nextFD++
@@ -129,6 +122,23 @@ func (ct *connTable) ocallConnect(arg []byte) ([]byte, error) {
 	out := make([]byte, 8)
 	binary.LittleEndian.PutUint64(out, uint64(fd))
 	return out, nil
+}
+
+// dial opens an engine connection on behalf of any of the ocalls,
+// injecting the configured WAN link (connection establishment traverses
+// it once; delayedConn charges the exchanges).
+func (ct *connTable) dial(addr string) (net.Conn, error) {
+	if ct.link != nil {
+		ct.link.Wait()
+	}
+	conn, err := net.DialTimeout("tcp", addr, ct.dialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	if ct.link != nil {
+		conn = &delayedConn{Conn: conn, link: ct.link}
+	}
+	return conn, nil
 }
 
 func (ct *connTable) lookup(fd int64) (net.Conn, error) {
@@ -157,7 +167,7 @@ func (ct *connTable) ocallSend(arg []byte) ([]byte, error) {
 }
 
 func (ct *connTable) ocallRecv(arg []byte) ([]byte, error) {
-	if len(arg) < 16 {
+	if len(arg) < 24 {
 		return nil, fmt.Errorf("proxy: recv arg too short")
 	}
 	fd := int64(binary.LittleEndian.Uint64(arg))
@@ -169,16 +179,13 @@ func (ct *connTable) ocallRecv(arg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bytes 16:24, when present, carry the remaining milliseconds of the
-	// enclave's absolute fetch deadline; zero clears any previous one
-	// (pooled sockets are reused across exchanges with different
-	// deadlines). Shorter args are the pre-deadline wire shape.
-	if len(arg) >= 24 {
-		if ms := int64(binary.LittleEndian.Uint64(arg[16:])); ms > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(time.Duration(ms) * time.Millisecond))
-		} else {
-			_ = conn.SetReadDeadline(time.Time{})
-		}
+	// Bytes 16:24 carry the remaining milliseconds of the enclave's
+	// absolute fetch deadline; zero clears any previous one (pooled sockets
+	// are reused across exchanges with different deadlines).
+	if ms := int64(binary.LittleEndian.Uint64(arg[16:])); ms > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(time.Duration(ms) * time.Millisecond))
+	} else {
+		_ = conn.SetReadDeadline(time.Time{})
 	}
 	buf := make([]byte, max+1)
 	n, err := conn.Read(buf[1:])
@@ -384,15 +391,9 @@ func (f *fetcher) do(fa *fetchArg) fetchReply {
 			conn, reused = f.checkout(fa.Host)
 		}
 		if conn == nil {
-			if f.ct.link != nil {
-				f.ct.link.Wait()
-			}
-			c, err := net.DialTimeout("tcp", fa.Host, f.ct.dialTimeout)
+			c, err := f.ct.dial(fa.Host)
 			if err != nil {
-				return f.outcome(op, fmt.Sprintf("dial %s: %v", fa.Host, err))
-			}
-			if f.ct.link != nil {
-				c = &delayedConn{Conn: c, link: f.ct.link}
+				return f.outcome(op, err.Error())
 			}
 			conn = c
 		}
@@ -405,13 +406,7 @@ func (f *fetcher) do(fa *fetchArg) fetchReply {
 		op.conn = conn
 		f.mu.Unlock()
 
-		connHeader := "close"
-		if fa.KeepAlive {
-			connHeader = "keep-alive"
-		}
-		reqText := "GET " + fa.Path + " HTTP/1.1\r\nHost: " + fa.Host +
-			"\r\nConnection: " + connHeader + "\r\n\r\n"
-		if _, err := conn.Write([]byte(reqText)); err != nil {
+		if err := writeEngineRequest(conn, fa.Host, fa.Path, fa.KeepAlive); err != nil {
 			_ = conn.Close()
 			if reused && attempt == 0 && !f.isCancelled(op) {
 				continue // stale pooled conn: retry once on a fresh dial
@@ -638,7 +633,7 @@ func (f *fetcher) closeAll() {
 // Like ocallFetch it never fails at the ocall layer for a live flight:
 // transport errors travel inside the reply so the token always reaches
 // the enclave. A step with Token 0 is a pure close batch and returns no
-// payload at all — the resume loops skip empty completions.
+// payload at all — the resume loop skips empty completions.
 func (f *fetcher) ocallTLSStep(arg []byte) ([]byte, error) {
 	var sa tlsStepArg
 	if err := json.Unmarshal(arg, &sa); err != nil {
@@ -674,15 +669,9 @@ func (f *fetcher) tlsStep(sa *tlsStepArg) tlsStepReply {
 
 	var conn net.Conn
 	if sa.Dial {
-		if f.ct.link != nil {
-			f.ct.link.Wait()
-		}
-		c, err := net.DialTimeout("tcp", sa.Host, f.ct.dialTimeout)
+		c, err := f.ct.dial(sa.Host)
 		if err != nil {
-			return tlsStepReply{Err: fmt.Sprintf("dial %s: %v", sa.Host, err)}
-		}
-		if f.ct.link != nil {
-			c = &delayedConn{Conn: c, link: f.ct.link}
+			return tlsStepReply{Err: err.Error()}
 		}
 		conn = c
 		f.mu.Lock()

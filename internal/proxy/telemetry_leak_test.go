@@ -59,7 +59,7 @@ func TestTelemetryIsContentFreeAndConstantShape(t *testing.T) {
 		t.Helper()
 		p, err := New(Config{
 			K:             2,
-			EngineHost:    engineSrv.Addr(),
+			Engines:       []EngineSpec{{Host: engineSrv.Addr()}},
 			Seed:          1,
 			Observability: true,
 		})

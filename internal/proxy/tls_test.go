@@ -33,10 +33,9 @@ func tlsStack(t *testing.T, certPEM []byte, startProxy bool) (*searchengine.Serv
 		_ = srv.Shutdown(ctx)
 	})
 	p, err := New(Config{
-		K:             1,
-		EngineHost:    srv.Addr(),
-		Seed:          1,
-		EngineCertPEM: certPEM,
+		K:       1,
+		Engines: []EngineSpec{{Host: srv.Addr(), RootsPEM: certPEM}},
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,13 +82,13 @@ func TestEnclaveTLSRejectsUnknownCA(t *testing.T) {
 }
 
 func TestEngineCertChangesMeasurement(t *testing.T) {
-	_, p1 := tlsStack(t, nil, false)
+	srv, p1 := tlsStack(t, nil, false)
 	defer p1.encl.Destroy()
 	_, pem2, err := searchengine.GenerateSelfSignedCert("127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := New(Config{K: 1, EchoMode: true, Seed: 1, EngineCertPEM: pem2})
+	p2, err := New(Config{K: 1, Seed: 1, Engines: []EngineSpec{{Host: srv.Addr(), RootsPEM: pem2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestEngineCertChangesMeasurement(t *testing.T) {
 }
 
 func TestBadEngineCertRejected(t *testing.T) {
-	if _, err := New(Config{K: 1, EchoMode: true, EngineCertPEM: []byte("not a pem")}); err == nil {
+	if _, err := New(Config{K: 1, Engines: []EngineSpec{{Host: "127.0.0.1:9", RootsPEM: []byte("not a pem")}}}); err == nil {
 		t.Error("garbage PEM accepted")
 	}
 }

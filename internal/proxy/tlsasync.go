@@ -505,7 +505,7 @@ func (ts *trustedState) submitTLSStep(env enclave.Env, ask *tlsStepArg) error {
 
 // submitTLSClose fires a best-effort close batch for ciphertext conns a
 // flight is done with. Pure close steps complete with an empty payload
-// the resume loops drop on the floor; failures are ignored — closeAll
+// the resume loop drops on the floor; failures are ignored — closeAll
 // reaps leaked conns at shutdown.
 func (ts *trustedState) submitTLSClose(env enclave.Env, ids []uint64) {
 	if len(ids) == 0 {
@@ -522,9 +522,9 @@ func (ts *trustedState) submitTLSClose(env enclave.Env, ids []uint64) {
 // the ciphertext in, run the coroutine to its next park point, and
 // either submit the next step (request stays parked) or fold the
 // terminal outcome into the ordinary fetch-completion path. Called from
-// handleResume with the table lock RELEASED; att.flight is immutable
+// resumeOne with the table lock RELEASED; att.flight is immutable
 // once set.
-func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, arg []byte) ([]byte, error) {
+func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, arg []byte) resumeReply {
 	f := att.flight
 	var in tlsStepIn
 	var sr tlsStepReply
@@ -555,7 +555,7 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 			}
 			break
 		}
-		return tlsPendingReply(att.p.id)
+		return resumeReply{State: "pending", PendingID: att.p.id} // no DoneToken: the flight lives
 	default:
 		ts.submitTLSClose(env, out.closeConns)
 		if out.pooled != nil {
@@ -571,35 +571,14 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 		// Abandon already freed the attempt (and reported the breaker);
 		// only the untrusted token-map cleanup is left to signal.
 		pt.mu.Unlock()
-		return tlsOrphanReply(att.token)
+		return resumeReply{State: "orphan", DoneToken: att.token}
 	}
 	delete(pt.byToken, att.token)
 	att.done = true
-	out2, err := ts.completeFetchLocked(env, att, &fr)
-	return withDoneToken(out2, err, att.token)
+	// Every terminal shape — done, orphan, late loser, failover — names
+	// the flight's token, so the untrusted fetcher drops its per-token TLS
+	// state (tombstones, conn binding) exactly once.
+	rr := ts.completeFetchLocked(env, att, &fr)
+	rr.DoneToken = att.token
+	return rr
 }
-
-// withDoneToken stamps a terminal TLS resume reply with the flight's
-// token so the untrusted fetcher can drop its per-token TLS state
-// (tombstones, conn binding) exactly once, on every terminal shape.
-func withDoneToken(out []byte, err error, token uint64) ([]byte, error) {
-	if err != nil || len(out) == 0 {
-		return out, err
-	}
-	var rr resumeReply
-	if json.Unmarshal(out, &rr) != nil {
-		return out, err
-	}
-	rr.DoneToken = token
-	if b, merr := json.Marshal(rr); merr == nil {
-		return b, err
-	}
-	return out, err
-}
-
-func tlsOrphanReply(token uint64) ([]byte, error) {
-	return json.Marshal(resumeReply{State: "orphan", DoneToken: token})
-}
-
-// tlsPendingReply is pendingReply without a DoneToken: the flight lives.
-func tlsPendingReply(id uint64) ([]byte, error) { return pendingReply(id) }

@@ -24,7 +24,6 @@ import (
 	"xsearch/internal/metrics"
 	"xsearch/internal/obs"
 	"xsearch/internal/seal"
-	"xsearch/internal/searchengine"
 	"xsearch/internal/securechannel"
 )
 
@@ -116,19 +115,28 @@ var historyAAD = []byte("xsearch-history-v1")
 // historyAAD so the host can never replay a blob across the two seams.
 var indexAAD = []byte("xsearch-index-v1")
 
-// handleRestore is the "restore" ecall: unseal a persisted history blob
-// and load it into the window, charging the EPC for the restored bytes.
-func (ts *trustedState) handleRestore(env enclave.Env, arg []byte) ([]byte, error) {
+// unsealHistory opens a history blob a same-vendor enclave sealed.
+func (ts *trustedState) unsealHistory(blob []byte) ([]string, error) {
 	if ts.sealer == nil {
 		return nil, fmt.Errorf("proxy: sealing not configured")
 	}
-	plaintext, err := ts.sealer.Unseal(arg, historyAAD)
+	plaintext, err := ts.sealer.Unseal(blob, historyAAD)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: unseal history: %w", err)
 	}
 	var queries []string
 	if err := json.Unmarshal(plaintext, &queries); err != nil {
 		return nil, fmt.Errorf("proxy: history payload: %w", err)
+	}
+	return queries, nil
+}
+
+// handleRestore is the "restore" ecall: unseal a persisted history blob
+// and load it into the window, charging the EPC for the restored bytes.
+func (ts *trustedState) handleRestore(env enclave.Env, arg []byte) ([]byte, error) {
+	queries, err := ts.unsealHistory(arg)
+	if err != nil {
+		return nil, err
 	}
 	nBytes := ts.obfuscator.History().Restore(queries)
 	if nBytes > 0 {
@@ -162,16 +170,9 @@ func (ts *trustedState) handleSnapshot(_ enclave.Env, _ []byte) ([]byte, error) 
 // fake pool. Growth is charged to the EPC via the same Alloc/Free contract
 // as live inserts, keeping heap == history + cache.
 func (ts *trustedState) handleMerge(env enclave.Env, arg []byte) ([]byte, error) {
-	if ts.sealer == nil {
-		return nil, fmt.Errorf("proxy: sealing not configured")
-	}
-	plaintext, err := ts.sealer.Unseal(arg, historyAAD)
+	queries, err := ts.unsealHistory(arg)
 	if err != nil {
-		return nil, fmt.Errorf("proxy: unseal history: %w", err)
-	}
-	var queries []string
-	if err := json.Unmarshal(plaintext, &queries); err != nil {
-		return nil, fmt.Errorf("proxy: history payload: %w", err)
+		return nil, err
 	}
 	h := ts.obfuscator.History()
 	// Charge an upper bound BEFORE touching the window: the real delta is
@@ -243,47 +244,11 @@ type sessionState struct {
 	channel *securechannel.Channel
 }
 
-// handleRequest is the body of the "request" ecall: the single entry point
-// for sensitive data, per the paper's minimal enclave interface.
-func (ts *trustedState) handleRequest(env enclave.Env, arg []byte) ([]byte, error) {
-	var req envelope
-	if err := json.Unmarshal(arg, &req); err != nil {
-		return nil, fmt.Errorf("proxy: bad envelope: %w", err)
-	}
-	switch req.Type {
-	case typePlain:
-		return ts.handlePlain(env, req.Query)
-	case typeHandshake:
-		return ts.handleHandshake(env, req.Offer)
-	case typeSecure:
-		return ts.handleSecure(env, req.Session, req.Record)
-	default:
-		return nil, fmt.Errorf("proxy: unknown request type %q", req.Type)
-	}
-}
-
-// handlePlain serves a third-party (curl/wget) query: obfuscate, fetch,
-// filter. No channel crypto, but the query still never reaches the engine
-// in identifiable form.
-func (ts *trustedState) handlePlain(env enclave.Env, query string) ([]byte, error) {
-	if strings.TrimSpace(query) == "" {
-		return nil, fmt.Errorf("proxy: empty query")
-	}
-	if ts.pending != nil {
-		return ts.beginAsync(env, typePlain, "", query, ts.perList)
-	}
-	results, err := ts.searchAndFilter(env, query, ts.perList)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(envelopeReply{Results: results})
-}
-
 // handleHandshake establishes a secure channel: generate an ephemeral
 // server key inside the enclave, bind it into report data, and remember
 // the session.
 func (ts *trustedState) handleHandshake(env enclave.Env, rawOffer json.RawMessage) ([]byte, error) {
-	clientOffer, err := parseOffer(rawOffer)
+	clientOffer, err := securechannel.UnmarshalOffer(rawOffer)
 	if err != nil {
 		return nil, err
 	}
@@ -323,214 +288,6 @@ func (ts *trustedState) handleHandshake(env enclave.Env, rawOffer json.RawMessag
 		Session:    session,
 		ReportData: bind[:],
 	})
-}
-
-// handleSecure serves one sealed query record.
-func (ts *trustedState) handleSecure(env enclave.Env, session string, record []byte) ([]byte, error) {
-	ts.mu.Lock()
-	sess, ok := ts.sessions[session]
-	ts.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("proxy: unknown session %q", session)
-	}
-	plaintext, err := sess.channel.Open(record)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: open record: %w", err)
-	}
-	var sreq secureRequest
-	if err := json.Unmarshal(plaintext, &sreq); err != nil {
-		return nil, fmt.Errorf("proxy: bad secure request: %w", err)
-	}
-	count := sreq.Count
-	if count <= 0 || count > 100 {
-		count = ts.perList
-	}
-	if ts.pending != nil {
-		return ts.beginAsync(env, typeSecure, session, sreq.Query, count)
-	}
-	var sresp secureResponse
-	results, err := ts.searchAndFilter(env, sreq.Query, count)
-	if err != nil {
-		sresp.Err = err.Error()
-	} else {
-		sresp.Results = results
-	}
-	respPT, err := json.Marshal(sresp)
-	if err != nil {
-		return nil, err
-	}
-	sealed, err := sess.channel.Seal(respPT)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: seal response: %w", err)
-	}
-	return json.Marshal(envelopeReply{Record: sealed})
-}
-
-// searchAndFilter is the paper's Figure 2 pipeline: Algorithm 1 obfuscation
-// (which also stores the query in the history, charging the EPC), the
-// engine round trip through ocalls, then Algorithm 2 filtering and
-// redirect stripping. When the result cache is enabled, a fresh entry for
-// the ORIGINAL query short-circuits the engine round trip — obfuscation
-// still runs first, so the history (the fake-query source) grows exactly
-// as without the cache and the EPC charges stay identical on that path.
-// Concurrent identical original queries are single-flighted: the first
-// becomes the leader and performs the engine round trip; the rest wait and
-// share its filtered result (and the cache, when enabled, is charged to
-// the EPC exactly once, by the leader).
-func (ts *trustedState) searchAndFilter(env enclave.Env, query string, count int) ([]core.Result, error) {
-	obfStart := time.Now()
-	oq, delta := ts.obfuscator.Obfuscate(query)
-	if delta > 0 {
-		if err := env.Alloc(delta); err != nil {
-			return nil, fmt.Errorf("proxy: history alloc: %w", err)
-		}
-	} else if delta < 0 {
-		env.Free(-delta)
-	}
-	ts.stages.Since(obs.StageObfuscate, obfStart)
-	if ts.echoMode {
-		// Capacity-measurement mode (§6.3): reply immediately without
-		// contacting the engine, so the proxy's own saturation point is
-		// visible.
-		return []core.Result{}, nil
-	}
-	key := cacheKey(query, count)
-	probeStart := time.Now()
-	if ts.cache != nil {
-		if cached, ok := ts.cache.Get(key, time.Now(), env.Free); ok {
-			ts.cacheHits.Hit()
-			ts.stages.Since(obs.StageProbe, probeStart)
-			return cached, nil
-		}
-		ts.cacheHits.Miss()
-	}
-	// The answer tier: after the exact-key cache misses, a TF-IDF probe
-	// over recently fetched results can still answer a rephrased or
-	// near-repeat query entirely in-enclave. Below the confidence floor
-	// it falls through to the upstream pipeline.
-	if ts.index != nil {
-		if hits, ok := ts.index.Query(query, count, time.Now(), env.Free); ok {
-			ts.indexHits.Hit()
-			ts.stages.Since(obs.StageProbe, probeStart)
-			return hits, nil
-		}
-		ts.indexHits.Miss()
-	}
-	ts.stages.Since(obs.StageProbe, probeStart)
-	if ts.flights == nil {
-		return ts.fetchFilterStore(env, oq, key, count)
-	}
-	results, shared, err := ts.flights.Do(key, func() ([]core.Result, error) {
-		return ts.fetchFilterStore(env, oq, key, count)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if shared {
-		// Another request's flight answered this one: no engine round
-		// trip, no second cache charge. Copy before returning — the
-		// leader's slice is shared across every waiter.
-		ts.coalesce.Hit()
-		out := make([]core.Result, len(results))
-		copy(out, results)
-		return out, nil
-	}
-	ts.coalesce.Miss()
-	return results, nil
-}
-
-// fetchFilterStore is the non-coalesced tail of the pipeline: the engine
-// round trip with the flight leader's obfuscated query, Algorithm 2
-// filtering (which reduces the answer to the ORIGINAL query's results, so
-// sharing across waiters is sound), redirect stripping, and the cache
-// store.
-func (ts *trustedState) fetchFilterStore(env enclave.Env, oq core.ObfuscatedQuery, key string, count int) ([]core.Result, error) {
-	fetchStart := time.Now()
-	raw, err := ts.fetchResults(env, oq.Query(), count)
-	if err != nil {
-		return nil, err
-	}
-	ts.stages.Since(obs.StageFetch, fetchStart)
-	filterStart := time.Now()
-	filtered := core.FilterResults(oq.Original(), oq.Fakes(), raw)
-	for i := range filtered {
-		filtered[i].URL = core.StripRedirects(filtered[i].URL)
-	}
-	ts.stages.Since(obs.StageFilter, filterStart)
-	if ts.cache != nil {
-		// The cache mirrors its bytes onto the EPC under its own lock;
-		// when the charge fails (EPC exhausted) the entry is simply not
-		// stored and the query still succeeds.
-		ts.cache.Put(key, filtered, time.Now(), env.Alloc, env.Free)
-	}
-	if ts.index != nil {
-		// Forward-private insert: runs inside this already-measured
-		// winner ecall (no per-insert boundary crossing) and charges
-		// arena-quantized bytes, so the host's EPC trace learns nothing
-		// about the indexed terms it didn't learn from the fetch itself.
-		ts.index.Insert(filtered, time.Now(), env.Alloc, env.Free)
-	}
-	return filtered, nil
-}
-
-// cacheKey identifies one cacheable response: the original query plus the
-// requested result count (different counts produce different lists).
-func cacheKey(query string, count int) string {
-	return query + "\x1f" + strconv.Itoa(count)
-}
-
-// fetchResults performs the engine round trip from inside the enclave,
-// using only the paper's socket ocalls, spreading load across the upstream
-// set (CYCLOSA-style fan-out). Each request walks the registry's weighted
-// preference order: a cooling-down upstream is skipped for free, a failed
-// dial or exchange trips that upstream's breaker and fails over to the
-// next, and only when every upstream is exhausted does the request fail.
-// An engine error status (5xx) counts against the upstream and fails over;
-// any other non-200 is returned as-is (the upstream itself is healthy).
-func (ts *trustedState) fetchResults(env enclave.Env, query string, count int) ([]core.Result, error) {
-	path := "/search?q=" + queryEscape(query) + "&count=" + strconv.Itoa(count)
-	var lastErr error
-	for _, u := range ts.registry.order() {
-		// Rate limit before the breaker: a limited upstream must not
-		// consume the breaker's half-open probe slot.
-		if u.limiter != nil && !u.limiter.allow(time.Now()) {
-			u.rateLimited.Add(1)
-			lastErr = fmt.Errorf("proxy: engine %s rate-limited", u.host)
-			continue
-		}
-		if !u.acquire(time.Now(), ts.registry.threshold) {
-			continue
-		}
-		body, status, err := ts.fetchFromUpstream(env, u, path)
-		if err != nil {
-			u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
-			lastErr = fmt.Errorf("proxy: engine %s: %w", u.host, err)
-			continue
-		}
-		if status >= 500 {
-			u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
-			lastErr = fmt.Errorf("proxy: engine %s status %d", u.host, status)
-			continue
-		}
-		u.reportSuccess()
-		u.served.Add(1)
-		if status != 200 {
-			return nil, fmt.Errorf("proxy: engine status %d", status)
-		}
-		var engineResults []searchengine.Result
-		if err := json.Unmarshal(body, &engineResults); err != nil {
-			return nil, fmt.Errorf("proxy: engine response: %w", err)
-		}
-		results := make([]core.Result, len(engineResults))
-		for i, r := range engineResults {
-			results[i] = core.Result{URL: r.URL, Title: r.Title, Snippet: r.Snippet}
-		}
-		return results, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("proxy: no engine upstream available (all cooling down)")
-	}
-	return nil, lastErr
 }
 
 // fetchFromUpstream runs one HTTP exchange against upstream u. With an
@@ -842,7 +599,7 @@ func ocallSend(env enclave.Env, fd int64, data []byte) error {
 
 func ocallRecv(env enclave.Env, fd int64, max int, timeoutMS int64) (data []byte, eof bool, err error) {
 	// Bytes 16:24 carry the remaining read budget in milliseconds (0 = no
-	// deadline). Older 16-byte frames are still accepted by the handler.
+	// deadline).
 	arg := make([]byte, 24)
 	binary.LittleEndian.PutUint64(arg, uint64(fd))
 	binary.LittleEndian.PutUint64(arg[8:], uint64(max))

@@ -16,8 +16,9 @@ import (
 type EngineSpec struct {
 	// Host is the engine's host:port.
 	Host string
-	// RootsPEM, when set, makes the enclave speak TLS to this upstream,
-	// pinning these PEM-encoded roots (part of the measured identity).
+	// RootsPEM, when set, makes the enclave speak HTTPS to this upstream
+	// (paper footnote 2), pinning these PEM-encoded roots (part of the
+	// measured identity).
 	RootsPEM []byte
 	// Weight is the upstream's relative share of the fan-out (CYCLOSA-style
 	// load spreading). Zero means 1.
@@ -291,35 +292,12 @@ func (u *upstream) stats(now time.Time, threshold int) UpstreamStats {
 	return s
 }
 
-// normalizeEngines resolves the configured upstream set: the legacy
-// single-engine fields (EngineHost/EngineCertPEM) act as sugar for a
-// one-element set, and setting both ways is an error unless they agree
-// exactly — a config that names two different sources of truth must not
-// silently prefer one.
+// normalizeEngines validates the configured upstream set and fills the
+// per-spec defaults.
 func normalizeEngines(cfg *Config) ([]EngineSpec, error) {
 	// Copy before filling defaults: callers may reuse one spec slice
 	// across proxies with different PoolSize etc.
 	engines := append([]EngineSpec(nil), cfg.Engines...)
-	if cfg.EngineHost != "" {
-		legacy := EngineSpec{Host: cfg.EngineHost, RootsPEM: cfg.EngineCertPEM}
-		switch {
-		case len(engines) == 0:
-			engines = []EngineSpec{legacy}
-		case len(engines) == 1 && engines[0].Host == legacy.Host && string(engines[0].RootsPEM) == string(legacy.RootsPEM):
-			// Redundant but consistent: allow it.
-		default:
-			return nil, fmt.Errorf("proxy: Engines and legacy EngineHost/EngineCertPEM disagree (set one, or make them identical)")
-		}
-	} else if len(cfg.EngineCertPEM) > 0 {
-		if len(engines) > 0 {
-			return nil, fmt.Errorf("proxy: EngineCertPEM is the legacy single-engine option; set RootsPEM per EngineSpec instead")
-		}
-		// Hostless legacy pin (echo-mode configs): no upstream to attach
-		// it to, but it is still validated here and measured by New.
-		if !x509.NewCertPool().AppendCertsFromPEM(cfg.EngineCertPEM) {
-			return nil, fmt.Errorf("proxy: EngineCertPEM contains no certificates")
-		}
-	}
 	seen := make(map[string]bool, len(engines))
 	for i := range engines {
 		e := &engines[i]

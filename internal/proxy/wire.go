@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"xsearch/internal/core"
-	"xsearch/internal/securechannel"
 )
 
 // Request types crossing the enclave boundary. The envelope is what the
@@ -153,8 +152,10 @@ type tlsStepReply struct {
 	Cancelled bool   `json:"cancelled,omitempty"`
 }
 
-// hedgeArg asks the enclave to issue a hedge fetch for a parked request.
-type hedgeArg struct {
+// pendingArg names one parked request: the argument of the "hedge"
+// (issue a hedge fetch for it), "claim" (redeem a coalesced follower's
+// ready result) and "abandon" (its caller gave up) ecalls.
+type pendingArg struct {
 	PendingID uint64 `json:"pending_id"`
 }
 
@@ -164,16 +165,6 @@ type hedgeReply struct {
 	Hedged   bool   `json:"hedged"`
 	Upstream string `json:"upstream,omitempty"`
 	CanHedge bool   `json:"can_hedge,omitempty"`
-}
-
-// claimArg redeems a coalesced follower's ready result.
-type claimArg struct {
-	PendingID uint64 `json:"pending_id"`
-}
-
-// abandonArg tells the enclave a parked request's caller gave up.
-type abandonArg struct {
-	PendingID uint64 `json:"pending_id"`
 }
 
 // abandonReply lists the abandoned request's in-flight fetches for the
@@ -199,30 +190,8 @@ type secureResponse struct {
 	Err     string        `json:"err,omitempty"`
 }
 
-// HandshakeResponse is what the HTTP front returns for POST /handshake.
-type HandshakeResponse struct {
-	// Offer is the enclave's securechannel offer.
-	Offer json.RawMessage `json:"offer"`
-	// Session identifies the established channel on subsequent requests.
-	Session string `json:"session"`
-	// VerificationReport is the attestation service's signed statement
-	// covering the enclave quote (bound to Offer's public key).
-	VerificationReport []byte `json:"verification_report"`
-}
-
-// SecureEnvelope is the HTTP body for POST /secure.
-type SecureEnvelope struct {
-	Session string `json:"session"`
-	Record  []byte `json:"record"`
-}
-
-// parseOffer decodes a securechannel offer from raw JSON.
-func parseOffer(raw json.RawMessage) (securechannel.Offer, error) {
-	return securechannel.UnmarshalOffer(raw)
-}
-
-// Batched ecall framing. The "request-batch" and "resume-batch" ecalls
-// carry several independent JSON payloads across one enclave transition;
+// Batched ecall framing. The "request-batch" and "resume" ecalls carry
+// several independent JSON payloads across one enclave transition;
 // the framing is deliberately dumb — a u32 entry count, then a u32 length
 // prefix per entry — so the trusted decoder can validate wholly hostile
 // input with two bounds checks per entry before any length drives an
@@ -288,17 +257,18 @@ func decodeBatch(data []byte) ([][]byte, error) {
 	return entries, nil
 }
 
-// batchItemReply is one entry of a batched ecall's reply frame: the exact
-// payload the equivalent singleton ecall would have returned, or the error
+// batchItemReply is one entry of the "request-batch" reply frame: the
+// exact payload the entry would have gotten crossing alone, or the error
 // it would have failed with. Per-entry errors must travel inside the frame
-// — a batch ecall only fails as a whole for malformed framing.
+// — a batch ecall only fails as a whole for malformed framing. ("resume"
+// frames bare resumeReply entries, which carry their own error.)
 type batchItemReply struct {
 	Reply json.RawMessage `json:"reply,omitempty"`
 	Err   string          `json:"err,omitempty"`
 }
 
-// marshalBatchItem folds a singleton handler's (reply, error) pair into
-// one framed batch entry.
+// marshalBatchItem folds one entry's (reply, error) pair into one framed
+// batch entry.
 func marshalBatchItem(reply []byte, err error) []byte {
 	item := batchItemReply{Reply: reply}
 	if err != nil {

@@ -58,7 +58,7 @@ func GenerateSelfSignedCert(host string) (tls.Certificate, []byte, error) {
 }
 
 // StartTLS listens with TLS on addr using cert, serving the same API as
-// Start. Use with proxy.Config.EngineCertPEM to exercise the paper's
+// Start. Use with proxy.EngineSpec.RootsPEM to exercise the paper's
 // footnote-2 configuration (HTTPS terminated inside the enclave).
 func (s *Server) StartTLS(addr string, cert tls.Certificate) error {
 	ln, err := net.Listen("tcp", addr)

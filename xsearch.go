@@ -62,16 +62,6 @@ func WithEngines(specs ...EngineSpec) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) { c.Engines = append(c.Engines, specs...) })
 }
 
-// WithEngineHost points the proxy at a single search engine (host:port).
-// It is sugar for WithEngines(EngineSpec{Host: hostport}): combining it
-// with WithEngines is an error unless both name the same upstream.
-//
-// Deprecated: new code should use WithEngines, which also accepts
-// per-upstream weights, TLS roots, and pool bounds.
-func WithEngineHost(hostport string) ProxyOption {
-	return proxyOptionFunc(func(c *proxy.Config) { c.EngineHost = hostport })
-}
-
 // WithUpstreamBreaker tunes the per-upstream circuit breaker: threshold
 // consecutive failures open it, and an open breaker excludes its upstream
 // from fan-out for cooldown before admitting a single probe request.
@@ -120,17 +110,6 @@ func WithStatePersistence(path string, platformSeed []byte) ProxyOption {
 		c.StatePath = path
 		c.PlatformSeed = platformSeed
 	})
-}
-
-// WithEngineTLS makes the enclave speak HTTPS to the engine named by
-// WithEngineHost, terminating TLS inside the enclave over the socket
-// ocalls and pinning the given PEM-encoded roots (part of the measured
-// identity). This is the paper's footnote-2 configuration.
-//
-// Deprecated: new code should set RootsPEM on the relevant EngineSpec in
-// WithEngines; combining this with WithEngines is an error.
-func WithEngineTLS(rootsPEM []byte) ProxyOption {
-	return proxyOptionFunc(func(c *proxy.Config) { c.EngineCertPEM = rootsPEM })
 }
 
 // WithEnginePool bounds the enclave's pool of idle keep-alive connections

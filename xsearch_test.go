@@ -24,7 +24,7 @@ func fullStack(t *testing.T) (*xsearch.Engine, *xsearch.Proxy, *xsearch.Client) 
 	})
 
 	proxy, err := xsearch.NewProxy(
-		xsearch.WithEngineHost(engine.Addr()),
+		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(2),
 		xsearch.WithProxySeed(1),
 	)
@@ -100,7 +100,7 @@ func TestPublicAPIAsyncPipeline(t *testing.T) {
 		_ = engine.Shutdown(ctx)
 	})
 	proxy, err := xsearch.NewProxy(
-		xsearch.WithEngineHost(engine.Addr()),
+		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(2),
 		xsearch.WithProxySeed(1),
 		xsearch.WithAsyncOcalls(16),
