@@ -110,34 +110,43 @@ func New(maxBytes int64, ttl time.Duration, minScore float64) (*Index, error) {
 	}, nil
 }
 
-// DocSize returns the quantized bytes one result would be charged for:
-// the payload strings plus per-term overheads, rounded up to the arena
-// quantum so the charge never leaks term structure.
-func DocSize(r core.Result) int64 {
+// docSize returns the quantized bytes a result with term vector tf is
+// charged: the payload strings plus per-term overheads, rounded up to the
+// arena quantum so the charge never leaks term structure.
+func docSize(r core.Result, tf map[string]float64) int64 {
 	raw := int64(docOverhead) + int64(len(r.URL)) + int64(len(r.Title)) + int64(len(r.Snippet))
-	for t := range docTerms(r) {
+	for t := range tf {
 		raw += termOverhead + int64(len(t))
 	}
-	return quantize(raw)
-}
-
-func quantize(raw int64) int64 {
 	arenas := (raw + arenaQuantum - 1) / arenaQuantum
 	return arenas * arenaQuantum
 }
 
-// docTerms is the canonical term-frequency vector for a result: the
-// same normalization pipeline as internal/searchengine (title terms
-// weighted double).
-func docTerms(r core.Result) map[string]float64 {
-	tf := make(map[string]float64)
-	for _, t := range textutil.Terms(r.Title) {
-		tf[t] += 2
+// docVectors builds the canonical term-frequency vector of every result
+// with a URL: the same normalization pipeline as internal/searchengine
+// (title terms weighted double), one textutil.Termer for the batch. It
+// touches no index state — Insert and Merge call it before taking the lock,
+// so a batch being normalised never stalls a concurrent Query.
+func docVectors(results []core.Result) []map[string]float64 {
+	var tm textutil.Termer
+	var terms []string
+	tfs := make([]map[string]float64, len(results))
+	for i, r := range results {
+		if r.URL == "" {
+			continue
+		}
+		tf := make(map[string]float64)
+		terms = tm.AppendTerms(terms[:0], r.Title)
+		for _, t := range terms {
+			tf[t] += 2
+		}
+		terms = tm.AppendTerms(terms[:0], r.Snippet)
+		for _, t := range terms {
+			tf[t]++
+		}
+		tfs[i] = tf
 	}
-	for _, t := range textutil.Terms(r.Snippet) {
-		tf[t]++
-	}
-	return tf
+	return tfs
 }
 
 // Insert indexes the filtered results of one fetched query, deduplicating
@@ -148,35 +157,30 @@ func docTerms(r core.Result) map[string]float64 {
 // that alone exceeds the byte bound is simply not stored. Returns the
 // number of documents stored.
 func (x *Index) Insert(results []core.Result, now time.Time, charge func(int64) error, free func(int64)) int {
+	tfs := docVectors(results)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.purgeExpiredLocked(now, free)
 	stored := 0
-	for _, r := range results {
-		if r.URL == "" {
-			continue
-		}
-		if x.insertLocked(r, now.Add(x.ttl), charge, free) {
+	for i, r := range results {
+		if x.insertLocked(r, tfs[i], now.Add(x.ttl), charge, free) {
 			stored++
 		}
 	}
 	return stored
 }
 
-// insertLocked stores one document with the given absolute expiry.
-// Caller holds x.mu.
-func (x *Index) insertLocked(r core.Result, expires time.Time, charge func(int64) error, free func(int64)) bool {
-	tf := docTerms(r)
+// insertLocked stores one document, whose term vector is tf, with the
+// given absolute expiry. Caller holds x.mu.
+func (x *Index) insertLocked(r core.Result, tf map[string]float64, expires time.Time, charge func(int64) error, free func(int64)) bool {
 	if len(tf) == 0 {
-		return false // nothing to index; an unmatchable doc would strand bytes
+		return false // no URL or nothing to index; an unmatchable doc would strand bytes
 	}
-	raw := int64(docOverhead) + int64(len(r.URL)) + int64(len(r.Title)) + int64(len(r.Snippet))
 	var norm float64
-	for t, f := range tf {
-		raw += termOverhead + int64(len(t))
+	for _, f := range tf {
 		norm += f * f
 	}
-	size := quantize(raw)
+	size := docSize(r, tf)
 	x.removeLocked(r.URL, free)
 	if size > x.maxBytes {
 		return false
@@ -315,23 +319,25 @@ func (x *Index) Merge(data []byte, now time.Time, charge func(int64) error, free
 	if err := json.Unmarshal(data, &blob); err != nil {
 		return 0, 0, fmt.Errorf("answer: bad snapshot: %w", err)
 	}
+	// Normalise what is still fresh before taking the lock.
+	fresh := make([]core.Result, 0, len(blob.Docs))
+	expiries := make([]time.Time, 0, len(blob.Docs))
+	for _, sd := range blob.Docs {
+		if expires := time.Unix(0, sd.Expires); !now.After(expires) {
+			fresh = append(fresh, core.Result{URL: sd.URL, Title: sd.Title, Snippet: sd.Snippet})
+			expiries = append(expiries, expires)
+		}
+	}
+	tfs := docVectors(fresh)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.purgeExpiredLocked(now, free)
 	before := x.bytes
-	for _, sd := range blob.Docs {
-		if sd.URL == "" {
+	for i, r := range fresh {
+		if _, present := x.docs[r.URL]; present {
 			continue
 		}
-		expires := time.Unix(0, sd.Expires)
-		if now.After(expires) {
-			continue
-		}
-		if _, present := x.docs[sd.URL]; present {
-			continue
-		}
-		r := core.Result{URL: sd.URL, Title: sd.Title, Snippet: sd.Snippet}
-		if x.insertLocked(r, expires, charge, free) {
+		if x.insertLocked(r, tfs[i], expiries[i], charge, free) {
 			added++
 		}
 	}

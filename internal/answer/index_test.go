@@ -140,10 +140,9 @@ func TestIndexQuantizedCharges(t *testing.T) {
 			t.Fatalf("charge %d = %d is not arena-quantized (quantum %d)", i, c, arenaQuantum)
 		}
 	}
-	for _, r := range []core.Result{rdoc("http://a", "x", "tiny")} {
-		if s := DocSize(r); s%arenaQuantum != 0 {
-			t.Fatalf("DocSize %d not quantized", s)
-		}
+	r := rdoc("http://a", "x", "tiny")
+	if s := docSize(r, docVectors([]core.Result{r})[0]); s%arenaQuantum != 0 || s != charges[0] {
+		t.Fatalf("docSize %d: not quantized, or not the %d charged for the same document", s, charges[0])
 	}
 }
 

@@ -39,12 +39,16 @@ func BuildIndex(docs []Document) *Index {
 		docLen:   make([]float64, len(docs)),
 	}
 	var totalLen float64
+	var tm textutil.Termer // one memo for the whole corpus: its vocabulary is stemmed once
+	var terms []string
 	for di, d := range docs {
 		tf := map[string]float64{}
-		for _, t := range textutil.Terms(d.Title) {
+		terms = tm.AppendTerms(terms[:0], d.Title)
+		for _, t := range terms {
 			tf[t] += 2
 		}
-		for _, t := range textutil.Terms(d.Snippet) {
+		terms = tm.AppendTerms(terms[:0], d.Snippet)
+		for _, t := range terms {
 			tf[t]++
 		}
 		var norm float64

@@ -3,6 +3,8 @@ package textutil
 // Stem applies the Porter stemming algorithm (Porter, 1980) to a lowercase
 // ASCII word. Words shorter than three characters are returned unchanged,
 // matching the reference implementation. Non-ASCII input is returned as-is.
+// A word the algorithm leaves alone is returned as the argument itself, so
+// only a changed stem costs an allocation.
 func Stem(word string) string {
 	if len(word) < 3 {
 		return word
@@ -12,7 +14,10 @@ func Stem(word string) string {
 			return word
 		}
 	}
-	w := []byte(word)
+	// The steps shorten the word or add one 'e': a word of up to 63 bytes
+	// is stemmed without leaving the stack.
+	var buf [64]byte
+	w := append(buf[:0], word...)
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -21,6 +26,9 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
+	if string(w) == word {
+		return word
+	}
 	return string(w)
 }
 

@@ -1,7 +1,3 @@
-// Package textutil provides the text-processing primitives shared by the
-// search engine, the SimAttack re-identification attack, the PEAS fake-query
-// generator and the X-Search result filter: tokenization, stopword removal,
-// Porter stemming, term vectors and similarity measures.
 package textutil
 
 import (
@@ -31,56 +27,4 @@ func Tokenize(s string) []string {
 	}
 	flush()
 	return tokens
-}
-
-// Terms tokenizes s, removes stopwords and single-character tokens, and
-// Porter-stems the remainder. This is the canonical normalization pipeline
-// used everywhere a query or document is turned into comparable terms.
-func Terms(s string) []string {
-	raw := Tokenize(s)
-	terms := make([]string, 0, len(raw))
-	for _, t := range raw {
-		if len(t) < 2 || IsStopword(t) {
-			continue
-		}
-		terms = append(terms, Stem(t))
-	}
-	return terms
-}
-
-// UniqueTerms returns Terms(s) with duplicates removed, preserving first
-// occurrence order.
-func UniqueTerms(s string) []string {
-	terms := Terms(s)
-	seen := make(map[string]struct{}, len(terms))
-	out := terms[:0]
-	for _, t := range terms {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
-}
-
-// CommonWords reports the number of distinct normalized terms shared by a
-// and b. It implements the paper's nbCommonWords(q, e) used by the filtering
-// step (Algorithm 2).
-func CommonWords(a, b string) int {
-	ta := UniqueTerms(a)
-	if len(ta) == 0 {
-		return 0
-	}
-	set := make(map[string]struct{}, len(ta))
-	for _, t := range ta {
-		set[t] = struct{}{}
-	}
-	n := 0
-	for _, t := range UniqueTerms(b) {
-		if _, ok := set[t]; ok {
-			n++
-		}
-	}
-	return n
 }

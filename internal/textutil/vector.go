@@ -112,25 +112,13 @@ func CosineStrings(a, b string) float64 {
 
 // Jaccard returns the Jaccard index of the unique term sets of a and b.
 func Jaccard(a, b string) float64 {
-	ta, tb := UniqueTerms(a), UniqueTerms(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 0
-	}
-	set := make(map[string]struct{}, len(ta))
-	for _, t := range ta {
-		set[t] = struct{}{}
-	}
-	inter := 0
-	for _, t := range tb {
-		if _, ok := set[t]; ok {
-			inter++
-		}
-	}
-	union := len(ta) + len(tb) - inter
+	ta, tb := newTermSet(Terms(a)), newTermSet(Terms(b))
+	union := len(ta) + len(tb)
 	if union == 0 {
 		return 0
 	}
-	return float64(inter) / float64(union)
+	inter := ta.Common(tb)
+	return float64(inter) / float64(union-inter)
 }
 
 // NormalizeQuery canonicalizes a query string: tokenize, lowercase and
