@@ -121,9 +121,11 @@
 // (Fleet.StartMux, -mux-listen) for broker hosts, and a hand-rolled
 // RFC 6455 WebSocket upgrade at /mux on the existing HTTP front
 // (WithWebSocketTransport) so browser-extension clients connect
-// directly. Past the edge both speak exactly the HTTP handlers' JSON
-// bodies, so a mux client and an HTTP client are indistinguishable to
-// the enclaves.
+// directly. Past the edge both call the same Handshake/Secure/ServeQuery
+// methods as the HTTP handlers, so a mux client and an HTTP client are
+// indistinguishable to the enclaves; handshakes and plain queries carry
+// the HTTP bodies, a sealed record travels raw (no JSON, no base64). A
+// small call costs the conn one write and one read per direction.
 //
 // The transport conn is expendable by design: the secure channel's keys
 // live in the broker and the enclave, never in the carrier, so when an
@@ -152,8 +154,9 @@
 // "request-batch" crossing; an unbatched request is a batch of one.
 // Package internal/proxy documents the stage table — which function runs
 // in which ecall under each configuration, and what the host can observe
-// at each seam — and the full ecall list, all of it part of the measured
-// identity (ident v2.0).
+// at each seam — the full ecall list and the seam table (which message
+// is binary, which is still JSON and why), all of it part of the measured
+// identity (ident v2.1).
 //
 // Why park: the blocking engine stage holds one enclave thread (TCS) for
 // the full engine round trip — the thread-occupancy cost the SGX

@@ -175,23 +175,26 @@ func (b *Broker) Connect(ctx context.Context) error {
 	if _, err := rand.Read(nonce); err != nil {
 		return fmt.Errorf("broker: nonce: %w", err)
 	}
-	reqBody, err := json.Marshal(map[string]any{
-		"offer": json.RawMessage(offerJSON),
-		"nonce": nonce,
-	})
+	reqBody, err := json.Marshal(struct {
+		Offer json.RawMessage `json:"offer"`
+		Nonce []byte          `json:"nonce"`
+	}{offerJSON, nonce})
 	if err != nil {
 		return err
 	}
-	var resp proxy.HandshakeResponse
-	err = b.rpc(ctx, "/handshake", reqBody, &resp)
+	respBody, err := b.rpc(ctx, mux.KindHandshake, reqBody)
 	if errors.Is(err, mux.ErrConnLost) {
 		// The conn died under the handshake. Re-posting the same offer is
 		// safe — at worst the server minted a session the broker never
 		// uses, which ages out of its FIFO table.
-		err = b.rpc(ctx, "/handshake", reqBody, &resp)
+		respBody, err = b.rpc(ctx, mux.KindHandshake, reqBody)
 	}
 	if err != nil {
 		return err
+	}
+	var resp proxy.HandshakeResponse
+	if err := json.Unmarshal(respBody, &resp); err != nil {
+		return fmt.Errorf("broker: handshake response: %w", err)
 	}
 
 	serverOffer, err := securechannel.UnmarshalOffer(resp.Offer)
@@ -260,7 +263,10 @@ func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	if channel == nil {
 		return nil, ErrNotConnected
 	}
-	plaintext, err := json.Marshal(map[string]any{"query": query, "count": b.cfg.Count})
+	plaintext, err := json.Marshal(struct {
+		Query string `json:"query"`
+		Count int    `json:"count"`
+	}{query, b.cfg.Count})
 	if err != nil {
 		return nil, err
 	}
@@ -268,15 +274,11 @@ func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	if err != nil {
 		return nil, err
 	}
-	reqBody, err := json.Marshal(proxy.SecureEnvelope{Session: session, Record: record})
+	reply, err := b.secure(ctx, session, record)
 	if err != nil {
 		return nil, err
 	}
-	var resp proxy.SecureEnvelope
-	if err := b.rpc(ctx, "/secure", reqBody, &resp); err != nil {
-		return nil, err
-	}
-	respPT, err := channel.Open(resp.Record)
+	respPT, err := channel.Open(reply)
 	if err != nil {
 		return nil, fmt.Errorf("broker: open response: %w", err)
 	}
@@ -293,54 +295,76 @@ func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	return sresp.Results, nil
 }
 
-// rpc issues one proxy call over the configured transport: an HTTP POST,
-// or a logical stream on the multiplexed conn. Error classes are kept
+// secure carries one sealed record to the proxy and the sealed reply back:
+// raw on a mux stream, base64 in a JSON SecureEnvelope over HTTP.
+func (b *Broker) secure(ctx context.Context, session string, record []byte) ([]byte, error) {
+	if b.rd != nil {
+		body := proxy.AppendSecureBody(make([]byte, 0, 1+len(session)+len(record)), session, record)
+		return b.rpc(ctx, mux.KindSecure, body)
+	}
+	reqBody, err := json.Marshal(proxy.SecureEnvelope{Session: session, Record: record})
+	if err != nil {
+		return nil, err
+	}
+	respBody, err := b.rpc(ctx, mux.KindSecure, reqBody)
+	if err != nil {
+		return nil, err
+	}
+	var resp proxy.SecureEnvelope
+	if err := json.Unmarshal(respBody, &resp); err != nil {
+		return nil, fmt.Errorf("broker: secure response: %w", err)
+	}
+	return resp.Record, nil
+}
+
+// rpc issues one proxy call of the given stream kind over the configured
+// transport — a logical stream on the multiplexed conn, or an HTTP POST to
+// the kind's route — and returns the reply body. Error classes are kept
 // distinct because the recovery differs: a remote refusal maps onto
 // ErrProxyStatus (the re-attest path — the server answered, the session
 // is likely gone), while transport loss stays mux.ErrConnLost (the
 // re-seal-and-retry path — the server may never have answered, but the
 // channel is intact).
-func (b *Broker) rpc(ctx context.Context, path string, body []byte, out any) error {
-	if b.rd == nil {
-		return b.post(ctx, path, body, out)
+func (b *Broker) rpc(ctx context.Context, kind byte, body []byte) ([]byte, error) {
+	path := "/handshake"
+	if kind == mux.KindSecure {
+		path = "/secure"
 	}
-	var kind byte
-	switch path {
-	case "/handshake":
-		kind = mux.KindHandshake
-	case "/secure":
-		kind = mux.KindSecure
-	default:
-		return fmt.Errorf("broker: no mux stream kind for %s", path)
+	if b.rd == nil {
+		return b.post(ctx, path, body)
 	}
 	resp, err := b.rd.Call(ctx, kind, body)
 	if err != nil {
 		var remote *mux.RemoteError
 		if errors.As(err, &remote) {
-			return fmt.Errorf("%w: %s: %s", ErrProxyStatus, path, remote.Msg)
+			return nil, fmt.Errorf("%w: %s: %s", ErrProxyStatus, path, remote.Msg)
 		}
-		return fmt.Errorf("broker: %s: %w", path, err)
+		return nil, fmt.Errorf("broker: %s: %w", path, err)
 	}
-	return json.Unmarshal(resp, out)
+	return resp, nil
 }
 
-// post sends a JSON POST and decodes the JSON response.
-func (b *Broker) post(ctx context.Context, path string, body []byte, out any) error {
+// post sends a JSON POST and returns the response body.
+func (b *Broker) post(ctx context.Context, path string, body []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		b.cfg.ProxyURL+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := b.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("broker: %s: %w", path, err)
+		return nil, fmt.Errorf("broker: %s: %w", path, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: %s %d", ErrProxyStatus, path, resp.StatusCode)
+		return nil, fmt.Errorf("%w: %s %d", ErrProxyStatus, path, resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("broker: %s: %w", path, err)
+	}
+	return out, nil
 }
 
 // maxBodyBytes caps request bodies on the local endpoint. The query

@@ -111,15 +111,27 @@ func RunMux(cfg MuxConfig) (*MuxResult, error) {
 	return res, nil
 }
 
-// callFunc abstracts the two carriers for the memory phase: POST a JSON
-// body to a gateway route, return the JSON response.
-type callFunc func(path string, body []byte) ([]byte, error)
+// callFunc abstracts the two carriers for the memory phase: one call of a
+// mux stream kind, with the mux edge's bodies in and out.
+type callFunc func(kind byte, body []byte) ([]byte, error)
 
 // httpCall posts over the given client (each memory-phase session owns a
 // client with its own Transport, so each session holds its own conn —
-// the unmuxed edge's shape).
+// the unmuxed edge's shape). A secure body travels in the HTTP front's
+// JSON envelope.
 func httpCall(client *http.Client, base string) callFunc {
-	return func(path string, body []byte) ([]byte, error) {
+	return func(kind byte, body []byte) ([]byte, error) {
+		path := "/handshake"
+		if kind == mux.KindSecure {
+			path = "/secure"
+			session, record, err := proxy.ParseSecureBody(body)
+			if err != nil {
+				return nil, err
+			}
+			if body, err = json.Marshal(proxy.SecureEnvelope{Session: session, Record: record}); err != nil {
+				return nil, err
+			}
+		}
 		resp, err := client.Post(base+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
@@ -132,22 +144,20 @@ func httpCall(client *http.Client, base string) callFunc {
 		if _, err := buf.ReadFrom(resp.Body); err != nil {
 			return nil, err
 		}
-		return buf.Bytes(), nil
+		if kind != mux.KindSecure {
+			return buf.Bytes(), nil
+		}
+		var env proxy.SecureEnvelope
+		if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+			return nil, err
+		}
+		return env.Record, nil
 	}
 }
 
-// muxCall issues the same bodies as logical streams on a shared session.
+// muxCall issues the same calls as logical streams on a shared session.
 func muxCall(s *mux.Session) callFunc {
-	return func(path string, body []byte) ([]byte, error) {
-		var kind byte
-		switch path {
-		case "/handshake":
-			kind = mux.KindHandshake
-		case "/secure":
-			kind = mux.KindSecure
-		default:
-			return nil, fmt.Errorf("no stream kind for %s", path)
-		}
+	return func(kind byte, body []byte) ([]byte, error) {
 		return s.Call(context.Background(), kind, body)
 	}
 }
@@ -181,7 +191,7 @@ func openEdgeSession(call callFunc) (*edgeSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := call("/handshake", reqBody)
+	raw, err := call(mux.KindHandshake, reqBody)
 	if err != nil {
 		return nil, err
 	}
@@ -210,22 +220,12 @@ func (e *edgeSession) secureQuery(call callFunc, query string) error {
 	if err != nil {
 		return err
 	}
-	reqBody, err := json.Marshal(proxy.SecureEnvelope{Session: e.session, Record: record})
+	reply, err := call(mux.KindSecure, proxy.AppendSecureBody(nil, e.session, record))
 	if err != nil {
 		return err
 	}
-	raw, err := call("/secure", reqBody)
-	if err != nil {
-		return err
-	}
-	var resp proxy.SecureEnvelope
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return err
-	}
-	if _, err := e.channel.Open(resp.Record); err != nil {
-		return err
-	}
-	return nil
+	_, err = e.channel.Open(reply)
+	return err
 }
 
 // memFootprint snapshots live heap plus goroutine stacks: the per-conn

@@ -16,7 +16,7 @@ import (
 // echoFleet builds a fleet of echo-mode shards (no engine needed) with a
 // health interval long enough that tests exercise the request-path death
 // discovery unless they opt into the probe loop.
-func echoFleet(t *testing.T, shards int, healthInterval time.Duration) *Gateway {
+func echoFleet(t testing.TB, shards int, healthInterval time.Duration) *Gateway {
 	t.Helper()
 	g, err := New(Config{
 		Shards:         shards,

@@ -22,8 +22,10 @@ import (
 // TCP listener (StartMux) for broker hosts, and a WebSocket upgrade at
 // /mux on the existing HTTP front for browser-extension clients. Both
 // dispatch stream kinds onto the same Handshake/Secure/ServeQuery
-// methods the HTTP handlers use, with identical JSON bodies, so a mux
-// client and an HTTP client are indistinguishable past the edge.
+// methods the HTTP handlers use, so a mux client and an HTTP client are
+// indistinguishable past the edge. Handshakes and plain queries carry the
+// HTTP handlers' JSON bodies; a secure stream — the per-query path —
+// carries its session id and sealed record raw (proxy.AppendSecureBody).
 
 // muxFront is the gateway's mux-edge state, embedded in Gateway.
 type muxFront struct {
@@ -129,10 +131,17 @@ func (g *Gateway) serveMuxConn(conn io.ReadWriteCloser) {
 	_ = mux.Serve(conn, g.serveMuxRequest, cfg)
 }
 
-// serveMuxRequest serves one completed stream as the call its kind names,
-// speaking exactly the HTTP handlers' JSON bodies.
+// serveMuxRequest serves one completed stream as the call its kind names.
+// A malformed body is the stream's error, never the session's.
 func (g *Gateway) serveMuxRequest(ctx context.Context, kind byte, req []byte) ([]byte, error) {
 	g.muxStreams.Add(1)
+	if kind == mux.KindSecure {
+		session, record, err := proxy.ParseSecureBody(req)
+		if err != nil {
+			return nil, err
+		}
+		return g.Secure(ctx, session, record)
+	}
 	var query string
 	if kind == mux.KindPlain {
 		query = strings.TrimSpace(string(req))

@@ -1,0 +1,166 @@
+package fleet
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"xsearch/internal/attestation"
+	"xsearch/internal/broker"
+	"xsearch/internal/enclave"
+	"xsearch/internal/mux"
+	"xsearch/internal/proxy"
+)
+
+// edgeStack is the benchmark's `edge` stack: a connected broker on the
+// raw-TCP mux edge of a 2-shard EchoMode gateway.
+func edgeStack(tb testing.TB) (*Gateway, *broker.Broker) {
+	tb.Helper()
+	g := echoFleet(tb, 2, time.Hour)
+	if err := g.Start("127.0.0.1:0"); err != nil {
+		tb.Fatalf("Start: %v", err)
+	}
+	if err := g.StartMux("127.0.0.1:0"); err != nil {
+		tb.Fatalf("StartMux: %v", err)
+	}
+	return g, connectedBroker(tb, g, "mux")
+}
+
+func connectedBroker(tb testing.TB, g *Gateway, transport string) *broker.Broker {
+	tb.Helper()
+	b, err := broker.New(broker.Config{
+		ProxyURL:   g.URL(),
+		ServiceKey: g.AttestationService().PublicKey(),
+		Policy:     attestation.Policy{AcceptedMeasurements: []enclave.Measurement{g.Measurement()}},
+		Transport:  transport,
+		MuxAddr:    g.MuxAddr(),
+	})
+	if err != nil {
+		tb.Fatalf("broker.New(%s): %v", transport, err)
+	}
+	tb.Cleanup(func() { _ = b.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := b.Connect(ctx); err != nil {
+		tb.Fatalf("Connect(%s): %v", transport, err)
+	}
+	return b
+}
+
+// TestMuxSecureCallAllocBudget is the allocation gate on the whole secure
+// call — broker seal → mux → gateway route → "request" ecall → sealed
+// reply, both processes' share counted — so what the binary seam and the
+// coalesced mux I/O saved cannot leak away unnoticed (the parent commit:
+// 90).
+func TestMuxSecureCallAllocBudget(t *testing.T) {
+	_, b := edgeStack(t)
+	ctx := context.Background()
+	i := 0
+	search := func() {
+		i++
+		if _, err := b.Search(ctx, fmt.Sprintf("budget query number %d", i)); err != nil {
+			t.Fatalf("search %d: %v", i, err)
+		}
+	}
+	for i < 50 {
+		search() // fill the fake-query pool and every lazily sized buffer
+	}
+	const budget = 40
+	if got := testing.AllocsPerRun(200, search); got > budget {
+		t.Errorf("one secure call over the mux edge: %.1f allocations, budget %d", got, budget)
+	}
+}
+
+// BenchmarkMuxSecureCall is the profile target for the mux-edge secure
+// call (the recipe is in .claude/skills/verify/SKILL.md).
+func BenchmarkMuxSecureCall(b *testing.B) {
+	_, br := edgeStack(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := br.Search(ctx, fmt.Sprintf("profile query number %d", i)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// TestOldFormatSecureBodyIsAPerStreamRefusal: a legacy broker's JSON
+// SecureEnvelope on a KindSecure stream — and any other malformed secure
+// body — fails that stream with the front's bad-body error and leaves the
+// session serving.
+func TestOldFormatSecureBodyIsAPerStreamRefusal(t *testing.T) {
+	g, _ := edgeStack(t)
+	conn, err := net.Dial("tcp", g.MuxAddr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	s := mux.Client(conn, mux.Config{})
+	defer func() { _ = s.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	legacy, _ := json.Marshal(proxy.SecureEnvelope{Session: strings.Repeat("ab", 16), Record: make([]byte, 60)})
+	for name, body := range map[string][]byte{
+		"legacy JSON":  legacy,
+		"empty":        nil,
+		"id only":      proxy.AppendSecureBody(nil, strings.Repeat("ab", 16), nil),
+		"truncated id": {32, 'a', 'b'},
+		"zero-length":  {0, 1, 2, 3},
+	} {
+		_, err := s.Call(ctx, mux.KindSecure, body)
+		var remote *mux.RemoteError
+		if !errors.As(err, &remote) || remote.Msg != "bad secure body" {
+			t.Errorf("%s: err = %v, want the stream refused with \"bad secure body\"", name, err)
+		}
+	}
+	if resp, err := s.Call(ctx, mux.KindPlain, []byte("still serving")); err != nil || len(resp) == 0 {
+		t.Fatalf("session did not survive the refusals: %q, %v", resp, err)
+	}
+}
+
+// TestConcurrentSearchesOnOneBroker is the ErrReplay regression: one
+// connected broker searched from 8 goroutines at once. Both edges reorder
+// records in flight (a goroutine per mux stream, a conn per HTTP request),
+// which a strictly-increasing sequence check refused as replays — 719 of
+// 4000 over mux and 930 over HTTP at the parent commit.
+func TestConcurrentSearchesOnOneBroker(t *testing.T) {
+	const workers, each = 8, 500
+	g, muxB := edgeStack(t)
+	for transport, b := range map[string]*broker.Broker{"mux": muxB, "http": connectedBroker(t, g, "http")} {
+		t.Run(transport, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			var wg sync.WaitGroup
+			failed := make([]int, workers)
+			firstErr := make([]error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						if _, err := b.Search(ctx, fmt.Sprintf("worker %d query %d", w, i)); err != nil {
+							if failed[w]++; firstErr[w] == nil {
+								firstErr[w] = err
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			for w := range failed {
+				if failed[w] > 0 {
+					t.Errorf("worker %d: %d of %d searches failed, first: %v", w, failed[w], each, firstErr[w])
+				}
+			}
+		})
+	}
+}

@@ -21,6 +21,37 @@
 //     re-dials and resumes live secure-channel sessions by session ID
 //     without re-attestation — the channel keys live in the broker and
 //     the enclave, so only the carrier needs replacing.
+//
+// # What an exchange costs on the conn
+//
+// A small call is one conn write and one conn read in each direction and
+// no flow-control traffic; three rules get it there.
+//
+// Writes are coalesced. A stream's frames leave in as few conn writes as
+// the data allows: OPEN, DATA and CLOSE of a request that fits one chunk
+// are one write, the reply's DATA and CLOSE another. A larger or
+// credit-blocked body is the same loop writing once per chunk. One write
+// never exceeds headerLen+MaxFramePayload bytes, because the WebSocket
+// carrier sends each write as one message and refuses a larger one —
+// which is why a chunk of stream data is a little under MaxFramePayload
+// (maxChunk leaves room for the OPEN and CLOSE around it). Control frames
+// (ping, pong, window, resume, abortive close) are written alone.
+//
+// Credit is returned lazily. A receiver adds up what it has buffered per
+// stream and sends one WINDOW once half a window (Config.Window/2) is
+// owed — none for an exchange smaller than that, none for a stream whose
+// peer has already finished. The sender still never has more than Window
+// unacknowledged bytes on a stream, and the rule cannot deadlock: a
+// sender stalled at zero credit has a whole Window in flight, so when it
+// lands the receiver owes at least Window/2 and says so. Both ends must
+// run the same Window.
+//
+// Reads are buffered per conn. readLoop reads through one bufio.Reader,
+// so the frames of a coalesced write arrive in one read; headers and
+// control payloads are parsed in place, only stream payloads are
+// allocated, and a one-frame body is handed to the stream without a
+// copy. The buffer belongs to the conn, not to the attested sessions
+// riding it, so the per-session footprint of the edge is unchanged.
 package mux
 
 import (
@@ -100,30 +131,33 @@ type Frame struct {
 	Payload []byte
 }
 
-// validHeader checks the fields a hostile peer controls. maxPayload
-// guards the length before any allocation happens.
-func validHeader(typ byte, length uint32, maxPayload uint32) error {
-	if typ < FrameOpen || typ > FrameResume {
-		return fmt.Errorf("%w: unknown type 0x%x", ErrBadFrame, typ)
+// parseHeader decodes the fixed header at the head of hdr (at least
+// headerLen bytes) and checks the fields a hostile peer controls —
+// maxPayload guards the length before any allocation happens.
+func parseHeader(hdr []byte, maxPayload uint32) (f Frame, length uint32, err error) {
+	f = Frame{Type: hdr[0], Flags: hdr[1], Stream: binary.BigEndian.Uint32(hdr[2:6])}
+	length = binary.BigEndian.Uint32(hdr[6:10])
+	if f.Type < FrameOpen || f.Type > FrameResume {
+		return Frame{}, 0, fmt.Errorf("%w: unknown type 0x%x", ErrBadFrame, f.Type)
 	}
 	if length > maxPayload {
-		return fmt.Errorf("%w: %d bytes (cap %d)", ErrFrameTooLarge, length, maxPayload)
+		return Frame{}, 0, fmt.Errorf("%w: %d bytes (cap %d)", ErrFrameTooLarge, length, maxPayload)
 	}
-	switch typ {
+	switch f.Type {
 	case FramePing, FramePong:
 		if length != pingPayloadLen {
-			return fmt.Errorf("%w: ping payload %d bytes, want %d", ErrBadFrame, length, pingPayloadLen)
+			return Frame{}, 0, fmt.Errorf("%w: ping payload %d bytes, want %d", ErrBadFrame, length, pingPayloadLen)
 		}
 	case FrameWindow, FrameResume:
 		if length != 4 {
-			return fmt.Errorf("%w: type 0x%x payload %d bytes, want 4", ErrBadFrame, typ, length)
+			return Frame{}, 0, fmt.Errorf("%w: type 0x%x payload %d bytes, want 4", ErrBadFrame, f.Type, length)
 		}
 	case FrameOpen:
 		if length != 1 {
-			return fmt.Errorf("%w: open payload %d bytes, want 1", ErrBadFrame, length)
+			return Frame{}, 0, fmt.Errorf("%w: open payload %d bytes, want 1", ErrBadFrame, length)
 		}
 	}
-	return nil
+	return f, length, nil
 }
 
 // AppendFrame encodes f onto dst and returns the extended slice. The
@@ -146,9 +180,8 @@ func DecodeFrame(b []byte, maxPayload uint32) (Frame, int, error) {
 	if len(b) < headerLen {
 		return Frame{}, 0, fmt.Errorf("%w: truncated header (%d bytes)", ErrBadFrame, len(b))
 	}
-	f := Frame{Type: b[0], Flags: b[1], Stream: binary.BigEndian.Uint32(b[2:6])}
-	length := binary.BigEndian.Uint32(b[6:10])
-	if err := validHeader(f.Type, length, maxPayload); err != nil {
+	f, length, err := parseHeader(b, maxPayload)
+	if err != nil {
 		return Frame{}, 0, err
 	}
 	if uint32(len(b)-headerLen) < length {
@@ -167,9 +200,8 @@ func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	f := Frame{Type: hdr[0], Flags: hdr[1], Stream: binary.BigEndian.Uint32(hdr[2:6])}
-	length := binary.BigEndian.Uint32(hdr[6:10])
-	if err := validHeader(f.Type, length, maxPayload); err != nil {
+	f, length, err := parseHeader(hdr[:], maxPayload)
+	if err != nil {
 		return Frame{}, err
 	}
 	if length > 0 {

@@ -1,6 +1,7 @@
 package mux
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -47,9 +48,9 @@ type Config struct {
 	MaxStreams int
 	// Window is the per-stream, per-direction flow-control window: the
 	// sender may have at most this many unacknowledged bytes in flight
-	// on one stream (default 256 KiB). Receivers grant credit back as
-	// they buffer, so a stalled peer exerts backpressure instead of
-	// growing buffers.
+	// on one stream (default 256 KiB). Receivers grant credit back once
+	// half a window is owed, so a stalled peer exerts backpressure instead
+	// of growing buffers. Both ends of a session use the same value.
 	Window int
 	// MaxRequest caps one stream's accumulated request bytes on the
 	// serving side (default 1 MiB, matching the HTTP fronts'
@@ -117,6 +118,7 @@ type stream struct {
 	fin    bool   // peer finished writing
 	ferr   error  // abortive close or session death
 	credit int    // bytes we may still send
+	owed   int    // bytes received and not yet credited back to the peer
 	notify chan struct{}
 }
 
@@ -132,6 +134,7 @@ func (st *stream) signal() {
 type Session struct {
 	cfg     Config
 	conn    io.ReadWriteCloser
+	br      *bufio.Reader // readLoop only: one read syscall, many frames
 	client  bool
 	handler Handler
 
@@ -160,6 +163,7 @@ func newSession(conn io.ReadWriteCloser, cfg Config, client bool, h Handler) *Se
 	s := &Session{
 		cfg:     cfg.withDefaults(),
 		conn:    conn,
+		br:      bufio.NewReader(conn),
 		client:  client,
 		handler: h,
 		streams: make(map[uint32]*stream),
@@ -255,9 +259,12 @@ func (s *Session) sessionErr(cause error) error {
 
 type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
 
-// writeFrame serializes one frame onto the conn. Whole frames are
-// written under one lock so concurrent streams never interleave bytes.
-func (s *Session) writeFrame(f Frame) error {
+// write serializes frames onto the conn in ONE conn.Write, under one lock,
+// so concurrent streams never interleave bytes. Callers keep the encoded
+// total within headerLen+MaxFramePayload, the WebSocket carrier's message
+// cap. Control frames (ping, pong, window, resume, abortive close) go out
+// one per call; send coalesces a stream's OPEN, DATA and CLOSE.
+func (s *Session) write(frames ...Frame) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	select {
@@ -268,7 +275,10 @@ func (s *Session) writeFrame(f Frame) error {
 	if wd, ok := s.conn.(writeDeadliner); ok {
 		_ = wd.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
-	s.wbuf = AppendFrame(s.wbuf[:0], f)
+	s.wbuf = s.wbuf[:0]
+	for _, f := range frames {
+		s.wbuf = AppendFrame(s.wbuf, f)
+	}
 	if _, err := s.conn.Write(s.wbuf); err != nil {
 		s.close(err)
 		return s.sessionErr(err)
@@ -279,7 +289,7 @@ func (s *Session) writeFrame(f Frame) error {
 func (s *Session) writeU32(typ byte, stream, v uint32) error {
 	var p [4]byte
 	binary.BigEndian.PutUint32(p[:], v)
-	return s.writeFrame(Frame{Type: typ, Stream: stream, Payload: p[:]})
+	return s.write(Frame{Type: typ, Stream: stream, Payload: p[:]})
 }
 
 // writeCloseErr aborts a stream toward the peer, truncating long texts.
@@ -288,7 +298,7 @@ func (s *Session) writeCloseErr(stream uint32, err error) {
 	if len(msg) > maxCloseErrBytes {
 		msg = msg[:maxCloseErrBytes]
 	}
-	_ = s.writeFrame(Frame{Type: FrameClose, Flags: FlagError, Stream: stream, Payload: []byte(msg)})
+	_ = s.write(Frame{Type: FrameClose, Flags: FlagError, Stream: stream, Payload: []byte(msg)})
 }
 
 // --- stream registry ---
@@ -344,28 +354,34 @@ func (s *Session) Call(ctx context.Context, kind byte, req []byte) ([]byte, erro
 		return nil, err
 	}
 	defer s.drop(st)
-	if err := s.writeFrame(Frame{Type: FrameOpen, Stream: id, Payload: []byte{kind}}); err != nil {
-		return nil, err
-	}
-	if err := s.sendOn(ctx, st, req); err != nil {
+	if err := s.send(ctx, st, true, req); err != nil {
 		return nil, err
 	}
 	return s.awaitReply(ctx, st)
 }
 
-// sendOn writes data under the stream's credit, then half-closes.
-func (s *Session) sendOn(ctx context.Context, st *stream, data []byte) error {
-	for len(data) > 0 {
+// maxChunk is the most stream data one coalesced write carries: a DATA
+// frame with room left for an OPEN before it and a CLOSE after it inside
+// the headerLen+MaxFramePayload a single write may span.
+const maxChunk = MaxFramePayload - (headerLen + 1) - headerLen
+
+// send writes data under the stream's credit, then half-closes. Frames are
+// coalesced: each pass of the loop is one write carrying the stream's OPEN
+// (first pass of a call), as much DATA as credit and maxChunk allow, and
+// the CLOSE (last pass) — so an exchange that fits one chunk is one write,
+// and a larger or credit-blocked one is the same loop flushing per chunk.
+func (s *Session) send(ctx context.Context, st *stream, open bool, data []byte) error {
+	for {
 		st.mu.Lock()
 		if st.ferr != nil {
 			err := st.ferr
 			st.mu.Unlock()
 			return err
 		}
-		n := min(min(len(data), st.credit), MaxFramePayload)
+		n := min(len(data), st.credit, maxChunk)
 		st.credit -= n
 		st.mu.Unlock()
-		if n == 0 {
+		if n == 0 && len(data) > 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -375,12 +391,26 @@ func (s *Session) sendOn(ctx context.Context, st *stream, data []byte) error {
 			}
 			continue
 		}
-		if err := s.writeFrame(Frame{Type: FrameData, Stream: st.id, Payload: data[:n]}); err != nil {
-			return err
+		var frames [3]Frame
+		k := 0
+		if open {
+			frames[k] = Frame{Type: FrameOpen, Stream: st.id, Payload: []byte{st.kind}}
+			k++
+			open = false
+		}
+		if n > 0 {
+			frames[k] = Frame{Type: FrameData, Stream: st.id, Payload: data[:n]}
+			k++
 		}
 		data = data[n:]
+		if len(data) == 0 {
+			frames[k] = Frame{Type: FrameClose, Stream: st.id}
+			k++
+		}
+		if err := s.write(frames[:k]...); err != nil || len(data) == 0 {
+			return err
+		}
 	}
-	return s.writeFrame(Frame{Type: FrameClose, Stream: st.id})
 }
 
 // awaitReply collects response bytes until the peer's close.
@@ -420,10 +450,44 @@ func (s *Session) SendResume(liveSessions int) error {
 
 // --- the receive path ---
 
+// readFrame is ReadFrame over the session's buffered reader, minus its
+// per-frame allocations: the header is parsed where it lies in the read
+// buffer, and so is a control frame's fixed few bytes of payload, which
+// dispatch is done with before the next read overwrites them. A stream
+// payload (DATA, abortive CLOSE) is allocated, for the stream to keep.
+func (s *Session) readFrame() (Frame, error) {
+	hdr, err := s.br.Peek(headerLen)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF // the conn died mid-header
+		}
+		return Frame{}, err
+	}
+	f, length, err := parseHeader(hdr, MaxFramePayload)
+	if err != nil {
+		return Frame{}, err
+	}
+	_, _ = s.br.Discard(headerLen) // cannot fail: just peeked
+	switch {
+	case length == 0:
+	case f.Type == FrameData || f.Type == FrameClose:
+		f.Payload = make([]byte, length)
+		if _, err := io.ReadFull(s.br, f.Payload); err != nil {
+			return Frame{}, fmt.Errorf("mux: short payload: %w", err)
+		}
+	default:
+		if f.Payload, err = s.br.Peek(int(length)); err != nil {
+			return Frame{}, fmt.Errorf("mux: short payload: %w", err)
+		}
+		_, _ = s.br.Discard(int(length))
+	}
+	return f, nil
+}
+
 // readLoop decodes frames until the conn dies, returning the cause.
 func (s *Session) readLoop() error {
 	for {
-		f, err := ReadFrame(s.conn, MaxFramePayload)
+		f, err := s.readFrame()
 		if err != nil {
 			// Peer close or transport death; hostile framing also lands
 			// here (oversize, unknown type) and kills the session.
@@ -459,7 +523,7 @@ func (s *Session) dispatch(f Frame) error {
 		if s.pingsInWin.Add(1) > int32(s.cfg.PingBudget) {
 			return ErrPingFlood
 		}
-		return s.writeFrame(Frame{Type: FramePong, Stream: f.Stream, Payload: f.Payload})
+		return s.write(Frame{Type: FramePong, Stream: f.Stream, Payload: f.Payload})
 	case FramePong:
 		// lastRecv already refreshed; that is the pong's whole job.
 	case FrameResume:
@@ -494,9 +558,11 @@ func (s *Session) onOpen(f Frame) error {
 	return nil
 }
 
-// onData appends to the stream's buffer and acks credit back. Frames for
-// unknown streams are dropped: they are the benign tail of a canceled or
-// refused stream racing in flight.
+// onData appends to the stream's buffer and returns credit lazily: bytes
+// received accumulate as owed, and one WINDOW goes back once half a window
+// is owed (the package comment has the rule and why it cannot deadlock).
+// Frames for unknown streams are dropped: they are the benign tail of a
+// canceled or refused stream racing in flight.
 func (s *Session) onData(f Frame) {
 	st, ok := s.lookup(f.Stream)
 	if !ok {
@@ -521,12 +587,23 @@ func (s *Session) onData(f Frame) {
 		}
 		return
 	}
-	st.buf = append(st.buf, f.Payload...)
+	if st.buf == nil {
+		st.buf = f.Payload // readFrame allocated it for the stream: a one-frame body is never copied
+	} else {
+		st.buf = append(st.buf, f.Payload...)
+	}
+	grant := 0
+	if st.owed += len(f.Payload); st.owed >= s.cfg.Window/2 {
+		grant, st.owed = st.owed, 0
+	}
 	st.mu.Unlock()
 	st.signal()
-	// Credit the bytes straight back: the cap above bounds the buffer,
-	// and prompt credit keeps one slow stream from idling the window.
-	_ = s.writeU32(FrameWindow, st.id, uint32(len(f.Payload)))
+	if grant > 0 {
+		// The cap above bounds the buffer, so credit need not wait for the
+		// consumer: returning it as soon as it is worth a frame keeps one
+		// slow stream from idling the window.
+		_ = s.writeU32(FrameWindow, st.id, uint32(grant))
+	}
 }
 
 // onClose finishes (clean) or fails (FlagError) the stream; on a serving
@@ -565,7 +642,7 @@ func (s *Session) handleRequest(st *stream, failed bool) {
 			s.writeCloseErr(st.id, err)
 			return
 		}
-		_ = s.sendOn(s.ctx, st, resp)
+		_ = s.send(s.ctx, st, false, resp)
 	}()
 }
 
@@ -589,7 +666,7 @@ func (s *Session) keepalive() {
 			s.pingsInWin.Store(0)
 			var tok [pingPayloadLen]byte
 			binary.BigEndian.PutUint64(tok[:], s.pingToken.Add(1))
-			_ = s.writeFrame(Frame{Type: FramePing, Payload: tok[:]})
+			_ = s.write(Frame{Type: FramePing, Payload: tok[:]})
 		}
 	}
 }

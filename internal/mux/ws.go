@@ -19,8 +19,9 @@ import (
 // The WebSocket adapter speaks just enough RFC 6455, over the standard
 // library only, to carry mux frames as binary messages: a browser
 // extension cannot open a raw TCP socket, so the edge accepts the same
-// framed protocol over an HTTP upgrade. Each mux frame travels as one
-// binary message; the adapter exposes the ordered payload bytes as an
+// framed protocol over an HTTP upgrade. Each session write — one whole
+// mux frame, or a few coalesced — travels as one binary message; the
+// adapter exposes the ordered payload bytes as an
 // io.ReadWriteCloser that Session reads frames from, so the layers above
 // never know which carrier they are on.
 
@@ -35,8 +36,9 @@ const (
 	wsOpPing         = 0x9
 	wsOpPong         = 0xA
 
-	// wsMaxPayload bounds one WebSocket frame's payload: a mux frame plus
-	// header always fits, and anything larger is hostile.
+	// wsMaxPayload bounds one WebSocket frame's payload: the largest write
+	// a session issues (a full mux frame with its header) always fits, and
+	// anything larger is hostile.
 	wsMaxPayload = MaxFramePayload + headerLen
 	// wsMaxControlPayload is RFC 6455's cap for control-frame payloads.
 	wsMaxControlPayload = 125
@@ -46,8 +48,9 @@ var errWSClosed = errors.New("mux: websocket closed by peer")
 
 // wsConn adapts a WebSocket connection to the byte-stream contract the
 // session layer wants. Writes emit one binary message per call (the
-// session writes whole mux frames in single calls); reads drain message
-// payloads in order, answering pings and surfacing a peer close as EOF.
+// session writes whole mux frames, within wsMaxPayload per call); reads
+// drain message payloads in order, answering pings and surfacing a peer
+// close as EOF.
 type wsConn struct {
 	conn   net.Conn
 	br     *bufio.Reader

@@ -315,7 +315,8 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 	const entries, allowed = 4, 2
 	blobs := make([][]byte, entries)
 	for i := range blobs {
-		blobs[i], _ = json.Marshal(envelope{Type: typePlain, Query: fmt.Sprintf("burst query %d", i)})
+		req := envelope{Type: typePlain, Query: fmt.Sprintf("burst query %d", i)}
+		blobs[i] = req.encode()
 	}
 	env := &burstEnv{allow: allowed}
 	out, err := ts.handleRequestBatch(env, encodeBatch(blobs))
@@ -328,7 +329,7 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 	}
 	for i, raw := range replies {
 		var item batchItemReply
-		if err := json.Unmarshal(raw, &item); err != nil {
+		if err := item.decode(raw); err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
 		if i < allowed {
@@ -337,7 +338,7 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 				continue
 			}
 			var reply envelopeReply
-			if err := json.Unmarshal(item.Reply, &reply); err != nil || reply.Pending == 0 {
+			if err := reply.decode(item.Reply); err != nil || reply.Pending == 0 {
 				t.Errorf("entry %d: not parked (%v, %+v)", i, err, reply)
 			}
 		} else if !strings.Contains(item.Err, "destroyed") {

@@ -210,7 +210,7 @@ func (pl *pipelineRuntime) batchECall(name string, blobs [][]byte) ([][]byte, er
 // routeResume routes one resume verdict to whoever is parked on it.
 func (pl *pipelineRuntime) routeResume(out []byte) {
 	var rr resumeReply
-	if err := json.Unmarshal(out, &rr); err != nil {
+	if err := rr.decode(out); err != nil {
 		return
 	}
 	// A terminal TLS flight names its token on EVERY terminal shape —
@@ -222,7 +222,7 @@ func (pl *pipelineRuntime) routeResume(out []byte) {
 			f.endTLS(rr.DoneToken)
 		}
 	}
-	if rr.State != "done" {
+	if rr.State != resumeDone {
 		return
 	}
 	// Abort the losers before delivering the win.
@@ -234,7 +234,7 @@ func (pl *pipelineRuntime) routeResume(out []byte) {
 	var outcome pendingOutcome
 	if rr.Err != "" {
 		outcome.err = fmt.Errorf("%s", rr.Err)
-	} else if err := json.Unmarshal(rr.Reply, &outcome.reply); err != nil {
+	} else if err := outcome.reply.decode(rr.Reply); err != nil {
 		outcome.err = fmt.Errorf("proxy: bad pipeline reply: %w", err)
 	}
 	pl.deliver(rr.PendingID, outcome)
@@ -275,18 +275,22 @@ func (pl *pipelineRuntime) deliver(id uint64, out pendingOutcome) {
 
 // discardClaim redeems and drops an abandoned follower's results.
 func (pl *pipelineRuntime) discardClaim(id uint64) {
-	var dropped envelopeReply
-	_ = pl.control(context.Background(), "claim", id, &dropped)
+	_, _ = pl.control(context.Background(), "claim", id)
 }
 
 // control runs one of the pending-table ecalls ("hedge", "claim",
-// "abandon") on parked request id and decodes its reply.
-func (pl *pipelineRuntime) control(ctx context.Context, name string, id uint64, reply any) error {
+// "abandon") on parked request id and returns its reply: an encoded
+// envelopeReply from "claim", JSON from the other two (controlJSON).
+func (pl *pipelineRuntime) control(ctx context.Context, name string, id uint64) ([]byte, error) {
 	arg, err := json.Marshal(pendingArg{PendingID: id})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out, err := pl.p.encl.ECall(ctx, name, arg)
+	return pl.p.encl.ECall(ctx, name, arg)
+}
+
+func (pl *pipelineRuntime) controlJSON(ctx context.Context, name string, id uint64, reply any) error {
+	out, err := pl.control(ctx, name, id)
 	if err != nil {
 		return err
 	}
@@ -337,13 +341,19 @@ func (pl *pipelineRuntime) await(ctx context.Context, reply envelopeReply) (enve
 func (pl *pipelineRuntime) consume(ctx context.Context, id uint64, out pendingOutcome) (envelopeReply, error) {
 	if out.claim {
 		var reply envelopeReply
-		err := pl.control(ctx, "claim", id, &reply)
-		if err != nil && ctx.Err() != nil {
-			// The claim ecall died on the caller's cancelled context;
-			// free the trusted entry so it cannot leak.
-			pl.discardClaim(id)
+		out, err := pl.control(ctx, "claim", id)
+		if err != nil {
+			if ctx.Err() != nil {
+				// The claim ecall died on the caller's cancelled context;
+				// free the trusted entry so it cannot leak.
+				pl.discardClaim(id)
+			}
+			return reply, err
 		}
-		return reply, err
+		if err := reply.decode(out); err != nil {
+			return reply, fmt.Errorf("proxy: bad claim reply: %w", err)
+		}
+		return reply, nil
 	}
 	return out.reply, out.err
 }
@@ -385,7 +395,7 @@ func (pl *pipelineRuntime) abandon(id uint64, ch chan pendingOutcome) {
 		return // dispatcher-only unit tests
 	}
 	var ar abandonReply
-	if err := pl.control(context.Background(), "abandon", id, &ar); err != nil {
+	if err := pl.controlJSON(context.Background(), "abandon", id, &ar); err != nil {
 		return // enclave destroyed mid-teardown; nothing left to cancel
 	}
 	if ar.Freed {
@@ -418,7 +428,7 @@ func (pl *pipelineRuntime) fireHedge(id uint64, armed time.Time) {
 	default:
 	}
 	var hr hedgeReply
-	if err := pl.control(context.Background(), "hedge", id, &hr); err != nil {
+	if err := pl.controlJSON(context.Background(), "hedge", id, &hr); err != nil {
 		return
 	}
 	if hr.Hedged {
@@ -522,11 +532,7 @@ type batchItem struct {
 // batcher instead of a singleton "request" ecall. The caller still parks
 // in await() for its final outcome; only the boundary crossing is shared.
 func (pl *pipelineRuntime) runBatched(ctx context.Context, req envelope) (envelopeReply, error) {
-	arg, err := json.Marshal(req)
-	if err != nil {
-		return envelopeReply{}, err
-	}
-	item := &batchItem{arg: arg, done: make(chan pendingOutcome, 1)}
+	item := &batchItem{arg: req.encode(), done: make(chan pendingOutcome, 1)}
 	submitStart := time.Now()
 	select {
 	case pl.submitQ <- item:
@@ -644,11 +650,11 @@ func (pl *pipelineRuntime) dispatchBatch(batch []*batchItem) {
 		var outc pendingOutcome
 		if err != nil {
 			outc.err = err
-		} else if uerr := json.Unmarshal(frames[i], &item); uerr != nil {
+		} else if uerr := item.decode(frames[i]); uerr != nil {
 			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", uerr)
 		} else if item.Err != "" {
 			outc.err = errors.New(item.Err)
-		} else if uerr := json.Unmarshal(item.Reply, &outc.reply); uerr != nil {
+		} else if uerr := outc.reply.decode(item.Reply); uerr != nil {
 			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", uerr)
 		}
 		pl.deliverBatchItem(it, outc)

@@ -42,6 +42,38 @@
 // requests, batches crossings, drains completions into "resume" and
 // routes outcomes; it moves opaque bytes and timing only.
 //
+// # Seam encodings
+//
+// A request crosses three seams on its way in — client edge, enclave
+// boundary, engine — and each message on them has exactly one encoding
+// (wire.go has the binary codecs, front.go the edge bodies):
+//
+//	message                              encoding   why
+//	sealed plaintext {"query","count"}   JSON       the client contract: brokers (and bench/) seal their own;
+//	  in, {"results","err"} out                     only the two ends of the attested channel read it
+//	mux KindSecure stream                binary     len(1) ‖ session id ‖ raw record up, the raw sealed record
+//	                                                back — the per-query path of a broker on the mux edge
+//	HTTP /secure, /handshake, /search;   JSON       the compatibility front: curl, wget and legacy brokers;
+//	  mux handshake and plain streams               a []byte in it is base64
+//	envelope ("request", entries of      binary     every request into the enclave; byte fields alias the
+//	  "request-batch")                              ecall argument, no []byte is ever base64'd
+//	envelopeReply ("request", "claim";   binary     ONE encoding of a reply on the blocking, batched,
+//	  nested in the two below)                      async-resume and claim paths
+//	batchItemReply ("request-batch")     binary     an encoded envelopeReply, or the entry's error
+//	resumeReply ("resume")               binary     verdict, ids, tokens and the encoded envelopeReply
+//	batch framing (both batched ecalls)  binary     u32 count, u32 length per entry
+//	socket ocalls (send/recv/close fds,  binary     the paper's sock_* interface; only sock_connect's
+//	  deadlines)                                    {host,port} argument is JSON
+//	fetchArg/fetchReply, tlsStepArg/     JSON       engine-stage ocall arguments and the pending-table
+//	  tlsStepReply, pendingArg,                     controls — ROADMAP item 2's remainder
+//	  hedgeReply, abandonReply
+//	snapshot/merge replies, sealed       JSON       start-up and drain paths, never per query
+//	  history and index blobs
+//
+// The binary decoders follow decodeBatch's discipline: every length is
+// checked against the bytes present before it sizes anything, trailing
+// bytes are an error, and FuzzSeamCodec holds them to it.
+//
 // # TLS transport
 //
 // An upstream with pinned roots (EngineSpec.RootsPEM) is spoken to over

@@ -33,10 +33,35 @@ type HandshakeResponse struct {
 	VerificationReport []byte `json:"verification_report"`
 }
 
-// SecureEnvelope is the body of a secure call, in both directions.
+// SecureEnvelope is the body of a secure call on the HTTP front, in both
+// directions. The mux edge carries the same two values without the JSON
+// and base64: AppendSecureBody up, the raw sealed record back.
 type SecureEnvelope struct {
 	Session string `json:"session"`
 	Record  []byte `json:"record"`
+}
+
+// maxSessionIDBytes caps the session id of a mux secure body. Ids are 32
+// hex digits; the cap also turns an old-format JSON body (first byte '{',
+// 123) into a clean refusal.
+const maxSessionIDBytes = 64
+
+// AppendSecureBody encodes the request of a KindSecure mux stream onto
+// dst: len(1) ‖ session id ‖ raw sealed record.
+func AppendSecureBody(dst []byte, session string, record []byte) []byte {
+	dst = append(dst, byte(len(session)))
+	dst = append(dst, session...)
+	return append(dst, record...)
+}
+
+// ParseSecureBody reverses AppendSecureBody on hostile input. The record
+// aliases body.
+func ParseSecureBody(body []byte) (session string, record []byte, err error) {
+	if len(body) == 0 || body[0] == 0 || body[0] > maxSessionIDBytes || len(body) <= 1+int(body[0]) {
+		return "", nil, BadRequest("bad secure body")
+	}
+	n := 1 + int(body[0])
+	return string(body[1:n]), body[n:], nil
 }
 
 // BadRequest is a ServeCall failure that is the client's doing — a
@@ -53,8 +78,9 @@ func (e BadRequest) Error() string { return string(e) }
 // decode is the edge's JSON decode of its body, a Decoder over an HTTP
 // body or Unmarshal of a mux frame. Handshake body: {"offer": <client
 // offer JSON>, "nonce": <base64>}; secure body: a SecureEnvelope, one
-// sealed query record in, one sealed response record out; the plain kind
-// has no body to decode, only the query text.
+// sealed query record in, one sealed response record out (HTTP only — the
+// mux edge parses its binary secure body itself and never gets here with
+// that kind); the plain kind has no body to decode, only the query text.
 func ServeCall(ctx context.Context, f Front, kind byte, query string, decode func(v any) error) (any, error) {
 	switch kind {
 	case mux.KindHandshake:

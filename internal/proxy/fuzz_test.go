@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"crypto/tls"
 	"crypto/x509"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"xsearch/internal/core"
 )
 
 // FuzzParseResponse fuzzes the enclave's HTTP/1.1 streaming response
@@ -155,6 +159,98 @@ func FuzzTLSRecordAdapter(f *testing.F) {
 		}
 		if out.pooled != nil {
 			t.Fatal("failed exchange offered its session to the pool")
+		}
+	})
+}
+
+// FuzzSeamCodec fuzzes the four binary seam decoders — envelope (hostile:
+// the untrusted runtime frames it), envelopeReply, batchItemReply and
+// resumeReply. None may panic or size an allocation from a length the
+// input does not back; what one accepts must re-encode to exactly the
+// bytes it was decoded from (so trailing bytes cannot be accepted), and
+// decoding that again must give the same value.
+func FuzzSeamCodec(f *testing.F) {
+	secure := envelope{Type: typeSecure, Session: "0123456789abcdef0123456789abcdef", Record: []byte("sealed")}
+	plain := envelope{Type: typePlain, Query: "chicken recipe"}
+	results := envelopeReply{Results: []core.Result{{URL: "u", Title: "t", Snippet: "s"}, {}}}
+	parked := envelopeReply{Pending: 7, Upstream: "127.0.0.1:80", CanHedge: true}
+	hs := envelopeReply{Offer: []byte(`{"role":2}`), Session: "ab", ReportData: make([]byte, 64)}
+	done := resumeReply{State: resumeDone, PendingID: 3, Reply: results.encode(), Waiters: []uint64{4, 5}, CancelTokens: []uint64{9}, DoneToken: 2}
+	failed := resumeReply{State: resumeDone, PendingID: 3, Err: "proxy: engine status 500"}
+	item := batchItemReply{Reply: parked.encode()}
+	itemErr := batchItemReply{Err: "proxy: empty query"}
+	for _, seed := range [][]byte{
+		secure.encode(), plain.encode(), results.encode(), parked.encode(), hs.encode(),
+		done.encode(), failed.encode(), item.encode(), itemErr.encode(),
+		{}, {typePlain}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		append(plain.encode(), 0xAA),                            // trailing byte
+		{typePlain, 0xFF, 0xFF, 0xFF, 0x7F, 'q'},                // length far past the input
+		append(make([]byte, 8+1+5*4), 0xFF, 0xFF, 0xFF, 0xFF),   // reply: result-count bomb
+		append(make([]byte, 1+8+8+4+4), 0xFF, 0xFF, 0xFF, 0x0F), // resume: waiter-count bomb
+	} {
+		f.Add(seed)
+	}
+	type codec interface {
+		decode([]byte) error
+		encode() []byte
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, fresh := range []func() codec{
+			func() codec { return new(envelope) },
+			func() codec { return new(envelopeReply) },
+			func() codec { return new(batchItemReply) },
+			func() codec { return new(resumeReply) },
+		} {
+			v := fresh()
+			var err error
+			allocs := testing.AllocsPerRun(1, func() { err = v.decode(data) })
+			// Whatever the prefixes claim, a decode allocates for fields the
+			// input really holds: at most one string or slice per 4 bytes.
+			if max := float64(len(data)/4 + 2); allocs > max {
+				t.Fatalf("%T: %v allocations decoding %d bytes", v, allocs, len(data))
+			}
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(v.encode(), data) {
+				t.Fatalf("%T: accepted frame does not re-encode to itself", v)
+			}
+			again := fresh()
+			if err := again.decode(v.encode()); err != nil || !reflect.DeepEqual(again, v) {
+				t.Fatalf("%T: decode(encode(v)) = %+v, %v; want %+v", v, again, err, v)
+			}
+		}
+	})
+}
+
+// FuzzMuxSecureBody fuzzes the gateway's parse of a KindSecure mux stream
+// body (len ‖ session id ‖ record): hostile bytes are refused as a
+// BadRequest — never a panic — and an accepted body is exactly what
+// AppendSecureBody builds from the parsed parts.
+func FuzzMuxSecureBody(f *testing.F) {
+	id := "0123456789abcdef0123456789abcdef"
+	f.Add(AppendSecureBody(nil, id, []byte("sealed record")))
+	f.Add(AppendSecureBody(nil, id, nil))                            // empty record
+	f.Add([]byte{})                                                  // empty body
+	f.Add([]byte{32, 'a', 'b'})                                      // truncated id
+	f.Add(append([]byte{200}, make([]byte, 300)...))                 // over-long id
+	f.Add([]byte{0, 'r'})                                            // empty id
+	f.Add([]byte(`{"session":"ab","record":"c2VhbGVk"}`))            // the old JSON body
+	f.Add(AppendSecureBody(nil, strings.Repeat("s", 64), []byte{1})) // id at the cap
+	f.Fuzz(func(t *testing.T, body []byte) {
+		session, record, err := ParseSecureBody(body)
+		if err != nil {
+			var bad BadRequest
+			if !errors.As(err, &bad) {
+				t.Fatalf("refusal %v is not a BadRequest", err)
+			}
+			return
+		}
+		if session == "" || len(session) > maxSessionIDBytes || len(record) == 0 {
+			t.Fatalf("accepted session %q with a %d-byte record", session, len(record))
+		}
+		if !bytes.Equal(AppendSecureBody(nil, session, record), body) {
+			t.Fatal("accepted body does not round-trip through AppendSecureBody")
 		}
 	})
 }

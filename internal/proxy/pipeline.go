@@ -44,7 +44,7 @@ type pendingAttempt struct {
 // a coalesced follower (waits for its leader's results).
 type pendingReq struct {
 	id      uint64
-	kind    string // typePlain or typeSecure
+	kind    byte   // typePlain or typeSecure
 	session string // typeSecure only
 	key     string
 	oq      core.ObfuscatedQuery
@@ -156,9 +156,8 @@ func (ts *trustedState) handleResume(env enclave.Env, arg []byte) ([]byte, error
 	}
 	outs := make([][]byte, len(blobs))
 	for i, blob := range blobs {
-		if outs[i], err = json.Marshal(ts.resumeOne(env, blob)); err != nil {
-			return nil, err
-		}
+		rr := ts.resumeOne(env, blob)
+		outs[i] = rr.encode()
 	}
 	return encodeBatch(outs), nil
 }
@@ -172,7 +171,7 @@ func (ts *trustedState) resumeOne(env enclave.Env, arg []byte) resumeReply {
 	var fr fetchReply
 	if json.Unmarshal(arg, &fr) != nil {
 		// A garbled completion names no token: nothing to act on.
-		return resumeReply{State: "orphan"}
+		return resumeReply{State: resumeOrphan}
 	}
 	pt := ts.pending
 	pt.mu.Lock()
@@ -183,7 +182,7 @@ func (ts *trustedState) resumeOne(env enclave.Env, arg []byte) resumeReply {
 		// Unknown token: a late or already-cancelled completion. Echo it
 		// as DoneToken so a TLS flight's untrusted per-token state is
 		// dropped; for a plain token that cleanup is a no-op.
-		return resumeReply{State: "orphan", DoneToken: fr.Token}
+		return resumeReply{State: resumeOrphan, DoneToken: fr.Token}
 	case att.flight != nil:
 		// TLS attempt: this completion is a ciphertext step, not a fetch
 		// reply. The flight driver advances the trusted TLS state machine
@@ -228,7 +227,7 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 			// request (outstanding > 0) is not.
 			ts.hedgeCancelled.Add(1)
 		}
-		return resumeReply{State: "orphan"}
+		return resumeReply{State: resumeOrphan}
 	}
 	if p.done {
 		// Late loser that ran to completion before the runtime's cancel
@@ -236,7 +235,7 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 		// result), nothing else to do.
 		pt.mu.Unlock()
 		ts.accountOutcome(att.u, fr)
-		return resumeReply{State: "orphan"}
+		return resumeReply{State: resumeOrphan}
 	}
 
 	if failMsg := fetchFailure(fr); failMsg != "" {
@@ -245,7 +244,7 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 			// A hedge (or the primary) is still in flight; let it race on.
 			pt.mu.Unlock()
 			att.u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
-			return resumeReply{State: "pending", PendingID: p.id}
+			return resumeReply{State: resumePending, PendingID: p.id}
 		}
 		// Last attempt standing failed: fail over immediately, like the
 		// blocking stage walking to the next upstream.
@@ -296,7 +295,7 @@ func (ts *trustedState) failOverLocked(env enclave.Env, pt *pendingTable, p *pen
 		pt.mu.Unlock()
 		return rr
 	}
-	return resumeReply{State: "pending", PendingID: p.id}
+	return resumeReply{State: resumePending, PendingID: p.id}
 }
 
 // fetchFailure classifies a completion as an upstream failure ("" means
@@ -384,7 +383,7 @@ func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results 
 	if pt.byKey[p.key] == p {
 		delete(pt.byKey, p.key)
 	}
-	rr := resumeReply{State: "done", PendingID: p.id, Waiters: waiterIDs, CancelTokens: cancelToks}
+	rr := resumeReply{State: resumeDone, PendingID: p.id, Waiters: waiterIDs, CancelTokens: cancelToks}
 	if reply, err := ts.finishReply(p.kind, p.session, results, errstr); err != nil {
 		rr.Err = err.Error()
 	} else {

@@ -477,7 +477,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v2.0 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v2.1 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
@@ -1154,15 +1154,11 @@ func (p *Proxy) ServeQuery(ctx context.Context, query string) ([]core.Result, er
 // ecall sends an envelope through the "request" ecall.
 func (p *Proxy) ecall(ctx context.Context, req envelope) (envelopeReply, error) {
 	var reply envelopeReply
-	arg, err := json.Marshal(req)
+	out, err := p.encl.ECall(ctx, "request", req.encode())
 	if err != nil {
 		return reply, err
 	}
-	out, err := p.encl.ECall(ctx, "request", arg)
-	if err != nil {
-		return reply, err
-	}
-	if err := json.Unmarshal(out, &reply); err != nil {
+	if err := reply.decode(out); err != nil {
 		return reply, fmt.Errorf("proxy: bad reply: %w", err)
 	}
 	return reply, nil

@@ -47,7 +47,7 @@ func (e *entry) settle(out []byte, err error) {
 func (e *entry) fail(err error) { e.settle(nil, err) }
 
 func (e *entry) decode(blob []byte) {
-	if err := json.Unmarshal(blob, &e.req); err != nil {
+	if err := e.req.decode(blob); err != nil {
 		e.fail(fmt.Errorf("proxy: bad envelope: %w", err))
 	}
 }
@@ -86,7 +86,8 @@ func (ts *trustedState) handleRequestBatch(env enclave.Env, arg []byte) ([]byte,
 	ts.serve(env, es)
 	outs := make([][]byte, len(es))
 	for i := range es {
-		outs[i] = marshalBatchItem(es[i].out, es[i].err)
+		item := batchItemReply{Reply: es[i].out, Err: errString(es[i].err)}
+		outs[i] = item.encode()
 	}
 	return encodeBatch(outs), nil
 }
@@ -148,7 +149,7 @@ func (ts *trustedState) open(e *entry) {
 			e.count = ts.perList
 		}
 	default:
-		e.fail(fmt.Errorf("proxy: request type %q is not a query", e.req.Type))
+		e.fail(fmt.Errorf("proxy: request type %d is not a query", e.req.Type))
 	}
 }
 
@@ -431,11 +432,12 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		}
 		// Followers carry only the pending id; leaders also name their
 		// upstream so the runtime can derive the hedge delay per request.
-		e.settle(json.Marshal(envelopeReply{
+		parked := envelopeReply{
 			Pending:  e.p.id,
 			Upstream: host,
 			CanHedge: host != "" && ts.hedgeMax > 0 && len(ts.registry.ups) > 1,
-		}))
+		}
+		e.settle(parked.encode(), nil)
 	}
 
 	// Publish the coalescing keys only once the fetches are airborne: a
@@ -509,18 +511,19 @@ func (ts *trustedState) reply(e *entry, results []core.Result, errstr string) {
 	e.settle(ts.finishReply(e.req.Type, e.req.Session, results, errstr))
 }
 
-// finishReply builds the final marshalled reply for one request. A plain
+// finishReply builds the final encoded reply for one request. A plain
 // query's failure is the ecall's error; a secure query's is folded into
 // the sealed secureResponse, so only the client reads it. The session is
 // looked up at seal time: a session evicted while its request was in the
 // engine stage fails here (the channel died with its table slot).
-func (ts *trustedState) finishReply(kind, session string, results []core.Result, errstr string) ([]byte, error) {
+func (ts *trustedState) finishReply(kind byte, session string, results []core.Result, errstr string) ([]byte, error) {
+	var reply envelopeReply
 	switch kind {
 	case typePlain:
 		if errstr != "" {
 			return nil, errors.New(errstr)
 		}
-		return json.Marshal(envelopeReply{Results: results})
+		reply.Results = results
 	case typeSecure:
 		sess, err := ts.session(session)
 		if err != nil {
@@ -530,12 +533,11 @@ func (ts *trustedState) finishReply(kind, session string, results []core.Result,
 		if err != nil {
 			return nil, err
 		}
-		sealed, err := sess.channel.Seal(respPT)
-		if err != nil {
+		if reply.Record, err = sess.channel.Seal(respPT); err != nil {
 			return nil, fmt.Errorf("proxy: seal response: %w", err)
 		}
-		return json.Marshal(envelopeReply{Record: sealed})
 	default:
-		return nil, fmt.Errorf("proxy: unknown pending kind %q", kind)
+		return nil, fmt.Errorf("proxy: unknown pending kind %d", kind)
 	}
+	return reply.encode(), nil
 }

@@ -555,7 +555,7 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 			}
 			break
 		}
-		return resumeReply{State: "pending", PendingID: att.p.id} // no DoneToken: the flight lives
+		return resumeReply{State: resumePending, PendingID: att.p.id} // no DoneToken: the flight lives
 	default:
 		ts.submitTLSClose(env, out.closeConns)
 		if out.pooled != nil {
@@ -571,7 +571,7 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 		// Abandon already freed the attempt (and reported the breaker);
 		// only the untrusted token-map cleanup is left to signal.
 		pt.mu.Unlock()
-		return resumeReply{State: "orphan", DoneToken: att.token}
+		return resumeReply{State: resumeOrphan, DoneToken: att.token}
 	}
 	delete(pt.byToken, att.token)
 	att.done = true

@@ -283,11 +283,8 @@ func (ts *trustedState) handleHandshake(env enclave.Env, rawOffer json.RawMessag
 	// The runtime needs the bound key hash to request a quote; the value
 	// itself is public (it is a hash of a public key).
 	bind := bindKeyHash(hs.PublicKeyBytes())
-	return json.Marshal(envelopeReply{
-		Offer:      offerJSON,
-		Session:    session,
-		ReportData: bind[:],
-	})
+	reply := envelopeReply{Offer: offerJSON, Session: session, ReportData: bind[:]}
+	return reply.encode(), nil
 }
 
 // fetchFromUpstream runs one HTTP exchange against upstream u. With an

@@ -3,52 +3,116 @@ package proxy
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"xsearch/internal/core"
 )
 
+// Every message that carries a request or a reply across the enclave
+// boundary — envelope, envelopeReply, batchItemReply, resumeReply — is a
+// length-prefixed binary frame (doc.go has the seam table). Each lists its
+// fields once, in a walk method that the wire walker at the end of this
+// file runs in either direction.
+
 // Request types crossing the enclave boundary. The envelope is what the
-// untrusted runtime marshals into the single "request" ecall, mirroring the
+// untrusted runtime encodes into the single "request" ecall, mirroring the
 // paper's narrow enclave interface.
 const (
-	typePlain     = "plain"
-	typeHandshake = "handshake"
-	typeSecure    = "secure"
+	typePlain     = 1
+	typeHandshake = 2
+	typeSecure    = 3
 )
 
 // envelope is the argument of the "request" ecall.
 type envelope struct {
-	Type string `json:"type"`
+	Type byte
 	// Plain query (Type == typePlain).
-	Query string `json:"query,omitempty"`
+	Query string
 	// Handshake offer from the client (Type == typeHandshake).
-	Offer json.RawMessage `json:"offer,omitempty"`
+	Offer json.RawMessage
 	// Secure record (Type == typeSecure).
-	Session string `json:"session,omitempty"`
-	Record  []byte `json:"record,omitempty"`
+	Session string
+	Record  []byte
 }
 
-// envelopeReply is the result of the "request" ecall.
+func (e *envelope) walk(w *wire) {
+	w.u8(&e.Type, typePlain, typeSecure)
+	w.str(&e.Query)
+	w.bytes((*[]byte)(&e.Offer))
+	w.str(&e.Session)
+	w.bytes(&e.Record)
+}
+
+func (e *envelope) encode() []byte {
+	w := wire{b: make([]byte, 0, 1+4*4+len(e.Query)+len(e.Offer)+len(e.Session)+len(e.Record))}
+	e.walk(&w)
+	return w.b
+}
+
+func (e *envelope) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	e.walk(&w)
+	return w.end()
+}
+
+// envelopeReply is the result of the "request" ecall — and, nested in
+// resumeReply and batchItemReply or returned by "claim", the one encoding
+// of a reply on every path.
 type envelopeReply struct {
 	// Results of a plain query.
-	Results []core.Result `json:"results,omitempty"`
+	Results []core.Result
 	// Handshake reply.
-	Offer   json.RawMessage `json:"offer,omitempty"`
-	Session string          `json:"session,omitempty"`
+	Offer   json.RawMessage
+	Session string
 	// ReportData echoes the value the enclave bound into its report so
 	// the untrusted runtime can fetch a quote for it.
-	ReportData []byte `json:"report_data,omitempty"`
+	ReportData []byte
 	// Sealed response record for a secure request.
-	Record []byte `json:"record,omitempty"`
+	Record []byte
 	// Async pipeline: when Pending is nonzero the request parked inside
 	// the enclave awaiting an async engine fetch; the final reply arrives
 	// through the resume/claim ecalls. Upstream names the primary fetch's
 	// engine (so the runtime can derive a p95-based hedge delay) and
 	// CanHedge tells the runtime whether a hedge timer is worth arming.
-	Pending  uint64 `json:"pending,omitempty"`
-	Upstream string `json:"upstream,omitempty"`
-	CanHedge bool   `json:"can_hedge,omitempty"`
+	Pending  uint64
+	Upstream string
+	CanHedge bool
+}
+
+func (e *envelopeReply) walk(w *wire) {
+	w.u64(&e.Pending)
+	w.flag(&e.CanHedge)
+	w.str(&e.Upstream)
+	w.bytes((*[]byte)(&e.Offer))
+	w.str(&e.Session)
+	w.bytes(&e.ReportData)
+	w.bytes(&e.Record)
+	// A result is at least its three length prefixes.
+	if n := w.count(len(e.Results), 3*4); w.dec && n > 0 {
+		e.Results = make([]core.Result, n)
+	}
+	for i := range e.Results {
+		w.str(&e.Results[i].URL)
+		w.str(&e.Results[i].Title)
+		w.str(&e.Results[i].Snippet)
+	}
+}
+
+func (e *envelopeReply) encode() []byte {
+	n := 8 + 1 + 6*4 + len(e.Upstream) + len(e.Offer) + len(e.Session) + len(e.ReportData) + len(e.Record)
+	for _, r := range e.Results {
+		n += 3*4 + len(r.URL) + len(r.Title) + len(r.Snippet)
+	}
+	w := wire{b: make([]byte, 0, n)}
+	e.walk(&w)
+	return w.b
+}
+
+func (e *envelopeReply) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	e.walk(&w)
+	return w.end()
 }
 
 // mergeReply is the result of the "merge" ecall: how many queries the
@@ -87,30 +151,58 @@ type fetchReply struct {
 	Cancelled bool `json:"cancelled,omitempty"`
 }
 
-// resumeReply is the result of the "resume" ecall: what the completion
-// did to its pending request.
+// Resume verdicts: what a completion did to its pending request.
+const (
+	// resumePending: another fetch is still in flight.
+	resumePending = 1
+	// resumeDone: final.
+	resumeDone = 2
+	// resumeOrphan: no live pending request wanted it — a cancelled loser,
+	// a late duplicate, or an already-finalized flight.
+	resumeOrphan = 3
+)
+
+// resumeReply is the result of the "resume" ecall, one per completion.
 type resumeReply struct {
-	// State is "pending" (another fetch is still in flight), "done"
-	// (final), or "orphan" (no live pending request wanted it: a
-	// cancelled loser, a late duplicate, or an already-finalized flight).
-	State     string `json:"state"`
-	PendingID uint64 `json:"pending_id,omitempty"`
-	// Reply is the leader's final marshalled envelopeReply (State
-	// "done"); Err is the final request error when there is no reply
-	// (plain-query failures surface as request errors, as on the sync
-	// path).
-	Reply json.RawMessage `json:"reply,omitempty"`
-	Err   string          `json:"error,omitempty"`
+	State     byte
+	PendingID uint64
+	// Reply is the leader's final encoded envelopeReply (resumeDone); Err
+	// is the final request error when there is no reply (plain-query
+	// failures surface as request errors, as on the blocking stage).
+	Reply []byte
+	Err   string
 	// Waiters lists coalesced followers whose results are ready to claim;
 	// CancelTokens lists still-outstanding loser fetches the runtime
 	// should abort.
-	Waiters      []uint64 `json:"waiters,omitempty"`
-	CancelTokens []uint64 `json:"cancel_tokens,omitempty"`
+	Waiters      []uint64
+	CancelTokens []uint64
 	// DoneToken, when nonzero, names a TLS flight token whose trusted
 	// state machine just reached a terminal outcome (done, orphan, or
 	// cancelled): the untrusted fetcher drops its per-token TLS state
 	// (tombstone, conn binding) on seeing it. Plain fetches never set it.
-	DoneToken uint64 `json:"done_token,omitempty"`
+	DoneToken uint64
+}
+
+func (rr *resumeReply) walk(w *wire) {
+	w.u8(&rr.State, resumePending, resumeOrphan)
+	w.u64(&rr.PendingID)
+	w.u64(&rr.DoneToken)
+	w.bytes(&rr.Reply)
+	w.str(&rr.Err)
+	w.u64s(&rr.Waiters)
+	w.u64s(&rr.CancelTokens)
+}
+
+func (rr *resumeReply) encode() []byte {
+	w := wire{b: make([]byte, 0, 1+2*8+4*4+len(rr.Reply)+len(rr.Err)+8*(len(rr.Waiters)+len(rr.CancelTokens)))}
+	rr.walk(&w)
+	return w.b
+}
+
+func (rr *resumeReply) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	rr.walk(&w)
+	return w.end()
 }
 
 // tlsStepArg is the argument of the async "tls_step" ocall: one
@@ -191,7 +283,7 @@ type secureResponse struct {
 }
 
 // Batched ecall framing. The "request-batch" and "resume" ecalls carry
-// several independent JSON payloads across one enclave transition;
+// several independent payloads across one enclave transition;
 // the framing is deliberately dumb — a u32 entry count, then a u32 length
 // prefix per entry — so the trusted decoder can validate wholly hostile
 // input with two bounds checks per entry before any length drives an
@@ -201,9 +293,10 @@ const (
 	// any admissible BatchMax (capped at PipelineDepth), it exists so a
 	// hostile count prefix cannot size a giant allocation.
 	maxBatchEntries = 4096
-	// maxBatchEntryBytes bounds one framed entry. Resume entries embed a
-	// fetch reply whose body is capped at maxEngineResponse (8 MiB); the
-	// JSON base64 expansion plus framing slack fits under 16 MiB.
+	// maxBatchEntryBytes bounds one framed entry. The largest is a resume
+	// entry going in: a fetch completion, still JSON, whose body is capped
+	// at maxEngineResponse (8 MiB) — base64 expansion plus framing slack
+	// fits under 16 MiB. Replies coming out carry their bytes raw.
 	maxBatchEntryBytes = 16 << 20
 )
 
@@ -258,26 +351,150 @@ func decodeBatch(data []byte) ([][]byte, error) {
 }
 
 // batchItemReply is one entry of the "request-batch" reply frame: the
-// exact payload the entry would have gotten crossing alone, or the error
-// it would have failed with. Per-entry errors must travel inside the frame
-// — a batch ecall only fails as a whole for malformed framing. ("resume"
-// frames bare resumeReply entries, which carry their own error.)
+// exact encoded envelopeReply the entry would have gotten crossing alone,
+// or the error it would have failed with. Per-entry errors must travel
+// inside the frame — a batch ecall only fails as a whole for malformed
+// framing. ("resume" frames bare resumeReply entries, which carry their
+// own error.)
 type batchItemReply struct {
-	Reply json.RawMessage `json:"reply,omitempty"`
-	Err   string          `json:"err,omitempty"`
+	Reply []byte
+	Err   string
 }
 
-// marshalBatchItem folds one entry's (reply, error) pair into one framed
-// batch entry.
-func marshalBatchItem(reply []byte, err error) []byte {
-	item := batchItemReply{Reply: reply}
-	if err != nil {
-		item.Reply = nil
-		item.Err = err.Error()
+func (it *batchItemReply) walk(w *wire) {
+	w.bytes(&it.Reply)
+	w.str(&it.Err)
+}
+
+func (it *batchItemReply) encode() []byte {
+	w := wire{b: make([]byte, 0, 2*4+len(it.Reply)+len(it.Err))}
+	it.walk(&w)
+	return w.b
+}
+
+func (it *batchItemReply) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	it.walk(&w)
+	return w.end()
+}
+
+// wire walks one seam frame in either direction: a message's walk method
+// lists its fields once, and that one list both encodes and decodes them,
+// so the two cannot disagree. Encoding appends to b. Decoding consumes b,
+// which is hostile: no length is used before it has been checked against
+// the bytes that remain, byte fields alias the input instead of copying
+// it, the first failure sticks (later fields stay zero — a message is
+// decoded into its zero value), and trailing bytes are an error. Integers
+// are little-endian, like the batch framing.
+type wire struct {
+	b   []byte
+	dec bool
+	err error
+}
+
+var errBadSeamFrame = errors.New("proxy: seam frame truncated or malformed")
+
+// end is a decode's verdict: the first failure, or trailing bytes.
+func (w *wire) end() error {
+	if w.err == nil && len(w.b) != 0 {
+		return fmt.Errorf("proxy: %d trailing bytes after seam frame", len(w.b))
 	}
-	out, merr := json.Marshal(item)
-	if merr != nil {
-		out, _ = json.Marshal(batchItemReply{Err: "proxy: marshal batch item"})
+	return w.err
+}
+
+// slot is the frame's next n bytes: fresh ones to fill when encoding, the
+// input's own when decoding (nil once the frame has failed).
+func (w *wire) slot(n int) []byte {
+	if !w.dec {
+		w.b = append(w.b, make([]byte, n)...)
+		return w.b[len(w.b)-n:]
 	}
-	return out
+	if w.err != nil || n > len(w.b) {
+		w.err = errBadSeamFrame
+		return nil
+	}
+	p := w.b[:n:n]
+	w.b = w.b[n:]
+	return p
+}
+
+// u8 is one byte that must lie in [lo, hi].
+func (w *wire) u8(v *byte, lo, hi byte) {
+	p := w.slot(1)
+	if p == nil {
+		return
+	}
+	if !w.dec {
+		p[0] = *v
+	} else if *v = p[0]; *v < lo || *v > hi {
+		w.err = errBadSeamFrame
+	}
+}
+
+func (w *wire) flag(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	w.u8(&b, 0, 1) // only the canonical bytes: an accepted frame re-encodes to itself
+	*v = b == 1
+}
+
+func (w *wire) u64(v *uint64) {
+	if p := w.slot(8); p == nil {
+		return
+	} else if w.dec {
+		*v = binary.LittleEndian.Uint64(p)
+	} else {
+		binary.LittleEndian.PutUint64(p, *v)
+	}
+}
+
+// count is a u32 element count: n going out, the decoded one coming back —
+// refused unless the bytes that remain could hold that many elements of at
+// least elemMin bytes, the bound every count-sized allocation rests on.
+func (w *wire) count(n, elemMin int) int {
+	p := w.slot(4)
+	if p == nil {
+		return 0
+	}
+	if !w.dec {
+		binary.LittleEndian.PutUint32(p, uint32(n))
+		return n
+	}
+	got := uint64(binary.LittleEndian.Uint32(p))
+	if got*uint64(elemMin) > uint64(len(w.b)) {
+		w.err = errBadSeamFrame
+		return 0
+	}
+	return int(got)
+}
+
+// bytes is a length-prefixed field; decoded, it aliases the frame (nil
+// when empty).
+func (w *wire) bytes(v *[]byte) {
+	p := w.slot(w.count(len(*v), 1))
+	if !w.dec {
+		copy(p, *v)
+	} else if len(p) > 0 {
+		*v = p
+	}
+}
+
+func (w *wire) str(v *string) {
+	p := w.slot(w.count(len(*v), 1))
+	if !w.dec {
+		copy(p, *v)
+	} else {
+		*v = string(p)
+	}
+}
+
+func (w *wire) u64s(v *[]uint64) {
+	if n := w.count(len(*v), 8); w.dec && n > 0 {
+		*v = make([]uint64, n)
+	}
+	for i := range *v {
+		w.u64(&(*v)[i])
+	}
 }

@@ -131,7 +131,9 @@ func (h *Handshake) Complete(peer Offer) (*Channel, error) {
 }
 
 // Channel is one direction-aware end of an established secure channel.
-// It is safe for concurrent use.
+// It is safe for concurrent use: records sealed concurrently may be opened
+// in any order as long as none arrives replayWindow or more sequence
+// numbers behind the newest one seen.
 type Channel struct {
 	sendAEAD cipher.AEAD
 	recvAEAD cipher.AEAD
@@ -139,7 +141,26 @@ type Channel struct {
 	mu       sync.Mutex
 	sendSeq  uint64
 	recvHigh uint64 // highest sequence accepted
+	// recvSeen is the anti-replay bitmap, a ring of 64-sequence blocks:
+	// sequence s, while inside the window, owns bit s%64 of block
+	// (s/64)%replayBlocks (RFC 6479 — the window slides by clearing
+	// blocks, never by shifting).
+	recvSeen [replayBlocks]uint64
 }
+
+const (
+	replayBlocks = 16
+	// replayWindow is how far behind the newest accepted record a late one
+	// may still arrive: the sliding anti-replay window of RFC 4303 §3.4.3,
+	// one block short of the ring so the block being filled never holds
+	// stale bits. Both carriers reorder in flight — a goroutine per mux
+	// stream; over HTTP a caller stuck dialing a fresh conn while the
+	// others run on, measured up to 176 records behind with 8 callers —
+	// so the customary 64 is too narrow here.
+	replayWindow = (replayBlocks - 1) * 64
+	// nonceSize is the standard GCM nonce length cipher.NewGCM fixes.
+	nonceSize = 12
+)
 
 func newChannel(sendKey, recvKey []byte) (*Channel, error) {
 	mk := func(key []byte) (cipher.AEAD, error) {
@@ -168,31 +189,45 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	seq := c.sendSeq
 	c.mu.Unlock()
 
-	nonce := make([]byte, c.sendAEAD.NonceSize())
-	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], seq)
-	record := make([]byte, 8, 8+len(plaintext)+c.sendAEAD.Overhead())
-	binary.BigEndian.PutUint64(record, seq)
-	return c.sendAEAD.Seal(record, nonce, plaintext, record[:8]), nil
+	// One allocation: the nonce lives in the spare capacity past the
+	// record's end (a local array would escape through the AEAD interface
+	// and cost a second one).
+	size := 8 + len(plaintext) + c.sendAEAD.Overhead()
+	buf := make([]byte, size+nonceSize)
+	nonce := buf[size:]
+	binary.BigEndian.PutUint64(nonce[nonceSize-8:], seq)
+	binary.BigEndian.PutUint64(buf, seq)
+	return c.sendAEAD.Seal(buf[:8], nonce, plaintext, buf[:8]), nil
 }
 
-// Open authenticates and decrypts a record, enforcing strictly increasing
-// sequence numbers (anti-replay).
+// Open authenticates and decrypts a record and enforces anti-replay:
+// every sequence number is accepted at most once, and one that trails the
+// newest accepted by replayWindow or more is refused unseen.
 func (c *Channel) Open(record []byte) ([]byte, error) {
 	if len(record) < 8 {
 		return nil, ErrShortRecord
 	}
 	seq := binary.BigEndian.Uint64(record[:8])
-	nonce := make([]byte, c.recvAEAD.NonceSize())
-	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], seq)
-	pt, err := c.recvAEAD.Open(nil, nonce, record[8:], record[:8])
+	// One allocation, as in Seal: nonce first, plaintext after it.
+	buf := make([]byte, nonceSize, nonceSize+len(record)-8)
+	binary.BigEndian.PutUint64(buf[nonceSize-8:], seq)
+	pt, err := c.recvAEAD.Open(buf[nonceSize:], buf, record[8:], record[:8])
 	if err != nil {
 		return nil, ErrCorrupt
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if seq <= c.recvHigh {
+	block, bit := seq/64, uint64(1)<<(seq%64)
+	if seq > c.recvHigh {
+		// Slide: every block between the old newest and this one starts
+		// empty (all of them, when the jump laps the ring).
+		for b := block; b > c.recvHigh/64 && b+replayBlocks > block; b-- {
+			c.recvSeen[b%replayBlocks] = 0
+		}
+		c.recvHigh = seq
+	} else if seq == 0 || c.recvHigh-seq >= replayWindow || c.recvSeen[block%replayBlocks]&bit != 0 {
 		return nil, ErrReplay
 	}
-	c.recvHigh = seq
+	c.recvSeen[block%replayBlocks] |= bit
 	return pt, nil
 }

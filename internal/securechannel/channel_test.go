@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -127,21 +128,47 @@ func TestChannelReplayRejected(t *testing.T) {
 	}
 }
 
-func TestChannelReorderRejected(t *testing.T) {
+// TestChannelReorderWindow: both carriers reorder records in flight, so a
+// late record inside the anti-replay window is accepted — exactly once —
+// and one that fell out of the window is refused unseen.
+func TestChannelReorderWindow(t *testing.T) {
 	client, server := established(t)
-	rec1, err := client.Seal([]byte("one"))
-	if err != nil {
+	recs := make([][]byte, replayWindow+2)
+	for i := range recs {
+		rec, err := client.Seal([]byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = rec
+	}
+	if _, err := server.Open(recs[2]); err != nil {
 		t.Fatal(err)
 	}
-	rec2, err := client.Seal([]byte("two"))
-	if err != nil {
+	if pt, err := server.Open(recs[1]); err != nil || pt[0] != 1 {
+		t.Fatalf("late record inside the window: %v, %v", pt, err)
+	}
+	if _, err := server.Open(recs[1]); !errors.Is(err, ErrReplay) {
+		t.Errorf("late record, second time: err = %v", err)
+	}
+	if _, err := server.Open(recs[2]); !errors.Is(err, ErrReplay) {
+		t.Errorf("newest record, second time: err = %v", err)
+	}
+	// A jump of a whole window forgets nothing it must remember: seq 1 is
+	// now replayWindow+1 behind, never seen, and refused all the same.
+	last := len(recs) - 1
+	if _, err := server.Open(recs[last]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.Open(rec2); err != nil {
-		t.Fatal(err)
+	if _, err := server.Open(recs[0]); !errors.Is(err, ErrReplay) {
+		t.Errorf("record older than the window: err = %v", err)
 	}
-	if _, err := server.Open(rec1); !errors.Is(err, ErrReplay) {
-		t.Errorf("reorder err = %v", err)
+	// recs[2] now sits on the window's far edge with its seen bit intact;
+	// its unseen neighbour is still welcome.
+	if _, err := server.Open(recs[2]); !errors.Is(err, ErrReplay) {
+		t.Errorf("seen record on the window's edge: err = %v", err)
+	}
+	if pt, err := server.Open(recs[3]); err != nil || pt[0] != 3 {
+		t.Errorf("unseen record next to the window's edge: %v, %v", pt, err)
 	}
 }
 
@@ -307,5 +334,71 @@ func BenchmarkHandshake(b *testing.B) {
 		if _, err := ch.Complete(sh.Offer()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSealOpenAllocateOnce: the record (or plaintext) is the only heap
+// allocation of a Seal (or Open) — the nonce rides in the same buffer.
+func TestSealOpenAllocateOnce(t *testing.T) {
+	client, server := established(t)
+	pt := []byte(`{"query":"chicken recipe","count":20}`)
+	if n := testing.AllocsPerRun(100, func() { _, _ = client.Seal(pt) }); n > 1 {
+		t.Errorf("Seal: %v allocs, want 1", n)
+	}
+	recs := make([][]byte, 0, 101)
+	for i := 0; i < cap(recs); i++ {
+		r, _ := client.Seal(pt)
+		recs = append(recs, r)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := server.Open(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n > 1 {
+		t.Errorf("Open: %v allocs, want 1", n)
+	}
+}
+
+// TestReplayWindowMatchesModel drives Open with shuffled, duplicated and
+// far-jumping sequence numbers and checks every verdict against the rule
+// itself: accept a sequence exactly once, and only while it is newer than
+// everything seen or less than replayWindow behind the newest.
+func TestReplayWindowMatchesModel(t *testing.T) {
+	client, server := established(t)
+	recs := make([][]byte, 6*replayWindow)
+	for i := range recs {
+		recs[i], _ = client.Seal(nil)
+	}
+	rng := rand.New(rand.NewSource(17))
+	seen := make(map[int]bool)
+	high := 0
+	pos := 0
+	for step := 0; step < 20000; step++ {
+		// Mostly near the front (in-flight reordering), sometimes far back
+		// (stale records) or far ahead (a jump that laps the ring).
+		var seq int
+		switch r := rng.Intn(100); {
+		case r < 70:
+			seq = pos + rng.Intn(40) - 20
+		case r < 90:
+			seq = pos - rng.Intn(2*replayWindow)
+		default:
+			seq = pos + rng.Intn(2*replayWindow)
+		}
+		if seq < 1 || seq > len(recs) {
+			continue
+		}
+		want := !seen[seq] && (seq > high || high-seq < replayWindow)
+		_, err := server.Open(recs[seq-1])
+		if got := err == nil; got != want {
+			t.Fatalf("step %d: Open(seq %d) with newest %d, seen=%v: accepted=%v, want %v", step, seq, high, seen[seq], got, want)
+		}
+		if want {
+			seen[seq] = true
+			high = max(high, seq)
+		}
+		pos = max(pos, seq) - rng.Intn(3) + 1
 	}
 }
