@@ -9,7 +9,6 @@ import (
 	"context"
 	"crypto/ed25519"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -20,6 +19,7 @@ import (
 	"time"
 
 	"xsearch"
+	"xsearch/internal/core"
 	"xsearch/internal/serve"
 )
 
@@ -104,7 +104,7 @@ func run() error {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(results)
+		_, _ = w.Write(append(core.AppendResultsJSON(nil, results), '\n'))
 	})
 	front := serve.Wrap(&http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second})
 	if err := front.Start(*listen); err != nil {

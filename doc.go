@@ -123,9 +123,18 @@
 // (WithWebSocketTransport) so browser-extension clients connect
 // directly. Past the edge both call the same Handshake/Secure/ServeQuery
 // methods as the HTTP handlers, so a mux client and an HTTP client are
-// indistinguishable to the enclaves; handshakes and plain queries carry
-// the HTTP bodies, a sealed record travels raw (no JSON, no base64). A
-// small call costs the conn one write and one read per direction.
+// indistinguishable to the enclaves, and the bodies are the same on both
+// edges: handshakes and plain queries are JSON, a secure call is the
+// session id and the sealed record raw (no JSON, no base64) with the raw
+// sealed reply back — as application/octet-stream over HTTP, read once
+// into a buffer sized from its Content-Length and capped on both ends. A
+// small mux call costs the conn one write and one read per direction.
+// Inside the record the plaintext stays JSON ({"query","count"} up,
+// {"results","err"} back) — that is the client contract — but no end
+// reflects to speak it: internal/core holds one hand-written codec for
+// result lists, byte-identical to encoding/json on the way out and strict
+// on the way in, and every list that leaves a process (sealed replies,
+// the plain /search, the broker's local endpoint) goes through it.
 //
 // The transport conn is expendable by design: the secure channel's keys
 // live in the broker and the enclave, never in the carrier, so when an
@@ -156,7 +165,7 @@
 // in which ecall under each configuration, and what the host can observe
 // at each seam — the full ecall list and the seam table (which message
 // is binary, which is still JSON and why), all of it part of the measured
-// identity (ident v2.1).
+// identity (ident v2.2).
 //
 // Why park: the blocking engine stage holds one enclave thread (TCS) for
 // the full engine round trip — the thread-occupancy cost the SGX

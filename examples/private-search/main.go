@@ -126,9 +126,18 @@ func directSearch(ctx context.Context, baseURL, q string) ([]xsearch.Result, err
 		return nil, err
 	}
 	defer func() { _ = resp.Body.Close() }()
-	var results []xsearch.Result
-	if err := json.NewDecoder(resp.Body).Decode(&results); err != nil {
+	// The engine's own schema, read the way any third-party client would.
+	var hits []struct {
+		URL     string `json:"url"`
+		Title   string `json:"title"`
+		Snippet string `json:"snippet"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hits); err != nil {
 		return nil, err
+	}
+	results := make([]xsearch.Result, len(hits))
+	for i, h := range hits {
+		results[i] = xsearch.Result{URL: h.URL, Title: h.Title, Snippet: h.Snippet}
 	}
 	return results, nil
 }

@@ -263,18 +263,12 @@ func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	if channel == nil {
 		return nil, ErrNotConnected
 	}
-	plaintext, err := json.Marshal(struct {
-		Query string `json:"query"`
-		Count int    `json:"count"`
-	}{query, b.cfg.Count})
+	record, err := channel.Seal(core.AppendSecureRequest(nil, query, b.cfg.Count))
 	if err != nil {
 		return nil, err
 	}
-	record, err := channel.Seal(plaintext)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := b.secure(ctx, session, record)
+	body := proxy.AppendSecureBody(make([]byte, 0, 1+len(session)+len(record)), session, record)
+	reply, err := b.rpc(ctx, mux.KindSecure, body)
 	if err != nil {
 		return nil, err
 	}
@@ -282,39 +276,14 @@ func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	if err != nil {
 		return nil, fmt.Errorf("broker: open response: %w", err)
 	}
-	var sresp struct {
-		Results []core.Result `json:"results"`
-		Err     string        `json:"err,omitempty"`
-	}
-	if err := json.Unmarshal(respPT, &sresp); err != nil {
+	results, errstr, err := core.ParseSecureReply(respPT, b.cfg.Count)
+	if err != nil {
 		return nil, fmt.Errorf("broker: response payload: %w", err)
 	}
-	if sresp.Err != "" {
-		return nil, fmt.Errorf("broker: proxy error: %s", sresp.Err)
+	if errstr != "" {
+		return nil, fmt.Errorf("broker: proxy error: %s", errstr)
 	}
-	return sresp.Results, nil
-}
-
-// secure carries one sealed record to the proxy and the sealed reply back:
-// raw on a mux stream, base64 in a JSON SecureEnvelope over HTTP.
-func (b *Broker) secure(ctx context.Context, session string, record []byte) ([]byte, error) {
-	if b.rd != nil {
-		body := proxy.AppendSecureBody(make([]byte, 0, 1+len(session)+len(record)), session, record)
-		return b.rpc(ctx, mux.KindSecure, body)
-	}
-	reqBody, err := json.Marshal(proxy.SecureEnvelope{Session: session, Record: record})
-	if err != nil {
-		return nil, err
-	}
-	respBody, err := b.rpc(ctx, mux.KindSecure, reqBody)
-	if err != nil {
-		return nil, err
-	}
-	var resp proxy.SecureEnvelope
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return nil, fmt.Errorf("broker: secure response: %w", err)
-	}
-	return resp.Record, nil
+	return results, nil
 }
 
 // rpc issues one proxy call of the given stream kind over the configured
@@ -326,12 +295,12 @@ func (b *Broker) secure(ctx context.Context, session string, record []byte) ([]b
 // re-seal-and-retry path — the server may never have answered, but the
 // channel is intact).
 func (b *Broker) rpc(ctx context.Context, kind byte, body []byte) ([]byte, error) {
-	path := "/handshake"
+	path, contentType := "/handshake", "application/json"
 	if kind == mux.KindSecure {
-		path = "/secure"
+		path, contentType = "/secure", "application/octet-stream"
 	}
 	if b.rd == nil {
-		return b.post(ctx, path, body)
+		return b.post(ctx, path, contentType, body)
 	}
 	resp, err := b.rd.Call(ctx, kind, body)
 	if err != nil {
@@ -344,14 +313,19 @@ func (b *Broker) rpc(ctx context.Context, kind byte, body []byte) ([]byte, error
 	return resp, nil
 }
 
-// post sends a JSON POST and returns the response body.
-func (b *Broker) post(ctx context.Context, path string, body []byte) ([]byte, error) {
+// maxReplyBytes caps what post reads of a reply: the proxy is Byzantine,
+// and the largest honest reply is a sealed list cut from an engine body
+// the enclave itself caps at 8 MiB.
+const maxReplyBytes = 8 << 20
+
+// post sends one HTTP POST and returns the reply body.
+func (b *Broker) post(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		b.cfg.ProxyURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := b.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("broker: %s: %w", path, err)
@@ -360,7 +334,7 @@ func (b *Broker) post(ctx context.Context, path string, body []byte) ([]byte, er
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%w: %s %d", ErrProxyStatus, path, resp.StatusCode)
 	}
-	out, err := io.ReadAll(resp.Body)
+	out, err := serve.ReadBody(resp.Body, resp.ContentLength, maxReplyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("broker: %s: %w", path, err)
 	}
@@ -425,5 +399,5 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(results)
+	_, _ = w.Write(append(core.AppendResultsJSON(nil, results), '\n'))
 }

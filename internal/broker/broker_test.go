@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +16,9 @@ import (
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/proxy"
+	"xsearch/internal/raceflag"
 	"xsearch/internal/searchengine"
+	"xsearch/internal/serve"
 )
 
 // stack wires engine + proxy and returns a broker config template.
@@ -23,6 +28,12 @@ type stack struct {
 }
 
 func newStack(t *testing.T) *stack {
+	t.Helper()
+	return newStackWith(t, proxy.Config{K: 2, Seed: 1})
+}
+
+// newStackWith wires cfg (its Engines aside) to a fresh engine.
+func newStackWith(t *testing.T, cfg proxy.Config) *stack {
 	t.Helper()
 	engine := searchengine.NewEngine(searchengine.WithCorpus(
 		searchengine.GenerateCorpus(searchengine.CorpusConfig{DocsPerTopic: 20, Seed: 1})))
@@ -35,7 +46,8 @@ func newStack(t *testing.T) *stack {
 		defer cancel()
 		_ = engineSrv.Shutdown(ctx)
 	})
-	p, err := proxy.New(proxy.Config{K: 2, Engines: []proxy.EngineSpec{{Host: engineSrv.Addr()}}, Seed: 1})
+	cfg.Engines = []proxy.EngineSpec{{Host: engineSrv.Addr()}}
+	p, err := proxy.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +295,89 @@ func TestSearchRecoversFromSessionLoss(t *testing.T) {
 	}
 	if got := p.Stats().Handshakes; got != 3 {
 		t.Errorf("handshakes = %d, want 3 (b1, b2, b1-recovery)", got)
+	}
+}
+
+// TestHTTPSecureCallAllocBudget is the allocation gate on one secure search
+// over the HTTP edge — the benchmark's `repeat` request: broker seal → POST
+// /secure → "request" ecall answered from the warm cache → a sealed
+// 20-result reply read once and decoded without reflection. Both
+// processes' share is counted; net/http is most of it (the parent commit,
+// with the JSON envelope and encoding/json on both sides: 225; this one: 123).
+func TestHTTPSecureCallAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are the race detector's under -race")
+	}
+	st := newStackWith(t, proxy.Config{K: 2, Seed: 1, CacheBytes: 1 << 20, CacheTTL: time.Hour})
+	b, err := New(st.brokerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := b.Connect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A single-engine stack on a cold history sends the first query bare,
+	// so its whole list survives the filter.
+	const query = "chicken recipe dinner"
+	search := func() {
+		results, err := b.Search(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 20 {
+			t.Fatalf("%d results, want a 20-result list", len(results))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		search() // fill the cache, the conn pool and every lazily sized buffer
+	}
+	if s := st.proxy.Stats(); s.CacheHits < 19 {
+		t.Fatalf("cache hits = %d: the searches are not answered from the cache", s.CacheHits)
+	}
+	const budget = 150
+	got := testing.AllocsPerRun(200, search)
+	t.Logf("one secure search over the HTTP edge: %.1f allocations", got)
+	if got > budget {
+		t.Errorf("one secure search over the HTTP edge: %.1f allocations, budget %d", got, budget)
+	}
+}
+
+// A Byzantine proxy cannot make the broker buffer an unbounded reply: one
+// declared over the cap is refused before a byte of it is read or
+// allocated, one that simply keeps coming is cut at the cap.
+func TestReplyOverCapIsAnErrorNotAnAllocation(t *testing.T) {
+	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/secure" {
+			w.Header().Set("Content-Length", strconv.Itoa(1<<30))
+			_, _ = w.Write([]byte("the first of a gigabyte"))
+			return
+		}
+		chunk := make([]byte, 64<<10)
+		for sent := 0; sent <= maxReplyBytes; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer hostile.Close()
+	b, err := New(Config{ProxyURL: hostile.URL, ServiceKey: make([]byte, 32),
+		Policy: attestation.Policy{AcceptedMeasurements: []enclave.Measurement{{1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = b.post(context.Background(), "/secure", "application/octet-stream", []byte("body"))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, serve.ErrBodyTooLarge) {
+		t.Errorf("declared 1 GiB reply: err = %v, want ErrBodyTooLarge", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing a declared 1 GiB reply allocated %d bytes", grew)
+	}
+	if _, err := b.post(context.Background(), "/handshake", "application/json", []byte("{}")); !errors.Is(err, serve.ErrBodyTooLarge) {
+		t.Errorf("undeclared reply past the cap: err = %v, want ErrBodyTooLarge", err)
 	}
 }

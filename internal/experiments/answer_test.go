@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"xsearch/internal/raceflag"
 )
 
 func TestRunAnswerValidation(t *testing.T) {
@@ -26,7 +28,7 @@ func TestRunAnswerCutsUpstream(t *testing.T) {
 		DocsPerTopic:  10,
 		Seed:          1,
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		cfg.Requests = 80
 	}
 	res, err := RunAnswer(cfg)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"xsearch/internal/raceflag"
 )
 
 func TestRunAutoscaleValidation(t *testing.T) {
@@ -25,7 +27,7 @@ func TestRunAutoscaleRampHoldsAllRequests(t *testing.T) {
 	cfg.MaxShards = 2
 	cfg.Workers = 8
 	cfg.PeakWindow = 300 * time.Millisecond
-	if raceEnabled {
+	if raceflag.Enabled {
 		cfg.PeakWindow = 200 * time.Millisecond
 	}
 	res, err := RunAutoscale(cfg)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"xsearch/internal/raceflag"
 )
 
 func TestRunBatchValidation(t *testing.T) {
@@ -32,7 +34,7 @@ func TestRunBatchSpeedsUp(t *testing.T) {
 		DocsPerTopic:   10,
 		Seed:           1,
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		cfg.Requests = 100
 	}
 	res, err := RunBatch(cfg)
@@ -51,7 +53,7 @@ func TestRunBatchSpeedsUp(t *testing.T) {
 	if deep == nil {
 		t.Fatal("sweep produced no BatchMax >= 8 point")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		if deep.ECallsPerRequest >= res.UnbatchedECallsPerRequest {
 			t.Errorf("batching at max %v crossed the boundary %.2f times per request, unbatched %.2f: nothing was amortized",
 				deep.BatchMax, deep.ECallsPerRequest, res.UnbatchedECallsPerRequest)

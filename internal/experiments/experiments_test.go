@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xsearch/internal/raceflag"
 )
 
 // smallFixture is shared across tests; building it once keeps the suite
@@ -134,7 +136,7 @@ func TestFig5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput sweep in -short mode")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("wall-clock latency ordering is unreliable under the race detector")
 	}
 	f := smallFixture(t)
@@ -197,7 +199,7 @@ func TestFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end latency run in -short mode")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("wall-clock latency ordering is unreliable under the race detector")
 	}
 	f := smallFixture(t)
@@ -286,7 +288,7 @@ func TestAnonBenchOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("wall-clock knee ordering is unreliable under the race detector")
 	}
 	f := smallFixture(t)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"xsearch/internal/raceflag"
 )
 
 func TestRunFleetValidation(t *testing.T) {
@@ -31,7 +33,7 @@ func TestRunFleetScalesAndSurvivesKill(t *testing.T) {
 		DocsPerTopic:  10,
 		Seed:          1,
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		cfg.Requests, cfg.KillRequests = 80, 80
 	}
 	res, err := RunFleet(cfg)

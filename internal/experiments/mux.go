@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -117,22 +118,14 @@ type callFunc func(kind byte, body []byte) ([]byte, error)
 
 // httpCall posts over the given client (each memory-phase session owns a
 // client with its own Transport, so each session holds its own conn —
-// the unmuxed edge's shape). A secure body travels in the HTTP front's
-// JSON envelope.
+// the unmuxed edge's shape). The bodies are the mux edge's, unchanged.
 func httpCall(client *http.Client, base string) callFunc {
 	return func(kind byte, body []byte) ([]byte, error) {
-		path := "/handshake"
+		path, contentType := "/handshake", "application/json"
 		if kind == mux.KindSecure {
-			path = "/secure"
-			session, record, err := proxy.ParseSecureBody(body)
-			if err != nil {
-				return nil, err
-			}
-			if body, err = json.Marshal(proxy.SecureEnvelope{Session: session, Record: record}); err != nil {
-				return nil, err
-			}
+			path, contentType = "/secure", "application/octet-stream"
 		}
-		resp, err := client.Post(base+path, "application/json", bytes.NewReader(body))
+		resp, err := client.Post(base+path, contentType, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
@@ -140,18 +133,7 @@ func httpCall(client *http.Client, base string) callFunc {
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("%s: status %d", path, resp.StatusCode)
 		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			return nil, err
-		}
-		if kind != mux.KindSecure {
-			return buf.Bytes(), nil
-		}
-		var env proxy.SecureEnvelope
-		if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
-			return nil, err
-		}
-		return env.Record, nil
+		return io.ReadAll(resp.Body)
 	}
 }
 

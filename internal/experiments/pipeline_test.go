@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"xsearch/internal/raceflag"
 )
 
 func TestRunPipelineValidation(t *testing.T) {
@@ -30,7 +32,7 @@ func TestRunPipelineSpeedsUpAndCutsTail(t *testing.T) {
 		DocsPerTopic:  10,
 		Seed:          1,
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		cfg.Requests, cfg.HedgeRequests = 60, 40
 	}
 	res, err := RunPipeline(cfg)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -23,9 +22,9 @@ import (
 // /mux on the existing HTTP front for browser-extension clients. Both
 // dispatch stream kinds onto the same Handshake/Secure/ServeQuery
 // methods the HTTP handlers use, so a mux client and an HTTP client are
-// indistinguishable past the edge. Handshakes and plain queries carry the
-// HTTP handlers' JSON bodies; a secure stream — the per-query path —
-// carries its session id and sealed record raw (proxy.AppendSecureBody).
+// indistinguishable past the edge — and, since both edges hand their
+// bodies to proxy.ServeCall, at it too: a handshake or secure stream
+// carries exactly the body of its HTTP route, a plain one the query text.
 
 // muxFront is the gateway's mux-edge state, embedded in Gateway.
 type muxFront struct {
@@ -135,22 +134,11 @@ func (g *Gateway) serveMuxConn(conn io.ReadWriteCloser) {
 // A malformed body is the stream's error, never the session's.
 func (g *Gateway) serveMuxRequest(ctx context.Context, kind byte, req []byte) ([]byte, error) {
 	g.muxStreams.Add(1)
-	if kind == mux.KindSecure {
-		session, record, err := proxy.ParseSecureBody(req)
-		if err != nil {
-			return nil, err
-		}
-		return g.Secure(ctx, session, record)
-	}
 	var query string
 	if kind == mux.KindPlain {
 		query = strings.TrimSpace(string(req))
 	}
-	reply, err := proxy.ServeCall(ctx, g, kind, query, func(v any) error { return json.Unmarshal(req, v) })
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(reply)
+	return proxy.ServeCall(ctx, g, kind, query, req)
 }
 
 // muxStop tears the mux edge down: stop accepting, close every live

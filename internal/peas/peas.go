@@ -9,7 +9,6 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,17 +28,10 @@ var (
 	ErrBadBlob = errors.New("peas: malformed encrypted blob")
 )
 
-// queryPayload is what the client encrypts for the issuer.
-type queryPayload struct {
-	Query string `json:"query"` // OR-aggregated obfuscated query
-	Count int    `json:"count"`
-}
-
-// resultPayload is what the issuer encrypts back.
-type resultPayload struct {
-	Results []core.Result `json:"results"`
-	Err     string        `json:"err,omitempty"`
-}
+// The payloads are X-Search's sealed plaintext, encoded by the same codec
+// (core.AppendSecureRequest / core.AppendSecureReply): the client encrypts
+// {"query": <OR-aggregated obfuscated query>, "count"} for the issuer, the
+// issuer encrypts {"results", "err"} back.
 
 // --- hybrid encryption (RSA-OAEP key wrap + AES-GCM payload) ---
 
@@ -224,33 +216,31 @@ func (iss *Issuer) Process(ctx context.Context, blob []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var q queryPayload
-	if err := json.Unmarshal(pt, &q); err != nil {
+	query, count, err := core.ParseSecureRequest(pt)
+	if err != nil {
 		return nil, fmt.Errorf("peas: bad payload: %w", err)
 	}
-	var resp resultPayload
+	var (
+		reply  []core.Result
+		errstr string
+	)
 	if iss.echoMode {
-		resp.Results = []core.Result{}
+		reply = []core.Result{}
 	} else {
-		count := q.Count
 		if count <= 0 || count > 100 {
 			count = iss.perList
 		}
-		results, err := iss.engine.Search(ctx, q.Query, count)
+		results, err := iss.engine.Search(ctx, query, count)
 		if err != nil {
-			resp.Err = err.Error()
+			errstr = err.Error()
 		} else {
-			resp.Results = make([]core.Result, len(results))
+			reply = make([]core.Result, len(results))
 			for i, res := range results {
-				resp.Results[i] = core.Result{URL: res.URL, Title: res.Title, Snippet: res.Snippet}
+				reply[i] = core.Result{URL: res.URL, Title: res.Title, Snippet: res.Snippet}
 			}
 		}
 	}
-	respPT, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return sealWithKey(key, respPT)
+	return sealWithKey(key, core.AppendSecureReply(nil, reply, errstr))
 }
 
 // --- Receiver ---
@@ -433,11 +423,7 @@ func (c *Client) Search(ctx context.Context, query string) ([]core.Result, error
 	if err != nil {
 		return nil, err
 	}
-	pt, err := json.Marshal(queryPayload{Query: oq.Query(), Count: c.cfg.Count})
-	if err != nil {
-		return nil, err
-	}
-	key, blob, err := encryptKeyed(c.cfg.IssuerKey, pt)
+	key, blob, err := encryptKeyed(c.cfg.IssuerKey, core.AppendSecureRequest(nil, oq.Query(), c.cfg.Count))
 	if err != nil {
 		return nil, err
 	}
@@ -470,13 +456,13 @@ func (c *Client) Search(ctx context.Context, query string) ([]core.Result, error
 	if err != nil {
 		return nil, err
 	}
-	var rp resultPayload
-	if err := json.Unmarshal(respPT, &rp); err != nil {
+	results, errstr, err := core.ParseSecureReply(respPT, 0)
+	if err != nil {
 		return nil, fmt.Errorf("peas: response payload: %w", err)
 	}
-	if rp.Err != "" {
-		return nil, fmt.Errorf("peas: issuer error: %s", rp.Err)
+	if errstr != "" {
+		return nil, fmt.Errorf("peas: issuer error: %s", errstr)
 	}
 	// Client-side filtering: PEAS clients know which sub-query was real.
-	return core.FilterResults(oq.Original(), oq.Fakes(), rp.Results), nil
+	return core.FilterResults(oq.Original(), oq.Fakes(), results), nil
 }

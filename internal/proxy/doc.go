@@ -46,15 +46,21 @@
 //
 // A request crosses three seams on its way in — client edge, enclave
 // boundary, engine — and each message on them has exactly one encoding
-// (wire.go has the binary codecs, front.go the edge bodies):
+// (wire.go has the binary codecs, front.go the edge bodies,
+// internal/core the sealed plaintext's):
 //
 //	message                              encoding   why
 //	sealed plaintext {"query","count"}   JSON       the client contract: brokers (and bench/) seal their own;
-//	  in, {"results","err"} out                     only the two ends of the attested channel read it
-//	mux KindSecure stream                binary     len(1) ‖ session id ‖ raw record up, the raw sealed record
-//	                                                back — the per-query path of a broker on the mux edge
-//	HTTP /secure, /handshake, /search;   JSON       the compatibility front: curl, wget and legacy brokers;
-//	  mux handshake and plain streams               a []byte in it is base64
+//	  in, {"results","err"} out                     only the two ends of the attested channel read it. Both
+//	                                                ends speak it through internal/core's hand-written codec
+//	                                                (as does settle, for the engine's result list), never
+//	                                                through reflection; the tests and bench/ keep
+//	                                                encoding/json on the other side of it
+//	secure call: HTTP POST /secure       binary     len(1) ‖ session id ‖ raw record up, the raw sealed record
+//	  and the mux KindSecure stream                 back (application/octet-stream over HTTP) — the per-query
+//	                                                path of every broker; ServeCall is both edges' one reader
+//	HTTP /handshake, /search;            JSON       the compatibility front: curl and wget on /search (its
+//	  mux handshake and plain streams               list written by the core codec), one handshake a session
 //	envelope ("request", entries of      binary     every request into the enclave; byte fields alias the
 //	  "request-batch")                              ecall argument, no []byte is ever base64'd
 //	envelopeReply ("request", "claim";   binary     ONE encoding of a reply on the blocking, batched,

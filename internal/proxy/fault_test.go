@@ -1,10 +1,7 @@
 package proxy
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"testing"
@@ -142,28 +139,9 @@ func TestTamperedSecureRecordRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	record[len(record)-1] ^= 0xFF
-	body := fmt.Sprintf(`{"session":%q,"record":%q}`, sess.session, record)
-	_ = body
-	// Use the typed envelope to keep encoding correct.
-	status := postSecure(t, st.proxy, sess.session, record)
-	if status == http.StatusOK {
+	if status, _ := postSecure(t, st.proxy.URL(), sess.session, record); status == http.StatusOK {
 		t.Error("tampered record accepted")
 	}
-}
-
-func postSecure(t *testing.T, p *Proxy, session string, record []byte) int {
-	t.Helper()
-	env := SecureEnvelope{Session: session, Record: record}
-	body, err := jsonMarshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(p.URL()+"/secure", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	return resp.StatusCode
 }
 
 // Slow-loris style: a request context that expires while waiting for a TCS
@@ -176,13 +154,4 @@ func TestRequestContextTimeout(t *testing.T) {
 	if _, err := st.proxy.ServeQuery(ctx, "q"); err == nil {
 		t.Error("expired context produced results")
 	}
-}
-
-// jsonMarshal wraps encoding/json for the helper above.
-func jsonMarshal(v any) (*bytes.Reader, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.NewReader(raw), nil
 }

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"xsearch/internal/core"
 	"xsearch/internal/mux"
+	"xsearch/internal/serve"
 )
 
 // Front is the client-facing surface a client edge drives: one node
@@ -33,21 +35,22 @@ type HandshakeResponse struct {
 	VerificationReport []byte `json:"verification_report"`
 }
 
-// SecureEnvelope is the body of a secure call on the HTTP front, in both
-// directions. The mux edge carries the same two values without the JSON
-// and base64: AppendSecureBody up, the raw sealed record back.
+// SecureEnvelope was the JSON/base64 body of HTTP /secure before both edges
+// carried AppendSecureBody. The type stays, unused by the module, because
+// the repo benchmark (bench/) still sizes its mux.call rung with it.
 type SecureEnvelope struct {
 	Session string `json:"session"`
 	Record  []byte `json:"record"`
 }
 
-// maxSessionIDBytes caps the session id of a mux secure body. Ids are 32
-// hex digits; the cap also turns an old-format JSON body (first byte '{',
-// 123) into a clean refusal.
+// maxSessionIDBytes caps the session id of a secure body. Ids are 32 hex
+// digits; the cap also turns an old-format JSON body (first byte '{', 123)
+// into a clean refusal.
 const maxSessionIDBytes = 64
 
-// AppendSecureBody encodes the request of a KindSecure mux stream onto
-// dst: len(1) ‖ session id ‖ raw sealed record.
+// AppendSecureBody encodes the request of a secure call — a KindSecure mux
+// stream or an HTTP POST /secure — onto dst: len(1) ‖ session id ‖ raw
+// sealed record.
 func AppendSecureBody(dst []byte, session string, record []byte) []byte {
 	dst = append(dst, byte(len(session)))
 	dst = append(dst, session...)
@@ -71,37 +74,34 @@ type BadRequest string
 
 func (e BadRequest) Error() string { return string(e) }
 
-// ServeCall runs one client call against f: decode the request of the
-// given kind (the mux stream kinds, which map one-to-one onto the HTTP
-// routes), call, and return the reply for the edge to JSON-encode in its
-// own way — streamed to an HTTP response, marshalled into a mux frame.
-// decode is the edge's JSON decode of its body, a Decoder over an HTTP
-// body or Unmarshal of a mux frame. Handshake body: {"offer": <client
-// offer JSON>, "nonce": <base64>}; secure body: a SecureEnvelope, one
-// sealed query record in, one sealed response record out (HTTP only — the
-// mux edge parses its binary secure body itself and never gets here with
-// that kind); the plain kind has no body to decode, only the query text.
-func ServeCall(ctx context.Context, f Front, kind byte, query string, decode func(v any) error) (any, error) {
+// ServeCall runs one client call against f: decode the body of the given
+// kind (the mux stream kinds, which map one-to-one onto the HTTP routes),
+// call, and return the reply body for the edge to send as it stands — an
+// HTTP response, a mux frame. Secure: AppendSecureBody in, the raw sealed
+// record out. Handshake: {"offer": <client offer JSON>, "nonce": <base64>}
+// in, a HandshakeResponse out. The plain kind has no body to decode, only
+// the query text, and replies with the result list as JSON.
+func ServeCall(ctx context.Context, f Front, kind byte, query string, body []byte) ([]byte, error) {
 	switch kind {
+	case mux.KindSecure:
+		session, record, err := ParseSecureBody(body)
+		if err != nil {
+			return nil, err
+		}
+		return f.Secure(ctx, session, record)
 	case mux.KindHandshake:
 		var req struct {
 			Offer json.RawMessage `json:"offer"`
 			Nonce []byte          `json:"nonce"`
 		}
-		if err := decode(&req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, BadRequest("bad handshake body")
 		}
-		return f.Handshake(ctx, req.Offer, req.Nonce)
-	case mux.KindSecure:
-		var req SecureEnvelope
-		if err := decode(&req); err != nil {
-			return nil, BadRequest("bad secure body")
-		}
-		record, err := f.Secure(ctx, req.Session, req.Record)
+		resp, err := f.Handshake(ctx, req.Offer, req.Nonce)
 		if err != nil {
 			return nil, err
 		}
-		return SecureEnvelope{Session: req.Session, Record: record}, nil
+		return json.Marshal(resp)
 	case mux.KindPlain:
 		if strings.TrimSpace(query) == "" {
 			return nil, BadRequest("missing query")
@@ -113,7 +113,7 @@ func ServeCall(ctx context.Context, f Front, kind byte, query string, decode fun
 		if results == nil {
 			results = []core.Result{}
 		}
-		return results, nil
+		return core.AppendResultsJSON(nil, results), nil
 	default:
 		return nil, BadRequest(fmt.Sprintf("unknown stream kind 0x%x", kind))
 	}
@@ -121,9 +121,9 @@ func ServeCall(ctx context.Context, f Front, kind byte, query string, decode fun
 
 // maxBodyBytes caps request bodies on the client-facing handlers. The
 // front runs in the untrusted host, but an unbounded body still lets a
-// hostile client balloon host memory (json.Decode buffers what it reads)
-// and starve the fronting process; every legitimate body — a channel
-// offer, a sealed query record — is a few KB.
+// hostile client balloon host memory and starve the fronting process;
+// every legitimate body — a channel offer, a sealed query record — is a
+// few KB.
 const maxBodyBytes = 1 << 20
 
 // HandleFront registers f's client routes on routes: GET /search?q= for
@@ -139,7 +139,7 @@ func HandleFront(routes *http.ServeMux, f Front) {
 func frontHandler(f Front, kind byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var query string
-		var decode func(v any) error
+		var body []byte
 		if kind == mux.KindPlain {
 			// The query reaches the enclave as sent: padding is part of
 			// the history and cache key.
@@ -149,9 +149,11 @@ func frontHandler(f Front, kind byte) http.HandlerFunc {
 				http.Error(w, "POST required", http.StatusMethodNotAllowed)
 				return
 			}
-			decode = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode
+			// A body that cannot be read (over the cap, cut short) goes on
+			// as no body, which ServeCall refuses as it does a bad one.
+			body, _ = serve.ReadBody(r.Body, r.ContentLength, maxBodyBytes)
 		}
-		reply, err := ServeCall(r.Context(), f, kind, query, decode)
+		reply, err := ServeCall(r.Context(), f, kind, query, body)
 		if err != nil {
 			status, msg := http.StatusBadGateway, err.Error()
 			var bad BadRequest
@@ -167,8 +169,14 @@ func frontHandler(f Front, kind byte) http.HandlerFunc {
 			http.Error(w, msg, status)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(reply)
+		if kind == mux.KindSecure {
+			w.Header().Set("Content-Type", "application/octet-stream")
+		} else {
+			w.Header().Set("Content-Type", "application/json")
+			reply = append(reply, '\n')
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+		_, _ = w.Write(reply)
 	}
 }
 

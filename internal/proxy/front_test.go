@@ -8,8 +8,8 @@ import (
 
 // The node's HTTP front keeps what its per-route handlers did before they
 // became one: refused calls are counted, a padded query reaches the
-// enclave as sent, and a body is one JSON value with whatever follows it
-// ignored.
+// enclave as sent, and a well-formed secure body for a session the node
+// does not know is the node's failure (502), not the client's.
 func TestHTTPFrontKeepsNodeBehaviour(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.CacheBytes = 1 << 20 })
 	base := st.proxy.URL()
@@ -37,11 +37,8 @@ func TestHTTPFrontKeepsNodeBehaviour(t *testing.T) {
 		t.Errorf("malformed bodies counted requests=%d errors=%d, want 1 and 3", s.Requests, s.Errors)
 	}
 
-	// Decodes, then fails on the unknown session: the trailing bytes are
-	// not the front's business.
-	body := `{"session":"nope","record":"AAAA"} trailing`
-	if got := status(http.Post(base+"/secure", "application/json", strings.NewReader(body))); got != http.StatusBadGateway {
-		t.Errorf("secure body with trailing bytes: status %d, want 502", got)
+	if got, _ := postSecure(t, base, "nope", []byte("not a record")); got != http.StatusBadGateway {
+		t.Errorf("secure body for an unknown session: status %d, want 502", got)
 	}
 
 	plainSearch(t, base, "chicken recipe")

@@ -257,16 +257,7 @@ func TestConcurrentPlainSearches(t *testing.T) {
 
 func TestSecureUnknownSession(t *testing.T) {
 	st := newTestStack(t, nil)
-	body, err := json.Marshal(SecureEnvelope{Session: "deadbeef", Record: []byte("junk")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(st.proxy.URL()+"/secure", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
+	if status, _ := postSecure(t, st.proxy.URL(), "deadbeef", []byte("junk")); status == http.StatusOK {
 		t.Error("unknown session accepted")
 	}
 }

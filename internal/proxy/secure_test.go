@@ -5,14 +5,53 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"xsearch/internal/attestation"
+	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/securechannel"
 )
+
+// secureRequest and secureResponse are the sealed plaintext as
+// encoding/json speaks it. The tests seal and read with these, so the
+// enclave's hand-written codec (internal/core) always meets a second
+// implementation of the contract.
+type secureRequest struct {
+	Query string `json:"query"`
+	Count int    `json:"count,omitempty"`
+}
+
+type secureResponse struct {
+	Results []core.Result `json:"results"`
+	Err     string        `json:"err,omitempty"`
+}
+
+// postSecure POSTs one secure body — session and sealed record, raw — to
+// the /secure route at base and returns the status and the reply body (the
+// raw sealed record on a 200).
+func postSecure(t *testing.T, base, session string, record []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/secure", "application/octet-stream", bytes.NewReader(AppendSecureBody(nil, session, record)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		// What lets a broker read the reply once, into one buffer.
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" || resp.ContentLength != int64(len(reply)) {
+			t.Errorf("secure reply: Content-Type %q, Content-Length %d for %d bytes", ct, resp.ContentLength, len(reply))
+		}
+	}
+	return resp.StatusCode, reply
+}
 
 // secureSession drives the proxy's handshake endpoint directly (what the
 // broker does, but in-package so the handler paths are covered here).
@@ -88,23 +127,11 @@ func (s *secureSession) search(t *testing.T, p *Proxy, query string) ([]byte, in
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(SecureEnvelope{Session: s.session, Record: record})
-	if err != nil {
-		t.Fatal(err)
+	status, reply := postSecure(t, p.URL(), s.session, record)
+	if status != http.StatusOK {
+		return nil, status
 	}
-	resp, err := http.Post(p.URL()+"/secure", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, resp.StatusCode
-	}
-	var env SecureEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	respPT, err := s.channel.Open(env.Record)
+	respPT, err := s.channel.Open(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,17 +187,9 @@ func TestSecureReplayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(SecureEnvelope{Session: sess.session, Record: record})
-	if err != nil {
-		t.Fatal(err)
-	}
 	post := func() int {
-		resp, err := http.Post(st.proxy.URL()+"/secure", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = resp.Body.Close() }()
-		return resp.StatusCode
+		status, _ := postSecure(t, st.proxy.URL(), sess.session, record)
+		return status
 	}
 	if status := post(); status != http.StatusOK {
 		t.Fatalf("first send status %d", status)

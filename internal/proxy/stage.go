@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -11,7 +10,6 @@ import (
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/obs"
-	"xsearch/internal/searchengine"
 )
 
 // This file is the trusted request stage — the paper's Figure 2 pipeline,
@@ -139,12 +137,10 @@ func (ts *trustedState) open(e *entry) {
 			e.fail(fmt.Errorf("proxy: open record: %w", err))
 			return
 		}
-		var sreq secureRequest
-		if err := json.Unmarshal(plaintext, &sreq); err != nil {
+		if e.query, e.count, err = core.ParseSecureRequest(plaintext); err != nil {
 			e.fail(fmt.Errorf("proxy: bad secure request: %w", err))
 			return
 		}
-		e.query, e.count = sreq.Query, sreq.Count
 		if e.count <= 0 || e.count > 100 {
 			e.count = ts.perList
 		}
@@ -471,23 +467,28 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 // "resume" ecall on the async one — already-measured crossings either
 // way, so the stores add no boundary traffic of their own. A non-200
 // status from a healthy upstream is the request's final error (no
-// failover: the upstream itself is fine).
+// failover: the upstream itself is fine). The decoded results are
+// substrings of one copy of the engine body; that is free for a reply,
+// which is encoded and dropped, but a result the cache or the index keeps
+// would pin the whole body in EPC against a charge for its own bytes — so
+// with either store on, the kept results are cloned first.
 func (ts *trustedState) settle(env enclave.Env, oq core.ObfuscatedQuery, key string, fr *fetchReply) ([]core.Result, error) {
 	if fr.Status != 200 {
 		return nil, fmt.Errorf("proxy: engine status %d", fr.Status)
 	}
-	var engineResults []searchengine.Result
-	if err := json.Unmarshal(fr.Body, &engineResults); err != nil {
+	raw, err := core.ParseResultsJSON(fr.Body, 0)
+	if err != nil {
 		return nil, fmt.Errorf("proxy: engine response: %w", err)
-	}
-	raw := make([]core.Result, len(engineResults))
-	for i, r := range engineResults {
-		raw[i] = core.Result{URL: r.URL, Title: r.Title, Snippet: r.Snippet}
 	}
 	filterStart := time.Now()
 	results := core.FilterResults(oq.Original(), oq.Fakes(), raw)
+	retained := ts.cache != nil || ts.index != nil
 	for i := range results {
-		results[i].URL = core.StripRedirects(results[i].URL)
+		r := &results[i]
+		r.URL = core.StripRedirects(r.URL)
+		if retained {
+			r.URL, r.Title, r.Snippet = strings.Clone(r.URL), strings.Clone(r.Title), strings.Clone(r.Snippet)
+		}
 	}
 	ts.stages.Since(obs.StageFilter, filterStart)
 	if ts.cache != nil {
@@ -513,9 +514,10 @@ func (ts *trustedState) reply(e *entry, results []core.Result, errstr string) {
 
 // finishReply builds the final encoded reply for one request. A plain
 // query's failure is the ecall's error; a secure query's is folded into
-// the sealed secureResponse, so only the client reads it. The session is
-// looked up at seal time: a session evicted while its request was in the
-// engine stage fails here (the channel died with its table slot).
+// the sealed reply (core.AppendSecureReply), so only the client reads it.
+// The session is looked up at seal time: a session evicted while its
+// request was in the engine stage fails here (the channel died with its
+// table slot).
 func (ts *trustedState) finishReply(kind byte, session string, results []core.Result, errstr string) ([]byte, error) {
 	var reply envelopeReply
 	switch kind {
@@ -529,11 +531,7 @@ func (ts *trustedState) finishReply(kind byte, session string, results []core.Re
 		if err != nil {
 			return nil, err
 		}
-		respPT, err := json.Marshal(secureResponse{Results: results, Err: errstr})
-		if err != nil {
-			return nil, err
-		}
-		if reply.Record, err = sess.channel.Seal(respPT); err != nil {
+		if reply.Record, err = sess.channel.Seal(core.AppendSecureReply(nil, results, errstr)); err != nil {
 			return nil, fmt.Errorf("proxy: seal response: %w", err)
 		}
 	default:

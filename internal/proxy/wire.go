@@ -270,18 +270,6 @@ type abandonReply struct {
 	CancelTokens []uint64 `json:"cancel_tokens,omitempty"`
 }
 
-// secureRequest is the plaintext the client seals into a record.
-type secureRequest struct {
-	Query string `json:"query"`
-	Count int    `json:"count,omitempty"`
-}
-
-// secureResponse is the plaintext the enclave seals back.
-type secureResponse struct {
-	Results []core.Result `json:"results"`
-	Err     string        `json:"err,omitempty"`
-}
-
 // Batched ecall framing. The "request-batch" and "resume" ecalls carry
 // several independent payloads across one enclave transition;
 // the framing is deliberately dumb — a u32 entry count, then a u32 length

@@ -110,3 +110,29 @@ func TestShutdownReapsNeverUsedConns(t *testing.T) {
 		t.Fatal("spare conn still open after Shutdown")
 	}
 }
+
+// neverRead fails the test if a refused body is touched at all.
+type neverRead struct{ t *testing.T }
+
+func (r neverRead) Read([]byte) (int, error) {
+	r.t.Error("a body declared over the limit was read")
+	return 0, io.EOF
+}
+
+func TestReadBodyBounds(t *testing.T) {
+	if _, err := ReadBody(neverRead{t}, 1<<40, 1<<20); !errors.Is(err, ErrBodyTooLarge) {
+		t.Errorf("declared over the limit: %v, want ErrBodyTooLarge", err)
+	}
+	if got, err := ReadBody(strings.NewReader("exactly"), 7, 7); err != nil || string(got) != "exactly" || cap(got) != 7 {
+		t.Errorf("declared body at the limit: %q (cap %d), %v", got, cap(got), err)
+	}
+	if _, err := ReadBody(strings.NewReader("short"), 7, 7); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("body shorter than declared: %v, want ErrUnexpectedEOF", err)
+	}
+	if got, err := ReadBody(strings.NewReader("chunked"), -1, 7); err != nil || string(got) != "chunked" {
+		t.Errorf("undeclared body at the limit: %q, %v", got, err)
+	}
+	if _, err := ReadBody(strings.NewReader("chunked!"), -1, 7); !errors.Is(err, ErrBodyTooLarge) {
+		t.Errorf("undeclared body over the limit: %v, want ErrBodyTooLarge", err)
+	}
+}
