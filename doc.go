@@ -205,10 +205,13 @@
 // pending-table critical section, one ring submission burst — and the
 // resume workers carry up to BatchMax ready completions per "resume",
 // dividing the transition tax by the batch occupancy. The policy is
-// adaptive: a genuinely idle proxy (sole request in flight) submits
-// immediately and pays no added latency, while a loaded one waits up to
-// BatchWindow for the batch to fill, trading a bounded hold for
-// amortization — under real load batching improves latency as well as
+// adaptive and the hold has to earn itself: a genuinely idle proxy (sole
+// request in flight) submits immediately, requests found queued together
+// are held up to BatchWindow for the batch to fill, and a lone request
+// with others admitted is held only while the previous such hold
+// actually collected a companion — a few callers parked at a slow engine
+// are not a batch about to form, and stop paying the window after one
+// empty one. Under real load batching improves latency as well as
 // throughput, because requests stop queueing behind other requests'
 // transition spins. Each batch entry parks individually, so hedges,
 // claims and abandonment work unchanged. The batch ablation (-figs

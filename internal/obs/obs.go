@@ -48,8 +48,8 @@ const (
 	// async flight. Resumed sessions record here too, so the histogram's
 	// low buckets show the resumption hit rate.
 	StageTLSHandshake = "handshake"
-	// StageFetch is the engine round trip as the untrusted fetcher sees
-	// it (dial/reuse through last response byte), hedges included.
+	// StageFetch is one successful engine exchange (pool checkout or dial
+	// through the last response byte), hedges included.
 	StageFetch = "fetch"
 	// StageHedge is how long a request had waited when its hedge fired.
 	StageHedge = "hedge"

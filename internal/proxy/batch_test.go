@@ -553,3 +553,104 @@ func TestObfuscateBatchMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// The group-commit window must pay for itself. A lone request whose peers
+// are admitted but parked elsewhere (at a slow engine, not on their way to
+// the batcher) is held for the window once; when that hold comes back
+// empty the batcher stops holding lone requests, until a drain finds two
+// queued together. collect is driven synchronously here, and every phase
+// that must NOT wait runs under a 5 s window, so the wall clock can fail
+// the test only one way.
+func TestBatchWindowMustPayForItself(t *testing.T) {
+	pl := newPipelineRuntime(nil, 8, 8, time.Millisecond)
+	for i := 0; i < 4; i++ {
+		pl.sem <- struct{}{} // four admitted: this request and three parked peers
+	}
+	if got := pl.collect(&batchItem{}); len(got) != 1 {
+		t.Fatalf("first lone collect returned %d items", len(got))
+	}
+	if pl.windowPays {
+		t.Fatal("an empty window left the batcher still expecting companions")
+	}
+
+	immediate := func(what string, want int) {
+		t.Helper()
+		start := time.Now()
+		if got := pl.collect(&batchItem{}); len(got) != want {
+			t.Fatalf("%s: %d items, want %d", what, len(got), want)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s waited %v of the 5s window", what, d)
+		}
+	}
+	pl.batchWindow = 5 * time.Second
+	immediate("lone request after an empty window", 1)
+
+	// Company in the queue re-arms the bit (and a full batch never waits).
+	for i := 0; i < 7; i++ {
+		pl.submitQ <- &batchItem{}
+	}
+	immediate("full batch", 8)
+	if !pl.windowPays {
+		t.Fatal("a drain that found company did not re-arm the window")
+	}
+
+	// Re-armed, a lone request is held again — and a companion arriving
+	// inside the window is collected and keeps the bit set.
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		pl.submitQ <- &batchItem{}
+	}()
+	pl.batchMax = 2 // so the companion completes the batch and ends the hold
+	immediate("held request joined by a companion", 2)
+	if !pl.windowPays {
+		t.Fatal("a window that collected a companion cleared the bit")
+	}
+
+	// A sole request in flight never waits, whatever the bit says.
+	for len(pl.sem) > 1 {
+		<-pl.sem
+	}
+	immediate("idle proxy", 1)
+}
+
+// Whatever is already queued when the batcher turns to the queue crosses
+// in ONE request-batch: N items enqueued before it runs share a crossing
+// (occupancy N) without waiting out the window.
+func TestQueuedRequestsCrossInOneBatch(t *testing.T) {
+	const n = 4
+	p, err := New(Config{K: 1, Seed: 1, EchoMode: true, AsyncOcalls: true,
+		BatchMax: n, BatchWindow: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Crash()
+	// A second runtime over the same enclave, its batcher not yet started.
+	pl := newPipelineRuntime(p, n, n, 5*time.Second)
+	defer pl.stopDispatch()
+	items := make([]*batchItem, n)
+	for i := range items {
+		req := envelope{Type: typePlain, Query: fmt.Sprintf("queued before the batcher ran %d", i)}
+		items[i] = &batchItem{arg: req.encode(), done: make(chan pendingOutcome, 1)}
+		pl.submitQ <- items[i]
+	}
+	ecallsBefore := p.Stats().Enclave.ECalls
+	pl.workers.Add(1)
+	go pl.batcherLoop()
+	for i, it := range items {
+		select {
+		case out := <-it.done:
+			if out.err != nil {
+				t.Fatalf("item %d: %v", i, out.err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("item %d still queued: the batcher waited on a batch that was already full", i)
+		}
+	}
+	if p50, p95 := pl.bstats.percentiles(); p50 != n || p95 != n {
+		t.Errorf("request-batch occupancy p50/p95 = %v/%v, want %d/%d", p50, p95, n, n)
+	}
+	if got := p.Stats().Enclave.ECalls - ecallsBefore; got != 1 {
+		t.Errorf("%d ecalls for %d queued requests, want 1", got, n)
+	}
+}

@@ -48,11 +48,14 @@ type pipelineRuntime struct {
 	// that vectorizes request crossings, and the resume workers drain
 	// completions in batches of the same bound (one at a time when
 	// batching is off). Handshakes and the control ecalls stay
-	// singletons. submitQ is nil when batching is off.
+	// singletons. submitQ is nil when batching is off. windowPays is the
+	// batcher's one bit of feedback (see collect); only the batcher
+	// goroutine touches it.
 	batchMax    int
 	batchWindow time.Duration
 	submitQ     chan *batchItem
 	bstats      *batchStats
+	windowPays  bool
 }
 
 // pendingOutcome is what the dispatcher delivers to a parked request
@@ -81,6 +84,7 @@ func newPipelineRuntime(p *Proxy, depth, batchMax int, batchWindow time.Duration
 		stop:        make(chan struct{}),
 		batchMax:    batchMax,
 		batchWindow: batchWindow,
+		windowPays:  true,
 	}
 	if batchMax > 1 {
 		// Buffered to the admission depth: a sender that won admission
@@ -213,13 +217,13 @@ func (pl *pipelineRuntime) routeResume(out []byte) {
 	if err := rr.decode(out); err != nil {
 		return
 	}
-	// A terminal TLS flight names its token on EVERY terminal shape —
-	// done, orphan, late loser — so the fetcher's per-token TLS state
+	// A terminal flight names its token on EVERY terminal shape — done,
+	// orphan, late loser — so the step handler's per-token state
 	// (tombstone, conn binding) is dropped exactly once. Must run before
 	// the State gate: orphans terminate flights too.
 	if rr.DoneToken != 0 {
 		if f := pl.p.conns.fetch; f != nil {
-			f.endTLS(rr.DoneToken)
+			f.endFlight(rr.DoneToken)
 		}
 	}
 	if rr.State != resumeDone {
@@ -580,58 +584,80 @@ func (pl *pipelineRuntime) reap(item *batchItem) {
 	}
 }
 
-// batcherLoop is group commit at the ecall seam: the first queued request
-// is taken blocking, whatever else is already queued is drained
-// opportunistically, and only a system that shows depth earns a
-// BatchWindow wait toward a full batch. Depth is the admission gauge, not
-// the instantaneous queue: more requests admitted than collected means
-// concurrency is present — submissions are en route or will be the moment
-// a completion lands — even when the scheduler hands them over one at a
-// time (on a small core count the queue practically never shows two
-// waiters at once, yet the load is there). A genuinely idle proxy (sole
-// request in flight) submits immediately and pays no batching latency; a
-// loaded one coalesces until BatchMax entries or BatchWindow, whichever
-// first. The batcher is deliberately a single goroutine: while its batch
-// ecall runs, newly admitted requests pile into submitQ, so the next
-// batch is naturally fuller — load, not a tuning knob, decides the
-// amortization.
+// batcherLoop is group commit at the ecall seam, one goroutine on purpose:
+// while its batch ecall runs, newly admitted requests pile into submitQ,
+// so the next batch is naturally fuller — load, not a tuning knob, decides
+// the amortization.
 func (pl *pipelineRuntime) batcherLoop() {
 	defer pl.workers.Done()
 	for {
-		var first *batchItem
 		select {
 		case <-pl.stop:
 			return
-		case first = <-pl.submitQ:
+		case first := <-pl.submitQ:
+			pl.dispatchBatch(pl.collect(first))
 		}
-		batch := append(make([]*batchItem, 0, pl.batchMax), first)
-	drain:
-		for len(batch) < pl.batchMax {
-			select {
-			case it := <-pl.submitQ:
-				batch = append(batch, it)
-			default:
-				break drain
-			}
-		}
-		if len(batch) < pl.batchMax && pl.batchWindow > 0 &&
-			(len(batch) > 1 || pl.inFlight() > len(batch)) {
-			timer := time.NewTimer(pl.batchWindow)
-		fill:
-			for len(batch) < pl.batchMax {
-				select {
-				case it := <-pl.submitQ:
-					batch = append(batch, it)
-				case <-timer.C:
-					break fill
-				case <-pl.stop:
-					break fill
-				}
-			}
-			timer.Stop()
-		}
-		pl.dispatchBatch(batch)
 	}
+}
+
+// collect forms one batch around the first queued request: whatever else
+// is already queued is drained opportunistically, and then the batch may
+// be held for up to BatchWindow toward a full one. What the hold waits
+// for is a companion, and it has to have been seen to come:
+//
+//   - two or more drained together are the evidence itself — the batch
+//     is held, and windowPays is set;
+//   - a lone request is held on the strength of the admission gauge
+//     (more requests admitted than collected: concurrency is present even
+//     when the scheduler hands submissions over one at a time) only while
+//     windowPays — while the last such hold actually collected a
+//     companion. One that comes back empty clears the bit, and lone
+//     requests cross immediately until a drain finds company again;
+//   - a genuinely idle proxy (sole request in flight) never waits.
+//
+// Without the bit, admitted-but-elsewhere was taken for about-to-submit:
+// a few closed-loop callers parked at a slow engine (the bench's
+// `pipeline`: 4 callers, 2 ms engine, occupancy p50 = 1) paid the whole
+// window plus its timer slop on every request for batches that cannot
+// form — their peers are waiting on the network, not on the batcher.
+// Under load that does queue (the RunBatch ablation: 16 workers behind a
+// 200 µs transition) every drain finds company and nothing changes.
+func (pl *pipelineRuntime) collect(first *batchItem) []*batchItem {
+	batch := append(make([]*batchItem, 0, pl.batchMax), first)
+drain:
+	for len(batch) < pl.batchMax {
+		select {
+		case it := <-pl.submitQ:
+			batch = append(batch, it)
+		default:
+			break drain
+		}
+	}
+	lone := len(batch) == 1
+	if !lone {
+		pl.windowPays = true
+	}
+	if len(batch) == pl.batchMax || pl.batchWindow <= 0 ||
+		lone && !(pl.windowPays && pl.inFlight() > 1) {
+		return batch
+	}
+	timer := time.NewTimer(pl.batchWindow)
+fill:
+	for len(batch) < pl.batchMax {
+		select {
+		case it := <-pl.submitQ:
+			batch = append(batch, it)
+		case <-timer.C:
+			break fill
+		case <-pl.stop:
+			break fill
+		}
+	}
+	timer.Stop()
+	if lone {
+		pl.windowPays = len(batch) > 1
+	}
+	return batch
 }
 
 // dispatchBatch submits one request batch through the vectorized ecall

@@ -21,7 +21,7 @@
 //	open       open                "request"       "request[-batch]"         a sealed record in, its size
 //	obfuscate  obfuscate           "request"       "request[-batch]"         one EPC charge + refund ≈ query length
 //	probe      probe               "request"       "request[-batch]"         hit or miss (a hit replies at once)
-//	engine     fetch (blocking)    socket ocalls,  parks: "fetch"/"tls_step" the k+1 obfuscated query (ciphertext
+//	engine     fetch (blocking)    socket ocalls,  parks: "tls_step" flight  the k+1 obfuscated query (ciphertext
 //	           park (async)        TCS held        submitted, TCS released   under TLS), the upstream, timing
 //	settle     settle              "request"       "resume" (winner only)    cache/index EPC charges (quantized)
 //	reply      finishReply         "request"       "resume", or "claim"      a sealed record out, its size
@@ -32,8 +32,9 @@
 //
 // Parked requests live in the pending table (pipeline.go), whose ecalls
 // carry everything that happens to a request between park and reply:
-// "resume" (1..N fetch completions: breaker accounting, hedge
-// arbitration, failover, the winner's settle and reply), "hedge" (the
+// "resume" (1..N step completions, each routed to its flight by the
+// token that leads it; a flight's terminal step brings breaker accounting,
+// hedge arbitration, failover, the winner's settle and reply), "hedge" (the
 // runtime's timer asks for a second attempt), "claim" (a coalesced
 // follower redeems its leader's results, sealed on its own channel) and
 // "abandon" (the caller gave up). The remaining ecalls are "init" and the
@@ -70,9 +71,14 @@
 //	batch framing (both batched ecalls)  binary     u32 count, u32 length per entry
 //	socket ocalls (send/recv/close fds,  binary     the paper's sock_* interface; only sock_connect's
 //	  deadlines)                                    {host,port} argument is JSON
-//	fetchArg/fetchReply, tlsStepArg/     JSON       engine-stage ocall arguments and the pending-table
-//	  tlsStepReply, pendingArg,                     controls — ROADMAP item 2's remainder
-//	  hedgeReply, abandonReply
+//	tlsStepArg ("tls_step" ocall)        binary     token first, then conn id, dial/read flags, deadline,
+//	                                                host, the bytes to send (raw) and conns to close
+//	tlsStepReply (its completion, an     binary     token first — "resume" routes on those 8 bytes and the
+//	  entry of "resume")                            flight decodes the rest once — then eof/cancelled, the
+//	                                                error, and the bytes read (raw, aliasing the frame until
+//	                                                the flight's adapter copies them: the one trusted copy)
+//	pendingArg, hedgeReply,              JSON       the pending-table controls ("hedge", "claim", "abandon"),
+//	  abandonReply                                  off the per-query path unless a hedge fires
 //	snapshot/merge replies, sealed       JSON       start-up and drain paths, never per query
 //	  history and index blobs
 //
@@ -90,21 +96,24 @@
 // and timing. The obfuscated query, the engine's results, and the TLS
 // session secrets never cross the boundary in the clear.
 //
-// Two transports carry that ciphertext:
+// Two engine stages carry that ciphertext:
 //
-//   - Blocking path: the trusted adapter (ocallConn) drives the paper's
+//   - Blocking: the trusted adapter (ocallConn) drives the paper's
 //     sock_connect/send/recv/close ocalls, one blocking ocall per socket
 //     operation, holding a TCS for the whole exchange.
-//   - Async pipeline (Config.AsyncOcalls): each TLS fetch attempt runs
-//     as a trusted coroutine whose socket I/O is batched into async
-//     "tls_step" ocalls on the switchless rings. The request parks in
-//     the pending table between steps — no TCS is held across network
-//     waits — so HTTPS upstreams get the full pipeline treatment:
-//     hedged fetches, batched submission, failover, and keep-alive
-//     pooling with TLS session resumption (the session cache and the
-//     pooled TLS state both live in trusted memory). A fresh TLS 1.3
-//     exchange costs two ring round trips; a pooled one costs one,
-//     matching the plain-TCP fetch.
+//   - Async pipeline (Config.AsyncOcalls): every fetch attempt — to a
+//     pinned-root upstream or a plain one — is a flight (tlsasync.go), a
+//     trusted coroutine whose socket I/O is batched into async "tls_step"
+//     ocalls on the switchless rings; a pinned-root upstream's flight
+//     runs crypto/tls over the step adapter, a plain one runs the HTTP
+//     exchange on it directly. The request parks in the pending table
+//     between steps — no TCS is held across network waits — and hedged
+//     fetches, batched submission, failover, abandon and the fetch
+//     deadline are one code path for both. Keep-alive sessions idle in
+//     one trusted per-upstream pool (TLS state and resumption tickets
+//     included), one TTL and eviction policy, visible in Stats as pool
+//     reuse. A fresh TLS 1.3 exchange costs two ring round trips; a
+//     pooled one, and a plain one, cost one.
 //
 // Config.FetchTimeout is an absolute deadline over the WHOLE fetch on
 // both paths — TCP connect, TLS handshake, request, and response — so a
@@ -114,9 +123,8 @@
 // set; like every stage it leaves the enclave only as an aggregate
 // fixed-bucket histogram.
 //
-// One observability note: per-upstream fetch-latency histograms (the
-// p95 source for adaptive hedge delays) are recorded by the untrusted
-// fetcher, which cannot see TLS exchange boundaries; hedge timers for
-// HTTPS upstreams therefore use the configured/default hedge delay
-// until those histograms are warmed by plain traffic or tests.
+// Per-upstream fetch-latency histograms (the p95 source for adaptive
+// hedge delays) are fed by the flights themselves, one sample per
+// successful exchange, so an HTTPS upstream's hedge delay derives from
+// its own traffic like a plain one's.
 package proxy

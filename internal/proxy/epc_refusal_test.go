@@ -3,6 +3,8 @@ package proxy
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -71,5 +73,58 @@ func TestRefusedHistoryChargeRecordsNothing(t *testing.T) {
 			wg.Wait()
 			assertEPCInvariant(t, p)
 		})
+	}
+}
+
+// The same rule on the start-up path: "restore" charges the EPC for the
+// window it is about to load BEFORE touching the history, so a sealed
+// blob the enclave cannot afford is refused with nothing recorded — not
+// loaded first and left uncharged.
+func TestRefusedRestoreRecordsNothing(t *testing.T) {
+	statePath := filepath.Join(t.TempDir(), "history.sealed")
+	seed := []byte("restore-refusal")
+	ctx := context.Background()
+
+	big, err := New(Config{K: 1, Seed: 1, EchoMode: true, HistoryCapacity: 4000,
+		StatePath: statePath, PlatformSeed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		if _, err := big.ServeQuery(ctx, fmt.Sprintf("query persisted before the restart %04d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := big.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same machine (same fuse seed, so the blob unseals), but an EPC
+	// with room for about a thousand of the four thousand queries.
+	small := Config{K: 1, Seed: 1, EchoMode: true, HistoryCapacity: 4000,
+		Platform:      enclave.NewPlatform(enclave.WithFuseSeed(seed), enclave.WithEPCLimit(128<<10)),
+		EnclaveConfig: enclave.Config{DisablePaging: true}}
+	p, err := New(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Crash()
+	if _, err := p.encl.ECall(ctx, "restore", blob); err == nil || !strings.Contains(err.Error(), "history alloc") {
+		t.Fatalf("restore err = %v, want a history alloc refusal", err)
+	}
+	if n := p.trusted.obfuscator.History().Len(); n != 0 {
+		t.Errorf("refused restore left %d queries in the history", n)
+	}
+	assertEPCInvariant(t, p)
+
+	// And through New: the refusal fails start-up.
+	small.Platform = enclave.NewPlatform(enclave.WithFuseSeed(seed), enclave.WithEPCLimit(128<<10))
+	small.StatePath = statePath
+	if _, err := New(small); err == nil || !strings.Contains(err.Error(), "history alloc") {
+		t.Errorf("New over an unaffordable sealed history: err = %v, want the refusal", err)
 	}
 }

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -33,10 +34,8 @@ type pendingAttempt struct {
 	token uint64
 	hedge bool // issued by the hedge ecall (vs primary or failover)
 	done  bool
-	// flight, set (under the table lock) for a TLS upstream, is the
-	// trusted coroutine driving this attempt's in-enclave TLS exchange;
-	// its completions are ciphertext steps, not fetch replies. Immutable
-	// once set.
+	// flight is the trusted coroutine driving this attempt's exchange
+	// (tlsasync.go); its completions are socket I/O steps. Immutable.
 	flight *tlsFlight
 }
 
@@ -64,12 +63,20 @@ type pendingReq struct {
 
 	waiters []*pendingReq // leader only
 	leader  *pendingReq   // follower only
+
+	// Leader only: launched flips (under the table lock, followed by a
+	// broadcast on launch) once the primary submission has resolved —
+	// either way; a failed one also releases the request and the
+	// followers that attached meanwhile from the table (see park).
+	launched bool
 }
 
 // pendingTable indexes parked requests by id, by coalescing key (leaders),
 // and by fetch token. It lives in trusted memory.
 type pendingTable struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// launch is signalled when a leader's primary submission resolves.
+	launch    sync.Cond
 	nextID    uint64
 	nextToken uint64
 	byID      map[uint64]*pendingReq
@@ -78,11 +85,13 @@ type pendingTable struct {
 }
 
 func newPendingTable() *pendingTable {
-	return &pendingTable{
+	pt := &pendingTable{
 		byID:    make(map[uint64]*pendingReq),
 		byKey:   make(map[string]*pendingReq),
 		byToken: make(map[uint64]*pendingAttempt),
 	}
+	pt.launch.L = &pt.mu
+	return pt
 }
 
 // nextCandidate picks the next upstream a parked request may try: the
@@ -100,13 +109,38 @@ func (ts *trustedState) nextCandidate(p *pendingReq) *upstream {
 
 // reserveAttempt registers a fetch attempt under the table lock BEFORE the
 // submission, so a completion can never arrive for an unknown token.
-func (pt *pendingTable) reserveAttempt(p *pendingReq, u *upstream, hedge bool) *pendingAttempt {
+func (ts *trustedState) reserveAttempt(p *pendingReq, u *upstream, hedge bool) *pendingAttempt {
+	pt := ts.pending
 	pt.nextToken++
-	att := &pendingAttempt{p: p, u: u, token: pt.nextToken, hedge: hedge}
+	att := &pendingAttempt{p: p, u: u, token: pt.nextToken, hedge: hedge, flight: ts.newTLSFlight(pt.nextToken)}
 	p.attempts = append(p.attempts, att)
 	p.tried[u] = true
 	pt.byToken[att.token] = att
 	return att
+}
+
+// launched resolves leader p's primary submission. A failed one (errstr
+// set) unwinds everything its reservation published — the id, the
+// coalescing key — and fails the followers that attached in the meantime:
+// each is released from the table with the leader's error, and its own
+// crossing, woken here, replies with it.
+func (pt *pendingTable) launched(p *pendingReq, errstr string) {
+	pt.mu.Lock()
+	p.launched = true
+	if errstr != "" {
+		p.done = true
+		delete(pt.byID, p.id)
+		if pt.byKey[p.key] == p {
+			delete(pt.byKey, p.key)
+		}
+		for _, w := range p.waiters {
+			w.done, w.errstr = true, errstr
+			delete(pt.byID, w.id)
+		}
+		p.waiters = nil
+	}
+	pt.mu.Unlock()
+	pt.launch.Broadcast()
 }
 
 // unreserve rolls a reserved attempt back after a failed submission.
@@ -116,31 +150,6 @@ func (pt *pendingTable) unreserve(att *pendingAttempt) {
 	delete(pt.byToken, att.token)
 	pt.mu.Unlock()
 	att.u.reportCancelled()
-}
-
-// submitFetch posts the attempt's engine exchange to the switchless ring.
-// Never called with the pending-table lock held: a full submission ring
-// blocks, and the resume path needs the lock to drain it.
-func (ts *trustedState) submitFetch(env enclave.Env, p *pendingReq, att *pendingAttempt) error {
-	if att.u.cas != nil {
-		// Pinned-root upstream: the exchange is an in-enclave TLS flight
-		// over tls_step ocalls — every submit site (primary, failover,
-		// hedge, batch burst) gets it through this one seam.
-		return ts.submitTLSFetch(env, p, att)
-	}
-	arg, err := json.Marshal(fetchArg{
-		Token:     att.token,
-		Host:      att.u.host,
-		Path:      p.path,
-		KeepAlive: ts.asyncKeepAlive,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := env.OCallAsync("fetch", arg); err != nil {
-		return fmt.Errorf("proxy: submit fetch: %w", err)
-	}
-	return nil
 }
 
 // handleResume is the "resume" ecall: every completion the resume worker
@@ -162,42 +171,34 @@ func (ts *trustedState) handleResume(env enclave.Env, arg []byte) ([]byte, error
 	return encodeBatch(outs), nil
 }
 
-// resumeOne takes one async fetch completion into the enclave. It performs
-// the upstream accounting the blocking walk does inline (breaker, served
-// counters), arbitrates hedges (first success wins), fails over when every
-// outstanding attempt is gone, and on the winning response settles the
-// request and builds its final reply, readying any coalesced followers.
+// resumeOne takes one step completion into the enclave: it routes by the
+// frame's leading token and leaves the rest to the flight, which decodes
+// the completion once and advances its exchange. A flight's terminal
+// outcome lands in completeFetchLocked.
 func (ts *trustedState) resumeOne(env enclave.Env, arg []byte) resumeReply {
-	var fr fetchReply
-	if json.Unmarshal(arg, &fr) != nil {
+	if len(arg) < 8 {
 		// A garbled completion names no token: nothing to act on.
 		return resumeReply{State: resumeOrphan}
 	}
+	token := binary.LittleEndian.Uint64(arg)
 	pt := ts.pending
 	pt.mu.Lock()
-	att, ok := pt.byToken[fr.Token]
-	switch {
-	case !ok:
-		pt.mu.Unlock()
+	att, ok := pt.byToken[token]
+	pt.mu.Unlock()
+	if !ok {
 		// Unknown token: a late or already-cancelled completion. Echo it
-		// as DoneToken so a TLS flight's untrusted per-token state is
-		// dropped; for a plain token that cleanup is a no-op.
-		return resumeReply{State: resumeOrphan, DoneToken: fr.Token}
-	case att.flight != nil:
-		// TLS attempt: this completion is a ciphertext step, not a fetch
-		// reply. The flight driver advances the trusted TLS state machine
-		// and re-enters completeFetchLocked only on a terminal outcome.
-		pt.mu.Unlock()
-		return ts.resumeTLSFlight(env, att, arg)
+		// as DoneToken so the flight's untrusted per-token state is dropped.
+		return resumeReply{State: resumeOrphan, DoneToken: token}
 	}
-	delete(pt.byToken, fr.Token)
-	att.done = true
-	return ts.completeFetchLocked(env, att, &fr)
+	return ts.resumeTLSFlight(env, att, arg)
 }
 
-// completeFetchLocked is the completion tail shared by plain fetches and
-// terminal TLS flight outcomes: breaker accounting, hedge arbitration,
-// failover, and the winner's settle → seal.
+// completeFetchLocked is a flight's terminal outcome taken into the
+// pending table. It performs the upstream accounting the blocking walk
+// does inline (breaker, served counters), arbitrates hedges (first success
+// wins), fails over when every outstanding attempt is gone, and on the
+// winning response settles the request and builds its final reply,
+// readying any coalesced followers.
 // Entered with the table lock HELD, att.done already set and its token
 // removed; the lock is released before returning.
 func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt, fr *fetchReply) resumeReply {
@@ -286,7 +287,7 @@ func (ts *trustedState) failOverLocked(env enclave.Env, pt *pendingTable, p *pen
 		pt.mu.Unlock()
 		return rr
 	}
-	att := pt.reserveAttempt(p, next, false)
+	att := ts.reserveAttempt(p, next, false)
 	pt.mu.Unlock()
 	if err := ts.submitFetch(env, p, att); err != nil {
 		pt.unreserve(att)
@@ -348,18 +349,16 @@ func outstanding(p *pendingReq) int {
 }
 
 // cancelTokens collects the tokens of still-outstanding attempts so the
-// runtime can abort the losers, aborting any TLS flights among them
-// first — trusted-side, before the CancelTokens ever reach the runtime —
-// so a loser's coroutine is already unwinding when its socket dies.
+// runtime can abort the losers, aborting their flights first —
+// trusted-side, before the CancelTokens ever reach the runtime — so a
+// loser's coroutine is already unwinding when its socket dies.
 // Caller holds the table lock.
 func cancelTokens(p *pendingReq) []uint64 {
 	var toks []uint64
 	for _, a := range p.attempts {
 		if !a.done {
 			toks = append(toks, a.token)
-			if a.flight != nil {
-				a.flight.abort()
-			}
+			a.flight.abort()
 		}
 	}
 	return toks
@@ -415,7 +414,7 @@ func (ts *trustedState) handleHedge(env enclave.Env, arg []byte) ([]byte, error)
 	}
 	p.hedges++
 	more := p.hedges < ts.hedgeMax
-	att := pt.reserveAttempt(p, u, true)
+	att := ts.reserveAttempt(p, u, true)
 	pt.mu.Unlock()
 	ts.hedgeAttempts.Add(1)
 	if err := ts.submitFetch(env, p, att); err != nil {
@@ -487,9 +486,7 @@ func (ts *trustedState) handleAbandon(_ enclave.Env, arg []byte) ([]byte, error)
 			delete(pt.byToken, a.token)
 			toks = append(toks, a.token)
 			cancelled = append(cancelled, a.u)
-			if a.flight != nil {
-				a.flight.abort()
-			}
+			a.flight.abort()
 		}
 	}
 	if pt.byKey[p.key] == p {

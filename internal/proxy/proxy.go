@@ -314,12 +314,6 @@ func New(cfg Config) (*Proxy, error) {
 		if cfg.BatchMax > 0 && cfg.BatchWindow == 0 {
 			cfg.BatchWindow = DefaultBatchWindow
 		}
-		tlsUpstreams := false
-		for _, e := range engines {
-			if len(e.RootsPEM) > 0 {
-				tlsUpstreams = true
-			}
-		}
 		// One worker per possible concurrent fetch (each staged request
 		// can have its primary plus HedgeMax hedges in flight at once) so
 		// a full pipeline never queues behind a busy worker. Explicit
@@ -347,25 +341,23 @@ func New(cfg Config) (*Proxy, error) {
 		if cfg.BatchMax > 0 {
 			needNote += fmt.Sprintf(" +%d batch-burst headroom", cfg.BatchMax)
 		}
-		if tlsUpstreams {
-			// A TLS flight keeps at most one "tls_step" in the ring at a
-			// time (strict ping-pong), but terminal steps also carry
-			// fire-and-forget close batches (pool evictions, loser
-			// teardown) submitted while a TCS is held. Give every
-			// possible attempt one slot of close headroom so a burst of
-			// terminals cannot block an ecall on a full ring.
-			workersNeed += cfg.PipelineDepth * (1 + cfg.HedgeMax)
-			needNote += " ×2 TLS close-step headroom"
+		// A flight keeps at most one "tls_step" in the ring at a time
+		// (strict ping-pong), but terminal steps also carry
+		// fire-and-forget close batches (pool evictions, loser teardown)
+		// submitted while a TCS is held. Give every possible attempt one
+		// slot of close headroom so a burst of terminals cannot block an
+		// ecall on a full ring.
+		workersNeed += cfg.PipelineDepth * (1 + cfg.HedgeMax)
+		needNote += " ×2 close-step headroom"
+		if d := cfg.EnclaveConfig.AsyncRingDepth; d != 0 && d < workersNeed {
+			return nil, fmt.Errorf("proxy: EnclaveConfig.AsyncRingDepth %d below the pipeline's requirement %d (PipelineDepth%s): undersized rings can deadlock the pipeline — raise AsyncRingDepth or lower PipelineDepth",
+				d, workersNeed, needNote)
 		}
 		if cfg.EnclaveConfig.AsyncWorkers == 0 {
 			cfg.EnclaveConfig.AsyncWorkers = workersNeed
 		} else if cfg.EnclaveConfig.AsyncWorkers < workersNeed {
 			return nil, fmt.Errorf("proxy: EnclaveConfig.AsyncWorkers %d below the pipeline's requirement %d (PipelineDepth%s): undersized rings can deadlock the pipeline — raise AsyncWorkers or lower PipelineDepth",
 				cfg.EnclaveConfig.AsyncWorkers, workersNeed, needNote)
-		}
-		if d := cfg.EnclaveConfig.AsyncRingDepth; d != 0 && d < workersNeed {
-			return nil, fmt.Errorf("proxy: EnclaveConfig.AsyncRingDepth %d below the pipeline's requirement %d (PipelineDepth%s): undersized rings can deadlock the pipeline — raise AsyncRingDepth or lower PipelineDepth",
-				d, workersNeed, needNote)
 		}
 	}
 	platform := cfg.Platform
@@ -450,7 +442,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.AsyncOcalls {
 		trusted.pending = newPendingTable()
 		trusted.hedgeMax = cfg.HedgeMax
-		trusted.asyncKeepAlive = cfg.PoolSize > 0
 		trusted.flightStop = make(chan struct{})
 	}
 	if cfg.CacheBytes > 0 {
@@ -477,7 +468,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v2.2 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v2.3 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
@@ -546,7 +537,8 @@ func New(cfg Config) (*Proxy, error) {
 
 	conns := newConnTable(cfg.EngineLink)
 	if cfg.AsyncOcalls {
-		conns.enableFetcher(cfg.PoolSize, cfg.PoolIdleTimeout, cfg.FetchTimeout, trusted.stages)
+		conns.fetch = newFetcher(conns)
+		trusted.recordFetch = conns.fetch.record
 	}
 	for name, h := range conns.handlers() {
 		if err := encl.RegisterOCall(name, h); err != nil {
@@ -734,7 +726,7 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 		// Cancel in-flight fetches BEFORE stopping the resume workers:
 		// stragglers past the drain deadline then flow through the resume
 		// ecall's cancelled-completion path and finalize with a definitive
-		// reply (the closed fetcher cancels their failovers too) instead
+		// reply (the closed step handler cancels their failovers too) instead
 		// of parking until the stop signal. The bounded re-drain gives
 		// those cancelled completions time to traverse the rings — without
 		// it, close(stop) races the completion and the straggler usually

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -14,7 +13,6 @@ import (
 
 	"xsearch/internal/metrics"
 	"xsearch/internal/netsim"
-	"xsearch/internal/obs"
 )
 
 // sha256Sum is the hash primitive available to trusted code.
@@ -33,7 +31,7 @@ type connTable struct {
 	// (one traversal on connect, one per request write, one per
 	// response's first read).
 	link *netsim.Link
-	// fetch is the async-fetch worker state (nil unless the proxy runs
+	// fetch is the flight-step handler state (nil unless the proxy runs
 	// the async ocall pipeline).
 	fetch *fetcher
 }
@@ -44,16 +42,6 @@ func newConnTable(link *netsim.Link) *connTable {
 		dialTimeout: 10 * time.Second,
 		link:        link,
 	}
-}
-
-// enableFetcher attaches the async-fetch worker state (untrusted keep-alive
-// pools, cancellation registry, per-upstream latency histograms) used by
-// the "fetch" ocall the pipeline submits to. timeout, when positive, bounds
-// each exchange's read phase (Config.FetchTimeout). stages, when non-nil,
-// receives the fetch-stage wall time of each successful exchange.
-func (ct *connTable) enableFetcher(maxIdle int, idleTTL, timeout time.Duration, stages *obs.Stages) {
-	ct.fetch = newFetcher(ct, maxIdle, idleTTL, timeout)
-	ct.fetch.stages = stages
 }
 
 // delayedConn injects link latency around a request/response exchange.
@@ -96,10 +84,9 @@ func (ct *connTable) handlers() map[string]func([]byte) ([]byte, error) {
 		"sock_check":   ct.ocallCheck,
 	}
 	if ct.fetch != nil {
-		// The pipeline's composite exchange, serviced by the switchless
-		// worker goroutines instead of a blocking per-socket ocall chain.
-		h["fetch"] = ct.fetch.ocallFetch
-		// One ciphertext I/O round of an in-enclave TLS flight.
+		// One socket I/O round of an engine flight, serviced by the
+		// switchless worker goroutines instead of a blocking per-socket
+		// ocall chain.
 		h["tls_step"] = ct.fetch.ocallTLSStep
 	}
 	return h
@@ -266,8 +253,8 @@ func probeConn(conn net.Conn) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// closeAll reaps any connections the enclave leaked, plus the async
-// fetcher's pools and in-flight exchanges.
+// closeAll reaps any connections the enclave leaked, plus the flights'
+// pooled and mid-step conns.
 func (ct *connTable) closeAll() {
 	ct.mu.Lock()
 	for fd, conn := range ct.conns {
@@ -280,302 +267,78 @@ func (ct *connTable) closeAll() {
 	}
 }
 
-// --- async fetch worker (the "fetch" ocall) ---
+// --- engine flight steps (the "tls_step" ocall) ---
 
-// fetcher performs whole engine exchanges for the async pipeline: each
-// "fetch" ocall dials (or reuses) an untrusted keep-alive connection,
-// writes one GET, reads one framed HTTP response, and returns it as a
-// fetchReply for the resume ecall to validate. It runs entirely in the
-// untrusted runtime — which is exactly where the sync path's socket bytes
-// already flow — and the enclave re-checks every cap on the way back in.
-// It also owns hedge-loser cancellation (closing the loser's socket) and
-// the per-upstream fetch-latency histograms that drive the p95-derived
-// hedge delay.
+// fetcher is the untrusted end of the async engine stage. A fetch is a
+// trusted flight (tlsasync.go) — pooled sessions, HTTP framing and, for a
+// pinned-root upstream, the whole TLS state machine live inside the
+// enclave — and everything it needs from the host is one "tls_step" ocall
+// per socket I/O round, serviced here by the switchless worker goroutines:
+// dial, write, read at most tlsStepReadMax, close. It also owns flight
+// cancellation (closing a hedge loser's socket) and the per-upstream
+// fetch-latency histograms that drive the p95-derived hedge delay.
 type fetcher struct {
-	ct      *connTable
-	maxIdle int
-	idleTTL time.Duration
-	// timeout, when positive, is the per-exchange read deadline: an
-	// upstream that accepts but never responds fails the fetch after this
-	// long instead of pinning the worker until hedge/abandon/shutdown
-	// cancels it. The resulting reply carries an error, so the enclave's
-	// resume path counts it against the upstream's breaker like any other
-	// transport failure.
-	timeout time.Duration
+	ct *connTable
 
-	// stages, when non-nil, receives each successful exchange's wall time
-	// under the fetch stage (observability layer; nil-safe no-op off).
-	stages *obs.Stages
-
-	mu       sync.Mutex
-	idle     map[string][]idleFetchConn // per host, oldest first
-	inflight map[uint64]*fetchOp
-	hist     map[string]*metrics.Histogram
-	closed   bool
-
-	// In-enclave TLS flight state. tlsConns maps the enclave-minted conn
-	// handles to their ciphertext sockets (a conn outlives one flight
-	// when its TLS session is pooled trusted-side); tlsByToken binds each
-	// live flight token to its current conn so cancelFetch can reach the
-	// socket mid-step; tlsCancelled tombstones cancelled tokens so a step
-	// already in the ring aborts on arrival. Token entries are dropped on
-	// the terminal resume's DoneToken (endTLS).
-	tlsConns     map[uint64]net.Conn
-	tlsByToken   map[uint64]uint64
-	tlsCancelled map[uint64]bool
+	mu     sync.Mutex
+	hist   map[string]*metrics.Histogram
+	closed bool
+	// conns maps the enclave-minted conn handles to their sockets (a conn
+	// outlives one flight when its session is pooled trusted-side);
+	// byToken binds each live flight token to its current conn so
+	// cancelFetch can reach the socket mid-step; cancelled tombstones
+	// cancelled tokens so a step already in the ring aborts on arrival.
+	// Token entries are dropped on the terminal resume's DoneToken
+	// (endFlight).
+	conns     map[uint64]net.Conn
+	byToken   map[uint64]uint64
+	cancelled map[uint64]bool
 }
 
-type idleFetchConn struct {
-	conn  net.Conn
-	since time.Time
-}
-
-// fetchOp is one in-flight exchange, registered so cancelFetch can reach
-// its socket.
-type fetchOp struct {
-	cancelled bool
-	conn      net.Conn
-}
-
-func newFetcher(ct *connTable, maxIdle int, idleTTL, timeout time.Duration) *fetcher {
+func newFetcher(ct *connTable) *fetcher {
 	return &fetcher{
-		ct:           ct,
-		maxIdle:      maxIdle,
-		idleTTL:      idleTTL,
-		timeout:      timeout,
-		idle:         make(map[string][]idleFetchConn),
-		inflight:     make(map[uint64]*fetchOp),
-		hist:         make(map[string]*metrics.Histogram),
-		tlsConns:     make(map[uint64]net.Conn),
-		tlsByToken:   make(map[uint64]uint64),
-		tlsCancelled: make(map[uint64]bool),
+		ct:        ct,
+		hist:      make(map[string]*metrics.Histogram),
+		conns:     make(map[uint64]net.Conn),
+		byToken:   make(map[uint64]uint64),
+		cancelled: make(map[uint64]bool),
 	}
-}
-
-// ocallFetch services one composite exchange. It never fails at the ocall
-// layer: transport errors travel inside the fetchReply so the token always
-// reaches the enclave.
-func (f *fetcher) ocallFetch(arg []byte) ([]byte, error) {
-	var fa fetchArg
-	if err := json.Unmarshal(arg, &fa); err != nil {
-		return nil, fmt.Errorf("proxy: fetch arg: %w", err)
-	}
-	reply := f.do(&fa)
-	reply.Token = fa.Token
-	return json.Marshal(reply)
-}
-
-func (f *fetcher) do(fa *fetchArg) fetchReply {
-	start := time.Now()
-	op := &fetchOp{}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return fetchReply{Cancelled: true}
-	}
-	f.inflight[fa.Token] = op
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		delete(f.inflight, fa.Token)
-		f.mu.Unlock()
-	}()
-
-	for attempt := 0; ; attempt++ {
-		// Retries force a fresh dial, as the sync path does: a second
-		// pooled conn from the same restarted engine would be just as
-		// stale and burn the only retry.
-		var conn net.Conn
-		var reused bool
-		if attempt == 0 {
-			conn, reused = f.checkout(fa.Host)
-		}
-		if conn == nil {
-			c, err := f.ct.dial(fa.Host)
-			if err != nil {
-				return f.outcome(op, err.Error())
-			}
-			conn = c
-		}
-		f.mu.Lock()
-		if op.cancelled {
-			f.mu.Unlock()
-			_ = conn.Close()
-			return fetchReply{Cancelled: true}
-		}
-		op.conn = conn
-		f.mu.Unlock()
-
-		if err := writeEngineRequest(conn, fa.Host, fa.Path, fa.KeepAlive); err != nil {
-			_ = conn.Close()
-			if reused && attempt == 0 && !f.isCancelled(op) {
-				continue // stale pooled conn: retry once on a fresh dial
-			}
-			return f.outcome(op, fmt.Sprintf("send request: %v", err))
-		}
-		if f.timeout > 0 {
-			// One absolute deadline covers the whole framed response: an
-			// upstream that accepted but never answers (or stalls mid-body)
-			// fails here instead of pinning this worker indefinitely.
-			_ = conn.SetReadDeadline(time.Now().Add(f.timeout))
-		}
-		br := bufio.NewReader(conn)
-		body, status, keepAlive, err := readHTTPResponse(br)
-		if err != nil {
-			_ = conn.Close()
-			// A deadline expiry is the upstream being slow, not the pooled
-			// stream being stale — a fresh dial would wait the whole
-			// timeout again, doubling the worst case, so only non-timeout
-			// failures on a reused conn earn the retry.
-			var ne net.Error
-			timedOut := errors.As(err, &ne) && ne.Timeout()
-			if reused && attempt == 0 && !timedOut && !f.isCancelled(op) {
-				continue
-			}
-			return f.outcome(op, fmt.Sprintf("read response: %v", err))
-		}
-		if f.timeout > 0 {
-			_ = conn.SetReadDeadline(time.Time{})
-		}
-		f.mu.Lock()
-		cancelled := op.cancelled
-		op.conn = nil
-		f.mu.Unlock()
-		// Pool only a stream sitting exactly at a response boundary (the
-		// same smuggling guard the in-enclave pool applies).
-		if fa.KeepAlive && keepAlive && br.Buffered() == 0 && !cancelled {
-			f.checkin(fa.Host, conn)
-		} else {
-			_ = conn.Close()
-		}
-		if cancelled {
-			return fetchReply{Cancelled: true}
-		}
-		f.record(fa.Host, time.Since(start))
-		f.stages.Since(obs.StageFetch, start)
-		return fetchReply{Status: status, Body: body}
-	}
-}
-
-// outcome folds a transport failure into a reply, reporting cancellation
-// instead when the failure was self-inflicted by cancelFetch closing the
-// socket mid-exchange.
-func (f *fetcher) outcome(op *fetchOp, errstr string) fetchReply {
-	f.mu.Lock()
-	cancelled := op.cancelled
-	op.conn = nil
-	f.mu.Unlock()
-	if cancelled {
-		return fetchReply{Cancelled: true}
-	}
-	return fetchReply{Err: errstr}
-}
-
-func (f *fetcher) isCancelled(op *fetchOp) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return op.cancelled
 }
 
 // cancelFetch aborts an in-flight exchange: the hedge winner landed and
-// this token lost the race. Closing the socket unblocks the worker; its
-// completion comes back marked Cancelled.
+// this token lost the race, or its caller gave up. The token is tombstoned
+// — a step already sitting in the ring cancels on arrival — and its
+// current conn closed to unblock a handler mid-read; the completion comes
+// back marked Cancelled. The tombstone set is size-bounded best-effort
+// (terminal resumes clear their own entries via endFlight; closeAll is the
+// correctness net for the rest).
 func (f *fetcher) cancelFetch(token uint64) {
 	f.mu.Lock()
-	op, ok := f.inflight[token]
 	var conn net.Conn
-	if ok {
-		op.cancelled = true
-		conn = op.conn
+	if id, live := f.byToken[token]; live {
+		conn = f.conns[id]
+		delete(f.conns, id)
+		delete(f.byToken, token)
 	}
-	// TLS flights: tombstone the token — a step already sitting in the
-	// ring cancels on arrival — and close its current ciphertext conn to
-	// unblock a handler mid-read. The tombstone set is size-bounded
-	// best-effort (terminal resumes clear their own entries via endTLS;
-	// closeAll is the correctness net for the rest).
-	var tlsConn net.Conn
-	if id, live := f.tlsByToken[token]; live {
-		tlsConn = f.tlsConns[id]
-		delete(f.tlsConns, id)
-		delete(f.tlsByToken, token)
+	if len(f.cancelled) > 1024 {
+		clear(f.cancelled)
 	}
-	if len(f.tlsCancelled) > 1024 {
-		clear(f.tlsCancelled)
-	}
-	f.tlsCancelled[token] = true
+	f.cancelled[token] = true
 	f.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
 	}
-	if tlsConn != nil {
-		_ = tlsConn.Close()
-	}
 }
 
-// endTLS drops a TLS flight token's untrusted state once its trusted
-// state machine reached a terminal outcome (resumeReply.DoneToken). The
-// conn itself may live on — a pooled TLS session keeps its ciphertext
-// socket registered under its conn handle.
-func (f *fetcher) endTLS(token uint64) {
-	if token == 0 {
-		return
-	}
+// endFlight drops a flight token's untrusted state once its trusted state
+// machine reached a terminal outcome (resumeReply.DoneToken). The conn
+// itself may live on — a pooled session keeps its socket registered under
+// its conn handle.
+func (f *fetcher) endFlight(token uint64) {
 	f.mu.Lock()
-	delete(f.tlsByToken, token)
-	delete(f.tlsCancelled, token)
+	delete(f.byToken, token)
+	delete(f.cancelled, token)
 	f.mu.Unlock()
-}
-
-// checkout pops the freshest healthy pooled connection for host, evicting
-// idle-expired and dead ones.
-func (f *fetcher) checkout(host string) (net.Conn, bool) {
-	now := time.Now()
-	for {
-		f.mu.Lock()
-		list := f.idle[host]
-		if len(list) == 0 {
-			f.mu.Unlock()
-			return nil, false
-		}
-		// Expire from the oldest end first.
-		if f.idleTTL > 0 && now.Sub(list[0].since) > f.idleTTL {
-			victim := list[0].conn
-			f.idle[host] = list[1:]
-			f.mu.Unlock()
-			_ = victim.Close()
-			continue
-		}
-		cand := list[len(list)-1].conn
-		f.idle[host] = list[:len(list)-1]
-		f.mu.Unlock()
-		if !probeConn(cand) {
-			_ = cand.Close()
-			continue
-		}
-		return cand, true
-	}
-}
-
-// checkin returns a connection to host's pool, evicting the oldest when
-// full.
-func (f *fetcher) checkin(host string, conn net.Conn) {
-	var victim net.Conn
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	list := f.idle[host]
-	if f.maxIdle > 0 && len(list) >= f.maxIdle {
-		victim = list[0].conn
-		list = list[1:]
-	}
-	f.idle[host] = append(list, idleFetchConn{conn: conn, since: time.Now()})
-	f.mu.Unlock()
-	if victim != nil {
-		_ = victim.Close()
-	}
 }
 
 // record adds one successful exchange's latency to host's histogram.
@@ -598,70 +361,64 @@ func (f *fetcher) latencyFor(host string) *metrics.Histogram {
 	return f.hist[host]
 }
 
-// closeAll closes pooled and in-flight connections (shutdown/crash).
+// closeAll closes every registered conn, pooled or mid-step
+// (shutdown/crash); steps arriving afterwards report cancellation.
 func (f *fetcher) closeAll() {
 	f.mu.Lock()
 	f.closed = true
-	var conns []net.Conn
-	for host, list := range f.idle {
-		for _, ic := range list {
-			conns = append(conns, ic.conn)
-		}
-		delete(f.idle, host)
-	}
-	for _, op := range f.inflight {
-		op.cancelled = true
-		if op.conn != nil {
-			conns = append(conns, op.conn)
-		}
-	}
-	for id, c := range f.tlsConns {
+	conns := make([]net.Conn, 0, len(f.conns))
+	for _, c := range f.conns {
 		conns = append(conns, c)
-		delete(f.tlsConns, id)
 	}
-	clear(f.tlsByToken)
-	clear(f.tlsCancelled)
+	clear(f.conns)
+	clear(f.byToken)
+	clear(f.cancelled)
 	f.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
 	}
 }
 
-// --- in-enclave TLS ciphertext steps (the "tls_step" ocall) ---
+// stepBufs recycles the handler's read buffers: a step reads into one and
+// its reply frame copies out only the bytes that arrived.
+var stepBufs = sync.Pool{New: func() any { return new([tlsStepReadMax]byte) }}
 
-// ocallTLSStep services one ciphertext round of a trusted TLS flight.
-// Like ocallFetch it never fails at the ocall layer for a live flight:
-// transport errors travel inside the reply so the token always reaches
-// the enclave. A step with Token 0 is a pure close batch and returns no
-// payload at all — the resume loop skips empty completions.
+// ocallTLSStep services one I/O round of a trusted flight. It never fails
+// at the ocall layer for a live flight: transport errors travel inside the
+// reply so the token always reaches the enclave. A step with Token 0 is a
+// pure close batch and returns no payload at all — the resume loop skips
+// empty completions.
 func (f *fetcher) ocallTLSStep(arg []byte) ([]byte, error) {
 	var sa tlsStepArg
-	if err := json.Unmarshal(arg, &sa); err != nil {
+	if err := sa.decode(arg); err != nil {
 		return nil, fmt.Errorf("proxy: tls step arg: %w", err)
 	}
+	f.closeConns(sa.Close)
 	if sa.Token == 0 {
-		f.closeTLSConns(sa.Close)
 		return nil, nil
 	}
-	reply := f.tlsStep(&sa)
+	buf := stepBufs.Get().(*[tlsStepReadMax]byte)
+	reply := f.step(&sa, buf[:])
 	reply.Token = sa.Token
-	return json.Marshal(reply)
+	out := reply.encode()
+	stepBufs.Put(buf)
+	return out, nil
 }
 
-func (f *fetcher) tlsStep(sa *tlsStepArg) tlsStepReply {
-	f.closeTLSConns(sa.Close)
+// step runs one live step; Data of its reply aliases buf.
+func (f *fetcher) step(sa *tlsStepArg, buf []byte) tlsStepReply {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return tlsStepReply{Cancelled: true}
 	}
-	if f.tlsCancelled[sa.Token] {
+	if f.cancelled[sa.Token] {
 		// Tombstoned before the step ran: close whatever conn it names
 		// and report the cancellation instead of doing I/O for a flight
 		// the enclave already wrote off.
 		f.mu.Unlock()
 		if !sa.Dial && sa.ConnID != 0 {
-			f.closeTLSConns([]uint64{sa.ConnID})
+			f.closeConns([]uint64{sa.ConnID})
 		}
 		return tlsStepReply{Cancelled: true}
 	}
@@ -675,30 +432,30 @@ func (f *fetcher) tlsStep(sa *tlsStepArg) tlsStepReply {
 		}
 		conn = c
 		f.mu.Lock()
-		if f.closed || f.tlsCancelled[sa.Token] {
+		if f.closed || f.cancelled[sa.Token] {
 			f.mu.Unlock()
 			_ = conn.Close()
 			return tlsStepReply{Cancelled: true}
 		}
-		f.tlsConns[sa.ConnID] = conn
-		f.tlsByToken[sa.Token] = sa.ConnID
+		f.conns[sa.ConnID] = conn
+		f.byToken[sa.Token] = sa.ConnID
 		f.mu.Unlock()
 	} else {
 		f.mu.Lock()
-		conn = f.tlsConns[sa.ConnID]
+		conn = f.conns[sa.ConnID]
 		if conn != nil {
-			f.tlsByToken[sa.Token] = sa.ConnID
+			f.byToken[sa.Token] = sa.ConnID
 		}
 		f.mu.Unlock()
 		if conn == nil {
-			return tlsStepReply{Err: fmt.Sprintf("unknown tls conn %d", sa.ConnID)}
+			return tlsStepReply{Err: fmt.Sprintf("unknown conn %d", sa.ConnID)}
 		}
 	}
 
 	if len(sa.Send) > 0 {
 		if _, err := conn.Write(sa.Send); err != nil {
-			f.dropTLSConn(sa.Token, sa.ConnID)
-			return f.tlsOutcome(sa.Token, fmt.Sprintf("send: %v", err))
+			f.dropConn(sa.Token, sa.ConnID)
+			return f.outcome(sa.Token, fmt.Sprintf("send: %v", err))
 		}
 	}
 	if !sa.Read {
@@ -712,31 +469,30 @@ func (f *fetcher) tlsStep(sa *tlsStepArg) tlsStepReply {
 	} else {
 		_ = conn.SetReadDeadline(time.Time{})
 	}
-	buf := make([]byte, tlsStepReadMax)
 	n, err := conn.Read(buf)
 	switch {
 	case err == io.EOF:
-		f.dropTLSConn(sa.Token, sa.ConnID)
+		f.dropConn(sa.Token, sa.ConnID)
 		return tlsStepReply{Data: buf[:n], EOF: true}
 	case err != nil:
-		f.dropTLSConn(sa.Token, sa.ConnID)
-		return f.tlsOutcome(sa.Token, fmt.Sprintf("read: %v", err))
+		f.dropConn(sa.Token, sa.ConnID)
+		return f.outcome(sa.Token, fmt.Sprintf("read: %v", err))
 	default:
 		return tlsStepReply{Data: buf[:n]}
 	}
 }
 
-// closeTLSConns closes and deregisters a batch of ciphertext conns.
-func (f *fetcher) closeTLSConns(ids []uint64) {
+// closeConns closes and deregisters a batch of conns.
+func (f *fetcher) closeConns(ids []uint64) {
 	if len(ids) == 0 {
 		return
 	}
 	var conns []net.Conn
 	f.mu.Lock()
 	for _, id := range ids {
-		if c, ok := f.tlsConns[id]; ok {
+		if c, ok := f.conns[id]; ok {
 			conns = append(conns, c)
-			delete(f.tlsConns, id)
+			delete(f.conns, id)
 		}
 	}
 	f.mu.Unlock()
@@ -745,27 +501,28 @@ func (f *fetcher) closeTLSConns(ids []uint64) {
 	}
 }
 
-// dropTLSConn closes a conn that just failed under its flight and drops
-// the token binding (the enclave-side flight marks it dead too).
-func (f *fetcher) dropTLSConn(token, connID uint64) {
+// dropConn closes a conn that just failed under its flight and drops the
+// token binding (the enclave-side flight marks it dead too).
+func (f *fetcher) dropConn(token, connID uint64) {
 	var conn net.Conn
 	f.mu.Lock()
-	if c, ok := f.tlsConns[connID]; ok {
+	if c, ok := f.conns[connID]; ok {
 		conn = c
-		delete(f.tlsConns, connID)
+		delete(f.conns, connID)
 	}
-	delete(f.tlsByToken, token)
+	delete(f.byToken, token)
 	f.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
 	}
 }
 
-// tlsOutcome folds a step failure into a reply, reporting cancellation
-// when the failure was self-inflicted by cancelFetch closing the socket.
-func (f *fetcher) tlsOutcome(token uint64, errstr string) tlsStepReply {
+// outcome folds a step failure into a reply, reporting cancellation when
+// the failure was self-inflicted by cancelFetch or closeAll closing the
+// socket.
+func (f *fetcher) outcome(token uint64, errstr string) tlsStepReply {
 	f.mu.Lock()
-	cancelled := f.tlsCancelled[token]
+	cancelled := f.closed || f.cancelled[token]
 	f.mu.Unlock()
 	if cancelled {
 		return tlsStepReply{Cancelled: true}

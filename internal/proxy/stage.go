@@ -346,18 +346,25 @@ func (ts *trustedState) roundTripAndSettle(env enclave.Env, e *entry) ([]core.Re
 // and the request parks in the pending table; the entry settles with a
 // Pending reply and the "resume" ecall finishes the request later.
 //
-// Identical queries inside one batch do NOT coalesce onto each other: the
-// coalescing key is published only after a leader's fetch is airborne,
-// and publication happens after the whole burst, so same-key entries each
-// lead their own flight — exactly the window two concurrent crossings
-// already race through.
+// A leader's coalescing key is published in the same critical section
+// that reserves its attempt, so an identical query arriving at any later
+// instant — a later entry of this batch, or a concurrent crossing —
+// attaches as a follower instead of leading a second flight. The price is
+// the window between reservation and submission: a follower can attach to
+// a leader whose submission then fails, and follower wake-ups ride the
+// "resume" reply a failed submission never produces. So a follower does
+// not leave this crossing before its leader's submission has resolved
+// (launched): it waits on the table's condition — microseconds, the
+// leader is between its reservation and a ring push on another TCS — and
+// if the leader never got airborne it takes the leader's error as its own
+// reply, here, with no parked state left behind.
 func (ts *trustedState) park(env enclave.Env, es []entry) {
 	pt := ts.pending
 	coalesce := ts.flights != nil // same switch as the blocking stage
 
 	// One pending-table critical section builds every entry's flight —
 	// follower attach, or leader create + candidate + attempt reservation
-	// (registered BEFORE submission, the table's invariant).
+	// (registered BEFORE submission, the table's invariant) + key.
 	pt.mu.Lock()
 	for i := range es {
 		e := &es[i]
@@ -379,8 +386,11 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		e.p.path = enginePath(e.oq, e.count)
 		e.p.tried = make(map[*upstream]bool)
 		if u := ts.nextCandidate(e.p); u != nil {
-			e.att = pt.reserveAttempt(e.p, u, false)
+			e.att = ts.reserveAttempt(e.p, u, false)
 			pt.byID[e.p.id] = e.p
+			if coalesce {
+				pt.byKey[e.key] = e.p
+			}
 		}
 	}
 	pt.mu.Unlock()
@@ -392,7 +402,6 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 	// ErrDestroyed instead of leaving them parked with no fetch in flight
 	// (no resume would ever finalize them). Never under the table lock: a
 	// full ring blocks, and the resume path needs the lock to drain it.
-	airborne := false
 	for i := range es {
 		e := &es[i]
 		if e.settled {
@@ -402,6 +411,17 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		switch {
 		case e.p.leader != nil:
 			ts.coalesce.Hit()
+			pt.mu.Lock()
+			for !e.p.leader.launched {
+				pt.launch.Wait()
+			}
+			_, parked := pt.byID[e.p.id]
+			pt.mu.Unlock()
+			if !parked {
+				// The leader never got airborne and released this entry.
+				ts.reply(e, nil, e.p.errstr)
+				continue
+			}
 		case e.att == nil:
 			// No upstream would take it; the request was never indexed.
 			if e.p.lastErr == "" {
@@ -415,15 +435,11 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			}
 			if err := ts.submitFetch(env, e.p, e.att); err != nil {
 				pt.unreserve(e.att)
-				pt.mu.Lock()
-				e.p.done = true
-				delete(pt.byID, e.p.id)
-				pt.mu.Unlock()
-				e.att = nil
+				pt.launched(e.p, err.Error())
 				ts.reply(e, nil, err.Error())
 				continue
 			}
-			airborne = true
+			pt.launched(e.p, "")
 			host = e.att.u.host
 		}
 		// Followers carry only the pending id; leaders also name their
@@ -434,28 +450,6 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			CanHedge: host != "" && ts.hedgeMax > 0 && len(ts.registry.ups) > 1,
 		}
 		e.settle(parked.encode(), nil)
-	}
-
-	// Publish the coalescing keys only once the fetches are airborne: a
-	// leader published before its submission could collect followers in
-	// the failure window, and the cleanup above has no way to ready them
-	// (follower wake-ups ride the resume ecall's reply, which a failed
-	// submission never produces). A completion that already finalized the
-	// request must not resurrect the key, and a concurrent leader that
-	// published first keeps the key while it lives (displacing it would
-	// strand its coalescing window).
-	if coalesce && airborne {
-		pt.mu.Lock()
-		for i := range es {
-			e := &es[i]
-			if e.att == nil {
-				continue
-			}
-			if existing, ok := pt.byKey[e.key]; !e.p.done && (!ok || existing.done) {
-				pt.byKey[e.key] = e.p
-			}
-		}
-		pt.mu.Unlock()
 	}
 }
 

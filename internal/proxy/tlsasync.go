@@ -3,7 +3,6 @@ package proxy
 import (
 	"bufio"
 	"crypto/tls"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,33 +17,37 @@ import (
 	"xsearch/internal/obs"
 )
 
-// This file puts in-enclave TLS on the switchless async pipeline.
+// This file is the async engine stage's one transport: every fetch the
+// pipeline issues — to a pinned-root HTTPS upstream or a plain-TCP one —
+// is a flight over the switchless rings.
 //
-// crypto/tls is a blocking state machine: it cannot be driven one ring
-// completion at a time. Instead each TLS fetch attempt runs as a trusted
-// coroutine (a goroutine inside the simulated enclave) speaking the
-// ordinary blocking crypto/tls + HTTP exchange over a stepConn adapter.
-// The adapter never touches a socket: every time the TLS layer needs
-// network I/O the coroutine parks on an unbuffered channel and hands the
-// resume worker a tlsStepArg — dial/send/read/close instructions for ONE
-// async "tls_step" ocall. The worker submits it to the ring and returns;
-// the request stays parked in the pending table with no TCS held. When
-// the ciphertext completion arrives, the resume ecall feeds it back in
-// and the coroutine runs to its next I/O point. Handshake and record
-// crypto never leave the trusted boundary; the host sees only ciphertext
-// and timing, exactly as on the blocking path.
+// crypto/tls and the HTTP response reader are blocking state machines:
+// they cannot be driven one ring completion at a time. Instead each fetch
+// attempt runs as a trusted coroutine (a goroutine inside the simulated
+// enclave) speaking the ordinary blocking exchange over a stepConn
+// adapter — crypto/tls on top of it when the upstream pins roots, the
+// HTTP exchange directly on it otherwise. The adapter never touches a
+// socket: every time the exchange needs network I/O the coroutine parks
+// on an unbuffered channel and hands the resume worker a tlsStepArg —
+// dial/send/read/close instructions for ONE async "tls_step" ocall. The
+// worker submits it to the ring and returns; the request stays parked in
+// the pending table with no TCS held. When the completion arrives, the
+// resume ecall feeds it back in and the coroutine runs to its next I/O
+// point. Handshake, record crypto and HTTP framing never leave the
+// trusted boundary; the host sees what it sees on the blocking path —
+// ciphertext and timing under TLS, the obfuscated request otherwise.
 //
 // Strictly one step is outstanding per flight (ping-pong over unbuffered
 // channels), so a TCS is occupied only while the coroutine is computing,
 // and the abort paths (hedge loser, abandon, shutdown) always find the
 // driver parked at a select that also watches the cancel/stop channels.
 
-// tlsStepReadMax bounds one step's returned ciphertext. The handler
-// reads at most this much per step; a larger reply is the untrusted
-// runtime violating the cap and fails the exchange.
+// tlsStepReadMax bounds one step's returned bytes. The handler reads at
+// most this much per step; a larger reply is the untrusted runtime
+// violating the cap and fails the exchange.
 const tlsStepReadMax = 32 << 10
 
-// tlsConnIDs mints process-global ciphertext-connection handles. The
+// tlsConnIDs mints process-global flight-connection handles. The
 // trusted side names conns (it owns their lifecycle across pooled
 // exchanges); the untrusted handler just keys its table by them.
 var tlsConnIDs atomic.Uint64
@@ -53,7 +56,8 @@ var tlsConnIDs atomic.Uint64
 // rather than by the upstream.
 var errTLSCancelled = errors.New("proxy: tls fetch cancelled")
 
-// tlsStepIn is one ciphertext completion fed back into the coroutine.
+// tlsStepIn is one step completion fed back into the coroutine; data
+// aliases the completion frame.
 type tlsStepIn struct {
 	data      []byte
 	eof       bool
@@ -71,11 +75,11 @@ type tlsStepOut struct {
 	// conn died or pooling is off), and conn handles the driver should
 	// fire close steps for.
 	reply      fetchReply
-	pooled     *tlsPooledConn
+	pooled     *idleConn
 	closeConns []uint64
 }
 
-// tlsFlight is one TLS fetch attempt's coroutine handle. The driver
+// tlsFlight is one fetch attempt's coroutine handle. The driver
 // (resume worker holding a TCS) and the coroutine rendezvous over the
 // unbuffered in/out channels; cancel (closed at most once by abort) and
 // stop (closed at shutdown/crash) unblock both sides from any park.
@@ -163,13 +167,15 @@ func (f *tlsFlight) finish(out tlsStepOut) {
 	}
 }
 
-// stepConn is the net.Conn the trusted TLS layer runs over. Writes are
+// stepConn is the net.Conn the trusted exchange runs over. Writes are
 // buffered; a Read with nothing buffered flushes everything accumulated
-// since the last park — dial instruction, pending ciphertext writes,
-// deferred closes — as ONE step, then parks. That coalescing is the perf
-// story: a fresh TLS 1.3 exchange costs two ring round trips (dial +
-// ClientHello + read, then Finished + HTTP request + read) and a pooled
-// one costs one, matching the plain-TCP fetch.
+// since the last park — dial instruction, pending writes, deferred
+// closes — as ONE step, then parks. That coalescing is the perf story: a
+// fresh TLS 1.3 exchange costs two ring round trips (dial + ClientHello +
+// read, then Finished + HTTP request + read); a pooled one, and any
+// plain-TCP one (dial + request + read), costs one while the response
+// fits a read. Step data is copied once on its way in, into rbuf, which
+// keeps its capacity across the exchanges of a pooled session.
 type stepConn struct {
 	f      *tlsFlight
 	connID uint64
@@ -180,7 +186,8 @@ type stepConn struct {
 	// simply never completes the step is caught by the per-step read
 	// deadline the handler arms from the same clock).
 	deadline time.Time
-	rbuf     []byte
+	rbuf     []byte // unread bytes are rbuf[rpos:]
+	rpos     int
 	wbuf     []byte
 	closes   []uint64
 	eof      bool
@@ -190,7 +197,7 @@ type stepConn struct {
 }
 
 func (sc *stepConn) Read(p []byte) (int, error) {
-	for len(sc.rbuf) == 0 {
+	for sc.buffered() == 0 {
 		if sc.eof {
 			return 0, io.EOF
 		}
@@ -198,10 +205,13 @@ func (sc *stepConn) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	n := copy(p, sc.rbuf)
-	sc.rbuf = sc.rbuf[n:]
+	n := copy(p, sc.rbuf[sc.rpos:])
+	sc.rpos += n
 	return n, nil
 }
+
+// buffered is how many received bytes the exchange has not read yet.
+func (sc *stepConn) buffered() int { return len(sc.rbuf) - sc.rpos }
 
 func (sc *stepConn) Write(p []byte) (int, error) {
 	sc.wbuf = append(sc.wbuf, p...)
@@ -209,15 +219,15 @@ func (sc *stepConn) Write(p []byte) (int, error) {
 }
 
 // flush parks the coroutine on one tls_step round trip carrying
-// everything buffered. read asks the handler to block for ciphertext.
+// everything buffered. read asks the handler to block for bytes.
 func (sc *stepConn) flush(read bool) error {
-	var timeoutMS int64
+	var timeoutMS uint64
 	if !sc.deadline.IsZero() {
 		remain := time.Until(sc.deadline)
 		if remain <= 0 {
 			return os.ErrDeadlineExceeded
 		}
-		timeoutMS = int64(remain/time.Millisecond) + 1
+		timeoutMS = uint64(remain/time.Millisecond) + 1
 	}
 	ask := &tlsStepArg{
 		Token:     sc.f.token,
@@ -253,6 +263,9 @@ func (sc *stepConn) flush(read bool) error {
 		return fmt.Errorf("proxy: tls step returned %d bytes (cap %d)", len(in.data), tlsStepReadMax)
 	}
 	if len(in.data) > 0 {
+		if sc.buffered() == 0 {
+			sc.rbuf, sc.rpos = sc.rbuf[:0], 0
+		}
 		sc.rbuf = append(sc.rbuf, in.data...)
 	}
 	if in.eof {
@@ -264,7 +277,7 @@ func (sc *stepConn) flush(read bool) error {
 }
 
 // Close is a no-op: conn lifecycle is explicit (close steps), never
-// crypto/tls's concern.
+// the exchange's concern.
 func (sc *stepConn) Close() error                     { return nil }
 func (sc *stepConn) LocalAddr() net.Addr              { return ocallAddr{} }
 func (sc *stepConn) RemoteAddr() net.Addr             { return ocallAddr{} }
@@ -272,76 +285,77 @@ func (sc *stepConn) SetDeadline(time.Time) error      { return nil }
 func (sc *stepConn) SetReadDeadline(time.Time) error  { return nil }
 func (sc *stepConn) SetWriteDeadline(time.Time) error { return nil }
 
-// tlsPooledConn is one idle keep-alive TLS session in an upstream's
-// trusted pool: the live crypto/tls state plus its adapter and buffered
-// reader, ready to be rebound to the next flight. The ciphertext socket
-// it fronts stays registered untrusted-side under connID.
-type tlsPooledConn struct {
-	connID    uint64
-	conn      *tls.Conn
+// idleConn is one idle keep-alive session in an upstream's trusted async
+// pool: its adapter and buffered reader — and, for a pinned-root upstream,
+// the live crypto/tls state between them — ready to be rebound to the next
+// flight. The socket it fronts stays registered untrusted-side under the
+// adapter's connID.
+type idleConn struct {
+	rw        io.ReadWriter // the *tls.Conn, or sc itself on a plain upstream
 	sc        *stepConn
 	br        *bufio.Reader
 	idleSince time.Time
 }
 
-// checkoutTLS pops the freshest idle TLS session for the upstream,
-// collecting TTL-expired victims' conn handles for the caller to close
-// (they ride the next step's Close list — no extra ring traffic).
-func (u *upstream) checkoutTLS(now time.Time) (*tlsPooledConn, []uint64) {
-	if u.tlsConf == nil || u.tlsMaxIdle <= 0 {
+// checkoutIdle pops the freshest idle session for the upstream, collecting
+// TTL-expired victims' conn handles for the caller to close (they ride the
+// next step's Close list — no extra ring traffic).
+func (u *upstream) checkoutIdle(now time.Time) (*idleConn, []uint64) {
+	if u.maxIdle <= 0 {
 		return nil, nil
 	}
-	u.tlsMu.Lock()
-	defer u.tlsMu.Unlock()
+	u.idleMu.Lock()
+	defer u.idleMu.Unlock()
 	var evict []uint64
-	for len(u.tlsIdle) > 0 {
-		pc := u.tlsIdle[0]
-		if u.tlsTTL > 0 && now.Sub(pc.idleSince) > u.tlsTTL {
-			evict = append(evict, pc.connID)
-			u.tlsIdle = u.tlsIdle[1:]
-			u.tlsEvicted.Add(1)
+	for len(u.idle) > 0 {
+		ic := u.idle[0]
+		if u.idleTTL > 0 && now.Sub(ic.idleSince) > u.idleTTL {
+			evict = append(evict, ic.sc.connID)
+			u.idle = u.idle[1:]
+			u.flightEvicted.Add(1)
 			continue
 		}
 		break
 	}
-	if len(u.tlsIdle) == 0 {
+	if len(u.idle) == 0 {
 		return nil, evict
 	}
-	pc := u.tlsIdle[len(u.tlsIdle)-1]
-	u.tlsIdle = u.tlsIdle[:len(u.tlsIdle)-1]
-	return pc, evict
+	ic := u.idle[len(u.idle)-1]
+	u.idle = u.idle[:len(u.idle)-1]
+	return ic, evict
 }
 
-// checkinTLS returns a session to the pool, returning the conn handles
+// checkinIdle returns a session to the pool, returning the conn handles
 // of evicted-over-capacity victims for the caller to close.
-func (u *upstream) checkinTLS(pc *tlsPooledConn, now time.Time) []uint64 {
-	if pc == nil {
+func (u *upstream) checkinIdle(ic *idleConn, now time.Time) []uint64 {
+	if ic == nil {
 		return nil
 	}
-	pc.idleSince = now
-	u.tlsMu.Lock()
-	defer u.tlsMu.Unlock()
+	ic.idleSince = now
+	u.idleMu.Lock()
+	defer u.idleMu.Unlock()
 	var evict []uint64
-	u.tlsIdle = append(u.tlsIdle, pc)
-	for len(u.tlsIdle) > u.tlsMaxIdle {
-		evict = append(evict, u.tlsIdle[0].connID)
-		u.tlsIdle = u.tlsIdle[1:]
-		u.tlsEvicted.Add(1)
+	u.idle = append(u.idle, ic)
+	for len(u.idle) > u.maxIdle {
+		evict = append(evict, u.idle[0].sc.connID)
+		u.idle = u.idle[1:]
+		u.flightEvicted.Add(1)
 	}
 	return evict
 }
 
-// runTLSFlight is the coroutine body: one TLS fetch attempt end to end.
-// One absolute deadline spans pool checkout, handshake, exchange, and
-// the single stale-conn retry — closing the "deadlines are not
-// supported" gap the blocking adapter used to document.
+// runTLSFlight is the coroutine body: one fetch attempt end to end, over
+// TLS when u pins roots. One absolute deadline spans pool checkout,
+// handshake, exchange, and the single stale-conn retry. A successful
+// exchange's wall time goes to the fetch stage and to the upstream's
+// latency histogram — the one the p95-derived hedge delay reads.
 func (ts *trustedState) runTLSFlight(f *tlsFlight, u *upstream, path string) {
 	var deadline time.Time
 	if ts.fetchTimeout > 0 {
 		deadline = time.Now().Add(ts.fetchTimeout)
 	}
 	start := time.Now()
-	pooled, evict := u.checkoutTLS(start)
+	pooled, evict := u.checkoutIdle(start)
 	out, retry := ts.tlsExchange(f, u, path, pooled, evict, deadline)
 	if retry {
 		// The pooled session went stale between checkout and use: retry
@@ -350,31 +364,30 @@ func (ts *trustedState) runTLSFlight(f *tlsFlight, u *upstream, path string) {
 		// rides the fresh dial's first step.
 		out, _ = ts.tlsExchange(f, u, path, nil, out.closeConns, deadline)
 	}
-	if out.done && out.reply.Err == "" && !out.reply.Cancelled {
+	if out.reply.Err == "" && !out.reply.Cancelled {
 		ts.stages.Since(obs.StageFetch, start)
+		if ts.recordFetch != nil {
+			ts.recordFetch(u.host, time.Since(start))
+		}
 	}
 	f.finish(out)
 }
 
-// tlsExchange runs one HTTP exchange over one TLS session (pooled or
-// fresh). The bool result asks the caller to retry on a fresh dial: a
-// reused session failing for any reason other than cancellation or a
-// deadline is indistinguishable from engine-closed-while-idle, the same
-// rule the plain paths apply.
-func (ts *trustedState) tlsExchange(f *tlsFlight, u *upstream, path string, pooled *tlsPooledConn, closes []uint64, deadline time.Time) (tlsStepOut, bool) {
-	reused := pooled != nil
-	var sc *stepConn
-	var conn *tls.Conn
-	var br *bufio.Reader
-	if reused {
-		sc, conn, br = pooled.sc, pooled.conn, pooled.br
-		sc.f = f
-		sc.deadline = deadline
-		sc.closes = append(sc.closes, closes...)
-		f.connID.Store(sc.connID)
-		u.tlsReuses.Add(1)
+// tlsExchange runs one HTTP exchange over one session (pooled or fresh).
+// The bool result asks the caller to retry on a fresh dial: a reused
+// session failing for any reason other than cancellation or a deadline is
+// indistinguishable from engine-closed-while-idle, the same rule the
+// blocking pool applies.
+func (ts *trustedState) tlsExchange(f *tlsFlight, u *upstream, path string, pooled *idleConn, closes []uint64, deadline time.Time) (tlsStepOut, bool) {
+	ic := pooled
+	if ic != nil {
+		ic.sc.f = f
+		ic.sc.deadline = deadline
+		ic.sc.closes = append(ic.sc.closes, closes...)
+		f.connID.Store(ic.sc.connID)
+		u.flightReuses.Add(1)
 	} else {
-		sc = &stepConn{
+		sc := &stepConn{
 			f:        f,
 			connID:   tlsConnIDs.Add(1),
 			host:     u.host,
@@ -382,31 +395,36 @@ func (ts *trustedState) tlsExchange(f *tlsFlight, u *upstream, path string, pool
 			deadline: deadline,
 			closes:   closes,
 		}
+		ic = &idleConn{rw: sc, sc: sc}
 		f.connID.Store(sc.connID)
-		u.tlsDials.Add(1)
-		conn = tls.Client(sc, u.tlsConf)
-		hsStart := time.Now()
-		if err := conn.Handshake(); err != nil {
-			return tlsFailOut(f.token, sc, fmt.Errorf("engine TLS: %v", err)), false
+		u.flightDials.Add(1)
+		if u.tlsConf != nil {
+			conn := tls.Client(sc, u.tlsConf)
+			hsStart := time.Now()
+			if err := conn.Handshake(); err != nil {
+				return tlsFailOut(sc, fmt.Errorf("engine TLS: %w", err)), false
+			}
+			ts.stages.Since(obs.StageTLSHandshake, hsStart)
+			ic.rw = conn
 		}
-		ts.stages.Since(obs.StageTLSHandshake, hsStart)
-		br = bufio.NewReader(conn)
+		ic.br = bufio.NewReader(ic.rw)
 	}
-	keep := ts.asyncKeepAlive && u.tlsMaxIdle > 0
-	if err := writeEngineRequest(conn, u.host, path, keep); err != nil {
-		return tlsFailOut(f.token, sc, fmt.Errorf("send request: %v", err)), reused && retryableTLSErr(err)
+	sc := ic.sc
+	keep := u.maxIdle > 0
+	if err := writeEngineRequest(ic.rw, u.host, path, keep); err != nil {
+		return tlsFailOut(sc, fmt.Errorf("send request: %w", err)), pooled != nil && retryableTLSErr(err)
 	}
-	body, status, keepAlive, err := readHTTPResponse(br)
+	body, status, keepAlive, err := readHTTPResponse(ic.br)
 	if err != nil {
-		return tlsFailOut(f.token, sc, err), reused && retryableTLSErr(err)
+		return tlsFailOut(sc, fmt.Errorf("read response: %w", err)), pooled != nil && retryableTLSErr(err)
 	}
-	out := tlsStepOut{done: true, reply: fetchReply{Token: f.token, Status: status, Body: body}}
+	out := tlsStepOut{done: true, reply: fetchReply{Status: status, Body: body}}
 	// Pool only a session sitting exactly at a record AND response
 	// boundary: leftover bytes at any layer would frame the next
-	// request's response (the same smuggling guard as the plain pools).
+	// request's response (the same smuggling guard as the blocking pool).
 	if keep && keepAlive && sc.live && !sc.eof &&
-		br.Buffered() == 0 && len(sc.rbuf) == 0 && len(sc.wbuf) == 0 {
-		out.pooled = &tlsPooledConn{connID: sc.connID, conn: conn, sc: sc, br: br}
+		ic.br.Buffered() == 0 && sc.buffered() == 0 && len(sc.wbuf) == 0 {
+		out.pooled = ic
 	} else if sc.live {
 		out.closeConns = []uint64{sc.connID}
 	}
@@ -414,13 +432,13 @@ func (ts *trustedState) tlsExchange(f *tlsFlight, u *upstream, path string, pool
 }
 
 // tlsFailOut folds an exchange failure into a terminal outcome.
-func tlsFailOut(token uint64, sc *stepConn, err error) tlsStepOut {
+func tlsFailOut(sc *stepConn, err error) tlsStepOut {
 	out := tlsStepOut{done: true}
 	if errors.Is(err, errTLSCancelled) {
-		out.reply = fetchReply{Token: token, Cancelled: true}
+		out.reply = fetchReply{Cancelled: true}
 		return out
 	}
-	out.reply = fetchReply{Token: token, Err: err.Error()}
+	out.reply = fetchReply{Err: err.Error()}
 	if sc.live {
 		out.closeConns = []uint64{sc.connID}
 		sc.live = false
@@ -428,9 +446,9 @@ func tlsFailOut(token uint64, sc *stepConn, err error) tlsStepOut {
 	return out
 }
 
-// retryableTLSErr mirrors the plain fetcher's stale-conn rule: timeouts
-// and cancellations never earn the retry (a fresh dial would wait the
-// whole budget again; an abort is final).
+// retryableTLSErr is the stale-conn rule: timeouts and cancellations
+// never earn the retry (a fresh dial would wait the whole budget again;
+// an abort is final).
 func retryableTLSErr(err error) bool {
 	if err == nil || errors.Is(err, errTLSCancelled) || errors.Is(err, os.ErrDeadlineExceeded) {
 		return false
@@ -439,7 +457,7 @@ func retryableTLSErr(err error) bool {
 }
 
 // writeEngineRequest writes the one-line engine GET (shared by the
-// blocking round trip and the TLS flight).
+// blocking round trip and the flight).
 func writeEngineRequest(w io.Writer, host, path string, keepAlive bool) error {
 	connHeader := "close"
 	if keepAlive {
@@ -452,20 +470,18 @@ func writeEngineRequest(w io.Writer, host, path string, keepAlive bool) error {
 
 // --- driver side: pending-table integration ---
 
-// submitTLSFetch starts the flight coroutine for attempt att and submits
-// its first ciphertext step. Mirrors submitFetch's contract: a non-nil
-// error means nothing is outstanding and the caller unwinds the
-// reservation.
-func (ts *trustedState) submitTLSFetch(env enclave.Env, p *pendingReq, att *pendingAttempt) error {
-	f := ts.newTLSFlight(att.token)
-	pt := ts.pending
-	pt.mu.Lock()
-	att.flight = f
-	pt.mu.Unlock()
+// submitFetch starts the flight coroutine for attempt att and submits its
+// first step — every submit site (primary, failover, hedge, batch burst)
+// goes through this one seam. A non-nil error means nothing is
+// outstanding and the caller unwinds the reservation. Never called with
+// the pending-table lock held: a full submission ring blocks, and the
+// resume path needs the lock to drain it.
+func (ts *trustedState) submitFetch(env enclave.Env, p *pendingReq, att *pendingAttempt) error {
+	f := att.flight
 	go ts.runTLSFlight(f, att.u, p.path)
 	out, ok := f.recv()
 	if !ok {
-		return fmt.Errorf("proxy: submit tls fetch: enclave stopping")
+		return fmt.Errorf("proxy: submit fetch: enclave stopping")
 	}
 	if out.done {
 		// The flight died before its first I/O (deadline already spent,
@@ -474,11 +490,11 @@ func (ts *trustedState) submitTLSFetch(env enclave.Env, p *pendingReq, att *pend
 		// path owns the reply.
 		ts.submitTLSClose(env, out.closeConns)
 		if out.pooled != nil {
-			ts.submitTLSClose(env, att.u.checkinTLS(out.pooled, time.Now()))
+			ts.submitTLSClose(env, att.u.checkinIdle(out.pooled, time.Now()))
 		}
 		errstr := out.reply.Err
 		if errstr == "" {
-			errstr = "proxy: tls fetch aborted before submission"
+			errstr = "proxy: fetch aborted before submission"
 		}
 		return fmt.Errorf("%s", errstr)
 	}
@@ -489,46 +505,38 @@ func (ts *trustedState) submitTLSFetch(env enclave.Env, p *pendingReq, att *pend
 	return nil
 }
 
-// submitTLSStep posts one ciphertext step to the switchless ring. Never
-// called with the pending-table lock held (a full ring blocks, and the
-// resume path needs the lock to drain it).
+// submitTLSStep posts one step to the switchless ring. Never called with
+// the pending-table lock held (a full ring blocks, and the resume path
+// needs the lock to drain it).
 func (ts *trustedState) submitTLSStep(env enclave.Env, ask *tlsStepArg) error {
-	arg, err := json.Marshal(ask)
-	if err != nil {
-		return err
-	}
-	if _, err := env.OCallAsync("tls_step", arg); err != nil {
+	if _, err := env.OCallAsync("tls_step", ask.encode()); err != nil {
 		return fmt.Errorf("proxy: submit tls step: %w", err)
 	}
 	return nil
 }
 
-// submitTLSClose fires a best-effort close batch for ciphertext conns a
-// flight is done with. Pure close steps complete with an empty payload
-// the resume loop drops on the floor; failures are ignored — closeAll
-// reaps leaked conns at shutdown.
+// submitTLSClose fires a best-effort close batch for conns a flight is
+// done with. Pure close steps complete with an empty payload the resume
+// loop drops on the floor; failures are ignored — closeAll reaps leaked
+// conns at shutdown.
 func (ts *trustedState) submitTLSClose(env enclave.Env, ids []uint64) {
 	if len(ids) == 0 {
 		return
 	}
-	arg, err := json.Marshal(&tlsStepArg{Close: ids})
-	if err != nil {
-		return
-	}
-	_, _ = env.OCallAsync("tls_step", arg)
+	_, _ = env.OCallAsync("tls_step", (&tlsStepArg{Close: ids}).encode())
 }
 
-// resumeTLSFlight routes one tls_step completion into its flight: feed
-// the ciphertext in, run the coroutine to its next park point, and
-// either submit the next step (request stays parked) or fold the
-// terminal outcome into the ordinary fetch-completion path. Called from
-// resumeOne with the table lock RELEASED; att.flight is immutable
-// once set.
+// resumeTLSFlight routes one tls_step completion into its flight: decode
+// it (once — resumeOne only peeked the token), feed the bytes in, run the
+// coroutine to its next park point, and either submit the next step
+// (request stays parked) or fold the terminal outcome into the
+// fetch-completion path. Called from resumeOne with the table lock
+// RELEASED; att.flight is immutable.
 func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, arg []byte) resumeReply {
 	f := att.flight
 	var in tlsStepIn
 	var sr tlsStepReply
-	if err := json.Unmarshal(arg, &sr); err != nil {
+	if err := sr.decode(arg); err != nil {
 		// Hostile/garbled completion: treat as a transport error step so
 		// the flight terminates through the normal failure path.
 		in = tlsStepIn{errstr: "malformed tls step reply"}
@@ -542,14 +550,14 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 		// Aborted (hedge loser, abandon) or stopping: synthesize the
 		// Cancelled terminal and make sure the untrusted conn dies even
 		// if the coroutine never got to say so.
-		fr = fetchReply{Token: att.token, Cancelled: true}
+		fr = fetchReply{Cancelled: true}
 		if id := f.connID.Load(); id != 0 {
 			ts.submitTLSClose(env, []uint64{id})
 		}
 	case !out.done:
 		if err := ts.submitTLSStep(env, out.ask); err != nil {
 			f.abort()
-			fr = fetchReply{Token: att.token, Err: err.Error()}
+			fr = fetchReply{Err: err.Error()}
 			if id := f.connID.Load(); id != 0 {
 				ts.submitTLSClose(env, []uint64{id})
 			}
@@ -559,12 +567,11 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 	default:
 		ts.submitTLSClose(env, out.closeConns)
 		if out.pooled != nil {
-			ts.submitTLSClose(env, att.u.checkinTLS(out.pooled, time.Now()))
+			ts.submitTLSClose(env, att.u.checkinIdle(out.pooled, time.Now()))
 		}
 		fr = out.reply
-		fr.Token = att.token
 	}
-	// Terminal: re-enter the completion path the plain fetch takes.
+	// Terminal: breaker accounting, hedge arbitration, failover or settle.
 	pt := ts.pending
 	pt.mu.Lock()
 	if cur, live := pt.byToken[att.token]; !live || cur != att {
@@ -576,8 +583,8 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 	delete(pt.byToken, att.token)
 	att.done = true
 	// Every terminal shape — done, orphan, late loser, failover — names
-	// the flight's token, so the untrusted fetcher drops its per-token TLS
-	// state (tombstones, conn binding) exactly once.
+	// the flight's token, so the untrusted step handler drops its
+	// per-token state (tombstones, conn binding) exactly once.
 	rr := ts.completeFetchLocked(env, att, &fr)
 	rr.DoneToken = att.token
 	return rr

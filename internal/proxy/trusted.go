@@ -71,17 +71,19 @@ type trustedState struct {
 	shard  int
 
 	// Async pipeline state (nil/zero when Config.AsyncOcalls is off):
-	// the parked-request table, the hedge budget per request, and whether
-	// async fetches should ask for keep-alive (untrusted-side pooling).
-	pending        *pendingTable
-	hedgeMax       int
-	asyncKeepAlive bool
+	// the parked-request table, the hedge budget per request, and where a
+	// flight reports a successful exchange's wall time — the untrusted
+	// runtime's per-upstream histogram, which times the hedges; host and
+	// timing are what the host observes at the step seam anyway.
+	pending     *pendingTable
+	hedgeMax    int
+	recordFetch func(host string, d time.Duration)
 	// fetchTimeout is the absolute budget for one whole engine fetch —
 	// connect, TLS handshake, request, response — on both the blocking
 	// and async paths (Config.FetchTimeout; zero = unbounded).
 	fetchTimeout time.Duration
 	// flightStop, closed at shutdown (after drain) or crash, unblocks
-	// every parked TLS flight coroutine and its driver. Nil when async
+	// every parked flight coroutine and its driver. Nil when async
 	// is off (a nil channel never fires in a select, which is correct:
 	// sync-path code never parks on it).
 	flightStop     chan struct{}
@@ -99,8 +101,8 @@ type trustedState struct {
 	order []string
 }
 
-// stopFlights releases every parked TLS flight (coroutines and drivers)
-// for teardown. Idempotent; a no-op when async TLS was never armed.
+// stopFlights releases every parked flight (coroutines and drivers) for
+// teardown. Idempotent; a no-op on a blocking proxy.
 func (ts *trustedState) stopFlights() {
 	if ts.flightStop == nil {
 		return
@@ -133,19 +135,26 @@ func (ts *trustedState) unsealHistory(blob []byte) ([]string, error) {
 
 // handleRestore is the "restore" ecall: unseal a persisted history blob
 // and load it into the window, charging the EPC for the restored bytes.
+// The charge comes first — exactly what the window will keep, its most
+// recent Capacity() queries — so a restore the EPC refuses leaves the
+// history as it was and heap == history + cache + index still true.
 func (ts *trustedState) handleRestore(env enclave.Env, arg []byte) ([]byte, error) {
 	queries, err := ts.unsealHistory(arg)
 	if err != nil {
 		return nil, err
 	}
-	nBytes := ts.obfuscator.History().Restore(queries)
-	if nBytes > 0 {
-		if err := env.Alloc(nBytes); err != nil {
-			return nil, fmt.Errorf("proxy: history alloc: %w", err)
-		}
+	h := ts.obfuscator.History()
+	if over := len(queries) - h.Capacity(); over > 0 {
+		queries = queries[over:]
 	}
+	if err := env.Alloc(core.HistoryCost(queries)); err != nil {
+		return nil, fmt.Errorf("proxy: history alloc: %w", err)
+	}
+	replaced := h.Bytes()
+	h.Restore(queries)
+	env.Free(replaced)
 	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, uint64(ts.obfuscator.History().Len()))
+	binary.LittleEndian.PutUint64(out, uint64(h.Len()))
 	return out, nil
 }
 

@@ -42,19 +42,21 @@ type upstream struct {
 	// TLS client state, set iff cas != nil. tlsConf pins cas, fixes the
 	// ServerName, and carries one trusted ClientSessionCache shared by the
 	// blocking path and every async flight, so sessions resume across
-	// redials wherever the exchange ran. tlsIdle is the async pipeline's
-	// keep-alive pool: established in-enclave TLS conns over live host
-	// sockets, checked out by token-holding flights (the blocking path has
-	// its own enginePool). Guarded by tlsMu, NOT u.mu — pool churn must
-	// not contend with breaker accounting.
-	tlsConf    *tls.Config
-	tlsMu      sync.Mutex
-	tlsIdle    []*tlsPooledConn
-	tlsMaxIdle int
-	tlsTTL     time.Duration
-	tlsReuses  atomic.Uint64
-	tlsDials   atomic.Uint64
-	tlsEvicted atomic.Uint64
+	// redials wherever the exchange ran.
+	tlsConf *tls.Config
+
+	// idle is the async pipeline's one keep-alive pool: established
+	// sessions — in-enclave TLS state included, for a pinned-root upstream
+	// — over live host sockets, checked out by token-holding flights (the
+	// blocking path has its own enginePool). Guarded by idleMu, NOT u.mu —
+	// pool churn must not contend with breaker accounting.
+	idleMu        sync.Mutex
+	idle          []*idleConn
+	maxIdle       int
+	idleTTL       time.Duration
+	flightReuses  atomic.Uint64
+	flightDials   atomic.Uint64
+	flightEvicted atomic.Uint64
 
 	// served counts requests this upstream answered (any HTTP status);
 	// rateLimited counts attempts the token bucket turned away.
@@ -276,16 +278,14 @@ func (u *upstream) stats(now time.Time, threshold int) UpstreamStats {
 		s.PoolIdle = u.pool.size()
 		s.PoolReuses, s.PoolDials, s.PoolEvicted = u.pool.stats()
 	}
-	if u.tlsConf != nil {
-		// Fold the async TLS pool into the same gauges: operators care
-		// about reuse per upstream, not which transport held the socket.
-		u.tlsMu.Lock()
-		s.PoolIdle += len(u.tlsIdle)
-		u.tlsMu.Unlock()
-		s.PoolReuses += u.tlsReuses.Load()
-		s.PoolDials += u.tlsDials.Load()
-		s.PoolEvicted += u.tlsEvicted.Load()
-	}
+	// Fold the async pool into the same gauges: operators care about reuse
+	// per upstream, not which engine stage held the socket.
+	u.idleMu.Lock()
+	s.PoolIdle += len(u.idle)
+	u.idleMu.Unlock()
+	s.PoolReuses += u.flightReuses.Load()
+	s.PoolDials += u.flightDials.Load()
+	s.PoolEvicted += u.flightEvicted.Load()
 	if total := s.PoolReuses + s.PoolDials; total > 0 {
 		s.PoolReuseRatio = float64(s.PoolReuses) / float64(total)
 	}
@@ -329,7 +329,7 @@ func normalizeEngines(cfg *Config) ([]EngineSpec, error) {
 func buildRegistry(engines []EngineSpec, cfg *Config) (*upstreamRegistry, error) {
 	ups := make([]*upstream, len(engines))
 	for i, e := range engines {
-		u := &upstream{host: e.Host, weight: e.Weight}
+		u := &upstream{host: e.Host, weight: e.Weight, maxIdle: e.MaxConns, idleTTL: cfg.PoolIdleTimeout}
 		if len(e.RootsPEM) > 0 {
 			pool := x509.NewCertPool()
 			if !pool.AppendCertsFromPEM(e.RootsPEM) {
@@ -347,8 +347,6 @@ func buildRegistry(engines []EngineSpec, cfg *Config) (*upstreamRegistry, error)
 				// skips a full handshake's worth of ring round trips.
 				ClientSessionCache: tls.NewLRUClientSessionCache(0),
 			}
-			u.tlsMaxIdle = e.MaxConns
-			u.tlsTTL = cfg.PoolIdleTimeout
 		}
 		if e.MaxConns > 0 {
 			u.pool = newEnginePool(e.MaxConns, cfg.PoolIdleTimeout)

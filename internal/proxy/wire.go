@@ -10,10 +10,11 @@ import (
 )
 
 // Every message that carries a request or a reply across the enclave
-// boundary — envelope, envelopeReply, batchItemReply, resumeReply — is a
-// length-prefixed binary frame (doc.go has the seam table). Each lists its
-// fields once, in a walk method that the wire walker at the end of this
-// file runs in either direction.
+// boundary — envelope, envelopeReply, batchItemReply, resumeReply — and
+// the engine stage's two step messages are length-prefixed binary frames
+// (doc.go has the seam table). Each lists its fields once, in a walk
+// method that the wire walker at the end of this file runs in either
+// direction.
 
 // Request types crossing the enclave boundary. The envelope is what the
 // untrusted runtime encodes into the single "request" ecall, mirroring the
@@ -124,31 +125,18 @@ type mergeReply struct {
 
 // --- async pipeline wire types ---
 
-// fetchArg is the argument of the async "fetch" ocall: one full engine
-// HTTP exchange performed by an untrusted worker goroutine. Token is the
-// enclave-chosen correlation handle: the completion echoes it, the resume
-// ecall routes by it, and cancellation targets it.
-type fetchArg struct {
-	Token     uint64 `json:"token"`
-	Host      string `json:"host"`
-	Path      string `json:"path"`
-	KeepAlive bool   `json:"keep_alive,omitempty"`
-}
-
-// fetchReply is the async fetch completion, passed verbatim into the
-// "resume" ecall. Everything in it is untrusted input: the enclave
-// re-checks the body cap and re-parses the JSON. The handler never fails
-// at the ocall layer — transport errors travel in Err so the token always
-// reaches the enclave for breaker accounting and cleanup.
+// fetchReply is one engine exchange's outcome inside the enclave, handed
+// from the engine stage (the blocking round trip, or a flight's terminal
+// step) to breaker accounting and settle. It never crosses the boundary.
 type fetchReply struct {
-	Token  uint64 `json:"token"`
-	Status int    `json:"status,omitempty"`
-	Body   []byte `json:"body,omitempty"`
-	Err    string `json:"err,omitempty"`
-	// Cancelled marks a fetch the runtime aborted after the hedge winner
-	// landed; the enclave releases its bookkeeping without charging the
-	// upstream's breaker (the failure, if any, was self-inflicted).
-	Cancelled bool `json:"cancelled,omitempty"`
+	Status int
+	Body   []byte
+	Err    string
+	// Cancelled marks a flight the runtime or the trusted control plane
+	// aborted (hedge loser, abandon, shutdown); the enclave releases its
+	// bookkeeping without charging the upstream's breaker (the failure, if
+	// any, was self-inflicted).
+	Cancelled bool
 }
 
 // Resume verdicts: what a completion did to its pending request.
@@ -176,10 +164,10 @@ type resumeReply struct {
 	// should abort.
 	Waiters      []uint64
 	CancelTokens []uint64
-	// DoneToken, when nonzero, names a TLS flight token whose trusted
-	// state machine just reached a terminal outcome (done, orphan, or
-	// cancelled): the untrusted fetcher drops its per-token TLS state
-	// (tombstone, conn binding) on seeing it. Plain fetches never set it.
+	// DoneToken, when nonzero, names a flight token whose trusted state
+	// machine just reached a terminal outcome (done, orphan, or
+	// cancelled): the untrusted step handler drops its per-token state
+	// (tombstone, conn binding) on seeing it.
 	DoneToken uint64
 }
 
@@ -205,43 +193,95 @@ func (rr *resumeReply) decode(b []byte) error {
 	return w.end()
 }
 
-// tlsStepArg is the argument of the async "tls_step" ocall: one
-// ciphertext I/O round for an in-enclave TLS flight. The handler only
-// ever moves opaque bytes — dial the engine, write the enclave's
-// ciphertext, read at most tlsStepReadMax ciphertext bytes back, close
-// retired conns — so the host's view of an HTTPS fetch stays exactly
-// what it is on the blocking path: ciphertext and timing. A step with
-// Token 0 is a pure close batch and produces no completion payload.
+// tlsStepArg is the argument of the async "tls_step" ocall: one socket
+// I/O round of an engine flight. The handler only ever moves opaque bytes
+// — dial the engine, write the enclave's bytes, read at most
+// tlsStepReadMax back, close retired conns — so the host's view of a
+// fetch stays exactly what it is over the blocking socket ocalls:
+// ciphertext and timing for a pinned-root upstream, the obfuscated
+// request for a plain one. Token is the enclave-chosen correlation
+// handle: the completion echoes it, "resume" routes by it, cancellation
+// targets it. A step with Token 0 is a pure close batch and produces no
+// completion payload.
 type tlsStepArg struct {
-	Token  uint64 `json:"token"`
-	ConnID uint64 `json:"conn_id,omitempty"`
+	Token  uint64
+	ConnID uint64
 	// Dial opens a fresh TCP conn to Host and registers it under ConnID
 	// before any Send/Read of this same step (TLS 1.3 lets the first
-	// step carry dial + ClientHello + read in one ring round trip).
-	Dial bool   `json:"dial,omitempty"`
-	Host string `json:"host,omitempty"`
-	Send []byte `json:"send,omitempty"`
-	Read bool   `json:"read,omitempty"`
-	// Close lists retired conn handles to close (pool TTL evictions,
-	// stale-retry victims) — piggybacked so eviction costs no extra ring
-	// traffic.
-	Close []uint64 `json:"close,omitempty"`
+	// step carry dial + ClientHello + read in one ring round trip; a plain
+	// exchange's only step carries dial + request + read).
+	Dial bool
+	Read bool
 	// TimeoutMS, when positive, arms a read deadline of that many
 	// milliseconds on the step (the remaining slice of the flight's
 	// absolute FetchTimeout); zero clears any previous deadline.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	TimeoutMS uint64
+	Host      string
+	Send      []byte
+	// Close lists retired conn handles to close (pool TTL evictions,
+	// stale-retry victims) — piggybacked so eviction costs no extra ring
+	// traffic.
+	Close []uint64
 }
 
-// tlsStepReply is one tls_step completion. Everything in it is untrusted
-// input: the enclave caps Data and treats Err as an opaque transport
-// failure. On Err or EOF the handler has already closed and deregistered
-// the conn.
+func (a *tlsStepArg) walk(w *wire) {
+	w.u64(&a.Token)
+	w.u64(&a.ConnID)
+	w.flag(&a.Dial)
+	w.flag(&a.Read)
+	w.u64(&a.TimeoutMS)
+	w.str(&a.Host)
+	w.bytes(&a.Send)
+	w.u64s(&a.Close)
+}
+
+func (a *tlsStepArg) encode() []byte {
+	w := wire{b: make([]byte, 0, 3*8+2+3*4+len(a.Host)+len(a.Send)+8*len(a.Close))}
+	a.walk(&w)
+	return w.b
+}
+
+func (a *tlsStepArg) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	a.walk(&w)
+	return w.end()
+}
+
+// tlsStepReply is one tls_step completion, passed verbatim into the
+// "resume" ecall. The token comes first so resume routes a completion by
+// its leading 8 bytes and the flight it belongs to decodes the rest once.
+// Everything in it is untrusted input: the enclave caps Data (which
+// aliases the frame until the flight's adapter copies it) and treats Err
+// as an opaque transport failure. On Err or EOF the handler has already
+// closed and deregistered the conn. The handler never fails at the ocall
+// layer for a live flight — transport errors travel in Err so the token
+// always reaches the enclave for breaker accounting and cleanup.
 type tlsStepReply struct {
-	Token     uint64 `json:"token"`
-	Data      []byte `json:"data,omitempty"`
-	EOF       bool   `json:"eof,omitempty"`
-	Err       string `json:"err,omitempty"`
-	Cancelled bool   `json:"cancelled,omitempty"`
+	Token     uint64
+	EOF       bool
+	Cancelled bool
+	Err       string
+	Data      []byte
+}
+
+func (r *tlsStepReply) walk(w *wire) {
+	w.u64(&r.Token)
+	w.flag(&r.EOF)
+	w.flag(&r.Cancelled)
+	w.str(&r.Err)
+	w.bytes(&r.Data)
+}
+
+func (r *tlsStepReply) encode() []byte {
+	w := wire{b: make([]byte, 0, 8+2+2*4+len(r.Err)+len(r.Data))}
+	r.walk(&w)
+	return w.b
+}
+
+func (r *tlsStepReply) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	r.walk(&w)
+	return w.end()
 }
 
 // pendingArg names one parked request: the argument of the "hedge"
@@ -281,10 +321,10 @@ const (
 	// any admissible BatchMax (capped at PipelineDepth), it exists so a
 	// hostile count prefix cannot size a giant allocation.
 	maxBatchEntries = 4096
-	// maxBatchEntryBytes bounds one framed entry. The largest is a resume
-	// entry going in: a fetch completion, still JSON, whose body is capped
-	// at maxEngineResponse (8 MiB) — base64 expansion plus framing slack
-	// fits under 16 MiB. Replies coming out carry their bytes raw.
+	// maxBatchEntryBytes bounds one framed entry. The largest is a reply
+	// coming out: a result list filtered from an engine body capped at
+	// maxEngineResponse (8 MiB). A resume entry going in is one step
+	// completion, tlsStepReadMax of data at most.
 	maxBatchEntryBytes = 16 << 20
 )
 
