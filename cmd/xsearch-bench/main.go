@@ -622,7 +622,8 @@ func runPipelineFig(quick bool, seed uint64, base *scalingBaseline) error {
 	fmt.Printf("%-14s  %-10s\n", "variant", "req/s")
 	fmt.Printf("%-14s  %-10.0f\n", "sync (block)", res.SyncRPS)
 	fmt.Printf("%-14s  %-10.0f\n", "async (rings)", res.AsyncRPS)
-	fmt.Printf("# releasing the TCS during the engine round trip buys %.1fx throughput\n\n", res.Speedup)
+	fmt.Printf("# releasing the TCS during the engine round trip buys %.1fx throughput (peak %d requests in flight on %d threads)\n\n",
+		res.Speedup, res.PeakInFlight, cfg.TCSCount)
 
 	fmt.Printf("# Pipeline ablation B: hedged requests, upstreams %v (fast) and %v (slow),\n",
 		cfg.FastService, cfg.SlowService)

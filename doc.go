@@ -41,9 +41,10 @@
 //
 //   - A per-upstream connection pool (WithEnginePool, default size 8 per
 //     upstream) keeps keep-alive engine connections — including
-//     enclave-terminated TLS sessions — alive across requests,
-//     health-checking each on checkout via the sock_check ocall and
-//     evicting FIFO on overflow or idle expiry.
+//     enclave-terminated TLS sessions — alive across requests, the same
+//     pool whether the fetch blocks or flies: evicting FIFO on overflow or
+//     idle expiry, and on the blocking stage health-checking each on
+//     checkout via the sock_check ocall.
 //   - A result cache (WithResultCache, off by default) serves repeated
 //     queries without an engine round trip. It is keyed on the ORIGINAL
 //     query (obfuscated queries differ every time by construction),

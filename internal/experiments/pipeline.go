@@ -70,6 +70,10 @@ type PipelineResult struct {
 	SyncRPS  float64
 	AsyncRPS float64
 	Speedup  float64
+	// PeakInFlight is the most requests the async proxy held staged at
+	// once (Stats().PipelineInFlight, sampled through the async run):
+	// above TCSCount, the pipeline is doing what the blocking stage cannot.
+	PeakInFlight int
 	// Half B: query latency percentiles without and with hedging against
 	// the fast/slow upstream pair, and the p99 improvement factor.
 	NoHedgeP50 time.Duration
@@ -216,7 +220,10 @@ func runPipelineThroughput(cfg PipelineConfig, res *PipelineResult) error {
 		if async {
 			label = "async"
 		}
+		// Both halves carry the sampler; a blocking proxy stages nothing.
+		stopSampling := samplePeakInFlight(p, &res.PeakInFlight)
 		elapsed, err := drivePipeline(p, cfg.Workers, cfg.Requests, label, nil)
+		stopSampling()
 		if err != nil {
 			shutdownProxy(p)
 			return err
@@ -234,6 +241,24 @@ func runPipelineThroughput(cfg PipelineConfig, res *PipelineResult) error {
 		res.Speedup = res.AsyncRPS / res.SyncRPS
 	}
 	return nil
+}
+
+// samplePeakInFlight polls p's staged-request gauge until the returned stop
+// is called, leaving the maximum it saw in *peak.
+func samplePeakInFlight(p *proxy.Proxy, peak *int) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			*peak = max(*peak, p.Stats().PipelineInFlight)
+			select {
+			case <-quit:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
 }
 
 // runPipelineHedge is half B: a fast and an artificially slow upstream in

@@ -69,8 +69,8 @@
 //	batchItemReply ("request-batch")     binary     an encoded envelopeReply, or the entry's error
 //	resumeReply ("resume")               binary     verdict, ids, tokens and the encoded envelopeReply
 //	batch framing (both batched ecalls)  binary     u32 count, u32 length per entry
-//	socket ocalls (send/recv/close fds,  binary     the paper's sock_* interface; only sock_connect's
-//	  deadlines)                                    {host,port} argument is JSON
+//	socket ocalls (sock_connect host:port binary    the paper's sock_* interface
+//	  bytes; send/recv/close fds, deadlines)
 //	tlsStepArg ("tls_step" ocall)        binary     token first, then conn id, dial/read flags, deadline,
 //	                                                host, the bytes to send (raw) and conns to close
 //	tlsStepReply (its completion, an     binary     token first — "resume" routes on those 8 bytes and the
@@ -96,24 +96,24 @@
 // and timing. The obfuscated query, the engine's results, and the TLS
 // session secrets never cross the boundary in the clear.
 //
-// Two engine stages carry that ciphertext:
+// Every fetch — pinned-root or plain — is ONE exchange (tlsasync.go):
+// deadline, pool checkout, crypto/tls or the bare HTTP exchange over the
+// step adapter, one stale-conn retry, boundary-checked check-in, over ONE
+// per-upstream keep-alive pool (TLS state and resumption tickets included;
+// one TTL and eviction policy, one set of Stats counters). What differs
+// between the engine stages is the stepper that carries out each I/O round
+// (dial + send + read + closes) of it:
 //
-//   - Blocking: the trusted adapter (ocallConn) drives the paper's
-//     sock_connect/send/recv/close ocalls, one blocking ocall per socket
-//     operation, holding a TCS for the whole exchange.
-//   - Async pipeline (Config.AsyncOcalls): every fetch attempt — to a
-//     pinned-root upstream or a plain one — is a flight (tlsasync.go), a
-//     trusted coroutine whose socket I/O is batched into async "tls_step"
-//     ocalls on the switchless rings; a pinned-root upstream's flight
-//     runs crypto/tls over the step adapter, a plain one runs the HTTP
-//     exchange on it directly. The request parks in the pending table
-//     between steps — no TCS is held across network waits — and hedged
-//     fetches, batched submission, failover, abandon and the fetch
-//     deadline are one code path for both. Keep-alive sessions idle in
-//     one trusted per-upstream pool (TLS state and resumption tickets
-//     included), one TTL and eviction policy, visible in Stats as pool
-//     reuse. A fresh TLS 1.3 exchange costs two ring round trips; a
-//     pooled one, and a plain one, cost one.
+//   - Blocking: ocallStepper runs the step in place as the paper's
+//     close/sock_connect/send/recv ocalls, sock_check probing a pooled
+//     conn before use, holding a TCS for the whole exchange.
+//   - Async pipeline (Config.AsyncOcalls): the exchange is a flight, a
+//     trusted coroutine that parks at each step while it crosses the
+//     switchless rings as one async "tls_step" ocall. The request waits in
+//     the pending table between steps — no TCS is held across network
+//     waits — which is what hedging, batched submission and abandon build
+//     on. A fresh TLS 1.3 exchange costs two ring round trips; a pooled
+//     one, and a plain one, cost one.
 //
 // Config.FetchTimeout is an absolute deadline over the WHOLE fetch on
 // both paths — TCP connect, TLS handshake, request, and response — so a
@@ -124,7 +124,5 @@
 // fixed-bucket histogram.
 //
 // Per-upstream fetch-latency histograms (the p95 source for adaptive
-// hedge delays) are fed by the flights themselves, one sample per
-// successful exchange, so an HTTPS upstream's hedge delay derives from
-// its own traffic like a plain one's.
+// hedge delays) are fed by the exchange itself, one sample per success.
 package proxy

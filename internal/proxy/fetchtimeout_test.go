@@ -10,11 +10,11 @@ import (
 	"time"
 )
 
-// Tests for Config.FetchTimeout: the async fetcher's per-exchange read
-// deadline. An upstream that accepts connections but never responds used
-// to pin an async worker until a hedge winner, caller abandonment, or
-// shutdown cancelled the fetch; with a timeout set it fails fast and
-// counts against the upstream's breaker.
+// Tests for Config.FetchTimeout: the engine exchange's absolute deadline.
+// An upstream that accepts connections but never responds used to pin a
+// TCS forever (blocking) or an async worker until a hedge winner, caller
+// abandonment, or shutdown cancelled the fetch; with a timeout set it
+// fails fast and counts against the upstream's breaker.
 
 // startBlackholeUpstream listens and accepts (reading the request so the
 // client's write succeeds) but never writes a byte back. Returns the
@@ -54,42 +54,42 @@ func startBlackholeUpstream(t *testing.T) (string, *atomic.Int64) {
 	return ln.Addr().String(), &accepted
 }
 
+// TestFetchTimeoutFailsHungUpstream: the deadline is the exchange's, so it
+// unpins a TCS on the blocking stage and un-parks a flight on the async one
+// the same way, in the handshake (TLS: the black hole never answers the
+// ClientHello) as in the response read.
 func TestFetchTimeoutFailsHungUpstream(t *testing.T) {
-	addr, accepted := startBlackholeUpstream(t)
-	p, err := New(Config{
-		K:            1,
-		Seed:         1,
-		Engines:      []EngineSpec{{Host: addr}},
-		AsyncOcalls:  true,
-		FetchTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Crash()
+	forEachTransport(t, func(t *testing.T, async, withTLS bool) {
+		addr, accepted := startBlackholeUpstream(t)
+		engine, phase := EngineSpec{Host: addr}, "read response"
+		if withTLS {
+			engine.RootsPEM, phase = somePEM(t), "engine TLS"
+		}
+		p := newStageProxy(t, async, func(c *Config) { c.FetchTimeout = 150 * time.Millisecond }, engine)
 
-	start := time.Now()
-	_, err = p.ServeQuery(context.Background(), "query into the void")
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("query against a never-responding upstream succeeded")
-	}
-	if !strings.Contains(err.Error(), "read response") {
-		t.Fatalf("error %v does not name the read phase", err)
-	}
-	// The deadline, not a caller context or shutdown, must have fired:
-	// well above the timeout, far below the dial timeout.
-	if elapsed < 100*time.Millisecond || elapsed > 5*time.Second {
-		t.Fatalf("failed after %v, want ~150ms deadline", elapsed)
-	}
-	if accepted.Load() == 0 {
-		t.Fatal("upstream never accepted: the test exercised the dial path, not the read deadline")
-	}
-	s := p.Stats()
-	if len(s.Upstreams) != 1 || s.Upstreams[0].Failures == 0 {
-		t.Fatalf("timeout not counted against the upstream breaker: %+v", s.Upstreams)
-	}
-	assertEPCInvariant(t, p)
+		start := time.Now()
+		_, err := p.ServeQuery(context.Background(), "query into the void")
+		elapsed := time.Since(start)
+		if err == nil {
+			t.Fatal("query against a never-responding upstream succeeded")
+		}
+		if !strings.Contains(err.Error(), phase) {
+			t.Fatalf("error %v does not name the %q phase", err, phase)
+		}
+		// The deadline, not a caller context or shutdown, must have fired:
+		// well above the timeout, far below the dial timeout.
+		if elapsed < 100*time.Millisecond || elapsed > 5*time.Second {
+			t.Fatalf("failed after %v, want ~150ms deadline", elapsed)
+		}
+		if accepted.Load() == 0 {
+			t.Fatal("upstream never accepted: the test exercised the dial path, not the read deadline")
+		}
+		s := p.Stats()
+		if len(s.Upstreams) != 1 || s.Upstreams[0].Failures == 0 {
+			t.Fatalf("timeout not counted against the upstream breaker: %+v", s.Upstreams)
+		}
+		assertEPCInvariant(t, p)
+	})
 }
 
 // TestFetchTimeoutFailsOverToHealthyUpstream: with a hung and a healthy
@@ -147,7 +147,7 @@ func TestFetchTimeoutConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("negative FetchTimeout accepted")
 	}
-	// FetchTimeout now covers the blocking path too (the ocallConn grew
+	// FetchTimeout covers the blocking stage too (its recv ocalls carry
 	// real read deadlines), so a sync config with a timeout is valid.
 	p, err := New(Config{
 		K: 1, Engines: []EngineSpec{{Host: srv.Addr()}},
@@ -157,39 +157,4 @@ func TestFetchTimeoutConfigValidation(t *testing.T) {
 		t.Fatalf("FetchTimeout on the blocking path rejected: %v", err)
 	}
 	p.Crash()
-}
-
-// TestFetchTimeoutFailsHungUpstreamBlockingPath is the sync-path mirror of
-// TestFetchTimeoutFailsHungUpstream: without AsyncOcalls the same deadline
-// must unpin the TCS (the blocking path used to hang forever here).
-func TestFetchTimeoutFailsHungUpstreamBlockingPath(t *testing.T) {
-	addr, accepted := startBlackholeUpstream(t)
-	p, err := New(Config{
-		K:            1,
-		Seed:         1,
-		Engines:      []EngineSpec{{Host: addr}},
-		FetchTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Crash()
-
-	start := time.Now()
-	_, err = p.ServeQuery(context.Background(), "query into the void")
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("query against a never-responding upstream succeeded")
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("failed after %v, want ~150ms deadline", elapsed)
-	}
-	if accepted.Load() == 0 {
-		t.Fatal("upstream never accepted: the test exercised the dial path, not the read deadline")
-	}
-	s := p.Stats()
-	if len(s.Upstreams) != 1 || s.Upstreams[0].Failures == 0 {
-		t.Fatalf("timeout not counted against the upstream breaker: %+v", s.Upstreams)
-	}
-	assertEPCInvariant(t, p)
 }

@@ -50,7 +50,7 @@ func scriptedEngine(t *testing.T, blob string) net.Listener {
 // The small-body variant leaves the smuggled bytes in the bufio parser;
 // the large-body variant (> bufio's 4096-byte buffer) makes io.ReadFull
 // take bufio's direct-read path, stranding the smuggled bytes one layer
-// down in ocallConn.pending — the boundary check must catch both.
+// down in the step adapter's buffer — the boundary check must catch both.
 func TestSmuggledPipelinedResponseNotPooled(t *testing.T) {
 	forged := "HTTP/1.1 200 OK\r\nContent-Length: 44\r\n\r\n" +
 		`[{"url":"http://evil.example","title":"ev"}]`
@@ -64,29 +64,25 @@ func TestSmuggledPipelinedResponseNotPooled(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			legit := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(tt.body), tt.body)
-			ln := scriptedEngine(t, legit+forged)
-
-			p, err := New(Config{K: 1, Engines: []EngineSpec{{Host: ln.Addr().String()}}, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.encl.Destroy()
-
-			for i, q := range []string{"first query", "second query"} {
-				results, err := p.ServeQuery(context.Background(), q)
-				if err != nil {
-					t.Fatalf("query %d: %v", i, err)
-				}
-				for _, r := range results {
-					if strings.Contains(r.URL, "evil") {
-						t.Fatalf("query %d served the smuggled response: %+v", i, r)
+			forEachStage(t, func(t *testing.T, async bool) {
+				ln := scriptedEngine(t, legit+forged)
+				p := newStageProxy(t, async, nil, EngineSpec{Host: ln.Addr().String()})
+				for i, q := range []string{"first query", "second query"} {
+					results, err := p.ServeQuery(context.Background(), q)
+					if err != nil {
+						t.Fatalf("query %d: %v", i, err)
+					}
+					for _, r := range results {
+						if strings.Contains(r.URL, "evil") {
+							t.Fatalf("query %d served the smuggled response: %+v", i, r)
+						}
 					}
 				}
-			}
-			s := p.Stats()
-			if s.PoolIdle != 0 || s.PoolReuses != 0 {
-				t.Errorf("desynced connection was pooled: %+v", s)
-			}
+				s := p.Stats()
+				if s.PoolIdle != 0 || s.PoolReuses != 0 {
+					t.Errorf("desynced connection was pooled: %+v", s)
+				}
+			})
 		})
 	}
 }

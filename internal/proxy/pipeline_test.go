@@ -123,6 +123,23 @@ func TestAsyncPipelineSecureSession(t *testing.T) {
 	assertEPCInvariant(t, p)
 }
 
+// waitHedgeLoser returns the Stats of a pipeline whose hedge race is fully
+// accounted. The loser's cancelled completion is resumed after the winner's
+// reply is delivered, so HedgeCancelled read the instant ServeQuery returns
+// may not count it yet: poll, to a bounded deadline, until a cancellation
+// is counted and every submitted step has completed. On expiry the last
+// snapshot is returned for the caller's assertions to fail on.
+func waitHedgeLoser(p *Proxy) Stats {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		s := p.Stats()
+		if (s.HedgeCancelled > 0 && s.AsyncSubmitted == s.AsyncCompleted) || time.Now().After(deadline) {
+			return s
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // The loser of a hedge race is cancelled and the cache is charged exactly
 // once: primary goes to a slow upstream, the hedge to a fast one wins.
 func TestHedgeLoserCancelledCacheChargedOnce(t *testing.T) {
@@ -159,16 +176,7 @@ func TestHedgeLoserCancelledCacheChargedOnce(t *testing.T) {
 	if s.CacheLen != 1 {
 		t.Errorf("cache len = %d, want 1 (charged once by the winner)", s.CacheLen)
 	}
-	// The loser's completion lands after its socket is closed; wait for
-	// the cancellation to be accounted.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s = p.Stats()
-		if s.HedgeCancelled == 1 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	s = waitHedgeLoser(p)
 	if s.HedgeCancelled != 1 {
 		t.Errorf("hedge cancelled = %d, want 1", s.HedgeCancelled)
 	}

@@ -36,12 +36,13 @@ func (s *stubEnv) Read(buf []byte) error {
 	return err
 }
 
-// poolFixture is a loopback listener plus the runtime/env pair the pool
-// needs; accepted server-side conns are retained for the tests to kill.
+// poolFixture is a loopback listener plus the runtime/env pair the pool's
+// blocking stepper needs; accepted server-side conns are retained for the
+// tests to kill.
 type poolFixture struct {
-	ln  net.Listener
-	ct  *connTable
-	env *stubEnv
+	ln net.Listener
+	ct *connTable
+	st ocallStepper
 
 	mu       sync.Mutex
 	accepted []net.Conn
@@ -54,7 +55,7 @@ func newPoolFixture(t *testing.T) *poolFixture {
 		t.Fatal(err)
 	}
 	f := &poolFixture{ln: ln, ct: newConnTable(nil)}
-	f.env = newStubEnv(f.ct)
+	f.st = ocallStepper{newStubEnv(f.ct)}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -73,60 +74,102 @@ func newPoolFixture(t *testing.T) *poolFixture {
 	return f
 }
 
-// dial opens a pooled-style connection through the socket ocalls.
-func (f *poolFixture) dial(t *testing.T) *engineConn {
+// dial opens a pooled-style session through the sock_connect ocall.
+func (f *poolFixture) dial(t *testing.T) *idleConn {
 	t.Helper()
-	host, port, err := splitHostPort(f.ln.Addr().String())
+	fd, err := ocallConnect(f.st.env, f.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := ocallConnect(f.env, host, port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := newOCallConn(f.env, fd)
-	return &engineConn{fd: fd, raw: raw, rw: raw, br: bufio.NewReader(raw)}
+	sc := &stepConn{st: f.st, connID: fd, live: true}
+	return &idleConn{rw: sc, sc: sc, br: bufio.NewReader(sc)}
+}
+
+// checkout and checkin drive the upstream's pool the way the blocking
+// stage does: probe through sock_check, close victims through close ocalls.
+func (f *poolFixture) checkout(u *upstream) *idleConn {
+	ic, closes := u.checkout(f.st, time.Now())
+	f.st.close(closes)
+	return ic
+}
+
+func (f *poolFixture) checkin(u *upstream, ic *idleConn) {
+	f.st.close(u.checkinIdle(ic, time.Now()))
 }
 
 // fdClosed reports whether the runtime's socket table no longer holds fd.
-func (f *poolFixture) fdClosed(fd int64) bool {
+func (f *poolFixture) fdClosed(fd uint64) bool {
 	f.ct.mu.Lock()
 	defer f.ct.mu.Unlock()
-	_, ok := f.ct.conns[fd]
+	_, ok := f.ct.conns[int64(fd)]
 	return !ok
 }
 
+// firstAccepted waits for the server side of the first dialled conn (the
+// accept goroutine records it some time after the dial returns).
+func (f *poolFixture) firstAccepted(t *testing.T) net.Conn {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		f.mu.Lock()
+		accepted := f.accepted
+		f.mu.Unlock()
+		if len(accepted) > 0 {
+			return accepted[0]
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitRejected checks ic out and back in until the probe sees what the
+// test did to its socket and the pool drops it.
+func (f *poolFixture) waitRejected(t *testing.T, u *upstream, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		got := f.checkout(u)
+		if got == nil {
+			return // the probe found it and dropped it
+		}
+		f.checkin(u, got) // not yet visible: put it back and retry
+		if time.Now().After(deadline) {
+			t.Fatalf("%s connection kept passing the health check", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func poolStats(u *upstream) UpstreamStats { return u.stats(time.Now(), 1) }
+
 func TestPoolCheckoutEmpty(t *testing.T) {
 	f := newPoolFixture(t)
-	p := newEnginePool(2, time.Minute)
-	if c := p.checkout(f.env); c != nil {
+	u := &upstream{maxIdle: 2, idleTTL: time.Minute}
+	if c := f.checkout(u); c != nil {
 		t.Fatalf("empty pool returned %+v", c)
 	}
-	p.dialled()
-	if reuses, dials, _ := p.stats(); reuses != 0 || dials != 1 {
-		t.Errorf("stats = %d reuses / %d dials", reuses, dials)
+	if s := poolStats(u); s.PoolReuses != 0 || s.PoolEvicted != 0 || s.PoolIdle != 0 {
+		t.Errorf("stats = %+v", s)
 	}
 }
 
 func TestPoolCheckinCheckoutReuse(t *testing.T) {
 	f := newPoolFixture(t)
-	p := newEnginePool(2, time.Minute)
+	u := &upstream{maxIdle: 2, idleTTL: time.Minute}
 	c := f.dial(t)
-	p.dialled()
-	p.checkin(f.env, c)
-	got := p.checkout(f.env)
-	if got == nil || got.fd != c.fd {
-		t.Fatalf("checkout = %+v, want fd %d", got, c.fd)
+	u.poolDials.Add(1)
+	f.checkin(u, c)
+	if got := f.checkout(u); got != c {
+		t.Fatalf("checkout = %+v, want fd %d", got, c.sc.connID)
 	}
-	if !got.reused {
-		t.Error("checked-out connection not marked reused")
+	s := poolStats(u)
+	if s.PoolReuses != 1 || s.PoolDials != 1 || s.PoolEvicted != 0 {
+		t.Errorf("stats = %d/%d/%d", s.PoolReuses, s.PoolDials, s.PoolEvicted)
 	}
-	reuses, dials, evicted := p.stats()
-	if reuses != 1 || dials != 1 || evicted != 0 {
-		t.Errorf("stats = %d/%d/%d", reuses, dials, evicted)
-	}
-	if got := p.reuse.Ratio(); got != 0.5 {
-		t.Errorf("reuse ratio = %f", got)
+	if s.PoolReuseRatio != 0.5 {
+		t.Errorf("reuse ratio = %f", s.PoolReuseRatio)
 	}
 }
 
@@ -134,41 +177,41 @@ func TestPoolCheckinCheckoutReuse(t *testing.T) {
 // (FIFO) when full.
 func TestPoolCapacityFIFOEviction(t *testing.T) {
 	f := newPoolFixture(t)
-	p := newEnginePool(2, time.Minute)
+	u := &upstream{maxIdle: 2, idleTTL: time.Minute}
 	c1, c2, c3 := f.dial(t), f.dial(t), f.dial(t)
-	p.checkin(f.env, c1)
-	p.checkin(f.env, c2)
-	p.checkin(f.env, c3) // overflows: c1 (oldest) evicted
-	if p.size() != 2 {
-		t.Fatalf("pool size = %d", p.size())
+	f.checkin(u, c1)
+	f.checkin(u, c2)
+	f.checkin(u, c3) // overflows: c1 (oldest) evicted
+	if n := poolStats(u).PoolIdle; n != 2 {
+		t.Fatalf("pool size = %d", n)
 	}
-	if !f.fdClosed(c1.fd) {
+	if !f.fdClosed(c1.sc.connID) {
 		t.Error("FIFO victim's socket still open in the runtime")
 	}
-	if f.fdClosed(c2.fd) || f.fdClosed(c3.fd) {
+	if f.fdClosed(c2.sc.connID) || f.fdClosed(c3.sc.connID) {
 		t.Error("surviving pooled sockets were closed")
 	}
-	if got := p.checkout(f.env); got == nil || got.fd != c3.fd {
-		t.Errorf("checkout = %+v, want freshest fd %d", got, c3.fd)
+	if got := f.checkout(u); got != c3 {
+		t.Errorf("checkout = %+v, want freshest fd %d", got, c3.sc.connID)
 	}
-	if _, _, evicted := p.stats(); evicted != 1 {
+	if evicted := poolStats(u).PoolEvicted; evicted != 1 {
 		t.Errorf("evicted = %d", evicted)
 	}
 }
 
 func TestPoolIdleEviction(t *testing.T) {
 	f := newPoolFixture(t)
-	p := newEnginePool(4, 5*time.Millisecond)
+	u := &upstream{maxIdle: 4, idleTTL: 5 * time.Millisecond}
 	c := f.dial(t)
-	p.checkin(f.env, c)
+	f.checkin(u, c)
 	time.Sleep(20 * time.Millisecond)
-	if got := p.checkout(f.env); got != nil {
+	if got := f.checkout(u); got != nil {
 		t.Fatalf("idle-expired connection returned: %+v", got)
 	}
-	if !f.fdClosed(c.fd) {
+	if !f.fdClosed(c.sc.connID) {
 		t.Error("idle-expired socket still open")
 	}
-	if _, _, evicted := p.stats(); evicted != 1 {
+	if evicted := poolStats(u).PoolEvicted; evicted != 1 {
 		t.Errorf("evicted = %d", evicted)
 	}
 }
@@ -177,31 +220,19 @@ func TestPoolIdleEviction(t *testing.T) {
 // check and be discarded, not handed to a request.
 func TestPoolDropsDeadConnections(t *testing.T) {
 	f := newPoolFixture(t)
-	p := newEnginePool(2, time.Minute)
+	u := &upstream{maxIdle: 2, idleTTL: time.Minute}
 	c := f.dial(t)
-	p.checkin(f.env, c)
+	f.checkin(u, c)
 
-	// Kill the server side and wait for the FIN to land.
-	deadline := time.Now().Add(2 * time.Second)
-	f.mu.Lock()
-	for _, sc := range f.accepted {
-		_ = sc.Close()
-	}
-	f.mu.Unlock()
-	for {
-		if got := p.checkout(f.env); got == nil {
-			break // health check found it dead and dropped it
-		} else {
-			// FIN not yet visible: put it back and retry.
-			p.checkin(f.env, got)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dead connection kept passing the health check")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !f.fdClosed(c.fd) {
+	// Kill the server side — once the accept goroutine has recorded it —
+	// and wait for the FIN to land.
+	_ = f.firstAccepted(t).Close()
+	f.waitRejected(t, u, "dead")
+	if !f.fdClosed(c.sc.connID) {
 		t.Error("dead pooled socket not closed")
+	}
+	if evicted := poolStats(u).PoolEvicted; evicted != 1 {
+		t.Errorf("evicted = %d", evicted)
 	}
 }
 
@@ -210,70 +241,43 @@ func TestPoolDropsDeadConnections(t *testing.T) {
 // response.
 func TestPoolRejectsDesyncedConnection(t *testing.T) {
 	f := newPoolFixture(t)
-	p := newEnginePool(2, time.Minute)
-	c := f.dial(t)
-	p.checkin(f.env, c)
+	u := &upstream{maxIdle: 2, idleTTL: time.Minute}
+	f.checkin(u, f.dial(t))
 
 	// The server writes stray bytes the client never consumed.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		f.mu.Lock()
-		n := len(f.accepted)
-		f.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server never accepted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	f.mu.Lock()
-	_, err := f.accepted[0].Write([]byte("stray"))
-	f.mu.Unlock()
-	if err != nil {
+	if _, err := f.firstAccepted(t).Write([]byte("stray")); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if got := p.checkout(f.env); got == nil {
-			break
-		} else {
-			p.checkin(f.env, got)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("desynced connection kept passing the health check")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	f.waitRejected(t, u, "desynced")
 }
 
 func TestPoolConcurrentCheckoutCheckin(t *testing.T) {
 	f := newPoolFixture(t)
-	p := newEnginePool(4, time.Minute)
+	u := &upstream{maxIdle: 4, idleTTL: time.Minute}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				c := p.checkout(f.env)
+				c := f.checkout(u)
 				if c == nil {
 					c = f.dial(t)
-					p.dialled()
+					u.poolDials.Add(1)
 				}
-				p.checkin(f.env, c)
+				f.checkin(u, c)
 			}
 		}()
 	}
 	wg.Wait()
-	if p.size() > 4 {
-		t.Errorf("pool overflowed: %d idle", p.size())
+	s := poolStats(u)
+	if s.PoolIdle > 4 {
+		t.Errorf("pool overflowed: %d idle", s.PoolIdle)
 	}
-	reuses, dials, _ := p.stats()
-	if reuses+dials != 400 {
-		t.Errorf("checkouts = %d, want 400", reuses+dials)
+	if s.PoolReuses+s.PoolDials != 400 {
+		t.Errorf("checkouts = %d, want 400", s.PoolReuses+s.PoolDials)
 	}
-	if reuses == 0 {
+	if s.PoolReuses == 0 {
 		t.Error("concurrent churn never reused a connection")
 	}
 }

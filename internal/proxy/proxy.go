@@ -435,9 +435,8 @@ func New(cfg Config) (*Proxy, error) {
 			}
 		}
 	}
-	// The fetch deadline applies on both paths (blocking dials honour it
-	// through the ocallConn read deadline), so set it outside the async
-	// block.
+	// The fetch deadline applies on both engine stages (it is the one
+	// exchange's), so set it outside the async block.
 	trusted.fetchTimeout = cfg.FetchTimeout
 	if cfg.AsyncOcalls {
 		trusted.pending = newPendingTable()
@@ -468,7 +467,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v2.3 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v2.4 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,

@@ -3,7 +3,6 @@ package proxy
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -92,12 +91,10 @@ func (ct *connTable) handlers() map[string]func([]byte) ([]byte, error) {
 	return h
 }
 
+// ocallConnect dials the host:port the argument's bytes spell, as a
+// tls_step's dial does.
 func (ct *connTable) ocallConnect(arg []byte) ([]byte, error) {
-	var req connectArg
-	if err := json.Unmarshal(arg, &req); err != nil {
-		return nil, fmt.Errorf("proxy: connect arg: %w", err)
-	}
-	conn, err := ct.dial(net.JoinHostPort(req.Host, fmt.Sprintf("%d", req.Port)))
+	conn, err := ct.dial(string(arg))
 	if err != nil {
 		return nil, fmt.Errorf("proxy: %w", err)
 	}

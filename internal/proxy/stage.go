@@ -280,12 +280,13 @@ func (ts *trustedState) admit(u *upstream, lastErr *string) bool {
 // errNoUpstream is the request error when every upstream is cooling down.
 const errNoUpstream = "proxy: no engine upstream available (all cooling down)"
 
-// fetch is the blocking engine stage: the entry's engine round trip runs
-// to completion inside this ecall, over the paper's socket ocalls,
-// holding the TCS throughout. Concurrent identical original queries are
-// single-flighted: the first becomes the leader and performs the round
-// trip; the rest wait and share its filtered result (and the cache, when
-// enabled, is charged to the EPC exactly once, by the leader).
+// fetch is the blocking engine stage: the entry's engine exchange runs to
+// completion inside this ecall, each of its steps a handful of the paper's
+// socket ocalls (ocallStepper), holding the TCS throughout. Concurrent
+// identical original queries are single-flighted: the first becomes the
+// leader and performs the round trip; the rest wait and share its filtered
+// result (and the cache, when enabled, is charged to the EPC exactly once,
+// by the leader).
 func (ts *trustedState) fetch(env enclave.Env, e *entry) {
 	if e.settled {
 		return
@@ -318,22 +319,21 @@ func (ts *trustedState) fetch(env enclave.Env, e *entry) {
 // only when every upstream is exhausted does the request fail. The first
 // upstream that holds up its end has its response settled.
 func (ts *trustedState) roundTripAndSettle(env enclave.Env, e *entry) ([]core.Result, error) {
-	start := time.Now()
 	path := enginePath(e.oq, e.count)
+	st := ocallStepper{env}
 	var lastErr string
 	for _, u := range ts.registry.order() {
 		if !ts.admit(u, &lastErr) {
 			continue
 		}
-		body, status, err := ts.fetchFromUpstream(env, u, path)
-		fr := fetchReply{Status: status, Body: body, Err: errString(err)}
-		if failMsg := ts.accountOutcome(u, &fr); failMsg != "" {
+		out := ts.exchange(st, u, path)
+		st.close(u.release(&out, time.Now()))
+		if failMsg := ts.accountOutcome(u, &out.reply); failMsg != "" {
 			lastErr = fmt.Sprintf("proxy: engine %s: %s", u.host, failMsg)
 			continue
 		}
 		u.served.Add(1)
-		ts.stages.Since(obs.StageFetch, start)
-		return ts.settle(env, e.oq, e.key, &fr)
+		return ts.settle(env, e.oq, e.key, &out.reply)
 	}
 	if lastErr == "" {
 		lastErr = errNoUpstream

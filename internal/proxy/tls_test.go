@@ -12,17 +12,14 @@ import (
 
 // tlsStack boots an HTTPS engine and a proxy whose enclave terminates TLS
 // over the socket ocalls — the paper's footnote-2 configuration.
-func tlsStack(t *testing.T, certPEM []byte, startProxy bool) (*searchengine.Server, *Proxy) {
+func tlsStack(t *testing.T, startProxy bool) (*searchengine.Server, *Proxy) {
 	t.Helper()
 	engine := searchengine.NewEngine(searchengine.WithCorpus(
 		searchengine.GenerateCorpus(searchengine.CorpusConfig{DocsPerTopic: 10, Seed: 1})))
 	srv := searchengine.NewServer(engine)
-	cert, pem, err := searchengine.GenerateSelfSignedCert("127.0.0.1")
+	cert, certPEM, err := searchengine.GenerateSelfSignedCert("127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if certPEM == nil {
-		certPEM = pem
 	}
 	if err := srv.StartTLS("127.0.0.1:0", cert); err != nil {
 		t.Fatal(err)
@@ -54,7 +51,7 @@ func tlsStack(t *testing.T, certPEM []byte, startProxy bool) (*searchengine.Serv
 }
 
 func TestEnclaveTLSToEngine(t *testing.T) {
-	_, p := tlsStack(t, nil, true)
+	_, p := tlsStack(t, true)
 	results, err := p.ServeQuery(context.Background(), "chicken recipe dinner")
 	if err != nil {
 		t.Fatal(err)
@@ -64,25 +61,29 @@ func TestEnclaveTLSToEngine(t *testing.T) {
 	}
 }
 
+// Pin a DIFFERENT certificate than the engine presents: the enclave must
+// refuse the connection on either stage and charge the upstream's breaker.
 func TestEnclaveTLSRejectsUnknownCA(t *testing.T) {
-	// Pin a DIFFERENT certificate than the engine presents: the enclave
-	// must refuse the connection.
-	_, otherPEM, err := searchengine.GenerateSelfSignedCert("127.0.0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, p := tlsStack(t, otherPEM, true)
-	_, err = p.ServeQuery(context.Background(), "chicken recipe")
-	if err == nil {
-		t.Fatal("enclave accepted engine with unpinned certificate")
-	}
-	if !strings.Contains(err.Error(), "TLS") && !strings.Contains(err.Error(), "certificate") {
-		t.Errorf("unexpected error: %v", err)
-	}
+	forEachStage(t, func(t *testing.T, async bool) {
+		srv, _ := newTLSDelayEngine(t, nil)
+		p := newStageProxy(t, async, nil, EngineSpec{Host: srv.Addr(), RootsPEM: somePEM(t)})
+		_, err := p.ServeQuery(context.Background(), "chicken recipe")
+		if err == nil {
+			t.Fatal("enclave accepted engine with unpinned certificate")
+		}
+		if !strings.Contains(err.Error(), "TLS") && !strings.Contains(err.Error(), "certificate") {
+			t.Errorf("unexpected error: %v", err)
+		}
+		s := p.Stats()
+		if len(s.Upstreams) != 1 || s.Upstreams[0].Failures == 0 {
+			t.Errorf("cert mismatch not counted against the breaker: %+v", s.Upstreams)
+		}
+		assertEPCInvariant(t, p)
+	})
 }
 
 func TestEngineCertChangesMeasurement(t *testing.T) {
-	srv, p1 := tlsStack(t, nil, false)
+	srv, p1 := tlsStack(t, false)
 	defer p1.encl.Destroy()
 	_, pem2, err := searchengine.GenerateSelfSignedCert("127.0.0.1")
 	if err != nil {

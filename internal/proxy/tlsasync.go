@@ -17,48 +17,58 @@ import (
 	"xsearch/internal/obs"
 )
 
-// This file is the async engine stage's one transport: every fetch the
-// pipeline issues — to a pinned-root HTTPS upstream or a plain-TCP one —
-// is a flight over the switchless rings.
+// This file is the engine stage's one transport: every fetch — blocking or
+// async, to a pinned-root HTTPS upstream or a plain-TCP one — is the one
+// exchange below, run over a stepConn adapter (crypto/tls on top of it
+// when the upstream pins roots, the HTTP exchange directly on it
+// otherwise) and one per-upstream keep-alive pool. The adapter never
+// touches a socket: every time the exchange needs network I/O it hands a
+// stepper a tlsStepArg — dial/send/read/close instructions for ONE I/O
+// round — and gets the completion back. Handshake, record crypto and HTTP
+// framing never leave the trusted boundary; the host sees ciphertext and
+// timing under TLS, the obfuscated request otherwise.
 //
-// crypto/tls and the HTTP response reader are blocking state machines:
-// they cannot be driven one ring completion at a time. Instead each fetch
-// attempt runs as a trusted coroutine (a goroutine inside the simulated
-// enclave) speaking the ordinary blocking exchange over a stepConn
-// adapter — crypto/tls on top of it when the upstream pins roots, the
-// HTTP exchange directly on it otherwise. The adapter never touches a
-// socket: every time the exchange needs network I/O the coroutine parks
-// on an unbuffered channel and hands the resume worker a tlsStepArg —
-// dial/send/read/close instructions for ONE async "tls_step" ocall. The
-// worker submits it to the ring and returns; the request stays parked in
-// the pending table with no TCS held. When the completion arrives, the
-// resume ecall feeds it back in and the coroutine runs to its next I/O
-// point. Handshake, record crypto and HTTP framing never leave the
-// trusted boundary; the host sees what it sees on the blocking path —
-// ciphertext and timing under TLS, the obfuscated request otherwise.
-//
-// Strictly one step is outstanding per flight (ping-pong over unbuffered
-// channels), so a TCS is occupied only while the coroutine is computing,
-// and the abort paths (hedge loser, abandon, shutdown) always find the
-// driver parked at a select that also watches the cancel/stop channels.
+// There are two steppers. The blocking stage's (ocallStepper, trusted.go)
+// carries the step out in place over the paper's socket ocalls, holding
+// the TCS. The async stage's is the flight: crypto/tls and the response
+// reader are blocking state machines that cannot be driven one ring
+// completion at a time, so the exchange runs as a trusted coroutine that
+// parks on an unbuffered channel at every step; the resume worker submits
+// the step as ONE async "tls_step" ocall and returns, the request stays
+// parked in the pending table with no TCS held, and the completion's
+// resume ecall feeds it back in. Strictly one step is outstanding per
+// flight (ping-pong over unbuffered channels), so a TCS is occupied only
+// while the coroutine is computing, and the abort paths (hedge loser,
+// abandon, shutdown) always find the driver parked at a select that also
+// watches the cancel/stop channels.
 
 // tlsStepReadMax bounds one step's returned bytes. The handler reads at
 // most this much per step; a larger reply is the untrusted runtime
 // violating the cap and fails the exchange.
 const tlsStepReadMax = 32 << 10
 
-// tlsConnIDs mints process-global flight-connection handles. The
-// trusted side names conns (it owns their lifecycle across pooled
-// exchanges); the untrusted handler just keys its table by them.
+// stepper is the exchange's whole view of the host: how one I/O round is
+// carried out, and whether a pooled conn is worth reusing.
+type stepper interface {
+	// do carries out one step and returns its completion. A dial step's
+	// completion names the conn it opened. False means the exchange was
+	// cancelled under the step.
+	do(ask *tlsStepArg) (tlsStepIn, bool)
+	// alive is the pre-use probe of a pooled conn.
+	alive(connID uint64) bool
+}
+
+// tlsConnIDs mints process-global flight-connection handles.
 var tlsConnIDs atomic.Uint64
 
 // errTLSCancelled marks a flight terminated by abort/tombstone/stop
 // rather than by the upstream.
 var errTLSCancelled = errors.New("proxy: tls fetch cancelled")
 
-// tlsStepIn is one step completion fed back into the coroutine; data
-// aliases the completion frame.
+// tlsStepIn is one step completion fed back into the exchange; data
+// aliases the completion frame. connID is set by the stepper on a dial.
 type tlsStepIn struct {
+	connID    uint64
 	data      []byte
 	eof       bool
 	errstr    string
@@ -71,9 +81,8 @@ type tlsStepOut struct {
 	ask  *tlsStepArg
 	done bool
 	// Terminal state (done == true): the fetch reply to complete with,
-	// the connection to return to the upstream's TLS pool (nil when the
-	// conn died or pooling is off), and conn handles the driver should
-	// fire close steps for.
+	// the session to return to the upstream's pool (nil when the conn
+	// died or pooling is off), and conn handles the caller should close.
 	reply      fetchReply
 	pooled     *idleConn
 	closeConns []uint64
@@ -109,82 +118,96 @@ func (ts *trustedState) newTLSFlight(token uint64) *tlsFlight {
 // loser, abandon). Idempotent; never blocks.
 func (f *tlsFlight) abort() { f.once.Do(func() { close(f.cancel) }) }
 
+// flightSend and flightRecv are the rendezvous primitives: one channel
+// operation that an abort or a stop unblocks (false).
+func flightSend[T any](f *tlsFlight, ch chan<- T, v T) bool {
+	select {
+	case ch <- v:
+		return true
+	case <-f.cancel:
+	case <-f.stop:
+	}
+	return false
+}
+
+func flightRecv[T any](f *tlsFlight, ch <-chan T) (v T, ok bool) {
+	select {
+	case v = <-ch:
+		return v, true
+	case <-f.cancel:
+	case <-f.stop:
+	}
+	return v, false
+}
+
 // step feeds a completion in and waits for the coroutine's next ask or
 // terminal outcome. Driver side. A false return means the flight was
 // aborted or the enclave is stopping: the caller synthesizes a Cancelled
 // terminal — the coroutine exits through the same closed channel and
 // never touches the pool.
 func (f *tlsFlight) step(in tlsStepIn) (tlsStepOut, bool) {
-	select {
-	case f.in <- in:
-	case <-f.cancel:
-		return tlsStepOut{}, false
-	case <-f.stop:
+	if !flightSend(f, f.in, in) {
 		return tlsStepOut{}, false
 	}
 	return f.recv()
 }
 
 // recv waits for the coroutine's next output (driver side).
-func (f *tlsFlight) recv() (tlsStepOut, bool) {
-	select {
-	case out := <-f.out:
-		return out, true
-	case <-f.cancel:
-		return tlsStepOut{}, false
-	case <-f.stop:
-		return tlsStepOut{}, false
-	}
-}
+func (f *tlsFlight) recv() (tlsStepOut, bool) { return flightRecv(f, f.out) }
 
 // yield parks the coroutine: hand the driver an ask, wait for its
 // completion. Coroutine side.
 func (f *tlsFlight) yield(out tlsStepOut) (tlsStepIn, bool) {
-	select {
-	case f.out <- out:
-	case <-f.cancel:
-		return tlsStepIn{}, false
-	case <-f.stop:
+	if !flightSend(f, f.out, out) {
 		return tlsStepIn{}, false
 	}
-	select {
-	case in := <-f.in:
-		return in, true
-	case <-f.cancel:
-		return tlsStepIn{}, false
-	case <-f.stop:
-		return tlsStepIn{}, false
-	}
+	return flightRecv(f, f.in)
 }
 
 // finish delivers the terminal outcome, or drops it if the driver
 // already synthesized one through the cancel/stop path.
-func (f *tlsFlight) finish(out tlsStepOut) {
-	select {
-	case f.out <- out:
-	case <-f.cancel:
-	case <-f.stop:
+func (f *tlsFlight) finish(out tlsStepOut) { flightSend(f, f.out, out) }
+
+// do parks the coroutine on one tls_step round trip (the flight as a
+// stepper). The flight mints the handle a dialled conn is registered under
+// — it owns conn lifecycles across pooled exchanges; the untrusted handler
+// just keys its table by them.
+func (f *tlsFlight) do(ask *tlsStepArg) (tlsStepIn, bool) {
+	ask.Token = f.token
+	if ask.Dial {
+		ask.ConnID = tlsConnIDs.Add(1)
 	}
+	f.connID.Store(ask.ConnID)
+	in, ok := f.yield(tlsStepOut{ask: ask})
+	if ok && (in.errstr != "" || in.eof) {
+		f.connID.Store(0) // the handler closed and deregistered the conn itself
+	}
+	in.connID = ask.ConnID
+	return in, ok
 }
+
+// alive: a flight cannot afford a probe's ring round trip; a pooled conn
+// that went stale fails its first step and earns the one retry.
+func (f *tlsFlight) alive(uint64) bool { return true }
 
 // stepConn is the net.Conn the trusted exchange runs over. Writes are
 // buffered; a Read with nothing buffered flushes everything accumulated
-// since the last park — dial instruction, pending writes, deferred
-// closes — as ONE step, then parks. That coalescing is the perf story: a
-// fresh TLS 1.3 exchange costs two ring round trips (dial + ClientHello +
-// read, then Finished + HTTP request + read); a pooled one, and any
-// plain-TCP one (dial + request + read), costs one while the response
-// fits a read. Step data is copied once on its way in, into rbuf, which
-// keeps its capacity across the exchanges of a pooled session.
+// since the last step — dial instruction, pending writes, deferred closes
+// — as ONE step. That coalescing is the perf story on the rings: a fresh
+// TLS 1.3 exchange costs two round trips (dial + ClientHello + read, then
+// Finished + HTTP request + read); a pooled one, and any plain-TCP one
+// (dial + request + read), costs one while the response fits a read. Step
+// data is copied once on its way in, into rbuf, which keeps its capacity
+// across the exchanges of a pooled session.
 type stepConn struct {
-	f      *tlsFlight
+	st     stepper
 	connID uint64
 	host   string
 	dial   bool
 	// deadline is the absolute bound on the WHOLE fetch — handshake
-	// included. Checked trusted-side before every park (a host that
-	// simply never completes the step is caught by the per-step read
-	// deadline the handler arms from the same clock).
+	// included. Checked trusted-side before every step (a host that simply
+	// never completes the step is caught by the per-step read deadline the
+	// handler arms from the same clock).
 	deadline time.Time
 	rbuf     []byte // unread bytes are rbuf[rpos:]
 	rpos     int
@@ -192,7 +215,7 @@ type stepConn struct {
 	closes   []uint64
 	eof      bool
 	// live tracks whether the untrusted side currently holds an open
-	// conn for connID (the handler closes it itself on I/O error/EOF).
+	// conn for connID (a step that fails or reads EOF closes it).
 	live bool
 }
 
@@ -218,8 +241,8 @@ func (sc *stepConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// flush parks the coroutine on one tls_step round trip carrying
-// everything buffered. read asks the handler to block for bytes.
+// flush spends one step carrying everything buffered. read asks the host
+// to block for bytes.
 func (sc *stepConn) flush(read bool) error {
 	var timeoutMS uint64
 	if !sc.deadline.IsZero() {
@@ -230,7 +253,6 @@ func (sc *stepConn) flush(read bool) error {
 		timeoutMS = uint64(remain/time.Millisecond) + 1
 	}
 	ask := &tlsStepArg{
-		Token:     sc.f.token,
 		ConnID:    sc.connID,
 		Send:      sc.wbuf,
 		Read:      read,
@@ -241,22 +263,21 @@ func (sc *stepConn) flush(read bool) error {
 		ask.Dial = true
 		ask.Host = sc.host
 	}
-	sc.f.connID.Store(sc.connID)
-	in, ok := sc.f.yield(tlsStepOut{ask: ask})
+	in, ok := sc.st.do(ask)
 	if !ok {
 		return errTLSCancelled
 	}
-	sc.dial = false
-	sc.wbuf = nil
+	sc.wbuf = sc.wbuf[:0] // the step copied it out; a pooled session keeps the capacity
 	sc.closes = nil
 	switch {
 	case in.cancelled:
 		return errTLSCancelled
 	case in.errstr != "":
-		// The handler closed and deregistered the conn itself.
 		sc.live = false
-		sc.f.connID.Store(0)
 		return fmt.Errorf("proxy: tls step: %s", in.errstr)
+	}
+	if sc.dial {
+		sc.dial, sc.connID = false, in.connID
 	}
 	sc.live = true
 	if len(in.data) > tlsStepReadMax {
@@ -271,7 +292,6 @@ func (sc *stepConn) flush(read bool) error {
 	if in.eof {
 		sc.eof = true
 		sc.live = false
-		sc.f.connID.Store(0)
 	}
 	return nil
 }
@@ -285,10 +305,10 @@ func (sc *stepConn) SetDeadline(time.Time) error      { return nil }
 func (sc *stepConn) SetReadDeadline(time.Time) error  { return nil }
 func (sc *stepConn) SetWriteDeadline(time.Time) error { return nil }
 
-// idleConn is one idle keep-alive session in an upstream's trusted async
-// pool: its adapter and buffered reader — and, for a pinned-root upstream,
-// the live crypto/tls state between them — ready to be rebound to the next
-// flight. The socket it fronts stays registered untrusted-side under the
+// idleConn is one idle keep-alive session in an upstream's pool: its
+// adapter and buffered reader — and, for a pinned-root upstream, the live
+// crypto/tls state between them — ready to be rebound to the next
+// exchange. The socket it fronts stays registered untrusted-side under the
 // adapter's connID.
 type idleConn struct {
 	rw        io.ReadWriter // the *tls.Conn, or sc itself on a plain upstream
@@ -297,9 +317,10 @@ type idleConn struct {
 	idleSince time.Time
 }
 
-// checkoutIdle pops the freshest idle session for the upstream, collecting
-// TTL-expired victims' conn handles for the caller to close (they ride the
-// next step's Close list — no extra ring traffic).
+// checkoutIdle pops the freshest idle session for the upstream (LIFO: the
+// most recently returned is the likeliest still alive), collecting
+// TTL-expired victims' conn handles — oldest first, FIFO — for the caller
+// to close (they ride the next step's Close list).
 func (u *upstream) checkoutIdle(now time.Time) (*idleConn, []uint64) {
 	if u.maxIdle <= 0 {
 		return nil, nil
@@ -312,7 +333,7 @@ func (u *upstream) checkoutIdle(now time.Time) (*idleConn, []uint64) {
 		if u.idleTTL > 0 && now.Sub(ic.idleSince) > u.idleTTL {
 			evict = append(evict, ic.sc.connID)
 			u.idle = u.idle[1:]
-			u.flightEvicted.Add(1)
+			u.poolEvicted.Add(1)
 			continue
 		}
 		break
@@ -325,12 +346,29 @@ func (u *upstream) checkoutIdle(now time.Time) (*idleConn, []uint64) {
 	return ic, evict
 }
 
+// checkout is checkoutIdle behind the stepper's probe: a session whose
+// conn the host reports dead (the engine closed it, or leftover bytes
+// desynced the HTTP framing) is evicted and the next-freshest tried. The
+// host can lie — "alive" for a dead socket just makes the exchange fail
+// and retry, it never corrupts a response. Never probes under idleMu.
+func (u *upstream) checkout(st stepper, now time.Time) (*idleConn, []uint64) {
+	ic, closes := u.checkoutIdle(now)
+	for ic != nil && !st.alive(ic.sc.connID) {
+		u.poolEvicted.Add(1)
+		closes = append(closes, ic.sc.connID)
+		var expired []uint64
+		ic, expired = u.checkoutIdle(now)
+		closes = append(closes, expired...)
+	}
+	if ic != nil {
+		u.poolReuses.Add(1)
+	}
+	return ic, closes
+}
+
 // checkinIdle returns a session to the pool, returning the conn handles
 // of evicted-over-capacity victims for the caller to close.
 func (u *upstream) checkinIdle(ic *idleConn, now time.Time) []uint64 {
-	if ic == nil {
-		return nil
-	}
 	ic.idleSince = now
 	u.idleMu.Lock()
 	defer u.idleMu.Unlock()
@@ -339,30 +377,43 @@ func (u *upstream) checkinIdle(ic *idleConn, now time.Time) []uint64 {
 	for len(u.idle) > u.maxIdle {
 		evict = append(evict, u.idle[0].sc.connID)
 		u.idle = u.idle[1:]
-		u.flightEvicted.Add(1)
+		u.poolEvicted.Add(1)
 	}
 	return evict
 }
 
-// runTLSFlight is the coroutine body: one fetch attempt end to end, over
-// TLS when u pins roots. One absolute deadline spans pool checkout,
-// handshake, exchange, and the single stale-conn retry. A successful
-// exchange's wall time goes to the fetch stage and to the upstream's
-// latency histogram — the one the p95-derived hedge delay reads.
-func (ts *trustedState) runTLSFlight(f *tlsFlight, u *upstream, path string) {
+// release finishes a terminal outcome's pool bookkeeping: the session it
+// offers goes back to the pool, and every conn handle the exchange is done
+// with — its own, and capacity victims — is returned for the caller to
+// close (close ocalls in place, or a pure-close step on the ring).
+func (u *upstream) release(out *tlsStepOut, now time.Time) []uint64 {
+	if out.pooled == nil {
+		return out.closeConns
+	}
+	return append(out.closeConns, u.checkinIdle(out.pooled, now)...)
+}
+
+// exchange is one fetch attempt end to end, over TLS when u pins roots:
+// the engine stage's one implementation, called in place on the blocking
+// stage and as a flight's coroutine body on the async one. One absolute
+// deadline spans pool checkout, handshake, exchange, and the single
+// stale-conn retry. A successful exchange's wall time goes to the fetch
+// stage and to the upstream's latency histogram — the one the p95-derived
+// hedge delay reads. The caller releases the outcome.
+func (ts *trustedState) exchange(st stepper, u *upstream, path string) tlsStepOut {
 	var deadline time.Time
 	if ts.fetchTimeout > 0 {
 		deadline = time.Now().Add(ts.fetchTimeout)
 	}
 	start := time.Now()
-	pooled, evict := u.checkoutIdle(start)
-	out, retry := ts.tlsExchange(f, u, path, pooled, evict, deadline)
+	pooled, evict := u.checkout(st, start)
+	out, retry := ts.tlsExchange(st, u, path, pooled, evict, deadline)
 	if retry {
 		// The pooled session went stale between checkout and use: retry
 		// once on a fresh dial (NEVER by resending through the old TLS
 		// state — its record layer is desynced). The failed conn's close
 		// rides the fresh dial's first step.
-		out, _ = ts.tlsExchange(f, u, path, nil, out.closeConns, deadline)
+		out, _ = ts.tlsExchange(st, u, path, nil, out.closeConns, deadline)
 	}
 	if out.reply.Err == "" && !out.reply.Cancelled {
 		ts.stages.Since(obs.StageFetch, start)
@@ -370,34 +421,32 @@ func (ts *trustedState) runTLSFlight(f *tlsFlight, u *upstream, path string) {
 			ts.recordFetch(u.host, time.Since(start))
 		}
 	}
-	f.finish(out)
+	return out
+}
+
+// runTLSFlight is the coroutine body: the exchange with the flight as its
+// stepper.
+func (ts *trustedState) runTLSFlight(f *tlsFlight, u *upstream, path string) {
+	f.finish(ts.exchange(f, u, path))
 }
 
 // tlsExchange runs one HTTP exchange over one session (pooled or fresh).
 // The bool result asks the caller to retry on a fresh dial: a reused
 // session failing for any reason other than cancellation or a deadline is
-// indistinguishable from engine-closed-while-idle, the same rule the
-// blocking pool applies.
-func (ts *trustedState) tlsExchange(f *tlsFlight, u *upstream, path string, pooled *idleConn, closes []uint64, deadline time.Time) (tlsStepOut, bool) {
+// indistinguishable from engine-closed-while-idle.
+func (ts *trustedState) tlsExchange(st stepper, u *upstream, path string, pooled *idleConn, closes []uint64, deadline time.Time) (tlsStepOut, bool) {
 	ic := pooled
+	keep := u.maxIdle > 0
 	if ic != nil {
-		ic.sc.f = f
+		ic.sc.st = st
 		ic.sc.deadline = deadline
 		ic.sc.closes = append(ic.sc.closes, closes...)
-		f.connID.Store(ic.sc.connID)
-		u.flightReuses.Add(1)
 	} else {
-		sc := &stepConn{
-			f:        f,
-			connID:   tlsConnIDs.Add(1),
-			host:     u.host,
-			dial:     true,
-			deadline: deadline,
-			closes:   closes,
-		}
+		sc := &stepConn{st: st, host: u.host, dial: true, deadline: deadline, closes: closes}
 		ic = &idleConn{rw: sc, sc: sc}
-		f.connID.Store(sc.connID)
-		u.flightDials.Add(1)
+		if keep {
+			u.poolDials.Add(1) // no pool, no pool activity
+		}
 		if u.tlsConf != nil {
 			conn := tls.Client(sc, u.tlsConf)
 			hsStart := time.Now()
@@ -410,7 +459,6 @@ func (ts *trustedState) tlsExchange(f *tlsFlight, u *upstream, path string, pool
 		ic.br = bufio.NewReader(ic.rw)
 	}
 	sc := ic.sc
-	keep := u.maxIdle > 0
 	if err := writeEngineRequest(ic.rw, u.host, path, keep); err != nil {
 		return tlsFailOut(sc, fmt.Errorf("send request: %w", err)), pooled != nil && retryableTLSErr(err)
 	}
@@ -420,8 +468,11 @@ func (ts *trustedState) tlsExchange(f *tlsFlight, u *upstream, path string, pool
 	}
 	out := tlsStepOut{done: true, reply: fetchReply{Status: status, Body: body}}
 	// Pool only a session sitting exactly at a record AND response
-	// boundary: leftover bytes at any layer would frame the next
-	// request's response (the same smuggling guard as the blocking pool).
+	// boundary: leftover bytes at any layer — the parser's bufio, or the
+	// adapter below it, where bufio's direct-read path strands what follows
+	// a large body — would frame the next request's response (a hostile
+	// host pipelining a forged response behind a well-framed one), and the
+	// socket-level probe cannot see trusted-side buffers.
 	if keep && keepAlive && sc.live && !sc.eof &&
 		ic.br.Buffered() == 0 && sc.buffered() == 0 && len(sc.wbuf) == 0 {
 		out.pooled = ic
@@ -439,8 +490,9 @@ func tlsFailOut(sc *stepConn, err error) tlsStepOut {
 		return out
 	}
 	out.reply = fetchReply{Err: err.Error()}
+	out.closeConns = sc.closes // not yet carried by a step (deadline spent first)
 	if sc.live {
-		out.closeConns = []uint64{sc.connID}
+		out.closeConns = append(out.closeConns, sc.connID)
 		sc.live = false
 	}
 	return out
@@ -456,8 +508,7 @@ func retryableTLSErr(err error) bool {
 	return !strings.Contains(err.Error(), "timeout")
 }
 
-// writeEngineRequest writes the one-line engine GET (shared by the
-// blocking round trip and the flight).
+// writeEngineRequest writes the one-line engine GET.
 func writeEngineRequest(w io.Writer, host, path string, keepAlive bool) error {
 	connHeader := "close"
 	if keepAlive {
@@ -488,10 +539,7 @@ func (ts *trustedState) submitFetch(env enclave.Env, p *pendingReq, att *pending
 		// or a checked-out session failed instantly). Flush its close
 		// bookkeeping and fail the submission; the caller's stage-error
 		// path owns the reply.
-		ts.submitTLSClose(env, out.closeConns)
-		if out.pooled != nil {
-			ts.submitTLSClose(env, att.u.checkinIdle(out.pooled, time.Now()))
-		}
+		ts.submitTLSClose(env, att.u.release(&out, time.Now()))
 		errstr := out.reply.Err
 		if errstr == "" {
 			errstr = "proxy: fetch aborted before submission"
@@ -565,10 +613,7 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 		}
 		return resumeReply{State: resumePending, PendingID: att.p.id} // no DoneToken: the flight lives
 	default:
-		ts.submitTLSClose(env, out.closeConns)
-		if out.pooled != nil {
-			ts.submitTLSClose(env, att.u.checkinIdle(out.pooled, time.Now()))
-		}
+		ts.submitTLSClose(env, att.u.release(&out, time.Now()))
 		fr = out.reply
 	}
 	// Terminal: breaker accounting, hedge arbitration, failover or settle.

@@ -3,15 +3,11 @@ package proxy
 import (
 	"bufio"
 	"bytes"
-	"crypto/tls"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -296,115 +292,6 @@ func (ts *trustedState) handleHandshake(env enclave.Env, rawOffer json.RawMessag
 	return reply.encode(), nil
 }
 
-// fetchFromUpstream runs one HTTP exchange against upstream u. With an
-// engine CA pinned for u (the paper's footnote 2), the enclave terminates
-// TLS itself over the socket ocalls, so the untrusted host sees only
-// ciphertext between proxy and engine. When pooling is enabled the
-// exchange runs HTTP/1.1 keep-alive over u's pooled connection and returns
-// it afterwards; a connection that went stale between health check and use
-// is retried once on a fresh dial.
-func (ts *trustedState) fetchFromUpstream(env enclave.Env, u *upstream, path string) (body []byte, status int, err error) {
-	// One absolute deadline spans the whole fetch — dial, TLS handshake,
-	// exchange, and the single stale-conn retry — so a hung or slow-loris
-	// engine cannot pin this TCS past FetchTimeout.
-	var deadline time.Time
-	if ts.fetchTimeout > 0 {
-		deadline = time.Now().Add(ts.fetchTimeout)
-	}
-	for attempt := 0; ; attempt++ {
-		ec, err := ts.acquireUpstreamConn(env, u, attempt > 0, deadline)
-		if err != nil {
-			return nil, 0, err
-		}
-		_ = ec.raw.SetReadDeadline(deadline) // zero clears
-		body, status, keepAlive, err := ts.roundTrip(ec, u, path)
-		if err != nil {
-			ec.close(env)
-			if ec.reused && attempt == 0 && !errors.Is(err, os.ErrDeadlineExceeded) {
-				// The engine closed the pooled connection between the
-				// health check and our write/read: retry on a fresh dial.
-				// A deadline expiry is the engine being slow, not the
-				// stream being stale — no retry.
-				continue
-			}
-			return nil, 0, err
-		}
-		// Pooled sockets must not carry this exchange's deadline into the
-		// next one.
-		_ = ec.raw.SetReadDeadline(time.Time{})
-		// Pool the connection only if the stream is exactly at a response
-		// boundary: leftover bytes buffered enclave-side (a hostile host
-		// pipelining a forged response behind a well-framed one) would be
-		// parsed as the NEXT query's response, and the socket-level
-		// sock_check probe cannot see enclave-side buffers.
-		if u.pool != nil && keepAlive && ec.atBoundary() {
-			u.pool.checkin(env, ec)
-		} else {
-			ec.close(env)
-		}
-		return body, status, nil
-	}
-}
-
-// acquireUpstreamConn returns a connection to upstream u: a health-checked
-// pooled one when available, otherwise a fresh dial (forced when a pooled
-// connection just failed mid-exchange).
-func (ts *trustedState) acquireUpstreamConn(env enclave.Env, u *upstream, forceDial bool, deadline time.Time) (*engineConn, error) {
-	if u.pool != nil && !forceDial {
-		if ec := u.pool.checkout(env); ec != nil {
-			return ec, nil
-		}
-	}
-	ec, err := ts.dialUpstream(env, u, deadline)
-	if err == nil && u.pool != nil {
-		u.pool.dialled()
-	}
-	return ec, err
-}
-
-// dialUpstream opens a new connection to u through the sock_connect ocall,
-// layering TLS inside the enclave when u pins an engine CA. The deadline,
-// when set, bounds the TLS handshake too (a hung engine mid-handshake
-// used to pin this TCS forever).
-func (ts *trustedState) dialUpstream(env enclave.Env, u *upstream, deadline time.Time) (*engineConn, error) {
-	host, port, err := splitHostPort(u.host)
-	if err != nil {
-		return nil, err
-	}
-	fd, err := ocallConnect(env, host, port)
-	if err != nil {
-		return nil, err
-	}
-	raw := newOCallConn(env, fd)
-	_ = raw.SetReadDeadline(deadline)
-	var rw io.ReadWriter = raw
-	if u.cas != nil {
-		// u.tlsConf pins the measured roots and shares one trusted
-		// ClientSessionCache with the async flight path, so the blocking
-		// path resumes sessions across redials too.
-		tlsConn := tls.Client(raw, u.tlsConf)
-		hsStart := time.Now()
-		if err := tlsConn.Handshake(); err != nil {
-			ocallClose(env, fd)
-			return nil, fmt.Errorf("proxy: engine TLS: %w", err)
-		}
-		ts.stages.Since(obs.StageTLSHandshake, hsStart)
-		rw = tlsConn
-	}
-	return &engineConn{fd: fd, raw: raw, rw: rw, br: bufio.NewReader(rw)}, nil
-}
-
-// roundTrip writes one GET request and reads the framed response. The
-// returned error covers transport and framing failures only; HTTP error
-// statuses and body parsing are the caller's concern (the connection is
-// still in a known-good framing state for those).
-func (ts *trustedState) roundTrip(ec *engineConn, u *upstream, path string) (body []byte, status int, keepAlive bool, err error) {
-	if err := writeEngineRequest(ec.rw, u.host, path, u.pool != nil); err != nil {
-		return nil, 0, false, err
-	}
-	return readHTTPResponse(ec.br)
-}
-
 // maxEngineResponse bounds how many body bytes the enclave accepts from
 // one engine response, and maxEngineHeaderBytes bounds everything
 // line-framed (status line, headers, chunk sizes, trailers). The response
@@ -573,29 +460,22 @@ func readChunkedBody(reader *bufio.Reader, lineBudget *int) ([]byte, error) {
 
 // --- ocall wrappers (the paper's table in §5.3.3) ---
 
-type connectArg struct {
-	Host string `json:"host"`
-	Port int    `json:"port"`
-}
-
-func ocallConnect(env enclave.Env, host string, port int) (int64, error) {
-	arg, err := json.Marshal(connectArg{Host: host, Port: port})
-	if err != nil {
-		return 0, err
-	}
-	res, err := env.OCall("sock_connect", arg)
+// ocallConnect opens a socket to the upstream's host:port; the handle it
+// returns is the host's descriptor, opaque to the enclave.
+func ocallConnect(env enclave.Env, addr string) (uint64, error) {
+	res, err := env.OCall("sock_connect", []byte(addr))
 	if err != nil {
 		return 0, fmt.Errorf("proxy: sock_connect: %w", err)
 	}
 	if len(res) != 8 {
 		return 0, fmt.Errorf("proxy: sock_connect returned %d bytes", len(res))
 	}
-	return int64(binary.LittleEndian.Uint64(res)), nil
+	return binary.LittleEndian.Uint64(res), nil
 }
 
-func ocallSend(env enclave.Env, fd int64, data []byte) error {
+func ocallSend(env enclave.Env, fd uint64, data []byte) error {
 	arg := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint64(arg, uint64(fd))
+	binary.LittleEndian.PutUint64(arg, fd)
 	copy(arg[8:], data)
 	if _, err := env.OCall("send", arg); err != nil {
 		return fmt.Errorf("proxy: send: %w", err)
@@ -603,13 +483,13 @@ func ocallSend(env enclave.Env, fd int64, data []byte) error {
 	return nil
 }
 
-func ocallRecv(env enclave.Env, fd int64, max int, timeoutMS int64) (data []byte, eof bool, err error) {
+func ocallRecv(env enclave.Env, fd uint64, max int, timeoutMS uint64) (data []byte, eof bool, err error) {
 	// Bytes 16:24 carry the remaining read budget in milliseconds (0 = no
-	// deadline).
+	// deadline), so the untrusted handler arms a real socket deadline.
 	arg := make([]byte, 24)
-	binary.LittleEndian.PutUint64(arg, uint64(fd))
+	binary.LittleEndian.PutUint64(arg, fd)
 	binary.LittleEndian.PutUint64(arg[8:], uint64(max))
-	binary.LittleEndian.PutUint64(arg[16:], uint64(timeoutMS))
+	binary.LittleEndian.PutUint64(arg[16:], timeoutMS)
 	res, err := env.OCall("recv", arg)
 	if err != nil {
 		return nil, false, fmt.Errorf("proxy: recv: %w", err)
@@ -620,98 +500,69 @@ func ocallRecv(env enclave.Env, fd int64, max int, timeoutMS int64) (data []byte
 	return res[1:], res[0] == 1, nil
 }
 
-func ocallClose(env enclave.Env, fd int64) {
+func ocallClose(env enclave.Env, fd uint64) {
 	arg := make([]byte, 8)
-	binary.LittleEndian.PutUint64(arg, uint64(fd))
+	binary.LittleEndian.PutUint64(arg, fd)
 	// Best effort; the runtime reaps leaked conns on shutdown anyway.
 	_, _ = env.OCall("close", arg)
 }
 
-// ocallConn adapts the four socket ocalls into a net.Conn so the enclave
-// can layer crypto/tls over them. Read deadlines ARE supported: the
-// remaining budget rides the recv ocall (bytes 16:24) so the untrusted
-// handler arms a real socket deadline, and expiry is also checked on the
-// trusted side so a hostile host cannot stretch a fetch past
-// Config.FetchTimeout by ignoring the hint. Write deadlines are not
-// (send is fire-and-forget into the host's socket buffer).
-type ocallConn struct {
-	env enclave.Env
-	fd  int64
-
-	mu       sync.Mutex
-	pending  []byte
-	sawEOF   bool
-	deadline time.Time
+// ocallCheck asks the untrusted runtime whether the socket is still usable
+// for a fresh request: open, with no unread bytes (leftover data means the
+// previous HTTP exchange desynced).
+func ocallCheck(env enclave.Env, fd uint64) bool {
+	arg := make([]byte, 8)
+	binary.LittleEndian.PutUint64(arg, fd)
+	res, err := env.OCall("sock_check", arg)
+	return err == nil && len(res) == 1 && res[0] == 1
 }
 
-func newOCallConn(env enclave.Env, fd int64) *ocallConn {
-	return &ocallConn{env: env, fd: fd}
-}
+// ocallRecvMax is what one recv asks for. The host allocates that much per
+// call whatever arrives, and a result list rarely needs more than two.
+const ocallRecvMax = 16 << 10
 
-func (c *ocallConn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.pending) == 0 {
-		if c.sawEOF {
-			return 0, io.EOF
-		}
-		var timeoutMS int64
-		if !c.deadline.IsZero() {
-			remain := time.Until(c.deadline)
-			if remain <= 0 {
-				return 0, os.ErrDeadlineExceeded
-			}
-			timeoutMS = int64(remain/time.Millisecond) + 1
-		}
-		data, eof, err := ocallRecv(c.env, c.fd, 16*1024, timeoutMS)
-		if err != nil {
-			return 0, err
-		}
-		c.pending = data
-		c.sawEOF = eof
+// ocallStepper is the blocking stage's stepper: each step of the exchange
+// (tlsasync.go) is carried out in place, inside the "request" ecall, as
+// the paper's socket ocalls — close*, sock_connect, send, recv — with
+// sock_check as the pre-use probe only a synchronous caller can afford.
+// Conn handles are the host's descriptors. Like the async step handler it
+// closes a conn whose send or recv failed, or that read EOF, itself: the
+// adapter takes such a conn for gone.
+type ocallStepper struct{ env enclave.Env }
+
+func (o ocallStepper) alive(fd uint64) bool { return ocallCheck(o.env, fd) }
+
+func (o ocallStepper) close(fds []uint64) {
+	for _, fd := range fds {
+		ocallClose(o.env, fd)
 	}
-	n := copy(p, c.pending)
-	c.pending = c.pending[n:]
-	return n, nil
 }
 
-// buffered reports bytes already received from the host but not yet read
-// — the layer below bufio, which the pool's response-boundary check must
-// also inspect (bufio's direct-read fast path can drain a large body
-// without ever filling its own buffer).
-func (c *ocallConn) buffered() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
-func (c *ocallConn) Write(p []byte) (int, error) {
-	if err := ocallSend(c.env, c.fd, p); err != nil {
-		return 0, err
+func (o ocallStepper) do(ask *tlsStepArg) (tlsStepIn, bool) {
+	o.close(ask.Close)
+	in := tlsStepIn{connID: ask.ConnID}
+	var err error
+	if ask.Dial {
+		if in.connID, err = ocallConnect(o.env, ask.Host); err != nil {
+			return tlsStepIn{errstr: err.Error()}, true
+		}
 	}
-	return len(p), nil
+	if len(ask.Send) > 0 {
+		err = ocallSend(o.env, in.connID, ask.Send)
+	}
+	if err == nil && ask.Read {
+		in.data, in.eof, err = ocallRecv(o.env, in.connID, ocallRecvMax, ask.TimeoutMS)
+	}
+	if err != nil || in.eof {
+		ocallClose(o.env, in.connID)
+	}
+	if err != nil {
+		return tlsStepIn{errstr: err.Error()}, true
+	}
+	return in, true
 }
 
-func (c *ocallConn) Close() error {
-	ocallClose(c.env, c.fd)
-	return nil
-}
-
-// Address stubs: the ocall interface exposes no peer addresses.
-func (c *ocallConn) LocalAddr() net.Addr  { return ocallAddr{} }
-func (c *ocallConn) RemoteAddr() net.Addr { return ocallAddr{} }
-
-func (c *ocallConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-func (c *ocallConn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.deadline = t
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *ocallConn) SetWriteDeadline(time.Time) error { return nil }
-
+// Address stubs for the adapter: the step seam exposes no peer addresses.
 type ocallAddr struct{}
 
 func (ocallAddr) Network() string { return "ocall" }

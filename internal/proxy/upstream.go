@@ -36,27 +36,30 @@ type upstream struct {
 	host    string
 	cas     *x509.CertPool // nil => plain TCP
 	weight  int
-	pool    *enginePool  // nil when pooling is disabled
 	limiter *tokenBucket // nil when rate limiting is disabled
 
 	// TLS client state, set iff cas != nil. tlsConf pins cas, fixes the
-	// ServerName, and carries one trusted ClientSessionCache shared by the
-	// blocking path and every async flight, so sessions resume across
-	// redials wherever the exchange ran.
+	// ServerName, and carries one trusted ClientSessionCache, so sessions
+	// resume across redials.
 	tlsConf *tls.Config
 
-	// idle is the async pipeline's one keep-alive pool: established
-	// sessions — in-enclave TLS state included, for a pinned-root upstream
-	// — over live host sockets, checked out by token-holding flights (the
-	// blocking path has its own enginePool). Guarded by idleMu, NOT u.mu —
-	// pool churn must not contend with breaker accounting.
-	idleMu        sync.Mutex
-	idle          []*idleConn
-	maxIdle       int
-	idleTTL       time.Duration
-	flightReuses  atomic.Uint64
-	flightDials   atomic.Uint64
-	flightEvicted atomic.Uint64
+	// idle is the upstream's keep-alive pool, the one every exchange —
+	// blocking or in flight — checks out of: established sessions, in-enclave
+	// TLS state included for a pinned-root upstream, over live host sockets,
+	// oldest-returned first; maxIdle <= 0 turns pooling off. Guarded by
+	// idleMu, NOT u.mu — pool churn must not contend with breaker
+	// accounting. poolReuses/poolDials count checkouts served from the pool
+	// versus fresh dials; poolEvicted counts sessions dropped by FIFO
+	// overflow, idle expiry (engines reap idle keep-alive conns server-side:
+	// better a fresh dial than a guaranteed stale-use retry) or a failed
+	// probe.
+	idleMu      sync.Mutex
+	idle        []*idleConn
+	maxIdle     int
+	idleTTL     time.Duration
+	poolReuses  atomic.Uint64
+	poolDials   atomic.Uint64
+	poolEvicted atomic.Uint64
 
 	// served counts requests this upstream answered (any HTTP status);
 	// rateLimited counts attempts the token bucket turned away.
@@ -274,18 +277,12 @@ func (u *upstream) stats(now time.Time, threshold int) UpstreamStats {
 		CoolingDown: cooling,
 		RateLimited: u.rateLimited.Load(),
 	}
-	if u.pool != nil {
-		s.PoolIdle = u.pool.size()
-		s.PoolReuses, s.PoolDials, s.PoolEvicted = u.pool.stats()
-	}
-	// Fold the async pool into the same gauges: operators care about reuse
-	// per upstream, not which engine stage held the socket.
 	u.idleMu.Lock()
-	s.PoolIdle += len(u.idle)
+	s.PoolIdle = len(u.idle)
 	u.idleMu.Unlock()
-	s.PoolReuses += u.flightReuses.Load()
-	s.PoolDials += u.flightDials.Load()
-	s.PoolEvicted += u.flightEvicted.Load()
+	s.PoolReuses = u.poolReuses.Load()
+	s.PoolDials = u.poolDials.Load()
+	s.PoolEvicted = u.poolEvicted.Load()
 	if total := s.PoolReuses + s.PoolDials; total > 0 {
 		s.PoolReuseRatio = float64(s.PoolReuses) / float64(total)
 	}
@@ -347,9 +344,6 @@ func buildRegistry(engines []EngineSpec, cfg *Config) (*upstreamRegistry, error)
 				// skips a full handshake's worth of ring round trips.
 				ClientSessionCache: tls.NewLRUClientSessionCache(0),
 			}
-		}
-		if e.MaxConns > 0 {
-			u.pool = newEnginePool(e.MaxConns, cfg.PoolIdleTimeout)
 		}
 		if cfg.UpstreamRateLimit > 0 {
 			u.limiter = newTokenBucket(cfg.UpstreamRateLimit, cfg.UpstreamRateBurst, time.Now())

@@ -193,13 +193,13 @@ func (rr *resumeReply) decode(b []byte) error {
 	return w.end()
 }
 
-// tlsStepArg is the argument of the async "tls_step" ocall: one socket
-// I/O round of an engine flight. The handler only ever moves opaque bytes
-// — dial the engine, write the enclave's bytes, read at most
-// tlsStepReadMax back, close retired conns — so the host's view of a
-// fetch stays exactly what it is over the blocking socket ocalls:
-// ciphertext and timing for a pinned-root upstream, the obfuscated
-// request for a plain one. Token is the enclave-chosen correlation
+// tlsStepArg is one socket I/O round of an engine exchange: what the
+// blocking stage's stepper carries out in place over the socket ocalls, and
+// the argument of the async "tls_step" ocall. The handler only ever moves
+// opaque bytes — dial the engine, write the enclave's bytes, read at most
+// tlsStepReadMax back, close retired conns — so the host's view of a fetch
+// is the same on both stages: ciphertext and timing for a pinned-root
+// upstream, the obfuscated request for a plain one. Token is the enclave-chosen correlation
 // handle: the completion echoes it, "resume" routes by it, cancellation
 // targets it. A step with Token 0 is a pure close batch and produces no
 // completion payload.
