@@ -1,9 +1,9 @@
 package xsearch_test
 
-// One benchmark per figure of the paper's evaluation, plus the ablations
-// called out in DESIGN.md. Each bench regenerates a scaled-down version of
-// its experiment per iteration; cmd/xsearch-bench runs the full-size
-// versions and prints the tables recorded in EXPERIMENTS.md.
+// One benchmark per figure of the paper's evaluation, plus the paper's own
+// ablations. Each bench regenerates a scaled-down version of its experiment
+// per iteration; cmd/xsearch-bench runs the full-size versions and prints
+// their tables.
 
 import (
 	"context"
@@ -282,39 +282,6 @@ func BenchmarkEngineRoundTripPooled(b *testing.B) {
 // in-enclave result cache (no engine round trip after the first).
 func BenchmarkEngineRoundTripCached(b *testing.B) {
 	benchmarkEngineRoundTrip(b, 8, 4<<20, true)
-}
-
-// BenchmarkScalingAblation regenerates the full cold/pooled/cached
-// comparison (the BENCH_baseline.json source) per iteration. It only
-// measures — the 5x cached-speedup floor is enforced by
-// TestRunConnScalingDemonstratesSpeedup, where a loaded machine fails a
-// test instead of killing a whole benchmark run.
-func BenchmarkScalingAblation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultConnScalingConfig()
-		cfg.Queries, cfg.Repeats = 16, 2
-		if _, err := experiments.RunConnScaling(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFanoutAblation regenerates the multi-engine comparison (the
-// coalescing and failover halves of BENCH_baseline.json) per iteration.
-// It only measures — the 2x coalescing floor is enforced by
-// TestRunFanoutDemonstratesScaling.
-func BenchmarkFanoutAblation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFanoutConfig()
-		cfg.CoalesceWorkers, cfg.CoalesceRequests = 8, 4
-		cfg.FailoverRequests = 48
-		cfg.Cooldown = 50 * time.Millisecond
-		if _, err := experiments.RunFanout(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAnonymityBaselines regenerates the extension comparison of the

@@ -100,10 +100,10 @@
 // queries, the pool Algorithm 1 draws fakes from. Fleet.Stats reports the
 // current ring size, scale-up/down counters, and the autoscaler's last
 // decision reason; the decision core itself is a pure function
-// (fleet.DecideScale), unit-tested without enclaves. The autoscale
-// ablation (-figs autoscale) drives a load ramp 1→4 shards and back,
-// holding every request across every spawn/drain/retire event while peak
-// throughput tracks a statically provisioned 4-shard fleet.
+// (fleet.DecideScale), unit-tested without enclaves; internal/fleet's
+// autoscaler tests tick the loop up from real occupancy and down from an
+// idle fleet, and its chaos soaks hold every request across every
+// spawn/drain/retire event.
 //
 // # Client edge
 //
@@ -145,9 +145,8 @@
 // replies, zero re-attestations. Remote refusals stay distinct from
 // transport loss so session eviction still takes the full re-attestation
 // path. Fleet.Stats reports conns held, total accepted, streams served,
-// and sessions resumed; the mux ablation (-figs mux) measures an order
-// of magnitude more attested sessions at equal gateway memory with
-// secure-query p95 within a few percent of the per-request HTTP edge.
+// and sessions resumed; the repository benchmark's `edge` workload
+// (bench/) measures a secure call over this edge.
 //
 // # Request stage
 //
@@ -215,10 +214,9 @@
 // empty one. Under real load batching improves latency as well as
 // throughput, because requests stop queueing behind other requests'
 // transition spins. Each batch entry parks individually, so hedges,
-// claims and abandonment work unchanged. The batch ablation (-figs
-// batch) sweeps BatchMax against the unbatched async configuration at
-// the same TCS count and commits the batch-size/latency curve to
-// BENCH_baseline.json.
+// claims and abandonment work unchanged. The repository benchmark's
+// `pipeline` workload runs this configuration (async, batched, two TLS
+// engines, 2 TCS).
 //
 // Proxy.Stats reports the node gauges (per-upstream pool reuse, breaker
 // and rate-limit state in Stats.Upstreams — sorted by host for stable
@@ -226,11 +224,10 @@
 // p50/p95/p99 query latency from a fixed-bucket histogram, and
 // batch-submission counts with request-batch occupancy percentiles) and
 // Fleet.Stats aggregates them across shards next to the gateway's routing
-// counters; the scaling, fanout, fleet, pipeline, autoscale, batch, and
-// answer ablations in cmd/xsearch-bench (-figs
-// scaling,fanout,fleet,pipeline,autoscale,batch,answer) measure the
-// configurations side by side and can write BENCH_baseline.json for
-// perf-regression tracking.
+// counters. Whether a change made any of this faster has one answer, the
+// repository benchmark (bash bench/run.sh): its `paper` workload is the
+// pooled blocking path, `repeat` the cached and indexed one, `pipeline`
+// the async, batched, TLS one, and `edge` the fleet behind the mux edge.
 //
 // # Answer tier
 //
@@ -254,9 +251,8 @@
 // blob through the same handoff seam as the history, and the enclave
 // identity measures the index configuration. Proxy.Stats reports
 // IndexHits/IndexDocs/IndexBytes and a LocalHitRatio combining
-// cache and index serving; the answer ablation (-figs answer) sweeps
-// repeat-heavy workloads against the no-index baseline and commits the
-// local-hit/upstream-cut curve to BENCH_baseline.json.
+// cache and index serving; the benchmark's `repeat` workload runs with
+// both warm.
 //
 // # Observability
 //
@@ -286,9 +282,7 @@
 // exposed via /events and optionally streamed to stderr (-log-json);
 // WithEventLog sizes the ring independently of the tracing. Fourth,
 // pprof handlers ride the admin mux (profiles describe the untrusted
-// runtime, never enclave-resident query state). The obs ablation
-// (-figs obs) measures the layer's throughput cost against the same
-// workload with it off (target: under 5%), and a CI telemetry-lint gate
+// runtime, never enclave-resident query state). A CI telemetry-lint gate
 // (scripts/telemetry-lint.sh) statically asserts no content-carrying
 // identifier reaches a telemetry call site outside the enclave.
 //
@@ -321,5 +315,6 @@
 // The enclave, attestation service, sealing, onion-routing and PEAS
 // baselines, the SimAttack re-identification attack, and the full
 // experiment harness reproducing the paper's Figures 1 and 3-7 live under
-// internal/; cmd/xsearch-bench regenerates every figure.
+// internal/; cmd/xsearch-bench regenerates those figures and the paper's
+// own ablations.
 package xsearch

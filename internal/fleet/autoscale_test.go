@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mrand "math/rand/v2"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -351,6 +352,86 @@ func TestAutoscalerRetiresIdleFleet(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("autoscaler never retired the idle shard: %+v", g.Stats())
+}
+
+// TestAutoscalerScalesUpUnderLoad is the up case beside the idle one, with
+// the decision taken from real load signals rather than a ScaleUp by hand.
+// Every slot of the founding shard's pipeline is parked on an engine that
+// does not answer until told to, so the occupancy a tick samples is a fact
+// and not a race: one tick by hand spawns a shard, the next is held by the
+// cooldown, and every parked request is still answered.
+func TestAutoscalerScalesUpUnderLoad(t *testing.T) {
+	const depth = 4
+	arrived, gate := make(chan struct{}, depth), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	_, srv := newHookedTestEngine(t, func() time.Duration {
+		arrived <- struct{}{}
+		<-gate
+		return 0
+	})
+	g, err := New(Config{
+		Shards:    1,
+		ShardsMin: 1,
+		ShardsMax: 3,
+		ShardConfig: proxy.Config{
+			K:             2,
+			Engines:       []proxy.EngineSpec{{Host: srv.Addr()}},
+			Seed:          5,
+			AsyncOcalls:   true,
+			PipelineDepth: depth,
+		},
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = g.Shutdown(ctx)
+	}()
+
+	a := newAutoscaler(g, 1, 3, AutoscalePolicy{}.withDefaults())
+	a.tick(time.Now())
+	if st := g.Stats(); st.CurrentShards != 1 || st.ScaleUps != 0 {
+		t.Fatalf("idle tick moved the fleet: current=%d ups=%d reason=%q", st.CurrentShards, st.ScaleUps, st.LastScaleDecision)
+	}
+
+	errs := make(chan error, depth)
+	for i := 0; i < depth; i++ {
+		go func() {
+			_, err := g.ServeQuery(context.Background(), fmt.Sprintf("ramp query %d", i))
+			errs <- err
+		}()
+	}
+	for i := 0; i < depth; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d requests reached the engine", i, depth)
+		}
+	}
+	a.tick(time.Now())
+	st := g.Stats()
+	if st.CurrentShards != 2 || st.ScaleUps != 1 || !strings.Contains(st.LastScaleDecision, "occupancy") {
+		t.Fatalf("loaded tick did not scale up: current=%d ups=%d reason=%q", st.CurrentShards, st.ScaleUps, st.LastScaleDecision)
+	}
+	// Still saturated and below max, but inside the cooldown: one spawn.
+	a.tick(time.Now())
+	if st := g.Stats(); st.CurrentShards != 2 || st.ScaleUps != 1 || !strings.Contains(st.LastScaleDecision, "cooldown") {
+		t.Fatalf("second tick ignored the cooldown: current=%d ups=%d reason=%q", st.CurrentShards, st.ScaleUps, st.LastScaleDecision)
+	}
+
+	release()
+	for i := 0; i < depth; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("request lost across the scale-up: %v", err)
+		}
+	}
+	for _, ss := range g.Stats().Shards {
+		requireInvariant(t, fmt.Sprintf("post-scale-up shard %d", ss.Index), ss.Proxy)
+	}
 }
 
 // TestAutoscaleRetirementKeepsObfuscationEffective is the scale-down

@@ -263,3 +263,66 @@ func TestBrokerSessionsSurviveShardKill(t *testing.T) {
 		t.Fatalf("merged upstream stats wrong: %+v", st.Upstreams)
 	}
 }
+
+// TestGatewaySessionOrderStaysBounded pins the eviction order to the live
+// pins. A fleet that loses and re-attests sessions below MaxSessions — every
+// shard kill, drain and scale-down does exactly that — must not grow order by
+// one id per handshake for the life of the process (forget and
+// dropShardSessions delete the pin and leave the id), and squeezing the
+// stale ids out must not disturb FIFO eviction among the pins still live.
+func TestGatewaySessionOrderStaysBounded(t *testing.T) {
+	g, err := New(Config{
+		Shards:         2,
+		MaxSessions:    8,
+		ShardConfig:    proxy.Config{K: 2, EchoMode: true, Seed: 5},
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = g.Shutdown(context.Background()) }()
+	a, b := g.shards[0], g.shards[1]
+
+	// Churn far below the table bound: pins come and go one at a time and a
+	// shard's worth at a time, as sessions re-attest around kills and drains.
+	for i := 0; i < 20000; i++ {
+		id, sh := fmt.Sprintf("churn-%d", i), a
+		if i%2 == 1 {
+			sh = b
+		}
+		g.remember(id, sh)
+		if n, live := len(g.order), len(g.sessions); n > 2*live {
+			t.Fatalf("after %d handshakes: %d order entries for %d live pins", i+1, n, live)
+		}
+		switch {
+		case sh == a:
+			g.forget(id)
+		case i%7 == 0:
+			g.dropShardSessions(b)
+		}
+	}
+	g.dropShardSessions(b)
+
+	// FIFO among the live: fill the table, forget enough of the middle that
+	// the next handshake squeezes the order, then overflow it. The evicted
+	// pin is the oldest one still live, never a newer one.
+	for i := 0; i < 8; i++ {
+		g.remember(fmt.Sprintf("s%d", i), a)
+	}
+	for _, i := range []int{1, 2, 3, 4, 5} {
+		g.forget(fmt.Sprintf("s%d", i))
+	}
+	for i := 8; i < 13; i++ { // s0 s6 s7 + s8..s12 = 8 live: full again
+		g.remember(fmt.Sprintf("s%d", i), a)
+	}
+	g.remember("s13", a) // evicts s0
+	g.remember("s14", a) // evicts s6
+	for id, want := range map[string]bool{"s0": false, "s6": false, "s7": true, "s8": true, "s13": true, "s14": true} {
+		if _, ok := g.lookup(id); ok != want {
+			t.Errorf("session %s pinned = %t, want %t (order %v)", id, ok, want, g.order)
+		}
+	}
+	if len(g.sessions) != 8 {
+		t.Errorf("%d live pins, want the table bound 8", len(g.sessions))
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -63,6 +64,10 @@ func sessionKey(offer json.RawMessage) string {
 
 // remember pins session to a shard, evicting the oldest pin when the
 // table is full (mirroring the per-shard session tables' FIFO policy).
+// forget and dropShardSessions delete pins and leave their ids in order
+// (eviction skips them); once those outnumber the live pins they are
+// squeezed out here, FIFO order among the live ones kept, so order is
+// bounded by the table and not by the handshakes the process has ever seen.
 func (g *Gateway) remember(session string, sh *shard) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -73,6 +78,12 @@ func (g *Gateway) remember(session string, sh *shard) {
 	}
 	g.sessions[session] = sh
 	g.order = append(g.order, session)
+	if len(g.order) > 2*len(g.sessions) {
+		g.order = slices.DeleteFunc(g.order, func(s string) bool {
+			_, live := g.sessions[s]
+			return !live
+		})
+	}
 }
 
 // lookup resolves a session to its pinned shard.
@@ -119,60 +130,16 @@ func (g *Gateway) ShardOf(session string) (int, bool) {
 
 // --- request routing ---
 
-// ServeQuery runs one plain query on the fleet, bypassing the HTTP front
-// (the §6.3-style capacity path). The query routes to its HRW shard —
-// identical queries always hit the same shard, so per-shard caches and
-// single-flight coalescing stay effective fleet-wide — and fails over down
-// the rank order when a shard turns out to be dead.
-func (g *Gateway) ServeQuery(ctx context.Context, query string) ([]core.Result, error) {
-	g.plainRouted.Add(1)
-	var lastErr error
-	deviated := false
-	// deviate counts this request as failed-over exactly once: the moment
-	// it first routes past (or retries off) an unavailable shard. The
-	// event carries only the avoided shard's index — never the query.
-	deviate := func(sh *shard) {
-		if !deviated {
-			deviated = true
-			g.failovers.Add(1)
-			g.events.Append(obs.Event{Type: obs.EvFailover, Shard: sh.index})
-		}
-	}
-	for _, sh := range g.rank("q:" + query) {
-		if !sh.available() {
-			if !sh.draining.Load() {
-				deviate(sh)
-			}
-			continue
-		}
-		results, err := sh.proxy.ServeQuery(ctx, query)
-		if err == nil {
-			return results, nil
-		}
-		lastErr = err
-		if sh.proxy.Healthy() {
-			// The shard is fine; the failure is the request's own (engine
-			// down, bad query). Retrying siblings would only triple it.
-			g.gwErrors.Add(1)
-			return nil, err
-		}
-		g.noteDead(sh)
-		deviate(sh)
-	}
-	if lastErr == nil {
-		lastErr = ErrNoLiveShard
-	}
-	g.gwErrors.Add(1)
-	return nil, lastErr
-}
-
-// Handshake establishes an attested session on the offer's HRW shard and
-// pins the resulting session ID to it, failing over down the rank order if
-// the preferred shard is dead.
-func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*proxy.HandshakeResponse, error) {
-	g.handshakes.Add(1)
-	key := sessionKey(offer)
-	var lastErr error
+// route is the one failover walk under ServeQuery and Handshake: it tries
+// call on key's HRW shards in rank order, skipping unavailable ones. A
+// failure on a shard that is still healthy is the request's own (engine
+// down, bad query) and is returned as is — retrying siblings would only
+// multiply it; a shard that turns out dead is retired and the walk goes on.
+// A request counts as failed-over exactly once: the moment it first routes
+// past (or retries off) a shard that is not merely draining. The event
+// carries only the avoided shard's index — never the key.
+func (g *Gateway) route(key string, call func(*shard) error) error {
+	lastErr := ErrNoLiveShard
 	deviated := false
 	deviate := func(sh *shard) {
 		if !deviated {
@@ -188,24 +155,53 @@ func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []
 			}
 			continue
 		}
-		resp, err := sh.proxy.Handshake(ctx, offer, nonce)
+		err := call(sh)
 		if err == nil {
-			g.remember(resp.Session, sh)
-			return resp, nil
+			return nil
 		}
-		lastErr = err
 		if sh.proxy.Healthy() {
 			g.gwErrors.Add(1)
-			return nil, err
+			return err
 		}
+		lastErr = err
 		g.noteDead(sh)
 		deviate(sh)
 	}
-	if lastErr == nil {
-		lastErr = ErrNoLiveShard
-	}
 	g.gwErrors.Add(1)
-	return nil, lastErr
+	return lastErr
+}
+
+// ServeQuery runs one plain query on the fleet, bypassing the HTTP front
+// (the §6.3-style capacity path). The query routes to its HRW shard —
+// identical queries always hit the same shard, so per-shard caches and
+// single-flight coalescing stay effective fleet-wide — and fails over down
+// the rank order when a shard turns out to be dead.
+func (g *Gateway) ServeQuery(ctx context.Context, query string) ([]core.Result, error) {
+	g.plainRouted.Add(1)
+	var results []core.Result
+	err := g.route("q:"+query, func(sh *shard) (err error) {
+		results, err = sh.proxy.ServeQuery(ctx, query)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// Handshake establishes an attested session on the offer's HRW shard and
+// pins the resulting session ID to it, failing over down the rank order if
+// the preferred shard is dead.
+func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*proxy.HandshakeResponse, error) {
+	g.handshakes.Add(1)
+	var resp *proxy.HandshakeResponse
+	err := g.route(sessionKey(offer), func(sh *shard) (err error) {
+		if resp, err = sh.proxy.Handshake(ctx, offer, nonce); err == nil {
+			g.remember(resp.Session, sh)
+		}
+		return err
+	})
+	return resp, err
 }
 
 // Secure routes one sealed record to the session's pinned shard. The

@@ -21,9 +21,17 @@ import (
 
 func newIndexTestEngine(t *testing.T) (*searchengine.Engine, *searchengine.Server) {
 	t.Helper()
+	return newHookedTestEngine(t, nil)
+}
+
+// newHookedTestEngine starts a loopback engine that calls delayFn inside
+// every request's handler (and sleeps what it returns) before answering.
+func newHookedTestEngine(t *testing.T, delayFn func() time.Duration) (*searchengine.Engine, *searchengine.Server) {
+	t.Helper()
 	engine := searchengine.NewEngine(searchengine.WithCorpus(
 		searchengine.GenerateCorpus(searchengine.CorpusConfig{DocsPerTopic: 10, Seed: 1})))
 	srv := searchengine.NewServer(engine)
+	srv.DelayFn = delayFn
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("engine: %v", err)
 	}

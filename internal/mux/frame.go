@@ -83,8 +83,8 @@ const (
 	// secure-channel sessions the client is resuming (4-byte count).
 	// Purely observational: session state lives in the gateway and the
 	// enclaves, so resumption needs no server-side action — but the
-	// fleet counts it, and the ablation asserts resumed sessions never
-	// re-attest.
+	// fleet counts it, and TestMuxReconnectResumesSecureSession asserts
+	// resumed sessions never re-attest.
 	FrameResume byte = 0x7
 )
 

@@ -122,7 +122,7 @@ func (r *Redialer) session(ctx context.Context) (*Session, error) {
 }
 
 // KillConn force-closes the current transport conn without marking the
-// Redialer closed — the next Call re-dials. Chaos and ablation hook: it
+// Redialer closed — the next Call re-dials. Chaos and test hook: it
 // simulates an edge LB dropping the conn mid-secure-session.
 func (r *Redialer) KillConn() {
 	r.mu.Lock()

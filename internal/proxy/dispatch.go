@@ -620,8 +620,8 @@ func (pl *pipelineRuntime) batcherLoop() {
 // `pipeline`: 4 callers, 2 ms engine, occupancy p50 = 1) paid the whole
 // window plus its timer slop on every request for batches that cannot
 // form — their peers are waiting on the network, not on the batcher.
-// Under load that does queue (the RunBatch ablation: 16 workers behind a
-// 200 µs transition) every drain finds company and nothing changes.
+// Under load that does queue (16 workers behind a 200 µs transition;
+// TestQueuedRequestsCrossInOneBatch) a drain finds company: no change.
 func (pl *pipelineRuntime) collect(first *batchItem) []*batchItem {
 	batch := append(make([]*batchItem, 0, pl.batchMax), first)
 drain:

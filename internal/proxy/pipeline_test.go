@@ -18,15 +18,24 @@ import (
 // fetches, hedged upstream requests, coalescing on the pending table, and
 // the EPC invariant surviving all of it.
 
-// newSlowEngine starts a loopback engine whose every request takes delay.
+// newDelayEngine starts a loopback engine whose every request takes delay.
 func newDelayEngine(t *testing.T, delay time.Duration) (*searchengine.Engine, *searchengine.Server) {
+	t.Helper()
+	var fn func() time.Duration
+	if delay > 0 {
+		fn = func() time.Duration { return delay }
+	}
+	return newHookedEngine(t, fn)
+}
+
+// newHookedEngine starts a loopback engine that calls delayFn inside every
+// request's handler (and sleeps what it returns) before answering.
+func newHookedEngine(t *testing.T, delayFn func() time.Duration) (*searchengine.Engine, *searchengine.Server) {
 	t.Helper()
 	engine := searchengine.NewEngine(searchengine.WithCorpus(
 		searchengine.GenerateCorpus(searchengine.CorpusConfig{DocsPerTopic: 10, Seed: 1})))
 	srv := searchengine.NewServer(engine)
-	if delay > 0 {
-		srv.DelayFn = func() time.Duration { return delay }
-	}
+	srv.DelayFn = delayFn
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -310,6 +310,9 @@ func TestPoolDisabledDialsPerRequest(t *testing.T) {
 	if s.PoolReuses != 0 || s.PoolDials != 0 || s.PoolIdle != 0 {
 		t.Errorf("disabled pool reported activity: %+v", s)
 	}
+	if s.CacheHits != 0 {
+		t.Errorf("three repeats on a proxy with no cache reported cache hits: %+v", s)
+	}
 }
 
 func TestCacheServesRepeatsWithoutEngine(t *testing.T) {

@@ -5,8 +5,12 @@ import (
 	"crypto/tls"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"xsearch/internal/enclave"
 	"xsearch/internal/searchengine"
 )
 
@@ -106,6 +110,65 @@ func TestStaleKeepAliveRedialsWithoutFailure(t *testing.T) {
 		// pool altogether.)
 		if met := u.PoolReuses + u.PoolEvicted; met > n-1 || (!withTLS && met != n-1) {
 			t.Errorf("reuses %d + evictions %d, want %d: %+v", u.PoolReuses, u.PoolEvicted, n-1, u)
+		}
+		assertEPCInvariant(t, p)
+	})
+}
+
+// What the async stage is for, as a count: a blocking fetch pins the
+// enclave thread it runs on, a parked one gives it back. On ONE TCS the
+// engine therefore sees the blocking stage's queries strictly one at a
+// time, while the async stage's all sit inside it together — the handler
+// does not answer until every caller's query has arrived, which only a
+// released TCS allows.
+func TestEngineStageHoldsOrReleasesTCS(t *testing.T) {
+	const callers = 3
+	forEachStage(t, func(t *testing.T, async bool) {
+		var inside, peak atomic.Int64
+		var once sync.Once
+		all := make(chan struct{})
+		_, srv := newHookedEngine(t, func() time.Duration {
+			n := inside.Add(1)
+			defer inside.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			if !async {
+				time.Sleep(10 * time.Millisecond)
+				return 0
+			}
+			if n == callers {
+				once.Do(func() { close(all) })
+			}
+			select {
+			case <-all:
+			case <-time.After(2 * time.Second):
+			}
+			return 0
+		})
+		p := newStageProxy(t, async, func(c *Config) {
+			c.EnclaveConfig = enclave.Config{TCSCount: 1}
+		}, EngineSpec{Host: srv.Addr()})
+
+		var wg sync.WaitGroup
+		errs := make([]error, callers)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = p.ServeQuery(context.Background(), fmt.Sprintf("tcs query %d", i))
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+			}
+		}
+		switch got := peak.Load(); {
+		case async && got < callers:
+			t.Errorf("at most %d of %d queries were inside the engine at once on 1 TCS: a parked fetch still pins its thread", got, callers)
+		case !async && got != 1:
+			t.Errorf("%d queries were inside the engine at once on 1 TCS: the blocking fetch let go of its thread", got)
 		}
 		assertEPCInvariant(t, p)
 	})
