@@ -81,7 +81,7 @@ func run() error {
 		pipeDepth   = flag.Int("pipeline-depth", 0, "concurrently staged requests in the async pipeline (0=default 64)")
 		hedgeDelay  = flag.Duration("hedge-delay", 0, "hedge a pipelined fetch after this delay (0=p95-derived; needs -hedge-max)")
 		hedgeMax    = flag.Int("hedge-max", 0, "max hedge fetches per request (0=hedging off; needs -async)")
-		fetchWait   = flag.Duration("fetch-timeout", 0, "deadline over one whole async engine fetch: a hung upstream fails (and counts against its breaker) after this (0=off; needs -async)")
+		fetchWait   = flag.Duration("fetch-timeout", 0, "deadline over one whole engine fetch, blocking or async: a hung upstream fails (and counts against its breaker) after this (0=off)")
 		batchMax    = flag.Int("batch-max", 0, "coalesce up to this many admitted requests into one vectorized ecall (0=off, min 2; needs -async)")
 		batchWindow = flag.Duration("batch-window", 0, "how long a partially filled batch waits for more requests (0=default 200µs; needs -batch-max)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: drain in-flight requests this long before destroying enclaves")
@@ -125,9 +125,6 @@ func run() error {
 	}
 	if *pipeDepth != 0 && !*asyncOcalls {
 		return fmt.Errorf("-pipeline-depth has no effect without -async")
-	}
-	if *fetchWait != 0 && !*asyncOcalls {
-		return fmt.Errorf("-fetch-timeout applies to the async engine stage; it requires -async")
 	}
 	if *asyncOcalls {
 		opts = append(opts, xsearch.WithAsyncOcalls(*pipeDepth))

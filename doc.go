@@ -176,9 +176,9 @@
 // so obfuscation and filtering of request N+1 overlap the engine wait of
 // request N. The completion re-enters through "resume", which does the
 // breaker accounting and, for the winning response, settle and reply
-// (the cache charged exactly once per flight); coalesced followers redeem
-// the leader's results through "claim", sealed per session. With few TCS
-// and a realistic engine latency parking multiplies throughput several
+// (the cache charged exactly once per flight); coalesced followers'
+// replies ride the same "resume", each sealed on its own session. With few
+// TCS and a realistic engine latency parking multiplies throughput several
 // times over.
 //
 // On the same seam, WithHedging races slow upstreams: when a fetch has
@@ -214,7 +214,7 @@
 // empty one. Under real load batching improves latency as well as
 // throughput, because requests stop queueing behind other requests'
 // transition spins. Each batch entry parks individually, so hedges,
-// claims and abandonment work unchanged. The repository benchmark's
+// coalescing and abandonment work unchanged. The repository benchmark's
 // `pipeline` workload runs this configuration (async, batched, two TLS
 // engines, 2 TCS).
 //

@@ -38,41 +38,3 @@ func PrecisionRecall(reference, retrieved []string) (precision, recall float64) 
 	}
 	return precision, recall
 }
-
-// F1 returns the harmonic mean of precision and recall, or 0 when both are 0.
-func F1(precision, recall float64) float64 {
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
-}
-
-// RateCounter tallies binary outcomes (success / total) and reports a rate.
-// It backs the re-identification rate metric (§5.4.1). The zero value is
-// ready to use.
-type RateCounter struct {
-	success int
-	total   int
-}
-
-// Observe records one outcome.
-func (r *RateCounter) Observe(ok bool) {
-	r.total++
-	if ok {
-		r.success++
-	}
-}
-
-// Rate returns success/total, or 0 when nothing was observed.
-func (r *RateCounter) Rate() float64 {
-	if r.total == 0 {
-		return 0
-	}
-	return float64(r.success) / float64(r.total)
-}
-
-// Total returns the number of observations.
-func (r *RateCounter) Total() int { return r.total }
-
-// Successes returns the number of positive observations.
-func (r *RateCounter) Successes() int { return r.success }

@@ -32,35 +32,6 @@ func TestPrecisionRecall(t *testing.T) {
 	}
 }
 
-func TestF1(t *testing.T) {
-	if got := F1(0, 0); got != 0 {
-		t.Errorf("F1(0,0) = %f", got)
-	}
-	if got := F1(1, 1); got != 1 {
-		t.Errorf("F1(1,1) = %f", got)
-	}
-	if got := F1(0.5, 1); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Errorf("F1(0.5,1) = %f", got)
-	}
-}
-
-func TestRateCounter(t *testing.T) {
-	var r RateCounter
-	if r.Rate() != 0 {
-		t.Error("empty rate should be 0")
-	}
-	r.Observe(true)
-	r.Observe(false)
-	r.Observe(true)
-	r.Observe(true)
-	if r.Total() != 4 || r.Successes() != 3 {
-		t.Errorf("Total/Successes = %d/%d", r.Total(), r.Successes())
-	}
-	if r.Rate() != 0.75 {
-		t.Errorf("Rate = %f", r.Rate())
-	}
-}
-
 func TestSeriesAndFigure(t *testing.T) {
 	fig := NewFigure("Re-Identification Rate", "k", "rate")
 	xs := fig.AddSeries("X-Search")
@@ -68,12 +39,6 @@ func TestSeriesAndFigure(t *testing.T) {
 	for k := 0; k <= 3; k++ {
 		xs.Add(float64(k), 0.4/float64(k+1))
 		peas.Add(float64(k), 0.45/float64(k+1))
-	}
-	if y, ok := xs.YAt(0); !ok || y != 0.4 {
-		t.Errorf("YAt(0) = %f, %v", y, ok)
-	}
-	if _, ok := xs.YAt(99); ok {
-		t.Error("YAt(99) should miss")
 	}
 	out := fig.Render()
 	for _, want := range []string{"Re-Identification Rate", "X-Search", "PEAS", "0.4"} {
@@ -106,28 +71,5 @@ func TestFormatNum(t *testing.T) {
 	}
 	if formatNum(0.5) != "0.5" {
 		t.Errorf("formatNum(0.5) = %q", formatNum(0.5))
-	}
-}
-
-func TestFigureRenderCSV(t *testing.T) {
-	fig := NewFigure("t", "k", "rate")
-	a := fig.AddSeries("X-Search")
-	b := fig.AddSeries("with,comma")
-	a.Add(0, 0.4)
-	a.Add(1, 0.16)
-	b.Add(0, 0.45)
-	out := fig.RenderCSV()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	if lines[0] != `k,X-Search,"with,comma"` {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != "0,0.4,0.45" {
-		t.Errorf("row0 = %q", lines[1])
-	}
-	if lines[2] != "1,0.16," {
-		t.Errorf("row1 = %q (missing cell should be empty)", lines[2])
 	}
 }

@@ -24,12 +24,6 @@ func (d *Distribution) Add(v float64) {
 	d.sorted = false
 }
 
-// AddAll appends all samples of vs.
-func (d *Distribution) AddAll(vs []float64) {
-	d.samples = append(d.samples, vs...)
-	d.sorted = false
-}
-
 // Count returns the number of samples.
 func (d *Distribution) Count() int { return len(d.samples) }
 
@@ -68,21 +62,6 @@ func (d *Distribution) Mean() float64 {
 		s += v
 	}
 	return s / float64(len(d.samples))
-}
-
-// Stddev returns the population standard deviation, or 0 if empty.
-func (d *Distribution) Stddev() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	var s float64
-	for _, v := range d.samples {
-		dv := v - m
-		s += dv * dv
-	}
-	return math.Sqrt(s / float64(n))
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using
@@ -143,24 +122,6 @@ func (d *Distribution) CDFSeries(n int) []Point {
 	for i := 0; i < n; i++ {
 		x := lo + float64(i)*step
 		pts = append(pts, Point{X: x, Y: d.CDF(x)})
-	}
-	return pts
-}
-
-// CCDFSeries is CDFSeries for the complementary CDF over [0, max].
-func (d *Distribution) CCDFSeries(n int) []Point {
-	if len(d.samples) == 0 || n <= 0 {
-		return nil
-	}
-	hi := d.Max()
-	if hi == 0 {
-		hi = 1
-	}
-	pts := make([]Point, 0, n)
-	step := hi / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := float64(i) * step
-		pts = append(pts, Point{X: x, Y: d.CCDF(x)})
 	}
 	return pts
 }

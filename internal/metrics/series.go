@@ -17,17 +17,6 @@ func (s *Series) Add(x, y float64) {
 	s.Points = append(s.Points, Point{X: x, Y: y})
 }
 
-// YAt returns the Y value at the first point whose X equals x, and whether
-// one was found.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
-		}
-	}
-	return 0, false
-}
-
 // Figure is a collection of series plus axis labels — the data behind one
 // of the paper's plots, renderable as an aligned text table (our substitute
 // for gnuplot output).
@@ -78,11 +67,14 @@ func (f *Figure) Render() string {
 	for _, x := range xs {
 		row := []string{formatNum(x)}
 		for _, s := range f.Series {
-			if y, ok := s.YAt(x); ok {
-				row = append(row, formatNum(y))
-			} else {
-				row = append(row, "-")
+			cell := "-"
+			for _, p := range s.Points {
+				if p.X == x {
+					cell = formatNum(p.Y)
+					break
+				}
 			}
+			row = append(row, cell)
 		}
 		rows = append(rows, row)
 	}
@@ -112,47 +104,4 @@ func formatNum(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%.4g", v)
-}
-
-// RenderCSV emits the figure as CSV (header row, one row per distinct X),
-// ready for gnuplot/matplotlib. Missing values are empty cells.
-func (f *Figure) RenderCSV() string {
-	var b strings.Builder
-	xsSet := map[float64]struct{}{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			xsSet[p.X] = struct{}{}
-		}
-	}
-	xs := make([]float64, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-
-	b.WriteString(csvEscape(f.XLabel))
-	for _, s := range f.Series {
-		b.WriteByte(',')
-		b.WriteString(csvEscape(s.Name))
-	}
-	b.WriteByte('\n')
-	for _, x := range xs {
-		b.WriteString(formatNum(x))
-		for _, s := range f.Series {
-			b.WriteByte(',')
-			if y, ok := s.YAt(x); ok {
-				b.WriteString(formatNum(y))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// csvEscape quotes a field when it contains separators.
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }

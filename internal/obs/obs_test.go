@@ -167,9 +167,8 @@ func TestPromWriterGroupsFamilies(t *testing.T) {
 		lbl := fmt.Sprintf("%d", shard)
 		pw.Counter("xsearch_requests_total", "Requests.", float64(10+shard), "shard", lbl)
 		pw.Gauge("xsearch_sessions_active", "Sessions.", float64(shard), "shard", lbl)
-		pw.Summary("xsearch_latency_seconds", "Latency.",
-			metrics.LatencySnapshot{Count: 5, P50: time.Millisecond, Mean: time.Millisecond},
-			"shard", lbl)
+		pw.StageSummaries("xsearch_latency_seconds", "Latency.", map[string]metrics.LatencySnapshot{
+			StageReply: {Count: 5, P50: time.Millisecond, Mean: time.Millisecond}}, "shard", lbl)
 	}
 	if err := pw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)

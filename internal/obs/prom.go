@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -116,25 +115,24 @@ func (p *PromWriter) Gauge(name, help string, value float64, labels ...string) {
 	p.sample(name, help, "gauge", fmt.Sprintf("%s%s %s\n", name, renderLabels(labels), formatValue(value)))
 }
 
-// Summary emits a latency snapshot as a Prometheus summary family:
-// quantile series in seconds plus _sum (approximated as mean*count, the
-// histogram keeps no exact sum) and _count.
-func (p *PromWriter) Summary(name, help string, snap metrics.LatencySnapshot, labels ...string) {
+// Quantile is one quantile series of a summary family.
+type Quantile struct {
+	Q string
+	V time.Duration
+}
+
+// Summary emits a Prometheus summary family: the quantile series its
+// source really holds, in seconds, plus _sum (approximated as mean*count,
+// the histogram keeps no exact sum) and _count.
+func (p *PromWriter) Summary(name, help string, count uint64, mean time.Duration, quantiles []Quantile, labels ...string) {
 	f := p.fam(name, help, "summary")
 	ls := renderLabels(labels)
-	quantiles := []struct {
-		q string
-		v time.Duration
-	}{
-		{"0.5", snap.P50}, {"0.9", snap.P90}, {"0.95", snap.P95},
-		{"0.99", snap.P99}, {"0.999", snap.P999},
-	}
 	for _, qv := range quantiles {
-		ql := append(append([]string{}, labels...), "quantile", qv.q)
-		fmt.Fprintf(&f.lines, "%s%s %s\n", name, renderLabels(ql), formatValue(Seconds(qv.v)))
+		ql := append(append([]string{}, labels...), "quantile", qv.Q)
+		fmt.Fprintf(&f.lines, "%s%s %s\n", name, renderLabels(ql), formatValue(Seconds(qv.V)))
 	}
-	fmt.Fprintf(&f.lines, "%s_sum%s %s\n", name, ls, formatValue(Seconds(snap.Mean)*float64(snap.Count)))
-	fmt.Fprintf(&f.lines, "%s_count%s %d\n", name, ls, snap.Count)
+	fmt.Fprintf(&f.lines, "%s_sum%s %s\n", name, ls, formatValue(Seconds(mean)*float64(count)))
+	fmt.Fprintf(&f.lines, "%s_count%s %d\n", name, ls, count)
 }
 
 // StageSummaries emits every stage's snapshot under one family with a
@@ -147,20 +145,11 @@ func (p *PromWriter) StageSummaries(name, help string, stages map[string]metrics
 			continue
 		}
 		sl := append(append([]string{}, labels...), "stage", stage)
-		p.Summary(name, help, snap, sl...)
+		p.Summary(name, help, snap.Count, snap.Mean, []Quantile{
+			{"0.5", snap.P50}, {"0.9", snap.P90}, {"0.95", snap.P95}, {"0.99", snap.P99}, {"0.999", snap.P999},
+		}, sl...)
 	}
 }
 
 // Seconds converts a duration to float seconds (Prometheus base unit).
 func Seconds(d time.Duration) float64 { return d.Seconds() }
-
-// SortedKeys returns a map's keys sorted — for deterministic iteration
-// when a caller must emit map-shaped aggregates.
-func SortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -315,7 +315,7 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 	const entries, allowed = 4, 2
 	blobs := make([][]byte, entries)
 	for i := range blobs {
-		req := envelope{Type: typePlain, Query: fmt.Sprintf("burst query %d", i)}
+		req := envelope{Type: typePlain, ID: uint64(i + 1), Query: fmt.Sprintf("burst query %d", i)}
 		blobs[i] = req.encode()
 	}
 	env := &burstEnv{allow: allowed}
@@ -445,8 +445,8 @@ func TestHedgeRearmUsesHedgedUpstreamDelay(t *testing.T) {
 // Completion-batch delivery racing request abandon: batched stage-1 means a
 // caller can give up between queueing its item and the batcher submitting
 // it, and completions arrive via batched resumes while callers time out. No
-// interleaving may leak dispatcher state (stashed outcomes, abandon marks,
-// registered waiters) or break the EPC invariant.
+// interleaving may leak a registered waiter or a parked request, or break
+// the EPC invariant.
 func TestBatchCompletionVsAbandonRace(t *testing.T) {
 	_, srv := newDelayEngine(t, 3*time.Millisecond)
 	p, err := New(Config{
@@ -481,22 +481,10 @@ func TestBatchCompletionVsAbandonRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Stragglers resolve asynchronously (late resumes clearing abandon
-	// marks, abandon ecalls freeing entries): poll for convergence.
+	// Stragglers resolve asynchronously (a Pending reply finding its waiter
+	// gone, abandon ecalls freeing entries): poll for convergence.
 	pl := p.pipeline
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		pl.mu.Lock()
-		w, u, a := len(pl.waiters), len(pl.unclaimed), len(pl.abandoned)
-		pl.mu.Unlock()
-		if w == 0 && u == 0 && a == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dispatcher state never converged: waiters=%d unclaimed=%d abandoned=%d", w, u, a)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRendezvousEmpty(t, p)
 	if n := pl.inFlight(); n != 0 {
 		t.Errorf("inFlight = %d after every caller returned", n)
 	}
@@ -566,7 +554,7 @@ func TestBatchWindowMustPayForItself(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		pl.sem <- struct{}{} // four admitted: this request and three parked peers
 	}
-	if got := pl.collect(&batchItem{}); len(got) != 1 {
+	if got := pl.collect(batchItem{}); len(got) != 1 {
 		t.Fatalf("first lone collect returned %d items", len(got))
 	}
 	if pl.windowPays {
@@ -576,7 +564,7 @@ func TestBatchWindowMustPayForItself(t *testing.T) {
 	immediate := func(what string, want int) {
 		t.Helper()
 		start := time.Now()
-		if got := pl.collect(&batchItem{}); len(got) != want {
+		if got := pl.collect(batchItem{}); len(got) != want {
 			t.Fatalf("%s: %d items, want %d", what, len(got), want)
 		}
 		if d := time.Since(start); d > 2*time.Second {
@@ -588,7 +576,7 @@ func TestBatchWindowMustPayForItself(t *testing.T) {
 
 	// Company in the queue re-arms the bit (and a full batch never waits).
 	for i := 0; i < 7; i++ {
-		pl.submitQ <- &batchItem{}
+		pl.submitQ <- batchItem{}
 	}
 	immediate("full batch", 8)
 	if !pl.windowPays {
@@ -599,7 +587,7 @@ func TestBatchWindowMustPayForItself(t *testing.T) {
 	// inside the window is collected and keeps the bit set.
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		pl.submitQ <- &batchItem{}
+		pl.submitQ <- batchItem{}
 	}()
 	pl.batchMax = 2 // so the companion completes the batch and ends the hold
 	immediate("held request joined by a companion", 2)
@@ -628,18 +616,18 @@ func TestQueuedRequestsCrossInOneBatch(t *testing.T) {
 	// A second runtime over the same enclave, its batcher not yet started.
 	pl := newPipelineRuntime(p, n, n, 5*time.Second)
 	defer pl.stopDispatch()
-	items := make([]*batchItem, n)
-	for i := range items {
+	waiting := make([]chan pendingOutcome, n)
+	for i := range waiting {
 		req := envelope{Type: typePlain, Query: fmt.Sprintf("queued before the batcher ran %d", i)}
-		items[i] = &batchItem{arg: req.encode(), done: make(chan pendingOutcome, 1)}
-		pl.submitQ <- items[i]
+		req.ID, waiting[i] = pl.register()
+		pl.submitQ <- batchItem{id: req.ID, arg: req.encode(), queued: time.Now()}
 	}
 	ecallsBefore := p.Stats().Enclave.ECalls
 	pl.workers.Add(1)
 	go pl.batcherLoop()
-	for i, it := range items {
+	for i, ch := range waiting {
 		select {
-		case out := <-it.done:
+		case out := <-ch:
 			if out.err != nil {
 				t.Fatalf("item %d: %v", i, out.err)
 			}

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -15,29 +14,27 @@ import (
 )
 
 // pipelineRuntime is the untrusted half of the async request pipeline: it
-// admits requests up to PipelineDepth, drains the enclave's completion
-// ring through a pool of resume workers (each re-entering the enclave with
-// the completions it found ready), routes final outcomes back to parked request
-// goroutines, arms hedge timers, and aborts hedge losers. Nothing here is
-// trusted — it moves opaque descriptors and timing around; every decision
-// that matters (candidate choice, winner arbitration, breaker accounting,
-// sealing) happens inside the enclave.
+// admits requests up to PipelineDepth, names each one and crosses it into
+// the enclave, drains the enclave's completion ring through a pool of
+// resume workers (each re-entering the enclave with the completions it
+// found ready), routes outcomes back to the waiting request goroutines,
+// arms hedge timers, and aborts hedge losers. Nothing here is trusted — it
+// moves opaque descriptors and timing around; every decision that matters
+// (candidate choice, winner arbitration, breaker accounting, sealing)
+// happens inside the enclave.
 type pipelineRuntime struct {
 	p     *Proxy
 	depth int
 	sem   chan struct{}
 
+	// waiters is the whole rendezvous: a request is registered under a fresh
+	// id BEFORE it crosses and until its caller leaves, so no outcome can
+	// beat its waiter here, and an id with no waiter means its caller has
+	// gone — a final outcome for it is dropped, a Pending one is answered
+	// with "abandon" (deliver).
 	mu      sync.Mutex
+	nextID  uint64
 	waiters map[uint64]chan pendingOutcome
-	// unclaimed stashes outcomes that arrived before their request
-	// goroutine registered a waiter: the fetch is submitted inside the
-	// stage-1 ecall, so a fast completion (immediate dial failure, warm
-	// loopback engine) can race await(). Entries are consumed by await()
-	// at registration time. abandoned marks ids whose caller genuinely
-	// gave up (context cancelled); their late outcome is dropped — or, for
-	// a follower claim, redeemed-and-discarded so the trusted entry frees.
-	unclaimed map[uint64]pendingOutcome
-	abandoned map[uint64]struct{}
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -53,18 +50,30 @@ type pipelineRuntime struct {
 	// goroutine touches it.
 	batchMax    int
 	batchWindow time.Duration
-	submitQ     chan *batchItem
+	submitQ     chan batchItem
 	bstats      *batchStats
 	windowPays  bool
 }
 
-// pendingOutcome is what the dispatcher delivers to a parked request
-// goroutine: the leader's final reply (or error), or a claim signal for a
-// coalesced follower whose results are ready in-enclave.
+// pendingOutcome is what reaches a waiting request goroutine: its
+// crossing's reply — Pending when the request parked — and then, for a
+// parked one, the final reply a "resume" carried out. An error is final.
 type pendingOutcome struct {
 	reply envelopeReply
 	err   error
-	claim bool
+}
+
+func (o *pendingOutcome) final() bool { return o.err != nil || o.reply.Pending == 0 }
+
+// outcomeOf decodes the (encoded reply, error string) pair in which the
+// enclave frames one request's outcome.
+func outcomeOf(reply []byte, errstr string) (out pendingOutcome) {
+	if errstr != "" {
+		out.err = errors.New(errstr)
+	} else if err := out.reply.decode(reply); err != nil {
+		out.err = fmt.Errorf("proxy: bad pipeline reply: %w", err)
+	}
+	return out
 }
 
 // resumeWorkerCount bounds how many completions are re-entered into the
@@ -79,8 +88,6 @@ func newPipelineRuntime(p *Proxy, depth, batchMax int, batchWindow time.Duration
 		depth:       depth,
 		sem:         make(chan struct{}, depth),
 		waiters:     make(map[uint64]chan pendingOutcome),
-		unclaimed:   make(map[uint64]pendingOutcome),
-		abandoned:   make(map[uint64]struct{}),
 		stop:        make(chan struct{}),
 		batchMax:    batchMax,
 		batchWindow: batchWindow,
@@ -90,7 +97,7 @@ func newPipelineRuntime(p *Proxy, depth, batchMax int, batchWindow time.Duration
 		// Buffered to the admission depth: a sender that won admission
 		// always finds queue space, so enqueueing never blocks behind
 		// the batcher's in-flight ecall.
-		pl.submitQ = make(chan *batchItem, depth)
+		pl.submitQ = make(chan batchItem, depth)
 		pl.bstats = newBatchStats(batchMax)
 	}
 	return pl
@@ -109,18 +116,11 @@ func (pl *pipelineRuntime) start() {
 	}
 }
 
-// stopDispatch halts the resume workers (shutdown/crash) and frees the
-// outcome bookkeeping: with the workers gone no delivery will ever
-// consume a stashed outcome or clear an abandoned mark, so entries from
-// requests parked at teardown would otherwise linger for the life of the
-// runtime.
+// stopDispatch halts the resume workers and the batcher (shutdown/crash).
+// Requests still waiting see the stop themselves and leave (wait).
 func (pl *pipelineRuntime) stopDispatch() {
 	pl.stopOnce.Do(func() { close(pl.stop) })
 	pl.workers.Wait()
-	pl.mu.Lock()
-	pl.unclaimed = make(map[uint64]pendingOutcome)
-	pl.abandoned = make(map[uint64]struct{})
-	pl.mu.Unlock()
 }
 
 // drain waits for the admission semaphore to empty — every admitted
@@ -221,199 +221,105 @@ func (pl *pipelineRuntime) routeResume(out []byte) {
 	// orphan, late loser — so the step handler's per-token state
 	// (tombstone, conn binding) is dropped exactly once. Must run before
 	// the State gate: orphans terminate flights too.
+	fetch := pl.p.conns.fetch
 	if rr.DoneToken != 0 {
-		if f := pl.p.conns.fetch; f != nil {
-			f.endFlight(rr.DoneToken)
-		}
+		fetch.endFlight(rr.DoneToken)
 	}
 	if rr.State != resumeDone {
 		return
 	}
 	// Abort the losers before delivering the win.
-	if f := pl.p.conns.fetch; f != nil {
-		for _, tok := range rr.CancelTokens {
-			f.cancelFetch(tok)
-		}
+	for _, tok := range rr.CancelTokens {
+		fetch.cancelFetch(tok)
 	}
-	var outcome pendingOutcome
-	if rr.Err != "" {
-		outcome.err = fmt.Errorf("%s", rr.Err)
-	} else if err := outcome.reply.decode(rr.Reply); err != nil {
-		outcome.err = fmt.Errorf("proxy: bad pipeline reply: %w", err)
-	}
-	pl.deliver(rr.PendingID, outcome)
-	for _, wid := range rr.Waiters {
-		pl.deliver(wid, pendingOutcome{claim: true})
+	pl.deliver(rr.PendingID, outcomeOf(rr.Reply, rr.Err))
+	for _, f := range rr.Followers {
+		pl.deliver(f.ID, outcomeOf(f.Reply, f.Err))
 	}
 }
 
-// deliver hands an outcome — a final reply, or a claim signal for a
-// coalesced follower — to the goroutine parked on id. The send happens
-// under the waiter lock: the channel is buffered and receives exactly one
-// send, so this cannot block, and holding the lock serializes delivery
-// against abandon. A missing waiter does NOT mean the caller gave up —
-// the request goroutine may simply not have reached await() yet (the
-// fetch was submitted inside the stage-1 ecall) — so the outcome is
-// stashed for await() to consume. Only an id abandon() marked is truly
-// gone: its outcome is dropped (a ready follower claim is redeemed and
-// discarded so the trusted entry frees) and the mark released.
-func (pl *pipelineRuntime) deliver(id uint64, out pendingOutcome) {
+// register names a request about to cross and parks its caller's channel
+// under the name until the caller leaves (wait). Capacity 2 — the
+// crossing's outcome, then (when that one is Pending) the final one — so
+// a send never blocks.
+func (pl *pipelineRuntime) register() (uint64, chan pendingOutcome) {
+	ch := make(chan pendingOutcome, 2)
 	pl.mu.Lock()
-	if ch := pl.waiters[id]; ch != nil {
-		delete(pl.waiters, id)
-		ch <- out
-		pl.mu.Unlock()
-		return
-	}
-	if _, gone := pl.abandoned[id]; gone {
-		delete(pl.abandoned, id)
-		pl.mu.Unlock()
-		if out.claim {
-			pl.discardClaim(id)
-		}
-		return
-	}
-	pl.unclaimed[id] = out
-	pl.mu.Unlock()
-}
-
-// discardClaim redeems and drops an abandoned follower's results.
-func (pl *pipelineRuntime) discardClaim(id uint64) {
-	_, _ = pl.control(context.Background(), "claim", id)
-}
-
-// control runs one of the pending-table ecalls ("hedge", "claim",
-// "abandon") on parked request id and returns its reply: an encoded
-// envelopeReply from "claim", JSON from the other two (controlJSON).
-func (pl *pipelineRuntime) control(ctx context.Context, name string, id uint64) ([]byte, error) {
-	arg, err := json.Marshal(pendingArg{PendingID: id})
-	if err != nil {
-		return nil, err
-	}
-	return pl.p.encl.ECall(ctx, name, arg)
-}
-
-func (pl *pipelineRuntime) controlJSON(ctx context.Context, name string, id uint64, reply any) error {
-	out, err := pl.control(ctx, name, id)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(out, reply); err != nil {
-		return fmt.Errorf("proxy: bad %s reply: %w", name, err)
-	}
-	return nil
-}
-
-// await parks the calling request goroutine until the dispatcher delivers
-// its outcome, arming the hedge timer when the enclave said one is worth
-// having.
-func (pl *pipelineRuntime) await(ctx context.Context, reply envelopeReply) (envelopeReply, error) {
-	id := reply.Pending
-	ch := make(chan pendingOutcome, 1)
-	pl.mu.Lock()
-	if out, ok := pl.unclaimed[id]; ok {
-		// The outcome beat us here (fetch completed before the stage-1
-		// ecall's caller reached await): consume the stash directly.
-		delete(pl.unclaimed, id)
-		pl.mu.Unlock()
-		return pl.consume(ctx, id, out)
-	}
+	pl.nextID++
+	id := pl.nextID
 	pl.waiters[id] = ch
 	pl.mu.Unlock()
-
-	if reply.CanHedge {
-		delay := pl.p.hedgeDelayFor(reply.Upstream)
-		armed := time.Now()
-		timer := time.AfterFunc(delay, func() { pl.fireHedge(id, armed) })
-		defer timer.Stop()
-	}
-
-	select {
-	case out := <-ch:
-		return pl.consume(ctx, id, out)
-	case <-ctx.Done():
-		pl.abandon(id, ch)
-		return envelopeReply{}, fmt.Errorf("proxy: pipelined request: %w", ctx.Err())
-	case <-pl.stop:
-		pl.abandon(id, ch)
-		return envelopeReply{}, fmt.Errorf("proxy: pipeline stopped")
-	}
+	return id, ch
 }
 
-// consume turns a delivered outcome into the caller's reply, redeeming a
-// follower claim via the claim ecall.
-func (pl *pipelineRuntime) consume(ctx context.Context, id uint64, out pendingOutcome) (envelopeReply, error) {
-	if out.claim {
-		var reply envelopeReply
-		out, err := pl.control(ctx, "claim", id)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The claim ecall died on the caller's cancelled context;
-				// free the trusted entry so it cannot leak.
-				pl.discardClaim(id)
-			}
-			return reply, err
-		}
-		if err := reply.decode(out); err != nil {
-			return reply, fmt.Errorf("proxy: bad claim reply: %w", err)
-		}
-		return reply, nil
-	}
-	return out.reply, out.err
-}
-
-// abandon unregisters a parked request whose caller gave up, consuming an
-// outcome that raced in so a ready follower entry is still redeemed (and
-// dropped) inside the enclave. When no outcome raced in, the id is marked
-// abandoned so the eventual delivery is dropped rather than stashed, and
-// the enclave is told: a lone leader's in-flight fetches are cancelled
-// and its trusted entries freed — otherwise client-timeout storms against
-// an unresponsive upstream would accumulate fetches past the
-// PipelineDepth×(1+HedgeMax) bound the async sizing relies on.
-func (pl *pipelineRuntime) abandon(id uint64, ch chan pendingOutcome) {
+// deliver hands an outcome to the goroutine waiting on id. The send
+// happens under the lock, which serializes it against the waiter leaving.
+// No waiter means the caller has gone — given up, or home already with a
+// final outcome that overtook this one: a final outcome is dropped, a
+// Pending one — a request parked for nobody — is abandoned.
+func (pl *pipelineRuntime) deliver(id uint64, out pendingOutcome) {
 	pl.mu.Lock()
-	delete(pl.waiters, id)
-	out, raced := pl.unclaimed[id]
-	if raced {
-		// The outcome was stashed before any waiter registered — the
-		// batched submit path abandons ids whose caller never reached
-		// await(), so the stash (not the caller's channel) may hold the
-		// delivery. Consume it here or it lingers forever.
-		delete(pl.unclaimed, id)
-	} else {
-		select {
-		case out = <-ch:
-			raced = true
-		default:
-			pl.abandoned[id] = struct{}{}
-		}
+	ch := pl.waiters[id]
+	if ch != nil {
+		ch <- out
 	}
 	pl.mu.Unlock()
-	if raced {
-		if out.claim {
-			pl.discardClaim(id)
-		}
-		return
+	if ch == nil && !out.final() {
+		pl.abandon(id)
 	}
-	if pl.p == nil {
-		return // dispatcher-only unit tests
-	}
-	var ar abandonReply
-	if err := pl.controlJSON(context.Background(), "abandon", id, &ar); err != nil {
+}
+
+// abandon tells the enclave that nobody waits for id any more and aborts
+// the fetches it cancelled for that: a lone leader's in-flight fetches are
+// cancelled and its trusted entries freed — otherwise client-timeout storms
+// against an unresponsive upstream would accumulate fetches past the
+// PipelineDepth×(1+HedgeMax) bound the async sizing relies on.
+func (pl *pipelineRuntime) abandon(id uint64) {
+	var toks tokenList
+	out, err := pl.p.encl.ECall(context.Background(), "abandon", encodeID(id))
+	if err != nil || toks.decode(out) != nil {
 		return // enclave destroyed mid-teardown; nothing left to cancel
 	}
-	if ar.Freed {
-		// The enclave released the entry while live: no resume will ever
-		// deliver this id, so the mark would otherwise linger forever.
-		pl.mu.Lock()
-		delete(pl.abandoned, id)
-		pl.mu.Unlock()
+	for _, tok := range toks {
+		pl.p.conns.fetch.cancelFetch(tok)
 	}
-	if f := pl.p.conns.fetch; f != nil {
-		for _, tok := range ar.CancelTokens {
-			f.cancelFetch(tok)
+}
+
+// wait parks the calling request goroutine on ch until its final outcome
+// arrives, arming the hedge timer when the crossing's outcome says the
+// request parked and a hedge is worth having. Either way out the waiter
+// leaves the rendezvous. A caller that gives up leaves it BEFORE it
+// abandons the request: if the request has not parked yet that abandon
+// finds nothing, and the Pending reply still on its way must find no
+// waiter either, so that deliver abandons it again.
+func (pl *pipelineRuntime) wait(ctx context.Context, id uint64, ch chan pendingOutcome) (reply envelopeReply, err error) {
+	for err == nil {
+		select {
+		case out := <-ch:
+			if out.final() {
+				pl.unregister(id)
+				return out.reply, out.err
+			}
+			if out.reply.CanHedge {
+				armed := time.Now()
+				timer := time.AfterFunc(pl.p.hedgeDelayFor(out.reply.Upstream), func() { pl.fireHedge(id, armed) })
+				defer timer.Stop()
+			}
+		case <-ctx.Done():
+			err = fmt.Errorf("proxy: pipelined request: %w", ctx.Err())
+		case <-pl.stop:
+			err = errors.New("proxy: pipeline stopped")
 		}
 	}
+	pl.unregister(id)
+	pl.abandon(id)
+	return reply, err
+}
+
+func (pl *pipelineRuntime) unregister(id uint64) {
+	pl.mu.Lock()
+	delete(pl.waiters, id)
+	pl.mu.Unlock()
 }
 
 // fireHedge asks the enclave to hedge a still-parked request; the enclave
@@ -424,24 +330,23 @@ func (pl *pipelineRuntime) abandon(id uint64, ch chan pendingOutcome) {
 // point: re-using it would fire the next hedge near-immediately when the
 // primary's history sits at the autoHedgeFloor, or effectively never when
 // its p95 towers over the fresh upstream's. A timer firing after the
-// request finalized gets {Hedged: false} and the chain stops.
+// request finalized gets a reply with Pending unset and the chain stops.
 func (pl *pipelineRuntime) fireHedge(id uint64, armed time.Time) {
 	select {
 	case <-pl.stop:
 		return
 	default:
 	}
-	var hr hedgeReply
-	if err := pl.controlJSON(context.Background(), "hedge", id, &hr); err != nil {
+	var hr envelopeReply
+	out, err := pl.p.encl.ECall(context.Background(), "hedge", encodeID(id))
+	if err != nil || hr.decode(out) != nil || hr.Pending == 0 {
 		return
 	}
-	if hr.Hedged {
-		// The hedge stage measures how long the request waited on its
-		// primary before a hedge actually went out (timer arm → fire, for
-		// fires the enclave accepted).
-		pl.p.trusted.stages.Since(obs.StageHedge, armed)
-	}
-	if hr.Hedged && hr.CanHedge {
+	// The hedge stage measures how long the request waited on its primary
+	// before a hedge actually went out (timer arm → fire, for fires the
+	// enclave accepted).
+	pl.p.trusted.stages.Since(obs.StageHedge, armed)
+	if hr.CanHedge {
 		next := pl.p.hedgeDelayFor(hr.Upstream)
 		rearmed := time.Now()
 		time.AfterFunc(next, func() { pl.fireHedge(id, rearmed) })
@@ -450,8 +355,9 @@ func (pl *pipelineRuntime) fireHedge(id uint64, armed time.Time) {
 
 // run serves one query envelope (plain or secure) and keeps the node's
 // request counters and latency histogram. Blocking, it is the "request"
-// ecall; pipelined, it is admit, the request crossing (batched when the
-// batcher runs), then either the short-circuit reply or a park-and-await.
+// ecall; pipelined, it is admit, register, the request crossing (queued for
+// the batcher when one runs), and a wait for the final outcome — which the
+// crossing's own reply is, unless the request parked.
 func (p *Proxy) run(ctx context.Context, req envelope) (reply envelopeReply, err error) {
 	p.requests.Add(1)
 	p.inflight.Add(1)
@@ -480,15 +386,23 @@ func (p *Proxy) run(ctx context.Context, req envelope) (reply envelopeReply, err
 	p.trusted.stages.Since(obs.StageAdmit, start)
 	defer func() { <-pl.sem }()
 
-	if pl.submitQ != nil {
-		reply, err = pl.runBatched(ctx, req)
-	} else {
+	// An unbatched crossing hands its own reply to its own channel; a
+	// queued one's comes from the batcher (dispatchBatch).
+	id, ch := pl.register()
+	req.ID = id
+	if pl.submitQ == nil {
 		reply, err = p.ecall(ctx, req)
+		ch <- pendingOutcome{reply, err}
+	} else {
+		select {
+		case pl.submitQ <- batchItem{id: id, arg: req.encode(), queued: time.Now()}:
+		case <-ctx.Done():
+			ch <- pendingOutcome{err: fmt.Errorf("proxy: batch submit: %w", ctx.Err())}
+		case <-pl.stop:
+			ch <- pendingOutcome{err: errors.New("proxy: pipeline stopped")}
+		}
 	}
-	if err != nil || reply.Pending == 0 {
-		return reply, err
-	}
-	return pl.await(ctx, reply)
+	return pl.wait(ctx, id, ch)
 }
 
 // hedgeDelayFor resolves the effective hedge delay for a request whose
@@ -522,66 +436,12 @@ const (
 	autoHedgeFloor = time.Millisecond
 )
 
-// batchItem is one admitted request riding the group-commit batcher. The
-// done channel is buffered so delivery never blocks; gone flags a caller
-// that stopped waiting (context cancelled, pipeline stopping) so whichever
-// side ends up consuming the raced outcome abandons the parked entry.
+// batchItem is one registered request riding the group-commit batcher:
+// its encoded envelope, and when it was queued.
 type batchItem struct {
-	arg  []byte
-	done chan pendingOutcome
-	gone atomic.Bool
-}
-
-// runBatched routes an admitted plain/secure request through the ecall
-// batcher instead of a singleton "request" ecall. The caller still parks
-// in await() for its final outcome; only the boundary crossing is shared.
-func (pl *pipelineRuntime) runBatched(ctx context.Context, req envelope) (envelopeReply, error) {
-	item := &batchItem{arg: req.encode(), done: make(chan pendingOutcome, 1)}
-	submitStart := time.Now()
-	select {
-	case pl.submitQ <- item:
-	case <-ctx.Done():
-		return envelopeReply{}, fmt.Errorf("proxy: batch submit: %w", ctx.Err())
-	case <-pl.stop:
-		return envelopeReply{}, fmt.Errorf("proxy: pipeline stopped")
-	}
-	select {
-	case out := <-item.done:
-		// The submit stage measures the batcher hold: queue wait plus
-		// group-commit window plus the shared stage-1 crossing.
-		pl.p.trusted.stages.Since(obs.StageSubmit, submitStart)
-		return out.reply, out.err
-	case <-ctx.Done():
-		pl.forsake(item)
-		return envelopeReply{}, fmt.Errorf("proxy: batched request: %w", ctx.Err())
-	case <-pl.stop:
-		pl.forsake(item)
-		return envelopeReply{}, fmt.Errorf("proxy: pipeline stopped")
-	}
-}
-
-// forsake marks a batch item whose caller stopped waiting, then reaps an
-// outcome that raced in. Both the forsaking caller and the delivering
-// batcher attempt the same reap after observing gone; the buffered
-// channel holds at most one outcome, so exactly one side wins it and owns
-// abandoning the parked entry — the other side's receive simply misses.
-func (pl *pipelineRuntime) forsake(item *batchItem) {
-	item.gone.Store(true)
-	pl.reap(item)
-}
-
-// reap drains an outcome nobody will consume and abandons the request it
-// parked. The fresh channel handed to abandon can never hold a delivery
-// (no waiter was ever registered for the id); abandon's unclaimed-stash
-// check covers a final outcome that already landed.
-func (pl *pipelineRuntime) reap(item *batchItem) {
-	select {
-	case out := <-item.done:
-		if out.err == nil && out.reply.Pending != 0 {
-			pl.abandon(out.reply.Pending, make(chan pendingOutcome, 1))
-		}
-	default:
-	}
+	id     uint64
+	arg    []byte
+	queued time.Time
 }
 
 // batcherLoop is group commit at the ecall seam, one goroutine on purpose:
@@ -622,8 +482,8 @@ func (pl *pipelineRuntime) batcherLoop() {
 // form — their peers are waiting on the network, not on the batcher.
 // Under load that does queue (16 workers behind a 200 µs transition;
 // TestQueuedRequestsCrossInOneBatch) a drain finds company: no change.
-func (pl *pipelineRuntime) collect(first *batchItem) []*batchItem {
-	batch := append(make([]*batchItem, 0, pl.batchMax), first)
+func (pl *pipelineRuntime) collect(first batchItem) []batchItem {
+	batch := append(make([]batchItem, 0, pl.batchMax), first)
 drain:
 	for len(batch) < pl.batchMax {
 		select {
@@ -661,10 +521,10 @@ fill:
 }
 
 // dispatchBatch submits one request batch through the vectorized ecall
-// and routes per-entry replies back to the queued callers. A failed batch
-// ecall (enclave destroyed mid-flight) errors every entry — a queued
-// caller is never left parked.
-func (pl *pipelineRuntime) dispatchBatch(batch []*batchItem) {
+// and delivers each entry's reply to its waiter. A failed batch ecall
+// (enclave destroyed mid-flight) errors every entry — a queued caller is
+// never left waiting.
+func (pl *pipelineRuntime) dispatchBatch(batch []batchItem) {
 	pl.bstats.record(len(batch))
 	blobs := make([][]byte, len(batch))
 	for i, it := range batch {
@@ -673,28 +533,18 @@ func (pl *pipelineRuntime) dispatchBatch(batch []*batchItem) {
 	frames, err := pl.batchECall("request-batch", blobs)
 	for i, it := range batch {
 		var item batchItemReply
-		var outc pendingOutcome
-		if err != nil {
-			outc.err = err
-		} else if uerr := item.decode(frames[i]); uerr != nil {
-			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", uerr)
-		} else if item.Err != "" {
-			outc.err = errors.New(item.Err)
-		} else if uerr := outc.reply.decode(item.Reply); uerr != nil {
-			outc.err = fmt.Errorf("proxy: bad batch entry reply: %w", uerr)
+		out := pendingOutcome{err: err}
+		if err == nil {
+			if uerr := item.decode(frames[i]); uerr != nil {
+				out.err = fmt.Errorf("proxy: bad batch entry reply: %w", uerr)
+			} else {
+				out = outcomeOf(item.Reply, item.Err)
+			}
 		}
-		pl.deliverBatchItem(it, outc)
-	}
-}
-
-// deliverBatchItem hands one entry's request-crossing outcome to its
-// queued caller, then re-checks the gone flag: a caller that forsook the
-// item concurrently may have missed this delivery, in which case this side
-// reaps it (see forsake for the exactly-one-consumer argument).
-func (pl *pipelineRuntime) deliverBatchItem(it *batchItem, out pendingOutcome) {
-	it.done <- out
-	if it.gone.Load() {
-		pl.reap(it)
+		// The submit stage measures the batcher hold: queue wait plus
+		// group-commit window plus the shared stage-1 crossing.
+		pl.p.trusted.stages.Since(obs.StageSubmit, it.queued)
+		pl.deliver(it.id, out)
 	}
 }
 

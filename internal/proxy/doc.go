@@ -24,24 +24,27 @@
 //	engine     fetch (blocking)    socket ocalls,  parks: "tls_step" flight  the k+1 obfuscated query (ciphertext
 //	           park (async)        TCS held        submitted, TCS released   under TLS), the upstream, timing
 //	settle     settle              "request"       "resume" (winner only)    cache/index EPC charges (quantized)
-//	reply      finishReply         "request"       "resume", or "claim"      a sealed record out, its size
-//	                                               for coalesced followers
+//	reply      finishReply         "request"       "resume" (the leader's    a sealed record out, its size
+//	                                               and every follower's)
 //
 // A request that probe answers (or any stage fails) replies in the
 // crossing it arrived in, under every configuration.
 //
-// Parked requests live in the pending table (pipeline.go), whose ecalls
-// carry everything that happens to a request between park and reply:
-// "resume" (1..N step completions, each routed to its flight by the
+// Parked requests live in the pending table (pipeline.go) under the id
+// the untrusted runtime minted for them before the crossing, and three
+// ecalls carry everything that happens to a request between park and
+// reply: "resume" (1..N step completions, each routed to its flight by the
 // token that leads it; a flight's terminal step brings breaker accounting,
-// hedge arbitration, failover, the winner's settle and reply), "hedge" (the
-// runtime's timer asks for a second attempt), "claim" (a coalesced
-// follower redeems its leader's results, sealed on its own channel) and
-// "abandon" (the caller gave up). The remaining ecalls are "init" and the
-// sealed-state pairs "restore"/"snapshot"/"merge" and
-// "snapshot-index"/"merge-index". The untrusted half (dispatch.go) admits
-// requests, batches crossings, drains completions into "resume" and
-// routes outcomes; it moves opaque bytes and timing only.
+// hedge arbitration, failover, the winner's settle, and the final reply of
+// the leader and of every coalesced follower — each sealed on its own
+// channel, none under the table lock), "hedge" (the runtime's timer asks
+// for a second attempt) and "abandon" (the caller has gone). The remaining
+// ecalls are "init" and the sealed-state pairs "restore"/"snapshot"/"merge"
+// and "snapshot-index"/"merge-index". The untrusted half (dispatch.go)
+// admits requests, names them, batches crossings, drains completions into
+// "resume" and hands outcomes to whoever waits under the id — an id nobody
+// waits under is a caller that has gone: its final outcome is dropped, its
+// Pending one abandoned. It moves opaque bytes and timing only.
 //
 // # Seam encodings
 //
@@ -62,12 +65,14 @@
 //	                                                path of every broker; ServeCall is both edges' one reader
 //	HTTP /handshake, /search;            JSON       the compatibility front: curl and wget on /search (its
 //	  mux handshake and plain streams               list written by the core codec), one handshake a session
-//	envelope ("request", entries of      binary     every request into the enclave; byte fields alias the
-//	  "request-batch")                              ecall argument, no []byte is ever base64'd
-//	envelopeReply ("request", "claim";   binary     ONE encoding of a reply on the blocking, batched,
-//	  nested in the two below)                      async-resume and claim paths
+//	envelope ("request", entries of      binary     every request into the enclave, under the runtime's id
+//	  "request-batch")                              for it; byte fields alias the ecall argument, no []byte
+//	                                                is ever base64'd
+//	envelopeReply ("request", "hedge";   binary     ONE encoding of a reply on the blocking, batched and
+//	  nested in the two below)                      async-resume paths; parked, it is also "hedge"'s answer
 //	batchItemReply ("request-batch")     binary     an encoded envelopeReply, or the entry's error
-//	resumeReply ("resume")               binary     verdict, ids, tokens and the encoded envelopeReply
+//	resumeReply ("resume")               binary     verdict, id, tokens, the leader's encoded envelopeReply
+//	                                                and one (id, envelopeReply or error) per follower
 //	batch framing (both batched ecalls)  binary     u32 count, u32 length per entry
 //	socket ocalls (sock_connect host:port binary    the paper's sock_* interface
 //	  bytes; send/recv/close fds, deadlines)
@@ -77,14 +82,17 @@
 //	  entry of "resume")                            flight decodes the rest once — then eof/cancelled, the
 //	                                                error, and the bytes read (raw, aliasing the frame until
 //	                                                the flight's adapter copies them: the one trusted copy)
-//	pendingArg, hedgeReply,              JSON       the pending-table controls ("hedge", "claim", "abandon"),
-//	  abandonReply                                  off the per-query path unless a hedge fires
+//	"hedge" / "abandon" argument         binary     the request's id, eight little-endian bytes
+//	tokenList ("abandon" reply)          binary     the fetch tokens the runtime is to cancel
 //	snapshot/merge replies, sealed       JSON       start-up and drain paths, never per query
 //	  history and index blobs
 //
 // The binary decoders follow decodeBatch's discipline: every length is
 // checked against the bytes present before it sizes anything, trailing
-// bytes are an error, and FuzzSeamCodec holds them to it.
+// bytes are an error, and FuzzSeamCodec holds them to it. What is still
+// JSON inside the package: the client contract, the compatibility front
+// and handshake offers, and the sealed-state replies — nothing between a
+// request's admission and its reply.
 //
 // # TLS transport
 //

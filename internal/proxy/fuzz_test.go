@@ -163,30 +163,33 @@ func FuzzTLSRecordAdapter(f *testing.F) {
 	})
 }
 
-// FuzzSeamCodec fuzzes the four binary seam decoders — envelope (hostile:
-// the untrusted runtime frames it), envelopeReply, batchItemReply and
-// resumeReply. None may panic or size an allocation from a length the
+// FuzzSeamCodec fuzzes the five binary seam decoders — envelope (hostile:
+// the untrusted runtime frames it), envelopeReply (also "hedge"'s reply),
+// batchItemReply, resumeReply (with its follower replies) and "abandon"'s
+// tokenList. None may panic or size an allocation from a length the
 // input does not back; what one accepts must re-encode to exactly the
 // bytes it was decoded from (so trailing bytes cannot be accepted), and
 // decoding that again must give the same value.
 func FuzzSeamCodec(f *testing.F) {
 	secure := envelope{Type: typeSecure, Session: "0123456789abcdef0123456789abcdef", Record: []byte("sealed")}
-	plain := envelope{Type: typePlain, Query: "chicken recipe"}
+	plain := envelope{Type: typePlain, ID: 7, Query: "chicken recipe"}
 	results := envelopeReply{Results: []core.Result{{URL: "u", Title: "t", Snippet: "s"}, {}}}
 	parked := envelopeReply{Pending: 7, Upstream: "127.0.0.1:80", CanHedge: true}
 	hs := envelopeReply{Offer: []byte(`{"role":2}`), Session: "ab", ReportData: make([]byte, 64)}
-	done := resumeReply{State: resumeDone, PendingID: 3, Reply: results.encode(), Waiters: []uint64{4, 5}, CancelTokens: []uint64{9}, DoneToken: 2}
+	followers := []followerReply{{ID: 4, Reply: results.encode()}, {ID: 5, Err: "proxy: unknown session"}}
+	done := resumeReply{State: resumeDone, PendingID: 3, Reply: results.encode(), Followers: followers, CancelTokens: []uint64{9}, DoneToken: 2}
 	failed := resumeReply{State: resumeDone, PendingID: 3, Err: "proxy: engine status 500"}
 	item := batchItemReply{Reply: parked.encode()}
 	itemErr := batchItemReply{Err: "proxy: empty query"}
 	for _, seed := range [][]byte{
 		secure.encode(), plain.encode(), results.encode(), parked.encode(), hs.encode(),
-		done.encode(), failed.encode(), item.encode(), itemErr.encode(),
+		done.encode(), failed.encode(), item.encode(), itemErr.encode(), tokenList{9, 11}.encode(),
 		{}, {typePlain}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
-		append(plain.encode(), 0xAA),                            // trailing byte
-		{typePlain, 0xFF, 0xFF, 0xFF, 0x7F, 'q'},                // length far past the input
-		append(make([]byte, 8+1+5*4), 0xFF, 0xFF, 0xFF, 0xFF),   // reply: result-count bomb
-		append(make([]byte, 1+8+8+4+4), 0xFF, 0xFF, 0xFF, 0x0F), // resume: waiter-count bomb
+		append(plain.encode(), 0xAA),                                     // trailing byte
+		{typePlain, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 'q'}, // length far past the input
+		append(make([]byte, 8+1+5*4), 0xFF, 0xFF, 0xFF, 0xFF),            // reply: result-count bomb
+		append(make([]byte, 1+8+8+4+4), 0xFF, 0xFF, 0xFF, 0x0F),          // resume: follower-count bomb
+		{0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3, 4, 5, 6, 7, 8},                 // abandon: token-count bomb
 	} {
 		f.Add(seed)
 	}
@@ -200,12 +203,16 @@ func FuzzSeamCodec(f *testing.F) {
 			func() codec { return new(envelopeReply) },
 			func() codec { return new(batchItemReply) },
 			func() codec { return new(resumeReply) },
+			func() codec { return new(tokenList) },
 		} {
 			v := fresh()
 			var err error
-			allocs := testing.AllocsPerRun(1, func() { err = v.decode(data) })
 			// Whatever the prefixes claim, a decode allocates for fields the
 			// input really holds: at most one string or slice per 4 bytes.
+			// (Averaged over a few runs: a GC between two of them empties
+			// fmt's printer pool, and the refusal's Errorf then costs two
+			// allocations that are not the decoder's.)
+			allocs := testing.AllocsPerRun(4, func() { err = v.decode(data) })
 			if max := float64(len(data)/4 + 2); allocs > max {
 				t.Fatalf("%T: %v allocations decoding %d bytes", v, allocs, len(data))
 			}

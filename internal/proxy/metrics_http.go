@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"xsearch/internal/metrics"
 	"xsearch/internal/obs"
 )
 
@@ -58,7 +57,9 @@ func WriteMetrics(w *obs.PromWriter, s Stats, labels ...string) {
 	w.Counter("xsearch_batches_total", "Vectorized ecall crossings.", float64(s.BatchesSubmitted), labels...)
 
 	if s.LatencyCount > 0 {
-		w.Summary("xsearch_request_latency_seconds", "End-to-end query latency.", latencySummary(s), labels...)
+		// Stats keeps three quantiles and the mean; only those are exported.
+		w.Summary("xsearch_request_latency_seconds", "End-to-end query latency.", s.LatencyCount, s.LatencyMean,
+			[]obs.Quantile{{Q: "0.5", V: s.LatencyP50}, {Q: "0.95", V: s.LatencyP95}, {Q: "0.99", V: s.LatencyP99}}, labels...)
 	}
 	w.StageSummaries("xsearch_stage_latency_seconds", "Trusted-side per-stage latency.", s.Stages, labels...)
 	w.Gauge("xsearch_events_logged", "Structured event-ring occupancy.", float64(s.EventsLogged), labels...)
@@ -75,21 +76,6 @@ func WriteMetrics(w *obs.PromWriter, s Stats, labels ...string) {
 		}
 		w.Gauge("xsearch_upstream_breaker_open", "1 while the circuit breaker excludes this upstream.", cooling, ul...)
 		w.Gauge("xsearch_upstream_fetch_p95_seconds", "Observed fetch-latency p95 (hedge-delay input).", obs.Seconds(u.FetchP95), ul...)
-	}
-}
-
-// latencySummary adapts the Stats latency fields back into a snapshot for
-// the summary renderer (P90/P999 are not kept on Stats; the quantiles we
-// have are rendered, the rest collapse to their neighbours).
-func latencySummary(s Stats) metrics.LatencySnapshot {
-	return metrics.LatencySnapshot{
-		Count: s.LatencyCount,
-		P50:   s.LatencyP50,
-		P90:   s.LatencyP95,
-		P95:   s.LatencyP95,
-		P99:   s.LatencyP99,
-		P999:  s.LatencyP99,
-		Max:   s.LatencyP99,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,6 +46,24 @@ func TestMetricsEndpointServesPromText(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
 		}
+	}
+	// The request-latency family exports what Stats holds and nothing it
+	// would have to make up: p50/p95/p99, a _sum the mean backs (so
+	// rate(_sum)/rate(_count) is the average, not 0), no p90 or p99.9.
+	var sum float64
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "xsearch_request_latency_seconds") {
+			continue
+		}
+		if strings.Contains(line, `quantile="0.9"`) || strings.Contains(line, `quantile="0.999"`) {
+			t.Errorf("fabricated quantile exported: %s", line)
+		}
+		if v, ok := strings.CutPrefix(line, "xsearch_request_latency_seconds_sum "); ok {
+			sum, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if sum <= 0 {
+		t.Errorf("xsearch_request_latency_seconds_sum = %v after served queries, want > 0", sum)
 	}
 }
 

@@ -2,8 +2,8 @@ package proxy
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the trusted half of the async engine stage: the pending
-// table a request parks in, and the "resume", "hedge", "claim" and
-// "abandon" ecalls that act on it (doc.go has the stage table). While a
+// table a request parks in, and the "resume", "hedge" and "abandon"
+// ecalls that act on it (doc.go has the stage table). While a
 // fetch is in flight NO enclave thread is occupied, so request N+1's
 // obfuscation/filtering overlaps request N's network wait — the
 // switchless/async-call design the SGX literature uses to beat transition
@@ -40,7 +40,8 @@ type pendingAttempt struct {
 }
 
 // pendingReq is one parked request: a leader (owns the fetch attempts) or
-// a coalesced follower (waits for its leader's results).
+// a coalesced follower (waits for its leader's results). Its id is the
+// untrusted runtime's (envelope.ID).
 type pendingReq struct {
 	id      uint64
 	kind    byte   // typePlain or typeSecure
@@ -54,12 +55,11 @@ type pendingReq struct {
 	hedges   int
 	lastErr  string
 
-	// Finalized state. done flips exactly once, under the table lock;
-	// results/errstr are written before ready flips (followers read them
-	// only after observing ready via claim).
-	done    bool
-	results []core.Result
-	errstr  string
+	// done flips exactly once, under the table lock, when the request
+	// leaves the table: finalized, abandoned, or released — with errstr, its
+	// crossing's reply — by a leader that never got airborne.
+	done   bool
+	errstr string
 
 	waiters []*pendingReq // leader only
 	leader  *pendingReq   // follower only
@@ -77,7 +77,6 @@ type pendingTable struct {
 	mu sync.Mutex
 	// launch is signalled when a leader's primary submission resolves.
 	launch    sync.Cond
-	nextID    uint64
 	nextToken uint64
 	byID      map[uint64]*pendingReq
 	byKey     map[string]*pendingReq
@@ -155,7 +154,7 @@ func (pt *pendingTable) unreserve(att *pendingAttempt) {
 // handleResume is the "resume" ecall: every completion the resume worker
 // had ready re-enters in one transition (one, on an unbatched proxy).
 // Each entry is resumed on its own — failover, hedge-loser accounting and
-// coalesced-follower wake-ups keep their per-request semantics — so only
+// coalesced-follower replies keep their per-request semantics — so only
 // the EENTER pair is amortized, and the reply frames one resumeReply per
 // entry.
 func (ts *trustedState) handleResume(env enclave.Env, arg []byte) ([]byte, error) {
@@ -270,7 +269,6 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 
 	pt.mu.Lock()
 	rr := ts.finalizeLocked(pt, p, results, errString(err), cancelToks)
-	pt.mu.Unlock()
 	ts.stages.Since(obs.StageResume, resumeStart)
 	return rr
 }
@@ -283,18 +281,14 @@ func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt
 func (ts *trustedState) failOverLocked(env enclave.Env, pt *pendingTable, p *pendingReq) resumeReply {
 	next := ts.nextCandidate(p)
 	if next == nil {
-		rr := ts.finalizeLocked(pt, p, nil, p.lastErr, nil)
-		pt.mu.Unlock()
-		return rr
+		return ts.finalizeLocked(pt, p, nil, p.lastErr, nil)
 	}
 	att := ts.reserveAttempt(p, next, false)
 	pt.mu.Unlock()
 	if err := ts.submitFetch(env, p, att); err != nil {
 		pt.unreserve(att)
 		pt.mu.Lock()
-		rr := ts.finalizeLocked(pt, p, nil, err.Error(), nil)
-		pt.mu.Unlock()
-		return rr
+		return ts.finalizeLocked(pt, p, nil, err.Error(), nil)
 	}
 	return resumeReply{State: resumePending, PendingID: p.id}
 }
@@ -364,29 +358,30 @@ func cancelTokens(p *pendingReq) []uint64 {
 	return toks
 }
 
-// finalizeLocked completes a leader: stores the outcome, readies every
-// follower, clears the table entries, and builds the resume reply carrying
-// the leader's final reply. Caller holds the table lock.
+// finalizeLocked completes a leader: it and its followers leave the table,
+// and the resume reply carries the leader's final reply and each
+// follower's own. Entered with the table lock held; the lock is released
+// before any reply is built, so no seal runs under it.
 func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results []core.Result, errstr string, cancelToks []uint64) resumeReply {
 	p.done = true
-	p.results = results
-	p.errstr = errstr
-	var waiterIDs []uint64
-	for _, w := range p.waiters {
-		w.results = results
-		w.errstr = errstr
+	followers := p.waiters
+	p.waiters = nil
+	for _, w := range followers {
 		w.done = true
-		waiterIDs = append(waiterIDs, w.id)
+		delete(pt.byID, w.id)
 	}
 	delete(pt.byID, p.id)
 	if pt.byKey[p.key] == p {
 		delete(pt.byKey, p.key)
 	}
-	rr := resumeReply{State: resumeDone, PendingID: p.id, Waiters: waiterIDs, CancelTokens: cancelToks}
-	if reply, err := ts.finishReply(p.kind, p.session, results, errstr); err != nil {
-		rr.Err = err.Error()
-	} else {
-		rr.Reply = reply
+	pt.mu.Unlock()
+
+	rr := resumeReply{State: resumeDone, PendingID: p.id, CancelTokens: cancelToks}
+	reply, err := ts.finishReply(p.kind, p.session, results, errstr)
+	rr.Reply, rr.Err = reply, errString(err)
+	for _, w := range followers {
+		reply, err := ts.finishReply(w.kind, w.session, results, errstr)
+		rr.Followers = append(rr.Followers, followerReply{ID: w.id, Reply: reply, Err: errString(err)})
 	}
 	return rr
 }
@@ -394,23 +389,26 @@ func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results 
 // handleHedge is the "hedge" ecall: the runtime's hedge timer fired for a
 // parked request. The enclave decides — candidate health, HedgeMax, and
 // flight state are trusted concerns; only the TIMING is untrusted (the
-// host observes request timing anyway).
+// host observes request timing anyway). The reply is a parked
+// envelopeReply: Pending set when a hedge went out, to Upstream, and
+// CanHedge when another is still in budget.
 func (ts *trustedState) handleHedge(env enclave.Env, arg []byte) ([]byte, error) {
-	var ha pendingArg
-	if err := json.Unmarshal(arg, &ha); err != nil {
+	id, err := decodeID(arg)
+	if err != nil {
 		return nil, fmt.Errorf("proxy: bad hedge arg: %w", err)
 	}
+	var none envelopeReply
 	pt := ts.pending
 	pt.mu.Lock()
-	p, ok := pt.byID[ha.PendingID]
-	if !ok || p.done || p.leader != nil || p.hedges >= ts.hedgeMax {
+	p, ok := pt.byID[id]
+	if !ok || p.done || p.leader != nil || !p.launched || p.hedges >= ts.hedgeMax {
 		pt.mu.Unlock()
-		return json.Marshal(hedgeReply{})
+		return none.encode(), nil
 	}
 	u := ts.nextCandidate(p)
 	if u == nil {
 		pt.mu.Unlock()
-		return json.Marshal(hedgeReply{})
+		return none.encode(), nil
 	}
 	p.hedges++
 	more := p.hedges < ts.hedgeMax
@@ -422,109 +420,59 @@ func (ts *trustedState) handleHedge(env enclave.Env, arg []byte) ([]byte, error)
 		pt.mu.Lock()
 		p.hedges--
 		pt.mu.Unlock()
-		return json.Marshal(hedgeReply{})
+		return none.encode(), nil
 	}
 	ts.events.Append(obs.Event{Type: obs.EvHedge, Shard: ts.shard, Upstream: u.host})
-	return json.Marshal(hedgeReply{Hedged: true, Upstream: u.host, CanHedge: more})
+	hedged := envelopeReply{Pending: id, Upstream: u.host, CanHedge: more}
+	return hedged.encode(), nil
 }
 
-// handleAbandon is the "abandon" ecall: a parked request's caller gave up
+// handleAbandon is the "abandon" ecall: a parked request's caller has gone
 // (context cancelled), so its trusted state must not outlive it. A lone
 // leader's outstanding fetches are cancelled and its table entries freed —
 // without this, client-timeout storms against a hanging upstream
 // accumulate in-flight fetches past the PipelineDepth×(1+HedgeMax) bound
 // the async sizing relies on, and pendingTable grows without bound. A
 // leader with coalesced followers keeps its flight alive (the followers
-// still want the results; only the abandoned caller's reply is dropped),
-// and an abandoning follower is unhooked from its leader.
+// still want the results; the runtime drops the reply nobody waits for),
+// and an abandoning follower is unhooked from its leader. An id nothing is
+// parked under is not an error: its request has finalized — or has not
+// finished parking (its flight's submission is unresolved), in which case
+// the Pending reply it is about to send finds no waiter and comes back here.
 func (ts *trustedState) handleAbandon(_ enclave.Env, arg []byte) ([]byte, error) {
-	var aa pendingArg
-	if err := json.Unmarshal(arg, &aa); err != nil {
+	id, err := decodeID(arg)
+	if err != nil {
 		return nil, fmt.Errorf("proxy: bad abandon arg: %w", err)
 	}
+	var toks tokenList
 	pt := ts.pending
 	pt.mu.Lock()
-	p, ok := pt.byID[aa.PendingID]
-	if !ok {
-		pt.mu.Unlock()
-		return json.Marshal(abandonReply{})
-	}
-	delete(pt.byID, p.id)
-	if p.leader != nil || p.done {
-		// Follower (parked or ready-unclaimed): drop it from its leader's
-		// waiter list so finalize doesn't signal a ghost; ready results
-		// are simply released with the entry. Unhooking a still-parked
-		// follower frees it for good (finalize will never signal it); a
-		// ready one may still have its claim signal in flight.
-		freed := false
-		if l := p.leader; l != nil && !l.done {
-			for i, w := range l.waiters {
-				if w == p {
-					l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
-					freed = true
-					break
-				}
+	defer pt.mu.Unlock()
+	p, ok := pt.byID[id]
+	switch {
+	case !ok:
+	case p.leader != nil:
+		if l := p.leader; l.launched {
+			// errstr is for a crossing of its own that has yet to look.
+			p.done, p.errstr = true, "proxy: request abandoned"
+			delete(pt.byID, id)
+			l.waiters = slices.DeleteFunc(l.waiters, func(w *pendingReq) bool { return w == p })
+		}
+	case p.launched && len(p.waiters) == 0:
+		p.done = true
+		delete(pt.byID, id)
+		if pt.byKey[p.key] == p {
+			delete(pt.byKey, p.key)
+		}
+		for _, a := range p.attempts {
+			if !a.done {
+				a.done = true
+				delete(pt.byToken, a.token)
+				toks = append(toks, a.token)
+				a.u.reportCancelled()
+				a.flight.abort()
 			}
 		}
-		pt.mu.Unlock()
-		return json.Marshal(abandonReply{Freed: freed})
 	}
-	if len(p.waiters) > 0 {
-		// Followers ride this flight: it must finish for them. Re-index
-		// the leader so finalize/claim still find it; only the abandoned
-		// caller's own delivery is dropped (runtime-side abandoned mark).
-		pt.byID[p.id] = p
-		pt.mu.Unlock()
-		return json.Marshal(abandonReply{})
-	}
-	p.done = true
-	var toks []uint64
-	var cancelled []*upstream
-	for _, a := range p.attempts {
-		if !a.done {
-			a.done = true
-			delete(pt.byToken, a.token)
-			toks = append(toks, a.token)
-			cancelled = append(cancelled, a.u)
-			a.flight.abort()
-		}
-	}
-	if pt.byKey[p.key] == p {
-		delete(pt.byKey, p.key)
-	}
-	pt.mu.Unlock()
-	for _, u := range cancelled {
-		u.reportCancelled()
-	}
-	return json.Marshal(abandonReply{Freed: true, CancelTokens: toks})
-}
-
-// handleClaim is the "claim" ecall: a coalesced follower (or the runtime
-// cleaning up an abandoned one) redeems ready results. The response is
-// built fresh per follower — secure followers get their own sealed record
-// on their own channel.
-func (ts *trustedState) handleClaim(_ enclave.Env, arg []byte) ([]byte, error) {
-	var ca pendingArg
-	if err := json.Unmarshal(arg, &ca); err != nil {
-		return nil, fmt.Errorf("proxy: bad claim arg: %w", err)
-	}
-	pt := ts.pending
-	pt.mu.Lock()
-	w, ok := pt.byID[ca.PendingID]
-	if !ok {
-		pt.mu.Unlock()
-		return nil, fmt.Errorf("proxy: unknown pending %d", ca.PendingID)
-	}
-	if !w.done {
-		pt.mu.Unlock()
-		return nil, fmt.Errorf("proxy: pending %d not ready", ca.PendingID)
-	}
-	delete(pt.byID, w.id)
-	results, errstr := w.results, w.errstr
-	pt.mu.Unlock()
-	// The leader's slice is shared across every follower: copy, as the
-	// sync coalescing path does.
-	out := make([]core.Result, len(results))
-	copy(out, results)
-	return ts.finishReply(w.kind, w.session, out, errstr)
+	return toks.encode(), nil
 }

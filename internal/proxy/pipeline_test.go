@@ -471,71 +471,11 @@ func TestPipelineSessionChurnRace(t *testing.T) {
 	assertEPCInvariant(t, p)
 }
 
-// A completion can land before the request goroutine reaches await() —
-// the fetch is submitted inside the stage-1 ecall, so an immediate dial
-// failure wins that race. The outcome must be stashed for await to
-// consume, not dropped: dropping parks the request forever and leaks its
-// admission slot.
-func TestDeliverBeforeAwaitIsStashed(t *testing.T) {
-	pl := newPipelineRuntime(nil, 1, 0, 0)
-	pl.deliver(7, pendingOutcome{err: fmt.Errorf("fast dial failure")})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if _, err := pl.await(ctx, envelopeReply{Pending: 7}); err == nil ||
-		!strings.Contains(err.Error(), "fast dial failure") {
-		t.Fatalf("await after early delivery: err = %v, want the stashed outcome", err)
-	}
-	if ctx.Err() != nil {
-		t.Fatal("await blocked on an already-delivered outcome")
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if len(pl.unclaimed) != 0 || len(pl.waiters) != 0 {
-		t.Errorf("stash/waiters not empty after consume: %d/%d", len(pl.unclaimed), len(pl.waiters))
-	}
-}
-
-// The converse: an outcome for a request whose caller genuinely gave up
-// (context cancelled while parked) is dropped, not stashed forever.
-func TestAbandonedOutcomeDroppedNotStashed(t *testing.T) {
-	pl := newPipelineRuntime(nil, 1, 0, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := pl.await(ctx, envelopeReply{Pending: 9})
-		done <- err
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		pl.mu.Lock()
-		_, registered := pl.waiters[9]
-		pl.mu.Unlock()
-		if registered {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("await never registered its waiter")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err == nil {
-		t.Fatal("await returned nil after cancellation")
-	}
-	pl.deliver(9, pendingOutcome{err: fmt.Errorf("late outcome")})
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if len(pl.unclaimed) != 0 || len(pl.abandoned) != 0 || len(pl.waiters) != 0 {
-		t.Errorf("late outcome leaked state: unclaimed=%d abandoned=%d waiters=%d",
-			len(pl.unclaimed), len(pl.abandoned), len(pl.waiters))
-	}
-}
-
-// End-to-end regression for the stash race: a dead upstream makes every
-// fetch complete in microseconds (dial refused), reliably beating the
-// requester to await. With outcomes dropped instead of stashed, each
-// request leaked an admission slot and the pipeline deadlocked after
-// PipelineDepth requests.
+// End-to-end twin of TestOutcomeBeforeCrossingReturnsIsDelivered: a dead
+// upstream makes every fetch complete in microseconds (dial refused), so
+// final outcomes reliably race their own crossing's return. An outcome
+// that missed its waiter would leak an admission slot per request and
+// deadlock the pipeline after PipelineDepth of them.
 func TestPipelineFastFailureNoAdmissionLeak(t *testing.T) {
 	dead := reservePort(t)
 	p, err := New(Config{
@@ -668,13 +608,12 @@ func TestAbandonCancelsLoneLeader(t *testing.T) {
 	if _, err := p.ServeQuery(ctx2, "abandoned flight"); err != nil {
 		t.Fatalf("retry after abandon: %v (coalesced onto a dead leader?)", err)
 	}
-	// Nothing parked once both calls returned; stash bookkeeping clean.
+	// Nothing waits once both calls returned.
 	pl := p.pipeline
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if len(pl.waiters) != 0 || len(pl.unclaimed) != 0 || len(pl.abandoned) != 0 {
-		t.Errorf("dispatcher state leaked: waiters=%d unclaimed=%d abandoned=%d",
-			len(pl.waiters), len(pl.unclaimed), len(pl.abandoned))
+	if len(pl.waiters) != 0 {
+		t.Errorf("dispatcher state leaked: waiters=%d", len(pl.waiters))
 	}
 }
 

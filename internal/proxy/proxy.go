@@ -52,9 +52,6 @@ type Config struct {
 	// pooling (every request dials a fresh socket, the paper's original
 	// behaviour).
 	PoolSize int
-	// PoolIdleTimeout discards pooled connections idle longer than this
-	// on checkout (FIFO). Zero means DefaultPoolIdleTimeout.
-	PoolIdleTimeout time.Duration
 	// CacheBytes bounds the in-enclave obfuscated-result cache, charged
 	// against the EPC like the history window. Zero disables caching.
 	CacheBytes int64
@@ -241,9 +238,6 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	if cfg.PoolSize == 0 {
 		cfg.PoolSize = DefaultPoolSize
-	}
-	if cfg.PoolIdleTimeout == 0 {
-		cfg.PoolIdleTimeout = DefaultPoolIdleTimeout
 	}
 	if cfg.CacheBytes > 0 && cfg.CacheTTL == 0 {
 		cfg.CacheTTL = DefaultCacheTTL
@@ -467,7 +461,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v2.4 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v2.5 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
@@ -510,7 +504,7 @@ func New(cfg Config) (*Proxy, error) {
 		// measured surface: an async build attests differently from a
 		// blocking one.
 		ecalls = append(ecalls, ecall{"resume", trusted.handleResume}, ecall{"hedge", trusted.handleHedge},
-			ecall{"claim", trusted.handleClaim}, ecall{"abandon", trusted.handleAbandon})
+			ecall{"abandon", trusted.handleAbandon})
 	}
 	if cfg.BatchMax > 0 {
 		// The vectorized request crossing is its own measured surface: a
@@ -632,9 +626,9 @@ const (
 	// DefaultPoolSize is the idle engine-connection bound when
 	// Config.PoolSize is zero.
 	DefaultPoolSize = 8
-	// DefaultPoolIdleTimeout is how long a pooled connection may idle
-	// before checkout discards it.
-	DefaultPoolIdleTimeout = 60 * time.Second
+	// poolIdleTimeout is how long a pooled connection may idle before
+	// checkout discards it (FIFO).
+	poolIdleTimeout = 60 * time.Second
 	// DefaultCacheTTL bounds result-cache freshness when Config.CacheTTL
 	// is zero.
 	DefaultCacheTTL = 60 * time.Second
@@ -1012,6 +1006,7 @@ type Stats struct {
 	LatencyP50   time.Duration `json:"latency_p50_ns,omitempty"`
 	LatencyP95   time.Duration `json:"latency_p95_ns,omitempty"`
 	LatencyP99   time.Duration `json:"latency_p99_ns,omitempty"`
+	LatencyMean  time.Duration `json:"latency_mean_ns,omitempty"`
 	// Stages holds the trusted-side per-stage latency summaries when
 	// Observability is on: one aggregate snapshot per pipeline stage
 	// (closed obs.StageNames set), never per-request events. Zero-count
@@ -1055,6 +1050,7 @@ func (p *Proxy) Stats() Stats {
 		s.LatencyP50 = snap.P50
 		s.LatencyP95 = snap.P95
 		s.LatencyP99 = snap.P99
+		s.LatencyMean = snap.Mean
 	}
 	if reg := p.trusted.registry; reg != nil {
 		now := time.Now()

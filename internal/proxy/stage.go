@@ -351,7 +351,7 @@ func (ts *trustedState) roundTripAndSettle(env enclave.Env, e *entry) ([]core.Re
 // instant — a later entry of this batch, or a concurrent crossing —
 // attaches as a follower instead of leading a second flight. The price is
 // the window between reservation and submission: a follower can attach to
-// a leader whose submission then fails, and follower wake-ups ride the
+// a leader whose submission then fails, and followers' replies ride the
 // "resume" reply a failed submission never produces. So a follower does
 // not leave this crossing before its leader's submission has resolved
 // (launched): it waits on the table's condition — microseconds, the
@@ -371,8 +371,13 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		if e.settled {
 			continue
 		}
-		pt.nextID++
-		e.p = &pendingReq{id: pt.nextID, kind: e.req.Type, session: e.req.Session, key: e.key}
+		if _, parked := pt.byID[e.req.ID]; parked || e.req.ID == 0 {
+			// The runtime names its requests; a name nothing can be parked
+			// under is its own error, and the entry already there stays.
+			e.fail(fmt.Errorf("proxy: request id %d is zero or already parked", e.req.ID))
+			continue
+		}
+		e.p = &pendingReq{id: e.req.ID, kind: e.req.Type, session: e.req.Session, key: e.key}
 		if coalesce {
 			if leader, ok := pt.byKey[e.key]; ok && !leader.done {
 				// Follower: ride the leader's flight. No fetch, no hedging.
@@ -415,11 +420,14 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			for !e.p.leader.launched {
 				pt.launch.Wait()
 			}
-			_, parked := pt.byID[e.p.id]
+			errstr := e.p.errstr
 			pt.mu.Unlock()
-			if !parked {
-				// The leader never got airborne and released this entry.
-				ts.reply(e, nil, e.p.errstr)
+			if errstr != "" {
+				// Released with an error: the leader never got airborne, or
+				// this request's own caller abandoned it meanwhile. (A flight
+				// that has finalized by now left none: the follower's reply
+				// is on the leader's "resume", and this one stays Pending.)
+				ts.reply(e, nil, errstr)
 				continue
 			}
 		case e.att == nil:
@@ -442,8 +450,8 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			pt.launched(e.p, "")
 			host = e.att.u.host
 		}
-		// Followers carry only the pending id; leaders also name their
-		// upstream so the runtime can derive the hedge delay per request.
+		// Followers echo only their id; leaders also name their upstream so
+		// the runtime can derive the hedge delay per request.
 		parked := envelopeReply{
 			Pending:  e.p.id,
 			Upstream: host,

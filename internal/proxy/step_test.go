@@ -200,8 +200,9 @@ func TestFailedSubmitFailsAttachedFollowers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Crash()
-	same := (&envelope{Type: typePlain, Query: "identical pair"}).encode()
-	frames, err := p.pipeline.batchECall("request-batch", [][]byte{same, same})
+	first := (&envelope{Type: typePlain, ID: 1, Query: "identical pair"}).encode()
+	second := (&envelope{Type: typePlain, ID: 2, Query: "identical pair"}).encode()
+	frames, err := p.pipeline.batchECall("request-batch", [][]byte{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,7 +326,7 @@ func normalizeEngines(cfg *Config) ([]EngineSpec, error) {
 func buildRegistry(engines []EngineSpec, cfg *Config) (*upstreamRegistry, error) {
 	ups := make([]*upstream, len(engines))
 	for i, e := range engines {
-		u := &upstream{host: e.Host, weight: e.Weight, maxIdle: e.MaxConns, idleTTL: cfg.PoolIdleTimeout}
+		u := &upstream{host: e.Host, weight: e.Weight, maxIdle: e.MaxConns, idleTTL: poolIdleTimeout}
 		if len(e.RootsPEM) > 0 {
 			pool := x509.NewCertPool()
 			if !pool.AppendCertsFromPEM(e.RootsPEM) {

@@ -9,10 +9,11 @@ import (
 	"xsearch/internal/core"
 )
 
-// Every message that carries a request or a reply across the enclave
-// boundary — envelope, envelopeReply, batchItemReply, resumeReply — and
-// the engine stage's two step messages are length-prefixed binary frames
-// (doc.go has the seam table). Each lists its fields once, in a walk
+// Every message that carries a request, a reply or a pending-table control
+// across the enclave boundary — envelope, envelopeReply, batchItemReply,
+// resumeReply, the id argument of "hedge" and "abandon", the latter's token
+// list — and the engine stage's two step messages are length-prefixed binary
+// frames (doc.go has the seam table). Each lists its fields once, in a walk
 // method that the wire walker at the end of this file runs in either
 // direction.
 
@@ -28,6 +29,11 @@ const (
 // envelope is the argument of the "request" ecall.
 type envelope struct {
 	Type byte
+	// ID is the untrusted runtime's name for this request, minted before the
+	// crossing (pipelineRuntime.register): the async engine stage parks the
+	// request under it, and every later outcome and control names it. The
+	// blocking stage ignores it.
+	ID uint64
 	// Plain query (Type == typePlain).
 	Query string
 	// Handshake offer from the client (Type == typeHandshake).
@@ -39,6 +45,7 @@ type envelope struct {
 
 func (e *envelope) walk(w *wire) {
 	w.u8(&e.Type, typePlain, typeSecure)
+	w.u64(&e.ID)
 	w.str(&e.Query)
 	w.bytes((*[]byte)(&e.Offer))
 	w.str(&e.Session)
@@ -46,7 +53,7 @@ func (e *envelope) walk(w *wire) {
 }
 
 func (e *envelope) encode() []byte {
-	w := wire{b: make([]byte, 0, 1+4*4+len(e.Query)+len(e.Offer)+len(e.Session)+len(e.Record))}
+	w := wire{b: make([]byte, 0, 1+8+4*4+len(e.Query)+len(e.Offer)+len(e.Session)+len(e.Record))}
 	e.walk(&w)
 	return w.b
 }
@@ -58,8 +65,9 @@ func (e *envelope) decode(b []byte) error {
 }
 
 // envelopeReply is the result of the "request" ecall — and, nested in
-// resumeReply and batchItemReply or returned by "claim", the one encoding
-// of a reply on every path.
+// resumeReply and batchItemReply, the one encoding of a reply on every
+// path. "hedge" answers with a parked one (Pending set when a hedge went
+// out).
 type envelopeReply struct {
 	// Results of a plain query.
 	Results []core.Result
@@ -72,9 +80,9 @@ type envelopeReply struct {
 	// Sealed response record for a secure request.
 	Record []byte
 	// Async pipeline: when Pending is nonzero the request parked inside
-	// the enclave awaiting an async engine fetch; the final reply arrives
-	// through the resume/claim ecalls. Upstream names the primary fetch's
-	// engine (so the runtime can derive a p95-based hedge delay) and
+	// the enclave under that id (the envelope's) awaiting an async engine
+	// fetch; the final reply arrives in a "resume" reply. Upstream names the
+	// fetch's engine (so the runtime can derive a p95-based hedge delay) and
 	// CanHedge tells the runtime whether a hedge timer is worth arming.
 	Pending  uint64
 	Upstream string
@@ -159,10 +167,11 @@ type resumeReply struct {
 	// failures surface as request errors, as on the blocking stage).
 	Reply []byte
 	Err   string
-	// Waiters lists coalesced followers whose results are ready to claim;
-	// CancelTokens lists still-outstanding loser fetches the runtime
-	// should abort.
-	Waiters      []uint64
+	// Followers carries every coalesced follower's own final reply — a
+	// secure one sealed on the follower's own channel — out on the winner's
+	// crossing; CancelTokens lists still-outstanding loser fetches the
+	// runtime should abort.
+	Followers    []followerReply
 	CancelTokens []uint64
 	// DoneToken, when nonzero, names a flight token whose trusted state
 	// machine just reached a terminal outcome (done, orphan, or
@@ -171,18 +180,38 @@ type resumeReply struct {
 	DoneToken uint64
 }
 
+// followerReply is one coalesced follower's final outcome inside a
+// resumeReply: what the leader's Reply/Err pair is to the leader.
+type followerReply struct {
+	ID    uint64
+	Reply []byte
+	Err   string
+}
+
 func (rr *resumeReply) walk(w *wire) {
 	w.u8(&rr.State, resumePending, resumeOrphan)
 	w.u64(&rr.PendingID)
 	w.u64(&rr.DoneToken)
 	w.bytes(&rr.Reply)
 	w.str(&rr.Err)
-	w.u64s(&rr.Waiters)
+	// A follower is at least its id and two length prefixes.
+	if n := w.count(len(rr.Followers), 8+2*4); w.dec && n > 0 {
+		rr.Followers = make([]followerReply, n)
+	}
+	for i := range rr.Followers {
+		w.u64(&rr.Followers[i].ID)
+		w.bytes(&rr.Followers[i].Reply)
+		w.str(&rr.Followers[i].Err)
+	}
 	w.u64s(&rr.CancelTokens)
 }
 
 func (rr *resumeReply) encode() []byte {
-	w := wire{b: make([]byte, 0, 1+2*8+4*4+len(rr.Reply)+len(rr.Err)+8*(len(rr.Waiters)+len(rr.CancelTokens)))}
+	n := 1 + 2*8 + 4*4 + len(rr.Reply) + len(rr.Err) + 8*len(rr.CancelTokens)
+	for _, f := range rr.Followers {
+		n += 8 + 2*4 + len(f.Reply) + len(f.Err)
+	}
+	w := wire{b: make([]byte, 0, n)}
 	rr.walk(&w)
 	return w.b
 }
@@ -284,30 +313,36 @@ func (r *tlsStepReply) decode(b []byte) error {
 	return w.end()
 }
 
-// pendingArg names one parked request: the argument of the "hedge"
-// (issue a hedge fetch for it), "claim" (redeem a coalesced follower's
-// ready result) and "abandon" (its caller gave up) ecalls.
-type pendingArg struct {
-	PendingID uint64 `json:"pending_id"`
+// The pending-table controls. "hedge" (issue a hedge fetch for a parked
+// request) and "abandon" (its caller has gone) take the request's id as
+// eight little-endian bytes; "hedge" replies a parked envelopeReply and
+// "abandon" a tokenList.
+
+func encodeID(id uint64) []byte { return binary.LittleEndian.AppendUint64(nil, id) }
+
+func decodeID(b []byte) (uint64, error) {
+	if len(b) != 8 {
+		return 0, errBadSeamFrame
+	}
+	return binary.LittleEndian.Uint64(b), nil
 }
 
-// hedgeReply reports whether a hedge was issued and whether another is
-// still worth arming a timer for.
-type hedgeReply struct {
-	Hedged   bool   `json:"hedged"`
-	Upstream string `json:"upstream,omitempty"`
-	CanHedge bool   `json:"can_hedge,omitempty"`
+// tokenList is the result of the "abandon" ecall: the abandoned request's
+// in-flight fetches, for the runtime to abort. Empty when the flight must
+// continue (coalesced followers still ride it) or nothing is parked under
+// the id.
+type tokenList []uint64
+
+func (t tokenList) encode() []byte {
+	w := wire{b: make([]byte, 0, 4+8*len(t))}
+	w.u64s((*[]uint64)(&t))
+	return w.b
 }
 
-// abandonReply lists the abandoned request's in-flight fetches for the
-// runtime to abort. Freed reports that the trusted entry was released
-// while still live — no future resume will reference the id, so the
-// runtime may drop its abandoned mark immediately. CancelTokens is empty
-// when the flight must continue (coalesced followers still ride it) or
-// the request already finalized.
-type abandonReply struct {
-	Freed        bool     `json:"freed,omitempty"`
-	CancelTokens []uint64 `json:"cancel_tokens,omitempty"`
+func (t *tokenList) decode(b []byte) error {
+	w := wire{b: b, dec: true}
+	w.u64s((*[]uint64)(t))
+	return w.end()
 }
 
 // Batched ecall framing. The "request-batch" and "resume" ecalls carry

@@ -171,13 +171,14 @@ func WithHedging(delay time.Duration, max int) ProxyOption {
 	})
 }
 
-// WithFetchTimeout bounds each async engine fetch's read phase (requires
-// WithAsyncOcalls): an upstream that accepts the connection but never
-// responds fails the fetch after d — counted against its circuit breaker
-// like any refused response, so requests fail over to healthy upstreams —
-// instead of pinning an async worker until a hedge winner, caller
-// abandonment, or shutdown cancels it. Zero (the default) keeps the
-// previous behaviour: no per-fetch deadline.
+// WithFetchTimeout bounds each whole engine fetch attempt — connect, TLS
+// handshake, request, response — on the blocking and the async engine
+// stage alike: an upstream that accepts the connection but never responds
+// fails the fetch after d — counted against its circuit breaker like any
+// refused response, so requests fail over to healthy upstreams — instead
+// of pinning a TCS (blocking) or a parked flight (async) until something
+// else cancels it. Zero (the default) keeps the previous behaviour: no
+// per-fetch deadline.
 func WithFetchTimeout(d time.Duration) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) { c.FetchTimeout = d })
 }
