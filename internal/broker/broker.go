@@ -182,12 +182,12 @@ func (b *Broker) Connect(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	respBody, err := b.rpc(ctx, mux.KindHandshake, reqBody)
+	respBody, err := b.rpc(ctx, mux.KindHandshake, reqBody, nil)
 	if errors.Is(err, mux.ErrConnLost) {
 		// The conn died under the handshake. Re-posting the same offer is
 		// safe — at worst the server minted a session the broker never
 		// uses, which ages out of its FIFO table.
-		respBody, err = b.rpc(ctx, mux.KindHandshake, reqBody)
+		respBody, err = b.rpc(ctx, mux.KindHandshake, reqBody, nil)
 	}
 	if err != nil {
 		return err
@@ -256,6 +256,14 @@ func (b *Broker) Search(ctx context.Context, query string) ([]core.Result, error
 	return b.searchOnce(ctx, query)
 }
 
+// replyBufs recycles the HTTP transport's secure-reply buffers: a reply is
+// read, opened and parsed in one, and ParseSecureReply copies out what the
+// results keep before the buffer goes back. One grown past maxPooledReply
+// is left to the collector.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 64 << 10
+
 func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, error) {
 	b.mu.Lock()
 	channel, session := b.channel, b.session
@@ -263,16 +271,25 @@ func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	if channel == nil {
 		return nil, ErrNotConnected
 	}
-	record, err := channel.Seal(core.AppendSecureRequest(nil, query, b.cfg.Count))
+	// The query is sealed where it is written, inside the body that carries
+	// it (room for a query needing no escapes).
+	body := proxy.AppendSecureBody(make([]byte, 0, 1+len(session)+securechannel.HeaderSize+len(query)+64+securechannel.SealRoom), session, nil)
+	at := len(body)
+	body = core.AppendSecureRequest(append(body, make([]byte, securechannel.HeaderSize)...), query, b.cfg.Count)
+	body = channel.SealAt(body, at)
+
+	buf := replyBufs.Get().(*[]byte)
+	defer replyBufs.Put(buf)
+	reply, err := b.rpc(ctx, mux.KindSecure, body, *buf)
 	if err != nil {
 		return nil, err
 	}
-	body := proxy.AppendSecureBody(make([]byte, 0, 1+len(session)+len(record)), session, record)
-	reply, err := b.rpc(ctx, mux.KindSecure, body)
-	if err != nil {
-		return nil, err
+	if b.rd == nil && cap(reply) <= maxPooledReply {
+		*buf = reply[:0] // ReadBody grows the buffer when a reply outsizes it
 	}
-	respPT, err := channel.Open(reply)
+	// Opened where it was read: the pooled buffer over HTTP, the frame
+	// payload a mux call allocates for its caller.
+	respPT, err := channel.OpenInPlace(reply)
 	if err != nil {
 		return nil, fmt.Errorf("broker: open response: %w", err)
 	}
@@ -288,19 +305,20 @@ func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, e
 
 // rpc issues one proxy call of the given stream kind over the configured
 // transport — a logical stream on the multiplexed conn, or an HTTP POST to
-// the kind's route — and returns the reply body. Error classes are kept
+// the kind's route — and returns the reply body (over HTTP, read into dst's
+// storage when it has room). Error classes are kept
 // distinct because the recovery differs: a remote refusal maps onto
 // ErrProxyStatus (the re-attest path — the server answered, the session
 // is likely gone), while transport loss stays mux.ErrConnLost (the
 // re-seal-and-retry path — the server may never have answered, but the
 // channel is intact).
-func (b *Broker) rpc(ctx context.Context, kind byte, body []byte) ([]byte, error) {
+func (b *Broker) rpc(ctx context.Context, kind byte, body, dst []byte) ([]byte, error) {
 	path, contentType := "/handshake", "application/json"
 	if kind == mux.KindSecure {
 		path, contentType = "/secure", "application/octet-stream"
 	}
 	if b.rd == nil {
-		return b.post(ctx, path, contentType, body)
+		return b.post(ctx, path, contentType, body, dst)
 	}
 	resp, err := b.rd.Call(ctx, kind, body)
 	if err != nil {
@@ -318,8 +336,9 @@ func (b *Broker) rpc(ctx context.Context, kind byte, body []byte) ([]byte, error
 // the enclave itself caps at 8 MiB.
 const maxReplyBytes = 8 << 20
 
-// post sends one HTTP POST and returns the reply body.
-func (b *Broker) post(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
+// post sends one HTTP POST and returns the reply body, read into dst's
+// storage when it has room.
+func (b *Broker) post(ctx context.Context, path, contentType string, body, dst []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		b.cfg.ProxyURL+path, bytes.NewReader(body))
 	if err != nil {
@@ -334,7 +353,7 @@ func (b *Broker) post(ctx context.Context, path, contentType string, body []byte
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%w: %s %d", ErrProxyStatus, path, resp.StatusCode)
 	}
-	out, err := serve.ReadBody(resp.Body, resp.ContentLength, maxReplyBytes)
+	out, err := serve.ReadBody(dst, resp.Body, resp.ContentLength, maxReplyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("broker: %s: %w", path, err)
 	}

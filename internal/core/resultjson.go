@@ -65,12 +65,18 @@ func AppendSecureRequest(dst []byte, query string, count int) []byte {
 // AppendSecureReply appends the plaintext the enclave seals back:
 // {"results":…}, with "err" when errstr is set.
 func AppendSecureReply(dst []byte, results []Result, errstr string) []byte {
-	dst = slices.Grow(dst, len(`{"results":,"err":""}`)+resultsJSONSize(results)+len(errstr))
+	dst = slices.Grow(dst, SecureReplySize(results, errstr))
 	dst = AppendResultsJSON(append(dst, `{"results":`...), results)
 	if errstr != "" {
 		dst = appendJSONString(append(dst, `,"err":`...), errstr)
 	}
 	return append(dst, '}')
+}
+
+// SecureReplySize is AppendSecureReply's length when nothing needs an
+// escape: the room a caller sizing one buffer for the reply leaves it.
+func SecureReplySize(results []Result, errstr string) int {
+	return len(`{"results":,"err":""}`) + resultsJSONSize(results) + len(errstr)
 }
 
 // jsonClass says, per byte inside a string, whether the reader (readPlain)

@@ -271,6 +271,7 @@ func (b *Builder) Build() (*Enclave, error) {
 		ocalls:      make(map[string]OCallHandler),
 		tcs:         make(chan struct{}, tcs),
 	}
+	e.env = env{e: e}
 	for i := 0; i < tcs; i++ {
 		e.tcs <- struct{}{}
 	}
@@ -318,6 +319,9 @@ type Enclave struct {
 	ocalls map[string]OCallHandler
 
 	tcs chan struct{}
+	// env is every activation's Env: it holds nothing per call, so one
+	// per enclave keeps a crossing from allocating its own.
+	env env
 
 	// Switchless async ocall rings (nil when Config.AsyncWorkers == 0).
 	asyncSub  chan asyncCall
@@ -393,7 +397,7 @@ func (e *Enclave) ECall(ctx context.Context, name string, arg []byte) ([]byte, e
 
 	e.ecallCount.Add(1)
 	e.payTransition() // EENTER
-	res, err := h(&env{e: e}, arg)
+	res, err := h(&e.env, arg)
 	e.payTransition() // EEXIT
 	return res, err
 }
@@ -474,7 +478,7 @@ func (e *Enclave) Stats() Stats {
 	}
 }
 
-// env implements Env for a single ecall activation.
+// env implements Env for every ecall activation of its enclave.
 type env struct {
 	e *Enclave
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xsearch/internal/raceflag"
 )
 
 func buildTestEnclave(t *testing.T, p *Platform, cfg Config) *Enclave {
@@ -109,6 +111,21 @@ func TestECall(t *testing.T) {
 		if got != 1 {
 			t.Errorf("ECalls = %d", got)
 		}
+	}
+}
+
+// TestNoOpECallAllocatesNothing: the crossing itself — TCS, transitions,
+// the Env handed to the handler — costs no allocation, so every one a
+// request pays is its own work's.
+func TestNoOpECallAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are the race detector's under -race")
+	}
+	e := buildTestEnclave(t, NewPlatform(), Config{})
+	defer e.Destroy()
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() { _, _ = e.ECall(ctx, "echo", nil) }); n != 0 {
+		t.Errorf("a no-op ecall: %v allocs, want 0", n)
 	}
 }
 

@@ -69,7 +69,9 @@
 //	  "request-batch")                              for it; byte fields alias the ecall argument, no []byte
 //	                                                is ever base64'd
 //	envelopeReply ("request", "hedge";   binary     ONE encoding of a reply on the blocking, batched and
-//	  nested in the two below)                      async-resume paths; parked, it is also "hedge"'s answer
+//	  nested in the two below)                      async-resume paths; parked, it is also "hedge"'s answer.
+//	                                                A secure reply's Record is its last field and is sealed
+//	                                                inside the frame: one buffer, no plaintext copy outside it
 //	batchItemReply ("request-batch")     binary     an encoded envelopeReply, or the entry's error
 //	resumeReply ("resume")               binary     verdict, id, tokens, the leader's encoded envelopeReply
 //	                                                and one (id, envelopeReply or error) per follower

@@ -151,7 +151,7 @@ func frontHandler(f Front, kind byte) http.HandlerFunc {
 			}
 			// A body that cannot be read (over the cap, cut short) goes on
 			// as no body, which ServeCall refuses as it does a bad one.
-			body, _ = serve.ReadBody(r.Body, r.ContentLength, maxBodyBytes)
+			body, _ = serve.ReadBody(nil, r.Body, r.ContentLength, maxBodyBytes)
 		}
 		reply, err := ServeCall(r.Context(), f, kind, query, body)
 		if err != nil {

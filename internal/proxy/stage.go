@@ -516,28 +516,25 @@ func (ts *trustedState) reply(e *entry, results []core.Result, errstr string) {
 
 // finishReply builds the final encoded reply for one request. A plain
 // query's failure is the ecall's error; a secure query's is folded into
-// the sealed reply (core.AppendSecureReply), so only the client reads it.
-// The session is looked up at seal time: a session evicted while its
-// request was in the engine stage fails here (the channel died with its
-// table slot).
+// the sealed reply (core.AppendSecureReply), so only the client reads it,
+// and sealed inside its frame (sealedReply). The session is looked up at
+// seal time: a session evicted while its request was in the engine stage
+// fails here (the channel died with its table slot).
 func (ts *trustedState) finishReply(kind byte, session string, results []core.Result, errstr string) ([]byte, error) {
-	var reply envelopeReply
 	switch kind {
 	case typePlain:
 		if errstr != "" {
 			return nil, errors.New(errstr)
 		}
-		reply.Results = results
+		reply := envelopeReply{Results: results}
+		return reply.encode(), nil
 	case typeSecure:
 		sess, err := ts.session(session)
 		if err != nil {
 			return nil, err
 		}
-		if reply.Record, err = sess.channel.Seal(core.AppendSecureReply(nil, results, errstr)); err != nil {
-			return nil, fmt.Errorf("proxy: seal response: %w", err)
-		}
+		return sealedReply(sess.channel, results, errstr), nil
 	default:
 		return nil, fmt.Errorf("proxy: unknown pending kind %d", kind)
 	}
-	return reply.encode(), nil
 }

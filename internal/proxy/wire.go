@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"xsearch/internal/core"
+	"xsearch/internal/securechannel"
 )
 
 // Every message that carries a request, a reply or a pending-table control
@@ -77,7 +78,8 @@ type envelopeReply struct {
 	// ReportData echoes the value the enclave bound into its report so
 	// the untrusted runtime can fetch a quote for it.
 	ReportData []byte
-	// Sealed response record for a secure request.
+	// Sealed response record for a secure request: the walk's last field,
+	// so sealedReply can seal it inside the frame.
 	Record []byte
 	// Async pipeline: when Pending is nonzero the request parked inside
 	// the enclave under that id (the envelope's) awaiting an async engine
@@ -96,7 +98,6 @@ func (e *envelopeReply) walk(w *wire) {
 	w.bytes((*[]byte)(&e.Offer))
 	w.str(&e.Session)
 	w.bytes(&e.ReportData)
-	w.bytes(&e.Record)
 	// A result is at least its three length prefixes.
 	if n := w.count(len(e.Results), 3*4); w.dec && n > 0 {
 		e.Results = make([]core.Result, n)
@@ -106,16 +107,37 @@ func (e *envelopeReply) walk(w *wire) {
 		w.str(&e.Results[i].Title)
 		w.str(&e.Results[i].Snippet)
 	}
+	w.bytes(&e.Record)
 }
 
-func (e *envelopeReply) encode() []byte {
+func (e *envelopeReply) size() int {
 	n := 8 + 1 + 6*4 + len(e.Upstream) + len(e.Offer) + len(e.Session) + len(e.ReportData) + len(e.Record)
 	for _, r := range e.Results {
 		n += 3*4 + len(r.URL) + len(r.Title) + len(r.Snippet)
 	}
-	w := wire{b: make([]byte, 0, n)}
+	return n
+}
+
+func (e *envelopeReply) encode() []byte {
+	w := wire{b: make([]byte, 0, e.size())}
 	e.walk(&w)
 	return w.b
+}
+
+// sealedReply is a secure request's final envelopeReply, written once: the
+// frame of an empty reply ends in Record's length prefix, the reply
+// plaintext is appended after that and a sequence slot, sealed where it
+// lies, and the prefix back-patched — one buffer from the result list to
+// the bytes the host carries out, none of them plaintext once it returns.
+func sealedReply(ch *securechannel.Channel, results []core.Result, errstr string) []byte {
+	var reply envelopeReply
+	w := wire{b: make([]byte, 0, reply.size()+securechannel.HeaderSize+core.SecureReplySize(results, errstr)+securechannel.SealRoom)}
+	reply.walk(&w)
+	at := len(w.b)
+	b := core.AppendSecureReply(append(w.b, make([]byte, securechannel.HeaderSize)...), results, errstr)
+	b = ch.SealAt(b, at)
+	binary.LittleEndian.PutUint32(b[at-4:], uint32(len(b)-at))
+	return b
 }
 
 func (e *envelopeReply) decode(b []byte) error {

@@ -1,6 +1,7 @@
 package securechannel
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
@@ -10,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -158,8 +160,18 @@ const (
 	// others run on, measured up to 176 records behind with 8 callers —
 	// so the customary 64 is too narrow here.
 	replayWindow = (replayBlocks - 1) * 64
-	// nonceSize is the standard GCM nonce length cipher.NewGCM fixes.
+	// nonceSize and tagSize are the standard GCM lengths cipher.NewGCM
+	// fixes.
 	nonceSize = 12
+	tagSize   = 16
+)
+
+// The in-place record layout: what SealAt's caller leaves in front of the
+// plaintext, and how much spare capacity after it lets SealAt seal without
+// growing the buffer — the tag, then the nonce while it seals.
+const (
+	HeaderSize = 8
+	SealRoom   = tagSize + nonceSize
 )
 
 func newChannel(sendKey, recvKey []byte) (*Channel, error) {
@@ -181,37 +193,65 @@ func newChannel(sendKey, recvKey []byte) (*Channel, error) {
 	return &Channel{sendAEAD: send, recvAEAD: recv}, nil
 }
 
-// Seal encrypts plaintext into a record: seq(8) || ciphertext. The sequence
-// number doubles as GCM nonce material and replay ordinal.
+// Seal encrypts plaintext into a new record, seq(8) || ciphertext || tag,
+// in one allocation. The sequence number doubles as GCM nonce material and
+// replay ordinal.
 func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
+	buf := make([]byte, HeaderSize, HeaderSize+len(plaintext)+SealRoom)
+	return c.SealAt(append(buf, plaintext...), 0), nil
+}
+
+// SealAt seals the record that starts at buf[at] where it lies: the
+// HeaderSize bytes there are its sequence slot, everything after them its
+// plaintext, and buf[:at] — the frame the record rides in — is left alone.
+// It returns buf extended by the tag, grown append-style only when less
+// than SealRoom of spare capacity is left. The nonce sits in that spare
+// capacity past the tag while the record is sealed (a local array would
+// escape through the AEAD interface and cost an allocation).
+func (c *Channel) SealAt(buf []byte, at int) []byte {
 	c.mu.Lock()
 	c.sendSeq++
 	seq := c.sendSeq
 	c.mu.Unlock()
 
-	// One allocation: the nonce lives in the spare capacity past the
-	// record's end (a local array would escape through the AEAD interface
-	// and cost a second one).
-	size := 8 + len(plaintext) + c.sendAEAD.Overhead()
-	buf := make([]byte, size+nonceSize)
-	nonce := buf[size:]
+	size := len(buf) + tagSize
+	buf = slices.Grow(buf, SealRoom)
+	nonce := buf[size : size+nonceSize]
+	clear(nonce[:nonceSize-8])
 	binary.BigEndian.PutUint64(nonce[nonceSize-8:], seq)
-	binary.BigEndian.PutUint64(buf, seq)
-	return c.sendAEAD.Seal(buf[:8], nonce, plaintext, buf[:8]), nil
+	rec := buf[at:]
+	binary.BigEndian.PutUint64(rec, seq)
+	c.sendAEAD.Seal(rec[:HeaderSize], nonce, rec[HeaderSize:], rec[:HeaderSize])
+	return buf[:size]
 }
 
-// Open authenticates and decrypts a record and enforces anti-replay:
-// every sequence number is accepted at most once, and one that trails the
-// newest accepted by replayWindow or more is refused unseen.
+// Open authenticates and decrypts a copy of record, which it leaves as it
+// is: the form for a record in memory the opener does not own.
 func (c *Channel) Open(record []byte) ([]byte, error) {
-	if len(record) < 8 {
+	return c.OpenInPlace(bytes.Clone(record))
+}
+
+// nonces lends OpenInPlace its nonce: a record's buffer has no room of the
+// opener's to spare, and a local array would escape through the AEAD
+// interface.
+var nonces = sync.Pool{New: func() any { return new([nonceSize]byte) }}
+
+// OpenInPlace authenticates and decrypts record where it lies and enforces
+// anti-replay: every sequence number is accepted at most once, and one that
+// trails the newest accepted by replayWindow or more is refused unseen. The
+// plaintext it returns overwrites the ciphertext (it aliases
+// record[HeaderSize:]), and a refused record is left scrambled — so only the
+// owner of record's memory may call it (the package comment says who).
+func (c *Channel) OpenInPlace(record []byte) ([]byte, error) {
+	if len(record) < HeaderSize {
 		return nil, ErrShortRecord
 	}
-	seq := binary.BigEndian.Uint64(record[:8])
-	// One allocation, as in Seal: nonce first, plaintext after it.
-	buf := make([]byte, nonceSize, nonceSize+len(record)-8)
-	binary.BigEndian.PutUint64(buf[nonceSize-8:], seq)
-	pt, err := c.recvAEAD.Open(buf[nonceSize:], buf, record[8:], record[:8])
+	seq := binary.BigEndian.Uint64(record)
+	nonce := nonces.Get().(*[nonceSize]byte) // its first four bytes stay zero
+	binary.BigEndian.PutUint64(nonce[nonceSize-8:], seq)
+	ct := record[HeaderSize:]
+	pt, err := c.recvAEAD.Open(ct[:0], nonce[:], ct, record[:HeaderSize])
+	nonces.Put(nonce)
 	if err != nil {
 		return nil, ErrCorrupt
 	}

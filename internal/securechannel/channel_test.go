@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"xsearch/internal/raceflag"
 )
 
 // RFC 5869 test vector A.1 (SHA-256).
@@ -187,6 +189,53 @@ func TestChannelTamperRejected(t *testing.T) {
 	}
 }
 
+// The in-place open refuses what Open refuses: a flipped bit is
+// ErrCorrupt (and advances nothing — the untouched record still opens), a
+// record seen before is ErrReplay, a stub is ErrShortRecord.
+func TestOpenInPlaceTamperAndReplay(t *testing.T) {
+	client, server := established(t)
+	rec, err := client.Seal([]byte("query"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := bytes.Clone(rec)
+	tampered[len(tampered)-1] ^= 0x01
+	if _, err := server.OpenInPlace(tampered); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("tamper err = %v", err)
+	}
+	replay := bytes.Clone(rec)
+	if pt, err := server.OpenInPlace(rec); err != nil || string(pt) != "query" {
+		t.Fatalf("after a refused tamper: %q, %v", pt, err)
+	}
+	if _, err := server.OpenInPlace(replay); !errors.Is(err, ErrReplay) {
+		t.Errorf("replay err = %v", err)
+	}
+	if _, err := server.OpenInPlace([]byte("abc")); !errors.Is(err, ErrShortRecord) {
+		t.Errorf("short err = %v", err)
+	}
+}
+
+// SealAt seals a record inside the frame that carries it: the frame's head
+// is left as it was, the record opens in place, its plaintext aliasing the
+// frame — with or without spare room for SealAt to seal into.
+func TestSealAtInsideAFrame(t *testing.T) {
+	client, server := established(t)
+	msg := []byte(`{"results":[]}`)
+	for _, room := range []int{SealRoom, 0} {
+		frame := append(make([]byte, 0, 5+HeaderSize+len(msg)+room), "head:"...)
+		at := len(frame)
+		frame = append(append(frame, make([]byte, HeaderSize)...), msg...)
+		frame = client.SealAt(frame, at)
+		if string(frame[:at]) != "head:" || len(frame) != at+HeaderSize+len(msg)+tagSize {
+			t.Fatalf("room %d: frame %q (%d bytes)", room, frame[:at], len(frame))
+		}
+		pt, err := server.OpenInPlace(frame[at:])
+		if err != nil || !bytes.Equal(pt, msg) || &pt[0] != &frame[at+HeaderSize] {
+			t.Errorf("room %d: opened %q, %v (in place: %v)", room, pt, err, err == nil && &pt[0] == &frame[at+HeaderSize])
+		}
+	}
+}
+
 func TestSameRoleRejected(t *testing.T) {
 	a, err := NewHandshake(RoleClient)
 	if err != nil {
@@ -338,14 +387,25 @@ func BenchmarkHandshake(b *testing.B) {
 }
 
 // TestSealOpenAllocateOnce: the record (or plaintext) is the only heap
-// allocation of a Seal (or Open) — the nonce rides in the same buffer.
+// allocation of a Seal (or Open), and the in-place forms allocate nothing —
+// SealAt's nonce rides in the buffer's spare capacity, OpenInPlace's is
+// pooled.
 func TestSealOpenAllocateOnce(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are the race detector's under -race")
+	}
 	client, server := established(t)
 	pt := []byte(`{"query":"chicken recipe","count":20}`)
 	if n := testing.AllocsPerRun(100, func() { _, _ = client.Seal(pt) }); n > 1 {
 		t.Errorf("Seal: %v allocs, want 1", n)
 	}
-	recs := make([][]byte, 0, 101)
+	buf := make([]byte, 0, HeaderSize+len(pt)+SealRoom)
+	if n := testing.AllocsPerRun(100, func() {
+		client.SealAt(append(append(buf[:0], make([]byte, HeaderSize)...), pt...), 0)
+	}); n != 0 {
+		t.Errorf("SealAt: %v allocs, want 0", n)
+	}
+	recs := make([][]byte, 0, 2*101)
 	for i := 0; i < cap(recs); i++ {
 		r, _ := client.Seal(pt)
 		recs = append(recs, r)
@@ -358,6 +418,14 @@ func TestSealOpenAllocateOnce(t *testing.T) {
 		i++
 	}); n > 1 {
 		t.Errorf("Open: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := server.OpenInPlace(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("OpenInPlace: %v allocs, want 0", n)
 	}
 }
 

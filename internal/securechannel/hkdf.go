@@ -4,6 +4,17 @@
 // derivation, and an AES-256-GCM record layer with strict sequence numbers
 // (replay protection). Queries are "encrypted while outside the enclave,
 // and only accessible as plain text from within".
+//
+// A record has one seal and one open. SealAt and OpenInPlace work where the
+// record lies, so a frame that carries it need not be copied to seal or
+// open it; Seal and Open are the same over a copy. Sealing in place is
+// always safe — the plaintext is the sealer's own and leaves as ciphertext.
+// Opening in place writes the plaintext over the record, so only a holder
+// of the record's memory inside the reader's trust domain may do it: the
+// broker does, in the read buffer or frame payload it owns. The enclave may
+// not: a request record it receives aliases the host's ecall argument, and
+// opening it there would leave the query in host memory in the clear. It
+// opens with Open, into memory of its own.
 package securechannel
 
 import (

@@ -10,16 +10,21 @@ var ErrBodyTooLarge = errors.New("serve: body over the size limit")
 
 // ReadBody reads an HTTP body — a front's request, a broker's reply — of
 // at most limit bytes. length is the message's ContentLength: when the
-// peer declared one the body is read into a single allocation of that
-// size, and a declaration past the limit is refused before anything is
-// allocated; an undeclared (-1) body is read until it ends or passes the
-// limit.
-func ReadBody(r io.Reader, length, limit int64) ([]byte, error) {
+// peer declared one the body is read into dst's storage if it has room
+// (dst's contents are overwritten), into a single allocation of that size
+// otherwise, and a declaration past the limit is refused before anything
+// is allocated; an undeclared (-1) body is read until it ends or passes
+// the limit.
+func ReadBody(dst []byte, r io.Reader, length, limit int64) ([]byte, error) {
 	if length > limit {
 		return nil, ErrBodyTooLarge
 	}
 	if length >= 0 {
-		body := make([]byte, length)
+		body := dst[:0]
+		if int64(cap(body)) < length {
+			body = make([]byte, length)
+		}
+		body = body[:length]
 		if _, err := io.ReadFull(r, body); err != nil {
 			return nil, err
 		}

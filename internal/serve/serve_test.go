@@ -120,19 +120,32 @@ func (r neverRead) Read([]byte) (int, error) {
 }
 
 func TestReadBodyBounds(t *testing.T) {
-	if _, err := ReadBody(neverRead{t}, 1<<40, 1<<20); !errors.Is(err, ErrBodyTooLarge) {
+	if _, err := ReadBody(nil, neverRead{t}, 1<<40, 1<<20); !errors.Is(err, ErrBodyTooLarge) {
 		t.Errorf("declared over the limit: %v, want ErrBodyTooLarge", err)
 	}
-	if got, err := ReadBody(strings.NewReader("exactly"), 7, 7); err != nil || string(got) != "exactly" || cap(got) != 7 {
+	if got, err := ReadBody(nil, strings.NewReader("exactly"), 7, 7); err != nil || string(got) != "exactly" || cap(got) != 7 {
 		t.Errorf("declared body at the limit: %q (cap %d), %v", got, cap(got), err)
 	}
-	if _, err := ReadBody(strings.NewReader("short"), 7, 7); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadBody(nil, strings.NewReader("short"), 7, 7); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("body shorter than declared: %v, want ErrUnexpectedEOF", err)
 	}
-	if got, err := ReadBody(strings.NewReader("chunked"), -1, 7); err != nil || string(got) != "chunked" {
+	if got, err := ReadBody(nil, strings.NewReader("chunked"), -1, 7); err != nil || string(got) != "chunked" {
 		t.Errorf("undeclared body at the limit: %q, %v", got, err)
 	}
-	if _, err := ReadBody(strings.NewReader("chunked!"), -1, 7); !errors.Is(err, ErrBodyTooLarge) {
+	if _, err := ReadBody(nil, strings.NewReader("chunked!"), -1, 7); !errors.Is(err, ErrBodyTooLarge) {
 		t.Errorf("undeclared body over the limit: %v, want ErrBodyTooLarge", err)
+	}
+	// A declared body is read into a destination with room, not a fresh
+	// allocation; the cap on the declared length still comes first, whatever
+	// room dst has.
+	dst := make([]byte, 3, 64)
+	if got, err := ReadBody(dst, strings.NewReader("exactly"), 7, 7); err != nil || string(got) != "exactly" || &got[0] != &dst[0] {
+		t.Errorf("declared body into a roomy dst: %q, %v (want it read into dst's storage)", got, err)
+	}
+	if _, err := ReadBody(dst, neverRead{t}, 65, 64); !errors.Is(err, ErrBodyTooLarge) {
+		t.Errorf("declared over the limit into a roomy dst: %v, want ErrBodyTooLarge", err)
+	}
+	if got, err := ReadBody(dst[:0:4], strings.NewReader("exactly"), 7, 7); err != nil || string(got) != "exactly" || cap(got) != 7 {
+		t.Errorf("declared body past dst's room: %q (cap %d), %v", got, cap(got), err)
 	}
 }
