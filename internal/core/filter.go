@@ -16,19 +16,20 @@ type Result struct {
 
 // FilterResults implements Algorithm 2: for each result, score every
 // sub-query (the original and the fakes) by the number of words it shares
-// with the result's title plus its description; keep the result iff the
-// original query's score is the maximum. Ties in favour of the original
-// are kept, exactly as the algorithm's "score[Qu] = max" condition.
+// with the result's title plus its description — nbCommonWords(q, title(r))
+// + nbCommonWords(q, desc(r)) — and keep the result iff the original query's
+// score is the maximum. Ties in favour of the original are kept, exactly as
+// the algorithm's "score[Qu] = max" condition. Every pair is counted in one
+// call-scoped textutil.PairCounter, so the scoring allocates nothing per
+// (sub-query x result) pair once the counter's buffers have grown.
 func FilterResults(original string, fakes []string, results []Result) []Result {
-	queries := make([]string, 0, len(fakes)+1)
-	queries = append(queries, original)
-	queries = append(queries, fakes...)
+	var pc textutil.PairCounter
 	kept := make([]Result, 0, len(results))
 	for _, r := range results {
-		origScore := resultScore(original, r)
+		origScore := pc.Common(original, r.Title) + pc.Common(original, r.Snippet)
 		isMax := true
-		for _, q := range queries[1:] {
-			if resultScore(q, r) > origScore {
+		for _, q := range fakes {
+			if pc.Common(q, r.Title)+pc.Common(q, r.Snippet) > origScore {
 				isMax = false
 				break
 			}
@@ -38,12 +39,6 @@ func FilterResults(original string, fakes []string, results []Result) []Result {
 		}
 	}
 	return kept
-}
-
-// resultScore is the paper's nbCommonWords(q, title(r)) +
-// nbCommonWords(q, desc(r)).
-func resultScore(query string, r Result) int {
-	return textutil.CommonWords(query, r.Title) + textutil.CommonWords(query, r.Snippet)
 }
 
 // StripRedirects rewrites result URLs to remove tracking redirections

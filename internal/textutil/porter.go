@@ -6,74 +6,93 @@ package textutil
 // A word the algorithm leaves alone is returned as the argument itself, so
 // only a changed stem costs an allocation.
 func Stem(word string) string {
-	if len(word) < 3 {
-		return word
-	}
-	for i := 0; i < len(word); i++ {
-		if word[i] >= 0x80 {
-			return word
-		}
-	}
-	// The steps shorten the word or add one 'e': a word of up to 63 bytes
-	// is stemmed without leaving the stack.
+	// The steps never lengthen a word: one of up to 64 bytes is stemmed
+	// without leaving the stack.
 	var buf [64]byte
-	w := append(buf[:0], word...)
-	w = step1a(w)
-	w = step1b(w)
-	w = step1c(w)
-	w = step2(w)
-	w = step3(w)
-	w = step4(w)
-	w = step5a(w)
-	w = step5b(w)
+	w := appendStem(buf[:0], word)
 	if string(w) == word {
 		return word
 	}
 	return string(w)
 }
 
-// isConsonant reports whether w[i] is a consonant in Porter's sense: a letter
-// other than a, e, i, o, u, and other than y preceded by a consonant.
-func isConsonant(w []byte, i int) bool {
-	switch w[i] {
+// appendStem appends the Porter stem of word to dst. It is the stemmer:
+// Stem and the pair counter both call it.
+func appendStem(dst []byte, word string) []byte {
+	return stemTail(append(dst, word...), len(dst))
+}
+
+// stemTail stems w[from:] in place and returns w with the stem at from.
+// Every step runs in time linear in the word, whatever its letters.
+func stemTail(w []byte, from int) []byte {
+	word := w[from:]
+	if len(word) < 3 {
+		return w
+	}
+	for _, c := range word {
+		if c >= 0x80 {
+			return w
+		}
+	}
+	word = step1a(word)
+	word = step1b(word)
+	word = step1c(word)
+	word = step2(word)
+	word = step3(word)
+	word = step4(word)
+	word = step5a(word)
+	word = step5b(word)
+	return append(w[:from], word...)
+}
+
+// consonant reports whether c is a consonant in Porter's sense, given
+// whether the letter before it is one: a letter other than a, e, i, o, u,
+// and other than a y that follows a consonant. A word's first letter has
+// prevCons false, so a leading y is a consonant.
+func consonant(c byte, prevCons bool) bool {
+	switch c {
 	case 'a', 'e', 'i', 'o', 'u':
 		return false
 	case 'y':
-		if i == 0 {
-			return true
-		}
-		return !isConsonant(w, i-1)
+		return !prevCons
 	}
 	return true
 }
 
+// isConsonant classifies w[i]. A y depends on the letter before it, so the
+// run of y's ending at i is classified forward from the letter before the
+// run: the cost is the length of the run, never a recursion over it.
+func isConsonant(w []byte, i int) bool {
+	j := i
+	for j > 0 && w[j] == 'y' {
+		j--
+	}
+	cons := false
+	for ; j <= i; j++ {
+		cons = consonant(w[j], cons)
+	}
+	return cons
+}
+
 // measure computes m, the number of VC (vowel-consonant) sequences in w
-// viewed as [C](VC)^m[V].
+// viewed as [C](VC)^m[V]: the number of consonants that follow a vowel,
+// counted in one forward pass.
 func measure(w []byte) int {
-	n, i := 0, 0
-	// Skip initial consonants.
-	for i < len(w) && isConsonant(w, i) {
-		i++
+	m, prev := 0, false
+	for i, c := range w {
+		cons := consonant(c, prev)
+		if cons && i > 0 && !prev {
+			m++
+		}
+		prev = cons
 	}
-	for {
-		// Skip vowels.
-		for i < len(w) && !isConsonant(w, i) {
-			i++
-		}
-		if i >= len(w) {
-			return n
-		}
-		// Skip consonants: one full VC sequence observed.
-		for i < len(w) && isConsonant(w, i) {
-			i++
-		}
-		n++
-	}
+	return m
 }
 
 func hasVowel(w []byte) bool {
-	for i := range w {
-		if !isConsonant(w, i) {
+	prev := false
+	for _, c := range w {
+		if prev = consonant(c, prev); !prev {
 			return true
 		}
 	}

@@ -5,32 +5,18 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"xsearch/internal/raceflag"
 )
 
 // The pipeline the kernel replaced, kept as the reference the kernel is
 // compared against: Tokenize → stopword → stem, a token built rune by rune,
 // de-duplication and intersection through maps.
 
-func refStem(word string) string {
-	if len(word) < 3 {
-		return word
-	}
-	for i := 0; i < len(word); i++ {
-		if word[i] >= 0x80 {
-			return word
-		}
-	}
-	w := []byte(word)
-	w = step1a(w)
-	w = step1b(w)
-	w = step1c(w)
-	w = step2(w)
-	w = step3(w)
-	w = step4(w)
-	w = step5a(w)
-	w = step5b(w)
-	return string(w)
-}
+// refStem is the Porter steps frozen before stemming was made linear
+// (porter_frozen_test.go), so the kernel's stems are checked against code
+// it does not share.
+func refStem(word string) string { return frozenStem(word) }
 
 func refTerms(s string) []string {
 	raw := Tokenize(s)
@@ -121,6 +107,16 @@ func requireMatchesReference(t *testing.T, a, b string) {
 	if got, want := set.Common(tm.TermSet(nil, b)), refCommonWords(a, b); got != want {
 		t.Fatalf("TermSet.Common(%q, %q) = %d, reference %d", a, b, got, want)
 	}
+
+	// One PairCounter, reused: its arena and term buffers hold the previous
+	// pair's terms when the next pair starts.
+	var pc PairCounter
+	common := refCommonWords(a, b)
+	for _, p := range [][2]string{{a, b}, {b, a}, {a, b}} {
+		if got := pc.Common(p[0], p[1]); got != common {
+			t.Fatalf("PairCounter.Common(%q, %q) = %d, reference %d", p[0], p[1], got, common)
+		}
+	}
 }
 
 // FuzzTermsMatchReference feeds arbitrary bytes — result text is
@@ -139,6 +135,11 @@ func FuzzTermsMatchReference(f *testing.F) {
 	f.Add("� replacement ��x", "replacement")
 	f.Add(strings.Repeat("bomb ", 300)+strings.Repeat("x", 200), "bombs")
 	f.Add("relational conditional rational valenci digitizer conformabli", "generalizations oscillators")
+	// Both overflow Stem's 64-byte stack buffer; the y run also walks the
+	// y rule across its whole length (the frozen steps are quadratic on it,
+	// so it stays short).
+	f.Add(strings.Repeat("y", 200)+"ational "+strings.Repeat("ay", 40), "SAYYYING "+strings.Repeat("Y", 200)+"ate")
+	f.Add("internationalizations"+strings.Repeat("ness", 12)+" Conditionally", "conditional "+strings.Repeat("Ab", 40)+"ing")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		requireMatchesReference(t, a, b)
 		requireMatchesReference(t, b, a)
@@ -169,6 +170,29 @@ func TestStemReturnsArgumentWhenUnchanged(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { Stem("chicken") }); n != 0 {
 		t.Errorf("Stem of an unchanged word allocates %v times", n)
+	}
+}
+
+// TestPairCounterWarmAllocatesNothing is the gate on what Algorithm 2 pays
+// per (sub-query x result) pair: once a counter's buffers have grown to a
+// pair, counting ASCII text — upper-case, stopwords and changed stems
+// included — allocates nothing.
+func TestPairCounterWarmAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	const (
+		q    = "Cheap FLIGHTS to Tokyo hotels"
+		text = "Compare cheap flights and the best hotel deals in Tokyo; booking relational databases, running shoes"
+	)
+	var pc PairCounter
+	want := CommonWords(q, text)
+	if got := testing.AllocsPerRun(200, func() {
+		if pc.Common(q, text) != want || pc.Common(text, q) != want {
+			t.Fatal("a reused counter disagrees with CommonWords")
+		}
+	}); got != 0 {
+		t.Errorf("a warm PairCounter allocates %v times per two pairs", got)
 	}
 }
 

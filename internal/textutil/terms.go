@@ -34,18 +34,37 @@
 // Strings a Termer returns never alias the text it was given, so they may be
 // kept (index keys) without pinning a whole snippet.
 //
+// # PairCounter: Algorithm 2's scratch
+//
+// A PairCounter counts the terms two texts share — CommonWords — in storage
+// it keeps between calls: one byte arena that holds both texts' terms,
+// lowered and stemmed in place (ASCII text is lowered a token at a time,
+// other text through strings.ToLower, so the case mappings are the
+// kernel's), and two span lists into it that are sorted, de-duplicated and
+// merged where they lie. Its tokens come from the kernel's scanner
+// (nextToken) and its stems from the one stemmer (appendStem's steps), so
+// pair counting has one path: CommonWords is a zero-value counter. It
+// follows the Termer's scope rule — declared in one core.FilterResults call,
+// not shared, not kept — so no session's scoring time depends on another's
+// text. Its arena is bounded by the largest pair of that call, a sub-query
+// and one title or snippet, which the engine-body cap already bounds.
+//
 // # What the wrappers cost
 //
-// Terms, UniqueTerms, CommonWords and Jaccard are stateless wrappers for a
-// single text or pair: they run the kernel without a memo — no map is
-// allocated for one short query — and pay one slice per text, one string per
-// token whose stem differs from it, and a lowered copy only when the text
-// has upper-case or non-ASCII letters. Their terms may alias the argument.
-// UniqueTerms adds one index slice for its order-preserving de-duplication;
-// CommonWords and Jaccard sort in place and intersect by merging.
+// Terms, UniqueTerms and Jaccard are stateless wrappers for a single text or
+// pair: they run the kernel without a memo — no map is allocated for one
+// short query — and pay one slice per text, one string per token whose stem
+// differs from it, and a lowered copy only when the text has upper-case or
+// non-ASCII letters. Their terms may alias the argument. UniqueTerms adds
+// one index slice for its order-preserving de-duplication; Jaccard sorts in
+// place and intersects by merging. CommonWords pays for one PairCounter's
+// buffers (a few allocations, whatever the number of terms); a counter
+// reused across pairs pays nothing once warm on ASCII text, and a lowered
+// copy per non-ASCII text.
 package textutil
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"unicode"
@@ -63,10 +82,13 @@ func newTermSet(terms []string) TermSet {
 }
 
 // Common returns the number of terms a and b share.
-func (a TermSet) Common(b TermSet) int {
+func (a TermSet) Common(b TermSet) int { return mergeCount(a, b, strings.Compare) }
+
+// mergeCount counts the elements two sorted, de-duplicated lists share.
+func mergeCount[T any](a, b []T, compare func(T, T) int) int {
 	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		switch c := strings.Compare(a[i], b[j]); {
+		switch c := compare(a[i], b[j]); {
 		case c < 0:
 			i++
 		case c > 0:
@@ -108,30 +130,45 @@ func (t *Termer) TermSet(dst TermSet, s string) TermSet {
 // normalised once and the memoised term owns its bytes.
 func appendTerms(dst []string, s string, memo map[string]string) []string {
 	low := strings.ToLower(s)
-	start := -1
-	for i := 0; i <= len(low); {
+	for i := 0; ; {
+		start, end := nextToken(low, i)
+		if start == end {
+			return dst
+		}
+		if term := normalise(low[start:end], memo); term != "" {
+			dst = append(dst, term)
+		}
+		i = end
+	}
+}
+
+// nextToken returns the bounds of the first token of s at or after byte i:
+// a maximal run of letters and digits. start == end when there is none. An
+// ASCII letter is a letter in either case, so the scanner finds the same
+// tokens in a text as in its lower-cased form (TestLowerKeepsTokenClass).
+func nextToken(s string, i int) (start, end int) {
+	start = -1
+	for i < len(s) {
 		inToken, size := false, 1
-		if i < len(low) {
-			if c := low[i]; c < utf8.RuneSelf {
-				inToken = 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
-			} else {
-				var r rune
-				r, size = utf8.DecodeRuneInString(low[i:])
-				inToken = unicode.IsLetter(r) || unicode.IsDigit(r)
-			}
+		if c := s[i]; c < utf8.RuneSelf {
+			inToken = c|0x20-'a' < 26 || c-'0' < 10
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			inToken = unicode.IsLetter(r) || unicode.IsDigit(r)
 		}
 		switch {
 		case inToken && start < 0:
 			start = i
 		case !inToken && start >= 0:
-			if term := normalise(low[start:i], memo); term != "" {
-				dst = append(dst, term)
-			}
-			start = -1
+			return start, i
 		}
 		i += size
 	}
-	return dst
+	if start < 0 {
+		return len(s), len(s)
+	}
+	return start, len(s)
 }
 
 // normalise maps one lowered token to its term, or to "" when the token is
@@ -195,5 +232,69 @@ func UniqueTerms(s string) []string {
 // and b. It implements the paper's nbCommonWords(q, e) used by the filtering
 // step (Algorithm 2).
 func CommonWords(a, b string) int {
-	return newTermSet(Terms(a)).Common(newTermSet(Terms(b)))
+	var c PairCounter
+	return c.Common(a, b)
+}
+
+// PairCounter counts the terms two texts share — CommonWords — in storage
+// it reuses from one call to the next: the zero value is ready to use, and
+// once its buffers have grown to the largest pair it was handed, counting
+// ASCII text allocates nothing. It follows the Termer's scope rule (the
+// package comment): one call, not shared between goroutines, not kept.
+type PairCounter struct {
+	arena []byte // both texts' terms, lowered and stemmed
+	a, b  []span // the terms of each text, sorted and de-duplicated
+}
+
+// span is one term: arena[lo:hi].
+type span struct{ lo, hi int }
+
+// Common returns CommonWords(a, b).
+func (c *PairCounter) Common(a, b string) int {
+	c.arena = c.arena[:0]
+	c.a = c.termSet(c.a[:0], a)
+	c.b = c.termSet(c.b[:0], b)
+	return mergeCount(c.a, c.b, c.compare)
+}
+
+// termSet appends the term set of s to dst, each term lowered and stemmed
+// into the arena: the kernel's normalisation, with the term written into
+// the counter's storage instead of a string of its own. ASCII text is
+// lowered a token at a time; other text goes through strings.ToLower, whose
+// case mappings the kernel follows exactly.
+func (c *PairCounter) termSet(dst []span, s string) []span {
+	low := s
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			low = strings.ToLower(s)
+			break
+		}
+	}
+	for i := 0; ; {
+		start, end := nextToken(low, i)
+		if start == end {
+			break
+		}
+		i = end
+		lo := len(c.arena)
+		for _, ch := range []byte(low[start:end]) {
+			if 'A' <= ch && ch <= 'Z' {
+				ch += 'a' - 'A'
+			}
+			c.arena = append(c.arena, ch)
+		}
+		token := c.arena[lo:]
+		if _, stop := stopwords[string(token)]; stop || len(token) < 2 {
+			c.arena = c.arena[:lo]
+			continue
+		}
+		c.arena = stemTail(c.arena, lo)
+		dst = append(dst, span{lo, len(c.arena)})
+	}
+	slices.SortFunc(dst, c.compare)
+	return slices.CompactFunc(dst, func(x, y span) bool { return c.compare(x, y) == 0 })
+}
+
+func (c *PairCounter) compare(x, y span) int {
+	return bytes.Compare(c.arena[x.lo:x.hi], c.arena[y.lo:y.hi])
 }
