@@ -14,8 +14,8 @@ import (
 // engine — and this file is its one codec. Nothing here reflects: the
 // appenders write exactly json.Marshal's bytes (a client decoding with
 // encoding/json, as the repo benchmark does, sees no difference), and the
-// reader is one strict pass over one string copy of its input, so a field
-// without escapes is a substring, not an allocation.
+// reader is one strict pass over one string (an engine body's own, else a
+// copy), so a field without escapes is a substring, not an allocation.
 
 const (
 	maxJSONResults = 1 << 14 // list cap: 8 MiB of "{}," must not size a 130 MB slice
@@ -138,9 +138,9 @@ func appendJSONString(dst []byte, s string) []byte {
 // []Result would, strictly: null is a nil list, [] an empty one, keys match
 // in any case, unknown keys are skipped, and what encoding/json refuses is
 // refused. hint, when positive, is the length the caller expects. The
-// results alias one copy of body.
-func ParseResultsJSON(body []byte, hint int) ([]Result, error) {
-	r := jsonReader{s: string(body)}
+// results alias body: the one string the enclave decodes an engine body into.
+func ParseResultsJSON(body string, hint int) ([]Result, error) {
+	r := jsonReader{s: body}
 	results := r.results(hint)
 	return results, r.end()
 }

@@ -121,10 +121,10 @@ func checkAgainstJSON(t testing.TB, in []byte, mustAccept bool) {
 
 	var list []Result
 	refErr := json.Unmarshal(in, &list)
-	got, err := ParseResultsJSON(in, 0)
+	got, err := ParseResultsJSON(string(in), 0)
 	verdict("list", got, list, err, refErr)
 	if err == nil {
-		if hinted, err := ParseResultsJSON(in, 3); err != nil || !reflect.DeepEqual(hinted, got) {
+		if hinted, err := ParseResultsJSON(string(in), 3); err != nil || !reflect.DeepEqual(hinted, got) {
 			t.Fatalf("list: a hint changed the answer for %q: %#v, %v", in, hinted, err)
 		}
 		if again := AppendResultsJSON(nil, got); !bytes.Equal(again, mustMarshal(t, got)) {
@@ -195,7 +195,7 @@ func TestReadersAgreeWithJSONUnmarshal(t *testing.T) {
 		}
 	}
 	for _, in := range malformed {
-		_, errList := ParseResultsJSON([]byte(in), 0)
+		_, errList := ParseResultsJSON(in, 0)
 		_, _, errReply := ParseSecureReply([]byte(in), 0)
 		_, _, errReq := ParseSecureRequest([]byte(in))
 		refuses("list", in, errList)
@@ -203,7 +203,7 @@ func TestReadersAgreeWithJSONUnmarshal(t *testing.T) {
 		refuses("request", in, errReq)
 	}
 	for _, in := range mistypedLists {
-		_, err := ParseResultsJSON([]byte(in), 0)
+		_, err := ParseResultsJSON(in, 0)
 		refuses("list", in, err)
 	}
 	for _, in := range mistypedReply {
@@ -250,7 +250,7 @@ func TestReadersRefuseEveryTruncation(t *testing.T) {
 		for cut := 0; cut < len(doc); cut++ {
 			in := doc[:cut:cut]
 			checkAgainstJSON(t, in, false)
-			_, errList := ParseResultsJSON(in, 0)
+			_, errList := ParseResultsJSON(string(in), 0)
 			_, _, errReply := ParseSecureReply(in, 0)
 			_, _, errReq := ParseSecureRequest(in)
 			if errList == nil || errReply == nil || errReq == nil {
@@ -261,8 +261,8 @@ func TestReadersRefuseEveryTruncation(t *testing.T) {
 }
 
 func TestResultsJSONCaps(t *testing.T) {
-	list := func(n int) []byte {
-		return []byte("[" + strings.Repeat("{},", n-1) + "{}]")
+	list := func(n int) string {
+		return "[" + strings.Repeat("{},", n-1) + "{}]"
 	}
 	if got, err := ParseResultsJSON(list(maxJSONResults), 0); err != nil || len(got) != maxJSONResults {
 		t.Fatalf("a list at the cap: %d results, %v", len(got), err)
@@ -271,12 +271,12 @@ func TestResultsJSONCaps(t *testing.T) {
 		t.Fatal("a list past the cap was accepted")
 	}
 	// A hostile hint cannot size the list past what the bytes could hold.
-	if got, err := ParseResultsJSON([]byte(`[{}]`), 1<<40); err != nil || cap(got) > 2 {
+	if got, err := ParseResultsJSON(`[{}]`, 1<<40); err != nil || cap(got) > 2 {
 		t.Fatalf("hint 1<<40 on a one-result body: cap %d, %v", cap(got), err)
 	}
 
-	nested := func(levels int) []byte {
-		return []byte(`[{"junk":` + strings.Repeat("[", levels) + strings.Repeat("]", levels) + `,"URL":"u"}]`)
+	nested := func(levels int) string {
+		return `[{"junk":` + strings.Repeat("[", levels) + strings.Repeat("]", levels) + `,"URL":"u"}]`
 	}
 	// The junk value sits at depth 2: list, result, value.
 	if got, err := ParseResultsJSON(nested(maxJSONDepth-2), 0); err != nil || got[0].URL != "u" {

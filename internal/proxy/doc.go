@@ -57,9 +57,9 @@
 //	sealed plaintext {"query","count"}   JSON       the client contract: brokers (and bench/) seal their own;
 //	  in, {"results","err"} out                     only the two ends of the attested channel read it. Both
 //	                                                ends speak it through internal/core's hand-written codec
-//	                                                (as does settle, for the engine's result list), never
-//	                                                through reflection; the tests and bench/ keep
-//	                                                encoding/json on the other side of it
+//	                                                (as does settle, on the one string an engine body is
+//	                                                decoded into), never through reflection; the tests and
+//	                                                bench/ keep encoding/json on the other side of it
 //	secure call: HTTP POST /secure       binary     len(1) ‖ session id ‖ raw record up, the raw sealed record
 //	  and the mux KindSecure stream                 back (application/octet-stream over HTTP) — the per-query
 //	                                                path of every broker; ServeCall is both edges' one reader
@@ -76,8 +76,9 @@
 //	resumeReply ("resume")               binary     verdict, id, tokens, the leader's encoded envelopeReply
 //	                                                and one (id, envelopeReply or error) per follower
 //	batch framing (both batched ecalls)  binary     u32 count, u32 length per entry
-//	socket ocalls (sock_connect host:port binary    the paper's sock_* interface
-//	  bytes; send/recv/close fds, deadlines)
+//	socket ocalls (sock_connect host:port binary    the paper's sock_* interface. A recv reads at most
+//	  bytes; send/recv/close fds, deadlines)        tlsStepReadMax (the one read cap of both engine
+//	                                                stages) and replies with just the bytes that arrived
 //	tlsStepArg ("tls_step" ocall)        binary     token first, then conn id, dial/read flags, deadline,
 //	                                                host, the bytes to send (raw) and conns to close
 //	tlsStepReply (its completion, an     binary     token first — "resume" routes on those 8 bytes and the

@@ -6,54 +6,155 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"errors"
+	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"xsearch/internal/core"
 )
 
 // FuzzParseResponse fuzzes the enclave's HTTP/1.1 streaming response
 // parser — the one component that consumes wholly hostile bytes (every
-// engine response crosses the untrusted runtime). The parser must never
-// panic, and an accepted response must respect the enclave's allocation
-// caps regardless of what the host streamed.
+// engine response crosses the untrusted runtime) — differentially, against
+// the reader frozen in response_frozen_test.go. On every input, read whole
+// and a byte per Read, the two agree on error-or-not and, where both accept,
+// on status, keep-alive, body and the bytes left unread. The two allowed
+// differences are the refusals wantRefusal predicts from the raw bytes:
+// errBadStatus, a status code that is not three digits, and errBadFraming,
+// an ambiguous body length the frozen reader guessed at. An accepted status
+// is three digits.
 func FuzzParseResponse(f *testing.F) {
-	// Keep-alive with Content-Length framing.
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nConnection: keep-alive\r\n\r\nhello"))
-	// Chunked framing with an extension and a trailer.
-	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=1\r\nhello\r\n0\r\nX-Trailer: v\r\n\r\n"))
-	// HTTP/1.0 read-to-EOF body.
-	f.Add([]byte("HTTP/1.0 200 OK\r\n\r\nunfraaamed body"))
-	// Truncated mid-headers.
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Le"))
-	// Truncated mid-chunk.
-	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nff\r\nshort"))
-	// Oversized declared length.
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n"))
-	// Negative chunk size and hostile status line.
-	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n"))
-	f.Add([]byte("garbage with no\nstructure at all"))
-	// Connection: close with error status.
-	f.Add([]byte("HTTP/1.1 503 Unavailable\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"))
-	// Header bomb start (the cap must cut it off).
-	f.Add([]byte("HTTP/1.1 200 OK\r\n" + strings.Repeat("X-Pad: aaaaaaaa\r\n", 64)))
+	for _, seed := range []string{
+		// Keep-alive with Content-Length framing.
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nConnection: keep-alive\r\n\r\nhello",
+		// Chunked framing with an extension and a trailer.
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=1\r\nhello\r\n0\r\nX-Trailer: v\r\n\r\n",
+		// HTTP/1.0 read-to-EOF body.
+		"HTTP/1.0 200 OK\r\n\r\nunfraaamed body",
+		// Truncated mid-headers.
+		"HTTP/1.1 200 OK\r\nContent-Le",
+		// Truncated mid-chunk.
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nff\r\nshort",
+		// Oversized declared length.
+		"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n",
+		// Negative chunk size and hostile status line.
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n",
+		"garbage with no\nstructure at all",
+		// Connection: close with error status.
+		"HTTP/1.1 503 Unavailable\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+		// Header bomb start (the cap must cut it off).
+		"HTTP/1.1 200 OK\r\n" + strings.Repeat("X-Pad: aaaaaaaa\r\n", 64),
+		// Ten-digit lengths: one over the cap, one that is 5 with leading zeros.
+		"HTTP/1.1 200 OK\r\nContent-Length: 2000000000\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 0000000005\r\n\r\nhello",
+		// A signed chunk size, which ParseInt takes.
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n+1a\r\n" + strings.Repeat("z", 26) + "\r\n0\r\n\r\n",
+		// Bare-LF lines and a chunk size padded with spaces.
+		"HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n\n 3 \nabc\r\n0\n\n",
+		// A header line longer than bufio's 4 KiB buffer.
+		"HTTP/1.1 200 OK\r\nX-Long: " + strings.Repeat("l", 5000) + "\r\nContent-Length: 2\r\n\r\nok",
+		// Several chunks, and a pipelined response behind them.
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n1\r\nd\r\n10\r\n" + strings.Repeat("e", 16) + "\r\n0\r\n\r\nHTTP/1.1 200 OK\r\n",
+		// Unicode lowering: a Kelvin sign for the k of keep-alive, U+0130 for an i.
+		"HTTP/1.0 200 OK\r\nConnection: \u212Aeep-alive\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nConnect\u0130on: close\r\nTransfer-Encoding: chun\u212Aed\r\n\r\n0\r\n\r\n",
+		// Ambiguous framing: CL+TE, conflicting lengths, a negative and a non-numeric one.
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab",
+		"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\nabc",
+		"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\nabc",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: identity\r\nContent-Length: 2\r\n\r\nab",
+		// A Content-Length that is only in the body is no framing at all.
+		"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\nContent-Length: -5\r\n",
+		// Status codes that are not three digits, and one with no reason phrase.
+		"HTTP/1.1 -5 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 +20 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 0200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 204\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 099 Odd\r\nContent-Length: 0\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, status, keepAlive, err := readHTTPResponse(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
+		frozen := bufio.NewReader(bytes.NewReader(data))
+		wantBody, wantStatus, wantKeep, wantErr := frozenReadHTTPResponse(frozen)
+		wantRest, _ := io.ReadAll(frozen)
+		refusal := wantRefusal(data)
+		for _, src := range []io.Reader{bytes.NewReader(data), iotest.OneByteReader(bytes.NewReader(data))} {
+			br := bufio.NewReader(src)
+			body, status, keepAlive, err := readHTTPResponse(br)
+			switch {
+			case wantErr != nil:
+				if err == nil {
+					t.Fatalf("accepted what the frozen reader refuses (%v)", wantErr)
+				}
+			case refusal != nil:
+				if !errors.Is(err, refusal) {
+					t.Fatalf("got %v, want %v", err, refusal)
+				}
+			case err != nil:
+				t.Fatalf("refused what the frozen reader accepts: %v", err)
+			default:
+				rest, _ := io.ReadAll(br)
+				if body != string(wantBody) || status != wantStatus || keepAlive != wantKeep || !bytes.Equal(rest, wantRest) {
+					t.Fatalf("got body %q status %d keep-alive %t rest %q\nwant %q %d %t %q",
+						body, status, keepAlive, rest, wantBody, wantStatus, wantKeep, wantRest)
+				}
+				if len(body) > maxEngineResponse {
+					t.Fatalf("accepted %d-byte body beyond the %d cap", len(body), maxEngineResponse)
+				}
+				if status < 0 || status > 999 {
+					t.Fatalf("status %d accepted, not three digits", status)
+				}
+			}
 		}
-		if len(body) > maxEngineResponse {
-			t.Fatalf("accepted %d-byte body beyond the %d cap", len(body), maxEngineResponse)
-		}
-		if status < 0 {
-			t.Fatalf("negative status %d accepted", status)
-		}
-		// A keep-alive verdict promises the stream sits at a response
-		// boundary, which only delimited framings can guarantee.
-		_ = keepAlive
 	})
+}
+
+// wantRefusal is the production reader's refusal of a response the frozen
+// reader accepts, worked out from the raw bytes, with lines split and
+// headers matched the frozen reader's way: errBadStatus for a status code
+// that is not three digits; errBadFraming for a header section with
+// Transfer-Encoding beside Content-Length, or a Content-Length that is not
+// 1*DIGIT, or two that differ; nil when the two readers must agree.
+func wantRefusal(data []byte) error {
+	lines := strings.SplitAfter(string(data), "\n")
+	if _, code, ok := strings.Cut(lines[0], " "); ok {
+		code, _, _ = strings.Cut(code, " ")
+		if code = strings.TrimSpace(code); len(code) != 3 || strings.Trim(code, "0123456789") != "" {
+			return errBadStatus
+		}
+	}
+	te, length := false, int64(-1)
+	for _, line := range lines[1:] {
+		if line == "\r\n" || line == "\n" {
+			break
+		}
+		name, value, ok := strings.Cut(line, ":")
+		if !ok {
+			continue
+		}
+		value = strings.TrimSpace(strings.TrimSuffix(value, "\r\n"))
+		switch strings.ToLower(name) {
+		case "transfer-encoding":
+			te = true
+		case "content-length":
+			n, err := strconv.ParseUint(value, 10, 63) // digits only: no sign
+			if err != nil || length >= 0 && int64(n) != length {
+				return errBadFraming
+			}
+			length = int64(n)
+		}
+	}
+	if te && length >= 0 {
+		return errBadFraming
+	}
+	return nil
 }
 
 // FuzzDecodeBatch fuzzes the batched-ecall frame decoder: the count and

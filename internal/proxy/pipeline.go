@@ -294,17 +294,15 @@ func (ts *trustedState) failOverLocked(env enclave.Env, pt *pendingTable, p *pen
 }
 
 // fetchFailure classifies a completion as an upstream failure ("" means
-// the upstream held up its end). 5xx and transport errors count against
-// the breaker on either engine stage; an oversized body is the untrusted
-// runtime violating the response cap and counts as a failed exchange.
+// the upstream held up its end). 5xx and transport errors — an oversized
+// or ambiguously framed response among them — count against the breaker
+// on either engine stage.
 func fetchFailure(fr *fetchReply) string {
 	switch {
 	case fr.Err != "":
 		return fr.Err
 	case fr.Status >= 500:
 		return fmt.Sprintf("status %d", fr.Status)
-	case len(fr.Body) > maxEngineResponse:
-		return fmt.Sprintf("response %d bytes exceeds cap", len(fr.Body))
 	}
 	return ""
 }

@@ -461,7 +461,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v2.7 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v2.8 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,

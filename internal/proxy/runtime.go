@@ -150,39 +150,34 @@ func (ct *connTable) ocallSend(arg []byte) ([]byte, error) {
 	return nil, nil
 }
 
+// ocallRecv reads at most tlsStepReadMax into a pooled buffer and replies
+// with a fresh 1+n bytes: the EOF flag, then what arrived. The pooled buffer
+// never leaves the handler: the enclave must not alias memory the host reuses.
 func (ct *connTable) ocallRecv(arg []byte) ([]byte, error) {
 	if len(arg) < 24 {
 		return nil, fmt.Errorf("proxy: recv arg too short")
 	}
 	fd := int64(binary.LittleEndian.Uint64(arg))
-	max := int(binary.LittleEndian.Uint64(arg[8:]))
-	if max <= 0 || max > 1<<20 {
-		max = 16 * 1024
+	max := binary.LittleEndian.Uint64(arg[8:])
+	if max == 0 || max > tlsStepReadMax {
+		max = tlsStepReadMax
 	}
 	conn, err := ct.lookup(fd)
 	if err != nil {
 		return nil, err
 	}
-	// Bytes 16:24 carry the remaining milliseconds of the enclave's
-	// absolute fetch deadline; zero clears any previous one (pooled sockets
-	// are reused across exchanges with different deadlines).
-	if ms := int64(binary.LittleEndian.Uint64(arg[16:])); ms > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(time.Duration(ms) * time.Millisecond))
-	} else {
-		_ = conn.SetReadDeadline(time.Time{})
-	}
-	buf := make([]byte, max+1)
-	n, err := conn.Read(buf[1:])
-	switch {
-	case err == io.EOF:
-		buf[0] = 1 // EOF marker
-		return buf[:1+n], nil
-	case err != nil:
+	buf := stepBufs.Get().(*[tlsStepReadMax]byte)
+	defer stepBufs.Put(buf)
+	n, err := readStep(conn, binary.LittleEndian.Uint64(arg[16:]), buf[:max])
+	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("proxy: read fd %d: %w", fd, err)
-	default:
-		buf[0] = 0
-		return buf[:1+n], nil
 	}
+	out := make([]byte, 1+n)
+	if err == io.EOF {
+		out[0] = 1 // EOF marker
+	}
+	copy(out[1:], buf[:n])
+	return out, nil
 }
 
 func (ct *connTable) ocallClose(arg []byte) ([]byte, error) {
@@ -376,8 +371,9 @@ func (f *fetcher) closeAll() {
 	}
 }
 
-// stepBufs recycles the handler's read buffers: a step reads into one and
-// its reply frame copies out only the bytes that arrived.
+// stepBufs recycles the engine read buffers of both stages' handlers
+// (tls_step and recv): a read lands in one, and the reply copies out only
+// the bytes that arrived.
 var stepBufs = sync.Pool{New: func() any { return new([tlsStepReadMax]byte) }}
 
 // ocallTLSStep services one I/O round of a trusted flight. It never fails
@@ -458,15 +454,7 @@ func (f *fetcher) step(sa *tlsStepArg, buf []byte) tlsStepReply {
 	if !sa.Read {
 		return tlsStepReply{}
 	}
-	// The deadline is the remaining slice of the flight's absolute fetch
-	// budget, re-armed (or cleared) every step — pooled sockets carry no
-	// stale deadline into the next exchange.
-	if sa.TimeoutMS > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(time.Duration(sa.TimeoutMS) * time.Millisecond))
-	} else {
-		_ = conn.SetReadDeadline(time.Time{})
-	}
-	n, err := conn.Read(buf)
+	n, err := readStep(conn, sa.TimeoutMS, buf)
 	switch {
 	case err == io.EOF:
 		f.dropConn(sa.Token, sa.ConnID)
@@ -477,6 +465,18 @@ func (f *fetcher) step(sa *tlsStepArg, buf []byte) tlsStepReply {
 	default:
 		return tlsStepReply{Data: buf[:n]}
 	}
+}
+
+// readStep is the one engine read of both stages' handlers. ms is what is
+// left of the enclave's absolute fetch budget, re-armed (or, at 0, cleared)
+// every read: pooled sockets carry no stale deadline into the next exchange.
+func readStep(conn net.Conn, ms uint64, buf []byte) (int, error) {
+	var deadline time.Time
+	if ms > 0 {
+		deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
+	}
+	_ = conn.SetReadDeadline(deadline)
+	return conn.Read(buf)
 }
 
 // closeConns closes and deregisters a batch of conns.

@@ -42,8 +42,8 @@ import (
 // abandon, shutdown) always find the driver parked at a select that also
 // watches the cancel/stop channels.
 
-// tlsStepReadMax bounds one step's returned bytes. The handler reads at
-// most this much per step; a larger reply is the untrusted runtime
+// tlsStepReadMax is the one engine read cap: the host reads at most this
+// much per tls_step or recv, and a larger reply is the untrusted runtime
 // violating the cap and fails the exchange.
 const tlsStepReadMax = 32 << 10
 
@@ -468,9 +468,8 @@ func (ts *trustedState) tlsExchange(st stepper, u *upstream, path string, pooled
 	}
 	out := tlsStepOut{done: true, reply: fetchReply{Status: status, Body: body}}
 	// Pool only a session sitting exactly at a record AND response
-	// boundary: leftover bytes at any layer — the parser's bufio, or the
-	// adapter below it, where bufio's direct-read path strands what follows
-	// a large body — would frame the next request's response (a hostile
+	// boundary: leftover bytes at any layer — the parser's bufio or the
+	// adapter below it — would frame the next request's response (a hostile
 	// host pipelining a forged response behind a well-framed one), and the
 	// socket-level probe cannot see trusted-side buffers.
 	if keep && keepAlive && sc.live && !sc.eof &&

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -13,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"xsearch/internal/answer"
 	"xsearch/internal/core"
@@ -304,26 +307,36 @@ const (
 	maxEngineHeaderBytes = 64 << 10
 )
 
+// errBadFraming is a body length RFC 9112 §6.3 leaves ambiguous (Content-Length
+// beside Transfer-Encoding, two that differ, one not digits): a guess would let
+// the host frame the next response on a pooled connection, so none is made.
+var errBadFraming = errors.New("proxy: ambiguous engine response framing")
+
+// errBadStatus is a status code that is not three digits (RFC 9112 §4).
+var errBadStatus = errors.New("proxy: engine status code is not three digits")
+
 // readLine reads one \n-terminated line, drawing every byte against the
 // shared per-response budget so a hostile host cannot stream an endless
-// (or endless-line) header section into enclave memory.
-func readLine(reader *bufio.Reader, budget *int) (string, error) {
+// (or endless-line) header section into enclave memory. The line aliases
+// reader's buffer until its next read; only a line longer than the buffer
+// is accumulated.
+func readLine(reader *bufio.Reader, budget *int) ([]byte, error) {
 	var line []byte
 	for {
 		frag, err := reader.ReadSlice('\n')
 		*budget -= len(frag)
 		if *budget < 0 {
-			return "", fmt.Errorf("proxy: engine response headers exceed %d-byte cap", maxEngineHeaderBytes)
+			return nil, fmt.Errorf("proxy: engine response headers exceed %d-byte cap", maxEngineHeaderBytes)
 		}
-		line = append(line, frag...)
-		switch err {
-		case nil:
-			return string(line), nil
-		case bufio.ErrBufferFull:
-			continue // long line: keep accumulating against the budget
-		default:
-			return "", err
+		switch {
+		case err == nil && line == nil:
+			return frag, nil
+		case err == nil:
+			return append(line, frag...), nil
+		case err != bufio.ErrBufferFull:
+			return nil, err
 		}
+		line = append(line, frag...) // long line: keep accumulating against the budget
 	}
 }
 
@@ -332,131 +345,165 @@ func readLine(reader *bufio.Reader, budget *int) (string, error) {
 // Content-Length, and read-to-EOF. It reads exactly one response — it
 // never over-reads past a delimited body — caps the body at
 // maxEngineResponse, and reports whether the connection may carry another
-// request (delimited framing and no "Connection: close").
-func readHTTPResponse(reader *bufio.Reader) (body []byte, status int, keepAlive bool, err error) {
+// request (delimited framing and no "Connection: close"). Lines are parsed
+// where bufio holds them; the body is decoded into the one string returned.
+func readHTTPResponse(reader *bufio.Reader) (body string, status int, keepAlive bool, err error) {
 	lineBudget := maxEngineHeaderBytes
-	statusLine, err := readLine(reader, &lineBudget)
+	line, err := readLine(reader, &lineBudget)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("proxy: read status line: %w", err)
+		return "", 0, false, fmt.Errorf("proxy: read status line: %w", err)
 	}
-	parts := strings.SplitN(statusLine, " ", 3)
-	if len(parts) < 2 {
-		return nil, 0, false, fmt.Errorf("proxy: malformed status line %q", statusLine)
+	proto, code, ok := bytes.Cut(line, []byte(" "))
+	if !ok {
+		return "", 0, false, fmt.Errorf("proxy: malformed status line %q", line)
 	}
-	proto := parts[0]
-	status, err = strconv.Atoi(strings.TrimSpace(parts[1]))
+	code, _, _ = bytes.Cut(code, []byte(" "))
+	code = bytes.TrimSpace(code)
+	status, err = strconv.Atoi(string(code))
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("proxy: status code: %w", err)
+		return "", 0, false, fmt.Errorf("proxy: status code: %w", err)
 	}
-	chunked := false
+	// Atoi also takes a sign and any length; RFC 9112 §4 allows three digits.
+	if len(code) != 3 || code[0] < '0' {
+		return "", 0, false, errBadStatus
+	}
+	http11, http10 := string(proto) == "HTTP/1.1", string(proto) == "HTTP/1.0"
+	var chunked, sawTE, connClose, connKeep bool
 	contentLength := -1
-	connClose, connKeep := false, false
 	for {
 		line, err := readLine(reader, &lineBudget)
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("proxy: read headers: %w", err)
+			return "", 0, false, fmt.Errorf("proxy: read headers: %w", err)
 		}
-		if line == "\r\n" || line == "\n" {
+		if string(line) == "\r\n" || string(line) == "\n" {
 			break
 		}
-		name, value, ok := strings.Cut(line, ":")
+		name, value, ok := bytes.Cut(line, []byte(":"))
 		if !ok {
 			continue
 		}
-		value = strings.TrimSpace(strings.TrimSuffix(value, "\r\n"))
-		switch strings.ToLower(name) {
-		case "transfer-encoding":
-			chunked = strings.Contains(strings.ToLower(value), "chunked")
-		case "content-length":
-			if n, err := strconv.Atoi(value); err == nil {
-				contentLength = n
+		value = bytes.TrimSpace(bytes.TrimSuffix(value, []byte("\r\n")))
+		switch {
+		case lowerIs(name, "transfer-encoding"):
+			sawTE, chunked = true, false
+			for i := 0; i < len(value) && !chunked; i++ {
+				chunked = lowerPrefix(value[i:], "chunked") >= 0
 			}
-		case "connection":
-			switch strings.ToLower(value) {
-			case "close":
-				connClose = true
-			case "keep-alive":
-				connKeep = true
+		case lowerIs(name, "content-length"):
+			// Atoi also takes a sign; RFC 9110 §8.6 allows digits only.
+			n, err := strconv.Atoi(string(value))
+			if err != nil || value[0] < '0' || contentLength >= 0 && n != contentLength {
+				return "", 0, false, errBadFraming
 			}
+			contentLength = n
+		case lowerIs(name, "connection"):
+			connClose = connClose || lowerIs(value, "close")
+			connKeep = connKeep || lowerIs(value, "keep-alive")
 		}
 	}
 	// Persistence per RFC 9112 §9.3: 1.1 defaults to keep-alive, 1.0 to
 	// close; only a delimited body leaves the stream reusable.
-	keepAlive = (proto == "HTTP/1.1" && !connClose) || (proto == "HTTP/1.0" && connKeep)
+	keepAlive = (http11 && !connClose) || (http10 && connKeep)
+	var sb strings.Builder
 	switch {
+	case sawTE && contentLength >= 0:
+		err = errBadFraming
 	case chunked:
-		body, err = readChunkedBody(reader, &lineBudget)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return body, status, keepAlive, nil
+		err = readChunkedBody(reader, &sb, &lineBudget)
+	case contentLength > maxEngineResponse:
+		err = fmt.Errorf("proxy: engine response %d bytes exceeds cap", contentLength)
 	case contentLength >= 0:
-		if contentLength > maxEngineResponse {
-			return nil, 0, false, fmt.Errorf("proxy: engine response %d bytes exceeds cap", contentLength)
+		sb.Grow(contentLength)
+		if err = copyBody(&sb, reader, contentLength); err != nil {
+			err = fmt.Errorf("proxy: read body: %w", err)
 		}
-		body = make([]byte, contentLength)
-		if _, err := io.ReadFull(reader, body); err != nil {
-			return nil, 0, false, fmt.Errorf("proxy: read body: %w", err)
-		}
-		return body, status, keepAlive, nil
 	default:
 		// Undelimited body: read to EOF (capped); the connection is spent.
-		rest := new(bytes.Buffer)
-		if _, err := rest.ReadFrom(io.LimitReader(reader, maxEngineResponse+1)); err != nil {
-			return nil, 0, false, err
+		keepAlive = false
+		if err = copyBody(&sb, reader, maxEngineResponse+1); err == nil {
+			err = fmt.Errorf("proxy: engine response exceeds %d-byte cap", maxEngineResponse)
+		} else if err == io.EOF {
+			err = nil
 		}
-		if rest.Len() > maxEngineResponse {
-			return nil, 0, false, fmt.Errorf("proxy: engine response exceeds %d-byte cap", maxEngineResponse)
-		}
-		return rest.Bytes(), status, false, nil
 	}
+	if err != nil {
+		return "", 0, false, err
+	}
+	return sb.String(), status, keepAlive, nil
 }
 
-// readChunkedBody decodes HTTP/1.1 chunked transfer encoding, consuming
-// the terminating chunk's trailer section so a keep-alive connection is
-// left positioned at the next response. Chunk-size and trailer lines draw
-// on the shared header budget; chunk payloads on maxEngineResponse.
-func readChunkedBody(reader *bufio.Reader, lineBudget *int) ([]byte, error) {
-	var out bytes.Buffer
+// readChunkedBody decodes HTTP/1.1 chunked transfer encoding into sb and
+// consumes the trailer section, leaving a keep-alive connection at the next
+// response. Size and trailer lines draw on the shared header budget; each
+// chunk is checked against maxEngineResponse before sb grows by it.
+func readChunkedBody(reader *bufio.Reader, sb *strings.Builder, lineBudget *int) error {
 	for {
-		sizeLine, err := readLine(reader, lineBudget)
+		line, err := readLine(reader, lineBudget)
 		if err != nil {
-			return nil, fmt.Errorf("proxy: chunk size: %w", err)
+			return fmt.Errorf("proxy: chunk size: %w", err)
 		}
-		sizeLine = strings.TrimSpace(sizeLine)
-		if idx := strings.IndexByte(sizeLine, ';'); idx >= 0 {
-			sizeLine = sizeLine[:idx] // drop chunk extensions
-		}
-		size, err := strconv.ParseInt(sizeLine, 16, 32)
+		line, _, _ = bytes.Cut(bytes.TrimSpace(line), []byte(";")) // drop chunk extensions
+		size, err := strconv.ParseInt(string(line), 16, 32)
 		if err != nil {
-			return nil, fmt.Errorf("proxy: chunk size %q: %w", sizeLine, err)
+			return fmt.Errorf("proxy: chunk size %q: %w", line, err)
 		}
-		if size < 0 || int64(out.Len())+size > maxEngineResponse {
-			return nil, fmt.Errorf("proxy: chunked engine response exceeds %d-byte cap", maxEngineResponse)
+		if size < 0 || int64(sb.Len())+size > maxEngineResponse {
+			return fmt.Errorf("proxy: chunked engine response exceeds %d-byte cap", maxEngineResponse)
 		}
 		if size == 0 {
 			// Trailer section: lines until the blank terminator.
 			for {
 				line, err := readLine(reader, lineBudget)
 				if err != nil {
-					return nil, fmt.Errorf("proxy: chunk trailers: %w", err)
+					return fmt.Errorf("proxy: chunk trailers: %w", err)
 				}
-				if line == "\r\n" || line == "\n" {
-					return out.Bytes(), nil
+				if string(line) == "\r\n" || string(line) == "\n" {
+					return nil
 				}
 			}
 		}
-		chunk := make([]byte, size)
-		if _, err := io.ReadFull(reader, chunk); err != nil {
-			return nil, fmt.Errorf("proxy: chunk body: %w", err)
+		sb.Grow(int(size))
+		if err := copyBody(sb, reader, int(size)); err != nil {
+			return fmt.Errorf("proxy: chunk body: %w", err)
 		}
-		out.Write(chunk)
 		// Consume trailing CRLF.
 		if _, err := reader.Discard(2); err != nil {
-			return nil, fmt.Errorf("proxy: chunk crlf: %w", err)
+			return fmt.Errorf("proxy: chunk crlf: %w", err)
 		}
 	}
 }
+
+// copyBody moves n bytes from reader into sb straight out of reader's
+// buffer (Peek, then Discard), or fails with what cut the stream short.
+func copyBody(sb *strings.Builder, reader *bufio.Reader, n int) error {
+	for n > 0 {
+		p, err := reader.Peek(min(n, reader.Size()))
+		sb.Write(p)
+		_, _ = reader.Discard(len(p)) // buffered bytes: cannot fail
+		n -= len(p)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lowerPrefix is where in b a prefix ends that strings.ToLower lowers to
+// want (lower-case ASCII), or -1, without building the lowered copy: the
+// Kelvin sign still lowers to k and U+0130 to i.
+func lowerPrefix(b []byte, want string) (end int) {
+	for j := 0; j < len(want); j++ {
+		r, size := utf8.DecodeRune(b[end:])
+		if size == 0 || unicode.ToLower(r) != rune(want[j]) {
+			return -1
+		}
+		end += size
+	}
+	return end
+}
+
+// lowerIs is strings.ToLower(string(b)) == want.
+func lowerIs(b []byte, want string) bool { return lowerPrefix(b, want) == len(b) }
 
 // --- ocall wrappers (the paper's table in §5.3.3) ---
 
@@ -483,12 +530,12 @@ func ocallSend(env enclave.Env, fd uint64, data []byte) error {
 	return nil
 }
 
-func ocallRecv(env enclave.Env, fd uint64, max int, timeoutMS uint64) (data []byte, eof bool, err error) {
+func ocallRecv(env enclave.Env, fd, timeoutMS uint64) (data []byte, eof bool, err error) {
 	// Bytes 16:24 carry the remaining read budget in milliseconds (0 = no
 	// deadline), so the untrusted handler arms a real socket deadline.
 	arg := make([]byte, 24)
 	binary.LittleEndian.PutUint64(arg, fd)
-	binary.LittleEndian.PutUint64(arg[8:], uint64(max))
+	binary.LittleEndian.PutUint64(arg[8:], tlsStepReadMax)
 	binary.LittleEndian.PutUint64(arg[16:], timeoutMS)
 	res, err := env.OCall("recv", arg)
 	if err != nil {
@@ -516,10 +563,6 @@ func ocallCheck(env enclave.Env, fd uint64) bool {
 	res, err := env.OCall("sock_check", arg)
 	return err == nil && len(res) == 1 && res[0] == 1
 }
-
-// ocallRecvMax is what one recv asks for. The host allocates that much per
-// call whatever arrives, and a result list rarely needs more than two.
-const ocallRecvMax = 16 << 10
 
 // ocallStepper is the blocking stage's stepper: each step of the exchange
 // (tlsasync.go) is carried out in place, inside the "request" ecall, as
@@ -551,7 +594,7 @@ func (o ocallStepper) do(ask *tlsStepArg) (tlsStepIn, bool) {
 		err = ocallSend(o.env, in.connID, ask.Send)
 	}
 	if err == nil && ask.Read {
-		in.data, in.eof, err = ocallRecv(o.env, in.connID, ocallRecvMax, ask.TimeoutMS)
+		in.data, in.eof, err = ocallRecv(o.env, in.connID, ask.TimeoutMS)
 	}
 	if err != nil || in.eof {
 		ocallClose(o.env, in.connID)

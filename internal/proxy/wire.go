@@ -160,7 +160,7 @@ type mergeReply struct {
 // step) to breaker accounting and settle. It never crosses the boundary.
 type fetchReply struct {
 	Status int
-	Body   []byte
+	Body   string // the one copy of the engine body; results alias it
 	Err    string
 	// Cancelled marks a flight the runtime or the trusted control plane
 	// aborted (hedge loser, abandon, shutdown); the enclave releases its
