@@ -37,7 +37,7 @@ func run() error {
 		measurement = flag.String("measurement", "", "trusted enclave measurement (hex, from xsearch-proxy)")
 		attKey      = flag.String("attkey", "", "attestation service key (hex, from xsearch-proxy)")
 		count       = flag.Int("count", 20, "results per query")
-		transport   = flag.String("transport", "http", "proxy transport: http (one request per call), mux (one multiplexed TCP conn to -mux-addr), or ws (the same frames over the gateway's /mux WebSocket)")
+		transport   = flag.String("transport", "http", "proxy transport: http (one request per call) or mux (one multiplexed TCP conn to -mux-addr)")
 		muxAddr     = flag.String("mux-addr", "", "gateway raw-TCP mux address (host:port; required with -transport mux)")
 	)
 	flag.Parse()
@@ -70,13 +70,8 @@ func run() error {
 			return fmt.Errorf("-transport mux requires -mux-addr (the gateway's -mux-listen address)")
 		}
 		opts = append(opts, xsearch.WithMuxTransport(*muxAddr))
-	case "ws":
-		if *muxAddr != "" {
-			return fmt.Errorf("-mux-addr has no effect with -transport ws (the WebSocket rides -proxy's /mux)")
-		}
-		opts = append(opts, xsearch.WithWebSocketTransport())
 	default:
-		return fmt.Errorf("unknown -transport %q (want http, mux, or ws)", *transport)
+		return fmt.Errorf("unknown -transport %q (want http or mux)", *transport)
 	}
 	client, err := xsearch.NewClient(*proxyURL, opts...)
 	if err != nil {

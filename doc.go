@@ -112,20 +112,19 @@
 // in connections before the enclaves are warm: every attested session
 // holds a dedicated conn, and each conn costs the gateway a goroutine
 // plus read/write buffers. WithMuxTransport replaces that edge with one
-// long-lived multiplexed connection per client host: every call —
-// attestation handshakes, sealed secure records, plain queries — is a
-// logical stream framed onto the shared conn (internal/mux), with
-// per-stream flow-control credits so one large response never stalls
-// the rest, keepalive heartbeats with dead-peer detection, and hostile-
-// input caps on every frame mirroring the enclave wire parser. Two
-// carriers feed the same gateway demux: a raw-TCP listener
-// (Fleet.StartMux, -mux-listen) for broker hosts, and a hand-rolled
-// RFC 6455 WebSocket upgrade at /mux on the existing HTTP front
-// (WithWebSocketTransport) so browser-extension clients connect
-// directly. Past the edge both call the same Handshake/Secure/ServeQuery
-// methods as the HTTP handlers, so a mux client and an HTTP client are
-// indistinguishable to the enclaves, and the bodies are the same on both
-// edges: handshakes and plain queries are JSON, a secure call is the
+// long-lived multiplexed TCP connection per client host, served by the
+// gateway's raw-TCP listener (Fleet.StartMux, -mux-listen): every sealed
+// call — attestation handshakes and secure records — is a logical stream
+// framed onto the shared conn (internal/mux), with per-stream
+// flow-control credits so one large response never stalls the rest,
+// keepalive heartbeats with dead-peer detection, and hostile-input caps on
+// every frame mirroring the enclave wire parser. Both ends run the mux
+// defaults; nothing outside internal/mux configures a session. The mux
+// edge carries sealed calls only and refuses a plain query per stream:
+// plain queries stay on the HTTP front's GET /search. Past the edge both
+// fronts call the same Handshake/Secure methods, so a mux client and an
+// HTTP client are indistinguishable to the enclaves, and the bodies are
+// the same on both edges: a handshake is JSON, a secure call is the
 // session id and the sealed record raw (no JSON, no base64) with the raw
 // sealed reply back — as application/octet-stream over HTTP, read once
 // into a buffer sized from its Content-Length and capped on both ends. A

@@ -17,7 +17,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -50,26 +49,23 @@ type Config struct {
 	// Count is the default result count per query (default 20).
 	Count int
 	// Transport selects the carrier for proxy RPCs: "http" (default, one
-	// HTTP request per call), "mux" (one long-lived multiplexed TCP conn
-	// to MuxAddr carrying every call as a logical stream), or "ws" (the
-	// same mux frames over a WebSocket upgrade at ProxyURL's /mux
-	// endpoint — the browser-extension path). On the mux transports a
-	// dropped conn is re-dialed and the attested channel resumed without
-	// re-attestation: the channel keys live here and in the enclave, so
-	// only the carrier needs replacing.
+	// HTTP request per call) or "mux" (one long-lived multiplexed TCP conn
+	// to MuxAddr carrying every call as a logical stream, with the mux
+	// defaults the gateway also runs). On mux a dropped conn is re-dialed
+	// and the attested channel resumed without re-attestation: the channel
+	// keys live here and in the enclave, so only the carrier needs
+	// replacing.
 	Transport string
 	// MuxAddr is the gateway's raw-TCP mux address (host:port); required
 	// when Transport is "mux".
 	MuxAddr string
-	// MuxConfig tunes the mux session (zero value takes every default).
-	MuxConfig mux.Config
 }
 
 // Broker is an attested client of one X-Search node.
 type Broker struct {
 	cfg    Config
 	client *http.Client
-	rd     *mux.Redialer // non-nil on the "mux" and "ws" transports
+	rd     *mux.Redialer // non-nil on the "mux" transport
 
 	mu      sync.Mutex
 	channel *securechannel.Channel
@@ -95,43 +91,30 @@ func New(cfg Config) (*Broker, error) {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	b := &Broker{cfg: cfg, client: client}
-	var dial mux.DialFunc
 	switch cfg.Transport {
 	case "", "http":
 	case "mux":
 		if cfg.MuxAddr == "" {
 			return nil, fmt.Errorf("broker: Transport \"mux\" requires MuxAddr")
 		}
-		dial = func(ctx context.Context) (io.ReadWriteCloser, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", cfg.MuxAddr)
-		}
-	case "ws":
-		u, err := url.Parse(cfg.ProxyURL)
-		if err != nil || u.Host == "" {
-			return nil, fmt.Errorf("broker: Transport \"ws\" needs a valid ProxyURL, got %q", cfg.ProxyURL)
-		}
-		wsURL := "ws://" + u.Host + "/mux"
-		dial = func(context.Context) (io.ReadWriteCloser, error) {
-			return mux.DialWS(wsURL, 10*time.Second)
-		}
-	default:
-		return nil, fmt.Errorf("broker: unknown transport %q (want http, mux, or ws)", cfg.Transport)
-	}
-	if dial != nil {
 		// The redialer announces on reconnect how many live attested
 		// sessions ride the new conn — resumed without re-attestation.
-		b.rd = mux.NewRedialer(dial, cfg.MuxConfig, func() int {
+		b.rd = mux.NewRedialer(func(ctx context.Context) (io.ReadWriteCloser, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", cfg.MuxAddr)
+		}, func() int {
 			if b.Connected() {
 				return 1
 			}
 			return 0
 		})
+	default:
+		return nil, fmt.Errorf("broker: unknown transport %q (want http or mux)", cfg.Transport)
 	}
 	return b, nil
 }
 
-// Close releases the transport conn on the mux transports (no-op on
+// Close releases the transport conn on the mux transport (no-op on
 // HTTP).
 func (b *Broker) Close() error {
 	if b.rd != nil {
@@ -140,7 +123,7 @@ func (b *Broker) Close() error {
 	return nil
 }
 
-// Reconnects counts transparent transport re-dials (mux transports
+// Reconnects counts transparent transport re-dials (mux transport
 // only): conns replaced under live sessions without re-attestation.
 func (b *Broker) Reconnects() uint64 {
 	if b.rd == nil {
@@ -149,7 +132,7 @@ func (b *Broker) Reconnects() uint64 {
 	return b.rd.Reconnects()
 }
 
-// KillConn force-drops the current transport conn (mux transports
+// KillConn force-drops the current transport conn (mux transport
 // only) — the chaos/ablation hook simulating an edge LB closing the
 // conn mid-session. The next call re-dials and resumes.
 func (b *Broker) KillConn() {

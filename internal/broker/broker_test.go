@@ -82,6 +82,24 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ProxyURL: "http://x", ServiceKey: make([]byte, 32)}); err == nil {
 		t.Error("empty policy accepted")
 	}
+	valid := Config{
+		ProxyURL:   "http://x",
+		ServiceKey: make([]byte, 32),
+		Policy:     attestation.Policy{AcceptedMeasurements: []enclave.Measurement{{}}},
+	}
+	for _, transport := range []string{"ws", "quic"} {
+		cfg := valid
+		cfg.Transport = transport
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "http") || !strings.Contains(err.Error(), "mux") {
+			t.Errorf("Transport %q: err = %v, want a refusal naming http and mux", transport, err)
+		}
+	}
+	cfg := valid
+	cfg.Transport = "mux"
+	if _, err := New(cfg); err == nil {
+		t.Error(`Transport "mux" without MuxAddr accepted`)
+	}
 }
 
 func TestSearchRequiresConnect(t *testing.T) {

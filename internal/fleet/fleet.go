@@ -42,7 +42,6 @@ import (
 
 	"xsearch/internal/attestation"
 	"xsearch/internal/enclave"
-	"xsearch/internal/mux"
 	"xsearch/internal/obs"
 	"xsearch/internal/proxy"
 )
@@ -116,10 +115,6 @@ type Config struct {
 	// EventStream, when non-nil, mirrors every fleet event to it as one
 	// JSON object per line (the -log-json stderr stream).
 	EventStream io.Writer
-	// MuxConfig parameterizes the multiplexed client edge's sessions
-	// (flow-control window, keepalive cadence, stream caps — see
-	// mux.Config). The zero value takes every mux default.
-	MuxConfig mux.Config
 }
 
 // shard is one proxy-enclave node plus the gateway's view of it.

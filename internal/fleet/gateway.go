@@ -244,8 +244,8 @@ func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]
 // httpFront is the gateway's HTTP server state. The endpoint surface is
 // exactly the proxy's (/search, /handshake, /secure, /stats, /healthz), so
 // brokers and curl users point at a fleet the same way they point at a
-// single node. The mux edge (see muxfront.go) rides the same mux at /mux
-// for WebSocket clients plus an optional raw-TCP listener.
+// single node. The mux edge (see muxfront.go) is a separate raw-TCP
+// listener, not a route here.
 type httpFront struct {
 	http  *http.Server
 	front *serve.Server
@@ -254,7 +254,6 @@ type httpFront struct {
 func (g *Gateway) initHTTP() {
 	mux := http.NewServeMux()
 	proxy.HandleFront(mux, g)
-	mux.HandleFunc("/mux", g.handleMuxUpgrade)
 	mux.HandleFunc("/stats", g.handleStats)
 	mux.HandleFunc("/metrics", g.handleMetrics)
 	mux.HandleFunc("/events", g.handleEvents)

@@ -2,104 +2,103 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
-	"xsearch/internal/attestation"
-	"xsearch/internal/broker"
-	"xsearch/internal/enclave"
 	"xsearch/internal/mux"
+	"xsearch/internal/proxy"
+	"xsearch/internal/securechannel"
 )
 
-// muxBroker builds a broker on the given mux transport against g.
-func muxBroker(t *testing.T, g *Gateway, transport string) *broker.Broker {
+// muxHandshake runs one handshake stream on s — a fresh client offer and
+// nonce, as a broker sends them — and checks that the gateway minted a
+// session.
+func muxHandshake(ctx context.Context, t *testing.T, s *mux.Session) {
 	t.Helper()
-	b, err := broker.New(broker.Config{
-		ProxyURL:   g.URL(),
-		ServiceKey: g.AttestationService().PublicKey(),
-		Policy: attestation.Policy{
-			AcceptedMeasurements: []enclave.Measurement{g.Measurement()},
-		},
-		Transport: transport,
-		MuxAddr:   g.MuxAddr(),
-	})
+	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
 	if err != nil {
-		t.Fatalf("broker.New(%s): %v", transport, err)
+		t.Fatalf("NewHandshake: %v", err)
 	}
-	t.Cleanup(func() { _ = b.Close() })
-	return b
+	offer, err := hs.Offer().Marshal()
+	if err != nil {
+		t.Fatalf("offer: %v", err)
+	}
+	body, err := json.Marshal(struct {
+		Offer json.RawMessage `json:"offer"`
+		Nonce []byte          `json:"nonce"`
+	}{offer, make([]byte, 16)})
+	if err != nil {
+		t.Fatalf("handshake body: %v", err)
+	}
+	resp, err := s.Call(ctx, mux.KindHandshake, body)
+	if err != nil {
+		t.Fatalf("handshake over mux: %v", err)
+	}
+	var hr proxy.HandshakeResponse
+	if err := json.Unmarshal(resp, &hr); err != nil || hr.Session == "" {
+		t.Fatalf("handshake reply %q: %v", resp, err)
+	}
 }
 
-// TestMuxReconnectResumesSecureSession is the tentpole's core promise,
-// exercised over both carriers: kill the transport conn mid-secure-
-// session, and the broker must resume on a re-dialed conn with the SAME
-// attested session — zero lost replies, zero re-attestations — with the
-// enclave-side query history spanning the reconnect.
+// TestMuxReconnectResumesSecureSession is the mux edge's core promise:
+// kill the transport conn mid-secure-session, and the broker must resume
+// on a re-dialed conn with the SAME attested session — zero lost replies,
+// zero re-attestations — with the enclave-side query history spanning the
+// reconnect.
 func TestMuxReconnectResumesSecureSession(t *testing.T) {
-	for _, transport := range []string{"mux", "ws"} {
-		t.Run(transport, func(t *testing.T) {
-			g := echoFleet(t, 2, time.Hour)
-			if err := g.Start("127.0.0.1:0"); err != nil {
-				t.Fatalf("Start: %v", err)
+	// The raw-TCP mux is the one carrier the broker dials.
+	t.Run("mux", func(t *testing.T) {
+		g, b := edgeStack(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for i := 0; i < 5; i++ {
+			if _, err := b.Search(ctx, fmt.Sprintf("pre-kill query %d", i)); err != nil {
+				t.Fatalf("pre-kill search %d: %v", i, err)
 			}
-			if transport == "mux" {
-				if err := g.StartMux("127.0.0.1:0"); err != nil {
-					t.Fatalf("StartMux: %v", err)
-				}
-			}
-			b := muxBroker(t, g, transport)
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := b.Connect(ctx); err != nil {
-				t.Fatalf("Connect: %v", err)
-			}
-			historyBefore := 0
-			for i := 0; i < 5; i++ {
-				if _, err := b.Search(ctx, fmt.Sprintf("pre-kill query %d", i)); err != nil {
-					t.Fatalf("pre-kill search %d: %v", i, err)
-				}
-			}
-			st := g.Stats()
-			if st.Handshakes != 1 {
-				t.Fatalf("handshakes before kill = %d, want 1", st.Handshakes)
-			}
-			if st.MuxConns == 0 {
-				t.Fatalf("no mux conns held, stats: %+v", st)
-			}
-			historyBefore = st.HistoryLen
+		}
+		st := g.Stats()
+		if st.Handshakes != 1 {
+			t.Fatalf("handshakes before kill = %d, want 1", st.Handshakes)
+		}
+		if st.MuxConns == 0 {
+			t.Fatalf("no mux conns held, stats: %+v", st)
+		}
+		historyBefore := st.HistoryLen
 
-			b.KillConn()
+		b.KillConn()
 
-			// Every post-kill query must succeed over the re-dialed conn.
-			for i := 0; i < 5; i++ {
-				if _, err := b.Search(ctx, fmt.Sprintf("post-kill query %d", i)); err != nil {
-					t.Fatalf("post-kill search %d: %v", i, err)
-				}
+		// Every post-kill query must succeed over the re-dialed conn.
+		for i := 0; i < 5; i++ {
+			if _, err := b.Search(ctx, fmt.Sprintf("post-kill query %d", i)); err != nil {
+				t.Fatalf("post-kill search %d: %v", i, err)
 			}
-			if got := b.Reconnects(); got != 1 {
-				t.Fatalf("Reconnects = %d, want 1", got)
-			}
-			st = g.Stats()
-			// The resumed session never re-attested: still exactly one
-			// handshake, and the gateway saw the resume announcement.
-			if st.Handshakes != 1 {
-				t.Fatalf("handshakes after reconnect = %d, want 1 (no re-attestation)", st.Handshakes)
-			}
-			if st.MuxResumes != 1 {
-				t.Fatalf("MuxResumes = %d, want 1", st.MuxResumes)
-			}
-			// History preserved and grown across the reconnect: the
-			// enclave state never depended on the carrier.
-			if st.HistoryLen <= historyBefore {
-				t.Fatalf("history %d -> %d across reconnect; want growth", historyBefore, st.HistoryLen)
-			}
-			if st.MuxStreams < 10 {
-				t.Fatalf("MuxStreams = %d, want >= 10", st.MuxStreams)
-			}
-		})
-	}
+		}
+		if got := b.Reconnects(); got != 1 {
+			t.Fatalf("Reconnects = %d, want 1", got)
+		}
+		st = g.Stats()
+		// The resumed session never re-attested: still exactly one
+		// handshake, and the gateway saw the resume announcement.
+		if st.Handshakes != 1 {
+			t.Fatalf("handshakes after reconnect = %d, want 1 (no re-attestation)", st.Handshakes)
+		}
+		if st.MuxResumes != 1 {
+			t.Fatalf("MuxResumes = %d, want 1", st.MuxResumes)
+		}
+		// History preserved and grown across the reconnect: the
+		// enclave state never depended on the carrier.
+		if st.HistoryLen <= historyBefore {
+			t.Fatalf("history %d -> %d across reconnect; want growth", historyBefore, st.HistoryLen)
+		}
+		if st.MuxStreams < 10 {
+			t.Fatalf("MuxStreams = %d, want >= 10", st.MuxStreams)
+		}
+	})
 }
 
 // TestMuxDoubleStartAndStats covers the mux listener's double-Start
@@ -120,13 +119,7 @@ func TestMuxDoubleStartAndStats(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := s.Call(ctx, mux.KindPlain, []byte("direct mux query"))
-	if err != nil {
-		t.Fatalf("plain call over mux: %v", err)
-	}
-	if len(resp) == 0 {
-		t.Fatal("empty plain response")
-	}
+	muxHandshake(ctx, t, s)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if st := g.Stats(); st.MuxConns == 1 && st.MuxConnsTotal == 1 && st.MuxStreams == 1 {
@@ -146,6 +139,67 @@ func TestMuxDoubleStartAndStats(t *testing.T) {
 			t.Fatalf("MuxConns never returned to 0: %+v", g.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMuxEdgeRefusesPlainStreams: the mux edge carries sealed calls only.
+// A plain stream fails alone with a remote error, the session then
+// completes a handshake, and no plain query reached the fleet. The
+// WebSocket route is gone from the HTTP front.
+func TestMuxEdgeRefusesPlainStreams(t *testing.T) {
+	g := echoFleet(t, 1, time.Hour)
+	if err := g.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := g.StartMux("127.0.0.1:0"); err != nil {
+		t.Fatalf("StartMux: %v", err)
+	}
+	conn, err := net.Dial("tcp", g.MuxAddr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	s := mux.Client(conn, mux.Config{})
+	defer func() { _ = s.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	plainBefore := g.Stats().PlainRouted
+	_, err = s.Call(ctx, mux.KindPlain, []byte("chicken recipe"))
+	var remote *mux.RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("plain stream over mux: err = %v, want a per-stream remote error", err)
+	}
+	muxHandshake(ctx, t, s)
+	if got := g.Stats().PlainRouted; got != plainBefore {
+		t.Fatalf("PlainRouted %d -> %d: a plain query crossed the mux edge", plainBefore, got)
+	}
+	resp, err := http.Get(g.URL() + "/mux")
+	if err != nil {
+		t.Fatalf("GET /mux: %v", err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /mux = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestStartMuxAfterShutdownFails: Shutdown ends the mux edge for good. A
+// later StartMux must not bind a listener nothing closes, serving streams
+// into destroyed shards.
+func TestStartMuxAfterShutdownFails(t *testing.T) {
+	g := echoFleet(t, 1, time.Hour)
+	if err := g.StartMux("127.0.0.1:0"); err != nil {
+		t.Fatalf("StartMux: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := g.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := g.StartMux("127.0.0.1:0"); err == nil {
+		t.Fatal("StartMux after Shutdown succeeded, want error")
+	}
+	if addr := g.MuxAddr(); addr != "" {
+		t.Fatalf("MuxAddr after Shutdown = %q, want \"\"", addr)
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package mux implements the multiplexed client edge: many logical
-// client streams — attested handshakes, sealed secure records, plain
-// queries, keepalive heartbeats — ride one long-lived connection into
-// the gateway, instead of one TCP/HTTP connection per request. At the
-// ROADMAP's millions-of-users scale the edge drowns in connections long
-// before the enclaves are warm; an smux-style framed transport holds
-// one conn per broker host (or per browser extension, over the
-// WebSocket framing in ws.go) and carries every session on it.
+// client streams — attested handshakes, sealed secure records, keepalive
+// heartbeats — ride one long-lived TCP connection into the gateway,
+// instead of one TCP/HTTP connection per request. At the ROADMAP's
+// millions-of-users scale the edge drowns in connections long before the
+// enclaves are warm; an smux-style framed transport holds one conn per
+// broker host and carries every session on it.
 //
-// The package owns four layers:
+// The package owns three layers:
 //
 //   - the frame codec (this file): length-prefixed binary frames with
 //     hostile-input caps checked before any allocation, mirroring the
@@ -15,8 +14,6 @@
 //   - sessions and streams (session.go): per-stream credit-based flow
 //     control, keepalive heartbeats with dead-peer detection, and a
 //     one-request/one-response stream RPC shape;
-//   - the WebSocket byte-stream adapter (ws.go), so browser-extension
-//     clients can speak the same frames over RFC 6455;
 //   - the reconnecting client (redial.go): a dropped transport conn
 //     re-dials and resumes live secure-channel sessions by session ID
 //     without re-attestation — the channel keys live in the broker and
@@ -31,11 +28,12 @@
 // the data allows: OPEN, DATA and CLOSE of a request that fits one chunk
 // are one write, the reply's DATA and CLOSE another. A larger or
 // credit-blocked body is the same loop writing once per chunk. One write
-// never exceeds headerLen+MaxFramePayload bytes, because the WebSocket
-// carrier sends each write as one message and refuses a larger one —
-// which is why a chunk of stream data is a little under MaxFramePayload
-// (maxChunk leaves room for the OPEN and CLOSE around it). Control frames
-// (ping, pong, window, resume, abortive close) are written alone.
+// never exceeds headerLen+MaxFramePayload bytes — the largest frame a peer
+// may send — so a session's write buffer stays one frame long however big
+// the body; that is why a chunk of stream data is a little under
+// MaxFramePayload (maxChunk leaves room for the OPEN and CLOSE around
+// it). Control frames (ping, pong, window, resume, abortive close) are
+// written alone.
 //
 // Credit is returned lazily. A receiver adds up what it has buffered per
 // stream and sends one WINDOW once half a window (Config.Window/2) is
@@ -44,7 +42,7 @@
 // unacknowledged bytes on a stream, and the rule cannot deadlock: a
 // sender stalled at zero credit has a whole Window in flight, so when it
 // lands the receiver owes at least Window/2 and says so. Both ends must
-// run the same Window.
+// run the same Window; the broker and the gateway both run the default.
 //
 // Reads are buffered per conn. readLoop reads through one bufio.Reader,
 // so the frames of a coalesced write arrive in one read; headers and
@@ -97,7 +95,7 @@ const FlagError byte = 0x1
 const (
 	KindHandshake byte = 0x1 // attested channel setup (POST /handshake)
 	KindSecure    byte = 0x2 // one sealed record round trip (POST /secure)
-	KindPlain     byte = 0x3 // one plain query (GET /search)
+	KindPlain     byte = 0x3 // one plain query: HTTP GET /search only; the mux edge refuses it
 )
 
 // Codec caps, checked before any allocation. A hostile peer controls

@@ -62,7 +62,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 		b = b[n:]
 	}
 	if len(p) > headerLen+MaxFramePayload {
-		c.violation = fmt.Sprintf("one Write of %d bytes exceeds the WebSocket message cap", len(p))
+		c.violation = fmt.Sprintf("one Write of %d bytes exceeds headerLen+MaxFramePayload", len(p))
 	}
 	c.mu.Unlock()
 	return c.Conn.Write(p)

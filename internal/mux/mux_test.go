@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -221,7 +220,7 @@ func TestRedialerResumesAfterConnKill(t *testing.T) {
 	rd := NewRedialer(func(ctx context.Context) (io.ReadWriteCloser, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", ln.Addr().String())
-	}, Config{}, func() int { return 3 })
+	}, func() int { return 3 })
 	defer func() { _ = rd.Close() }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -405,52 +404,5 @@ func TestTooManyStreamsRefusedPerStream(t *testing.T) {
 	close(block)
 	if err := <-blocked; err != nil {
 		t.Fatalf("first stream should have survived the refusal: %v", err)
-	}
-}
-
-// --- WebSocket adapter ---
-
-// httpUpgradeServer serves /mux WebSocket upgrades into mux sessions,
-// the same wiring the gateway's handleMuxUpgrade uses.
-type httpUpgradeServer struct {
-	handler Handler
-}
-
-func (u *httpUpgradeServer) serve(ln net.Listener) {
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		conn, err := UpgradeWS(w, r)
-		if err != nil {
-			return
-		}
-		go func() { _ = Serve(conn, u.handler, Config{}) }()
-	})}
-	_ = srv.Serve(ln)
-}
-
-func TestWSAdapterCarriesSession(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer func() { _ = ln.Close() }()
-	go func() {
-		srv := &httpUpgradeServer{handler: echoHandler}
-		srv.serve(ln)
-	}()
-	conn, err := DialWS("ws://"+ln.Addr().String()+"/mux", 5*time.Second)
-	if err != nil {
-		t.Fatalf("DialWS: %v", err)
-	}
-	s := Client(conn, Config{})
-	defer func() { _ = s.Close() }()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	big := bytes.Repeat([]byte("w"), 3*MaxFramePayload/2)
-	resp, err := s.Call(ctx, KindSecure, big)
-	if err != nil {
-		t.Fatalf("call over websocket: %v", err)
-	}
-	if !bytes.Equal(resp, append([]byte{KindSecure}, big...)) {
-		t.Fatalf("bad echo over websocket (%d bytes)", len(resp))
 	}
 }

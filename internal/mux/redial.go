@@ -18,8 +18,7 @@ import (
 // a fresh record (new sequence number) instead of replaying the old one.
 var ErrConnLost = errors.New("mux: transport connection lost")
 
-// DialFunc opens one transport conn to the gateway edge (raw TCP or the
-// WebSocket adapter — the Redialer does not care which).
+// DialFunc opens one transport conn to the gateway's mux edge.
 type DialFunc func(ctx context.Context) (io.ReadWriteCloser, error)
 
 // Redialer keeps one mux session alive across transport failures. A
@@ -31,7 +30,6 @@ type DialFunc func(ctx context.Context) (io.ReadWriteCloser, error)
 // resumes that skipped re-attestation.
 type Redialer struct {
 	dial DialFunc
-	cfg  Config
 	// LiveSessions, when set, reports how many secure-channel sessions
 	// the owner is currently holding open; announced on reconnect.
 	liveSessions func() int
@@ -45,10 +43,10 @@ type Redialer struct {
 	dialCount  atomic.Uint64
 }
 
-// NewRedialer wraps dial in reconnect-on-failure behavior. liveSessions
-// may be nil.
-func NewRedialer(dial DialFunc, cfg Config, liveSessions func() int) *Redialer {
-	return &Redialer{dial: dial, cfg: cfg, liveSessions: liveSessions}
+// NewRedialer wraps dial in reconnect-on-failure behavior. Its sessions
+// run the default Config, as the gateway's do. liveSessions may be nil.
+func NewRedialer(dial DialFunc, liveSessions func() int) *Redialer {
+	return &Redialer{dial: dial, liveSessions: liveSessions}
 }
 
 // Reconnects counts successful re-dials after the first connect.
@@ -106,7 +104,7 @@ func (r *Redialer) session(ctx context.Context) (*Session, error) {
 			continue
 		}
 		r.dialCount.Add(1)
-		r.sess = Client(conn, r.cfg)
+		r.sess = Client(conn, Config{})
 		r.generation++
 		if reconnect {
 			r.reconnects.Add(1)

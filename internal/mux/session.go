@@ -261,8 +261,8 @@ type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
 
 // write serializes frames onto the conn in ONE conn.Write, under one lock,
 // so concurrent streams never interleave bytes. Callers keep the encoded
-// total within headerLen+MaxFramePayload, the WebSocket carrier's message
-// cap. Control frames (ping, pong, window, resume, abortive close) go out
+// total within headerLen+MaxFramePayload, the largest frame a peer may
+// send, so wbuf stays one frame long. Control frames (ping, pong, window, resume, abortive close) go out
 // one per call; send coalesces a stream's OPEN, DATA and CLOSE.
 func (s *Session) write(frames ...Frame) error {
 	s.wmu.Lock()

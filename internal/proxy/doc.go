@@ -64,7 +64,7 @@
 //	  and the mux KindSecure stream                 back (application/octet-stream over HTTP) — the per-query
 //	                                                path of every broker; ServeCall is both edges' one reader
 //	HTTP /handshake, /search;            JSON       the compatibility front: curl and wget on /search (its
-//	  mux handshake and plain streams               list written by the core codec), one handshake a session
+//	  the mux handshake stream                      list written by the core codec), one handshake a session
 //	envelope ("request", entries of      binary     every request into the enclave, under the runtime's id
 //	  "request-batch")                              for it; byte fields alias the ecall argument, no []byte
 //	                                                is ever base64'd

@@ -421,10 +421,10 @@ func NewFleet(opts ...FleetOption) (*Fleet, error) {
 func (f *Fleet) Start(addr string) error { return f.inner.Start(addr) }
 
 // StartMux serves the multiplexed raw-TCP client edge on addr: one
-// long-lived framed connection per client host carries every logical
-// stream (handshakes, sealed records, plain queries) instead of one HTTP
-// connection per request. WebSocket clients reach the same edge through
-// the HTTP front's /mux upgrade, which needs no separate start.
+// long-lived framed connection per client host carries every sealed call
+// (handshakes and secure records) instead of one HTTP connection per
+// request. Plain queries stay on the HTTP front's GET /search; the mux
+// edge refuses them. It fails after Shutdown.
 func (f *Fleet) StartMux(addr string) error { return f.inner.StartMux(addr) }
 
 // MuxAddr returns the raw-TCP mux edge's bound address after StartMux.
@@ -538,13 +538,6 @@ func WithMuxTransport(muxAddr string) ClientOption {
 		c.Transport = "mux"
 		c.MuxAddr = muxAddr
 	})
-}
-
-// WithWebSocketTransport carries the same multiplexed frames over an
-// RFC 6455 upgrade at the gateway's /mux endpoint — the path a browser
-// extension, which cannot open raw TCP, would use.
-func WithWebSocketTransport() ClientOption {
-	return clientOptionFunc(func(c *broker.Config) { c.Transport = "ws" })
 }
 
 // NewClient builds a client of the proxy at proxyURL.
