@@ -11,16 +11,14 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"xsearch"
-	"xsearch/internal/core"
-	"xsearch/internal/serve"
+	"xsearch/internal/attestation"
+	"xsearch/internal/broker"
+	"xsearch/internal/enclave"
 )
 
 func main() {
@@ -44,7 +42,7 @@ func run() error {
 	if *measurement == "" || *attKey == "" {
 		return fmt.Errorf("-measurement and -attkey are required (printed by xsearch-proxy)")
 	}
-	var m xsearch.Measurement
+	var m enclave.Measurement
 	raw, err := hex.DecodeString(*measurement)
 	if err != nil || len(raw) != len(m) {
 		return fmt.Errorf("bad -measurement: want %d hex bytes", len(m))
@@ -55,10 +53,11 @@ func run() error {
 		return fmt.Errorf("bad -attkey: want %d hex bytes", ed25519.PublicKeySize)
 	}
 
-	opts := []xsearch.ClientOption{
-		xsearch.WithTrustedMeasurement(m),
-		xsearch.WithAttestationKey(ed25519.PublicKey(keyRaw)),
-		xsearch.WithResultCount(*count),
+	cfg := broker.Config{
+		ProxyURL:   *proxyURL,
+		ServiceKey: ed25519.PublicKey(keyRaw),
+		Policy:     attestation.Policy{AcceptedMeasurements: []enclave.Measurement{m}},
+		Count:      *count,
 	}
 	switch *transport {
 	case "http":
@@ -69,39 +68,24 @@ func run() error {
 		if *muxAddr == "" {
 			return fmt.Errorf("-transport mux requires -mux-addr (the gateway's -mux-listen address)")
 		}
-		opts = append(opts, xsearch.WithMuxTransport(*muxAddr))
+		cfg.Transport, cfg.MuxAddr = "mux", *muxAddr
 	default:
 		return fmt.Errorf("unknown -transport %q (want http or mux)", *transport)
 	}
-	client, err := xsearch.NewClient(*proxyURL, opts...)
+	b, err := broker.New(cfg)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = client.Close() }()
+	defer func() { _ = b.Close() }()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err = client.Connect(ctx)
+	err = b.Connect(ctx)
 	cancel()
 	if err != nil {
 		return fmt.Errorf("attestation/handshake failed: %w", err)
 	}
 	fmt.Printf("proxy enclave attested, channel established (%s transport)\n", *transport)
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
-		if strings.TrimSpace(q) == "" {
-			http.Error(w, "missing q parameter", http.StatusBadRequest)
-			return
-		}
-		results, err := client.Search(r.Context(), q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(core.AppendResultsJSON(nil, results), '\n'))
-	})
-	front := serve.Wrap(&http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second})
+	front := broker.NewServer(b)
 	if err := front.Start(*listen); err != nil {
 		return err
 	}
@@ -112,7 +96,7 @@ func run() error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case <-sig:
-	case err := <-front.Err():
+	case err := <-front.ServeErr():
 		// The accept loop died out from under the daemon — previously
 		// this was silently discarded and the broker served nothing while
 		// appearing healthy.

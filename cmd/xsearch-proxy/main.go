@@ -85,7 +85,7 @@ func run() error {
 		batchMax    = flag.Int("batch-max", 0, "coalesce up to this many admitted requests into one vectorized ecall (0=off, min 2; needs -async)")
 		batchWindow = flag.Duration("batch-window", 0, "how long a partially filled batch waits for more requests (0=default 200µs; needs -batch-max)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: drain in-flight requests this long before destroying enclaves")
-		muxListen   = flag.String("mux-listen", "", "multiplexed client edge: raw-TCP listen address for brokers' sealed calls (plain queries stay on /search; needs -shards or -shards-max)")
+		muxListen   = flag.String("mux-listen", "", "multiplexed client edge: raw-TCP listen address for brokers' sealed calls (xsearch-broker -transport mux -mux-addr; needs -shards or -shards-max)")
 		obsOn       = flag.Bool("obs", false, "observability: per-stage latency histograms, Prometheus /metrics, /events ring, pprof (content-free telemetry)")
 		eventsCap   = flag.Int("events", 0, "structured event ring capacity (0=default 1024; implies event logging)")
 		logJSON     = flag.Bool("log-json", false, "mirror every structured event to stderr as one JSON object per line")
@@ -209,7 +209,8 @@ func run() error {
 	}
 	fmt.Printf("enclave measurement : %s\n", hex.EncodeToString(m[:]))
 	fmt.Printf("attestation key     : %s\n", hex.EncodeToString(proxy.AttestationKey()))
-	fmt.Printf("plain front         : curl '%s/search?q=chicken+recipe'\n", proxy.URL())
+	fmt.Printf("clients             : xsearch-broker -proxy %s -measurement %x -attkey %x\n",
+		proxy.URL(), m[:], proxy.AttestationKey())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -303,7 +304,8 @@ func runFleet(spec fleetSpec, addr string, k, history int, drainWait time.Durati
 	}
 	fmt.Printf("enclave measurement : %s (all shards)\n", hex.EncodeToString(m[:]))
 	fmt.Printf("attestation key     : %s\n", hex.EncodeToString(f.AttestationKey()))
-	fmt.Printf("plain front         : curl '%s/search?q=chicken+recipe'\n", f.URL())
+	fmt.Printf("clients             : xsearch-broker -proxy %s -measurement %x -attkey %x\n",
+		f.URL(), m[:], f.AttestationKey())
 	if spec.muxAddr != "" {
 		fmt.Printf("mux edge            : tcp %s (sealed calls only)\n", f.MuxAddr())
 	}

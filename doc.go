@@ -16,8 +16,7 @@
 //     queries drawn from an in-enclave sliding-window history (Algorithm 1),
 //     forwards the obfuscated query to an engine upstream, filters the
 //     merged results back down to those matching the original query
-//     (Algorithm 2), and returns them over the channel. A plain HTTP front
-//     (GET /search?q=...) serves third-party clients such as curl.
+//     (Algorithm 2), and returns them over the channel.
 //   - The upstream registry (WithEngines) is the seam between the proxy
 //     and its engines: a set of EngineSpec upstreams, each with its own
 //     in-enclave connection pool, pinned TLS roots, fan-out weight, and
@@ -30,8 +29,9 @@
 //     honest-but-curious behaviour the adversary model assumes.
 //   - The Fleet (NewFleet) stacks a session-routing gateway above N
 //     independent proxy-enclave shards, lifting the single-enclave EPC and
-//     single-host core bounds. It serves the same HTTP surface as one
-//     Proxy, so brokers point at a fleet unchanged.
+//     single-host core bounds. Its client edge is one Proxy's — POST
+//     /handshake and POST /secure, sealed calls only — so brokers point at
+//     a fleet unchanged.
 //
 // # Scaling layer
 //
@@ -74,9 +74,9 @@
 // (WithShardConfig) — behind a gateway that routes by rendezvous (HRW)
 // hashing. Each attested session is pinned to one shard, so a user's
 // obfuscation always draws fakes from the same in-enclave history window
-// and Algorithm 1's k-anonymity semantics hold per shard; plain queries
-// hash on the query text, keeping per-shard caches and coalescing
-// effective fleet-wide. The gateway health-checks shards, fails work over
+// and Algorithm 1's k-anonymity semantics hold per shard; in-process plain
+// queries (the capacity path) hash on the query text, keeping per-shard
+// caches and coalescing effective fleet-wide. The gateway health-checks shards, fails work over
 // to the next-ranked live shard on a crash (sessions on the dead shard
 // re-attest transparently), and on a planned drain (DrainShard) migrates
 // the departing shard's history window to its successor as a sealed blob
@@ -119,9 +119,9 @@
 // flow-control credits so one large response never stalls the rest,
 // keepalive heartbeats with dead-peer detection, and hostile-input caps on
 // every frame mirroring the enclave wire parser. Both ends run the mux
-// defaults; nothing outside internal/mux configures a session. The mux
-// edge carries sealed calls only and refuses a plain query per stream:
-// plain queries stay on the HTTP front's GET /search. Past the edge both
+// defaults; nothing outside internal/mux configures a session. Neither
+// edge carries a query in the clear: a stream or route that is not a
+// handshake or a secure call is refused, per call. Past the edge both
 // fronts call the same Handshake/Secure methods, so a mux client and an
 // HTTP client are indistinguishable to the enclaves, and the bodies are
 // the same on both edges: a handshake is JSON, a secure call is the
@@ -134,7 +134,7 @@
 // reflects to speak it: internal/core holds one hand-written codec for
 // result lists, byte-identical to encoding/json on the way out and strict
 // on the way in, and every list that leaves a process (sealed replies,
-// the plain /search, the broker's local endpoint) goes through it.
+// the broker's local endpoint) goes through it.
 //
 // The transport conn is expendable by design: the secure channel's keys
 // live in the broker and the enclave, never in the carrier, so when an

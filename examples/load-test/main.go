@@ -1,7 +1,7 @@
-// Load-test drives an echo-mode X-Search proxy with an open-loop constant
-// arrival rate (wrk2 semantics) and prints the latency distribution per
-// offered rate — a miniature of the Figure 5 capacity experiment against a
-// live proxy on this machine.
+// Load-test drives an echo-mode X-Search proxy through one attested client
+// with an open-loop constant arrival rate (wrk2 semantics) and prints the
+// latency distribution per offered rate — a miniature of the Figure 5
+// capacity experiment against a live proxy on this machine.
 package main
 
 import (
@@ -42,25 +42,24 @@ func run() error {
 	fmt.Printf("echo-mode proxy on %s; open-loop load, %v per point, %d workers\n\n",
 		proxy.Addr(), *duration, *workers)
 
-	httpClient := &http.Client{
-		Transport: &http.Transport{MaxIdleConnsPerHost: *workers * 2},
-		Timeout:   30 * time.Second,
+	// One attested client, as a broker host would run: every request is
+	// sealed for the enclave and crosses the node as POST /secure.
+	client, err := xsearch.NewClient(proxy.URL(),
+		xsearch.WithTrustedMeasurement(proxy.Measurement()),
+		xsearch.WithAttestationKey(proxy.AttestationKey()),
+		xsearch.WithHTTPClient(&http.Client{
+			Transport: &http.Transport{MaxIdleConnsPerHost: *workers * 2},
+			Timeout:   30 * time.Second,
+		}))
+	if err != nil {
+		return err
+	}
+	if err := client.Connect(context.Background()); err != nil {
+		return err
 	}
 	target := func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			proxy.URL()+"/search?q=private+web+search", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := httpClient.Do(req)
-		if err != nil {
-			return err
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
+		_, err := client.Search(ctx, "private web search")
+		return err
 	}
 
 	fmt.Printf("%-10s %-10s %-10s %-10s %-10s %-8s\n",

@@ -10,8 +10,8 @@ import (
 )
 
 // The client contract is JSON — a sealed {"query","count"} up, a sealed
-// {"results","err"} back, a bare result list on /search and from the
-// engine — and this file is its one codec. Nothing here reflects: the
+// {"results","err"} back, a bare result list from the engine and on the
+// broker's local endpoint — and this file is its one codec. Nothing here reflects: the
 // appenders write exactly json.Marshal's bytes (a client decoding with
 // encoding/json, as the repo benchmark does, sees no difference), and the
 // reader is one strict pass over one string (an engine body's own, else a

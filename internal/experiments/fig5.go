@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xsearch/internal/attestation"
+	"xsearch/internal/broker"
+	"xsearch/internal/enclave"
 	"xsearch/internal/metrics"
 	"xsearch/internal/peas"
 	"xsearch/internal/proxy"
@@ -33,10 +36,11 @@ type Fig5Config struct {
 	TorHopDelay      time.Duration
 	TorRelayCellRate float64
 	// UseHTTP drives each system over real loopback HTTP instead of the
-	// in-process processing path. On bare metal this matches the paper's
-	// wrk2 setup; in syscall-sandboxed environments the kernel caps ALL
-	// systems at the same few-k req/s and hides the differences, so the
-	// default measures the processing paths directly.
+	// in-process processing path — X-Search through an attested broker
+	// over /handshake and /secure, as a real client. On bare metal this
+	// matches the paper's wrk2 setup; in syscall-sandboxed environments
+	// the kernel caps ALL systems at the same few-k req/s and hides the
+	// differences, so the default measures the processing paths directly.
 	UseHTTP bool
 	// Seed fixes query selection.
 	Seed uint64
@@ -108,21 +112,21 @@ func RunFig5(f *Fixture, cfg Fig5Config) (*Fig5Result, error) {
 	}
 	var xsTarget workload.Target
 	if cfg.UseHTTP {
+		b, err := broker.New(broker.Config{
+			ProxyURL:   xsProxy.URL(),
+			ServiceKey: xsProxy.AttestationService().PublicKey(),
+			Policy:     attestation.Policy{AcceptedMeasurements: []enclave.Measurement{xsProxy.Measurement()}},
+			HTTPClient: httpClient,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := b.Connect(ctx); err != nil {
+			return nil, fmt.Errorf("fig5 attest: %w", err)
+		}
 		xsTarget = func(ctx context.Context) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-				xsProxy.URL()+"/search?q="+urlQuery(nextQuery()), nil)
-			if err != nil {
-				return err
-			}
-			resp, err := httpClient.Do(req)
-			if err != nil {
-				return err
-			}
-			_ = resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("status %d", resp.StatusCode)
-			}
-			return nil
+			_, err := b.Search(ctx, nextQuery())
+			return err
 		}
 	} else {
 		xsTarget = func(ctx context.Context) error {
@@ -242,17 +246,4 @@ func RunFig5(f *Fixture, cfg Fig5Config) (*Fig5Result, error) {
 	}
 	res.Figure = fig
 	return res, nil
-}
-
-// urlQuery escapes spaces for the proxy query parameter.
-func urlQuery(q string) string {
-	out := make([]byte, 0, len(q))
-	for i := 0; i < len(q); i++ {
-		if q[i] == ' ' {
-			out = append(out, '+')
-		} else {
-			out = append(out, q[i])
-		}
-	}
-	return string(out)
 }

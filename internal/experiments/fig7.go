@@ -265,3 +265,16 @@ func addCDF(s *metrics.Series, d *metrics.Distribution, points int) {
 		s.Add(p.X, p.Y)
 	}
 }
+
+// urlQuery escapes spaces for the engine query parameter.
+func urlQuery(q string) string {
+	out := make([]byte, 0, len(q))
+	for i := 0; i < len(q); i++ {
+		if q[i] == ' ' {
+			out = append(out, '+')
+		} else {
+			out = append(out, q[i])
+		}
+	}
+	return string(out)
+}

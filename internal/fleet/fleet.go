@@ -11,10 +11,10 @@
 // — the client's channel-establishment offer, the one stable public value
 // a session has before the enclave mints its session ID — so a user's
 // obfuscation always draws fakes from the same in-enclave history window
-// and Algorithm 1's k-anonymity argument holds per shard. Plain
-// (curl-style) queries hash on the query itself, which also keeps each
-// shard's result cache and single-flight coalescing effective across the
-// fleet.
+// and Algorithm 1's k-anonymity argument holds per shard. In-process plain
+// queries (Gateway.ServeQuery, the capacity path) hash on the query
+// itself, which also keeps each shard's result cache and single-flight
+// coalescing effective across the fleet.
 //
 // The gateway health-checks shards and, when one dies, fails new work over
 // to the next-highest-ranked live shard; sessions on the dead shard are

@@ -171,8 +171,8 @@ func (g *Gateway) route(key string, call func(*shard) error) error {
 	return lastErr
 }
 
-// ServeQuery runs one plain query on the fleet, bypassing the HTTP front
-// (the §6.3-style capacity path). The query routes to its HRW shard —
+// ServeQuery runs one plain query on the fleet in-process (the §6.3-style
+// capacity path); no client edge reaches it. The query routes to its HRW shard —
 // identical queries always hit the same shard, so per-shard caches and
 // single-flight coalescing stay effective fleet-wide — and fails over down
 // the rank order when a shard turns out to be dead.
@@ -242,8 +242,8 @@ func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]
 // --- HTTP front ---
 
 // httpFront is the gateway's HTTP server state. The endpoint surface is
-// exactly the proxy's (/search, /handshake, /secure, /stats, /healthz), so
-// brokers and curl users point at a fleet the same way they point at a
+// exactly the proxy's (/handshake, /secure, /stats, /metrics, /events,
+// /healthz), so a broker points at a fleet the same way it points at a
 // single node. The mux edge (see muxfront.go) is a separate raw-TCP
 // listener, not a route here.
 type httpFront struct {

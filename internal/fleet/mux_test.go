@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,10 +143,11 @@ func TestMuxDoubleStartAndStats(t *testing.T) {
 	}
 }
 
-// TestMuxEdgeRefusesPlainStreams: the mux edge carries sealed calls only.
-// A plain stream fails alone with a remote error, the session then
-// completes a handshake, and no plain query reached the fleet. The
-// WebSocket route is gone from the HTTP front.
+// TestMuxEdgeRefusesPlainStreams: both client edges carry sealed calls
+// only. A stream of the old plain kind (0x3) fails alone with a remote
+// error, the session then completes a handshake, and no plain query
+// reached the fleet. Neither the WebSocket route nor GET /search is left
+// on the HTTP front.
 func TestMuxEdgeRefusesPlainStreams(t *testing.T) {
 	g := echoFleet(t, 1, time.Hour)
 	if err := g.Start("127.0.0.1:0"); err != nil {
@@ -163,22 +165,27 @@ func TestMuxEdgeRefusesPlainStreams(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	plainBefore := g.Stats().PlainRouted
-	_, err = s.Call(ctx, mux.KindPlain, []byte("chicken recipe"))
+	_, err = s.Call(ctx, 0x3, []byte("chicken recipe"))
 	var remote *mux.RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("plain stream over mux: err = %v, want a per-stream remote error", err)
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unknown stream kind") {
+		t.Fatalf("plain stream over mux: err = %v, want a per-stream unknown-kind refusal", err)
 	}
 	muxHandshake(ctx, t, s)
 	if got := g.Stats().PlainRouted; got != plainBefore {
 		t.Fatalf("PlainRouted %d -> %d: a plain query crossed the mux edge", plainBefore, got)
 	}
-	resp, err := http.Get(g.URL() + "/mux")
-	if err != nil {
-		t.Fatalf("GET /mux: %v", err)
+	for _, path := range []string{"/mux", "/search?q=chicken+recipe"} {
+		resp, err := http.Get(g.URL() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /mux = %d, want 404", resp.StatusCode)
+	if got := g.Stats().PlainRouted; got != plainBefore {
+		t.Fatalf("PlainRouted %d -> %d: GET /search reached the fleet", plainBefore, got)
 	}
 }
 

@@ -18,10 +18,9 @@ import (
 // per request. Stream kinds dispatch onto the same Handshake/Secure
 // methods the HTTP handlers use, through proxy.ServeCall, so a handshake
 // or secure stream carries exactly the body of its HTTP route and a mux
-// client is indistinguishable from an HTTP one past the edge. The edge
-// carries sealed calls only: a plain stream would hand the untrusted host
-// a query in the clear next to the client's address, so it is refused per
-// stream (plain queries stay on GET /search).
+// client is indistinguishable from an HTTP one past the edge. Like the
+// HTTP front, the edge carries sealed calls only: any other kind is that
+// stream's refusal, never the session's.
 
 // muxFront is the gateway's mux-edge state, embedded in Gateway.
 type muxFront struct {
@@ -37,10 +36,7 @@ type muxFront struct {
 	muxResumes  atomic.Uint64
 }
 
-var (
-	errMuxStarted = errors.New("already started")
-	errPlainOnMux = errors.New("the mux edge carries sealed calls only; plain queries use GET /search")
-)
+var errMuxStarted = errors.New("already started")
 
 // StartMux serves the raw-TCP mux edge on addr ("127.0.0.1:0" picks a
 // port). It fails once the edge is running, and after Shutdown.
@@ -123,14 +119,11 @@ func (g *Gateway) serveMuxConn(conn net.Conn) {
 }
 
 // serveMuxRequest serves one completed stream as the call its kind names.
-// A malformed body, or a plain query, is the stream's error, never the
+// A malformed body or an unknown kind is the stream's error, never the
 // session's.
 func (g *Gateway) serveMuxRequest(ctx context.Context, kind byte, req []byte) ([]byte, error) {
 	g.muxStreams.Add(1)
-	if kind == mux.KindPlain {
-		return nil, errPlainOnMux
-	}
-	return proxy.ServeCall(ctx, g, kind, "", req)
+	return proxy.ServeCall(ctx, g, kind, req)
 }
 
 // muxStop tears the mux edge down for good: stop accepting, close every

@@ -95,7 +95,6 @@ const FlagError byte = 0x1
 const (
 	KindHandshake byte = 0x1 // attested channel setup (POST /handshake)
 	KindSecure    byte = 0x2 // one sealed record round trip (POST /secure)
-	KindPlain     byte = 0x3 // one plain query: HTTP GET /search only; the mux edge refuses it
 )
 
 // Codec caps, checked before any allocation. A hostile peer controls

@@ -159,7 +159,7 @@ func TestLargeTransferCreditIsLazyAndBounded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	req := bytes.Repeat([]byte("0123456789abcdef"), 3*window/16)
-	resp, err := s.Call(ctx, KindPlain, req)
+	resp, err := s.Call(ctx, kindTest, req)
 	if err != nil || !bytes.Equal(resp[1:], req) {
 		t.Fatalf("call: %d bytes, %v", len(resp), err)
 	}
@@ -184,7 +184,7 @@ func TestWithheldCreditStallsSender(t *testing.T) {
 	defer cancel()
 	callDone := make(chan error, 1)
 	go func() {
-		_, err := s.Call(ctx, KindPlain, make([]byte, 2*window))
+		_, err := s.Call(ctx, kindTest, make([]byte, 2*window))
 		callDone <- err
 	}()
 
@@ -240,7 +240,7 @@ func TestFinishedStreamGetsNoWindow(t *testing.T) {
 	cc, sc := tcpPair(t)
 	go func() { _ = Serve(sc, echoHandler, Config{Window: window}) }()
 	rc := &rawClient{t: t, conn: cc}
-	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{KindPlain}})
+	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{kindTest}})
 	rc.send(Frame{Type: FrameData, Stream: 1, Payload: make([]byte, window/2-1)})
 	rc.send(Frame{Type: FrameClose, Stream: 1})
 	rc.send(Frame{Type: FrameData, Stream: 1, Payload: make([]byte, window)})

@@ -38,8 +38,12 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 	return client, server
 }
 
+// kindTest is a stream kind the session layer carries like any other:
+// the mux package routes kinds, it does not interpret them.
+const kindTest byte = 0x3
+
 func echoHandler(_ context.Context, kind byte, req []byte) ([]byte, error) {
-	if kind == KindPlain && string(req) == "fail" {
+	if kind == kindTest && string(req) == "fail" {
 		return nil, errors.New("handler refused")
 	}
 	return append([]byte{kind}, req...), nil
@@ -129,12 +133,12 @@ func TestCallRoundTrip(t *testing.T) {
 			if i%2 == 0 {
 				req = []byte(fmt.Sprintf("req-%d", i))
 			}
-			resp, err := s.Call(ctx, KindPlain, req)
+			resp, err := s.Call(ctx, kindTest, req)
 			if err != nil {
 				errs <- err
 				return
 			}
-			if !bytes.Equal(resp, append([]byte{KindPlain}, req...)) {
+			if !bytes.Equal(resp, append([]byte{kindTest}, req...)) {
 				errs <- fmt.Errorf("call %d: bad echo (%d bytes)", i, len(resp))
 				return
 			}
@@ -161,13 +165,13 @@ func TestCallRemoteError(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := s.Call(ctx, KindPlain, []byte("fail"))
+	_, err := s.Call(ctx, kindTest, []byte("fail"))
 	var remote *RemoteError
 	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "handler refused") {
 		t.Fatalf("err = %v, want RemoteError carrying the handler text", err)
 	}
 	// The session survives a per-stream failure.
-	if resp, err := s.Call(ctx, KindPlain, []byte("ok")); err != nil || string(resp[1:]) != "ok" {
+	if resp, err := s.Call(ctx, kindTest, []byte("ok")); err != nil || string(resp[1:]) != "ok" {
 		t.Fatalf("call after remote error: %q, %v", resp, err)
 	}
 }
@@ -189,7 +193,7 @@ func TestHalfOpenDetectedByHeartbeat(t *testing.T) {
 		t.Fatal("half-open conn never detected")
 	}
 	// Calls on the dead session fail as closed, not hang.
-	if _, err := s.Call(context.Background(), KindPlain, []byte("q")); !errors.Is(err, ErrSessionClosed) {
+	if _, err := s.Call(context.Background(), kindTest, []byte("q")); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Call on dead session = %v, want ErrSessionClosed", err)
 	}
 }
@@ -225,11 +229,11 @@ func TestRedialerResumesAfterConnKill(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := rd.Call(ctx, KindPlain, []byte("one")); err != nil {
+	if _, err := rd.Call(ctx, kindTest, []byte("one")); err != nil {
 		t.Fatalf("first call: %v", err)
 	}
 	rd.KillConn()
-	resp, err := rd.Call(ctx, KindPlain, []byte("two"))
+	resp, err := rd.Call(ctx, kindTest, []byte("two"))
 	if err != nil || string(resp[1:]) != "two" {
 		t.Fatalf("call after kill: %q, %v", resp, err)
 	}
@@ -278,13 +282,13 @@ func TestServerDropsUnknownStreamFrames(t *testing.T) {
 	rc.send(Frame{Type: FrameWindow, Stream: 77, Payload: []byte{0, 0, 1, 0}})
 	rc.send(Frame{Type: FrameClose, Stream: 55})
 	// The session must still serve a well-formed exchange.
-	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{KindPlain}})
+	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{kindTest}})
 	rc.send(Frame{Type: FrameData, Stream: 1, Payload: []byte("q")})
 	rc.send(Frame{Type: FrameClose, Stream: 1})
 	for {
 		f := rc.recv()
 		if f.Type == FrameData && f.Stream == 1 {
-			if string(f.Payload) != string(KindPlain)+"q" {
+			if string(f.Payload) != string(kindTest)+"q" {
 				t.Fatalf("bad echo %q", f.Payload)
 			}
 			break
@@ -327,8 +331,8 @@ func TestServerKillsConnOnDuplicateStreamOpen(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- Serve(sc, echoHandler, Config{}) }()
 	rc := &rawClient{t: t, conn: cc}
-	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{KindPlain}})
-	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{KindPlain}})
+	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{kindTest}})
+	rc.send(Frame{Type: FrameOpen, Stream: 1, Payload: []byte{kindTest}})
 	select {
 	case err := <-serveDone:
 		if !errors.Is(err, errProtocol) {
@@ -384,7 +388,7 @@ func TestTooManyStreamsRefusedPerStream(t *testing.T) {
 	defer cancel()
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := s.Call(ctx, KindPlain, []byte("block"))
+		_, err := s.Call(ctx, kindTest, []byte("block"))
 		blocked <- err
 	}()
 	// Wait for the first stream to occupy the server's only slot, then
@@ -392,7 +396,7 @@ func TestTooManyStreamsRefusedPerStream(t *testing.T) {
 	var err error
 	for i := 0; i < 100; i++ {
 		time.Sleep(5 * time.Millisecond)
-		_, err = s.Call(ctx, KindPlain, []byte("x"))
+		_, err = s.Call(ctx, kindTest, []byte("x"))
 		if err != nil {
 			break
 		}

@@ -38,12 +38,8 @@ func TestHandlersRejectOversizeBodies(t *testing.T) {
 		}
 	}
 	// The cap must not break legitimate traffic.
-	resp, err := http.Get(p.URL() + "/search?q=still+works")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("normal search after cap rejections: status %d", resp.StatusCode)
+	sess := openSecureSession(t, p)
+	if _, status := sess.search(t, p, "still works"); status != http.StatusOK {
+		t.Fatalf("normal secure search after cap rejections: status %d", status)
 	}
 }

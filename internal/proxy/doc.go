@@ -3,9 +3,10 @@
 // past queries (core.Obfuscator), queries the search engine through the
 // paper's ocall interface (sock_connect/send/recv/close), filters the
 // merged results back down to the original query's results, and returns
-// them over the attested secure channel. An additional plain HTTP front
-// accepts unencrypted queries from third-party clients (curl/wget), as the
-// paper notes.
+// them over the attested secure channel. Its client edge carries sealed
+// calls only (POST /handshake, POST /secure): the untrusted host never
+// sees a query in the clear. ServeQuery runs a plain query in-process for
+// the capacity experiments; no route reaches it.
 //
 // # Request stage
 //
@@ -63,8 +64,8 @@
 //	secure call: HTTP POST /secure       binary     len(1) ‖ session id ‖ raw record up, the raw sealed record
 //	  and the mux KindSecure stream                 back (application/octet-stream over HTTP) — the per-query
 //	                                                path of every broker; ServeCall is both edges' one reader
-//	HTTP /handshake, /search;            JSON       the compatibility front: curl and wget on /search (its
-//	  the mux handshake stream                      list written by the core codec), one handshake a session
+//	HTTP POST /handshake and the mux     JSON       one handshake a session: the client's offer and nonce up,
+//	  KindHandshake stream                          the enclave's offer, session id and verification report back
 //	envelope ("request", entries of      binary     every request into the enclave, under the runtime's id
 //	  "request-batch")                              for it; byte fields alias the ecall argument, no []byte
 //	                                                is ever base64'd

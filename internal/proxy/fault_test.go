@@ -35,12 +35,7 @@ func TestEngineUnreachable(t *testing.T) {
 		defer cancel()
 		_ = p.Shutdown(ctx)
 	}()
-	resp, err := http.Get(p.URL() + "/search?q=anything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
+	if _, err := p.ServeQuery(context.Background(), "anything"); err == nil {
 		t.Error("dead engine produced OK response")
 	}
 	if p.Stats().Errors == 0 {
@@ -79,12 +74,7 @@ func TestEngineReturnsGarbage(t *testing.T) {
 		defer cancel()
 		_ = p.Shutdown(ctx)
 	}()
-	resp, err := http.Get(p.URL() + "/search?q=anything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
+	if _, err := p.ServeQuery(context.Background(), "anything"); err == nil {
 		t.Error("garbage engine response produced OK")
 	}
 }
@@ -118,12 +108,7 @@ func TestEngineErrorStatus(t *testing.T) {
 		defer cancel()
 		_ = p.Shutdown(ctx)
 	}()
-	resp, err := http.Get(p.URL() + "/search?q=anything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
+	if _, err := p.ServeQuery(context.Background(), "anything"); err == nil {
 		t.Error("engine 429 produced OK")
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
-	"xsearch/internal/core"
 	"xsearch/internal/mux"
 	"xsearch/internal/serve"
 )
@@ -17,9 +15,10 @@ import (
 // Front is the client-facing surface a client edge drives: one node
 // (*Proxy) or a fleet's session-routing gateway. The HTTP handlers and the
 // multiplexed edge both reach it through ServeCall, so a client cannot
-// tell the transports — or a node from a fleet — apart past the edge.
+// tell the transports — or a node from a fleet — apart past the edge. It
+// carries sealed calls only, so the untrusted host never sees a query in
+// the clear; in-process callers have ServeQuery on the node and gateway.
 type Front interface {
-	ServeQuery(ctx context.Context, query string) ([]core.Result, error)
 	Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*HandshakeResponse, error)
 	Secure(ctx context.Context, session string, record []byte) ([]byte, error)
 }
@@ -68,7 +67,7 @@ func ParseSecureBody(body []byte) (session string, record []byte, err error) {
 }
 
 // BadRequest is a ServeCall failure that is the client's doing — a
-// malformed body, a missing query — as opposed to the node's or the
+// malformed body, an unknown kind — as opposed to the node's or the
 // engine's: HTTP 400 instead of 502.
 type BadRequest string
 
@@ -79,9 +78,8 @@ func (e BadRequest) Error() string { return string(e) }
 // call, and return the reply body for the edge to send as it stands — an
 // HTTP response, a mux frame. Secure: AppendSecureBody in, the raw sealed
 // record out. Handshake: {"offer": <client offer JSON>, "nonce": <base64>}
-// in, a HandshakeResponse out. The plain kind has no body to decode, only
-// the query text, and replies with the result list as JSON.
-func ServeCall(ctx context.Context, f Front, kind byte, query string, body []byte) ([]byte, error) {
+// in, a HandshakeResponse out. Any other kind is the call's BadRequest.
+func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, error) {
 	switch kind {
 	case mux.KindSecure:
 		session, record, err := ParseSecureBody(body)
@@ -102,18 +100,6 @@ func ServeCall(ctx context.Context, f Front, kind byte, query string, body []byt
 			return nil, err
 		}
 		return json.Marshal(resp)
-	case mux.KindPlain:
-		if strings.TrimSpace(query) == "" {
-			return nil, BadRequest("missing query")
-		}
-		results, err := f.ServeQuery(ctx, query)
-		if err != nil {
-			return nil, err
-		}
-		if results == nil {
-			results = []core.Result{}
-		}
-		return core.AppendResultsJSON(nil, results), nil
 	default:
 		return nil, BadRequest(fmt.Sprintf("unknown stream kind 0x%x", kind))
 	}
@@ -126,11 +112,9 @@ func ServeCall(ctx context.Context, f Front, kind byte, query string, body []byt
 // few KB.
 const maxBodyBytes = 1 << 20
 
-// HandleFront registers f's client routes on routes: GET /search?q= for
-// third-party (curl/wget) clients, POST /handshake and POST /secure for
-// brokers.
+// HandleFront registers f's client routes on routes: POST /handshake and
+// POST /secure, the two calls a broker makes.
 func HandleFront(routes *http.ServeMux, f Front) {
-	routes.HandleFunc("/search", frontHandler(f, mux.KindPlain))
 	routes.HandleFunc("/handshake", frontHandler(f, mux.KindHandshake))
 	routes.HandleFunc("/secure", frontHandler(f, mux.KindSecure))
 }
@@ -138,35 +122,25 @@ func HandleFront(routes *http.ServeMux, f Front) {
 // frontHandler is the HTTP form of one call kind.
 func frontHandler(f Front, kind byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var query string
-		var body []byte
-		if kind == mux.KindPlain {
-			// The query reaches the enclave as sent: padding is part of
-			// the history and cache key.
-			query = r.URL.Query().Get("q")
-		} else {
-			if r.Method != http.MethodPost {
-				http.Error(w, "POST required", http.StatusMethodNotAllowed)
-				return
-			}
-			// A body that cannot be read (over the cap, cut short) goes on
-			// as no body, which ServeCall refuses as it does a bad one.
-			body, _ = serve.ReadBody(nil, r.Body, r.ContentLength, maxBodyBytes)
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+			return
 		}
-		reply, err := ServeCall(r.Context(), f, kind, query, body)
+		// A body that cannot be read (over the cap, cut short) goes on as
+		// no body, which ServeCall refuses as it does a bad one.
+		body, _ := serve.ReadBody(nil, r.Body, r.ContentLength, maxBodyBytes)
+		reply, err := ServeCall(r.Context(), f, kind, body)
 		if err != nil {
-			status, msg := http.StatusBadGateway, err.Error()
+			status := http.StatusBadGateway
 			var bad BadRequest
 			if errors.As(err, &bad) {
 				status = http.StatusBadRequest
-				if kind == mux.KindPlain {
-					msg = "missing q parameter"
-				}
+				// Refused before run could count it: a node error.
 				if p, ok := f.(*Proxy); ok {
-					p.countRefused(kind)
+					p.errors.Add(1)
 				}
 			}
-			http.Error(w, msg, status)
+			http.Error(w, err.Error(), status)
 			return
 		}
 		if kind == mux.KindSecure {
@@ -178,14 +152,4 @@ func frontHandler(f Front, kind byte) http.HandlerFunc {
 		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
 		_, _ = w.Write(reply)
 	}
-}
-
-// countRefused keeps the node's counters for a client call refused at the
-// front, before run could count it: a refused plain search is a request
-// and an error, a malformed handshake or secure body an error.
-func (p *Proxy) countRefused(kind byte) {
-	if kind == mux.KindPlain {
-		p.requests.Add(1)
-	}
-	p.errors.Add(1)
 }

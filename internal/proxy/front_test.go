@@ -7,9 +7,11 @@ import (
 )
 
 // The node's HTTP front keeps what its per-route handlers did before they
-// became one: refused calls are counted, a padded query reaches the
-// enclave as sent, and a well-formed secure body for a session the node
-// does not know is the node's failure (502), not the client's.
+// became one: refused calls are counted, and a well-formed secure body for
+// a session the node does not know is the node's failure (502), not the
+// client's. It serves no plain query: GET /search is not a route, and a
+// probe of it reaches no request counter. A padded query reaches the
+// enclave as sent.
 func TestHTTPFrontKeepsNodeBehaviour(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.CacheBytes = 1 << 20 })
 	base := st.proxy.URL()
@@ -22,27 +24,27 @@ func TestHTTPFrontKeepsNodeBehaviour(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	if got := status(http.Get(base + "/search?q=+")); got != http.StatusBadRequest {
-		t.Errorf("blank q: status %d, want 400", got)
+	if got := status(http.Get(base + "/search?q=chicken+recipe")); got != http.StatusNotFound {
+		t.Errorf("GET /search: status %d, want 404", got)
 	}
-	if s := st.proxy.Stats(); s.Requests != 1 || s.Errors != 1 {
-		t.Errorf("blank q counted requests=%d errors=%d, want 1 and 1", s.Requests, s.Errors)
+	if s := st.proxy.Stats(); s.Requests != 0 || s.Errors != 0 {
+		t.Errorf("GET /search counted requests=%d errors=%d, want 0 and 0", s.Requests, s.Errors)
 	}
 	for _, route := range []string{"/handshake", "/secure"} {
 		if got := status(http.Post(base+route, "application/json", strings.NewReader("{"))); got != http.StatusBadRequest {
 			t.Errorf("%s malformed body: status %d, want 400", route, got)
 		}
 	}
-	if s := st.proxy.Stats(); s.Requests != 1 || s.Errors != 3 {
-		t.Errorf("malformed bodies counted requests=%d errors=%d, want 1 and 3", s.Requests, s.Errors)
+	if s := st.proxy.Stats(); s.Requests != 0 || s.Errors != 2 {
+		t.Errorf("malformed bodies counted requests=%d errors=%d, want 0 and 2", s.Requests, s.Errors)
 	}
 
 	if got, _ := postSecure(t, base, "nope", []byte("not a record")); got != http.StatusBadGateway {
 		t.Errorf("secure body for an unknown session: status %d, want 502", got)
 	}
 
-	plainSearch(t, base, "chicken recipe")
-	plainSearch(t, base, " chicken recipe ")
+	plainSearch(t, st.proxy, "chicken recipe")
+	plainSearch(t, st.proxy, " chicken recipe ")
 	if s := st.proxy.Stats(); s.CacheHits != 0 || s.CacheMisses != 2 {
 		t.Errorf("padded query: cache hits=%d misses=%d, want 0 and 2 (padding is part of the key)", s.CacheHits, s.CacheMisses)
 	}

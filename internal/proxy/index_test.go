@@ -15,14 +15,14 @@ import (
 
 func TestIndexServesRephrasedQueries(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.IndexBytes = 1 << 20 })
-	first := plainSearch(t, st.proxy.URL(), "chicken recipe oven baking")
+	first := plainSearch(t, st.proxy, "chicken recipe oven baking")
 	if len(first) == 0 {
 		t.Fatal("seed query returned no results; nothing to index")
 	}
 	seen := len(st.engine.QueryLog())
 	// Rephrased, not repeated: a different string (so no exact-key cache
 	// could serve it) sharing the seed query's terms.
-	second := plainSearch(t, st.proxy.URL(), "baking oven chicken recipe")
+	second := plainSearch(t, st.proxy, "baking oven chicken recipe")
 	if got := len(st.engine.QueryLog()); got != seen {
 		t.Errorf("engine saw %d queries after rephrase, want %d (index hit)", got, seen)
 	}
@@ -49,8 +49,8 @@ func TestIndexProbeOrderCacheFirst(t *testing.T) {
 		c.CacheBytes = 1 << 20
 		c.IndexBytes = 1 << 20
 	})
-	plainSearch(t, st.proxy.URL(), "mortgage refinance rates")
-	plainSearch(t, st.proxy.URL(), "mortgage refinance rates")
+	plainSearch(t, st.proxy, "mortgage refinance rates")
+	plainSearch(t, st.proxy, "mortgage refinance rates")
 	s := st.proxy.Stats()
 	if s.CacheHits != 1 {
 		t.Errorf("cache hits = %d, want 1 (exact repeat)", s.CacheHits)
@@ -73,9 +73,9 @@ func TestIndexConfidenceFloorFallsThrough(t *testing.T) {
 		c.IndexBytes = 1 << 20
 		c.IndexMinScore = 1e9 // unreachable floor
 	})
-	plainSearch(t, st.proxy.URL(), "chicken recipe oven baking")
+	plainSearch(t, st.proxy, "chicken recipe oven baking")
 	seen := len(st.engine.QueryLog())
-	plainSearch(t, st.proxy.URL(), "baking oven chicken recipe")
+	plainSearch(t, st.proxy, "baking oven chicken recipe")
 	if got := len(st.engine.QueryLog()); got == seen {
 		t.Error("sub-floor probe served locally; want upstream fall-through")
 	}

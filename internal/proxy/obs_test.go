@@ -19,7 +19,7 @@ import (
 func TestMetricsEndpointServesPromText(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.Observability = true })
 	for i := 0; i < 3; i++ {
-		plainSearch(t, st.proxy.URL(), queryN("metrics endpoint", i))
+		plainSearch(t, st.proxy, queryN("metrics endpoint", i))
 	}
 	resp, err := http.Get(st.proxy.URL() + "/metrics")
 	if err != nil {
@@ -69,7 +69,7 @@ func TestMetricsEndpointServesPromText(t *testing.T) {
 
 func TestEventsEndpointServesJSON(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.Observability = true })
-	plainSearch(t, st.proxy.URL(), "events endpoint probe")
+	plainSearch(t, st.proxy, "events endpoint probe")
 	resp, err := http.Get(st.proxy.URL() + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestEventsEndpointServesJSON(t *testing.T) {
 // serves an empty array rather than an error.
 func TestMetricsWithoutObservability(t *testing.T) {
 	st := newTestStack(t, nil)
-	plainSearch(t, st.proxy.URL(), "no obs metrics")
+	plainSearch(t, st.proxy, "no obs metrics")
 	resp, err := http.Get(st.proxy.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestStageCoverageAcrossPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newTestStack(t, tc.mutate)
 			for i := 0; i < 8; i++ {
-				plainSearch(t, st.proxy.URL(), queryN("stage coverage "+tc.name, i))
+				plainSearch(t, st.proxy, queryN("stage coverage "+tc.name, i))
 			}
 			stages := st.proxy.StageSnapshots()
 			for _, stage := range tc.want {
@@ -190,7 +190,7 @@ func covered(m map[string]metrics.LatencySnapshot) []string {
 // layer pays nothing and exposes nothing.
 func TestStageSnapshotsNilWithoutObservability(t *testing.T) {
 	st := newTestStack(t, nil)
-	plainSearch(t, st.proxy.URL(), "zero cost path")
+	plainSearch(t, st.proxy, "zero cost path")
 	if got := st.proxy.StageSnapshots(); got != nil {
 		t.Errorf("StageSnapshots with obs off = %v, want nil", got)
 	}
@@ -203,7 +203,7 @@ func TestStageSnapshotsNilWithoutObservability(t *testing.T) {
 // alone) enables the ring without the stage tracing.
 func TestEventLogSizeAloneEnablesRing(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.EventLogSize = 16 })
-	plainSearch(t, st.proxy.URL(), "ring only")
+	plainSearch(t, st.proxy, "ring only")
 	if st.proxy.Events() == nil {
 		t.Fatal("EventLogSize > 0 but no ring")
 	}

@@ -42,7 +42,7 @@ func TestHistoryPersistsAcrossRestart(t *testing.T) {
 
 	p1 := startEcho(t, statePath, seed)
 	for _, q := range []string{"alpha query", "beta query", "gamma query"} {
-		plainSearch(t, p1.URL(), q)
+		plainSearch(t, p1, q)
 	}
 	if got := p1.Stats().HistoryLen; got != 3 {
 		t.Fatalf("history len before shutdown = %d", got)
@@ -75,7 +75,7 @@ func TestHistoryPersistsAcrossRestart(t *testing.T) {
 func TestPersistedStateUnreadableOnOtherMachine(t *testing.T) {
 	statePath := filepath.Join(t.TempDir(), "history.sealed")
 	p1 := startEcho(t, statePath, []byte("machine-a"))
-	plainSearch(t, p1.URL(), "some query")
+	plainSearch(t, p1, "some query")
 	shutdown(t, p1)
 
 	// A different platform (different fuse key) cannot unseal: New fails.
@@ -122,7 +122,7 @@ func TestUpgradedBuildRestoresState(t *testing.T) {
 	seed := []byte("same-machine")
 
 	p1 := startEcho(t, statePath, seed)
-	plainSearch(t, p1.URL(), "persisted query")
+	plainSearch(t, p1, "persisted query")
 	shutdown(t, p1)
 
 	// "Upgrade": different k changes the measurement but not the signer.

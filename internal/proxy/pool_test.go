@@ -287,7 +287,7 @@ func TestPoolConcurrentCheckoutCheckin(t *testing.T) {
 func TestPooledFetchReusesConnections(t *testing.T) {
 	st := newTestStack(t, nil) // pooling is on by default
 	for i := 0; i < 5; i++ {
-		plainSearch(t, st.proxy.URL(), fmt.Sprintf("chicken recipe %d", i))
+		plainSearch(t, st.proxy, fmt.Sprintf("chicken recipe %d", i))
 	}
 	s := st.proxy.Stats()
 	if s.PoolReuses == 0 {
@@ -304,7 +304,7 @@ func TestPooledFetchReusesConnections(t *testing.T) {
 func TestPoolDisabledDialsPerRequest(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.PoolSize = -1 })
 	for i := 0; i < 3; i++ {
-		plainSearch(t, st.proxy.URL(), "chicken recipe")
+		plainSearch(t, st.proxy, "chicken recipe")
 	}
 	s := st.proxy.Stats()
 	if s.PoolReuses != 0 || s.PoolDials != 0 || s.PoolIdle != 0 {
@@ -317,9 +317,9 @@ func TestPoolDisabledDialsPerRequest(t *testing.T) {
 
 func TestCacheServesRepeatsWithoutEngine(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.CacheBytes = 1 << 20 })
-	first := plainSearch(t, st.proxy.URL(), "chicken recipe dinner")
+	first := plainSearch(t, st.proxy, "chicken recipe dinner")
 	seen := len(st.engine.QueryLog())
-	second := plainSearch(t, st.proxy.URL(), "chicken recipe dinner")
+	second := plainSearch(t, st.proxy, "chicken recipe dinner")
 	if got := len(st.engine.QueryLog()); got != seen {
 		t.Errorf("engine saw %d queries after repeat, want %d (cache hit)", got, seen)
 	}
@@ -340,7 +340,7 @@ func TestCacheServesRepeatsWithoutEngine(t *testing.T) {
 func TestCacheChargedToEPC(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.CacheBytes = 1 << 20 })
 	for i := 0; i < 4; i++ {
-		plainSearch(t, st.proxy.URL(), fmt.Sprintf("distinct cached query %d", i))
+		plainSearch(t, st.proxy, fmt.Sprintf("distinct cached query %d", i))
 	}
 	s := st.proxy.Stats()
 	if s.CacheB == 0 {
@@ -357,10 +357,10 @@ func TestCacheExpiryRefetches(t *testing.T) {
 		c.CacheBytes = 1 << 20
 		c.CacheTTL = 30 * time.Millisecond
 	})
-	plainSearch(t, st.proxy.URL(), "chicken recipe")
+	plainSearch(t, st.proxy, "chicken recipe")
 	seen := len(st.engine.QueryLog())
 	time.Sleep(50 * time.Millisecond)
-	plainSearch(t, st.proxy.URL(), "chicken recipe")
+	plainSearch(t, st.proxy, "chicken recipe")
 	if got := len(st.engine.QueryLog()); got == seen {
 		t.Error("expired entry served from cache")
 	}

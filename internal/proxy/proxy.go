@@ -1129,10 +1129,11 @@ func (p *Proxy) StageSnapshots() map[string]metrics.LatencySnapshot {
 }
 
 // ServeQuery runs one plain query through the full enclave pipeline
-// (ecall -> Algorithm 1 -> engine fetch or echo -> Algorithm 2), bypassing
-// the HTTP front. The capacity experiments use it to measure the proxy's
-// processing limit without the host network stack in the way, as the
-// paper's wrk2-on-bare-metal setup does.
+// (ecall -> Algorithm 1 -> engine fetch or echo -> Algorithm 2). It is an
+// in-process entry point, not a client edge: no route reaches it. The
+// capacity experiments use it to measure the proxy's processing limit
+// without the host network stack in the way, as the paper's
+// wrk2-on-bare-metal setup does.
 func (p *Proxy) ServeQuery(ctx context.Context, query string) ([]core.Result, error) {
 	reply, err := p.run(ctx, envelope{Type: typePlain, Query: query})
 	return reply.Results, err

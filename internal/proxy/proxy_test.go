@@ -58,18 +58,12 @@ func newTestStack(t *testing.T, mutate func(*Config)) *testStack {
 	return &testStack{engine: engine, engineSrv: engineSrv, proxy: p}
 }
 
-func plainSearch(t *testing.T, baseURL, q string) []core.Result {
+// plainSearch runs q through p's in-process entry point and fails the
+// test on an error.
+func plainSearch(t *testing.T, p *Proxy, q string) []core.Result {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/search?q=" + strings.ReplaceAll(q, " ", "+"))
+	results, err := p.ServeQuery(context.Background(), q)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var results []core.Result
-	if err := json.NewDecoder(resp.Body).Decode(&results); err != nil {
 		t.Fatal(err)
 	}
 	return results
@@ -88,11 +82,11 @@ func TestPlainSearchEndToEnd(t *testing.T) {
 	st := newTestStack(t, nil)
 	// Warm the history so obfuscation has fakes.
 	for i, q := range []string{"mortgage rates", "chicken recipe", "playoff scores"} {
-		results := plainSearch(t, st.proxy.URL(), q)
+		results := plainSearch(t, st.proxy, q)
 		_ = results
 		_ = i
 	}
-	results := plainSearch(t, st.proxy.URL(), "flights paris hotel")
+	results := plainSearch(t, st.proxy, "flights paris hotel")
 	if len(results) == 0 {
 		t.Fatal("no results for warm query")
 	}
@@ -117,10 +111,10 @@ func TestEngineSeesObfuscatedQueriesOnly(t *testing.T) {
 	st := newTestStack(t, nil)
 	// Issue a few queries to populate history, then the sensitive one.
 	for _, q := range []string{"mortgage refinance", "garden roses", "divorce attorney"} {
-		plainSearch(t, st.proxy.URL(), q)
+		plainSearch(t, st.proxy, q)
 	}
 	sensitive := "hiv symptoms clinic"
-	plainSearch(t, st.proxy.URL(), sensitive)
+	plainSearch(t, st.proxy, sensitive)
 
 	logs := st.engine.QueryLog()
 	if len(logs) == 0 {
@@ -139,18 +133,6 @@ func TestEngineSeesObfuscatedQueriesOnly(t *testing.T) {
 	}
 }
 
-func TestPlainSearchBadRequest(t *testing.T) {
-	st := newTestStack(t, nil)
-	resp, err := http.Get(st.proxy.URL() + "/search?q=")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d", resp.StatusCode)
-	}
-}
-
 func TestEchoMode(t *testing.T) {
 	p, err := New(Config{K: 2, EchoMode: true, Seed: 1})
 	if err != nil {
@@ -164,7 +146,7 @@ func TestEchoMode(t *testing.T) {
 		defer cancel()
 		_ = p.Shutdown(ctx)
 	}()
-	results := plainSearch(t, p.URL(), "any query at all")
+	results := plainSearch(t, p, "any query at all")
 	if len(results) != 0 {
 		t.Errorf("echo mode returned results: %v", results)
 	}
@@ -175,7 +157,7 @@ func TestEchoMode(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	st := newTestStack(t, nil)
-	plainSearch(t, st.proxy.URL(), "chicken recipe")
+	plainSearch(t, st.proxy, "chicken recipe")
 	resp, err := http.Get(st.proxy.URL() + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +179,7 @@ func TestHistoryChargedToEPC(t *testing.T) {
 	st := newTestStack(t, nil)
 	before := st.proxy.Stats().Enclave.HeapBytes
 	for i := 0; i < 10; i++ {
-		plainSearch(t, st.proxy.URL(), fmt.Sprintf("distinct query number %d", i))
+		plainSearch(t, st.proxy, fmt.Sprintf("distinct query number %d", i))
 	}
 	after := st.proxy.Stats().Enclave.HeapBytes
 	if after <= before {
@@ -232,14 +214,8 @@ func TestConcurrentPlainSearches(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				resp, err := http.Get(st.proxy.URL() + "/search?q=chicken+recipe")
-				if err != nil {
+				if _, err := st.proxy.ServeQuery(context.Background(), "chicken recipe"); err != nil {
 					errs <- err
-					return
-				}
-				_ = resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("status %d", resp.StatusCode)
 					return
 				}
 			}

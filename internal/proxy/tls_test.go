@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"context"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -109,12 +108,7 @@ func TestBadEngineCertRejected(t *testing.T) {
 // for the refactored fetch path).
 func TestPlainHTTPStillWorks(t *testing.T) {
 	st := newTestStack(t, nil)
-	resp, err := http.Get(st.proxy.URL() + "/search?q=chicken+recipe")
-	if err != nil {
+	if _, err := st.proxy.ServeQuery(context.Background(), "chicken recipe"); err != nil {
 		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
 	}
 }

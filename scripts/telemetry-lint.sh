@@ -83,6 +83,17 @@ for c in $consts; do
     esac
 done
 
+# 6. No client query reaches the host in the clear: the node's and the
+#    gateway's client edges serve sealed calls only, so no non-test file in
+#    internal/proxy or internal/fleet registers a /search route or reads a
+#    q parameter (the gateway's admin ?shard= selector stays legal).
+out=$(grep -rnE 'Handle(Func)?\("/search|Query\(\)\.Get\("q"\)|FormValue\("q"\)' \
+    internal/proxy internal/fleet --include='*.go' | grep -v '_test.go')
+if [ -n "$out" ]; then
+    echo "$out"
+    note "a client edge takes a plaintext query (/search route or q parameter)"
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "telemetry-lint: FAILED" >&2
     exit 1

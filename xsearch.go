@@ -335,8 +335,9 @@ func (p *Proxy) Stats() Stats { return p.inner.Stats() }
 // sessions are pinned to shards by rendezvous hashing (each user's
 // obfuscation always draws from the same in-enclave history window), dead
 // shards fail over to the next-ranked live one, and a planned Drain hands
-// a shard's history to its successor as a sealed blob. It serves the same
-// HTTP surface as a single Proxy, so brokers point at a fleet unchanged.
+// a shard's history to its successor as a sealed blob. Its client edge is a
+// single Proxy's (POST /handshake, POST /secure), so brokers point at a
+// fleet unchanged.
 type Fleet struct {
 	inner *fleet.Gateway
 }
@@ -423,8 +424,8 @@ func (f *Fleet) Start(addr string) error { return f.inner.Start(addr) }
 // StartMux serves the multiplexed raw-TCP client edge on addr: one
 // long-lived framed connection per client host carries every sealed call
 // (handshakes and secure records) instead of one HTTP connection per
-// request. Plain queries stay on the HTTP front's GET /search; the mux
-// edge refuses them. It fails after Shutdown.
+// request. Like the HTTP front, it carries no query in the clear. It fails
+// after Shutdown.
 func (f *Fleet) StartMux(addr string) error { return f.inner.StartMux(addr) }
 
 // MuxAddr returns the raw-TCP mux edge's bound address after StartMux.
