@@ -79,8 +79,6 @@ func run() error {
 		upstreamBst = flag.Int("upstream-burst", 0, "per-upstream token-bucket burst depth (0=ceil(rps))")
 		asyncOcalls = flag.Bool("async", false, "async ocall pipeline: switchless engine fetches, TCS released during the round trip")
 		pipeDepth   = flag.Int("pipeline-depth", 0, "concurrently staged requests in the async pipeline (0=default 64)")
-		hedgeDelay  = flag.Duration("hedge-delay", 0, "hedge a pipelined fetch after this delay (0=p95-derived; needs -hedge-max)")
-		hedgeMax    = flag.Int("hedge-max", 0, "max hedge fetches per request (0=hedging off; needs -async)")
 		fetchWait   = flag.Duration("fetch-timeout", 0, "deadline over one whole engine fetch, blocking or async: a hung upstream fails (and counts against its breaker) after this (0=off)")
 		batchMax    = flag.Int("batch-max", 0, "coalesce up to this many admitted requests into one vectorized ecall (0=off, min 2; needs -async)")
 		batchWindow = flag.Duration("batch-window", 0, "how long a partially filled batch waits for more requests (0=default 200µs; needs -batch-max)")
@@ -117,20 +115,11 @@ func run() error {
 	if *upstreamRPS > 0 {
 		opts = append(opts, xsearch.WithUpstreamRateLimit(*upstreamRPS, *upstreamBst))
 	}
-	if *hedgeMax > 0 && !*asyncOcalls {
-		return fmt.Errorf("-hedge-max requires -async")
-	}
-	if *hedgeDelay != 0 && *hedgeMax <= 0 {
-		return fmt.Errorf("-hedge-delay has no effect without -hedge-max")
-	}
 	if *pipeDepth != 0 && !*asyncOcalls {
 		return fmt.Errorf("-pipeline-depth has no effect without -async")
 	}
 	if *asyncOcalls {
 		opts = append(opts, xsearch.WithAsyncOcalls(*pipeDepth))
-	}
-	if *hedgeMax > 0 {
-		opts = append(opts, xsearch.WithHedging(*hedgeDelay, *hedgeMax))
 	}
 	if *fetchWait > 0 {
 		opts = append(opts, xsearch.WithFetchTimeout(*fetchWait))
@@ -247,8 +236,7 @@ func run() error {
 			st.LatencyP50, st.LatencyP95, st.LatencyP99, st.LatencyCount)
 	}
 	if st.AsyncSubmitted > 0 {
-		fmt.Printf("pipeline: %d async fetches (%d completed); hedges: %d issued, %d won, %d cancelled\n",
-			st.AsyncSubmitted, st.AsyncCompleted, st.HedgeAttempts, st.HedgeWins, st.HedgeCancelled)
+		fmt.Printf("pipeline: %d async fetches (%d completed)\n", st.AsyncSubmitted, st.AsyncCompleted)
 	}
 	if st.BatchesSubmitted > 0 {
 		fmt.Printf("batching: %d vectorized ecalls, request-batch occupancy p50=%.0f p95=%.0f\n",
@@ -341,8 +329,7 @@ func runFleet(spec fleetSpec, addr string, k, history int, drainWait time.Durati
 			st.CurrentShards, st.ScaleUps, st.ScaleDowns, st.LastScaleDecision)
 	}
 	if st.AsyncSubmitted > 0 {
-		fmt.Printf("pipeline: %d async fetches; hedges: %d issued, %d won, %d cancelled; worst shard p99 %v\n",
-			st.AsyncSubmitted, st.HedgeAttempts, st.HedgeWins, st.HedgeCancelled, st.LatencyP99Max)
+		fmt.Printf("pipeline: %d async fetches; worst shard p99 %v\n", st.AsyncSubmitted, st.LatencyP99Max)
 	}
 	for _, ss := range st.Shards {
 		fmt.Printf("shard %d: alive=%t sessions=%d requests=%d history=%d/%dB heap=%dB\n",

@@ -174,21 +174,14 @@
 // goroutines, paying no boundary transition) and RETURNED from the ecall,
 // so obfuscation and filtering of request N+1 overlap the engine wait of
 // request N. The completion re-enters through "resume", which does the
-// breaker accounting and, for the winning response, settle and reply
+// breaker accounting and failover, or, for a response, settle and reply
 // (the cache charged exactly once per flight); coalesced followers'
 // replies ride the same "resume", each sealed on its own session. With few
 // TCS and a realistic engine latency parking multiplies throughput several
-// times over.
-//
-// On the same seam, WithHedging races slow upstreams: when a fetch has
-// not answered after a configurable delay — or, by default, after the
-// primary upstream's observed p95 fetch latency — the enclave re-issues
-// it to the next healthy upstream and the first response wins. The loser
-// is cancelled without touching its breaker, failed attempts each count
-// against their upstream exactly once, and coalesced followers never
-// hedge (only flight leaders own fetches). With one slow upstream in the
-// rotation, hedging collapses the p99 tail from the slow upstream's
-// latency to roughly hedge-delay plus the fast upstream's latency.
+// times over. A parked request has one fetch in flight at a time, as in
+// Algorithm 1: one engine holds its k+1 query, and only a failed attempt
+// fails over to the next upstream, each failure counted against its
+// upstream exactly once.
 // WithFetchTimeout is one absolute deadline over a whole fetch on both
 // engine stages: an upstream that accepts the connection but never
 // responds fails the fetch — and counts against its breaker — instead of
@@ -212,14 +205,14 @@
 // are not a batch about to form, and stop paying the window after one
 // empty one. Under real load batching improves latency as well as
 // throughput, because requests stop queueing behind other requests'
-// transition spins. Each batch entry parks individually, so hedges,
+// transition spins. Each batch entry parks individually, so failover,
 // coalescing and abandonment work unchanged. The repository benchmark's
 // `pipeline` workload runs this configuration (async, batched, two TLS
 // engines, 2 TCS).
 //
 // Proxy.Stats reports the node gauges (per-upstream pool reuse, breaker
 // and rate-limit state in Stats.Upstreams — sorted by host for stable
-// diffs — cache hit ratio, coalesce ratio, async/hedge counters, and
+// diffs — cache hit ratio, coalesce ratio, async counters, and
 // p50/p95/p99 query latency from a fixed-bucket histogram, and
 // batch-submission counts with request-batch occupancy percentiles) and
 // Fleet.Stats aggregates them across shards next to the gateway's routing
@@ -267,8 +260,8 @@
 // scrapes learns nothing SimAttack could use.
 //
 // The layer has four parts. Per-request stage tracing records each hot
-// path stage — admit, obfuscate, probe, submit, fetch, hedge, resume,
-// filter, reply — into fixed-bucket per-stage latency histograms,
+// path stage — admit, obfuscate, probe, submit, fetch, resume, filter,
+// reply — into fixed-bucket per-stage latency histograms,
 // exported only as aggregates (per-request events never exist, so they
 // cannot leak). A Prometheus text-format /metrics endpoint on the proxy
 // admin mux exports the full Stats surface; the fleet gateway serves a
@@ -277,7 +270,7 @@
 // selector, which /stats also honors. A structured event log
 // ring-buffers JSON events for fleet lifecycle transitions — scale
 // decisions with their DecideScale inputs, scale-ups/downs, drains,
-// kills, shard deaths, failovers, breaker transitions, hedge fires —
+// kills, shard deaths, failovers, breaker transitions —
 // exposed via /events and optionally streamed to stderr (-log-json);
 // WithEventLog sizes the ring independently of the tracing. Fourth,
 // pprof handlers ride the admin mux (profiles describe the untrusted

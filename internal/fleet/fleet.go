@@ -105,8 +105,8 @@ type Config struct {
 	// Shards * 4096.
 	MaxSessions int
 	// EventLogSize caps the fleet-shared structured event ring (scale
-	// decisions, drains, kills, failovers, breaker transitions, hedges —
-	// see internal/obs). Zero means obs.DefaultLogCapacity when the log
+	// decisions, drains, kills, failovers, breaker transitions — see
+	// internal/obs). Zero means obs.DefaultLogCapacity when the log
 	// exists at all: the fleet creates one shared log when
 	// ShardConfig.Observability is set, EventLogSize is positive, or
 	// EventStream is non-nil, and injects it into every shard so the
@@ -333,7 +333,7 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 		sc.StatePath = fmt.Sprintf("%s-shard%d", g.cfg.ShardConfig.StatePath, idx)
 	}
 	// Every shard writes into the fleet-shared event ring under its stable
-	// index, so breaker/hedge events interleave with the gateway's scale
+	// index, so breaker events interleave with the gateway's scale
 	// and failover events in one causally-ordered stream. The proxy only
 	// builds a private log when it is handed none.
 	sc.EventLog = g.events

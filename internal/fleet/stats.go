@@ -78,14 +78,11 @@ type Stats struct {
 	IndexB        int64   `json:"index_bytes,omitempty"`
 	IndexHits     uint64  `json:"index_hits,omitempty"`
 	LocalHitRatio float64 `json:"local_hit_ratio,omitempty"`
-	// Async pipeline and hedging gauges, summed over live shards (zero
-	// when shards run the blocking path).
+	// Async pipeline gauges, summed over live shards (zero when shards run
+	// the blocking path).
 	AsyncSubmitted   uint64 `json:"async_submitted,omitempty"`
 	AsyncCompleted   uint64 `json:"async_completed,omitempty"`
 	PipelineInFlight int    `json:"pipeline_in_flight,omitempty"`
-	HedgeAttempts    uint64 `json:"hedge_attempts,omitempty"`
-	HedgeWins        uint64 `json:"hedge_wins,omitempty"`
-	HedgeCancelled   uint64 `json:"hedge_cancelled,omitempty"`
 	// Ecall batching gauges: vectorized boundary crossings summed over live
 	// shards, and the worst per-shard request-batch occupancy p95
 	// (occupancy distributions, like latency percentiles, do not merge).
@@ -180,9 +177,6 @@ func (g *Gateway) Stats() Stats {
 			s.AsyncSubmitted += ss.Proxy.AsyncSubmitted
 			s.AsyncCompleted += ss.Proxy.AsyncCompleted
 			s.PipelineInFlight += ss.Proxy.PipelineInFlight
-			s.HedgeAttempts += ss.Proxy.HedgeAttempts
-			s.HedgeWins += ss.Proxy.HedgeWins
-			s.HedgeCancelled += ss.Proxy.HedgeCancelled
 			s.BatchesSubmitted += ss.Proxy.BatchesSubmitted
 			if ss.Proxy.BatchOccupancyP95 > s.BatchOccupancyP95Max {
 				s.BatchOccupancyP95Max = ss.Proxy.BatchOccupancyP95
@@ -202,11 +196,6 @@ func (g *Gateway) Stats() Stats {
 				m.PoolReuses += u.PoolReuses
 				m.PoolDials += u.PoolDials
 				m.PoolEvicted += u.PoolEvicted
-				// Percentiles do not merge; keep the worst shard's view of
-				// this upstream's fetch tail.
-				if u.FetchP99 > m.FetchP99 {
-					m.FetchP50, m.FetchP95, m.FetchP99 = u.FetchP50, u.FetchP95, u.FetchP99
-				}
 				merged[u.Host] = m
 			}
 		}

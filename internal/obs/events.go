@@ -33,8 +33,6 @@ const (
 	// untrusted runtime dials it).
 	EvBreakerOpen  = "breaker_open"
 	EvBreakerClose = "breaker_close"
-	// EvHedge is a hedge fetch firing against a slow upstream.
-	EvHedge = "hedge"
 )
 
 // Event is one structured, content-free fleet event. The shape is
@@ -49,7 +47,7 @@ type Event struct {
 	Type   string `json:"type"`
 	// Shard is the subject shard's stable index (-1 when fleet-scoped).
 	Shard int `json:"shard"`
-	// Upstream is the engine host for breaker/hedge events.
+	// Upstream is the engine host for breaker events.
 	Upstream string `json:"upstream,omitempty"`
 	// Reason is a human-readable cause from a fixed format-string set
 	// (autoscaler decision reasons, drain causes). Numeric-bearing but

@@ -49,9 +49,12 @@ const (
 	// low buckets show the resumption hit rate.
 	StageTLSHandshake = "handshake"
 	// StageFetch is one successful engine exchange (pool checkout or dial
-	// through the last response byte), hedges included.
+	// through the last response byte).
 	StageFetch = "fetch"
-	// StageHedge is how long a request had waited when its hedge fired.
+	// StageHedge records nothing: the proxy no longer sends a query to a
+	// second engine. It stays in StageNames only because bench/metrics.go
+	// builds BENCHMARK.json's per-layer list from StageNames, and that list
+	// changes only with the benchmark.
 	StageHedge = "hedge"
 	// StageResume is the resume ecall's winner processing: parse, filter,
 	// cache charge, seal (trusted).

@@ -70,7 +70,7 @@ func TestMergeStagesSumsCountsTakesWorstTails(t *testing.T) {
 func TestLogOverflowOrderingAndSeq(t *testing.T) {
 	l := NewLog(8)
 	for i := 0; i < 20; i++ {
-		l.Append(Event{Type: EvHedge, Shard: i})
+		l.Append(Event{Type: EvBreakerOpen, Shard: i})
 	}
 	if l.Len() != 8 {
 		t.Fatalf("ring holds %d events, want 8", l.Len())

@@ -17,7 +17,7 @@ import (
 
 // Tests for the batched ecall seam: the wire framing, the group-commit
 // batcher, the vectorized request/resume handlers, and the edge cases the
-// batching work shook out of the hedging and abandon paths.
+// batching work shook out of the abandon paths.
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	cases := [][][]byte{
@@ -69,7 +69,8 @@ func TestBatchCodecHostileInput(t *testing.T) {
 
 // New() must reject every inconsistent batching shape, and the ring-sizing
 // floor must account for the batcher's burst submissions on top of the
-// pipeline's own PipelineDepth×(1+HedgeMax) need.
+// pipeline's own 2×PipelineDepth need (one attempt per request, one
+// close step each).
 func TestBatchConfigValidation(t *testing.T) {
 	base := func() Config {
 		return Config{K: 1, Engines: []EngineSpec{{Host: "127.0.0.1:1"}}}
@@ -124,7 +125,7 @@ func TestBatchConfigValidation(t *testing.T) {
 	}
 	// Ring sizing: the batcher can hold a TCS while bursting up to
 	// BatchMax submissions, so explicit worker/ring sizes must clear
-	// PipelineDepth*(1+HedgeMax) + BatchMax or stage-1 ecalls can block
+	// 2*PipelineDepth + BatchMax or stage-1 ecalls can block
 	// on a full ring while holding every TCS.
 	{
 		cfg := base()
@@ -362,84 +363,6 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 			t.Errorf("parked request %d marked done", id)
 		}
 	}
-}
-
-// Auto hedge-delay re-arm: after the first hedge goes to a different
-// upstream, the next hedge timer must be derived from THAT upstream's
-// latency profile — DefaultHedgeDelay while it is cold — not from the
-// primary's stale delay. Pre-fix, the re-arm reused the primary's derived
-// delay: with a warm fast primary sitting at the 1ms floor, the second
-// hedge fired ~1ms after the first, burning the hedge budget near-
-// instantly against a fresh upstream that had had no chance to answer.
-func TestHedgeRearmUsesHedgedUpstreamDelay(t *testing.T) {
-	_, slowA := newDelayEngine(t, 300*time.Millisecond)
-	_, slowB := newDelayEngine(t, 300*time.Millisecond)
-	_, fastC := newDelayEngine(t, 0)
-	p, err := New(Config{
-		K:    1,
-		Seed: 1,
-		Engines: []EngineSpec{
-			{Host: slowA.Addr()}, // weighted-ring slot 0: primary of request 1
-			{Host: slowB.Addr()}, // first hedge target: cold
-			{Host: fastC.Addr()}, // second hedge target
-		},
-		AsyncOcalls: true,
-		HedgeMax:    2,
-		// HedgeDelay zero: the p95-auto path under test.
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Crash()
-
-	// Warm the primary's histogram to a tiny p95 so its derived delay sits
-	// at the 1ms floor — the stale value the buggy re-arm reused.
-	f := p.conns.fetch
-	for i := 0; i < autoHedgeMinSamples; i++ {
-		f.record(slowA.Addr(), 100*time.Microsecond)
-	}
-	if d := p.hedgeDelayFor(slowA.Addr()); d != autoHedgeFloor {
-		t.Fatalf("warm primary delay = %v, want floor %v", d, autoHedgeFloor)
-	}
-	if d := p.hedgeDelayFor(slowB.Addr()); d != DefaultHedgeDelay {
-		t.Fatalf("cold upstream delay = %v, want default %v", d, DefaultHedgeDelay)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.ServeQuery(context.Background(), "cold rearm query")
-		done <- err
-	}()
-
-	// Hedge 1 fires ~1ms in (the warm primary's floor delay). Catch it,
-	// then hold: the re-arm against the cold upstream owes
-	// DefaultHedgeDelay (10ms), so hedge 2 must NOT land within the next
-	// few milliseconds. The buggy re-arm fired it ~1ms later.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Stats().HedgeAttempts < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first hedge never fired")
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	hold := time.Now().Add(5 * time.Millisecond)
-	for time.Now().Before(hold) {
-		if n := p.Stats().HedgeAttempts; n > 1 {
-			t.Fatalf("second hedge fired %v into the cold upstream's %v window: re-arm used the primary's stale delay",
-				DefaultHedgeDelay-time.Until(hold), DefaultHedgeDelay)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-
-	if err := <-done; err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	// The second hedge (to the fast upstream) eventually fired and won.
-	s := p.Stats()
-	if s.HedgeAttempts != 2 {
-		t.Errorf("hedge attempts = %d, want 2", s.HedgeAttempts)
-	}
-	assertEPCInvariant(t, p)
 }
 
 // Completion-batch delivery racing request abandon: batched stage-1 means a

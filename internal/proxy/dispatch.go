@@ -18,9 +18,9 @@ import (
 // the enclave, drains the enclave's completion ring through a pool of
 // resume workers (each re-entering the enclave with the completions it
 // found ready), routes outcomes back to the waiting request goroutines,
-// arms hedge timers, and aborts hedge losers. Nothing here is trusted — it
-// moves opaque descriptors and timing around; every decision that matters
-// (candidate choice, winner arbitration, breaker accounting, sealing)
+// and aborts the fetches of abandoned requests. Nothing here is trusted —
+// it moves opaque descriptors and timing around; every decision that
+// matters (candidate choice, failover, breaker accounting, sealing)
 // happens inside the enclave.
 type pipelineRuntime struct {
 	p     *Proxy
@@ -218,19 +218,14 @@ func (pl *pipelineRuntime) routeResume(out []byte) {
 		return
 	}
 	// A terminal flight names its token on EVERY terminal shape — done,
-	// orphan, late loser — so the step handler's per-token state
+	// orphan, failover — so the step handler's per-token state
 	// (tombstone, conn binding) is dropped exactly once. Must run before
 	// the State gate: orphans terminate flights too.
-	fetch := pl.p.conns.fetch
 	if rr.DoneToken != 0 {
-		fetch.endFlight(rr.DoneToken)
+		pl.p.conns.fetch.endFlight(rr.DoneToken)
 	}
 	if rr.State != resumeDone {
 		return
-	}
-	// Abort the losers before delivering the win.
-	for _, tok := range rr.CancelTokens {
-		fetch.cancelFetch(tok)
 	}
 	pl.deliver(rr.PendingID, outcomeOf(rr.Reply, rr.Err))
 	for _, f := range rr.Followers {
@@ -270,10 +265,11 @@ func (pl *pipelineRuntime) deliver(id uint64, out pendingOutcome) {
 }
 
 // abandon tells the enclave that nobody waits for id any more and aborts
-// the fetches it cancelled for that: a lone leader's in-flight fetches are
+// the fetch it cancelled for that: a lone leader's in-flight fetch is
 // cancelled and its trusted entries freed — otherwise client-timeout storms
 // against an unresponsive upstream would accumulate fetches past the
-// PipelineDepth×(1+HedgeMax) bound the async sizing relies on.
+// PipelineDepth bound the async sizing relies on. Outside shutdown's
+// closeAll, it is the only way the runtime cancels a fetch.
 func (pl *pipelineRuntime) abandon(id uint64) {
 	var toks tokenList
 	out, err := pl.p.encl.ECall(context.Background(), "abandon", encodeID(id))
@@ -286,9 +282,9 @@ func (pl *pipelineRuntime) abandon(id uint64) {
 }
 
 // wait parks the calling request goroutine on ch until its final outcome
-// arrives, arming the hedge timer when the crossing's outcome says the
-// request parked and a hedge is worth having. Either way out the waiter
-// leaves the rendezvous. A caller that gives up leaves it BEFORE it
+// arrives — the crossing's own, or, when that one says the request parked,
+// the one a "resume" carries out. Either way out the waiter leaves the
+// rendezvous. A caller that gives up leaves it BEFORE it
 // abandons the request: if the request has not parked yet that abandon
 // finds nothing, and the Pending reply still on its way must find no
 // waiter either, so that deliver abandons it again.
@@ -299,11 +295,6 @@ func (pl *pipelineRuntime) wait(ctx context.Context, id uint64, ch chan pendingO
 			if out.final() {
 				pl.unregister(id)
 				return out.reply, out.err
-			}
-			if out.reply.CanHedge {
-				armed := time.Now()
-				timer := time.AfterFunc(pl.p.hedgeDelayFor(out.reply.Upstream), func() { pl.fireHedge(id, armed) })
-				defer timer.Stop()
 			}
 		case <-ctx.Done():
 			err = fmt.Errorf("proxy: pipelined request: %w", ctx.Err())
@@ -320,37 +311,6 @@ func (pl *pipelineRuntime) unregister(id uint64) {
 	pl.mu.Lock()
 	delete(pl.waiters, id)
 	pl.mu.Unlock()
-}
-
-// fireHedge asks the enclave to hedge a still-parked request; the enclave
-// decides (health, HedgeMax, flight state), the runtime only times. When
-// another hedge remains in budget, the timer re-arms against the upstream
-// the hedge actually went to — its own p95 when warm, the documented
-// DefaultHedgeDelay while cold. The primary's delay is stale at that
-// point: re-using it would fire the next hedge near-immediately when the
-// primary's history sits at the autoHedgeFloor, or effectively never when
-// its p95 towers over the fresh upstream's. A timer firing after the
-// request finalized gets a reply with Pending unset and the chain stops.
-func (pl *pipelineRuntime) fireHedge(id uint64, armed time.Time) {
-	select {
-	case <-pl.stop:
-		return
-	default:
-	}
-	var hr envelopeReply
-	out, err := pl.p.encl.ECall(context.Background(), "hedge", encodeID(id))
-	if err != nil || hr.decode(out) != nil || hr.Pending == 0 {
-		return
-	}
-	// The hedge stage measures how long the request waited on its primary
-	// before a hedge actually went out (timer arm → fire, for fires the
-	// enclave accepted).
-	pl.p.trusted.stages.Since(obs.StageHedge, armed)
-	if hr.CanHedge {
-		next := pl.p.hedgeDelayFor(hr.Upstream)
-		rearmed := time.Now()
-		time.AfterFunc(next, func() { pl.fireHedge(id, rearmed) })
-	}
 }
 
 // run serves one query envelope (plain or secure) and keeps the node's
@@ -404,37 +364,6 @@ func (p *Proxy) run(ctx context.Context, req envelope) (reply envelopeReply, err
 	}
 	return pl.wait(ctx, id, ch)
 }
-
-// hedgeDelayFor resolves the effective hedge delay for a request whose
-// primary fetch went to host: the configured HedgeDelay, or — when zero —
-// the p95 of host's observed fetch latency once enough samples exist
-// (hedging above p95 keeps the duplicate-request rate near 5%, the
-// tail-at-scale guidance), else DefaultHedgeDelay while cold.
-func (p *Proxy) hedgeDelayFor(host string) time.Duration {
-	if p.cfg.HedgeDelay > 0 {
-		return p.cfg.HedgeDelay
-	}
-	if f := p.conns.fetch; f != nil {
-		if h := f.latencyFor(host); h != nil && h.Count() >= autoHedgeMinSamples {
-			d := h.Percentile(95)
-			if d < autoHedgeFloor {
-				d = autoHedgeFloor
-			}
-			return d
-		}
-	}
-	return DefaultHedgeDelay
-}
-
-const (
-	// autoHedgeMinSamples is how many completed fetches an upstream needs
-	// before its p95 drives the hedge delay.
-	autoHedgeMinSamples = 16
-	// autoHedgeFloor keeps a very fast upstream's derived delay from
-	// collapsing to the histogram's microsecond floor and hedging every
-	// request.
-	autoHedgeFloor = time.Millisecond
-)
 
 // batchItem is one registered request riding the group-commit batcher:
 // its encoded envelope, and when it was queued.

@@ -32,14 +32,16 @@
 // crossing it arrived in, under every configuration.
 //
 // Parked requests live in the pending table (pipeline.go) under the id
-// the untrusted runtime minted for them before the crossing, and three
+// the untrusted runtime minted for them before the crossing, and two
 // ecalls carry everything that happens to a request between park and
 // reply: "resume" (1..N step completions, each routed to its flight by the
 // token that leads it; a flight's terminal step brings breaker accounting,
-// hedge arbitration, failover, the winner's settle, and the final reply of
-// the leader and of every coalesced follower — each sealed on its own
-// channel, none under the table lock), "hedge" (the runtime's timer asks
-// for a second attempt) and "abandon" (the caller has gone). The remaining
+// failover to the next upstream, the settle, and the final reply of the
+// leader and of every coalesced follower — each sealed on its own channel,
+// none under the table lock) and "abandon" (the caller has gone). A
+// request has at most one fetch in flight at any time: one engine holds
+// its k+1 query until that fetch ends, and only then may a failover send
+// it to the next. The remaining
 // ecalls are "init" and the sealed-state pairs "restore"/"snapshot"/"merge"
 // and "snapshot-index"/"merge-index". The untrusted half (dispatch.go)
 // admits requests, names them, batches crossings, drains completions into
@@ -69,12 +71,12 @@
 //	envelope ("request", entries of      binary     every request into the enclave, under the runtime's id
 //	  "request-batch")                              for it; byte fields alias the ecall argument, no []byte
 //	                                                is ever base64'd
-//	envelopeReply ("request", "hedge";   binary     ONE encoding of a reply on the blocking, batched and
-//	  nested in the two below)                      async-resume paths; parked, it is also "hedge"'s answer.
+//	envelopeReply ("request"; nested in  binary     ONE encoding of a reply on the blocking, batched and
+//	  the two below)                                async-resume paths; parked, it is the id alone.
 //	                                                A secure reply's Record is its last field and is sealed
 //	                                                inside the frame: one buffer, no plaintext copy outside it
 //	batchItemReply ("request-batch")     binary     an encoded envelopeReply, or the entry's error
-//	resumeReply ("resume")               binary     verdict, id, tokens, the leader's encoded envelopeReply
+//	resumeReply ("resume")               binary     verdict, id, done token, the leader's encoded envelopeReply
 //	                                                and one (id, envelopeReply or error) per follower
 //	batch framing (both batched ecalls)  binary     u32 count, u32 length per entry
 //	socket ocalls (sock_connect host:port binary    the paper's sock_* interface. A recv reads at most
@@ -86,8 +88,8 @@
 //	  entry of "resume")                            flight decodes the rest once — then eof/cancelled, the
 //	                                                error, and the bytes read (raw, aliasing the frame until
 //	                                                the flight's adapter copies them: the one trusted copy)
-//	"hedge" / "abandon" argument         binary     the request's id, eight little-endian bytes
-//	tokenList ("abandon" reply)          binary     the fetch tokens the runtime is to cancel
+//	"abandon" argument                   binary     the request's id, eight little-endian bytes
+//	tokenList ("abandon" reply)          binary     the fetch token the runtime is to cancel (none, or one)
 //	snapshot/merge replies, sealed       JSON       start-up and drain paths, never per query
 //	  history and index blobs
 //
@@ -123,9 +125,9 @@
 //     trusted coroutine that parks at each step while it crosses the
 //     switchless rings as one async "tls_step" ocall. The request waits in
 //     the pending table between steps — no TCS is held across network
-//     waits — which is what hedging, batched submission and abandon build
-//     on. A fresh TLS 1.3 exchange costs two ring round trips; a pooled
-//     one, and a plain one, cost one.
+//     waits — which is what batched submission and abandon build on. A
+//     fresh TLS 1.3 exchange costs two ring round trips; a pooled one, and
+//     a plain one, cost one.
 //
 // Config.FetchTimeout is an absolute deadline over the WHOLE fetch on
 // both paths — TCP connect, TLS handshake, request, and response — so a
@@ -134,7 +136,4 @@
 // under the dedicated "handshake" stage of the closed tracing stage
 // set; like every stage it leaves the enclave only as an aggregate
 // fixed-bucket histogram.
-//
-// Per-upstream fetch-latency histograms (the p95 source for adaptive
-// hedge delays) are fed by the exchange itself, one sample per success.
 package proxy

@@ -12,8 +12,8 @@ import (
 
 // Tests for Config.FetchTimeout: the engine exchange's absolute deadline.
 // An upstream that accepts connections but never responds used to pin a
-// TCS forever (blocking) or an async worker until a hedge winner, caller
-// abandonment, or shutdown cancelled the fetch; with a timeout set it
+// TCS forever (blocking) or an async worker until caller abandonment or
+// shutdown cancelled the fetch; with a timeout set it
 // fails fast and counts against the upstream's breaker.
 
 // startBlackholeUpstream listens and accepts (reading the request so the

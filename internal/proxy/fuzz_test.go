@@ -265,7 +265,7 @@ func FuzzTLSRecordAdapter(f *testing.F) {
 }
 
 // FuzzSeamCodec fuzzes the five binary seam decoders — envelope (hostile:
-// the untrusted runtime frames it), envelopeReply (also "hedge"'s reply),
+// the untrusted runtime frames it), envelopeReply (parked or final),
 // batchItemReply, resumeReply (with its follower replies) and "abandon"'s
 // tokenList. None may panic or size an allocation from a length the
 // input does not back; what one accepts must re-encode to exactly the
@@ -275,10 +275,10 @@ func FuzzSeamCodec(f *testing.F) {
 	secure := envelope{Type: typeSecure, Session: "0123456789abcdef0123456789abcdef", Record: []byte("sealed")}
 	plain := envelope{Type: typePlain, ID: 7, Query: "chicken recipe"}
 	results := envelopeReply{Results: []core.Result{{URL: "u", Title: "t", Snippet: "s"}, {}}}
-	parked := envelopeReply{Pending: 7, Upstream: "127.0.0.1:80", CanHedge: true}
+	parked := envelopeReply{Pending: 7}
 	hs := envelopeReply{Offer: []byte(`{"role":2}`), Session: "ab", ReportData: make([]byte, 64)}
 	followers := []followerReply{{ID: 4, Reply: results.encode()}, {ID: 5, Err: "proxy: unknown session"}}
-	done := resumeReply{State: resumeDone, PendingID: 3, Reply: results.encode(), Followers: followers, CancelTokens: []uint64{9}, DoneToken: 2}
+	done := resumeReply{State: resumeDone, PendingID: 3, Reply: results.encode(), Followers: followers, DoneToken: 2}
 	failed := resumeReply{State: resumeDone, PendingID: 3, Err: "proxy: engine status 500"}
 	item := batchItemReply{Reply: parked.encode()}
 	itemErr := batchItemReply{Err: "proxy: empty query"}
@@ -288,7 +288,7 @@ func FuzzSeamCodec(f *testing.F) {
 		{}, {typePlain}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
 		append(plain.encode(), 0xAA),                                     // trailing byte
 		{typePlain, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 'q'}, // length far past the input
-		append(make([]byte, 8+1+5*4), 0xFF, 0xFF, 0xFF, 0xFF),            // reply: result-count bomb
+		append(make([]byte, 8+3*4), 0xFF, 0xFF, 0xFF, 0xFF),              // reply: result-count bomb
 		append(make([]byte, 1+8+8+4+4), 0xFF, 0xFF, 0xFF, 0x0F),          // resume: follower-count bomb
 		{0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3, 4, 5, 6, 7, 8},                 // abandon: token-count bomb
 	} {

@@ -52,8 +52,6 @@ func WriteMetrics(w *obs.PromWriter, s Stats, labels ...string) {
 	w.Counter("xsearch_async_submitted_total", "Switchless fetch submissions.", float64(s.AsyncSubmitted), labels...)
 	w.Counter("xsearch_async_completed_total", "Switchless fetch completions serviced.", float64(s.AsyncCompleted), labels...)
 	w.Gauge("xsearch_pipeline_in_flight", "Currently staged pipeline requests.", float64(s.PipelineInFlight), labels...)
-	w.Counter("xsearch_hedge_attempts_total", "Hedge fetches issued.", float64(s.HedgeAttempts), labels...)
-	w.Counter("xsearch_hedge_wins_total", "Hedges that beat the primary.", float64(s.HedgeWins), labels...)
 	w.Counter("xsearch_batches_total", "Vectorized ecall crossings.", float64(s.BatchesSubmitted), labels...)
 
 	if s.LatencyCount > 0 {
@@ -75,7 +73,6 @@ func WriteMetrics(w *obs.PromWriter, s Stats, labels ...string) {
 			cooling = 1.0
 		}
 		w.Gauge("xsearch_upstream_breaker_open", "1 while the circuit breaker excludes this upstream.", cooling, ul...)
-		w.Gauge("xsearch_upstream_fetch_p95_seconds", "Observed fetch-latency p95 (hedge-delay input).", obs.Seconds(u.FetchP95), ul...)
 	}
 }
 

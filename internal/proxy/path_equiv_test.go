@@ -19,8 +19,8 @@ import (
 // Path equivalence as a property: the same seed and the same serial query
 // stream must look identical — to the engine and to the client — whichever
 // configuration of the request stage serves it (blocking, async, async +
-// batching, async + in-enclave TLS). ROADMAP aim 3: "the same k+1 shape on
-// sync/async/batched/hedged/TLS paths".
+// batching, async + in-enclave TLS). ROADMAP aim 3: the engine sees an
+// identically shaped k+1 obfuscated query on every path.
 
 // equivEngine fronts ONE searchengine.Engine with a plain and a TLS
 // listener. The engine's own QueryLog gives the engine-visible queries;

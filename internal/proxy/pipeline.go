@@ -13,10 +13,10 @@ import (
 )
 
 // This file is the trusted half of the async engine stage: the pending
-// table a request parks in, and the "resume", "hedge" and "abandon"
-// ecalls that act on it (doc.go has the stage table). While a
-// fetch is in flight NO enclave thread is occupied, so request N+1's
-// obfuscation/filtering overlaps request N's network wait — the
+// table a request parks in, and the "resume" and "abandon" ecalls that
+// act on it (doc.go has the stage table). While a fetch is in flight NO
+// enclave thread is occupied, so request N+1's obfuscation/filtering
+// overlaps request N's network wait — the
 // switchless/async-call design the SGX literature uses to beat transition
 // and TCS costs, applied to the paper's §6.3 bottleneck.
 //
@@ -27,20 +27,19 @@ import (
 // the EPC meter — the history, cache and index charges (the retained
 // state) happen in the shared stages.
 
-// pendingAttempt is one issued fetch of a parked request.
+// pendingAttempt is one issued fetch of a parked request: its primary,
+// or a failover after the one before it ended.
 type pendingAttempt struct {
 	p     *pendingReq
 	u     *upstream
 	token uint64
-	hedge bool // issued by the hedge ecall (vs primary or failover)
-	done  bool
 	// flight is the trusted coroutine driving this attempt's exchange
 	// (tlsasync.go); its completions are socket I/O steps. Immutable.
 	flight *tlsFlight
 }
 
-// pendingReq is one parked request: a leader (owns the fetch attempts) or
-// a coalesced follower (waits for its leader's results). Its id is the
+// pendingReq is one parked request: a leader (owns the fetch) or a
+// coalesced follower (waits for its leader's results). Its id is the
 // untrusted runtime's (envelope.ID).
 type pendingReq struct {
 	id      uint64
@@ -50,10 +49,12 @@ type pendingReq struct {
 	oq      core.ObfuscatedQuery
 	path    string
 
-	attempts []*pendingAttempt
-	tried    map[*upstream]bool
-	hedges   int
-	lastErr  string
+	// live is the request's one attempt in flight (leader only): a request
+	// never has two fetches out at once. Nil between a dead attempt and its
+	// failover, and once the request has left the table.
+	live    *pendingAttempt
+	tried   map[*upstream]bool
+	lastErr string
 
 	// done flips exactly once, under the table lock, when the request
 	// leaves the table: finalized, abandoned, or released — with errstr, its
@@ -108,11 +109,11 @@ func (ts *trustedState) nextCandidate(p *pendingReq) *upstream {
 
 // reserveAttempt registers a fetch attempt under the table lock BEFORE the
 // submission, so a completion can never arrive for an unknown token.
-func (ts *trustedState) reserveAttempt(p *pendingReq, u *upstream, hedge bool) *pendingAttempt {
+func (ts *trustedState) reserveAttempt(p *pendingReq, u *upstream) *pendingAttempt {
 	pt := ts.pending
 	pt.nextToken++
-	att := &pendingAttempt{p: p, u: u, token: pt.nextToken, hedge: hedge, flight: ts.newTLSFlight(pt.nextToken)}
-	p.attempts = append(p.attempts, att)
+	att := &pendingAttempt{p: p, u: u, token: pt.nextToken, flight: ts.newTLSFlight(pt.nextToken)}
+	p.live = att
 	p.tried[u] = true
 	pt.byToken[att.token] = att
 	return att
@@ -145,7 +146,7 @@ func (pt *pendingTable) launched(p *pendingReq, errstr string) {
 // unreserve rolls a reserved attempt back after a failed submission.
 func (pt *pendingTable) unreserve(att *pendingAttempt) {
 	pt.mu.Lock()
-	att.done = true
+	att.p.live = nil
 	delete(pt.byToken, att.token)
 	pt.mu.Unlock()
 	att.u.reportCancelled()
@@ -153,10 +154,9 @@ func (pt *pendingTable) unreserve(att *pendingAttempt) {
 
 // handleResume is the "resume" ecall: every completion the resume worker
 // had ready re-enters in one transition (one, on an unbatched proxy).
-// Each entry is resumed on its own — failover, hedge-loser accounting and
-// coalesced-follower replies keep their per-request semantics — so only
-// the EENTER pair is amortized, and the reply frames one resumeReply per
-// entry.
+// Each entry is resumed on its own — failover and coalesced-follower
+// replies keep their per-request semantics — so only the EENTER pair is
+// amortized, and the reply frames one resumeReply per entry.
 func (ts *trustedState) handleResume(env enclave.Env, arg []byte) ([]byte, error) {
 	blobs, err := decodeBatch(arg)
 	if err != nil {
@@ -194,101 +194,69 @@ func (ts *trustedState) resumeOne(env enclave.Env, arg []byte) resumeReply {
 
 // completeFetchLocked is a flight's terminal outcome taken into the
 // pending table. It performs the upstream accounting the blocking walk
-// does inline (breaker, served counters), arbitrates hedges (first success
-// wins), fails over when every outstanding attempt is gone, and on the
-// winning response settles the request and builds its final reply,
-// readying any coalesced followers.
-// Entered with the table lock HELD, att.done already set and its token
-// removed; the lock is released before returning.
+// does inline (breaker, served counters), fails over when the attempt
+// died, and on a response settles the request and builds its final reply,
+// readying any coalesced followers. Entered with the table lock HELD and
+// the attempt already released (the request has nothing in flight, and is
+// not done: every path that finishes a request releases its attempt
+// first); the lock is released before returning.
 func (ts *trustedState) completeFetchLocked(env enclave.Env, att *pendingAttempt, fr *fetchReply) resumeReply {
 	pt := ts.pending
 	p := att.p
 	if fr.Cancelled {
-		if !p.done && outstanding(p) == 0 {
-			// Not a hedge loser: the runtime cancelled the last live
-			// attempt of an unfinished request (closeAll during
-			// shutdown/crash racing live traffic). Fail over like a
-			// failure — but without breaker accounting, since the
-			// upstream never misbehaved — so the parked waiter gets a
-			// final reply instead of hanging until the drain deadline.
-			if p.lastErr == "" {
-				p.lastErr = fmt.Sprintf("proxy: engine %s: fetch cancelled", att.u.host)
-			}
-			rr := ts.failOverLocked(env, pt, p)
-			att.u.reportCancelled()
-			return rr
+		// The runtime cancelled the live attempt of an unfinished request
+		// (closeAll during shutdown/crash racing live traffic; an abandon
+		// would have released it). Fail over like a failure — but without
+		// breaker accounting, since the upstream never misbehaved — so the
+		// parked waiter gets a final reply instead of hanging until the
+		// drain deadline.
+		if p.lastErr == "" {
+			p.lastErr = fmt.Sprintf("proxy: engine %s: fetch cancelled", att.u.host)
 		}
-		wasDone := p.done
-		pt.mu.Unlock()
+		rr := ts.failOverLocked(env, pt, p)
 		att.u.reportCancelled()
-		if wasDone {
-			// Only a loser cancelled after the winner landed is a hedge
-			// cancellation; shutdown cancelling attempts of a still-live
-			// request (outstanding > 0) is not.
-			ts.hedgeCancelled.Add(1)
-		}
-		return resumeReply{State: resumeOrphan}
+		return rr
 	}
-	if p.done {
-		// Late loser that ran to completion before the runtime's cancel
-		// reached it: account the outcome (it is a genuine exchange
-		// result), nothing else to do.
-		pt.mu.Unlock()
-		ts.accountOutcome(att.u, fr)
-		return resumeReply{State: resumeOrphan}
-	}
-
 	if failMsg := fetchFailure(fr); failMsg != "" {
+		// The attempt failed: fail over immediately, like the blocking
+		// stage walking to the next upstream.
 		p.lastErr = fmt.Sprintf("proxy: engine %s: %s", att.u.host, failMsg)
-		if outstanding(p) > 0 {
-			// A hedge (or the primary) is still in flight; let it race on.
-			pt.mu.Unlock()
-			att.u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
-			return resumeReply{State: resumePending, PendingID: p.id}
-		}
-		// Last attempt standing failed: fail over immediately, like the
-		// blocking stage walking to the next upstream.
 		rr := ts.failOverLocked(env, pt, p)
 		att.u.reportFailure(time.Now(), ts.registry.threshold, ts.registry.cooldown)
 		return rr
 	}
 
-	// The attempt reached the engine. Claim the win under the lock so a
-	// racing second success becomes a late loser above.
+	// The attempt reached the engine: the request is done, and a new
+	// identical request no longer coalesces onto it.
 	p.done = true
-	cancelToks := cancelTokens(p)
 	pt.mu.Unlock()
 	att.u.reportSuccess()
 	att.u.served.Add(1)
-	if att.hedge {
-		ts.hedgeWins.Add(1)
-	}
 
 	resumeStart := time.Now()
 	results, err := ts.settle(env, p.oq, p.key, fr)
 
 	pt.mu.Lock()
-	rr := ts.finalizeLocked(pt, p, results, errString(err), cancelToks)
+	rr := ts.finalizeLocked(pt, p, results, errString(err))
 	ts.stages.Since(obs.StageResume, resumeStart)
 	return rr
 }
 
-// failOverLocked advances a live request whose last outstanding attempt
-// just died: issue a fetch to the next candidate upstream, or — none left
-// — finalize with the request's last error. Called with the table lock
-// held; the lock is released before returning (submitFetch must not run
-// under it).
+// failOverLocked advances a live request whose attempt just died: issue a
+// fetch to the next candidate upstream, or — none left — finalize with
+// the request's last error. Called with the table lock held; the lock is
+// released before returning (submitFetch must not run under it).
 func (ts *trustedState) failOverLocked(env enclave.Env, pt *pendingTable, p *pendingReq) resumeReply {
 	next := ts.nextCandidate(p)
 	if next == nil {
-		return ts.finalizeLocked(pt, p, nil, p.lastErr, nil)
+		return ts.finalizeLocked(pt, p, nil, p.lastErr)
 	}
-	att := ts.reserveAttempt(p, next, false)
+	att := ts.reserveAttempt(p, next)
 	pt.mu.Unlock()
 	if err := ts.submitFetch(env, p, att); err != nil {
 		pt.unreserve(att)
 		pt.mu.Lock()
-		return ts.finalizeLocked(pt, p, nil, err.Error(), nil)
+		return ts.finalizeLocked(pt, p, nil, err.Error())
 	}
 	return resumeReply{State: resumePending, PendingID: p.id}
 }
@@ -328,39 +296,11 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// outstanding counts a pending request's fetches still in flight.
-// Caller holds the table lock.
-func outstanding(p *pendingReq) int {
-	n := 0
-	for _, a := range p.attempts {
-		if !a.done {
-			n++
-		}
-	}
-	return n
-}
-
-// cancelTokens collects the tokens of still-outstanding attempts so the
-// runtime can abort the losers, aborting their flights first —
-// trusted-side, before the CancelTokens ever reach the runtime — so a
-// loser's coroutine is already unwinding when its socket dies.
-// Caller holds the table lock.
-func cancelTokens(p *pendingReq) []uint64 {
-	var toks []uint64
-	for _, a := range p.attempts {
-		if !a.done {
-			toks = append(toks, a.token)
-			a.flight.abort()
-		}
-	}
-	return toks
-}
-
 // finalizeLocked completes a leader: it and its followers leave the table,
 // and the resume reply carries the leader's final reply and each
 // follower's own. Entered with the table lock held; the lock is released
 // before any reply is built, so no seal runs under it.
-func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results []core.Result, errstr string, cancelToks []uint64) resumeReply {
+func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results []core.Result, errstr string) resumeReply {
 	p.done = true
 	followers := p.waiters
 	p.waiters = nil
@@ -374,7 +314,7 @@ func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results 
 	}
 	pt.mu.Unlock()
 
-	rr := resumeReply{State: resumeDone, PendingID: p.id, CancelTokens: cancelToks}
+	rr := resumeReply{State: resumeDone, PendingID: p.id}
 	reply, err := ts.finishReply(p.kind, p.session, results, errstr)
 	rr.Reply, rr.Err = reply, errString(err)
 	for _, w := range followers {
@@ -384,59 +324,18 @@ func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results 
 	return rr
 }
 
-// handleHedge is the "hedge" ecall: the runtime's hedge timer fired for a
-// parked request. The enclave decides — candidate health, HedgeMax, and
-// flight state are trusted concerns; only the TIMING is untrusted (the
-// host observes request timing anyway). The reply is a parked
-// envelopeReply: Pending set when a hedge went out, to Upstream, and
-// CanHedge when another is still in budget.
-func (ts *trustedState) handleHedge(env enclave.Env, arg []byte) ([]byte, error) {
-	id, err := decodeID(arg)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: bad hedge arg: %w", err)
-	}
-	var none envelopeReply
-	pt := ts.pending
-	pt.mu.Lock()
-	p, ok := pt.byID[id]
-	if !ok || p.done || p.leader != nil || !p.launched || p.hedges >= ts.hedgeMax {
-		pt.mu.Unlock()
-		return none.encode(), nil
-	}
-	u := ts.nextCandidate(p)
-	if u == nil {
-		pt.mu.Unlock()
-		return none.encode(), nil
-	}
-	p.hedges++
-	more := p.hedges < ts.hedgeMax
-	att := ts.reserveAttempt(p, u, true)
-	pt.mu.Unlock()
-	ts.hedgeAttempts.Add(1)
-	if err := ts.submitFetch(env, p, att); err != nil {
-		pt.unreserve(att)
-		pt.mu.Lock()
-		p.hedges--
-		pt.mu.Unlock()
-		return none.encode(), nil
-	}
-	ts.events.Append(obs.Event{Type: obs.EvHedge, Shard: ts.shard, Upstream: u.host})
-	hedged := envelopeReply{Pending: id, Upstream: u.host, CanHedge: more}
-	return hedged.encode(), nil
-}
-
 // handleAbandon is the "abandon" ecall: a parked request's caller has gone
 // (context cancelled), so its trusted state must not outlive it. A lone
-// leader's outstanding fetches are cancelled and its table entries freed —
-// without this, client-timeout storms against a hanging upstream
-// accumulate in-flight fetches past the PipelineDepth×(1+HedgeMax) bound
-// the async sizing relies on, and pendingTable grows without bound. A
-// leader with coalesced followers keeps its flight alive (the followers
-// still want the results; the runtime drops the reply nobody waits for),
-// and an abandoning follower is unhooked from its leader. An id nothing is
-// parked under is not an error: its request has finalized — or has not
-// finished parking (its flight's submission is unresolved), in which case
-// the Pending reply it is about to send finds no waiter and comes back here.
+// leader's live fetch is cancelled and its table entries freed — without
+// this, client-timeout storms against a hanging upstream accumulate
+// in-flight fetches past the PipelineDepth bound the async sizing relies
+// on, and pendingTable grows without bound. A leader with coalesced
+// followers keeps its flight alive (the followers still want the results;
+// the runtime drops the reply nobody waits for), and an abandoning follower
+// is unhooked from its leader. An id nothing is parked under is not an
+// error: its request has finalized — or has not finished parking (its
+// flight's submission is unresolved), in which case the Pending reply it
+// is about to send finds no waiter and comes back here.
 func (ts *trustedState) handleAbandon(_ enclave.Env, arg []byte) ([]byte, error) {
 	id, err := decodeID(arg)
 	if err != nil {
@@ -462,14 +361,12 @@ func (ts *trustedState) handleAbandon(_ enclave.Env, arg []byte) ([]byte, error)
 		if pt.byKey[p.key] == p {
 			delete(pt.byKey, p.key)
 		}
-		for _, a := range p.attempts {
-			if !a.done {
-				a.done = true
-				delete(pt.byToken, a.token)
-				toks = append(toks, a.token)
-				a.u.reportCancelled()
-				a.flight.abort()
-			}
+		if a := p.live; a != nil {
+			p.live = nil
+			delete(pt.byToken, a.token)
+			toks = append(toks, a.token)
+			a.u.reportCancelled()
+			a.flight.abort()
 		}
 	}
 	return toks.encode(), nil

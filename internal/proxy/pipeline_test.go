@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // Tests for the async request pipeline: staged ecalls around switchless
-// fetches, hedged upstream requests, coalescing on the pending table, and
-// the EPC invariant surviving all of it.
+// fetches, failover and coalescing on the pending table, and the EPC
+// invariant surviving all of it.
 
 // newDelayEngine starts a loopback engine whose every request takes delay.
 func newDelayEngine(t *testing.T, delay time.Duration) (*searchengine.Engine, *searchengine.Server) {
@@ -132,83 +133,15 @@ func TestAsyncPipelineSecureSession(t *testing.T) {
 	assertEPCInvariant(t, p)
 }
 
-// waitHedgeLoser returns the Stats of a pipeline whose hedge race is fully
-// accounted. The loser's cancelled completion is resumed after the winner's
-// reply is delivered, so HedgeCancelled read the instant ServeQuery returns
-// may not count it yet: poll, to a bounded deadline, until a cancellation
-// is counted and every submitted step has completed. On expiry the last
-// snapshot is returned for the caller's assertions to fail on.
-func waitHedgeLoser(p *Proxy) Stats {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s := p.Stats()
-		if (s.HedgeCancelled > 0 && s.AsyncSubmitted == s.AsyncCompleted) || time.Now().After(deadline) {
-			return s
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// The loser of a hedge race is cancelled and the cache is charged exactly
-// once: primary goes to a slow upstream, the hedge to a fast one wins.
-func TestHedgeLoserCancelledCacheChargedOnce(t *testing.T) {
-	_, slow := newDelayEngine(t, 300*time.Millisecond)
-	_, fast := newDelayEngine(t, 0)
-	p, err := New(Config{
-		K:    1,
-		Seed: 1,
-		Engines: []EngineSpec{
-			{Host: slow.Addr()}, // weighted-ring slot 0: the primary of request 1
-			{Host: fast.Addr()},
-		},
-		AsyncOcalls: true,
-		HedgeDelay:  20 * time.Millisecond,
-		HedgeMax:    1,
-		CacheBytes:  1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Crash()
-
-	start := time.Now()
-	if _, err := p.ServeQuery(context.Background(), "hedged query"); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
-		t.Errorf("hedged request took %v: the slow primary was waited out", elapsed)
-	}
-	s := p.Stats()
-	if s.HedgeAttempts != 1 || s.HedgeWins != 1 {
-		t.Errorf("hedge attempts=%d wins=%d, want 1/1", s.HedgeAttempts, s.HedgeWins)
-	}
-	if s.CacheLen != 1 {
-		t.Errorf("cache len = %d, want 1 (charged once by the winner)", s.CacheLen)
-	}
-	s = waitHedgeLoser(p)
-	if s.HedgeCancelled != 1 {
-		t.Errorf("hedge cancelled = %d, want 1", s.HedgeCancelled)
-	}
-	// A cancelled loser must not count against its upstream's breaker.
-	for _, u := range s.Upstreams {
-		if u.Failures != 0 {
-			t.Errorf("upstream %s failures = %d, want 0", u.Host, u.Failures)
-		}
-	}
-	assertEPCInvariant(t, p)
-}
-
 // Both upstreams down: the pipeline fails over, the request fails, and
 // each upstream's breaker is charged exactly once for this request.
-func TestHedgeBothUpstreamsFailBreakerCountsOnce(t *testing.T) {
+func TestAsyncFailoverBreakerCountsOnce(t *testing.T) {
 	deadA, deadB := reservePort(t), reservePort(t)
 	p, err := New(Config{
 		K:           1,
 		Seed:        1,
 		Engines:     []EngineSpec{{Host: deadA}, {Host: deadB}},
 		AsyncOcalls: true,
-		HedgeDelay:  250 * time.Millisecond, // failover beats the hedge timer
-		HedgeMax:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +160,9 @@ func TestHedgeBothUpstreamsFailBreakerCountsOnce(t *testing.T) {
 	assertEPCInvariant(t, p)
 }
 
-// Coalesced followers ride the leader's flight: no fetches and no hedges
-// of their own, and the hedge budget is spent at most once per flight.
-func TestCoalescedFollowersDoNotHedge(t *testing.T) {
+// Coalesced followers ride the leader's flight: no fetches of their own,
+// so one engine trip answers them all and the cache is charged once.
+func TestCoalescedFollowersShareOneFetch(t *testing.T) {
 	engA, srvA := newDelayEngine(t, 100*time.Millisecond)
 	engB, srvB := newDelayEngine(t, 100*time.Millisecond)
 	p, err := New(Config{
@@ -237,8 +170,7 @@ func TestCoalescedFollowersDoNotHedge(t *testing.T) {
 		Seed:        1,
 		Engines:     []EngineSpec{{Host: srvA.Addr()}, {Host: srvB.Addr()}},
 		AsyncOcalls: true,
-		HedgeDelay:  20 * time.Millisecond,
-		HedgeMax:    1,
+		CacheBytes:  1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,26 +197,19 @@ func TestCoalescedFollowersDoNotHedge(t *testing.T) {
 	if s.CoalesceShared != workers-1 || s.CoalesceLed != 1 {
 		t.Errorf("coalesce shared/led = %d/%d, want %d/1", s.CoalesceShared, s.CoalesceLed, workers-1)
 	}
-	if s.HedgeAttempts > 1 {
-		t.Errorf("hedge attempts = %d: followers hedged", s.HedgeAttempts)
+	// One flight: one fetch reached one engine.
+	if trips := len(engA.QueryLog()) + len(engB.QueryLog()); trips != 1 {
+		t.Errorf("engines saw %d trips for one coalesced flight, want 1", trips)
 	}
-	// One flight: at most the primary plus one hedge reached an engine.
-	if trips := len(engA.QueryLog()) + len(engB.QueryLog()); trips > 2 {
-		t.Errorf("engines saw %d trips for one coalesced flight", trips)
+	if s.CacheLen != 1 {
+		t.Errorf("cache len = %d, want 1 (charged once by the leader)", s.CacheLen)
 	}
 	assertEPCInvariant(t, p)
 }
 
-// Config validation: hedging requires the async pipeline; malformed root
-// pins are rejected.
+// Config validation: malformed root pins and undersized async rings are
+// rejected.
 func TestPipelineConfigValidation(t *testing.T) {
-	if _, err := New(Config{
-		K:        1,
-		Engines:  []EngineSpec{{Host: "127.0.0.1:1"}},
-		HedgeMax: 1,
-	}); err == nil || !strings.Contains(err.Error(), "AsyncOcalls") {
-		t.Errorf("hedging without async: err = %v", err)
-	}
 	// In-enclave TLS upstreams now ride the async pipeline; garbage pins
 	// are still rejected, at registry build.
 	if _, err := New(Config{
@@ -293,23 +218,6 @@ func TestPipelineConfigValidation(t *testing.T) {
 		AsyncOcalls: true,
 	}); err == nil || !strings.Contains(err.Error(), "RootsPEM") {
 		t.Errorf("async with garbage RootsPEM: err = %v", err)
-	}
-	if _, err := New(Config{
-		K:           1,
-		Engines:     []EngineSpec{{Host: "127.0.0.1:1"}},
-		AsyncOcalls: true,
-		HedgeMax:    -1,
-	}); err == nil {
-		t.Error("negative HedgeMax accepted")
-	}
-	if _, err := New(Config{
-		K:           1,
-		Engines:     []EngineSpec{{Host: "127.0.0.1:1"}},
-		AsyncOcalls: true,
-		HedgeMax:    1,
-		HedgeDelay:  -5 * time.Millisecond,
-	}); err == nil || !strings.Contains(err.Error(), "HedgeDelay") {
-		t.Errorf("negative HedgeDelay: err = %v, want rejection", err)
 	}
 	// Explicit async workers/rings below the pipeline's needs would allow
 	// stage-1 ecalls to block on a full submission ring while holding
@@ -583,22 +491,29 @@ func TestShutdownPersistsStateDespiteExpiredDrain(t *testing.T) {
 // its trusted state and cancel its fetch: a later identical query then
 // leads a fresh flight instead of coalescing onto a dead leader that will
 // never finalize, and in-flight fetches stay bounded under client-timeout
-// churn.
+// churn. The cancelled fetch is not the upstream's fault, so its breaker
+// is not charged, and — over a pinned-root TLS engine too — it leaves the
+// upstream's pool intact: once the engine is fast again, fresh queries
+// succeed over pooled sessions.
 func TestAbandonCancelsLoneLeader(t *testing.T) {
-	_, srv := newDelayEngine(t, 300*time.Millisecond)
-	p, err := New(Config{
-		K:           1,
-		Seed:        1,
-		Engines:     []EngineSpec{{Host: srv.Addr()}},
-		AsyncOcalls: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	t.Run("plain", func(t *testing.T) { testAbandonCancelsLoneLeader(t, false) })
+	t.Run("tls", func(t *testing.T) { testAbandonCancelsLoneLeader(t, true) })
+}
+
+func testAbandonCancelsLoneLeader(t *testing.T, withTLS bool) {
+	var delay atomic.Int64
+	delay.Store(int64(300 * time.Millisecond))
+	var p *Proxy
+	if withTLS {
+		srv, pem := newTLSDelayEngine(t, &delay)
+		p = newAsyncTLSProxy(t, nil, EngineSpec{Host: srv.Addr(), RootsPEM: pem})
+	} else {
+		_, srv := newHookedEngine(t, func() time.Duration { return time.Duration(delay.Load()) })
+		p = newStageProxy(t, true, nil, EngineSpec{Host: srv.Addr()})
 	}
-	defer p.Crash()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	_, err = p.ServeQuery(ctx, "abandoned flight")
+	_, err := p.ServeQuery(ctx, "abandoned flight")
 	cancel()
 	if err == nil {
 		t.Fatal("query succeeded before the engine could have replied")
@@ -611,41 +526,29 @@ func TestAbandonCancelsLoneLeader(t *testing.T) {
 	// Nothing waits once both calls returned.
 	pl := p.pipeline
 	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if len(pl.waiters) != 0 {
-		t.Errorf("dispatcher state leaked: waiters=%d", len(pl.waiters))
+	waiters := len(pl.waiters)
+	pl.mu.Unlock()
+	if waiters != 0 {
+		t.Errorf("dispatcher state leaked: waiters=%d", waiters)
 	}
-}
+	// A cancelled fetch must not count against its upstream's breaker.
+	for _, u := range p.Stats().Upstreams {
+		if u.Failures != 0 {
+			t.Errorf("upstream %s failures = %d, want 0", u.Host, u.Failures)
+		}
+	}
+	assertEPCInvariant(t, p)
 
-// The p95-derived hedge delay: configured delay wins, a cold upstream gets
-// the default, a warm histogram drives it.
-func TestAutoHedgeDelay(t *testing.T) {
-	_, srv := newDelayEngine(t, 0)
-	p, err := New(Config{
-		K:           1,
-		Seed:        1,
-		Engines:     []EngineSpec{{Host: srv.Addr()}},
-		AsyncOcalls: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The cancelled fetch must not have poisoned the upstream: made fast
+	// again it answers, over intact pooled sessions.
+	delay.Store(0)
+	for i := 0; i < 6; i++ {
+		if _, err := p.ServeQuery(context.Background(), fmt.Sprintf("post-abandon query %d", i)); err != nil {
+			t.Fatalf("post-abandon query %d: %v", i, err)
+		}
 	}
-	defer p.Crash()
-
-	host := srv.Addr()
-	if d := p.hedgeDelayFor(host); d != DefaultHedgeDelay {
-		t.Errorf("cold delay = %v, want default %v", d, DefaultHedgeDelay)
+	if s := p.Stats(); s.PoolReuses == 0 {
+		t.Errorf("no session reuse after the abandon: dials=%d reuses=%d", s.PoolDials, s.PoolReuses)
 	}
-	f := p.conns.fetch
-	for i := 0; i < autoHedgeMinSamples; i++ {
-		f.record(host, 40*time.Millisecond)
-	}
-	d := p.hedgeDelayFor(host)
-	if d < 35*time.Millisecond || d > 50*time.Millisecond {
-		t.Errorf("derived delay = %v, want ~p95 of 40ms", d)
-	}
-	p.cfg.HedgeDelay = 7 * time.Millisecond
-	if d := p.hedgeDelayFor(host); d != 7*time.Millisecond {
-		t.Errorf("configured delay = %v, want 7ms", d)
-	}
+	assertEPCInvariant(t, p)
 }

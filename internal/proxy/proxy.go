@@ -109,23 +109,13 @@ type Config struct {
 	// async worker pool and rings). Zero means DefaultPipelineDepth; only
 	// consulted when AsyncOcalls is set.
 	PipelineDepth int
-	// HedgeDelay is how long a pipelined request waits on its primary
-	// upstream before re-issuing the fetch to the next healthy upstream
-	// and racing the two (first response wins, loser cancelled). Zero
-	// derives the delay from the primary upstream's observed p95 fetch
-	// latency (DefaultHedgeDelay while cold). Only consulted when
-	// HedgeMax > 0.
-	HedgeDelay time.Duration
-	// HedgeMax is the maximum hedge fetches per request (0 disables
-	// hedging). Hedging requires AsyncOcalls.
-	HedgeMax int
 	// FetchTimeout is an absolute deadline over each engine fetch attempt
 	// — connect, TLS handshake (when the upstream pins roots), request,
 	// and response — on both the blocking path and the async pipeline. An
 	// upstream that accepts the connection but never responds (or
 	// dribbles a handshake forever) fails the fetch after this long
-	// instead of pinning a TCS or an async worker until a hedge winner,
-	// caller abandonment, or shutdown cancels it. The timeout is counted
+	// instead of pinning a TCS or an async worker until caller
+	// abandonment or shutdown cancels it. The timeout is counted
 	// as an upstream failure for the circuit breaker, exactly like a
 	// refused response. Zero (the default) preserves the previous
 	// behaviour: no per-fetch deadline.
@@ -149,7 +139,7 @@ type Config struct {
 	BatchWindow time.Duration
 	// Observability enables the privacy-safe observability layer: trusted-
 	// side per-stage latency histograms (admit → obfuscate → probe → submit
-	// → fetch/hedge → resume → filter → reply) exported only as aggregates
+	// → fetch → resume → filter → reply) exported only as aggregates
 	// on /stats and the Prometheus /metrics endpoint, a ring-buffered
 	// structured event log on /events, and pprof handlers on the admin mux.
 	// Telemetry is content-free by construction — no query or result text,
@@ -270,15 +260,6 @@ func New(cfg Config) (*Proxy, error) {
 	if !cfg.EchoMode && len(engines) == 0 {
 		return nil, fmt.Errorf("proxy: Engines required unless EchoMode")
 	}
-	if cfg.HedgeMax < 0 {
-		return nil, fmt.Errorf("proxy: negative HedgeMax")
-	}
-	if cfg.HedgeDelay < 0 {
-		return nil, fmt.Errorf("proxy: negative HedgeDelay (use 0 for the p95-derived delay)")
-	}
-	if cfg.HedgeMax > 0 && !cfg.AsyncOcalls {
-		return nil, fmt.Errorf("proxy: hedging requires the async ocall pipeline (AsyncOcalls)")
-	}
 	if cfg.FetchTimeout < 0 {
 		return nil, fmt.Errorf("proxy: negative FetchTimeout")
 	}
@@ -308,41 +289,33 @@ func New(cfg Config) (*Proxy, error) {
 		if cfg.BatchMax > 0 && cfg.BatchWindow == 0 {
 			cfg.BatchWindow = DefaultBatchWindow
 		}
-		// One worker per possible concurrent fetch (each staged request
-		// can have its primary plus HedgeMax hedges in flight at once) so
-		// a full pipeline never queues behind a busy worker. Explicit
-		// undersized values are rejected rather than accepted: with fewer
-		// workers (and thus shallower rings) than outstanding fetches,
-		// stage-1 ecalls can block in OCallAsync on a full submission
-		// ring while holding every TCS, starving the resume workers that
-		// drain the completion ring the async workers are blocked pushing
-		// to — a four-way deadlock Shutdown cannot break. needNote tells
-		// the sizing errors below why the requirement grew beyond
-		// PipelineDepth.
-		workersNeed, needNote := cfg.PipelineDepth*(1+cfg.HedgeMax), ""
-		if cfg.HedgeMax > 0 {
-			needNote = fmt.Sprintf(" ×%d with hedging", 1+cfg.HedgeMax)
-		}
+		// One worker per possible concurrent fetch (a staged request has
+		// at most one attempt in flight), so a full pipeline never queues
+		// behind a busy worker, and one slot of close headroom per
+		// attempt: a flight keeps at most one "tls_step" in the ring at a
+		// time (strict ping-pong), but terminal steps also carry
+		// fire-and-forget close batches (pool evictions, abort teardown)
+		// submitted while a TCS is held. Explicit undersized values are
+		// rejected rather than accepted: with fewer workers (and thus
+		// shallower rings) than outstanding steps, stage-1 ecalls can
+		// block in OCallAsync on a full submission ring while holding
+		// every TCS, starving the resume workers that drain the
+		// completion ring the async workers are blocked pushing to — a
+		// four-way deadlock Shutdown cannot break. needNote tells the
+		// sizing errors below why the requirement is above PipelineDepth.
+		workersNeed, needNote := 2*cfg.PipelineDepth, " ×2 close-step headroom"
 		// A batched stage-1 ecall bursts up to BatchMax submissions while
 		// holding its TCS, so the ring must guarantee that much free
 		// space even in the transient where every admitted request still
-		// has its full attempt budget in flight (an abandoned request's
-		// cancelled fetches briefly overlap their replacements). Without
-		// the headroom a burst can block mid-batch on a full ring with a
-		// TCS held — the same four-way-deadlock shape the base
-		// requirement exists to exclude, now reachable by one ecall.
-		workersNeed += cfg.BatchMax
+		// has its attempt in flight (an abandoned request's cancelled
+		// fetch briefly overlaps its replacement). Without the headroom a
+		// burst can block mid-batch on a full ring with a TCS held — the
+		// same four-way-deadlock shape the base requirement exists to
+		// exclude, now reachable by one ecall.
 		if cfg.BatchMax > 0 {
+			workersNeed += cfg.BatchMax
 			needNote += fmt.Sprintf(" +%d batch-burst headroom", cfg.BatchMax)
 		}
-		// A flight keeps at most one "tls_step" in the ring at a time
-		// (strict ping-pong), but terminal steps also carry
-		// fire-and-forget close batches (pool evictions, loser teardown)
-		// submitted while a TCS is held. Give every possible attempt one
-		// slot of close headroom so a burst of terminals cannot block an
-		// ecall on a full ring.
-		workersNeed += cfg.PipelineDepth * (1 + cfg.HedgeMax)
-		needNote += " ×2 close-step headroom"
 		if d := cfg.EnclaveConfig.AsyncRingDepth; d != 0 && d < workersNeed {
 			return nil, fmt.Errorf("proxy: EnclaveConfig.AsyncRingDepth %d below the pipeline's requirement %d (PipelineDepth%s): undersized rings can deadlock the pipeline — raise AsyncRingDepth or lower PipelineDepth",
 				d, workersNeed, needNote)
@@ -434,7 +407,6 @@ func New(cfg Config) (*Proxy, error) {
 	trusted.fetchTimeout = cfg.FetchTimeout
 	if cfg.AsyncOcalls {
 		trusted.pending = newPendingTable()
-		trusted.hedgeMax = cfg.HedgeMax
 		trusted.flightStop = make(chan struct{})
 	}
 	if cfg.CacheBytes > 0 {
@@ -461,13 +433,13 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v2.8 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d hedge=%s/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v2.9 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
 		!cfg.DisableCoalescing, cfg.UpstreamFailThreshold, cfg.UpstreamCooldown,
 		cfg.UpstreamRateLimit, cfg.UpstreamRateBurst,
-		cfg.AsyncOcalls, cfg.PipelineDepth, cfg.HedgeDelay, cfg.HedgeMax,
+		cfg.AsyncOcalls, cfg.PipelineDepth,
 		cfg.BatchMax, cfg.BatchWindow, cfg.Observability)
 	if err := builder.AddData([]byte(ident)); err != nil {
 		return nil, err
@@ -503,8 +475,7 @@ func New(cfg Config) (*Proxy, error) {
 		// The parked request's re-entry points. They are part of the
 		// measured surface: an async build attests differently from a
 		// blocking one.
-		ecalls = append(ecalls, ecall{"resume", trusted.handleResume}, ecall{"hedge", trusted.handleHedge},
-			ecall{"abandon", trusted.handleAbandon})
+		ecalls = append(ecalls, ecall{"resume", trusted.handleResume}, ecall{"abandon", trusted.handleAbandon})
 	}
 	if cfg.BatchMax > 0 {
 		// The vectorized request crossing is its own measured surface: a
@@ -531,7 +502,6 @@ func New(cfg Config) (*Proxy, error) {
 	conns := newConnTable(cfg.EngineLink)
 	if cfg.AsyncOcalls {
 		conns.fetch = newFetcher(conns)
-		trusted.recordFetch = conns.fetch.record
 	}
 	for name, h := range conns.handlers() {
 		if err := encl.RegisterOCall(name, h); err != nil {
@@ -645,13 +615,6 @@ const (
 	// DefaultPipelineDepth bounds concurrently staged requests when
 	// Config.AsyncOcalls is on and Config.PipelineDepth is zero.
 	DefaultPipelineDepth = 64
-	// DefaultHedgeDelay is the hedge delay used while an upstream has too
-	// few observed fetches for a p95-derived delay (Config.HedgeDelay
-	// zero). It applies per upstream: a hedge chain re-arms against the
-	// upstream the previous hedge actually went to, so a cold hedge
-	// target gets this documented default rather than the primary's
-	// stale p95 (which could fire the next hedge immediately, or never).
-	DefaultHedgeDelay = 10 * time.Millisecond
 	// DefaultBatchWindow is how long a deepening request batch waits for
 	// more entries before submitting (Config.BatchMax set, BatchWindow
 	// zero). Small against any engine round trip: the window trades a
@@ -987,11 +950,6 @@ type Stats struct {
 	AsyncCompleted   uint64 `json:"async_completed,omitempty"`
 	PipelineInFlight int    `json:"pipeline_in_flight,omitempty"`
 	PipelineDepth    int    `json:"pipeline_depth,omitempty"`
-	// Hedging gauges: hedge fetches issued, hedges that beat the primary,
-	// and losers cancelled after the winner landed.
-	HedgeAttempts  uint64 `json:"hedge_attempts,omitempty"`
-	HedgeWins      uint64 `json:"hedge_wins,omitempty"`
-	HedgeCancelled uint64 `json:"hedge_cancelled,omitempty"`
 	// Ecall batching gauges (zero when BatchMax is off). BatchesSubmitted
 	// counts vectorized boundary crossings (request and resume batches);
 	// the occupancy percentiles describe how many requests shared one
@@ -1037,9 +995,6 @@ func (p *Proxy) Stats() Stats {
 		s.PipelineDepth = pl.depth
 		s.AsyncSubmitted = s.Enclave.AsyncSubmitted
 		s.AsyncCompleted = s.Enclave.AsyncCompleted
-		s.HedgeAttempts = p.trusted.hedgeAttempts.Load()
-		s.HedgeWins = p.trusted.hedgeWins.Load()
-		s.HedgeCancelled = p.trusted.hedgeCancelled.Load()
 		if bs := pl.bstats; bs != nil {
 			s.BatchesSubmitted = bs.submitted.Load()
 			s.BatchOccupancyP50, s.BatchOccupancyP95 = bs.percentiles()
@@ -1057,14 +1012,6 @@ func (p *Proxy) Stats() Stats {
 		s.Upstreams = make([]UpstreamStats, len(reg.ups))
 		for i, u := range reg.ups {
 			us := u.stats(now, reg.threshold)
-			if f := p.conns.fetch; f != nil {
-				if h := f.latencyFor(u.host); h != nil {
-					fsnap := h.Snapshot()
-					us.FetchP50 = fsnap.P50
-					us.FetchP95 = fsnap.P95
-					us.FetchP99 = fsnap.P99
-				}
-			}
 			s.Upstreams[i] = us
 			s.PoolIdle += us.PoolIdle
 			s.PoolReuses += us.PoolReuses

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"xsearch/internal/metrics"
 	"xsearch/internal/netsim"
 )
 
@@ -267,13 +266,11 @@ func (ct *connTable) closeAll() {
 // enclave — and everything it needs from the host is one "tls_step" ocall
 // per socket I/O round, serviced here by the switchless worker goroutines:
 // dial, write, read at most tlsStepReadMax, close. It also owns flight
-// cancellation (closing a hedge loser's socket) and the per-upstream
-// fetch-latency histograms that drive the p95-derived hedge delay.
+// cancellation (closing an abandoned fetch's socket).
 type fetcher struct {
 	ct *connTable
 
 	mu     sync.Mutex
-	hist   map[string]*metrics.Histogram
 	closed bool
 	// conns maps the enclave-minted conn handles to their sockets (a conn
 	// outlives one flight when its session is pooled trusted-side);
@@ -290,20 +287,18 @@ type fetcher struct {
 func newFetcher(ct *connTable) *fetcher {
 	return &fetcher{
 		ct:        ct,
-		hist:      make(map[string]*metrics.Histogram),
 		conns:     make(map[uint64]net.Conn),
 		byToken:   make(map[uint64]uint64),
 		cancelled: make(map[uint64]bool),
 	}
 }
 
-// cancelFetch aborts an in-flight exchange: the hedge winner landed and
-// this token lost the race, or its caller gave up. The token is tombstoned
-// — a step already sitting in the ring cancels on arrival — and its
-// current conn closed to unblock a handler mid-read; the completion comes
-// back marked Cancelled. The tombstone set is size-bounded best-effort
-// (terminal resumes clear their own entries via endFlight; closeAll is the
-// correctness net for the rest).
+// cancelFetch aborts an in-flight exchange: its caller gave up. The token
+// is tombstoned — a step already sitting in the ring cancels on arrival —
+// and its current conn closed to unblock a handler mid-read; the
+// completion comes back marked Cancelled. The tombstone set is
+// size-bounded best-effort (terminal resumes clear their own entries via
+// endFlight; closeAll is the correctness net for the rest).
 func (f *fetcher) cancelFetch(token uint64) {
 	f.mu.Lock()
 	var conn net.Conn
@@ -331,26 +326,6 @@ func (f *fetcher) endFlight(token uint64) {
 	delete(f.byToken, token)
 	delete(f.cancelled, token)
 	f.mu.Unlock()
-}
-
-// record adds one successful exchange's latency to host's histogram.
-func (f *fetcher) record(host string, d time.Duration) {
-	f.mu.Lock()
-	h := f.hist[host]
-	if h == nil {
-		h = metrics.NewHistogram()
-		f.hist[host] = h
-	}
-	f.mu.Unlock()
-	h.Record(d)
-}
-
-// latencyFor returns host's fetch-latency histogram, nil before the first
-// successful exchange.
-func (f *fetcher) latencyFor(host string) *metrics.Histogram {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.hist[host]
 }
 
 // closeAll closes every registered conn, pooled or mid-step

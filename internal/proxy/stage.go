@@ -380,7 +380,7 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		e.p = &pendingReq{id: e.req.ID, kind: e.req.Type, session: e.req.Session, key: e.key}
 		if coalesce {
 			if leader, ok := pt.byKey[e.key]; ok && !leader.done {
-				// Follower: ride the leader's flight. No fetch, no hedging.
+				// Follower: ride the leader's flight. No fetch of its own.
 				e.p.leader = leader
 				leader.waiters = append(leader.waiters, e.p)
 				pt.byID[e.p.id] = e.p
@@ -391,7 +391,7 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		e.p.path = enginePath(e.oq, e.count)
 		e.p.tried = make(map[*upstream]bool)
 		if u := ts.nextCandidate(e.p); u != nil {
-			e.att = ts.reserveAttempt(e.p, u, false)
+			e.att = ts.reserveAttempt(e.p, u)
 			pt.byID[e.p.id] = e.p
 			if coalesce {
 				pt.byKey[e.key] = e.p
@@ -412,7 +412,6 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		if e.settled {
 			continue
 		}
-		var host string
 		switch {
 		case e.p.leader != nil:
 			ts.coalesce.Hit()
@@ -448,15 +447,8 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 				continue
 			}
 			pt.launched(e.p, "")
-			host = e.att.u.host
 		}
-		// Followers echo only their id; leaders also name their upstream so
-		// the runtime can derive the hedge delay per request.
-		parked := envelopeReply{
-			Pending:  e.p.id,
-			Upstream: host,
-			CanHedge: host != "" && ts.hedgeMax > 0 && len(ts.registry.ups) > 1,
-		}
+		parked := envelopeReply{Pending: e.p.id}
 		e.settle(parked.encode(), nil)
 	}
 }

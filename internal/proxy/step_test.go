@@ -228,28 +228,6 @@ func TestFailedSubmitFailsAttachedFollowers(t *testing.T) {
 	assertEPCInvariant(t, p)
 }
 
-// Flights feed the per-upstream latency histogram the hedge delay derives
-// from: before, only the untrusted whole-exchange fetcher did, so with
-// HedgeDelay zero a TLS upstream hedged at DefaultHedgeDelay forever.
-func TestAsyncTLSFetchesWarmHedgeDelay(t *testing.T) {
-	srv, pem := newTLSDelayEngine(t, nil)
-	p := newAsyncTLSProxy(t, nil, EngineSpec{Host: srv.Addr(), RootsPEM: pem})
-	if d := p.hedgeDelayFor(srv.Addr()); d != DefaultHedgeDelay {
-		t.Fatalf("cold delay = %v, want default %v", d, DefaultHedgeDelay)
-	}
-	for i := 0; i < autoHedgeMinSamples; i++ {
-		if _, err := p.ServeQuery(context.Background(), fmt.Sprintf("warming query %d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := p.hedgeDelayFor(srv.Addr()); d == DefaultHedgeDelay {
-		t.Errorf("derived delay still the default %v after %d TLS fetches", d, autoHedgeMinSamples)
-	}
-	if s := p.Stats(); s.Upstreams[0].FetchP95 == 0 {
-		t.Error("TLS upstream reports no fetch latency")
-	}
-}
-
 // A plain-TCP upstream rides the same flights and the same trusted idle
 // pool, so its reuse shows in Stats like a TLS upstream's.
 func TestAsyncPlainFetchReusesPooledConn(t *testing.T) {

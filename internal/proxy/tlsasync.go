@@ -38,8 +38,8 @@ import (
 // parked in the pending table with no TCS held, and the completion's
 // resume ecall feeds it back in. Strictly one step is outstanding per
 // flight (ping-pong over unbuffered channels), so a TCS is occupied only
-// while the coroutine is computing, and the abort paths (hedge loser,
-// abandon, shutdown) always find the driver parked at a select that also
+// while the coroutine is computing, and the abort paths (abandon,
+// shutdown) always find the driver parked at a select that also
 // watches the cancel/stop channels.
 
 // tlsStepReadMax is the one engine read cap: the host reads at most this
@@ -114,8 +114,8 @@ func (ts *trustedState) newTLSFlight(token uint64) *tlsFlight {
 	}
 }
 
-// abort terminates the flight from the trusted control plane (hedge
-// loser, abandon). Idempotent; never blocks.
+// abort terminates the flight from the trusted control plane (abandon, a
+// failed step submission). Idempotent; never blocks.
 func (f *tlsFlight) abort() { f.once.Do(func() { close(f.cancel) }) }
 
 // flightSend and flightRecv are the rendezvous primitives: one channel
@@ -398,8 +398,7 @@ func (u *upstream) release(out *tlsStepOut, now time.Time) []uint64 {
 // stage and as a flight's coroutine body on the async one. One absolute
 // deadline spans pool checkout, handshake, exchange, and the single
 // stale-conn retry. A successful exchange's wall time goes to the fetch
-// stage and to the upstream's latency histogram — the one the p95-derived
-// hedge delay reads. The caller releases the outcome.
+// stage. The caller releases the outcome.
 func (ts *trustedState) exchange(st stepper, u *upstream, path string) tlsStepOut {
 	var deadline time.Time
 	if ts.fetchTimeout > 0 {
@@ -417,9 +416,6 @@ func (ts *trustedState) exchange(st stepper, u *upstream, path string) tlsStepOu
 	}
 	if out.reply.Err == "" && !out.reply.Cancelled {
 		ts.stages.Since(obs.StageFetch, start)
-		if ts.recordFetch != nil {
-			ts.recordFetch(u.host, time.Since(start))
-		}
 	}
 	return out
 }
@@ -521,7 +517,7 @@ func writeEngineRequest(w io.Writer, host, path string, keepAlive bool) error {
 // --- driver side: pending-table integration ---
 
 // submitFetch starts the flight coroutine for attempt att and submits its
-// first step — every submit site (primary, failover, hedge, batch burst)
+// first step — every submit site (primary, failover, batch burst)
 // goes through this one seam. A non-nil error means nothing is
 // outstanding and the caller unwinds the reservation. Never called with
 // the pending-table lock held: a full submission ring blocks, and the
@@ -594,7 +590,7 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 	var fr fetchReply
 	switch {
 	case !ok:
-		// Aborted (hedge loser, abandon) or stopping: synthesize the
+		// Aborted (abandon) or stopping: synthesize the
 		// Cancelled terminal and make sure the untrusted conn dies even
 		// if the coroutine never got to say so.
 		fr = fetchReply{Cancelled: true}
@@ -615,7 +611,7 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 		ts.submitTLSClose(env, att.u.release(&out, time.Now()))
 		fr = out.reply
 	}
-	// Terminal: breaker accounting, hedge arbitration, failover or settle.
+	// Terminal: breaker accounting, failover or settle.
 	pt := ts.pending
 	pt.mu.Lock()
 	if cur, live := pt.byToken[att.token]; !live || cur != att {
@@ -625,8 +621,8 @@ func (ts *trustedState) resumeTLSFlight(env enclave.Env, att *pendingAttempt, ar
 		return resumeReply{State: resumeOrphan, DoneToken: att.token}
 	}
 	delete(pt.byToken, att.token)
-	att.done = true
-	// Every terminal shape — done, orphan, late loser, failover — names
+	att.p.live = nil
+	// Every terminal shape — done, orphan, failover — names
 	// the flight's token, so the untrusted step handler drops its
 	// per-token state (tombstones, conn binding) exactly once.
 	rr := ts.completeFetchLocked(env, att, &fr)

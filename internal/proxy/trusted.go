@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -64,19 +63,14 @@ type trustedState struct {
 	// the aggregate histograms do, so the host learns nothing it couldn't
 	// already time at the ecall seam. events is the shared structured
 	// event ring (nil when disabled); only closed-set, content-free events
-	// (breaker transitions, hedge fires) are ever appended from here.
+	// (breaker transitions) are ever appended from here.
 	stages *obs.Stages
 	events *obs.Log
 	shard  int
 
-	// Async pipeline state (nil/zero when Config.AsyncOcalls is off):
-	// the parked-request table, the hedge budget per request, and where a
-	// flight reports a successful exchange's wall time — the untrusted
-	// runtime's per-upstream histogram, which times the hedges; host and
-	// timing are what the host observes at the step seam anyway.
-	pending     *pendingTable
-	hedgeMax    int
-	recordFetch func(host string, d time.Duration)
+	// Async pipeline state (nil when Config.AsyncOcalls is off): the
+	// parked-request table.
+	pending *pendingTable
 	// fetchTimeout is the absolute budget for one whole engine fetch —
 	// connect, TLS handshake, request, response — on both the blocking
 	// and async paths (Config.FetchTimeout; zero = unbounded).
@@ -87,11 +81,6 @@ type trustedState struct {
 	// sync-path code never parks on it).
 	flightStop     chan struct{}
 	flightStopOnce sync.Once
-	// Hedge gauges: attempts issued, hedges that won their race, and
-	// losers the runtime cancelled.
-	hedgeAttempts  atomic.Uint64
-	hedgeWins      atomic.Uint64
-	hedgeCancelled atomic.Uint64
 
 	mu       sync.Mutex
 	sessions map[string]*sessionState

@@ -114,10 +114,11 @@ func (u *upstream) reportSuccess() {
 }
 
 // reportCancelled releases an acquire whose exchange never finished on its
-// own merits — the runtime aborted it (hedge loser) or the submission was
-// unwound. The breaker state is untouched: a self-inflicted abort says
-// nothing about the upstream's health, but a claimed half-open probe slot
-// must still be returned or the upstream could never be probed again.
+// own merits — the runtime aborted it (abandon, shutdown) or the
+// submission was unwound. The breaker state is untouched: a self-inflicted
+// abort says nothing about the upstream's health, but a claimed half-open
+// probe slot must still be returned or the upstream could never be probed
+// again.
 func (u *upstream) reportCancelled() {
 	u.mu.Lock()
 	u.probing = false
@@ -256,11 +257,6 @@ type UpstreamStats struct {
 	PoolDials      uint64  `json:"pool_dials"`
 	PoolEvicted    uint64  `json:"pool_evicted"`
 	PoolReuseRatio float64 `json:"pool_reuse_ratio"`
-	// Fetch-latency percentiles for this upstream (async pipeline only;
-	// these feed the p95-derived hedge delay).
-	FetchP50 time.Duration `json:"fetch_p50_ns,omitempty"`
-	FetchP95 time.Duration `json:"fetch_p95_ns,omitempty"`
-	FetchP99 time.Duration `json:"fetch_p99_ns,omitempty"`
 }
 
 // stats snapshots one upstream.

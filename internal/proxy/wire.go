@@ -12,11 +12,10 @@ import (
 
 // Every message that carries a request, a reply or a pending-table control
 // across the enclave boundary — envelope, envelopeReply, batchItemReply,
-// resumeReply, the id argument of "hedge" and "abandon", the latter's token
-// list — and the engine stage's two step messages are length-prefixed binary
-// frames (doc.go has the seam table). Each lists its fields once, in a walk
-// method that the wire walker at the end of this file runs in either
-// direction.
+// resumeReply, the id argument of "abandon" and its token list — and the
+// engine stage's two step messages are length-prefixed binary frames
+// (doc.go has the seam table). Each lists its fields once, in a walk method
+// that the wire walker at the end of this file runs in either direction.
 
 // Request types crossing the enclave boundary. The envelope is what the
 // untrusted runtime encodes into the single "request" ecall, mirroring the
@@ -67,8 +66,7 @@ func (e *envelope) decode(b []byte) error {
 
 // envelopeReply is the result of the "request" ecall — and, nested in
 // resumeReply and batchItemReply, the one encoding of a reply on every
-// path. "hedge" answers with a parked one (Pending set when a hedge went
-// out).
+// path.
 type envelopeReply struct {
 	// Results of a plain query.
 	Results []core.Result
@@ -83,18 +81,12 @@ type envelopeReply struct {
 	Record []byte
 	// Async pipeline: when Pending is nonzero the request parked inside
 	// the enclave under that id (the envelope's) awaiting an async engine
-	// fetch; the final reply arrives in a "resume" reply. Upstream names the
-	// fetch's engine (so the runtime can derive a p95-based hedge delay) and
-	// CanHedge tells the runtime whether a hedge timer is worth arming.
-	Pending  uint64
-	Upstream string
-	CanHedge bool
+	// fetch; the final reply arrives in a "resume" reply.
+	Pending uint64
 }
 
 func (e *envelopeReply) walk(w *wire) {
 	w.u64(&e.Pending)
-	w.flag(&e.CanHedge)
-	w.str(&e.Upstream)
 	w.bytes((*[]byte)(&e.Offer))
 	w.str(&e.Session)
 	w.bytes(&e.ReportData)
@@ -111,7 +103,7 @@ func (e *envelopeReply) walk(w *wire) {
 }
 
 func (e *envelopeReply) size() int {
-	n := 8 + 1 + 6*4 + len(e.Upstream) + len(e.Offer) + len(e.Session) + len(e.ReportData) + len(e.Record)
+	n := 8 + 5*4 + len(e.Offer) + len(e.Session) + len(e.ReportData) + len(e.Record)
 	for _, r := range e.Results {
 		n += 3*4 + len(r.URL) + len(r.Title) + len(r.Snippet)
 	}
@@ -163,20 +155,21 @@ type fetchReply struct {
 	Body   string // the one copy of the engine body; results alias it
 	Err    string
 	// Cancelled marks a flight the runtime or the trusted control plane
-	// aborted (hedge loser, abandon, shutdown); the enclave releases its
-	// bookkeeping without charging the upstream's breaker (the failure, if
-	// any, was self-inflicted).
+	// aborted (abandon, shutdown); the enclave releases its bookkeeping
+	// without charging the upstream's breaker (the failure, if any, was
+	// self-inflicted).
 	Cancelled bool
 }
 
 // Resume verdicts: what a completion did to its pending request.
 const (
-	// resumePending: another fetch is still in flight.
+	// resumePending: the request's fetch is still in flight (its flight's
+	// next step, or a failover's first).
 	resumePending = 1
 	// resumeDone: final.
 	resumeDone = 2
-	// resumeOrphan: no live pending request wanted it — a cancelled loser,
-	// a late duplicate, or an already-finalized flight.
+	// resumeOrphan: no live pending request wanted it — a cancelled
+	// fetch, a late duplicate, or an already-finalized flight.
 	resumeOrphan = 3
 )
 
@@ -190,11 +183,9 @@ type resumeReply struct {
 	Reply []byte
 	Err   string
 	// Followers carries every coalesced follower's own final reply — a
-	// secure one sealed on the follower's own channel — out on the winner's
-	// crossing; CancelTokens lists still-outstanding loser fetches the
-	// runtime should abort.
-	Followers    []followerReply
-	CancelTokens []uint64
+	// secure one sealed on the follower's own channel — out on the
+	// leader's crossing.
+	Followers []followerReply
 	// DoneToken, when nonzero, names a flight token whose trusted state
 	// machine just reached a terminal outcome (done, orphan, or
 	// cancelled): the untrusted step handler drops its per-token state
@@ -225,11 +216,10 @@ func (rr *resumeReply) walk(w *wire) {
 		w.bytes(&rr.Followers[i].Reply)
 		w.str(&rr.Followers[i].Err)
 	}
-	w.u64s(&rr.CancelTokens)
 }
 
 func (rr *resumeReply) encode() []byte {
-	n := 1 + 2*8 + 4*4 + len(rr.Reply) + len(rr.Err) + 8*len(rr.CancelTokens)
+	n := 1 + 2*8 + 3*4 + len(rr.Reply) + len(rr.Err)
 	for _, f := range rr.Followers {
 		n += 8 + 2*4 + len(f.Reply) + len(f.Err)
 	}
@@ -335,10 +325,9 @@ func (r *tlsStepReply) decode(b []byte) error {
 	return w.end()
 }
 
-// The pending-table controls. "hedge" (issue a hedge fetch for a parked
-// request) and "abandon" (its caller has gone) take the request's id as
-// eight little-endian bytes; "hedge" replies a parked envelopeReply and
-// "abandon" a tokenList.
+// The pending-table control. "abandon" (a parked request's caller has gone)
+// takes the request's id as eight little-endian bytes and replies a
+// tokenList.
 
 func encodeID(id uint64) []byte { return binary.LittleEndian.AppendUint64(nil, id) }
 

@@ -153,24 +153,6 @@ func WithAsyncOcalls(depth int) ProxyOption {
 	})
 }
 
-// WithHedging races slow upstreams (requires WithAsyncOcalls): when a
-// pipelined fetch has not answered after delay, the enclave re-issues it
-// to the next healthy upstream and the first response wins; the loser is
-// cancelled, its breaker untouched, and the result cache is charged
-// exactly once by the winner. A zero delay derives it per upstream from
-// observed p95 fetch latency (so roughly the slowest ~5% of requests
-// hedge). max bounds hedge fetches per request (<= 0 means 1). Coalesced
-// followers never hedge — only flight leaders own fetches.
-func WithHedging(delay time.Duration, max int) ProxyOption {
-	return proxyOptionFunc(func(c *proxy.Config) {
-		c.HedgeDelay = delay
-		if max <= 0 {
-			max = 1
-		}
-		c.HedgeMax = max
-	})
-}
-
 // WithFetchTimeout bounds each whole engine fetch attempt — connect, TLS
 // handshake, request, response — on the blocking and the async engine
 // stage alike: an upstream that accepts the connection but never responds
@@ -191,7 +173,7 @@ func WithFetchTimeout(d time.Duration) ProxyOption {
 // pays no batching latency), a deepening queue coalesces until max entries
 // or window elapses, whichever first. max must be at least 2 and at most
 // the pipeline depth; a zero window uses the default (200µs). Handshakes
-// and per-request semantics (hedging, failover, coalescing) are untouched
+// and per-request semantics (failover, coalescing) are untouched
 // — only the boundary crossing is shared.
 func WithBatching(max int, window time.Duration) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) {
@@ -245,7 +227,7 @@ func (o obsOption) applyFleet(c *fleet.Config) { o.fleet(c) }
 
 // WithObservability enables the full observability layer: trusted-side
 // per-stage latency histograms (admit → obfuscate → probe → submit →
-// fetch/hedge → resume → filter → reply) exported only as aggregates on
+// fetch → resume → filter → reply) exported only as aggregates on
 // /stats and the Prometheus text-format /metrics endpoint, a
 // ring-buffered structured event log on /events, and pprof handlers on
 // the admin mux. All telemetry is content-free and constant-shape by

@@ -87,8 +87,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestPublicAPIAsyncPipeline runs the full attested stack over the async
-// ocall pipeline with hedging armed: the secured search path must behave
-// identically to the blocking one from a client's point of view.
+// ocall pipeline: the secured search path must behave identically to the
+// blocking one from a client's point of view.
 func TestPublicAPIAsyncPipeline(t *testing.T) {
 	engine := xsearch.NewEngine(xsearch.WithCorpusSize(20), xsearch.WithEngineSeed(1))
 	if err := engine.Start("127.0.0.1:0"); err != nil {
@@ -104,7 +104,6 @@ func TestPublicAPIAsyncPipeline(t *testing.T) {
 		xsearch.WithFakeQueries(2),
 		xsearch.WithProxySeed(1),
 		xsearch.WithAsyncOcalls(16),
-		xsearch.WithHedging(50*time.Millisecond, 1),
 	)
 	if err != nil {
 		t.Fatal(err)
