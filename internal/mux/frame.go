@@ -50,13 +50,21 @@
 // allocated, and a one-frame body is handed to the stream without a
 // copy. The buffer belongs to the conn, not to the attested sessions
 // riding it, so the per-session footprint of the edge is unchanged.
+//
+// # Who runs the handler
+//
+// A completed request goes to a worker goroutine parked on the session,
+// or to a new one when none is parked, so a slow handler queues no other
+// request and MaxStreams stays the only bound on concurrency. A worker
+// parks again after replying unless maxIdleWorkers (4) wait already, and
+// exits when the session ends: a goroutine per request grew a fresh stack
+// inside the channel's open on every call, 14 % of an edge call's CPU.
 package mux
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Frame types. The codec rejects anything else before reading a payload.
@@ -120,7 +128,7 @@ var (
 )
 
 // Frame is one decoded frame. Payload aliases the decode buffer on
-// DecodeFrame and is freshly allocated on ReadFrame.
+// DecodeFrame, and on readFrame too unless it is a stream payload.
 type Frame struct {
 	Type    byte
 	Flags   byte
@@ -188,24 +196,4 @@ func DecodeFrame(b []byte, maxPayload uint32) (Frame, int, error) {
 	end := headerLen + int(length)
 	f.Payload = b[headerLen:end:end]
 	return f, end, nil
-}
-
-// ReadFrame reads one frame from r, validating the header caps before
-// allocating the payload.
-func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	f, length, err := parseHeader(hdr[:], maxPayload)
-	if err != nil {
-		return Frame{}, err
-	}
-	if length > 0 {
-		f.Payload = make([]byte, length)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("mux: short payload: %w", err)
-		}
-	}
-	return f, nil
 }

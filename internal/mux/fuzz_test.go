@@ -5,10 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzDecodeMuxFrame throws arbitrary bytes at the frame decoder: it
-// must never panic, never allocate past the cap, and — when it does
-// decode — survive a re-encode/re-decode round trip. The corpus seeds
-// cover every frame type plus each cap boundary.
+// FuzzDecodeMuxFrame throws arbitrary bytes at both frame readers: the
+// in-place decoder and the session's readFrame, which parses every byte a
+// broker sends. Neither may panic or allocate past the cap; on every input
+// both accept the same frame or both reject (readFrame's EOF and
+// ErrUnexpectedEOF are rejections), and a decoded frame survives a
+// re-encode. The corpus seeds cover every frame type plus each cap
+// boundary.
 func FuzzDecodeMuxFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, Frame{Type: FrameOpen, Stream: 1, Payload: []byte{KindSecure}}))
@@ -24,6 +27,10 @@ func FuzzDecodeMuxFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, n, err := DecodeFrame(b, MaxFramePayload)
+		rf, rerr := newFrameReader(bytes.NewReader(b)).readFrame()
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("DecodeFrame err %v, session readFrame err %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
@@ -33,20 +40,15 @@ func FuzzDecodeMuxFrame(f *testing.F) {
 		if len(fr.Payload) > MaxFramePayload {
 			t.Fatalf("payload %d bytes escaped the cap", len(fr.Payload))
 		}
+		if rf.Type != fr.Type || rf.Flags != fr.Flags || rf.Stream != fr.Stream ||
+			!bytes.Equal(rf.Payload, fr.Payload) {
+			t.Fatalf("session readFrame %+v != DecodeFrame %+v", rf, fr)
+		}
 		// Round trip: re-encoding a decoded frame must reproduce the
 		// consumed bytes exactly.
 		re := AppendFrame(nil, fr)
 		if !bytes.Equal(re, b[:n]) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", b[:n], re)
-		}
-		// The streaming reader must agree with the in-place decoder.
-		rf, rerr := ReadFrame(bytes.NewReader(b[:n]), MaxFramePayload)
-		if rerr != nil {
-			t.Fatalf("ReadFrame rejected what DecodeFrame accepted: %v", rerr)
-		}
-		if rf.Type != fr.Type || rf.Flags != fr.Flags || rf.Stream != fr.Stream ||
-			!bytes.Equal(rf.Payload, fr.Payload) {
-			t.Fatalf("ReadFrame %+v != DecodeFrame %+v", rf, fr)
 		}
 	})
 }

@@ -190,10 +190,11 @@ func TestWithheldCreditStallsSender(t *testing.T) {
 
 	// readData collects DATA bytes from the client until the conn stays
 	// silent for the grace period.
+	rd := newFrameReader(sc)
 	readData := func(grace time.Duration) (got int, closed bool) {
 		for {
 			_ = sc.SetReadDeadline(time.Now().Add(grace))
-			f, err := ReadFrame(sc, MaxFramePayload)
+			f, err := rd.readFrame()
 			if err != nil {
 				return got, closed
 			}
@@ -304,5 +305,32 @@ func TestSessionReadFrameAgreesWithDecodeFrame(t *testing.T) {
 		if (err == io.EOF) != onBoundary {
 			t.Fatalf("cut at %d (frame boundary: %v): err = %v", cut, onBoundary, err)
 		}
+	}
+}
+
+// TestLargeReplyUnderDefaultWindow: with every Config default on both
+// ends, a reply of three frames and a bit crosses chunk and credit
+// boundaries on the worker's send, arrives byte-exact, and never has more
+// than the default window unacknowledged on the wire.
+func TestLargeReplyUnderDefaultWindow(t *testing.T) {
+	reply := make([]byte, 3*MaxFramePayload+7)
+	for i := range reply {
+		reply[i] = byte(i ^ i>>8 ^ i>>16)
+	}
+	cc, sc := countedPair(t, 256<<10)
+	go func() {
+		_ = Serve(sc, func(context.Context, byte, []byte) ([]byte, error) { return reply, nil }, Config{})
+	}()
+	s := Client(cc, Config{})
+	defer func() { _ = s.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp, err := s.Call(ctx, KindSecure, []byte("q"))
+	if err != nil || !bytes.Equal(resp, reply) {
+		t.Fatalf("call: %d of %d bytes back, %v", len(resp), len(reply), err)
+	}
+	c, _ := cc.snapshot(t), sc.snapshot(t)
+	if c.windowsOut == 0 {
+		t.Errorf("a reply of three windows arrived with no credit returned")
 	}
 }

@@ -1,6 +1,7 @@
 package mux
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -8,7 +9,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,10 +76,10 @@ func TestFrameRoundTrip(t *testing.T) {
 			!bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
-		// ReadFrame must agree with DecodeFrame.
-		rf, err := ReadFrame(bytes.NewReader(buf[:n]), MaxFramePayload)
+		// The session's reader must agree with DecodeFrame.
+		rf, err := newFrameReader(bytes.NewReader(buf[:n])).readFrame()
 		if err != nil || rf.Type != want.Type || !bytes.Equal(rf.Payload, want.Payload) {
-			t.Fatalf("frame %d: ReadFrame %+v, %v", i, rf, err)
+			t.Fatalf("frame %d: readFrame %+v, %v", i, rf, err)
 		}
 		buf = buf[n:]
 	}
@@ -247,11 +250,16 @@ func TestRedialerResumesAfterConnKill(t *testing.T) {
 
 // --- hostile peers ---
 
+// newFrameReader reads a raw peer's frames with the session's own
+// reader. A control frame's payload is valid until the next read.
+func newFrameReader(r io.Reader) *Session { return &Session{br: bufio.NewReader(r)} }
+
 // rawClient drives the server-side protocol by hand, for injecting
 // frames no honest client sends.
 type rawClient struct {
 	t    *testing.T
 	conn net.Conn
+	rd   *Session // reads conn; made on the first recv
 }
 
 func (c *rawClient) send(f Frame) {
@@ -263,8 +271,11 @@ func (c *rawClient) send(f Frame) {
 
 func (c *rawClient) recv() Frame {
 	c.t.Helper()
+	if c.rd == nil {
+		c.rd = newFrameReader(c.conn)
+	}
 	_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := ReadFrame(c.conn, MaxFramePayload)
+	f, err := c.rd.readFrame()
 	if err != nil {
 		c.t.Fatalf("raw recv: %v", err)
 	}
@@ -408,5 +419,131 @@ func TestTooManyStreamsRefusedPerStream(t *testing.T) {
 	close(block)
 	if err := <-blocked; err != nil {
 		t.Fatalf("first stream should have survived the refusal: %v", err)
+	}
+}
+
+// --- handler workers ---
+
+// servePair runs a serving session and a client over a TCP pair, both on
+// the default Config; the serving session is returned so a test can watch
+// its workers.
+func servePair(t *testing.T, h Handler) (srv, cli *Session) {
+	cc, sc := tcpPair(t)
+	srv = newSession(sc, Config{}, false, h)
+	go func() { _ = srv.readLoop() }()
+	cli = Client(cc, Config{})
+	t.Cleanup(func() { _ = cli.Close(); _ = srv.Close() })
+	return srv, cli
+}
+
+// eventually polls cond until it holds or five seconds pass.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// blockedBurst makes n concurrent calls whose handler blocks until all n
+// are inside it, then releases them and waits for every reply. It fails
+// the test if a request waits for another one's handler to return.
+func blockedBurst(t *testing.T, n int) (srv, cli *Session) {
+	t.Helper()
+	var entered atomic.Int32
+	release := make(chan struct{})
+	srv, cli = servePair(t, func(_ context.Context, _ byte, req []byte) ([]byte, error) {
+		entered.Add(1)
+		<-release
+		return req, nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := cli.Call(ctx, kindTest, []byte("q"))
+			errs <- err
+		}()
+	}
+	all := eventually(func() bool { return entered.Load() == int32(n) })
+	close(release)
+	if !all {
+		t.Fatalf("%d of %d concurrent calls reached the handler while it blocked", entered.Load(), n)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, cli
+}
+
+// TestBlockedHandlerQueuesNoRequest: a handler that blocks holds its own
+// worker only; every other request gets a worker of its own at once.
+func TestBlockedHandlerQueuesNoRequest(t *testing.T) {
+	blockedBurst(t, 16)
+}
+
+// parkedIn reports whether goroutine gid is blocked in a worker's park.
+func parkedIn(gid string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Contains(buf, []byte("goroutine "+gid+" [select]:\nxsearch/internal/mux.(*Session).worker("))
+}
+
+// TestSequentialCallsReuseOneWorker: calls one after another are served by
+// one goroutine. Its reply leaves before it parks, so each call waits for
+// that goroutine to park before the next goes out.
+func TestSequentialCallsReuseOneWorker(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		gids = map[string]bool{}
+		last string
+	)
+	_, cli := servePair(t, func(_ context.Context, _ byte, req []byte) ([]byte, error) {
+		var buf [64]byte
+		first := bytes.Fields(buf[:runtime.Stack(buf[:], false)]) // goroutine <id> [running]:
+		mu.Lock()
+		last = string(first[1])
+		gids[last] = true
+		mu.Unlock()
+		return req, nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 100; i++ {
+		if _, err := cli.Call(ctx, kindTest, []byte("q")); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		mu.Lock()
+		gid := last
+		mu.Unlock()
+		if !eventually(func() bool { return parkedIn(gid) }) {
+			t.Fatalf("call %d: worker goroutine %s never parked", i, gid)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(gids) != 1 {
+		t.Fatalf("100 sequential calls ran on %d goroutines, want 1", len(gids))
+	}
+}
+
+// TestIdleWorkersBoundedThenGone: after a burst drains, at most
+// maxIdleWorkers workers stay parked, and none outlives the session.
+func TestIdleWorkersBoundedThenGone(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, cli := blockedBurst(t, 64)
+	// Four session goroutines: each side's readLoop and keepalive.
+	if !eventually(func() bool { return runtime.NumGoroutine() <= before+4+maxIdleWorkers }) {
+		t.Fatalf("%d goroutines after the burst drained, want at most %d session + %d parked workers over %d",
+			runtime.NumGoroutine(), 4, maxIdleWorkers, before)
+	}
+	_ = cli.Close()
+	_ = srv.Close()
+	if !eventually(func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Fatalf("%d goroutines after Close, %d before the session", runtime.NumGoroutine(), before)
 	}
 }

@@ -152,12 +152,17 @@ type Session struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	lastRecv    atomic.Int64 // unix nanos of the last frame received
-	pingsInWin  atomic.Int32
-	pingToken   atomic.Uint64
-	opened      atomic.Uint64
-	resumedHint atomic.Uint64
+	work chan *stream // hands a completed request to a parked worker
+	idle atomic.Int32 // workers parked, or about to park, on work
+
+	lastRecv   atomic.Int64 // unix nanos of the last frame received
+	pingsInWin atomic.Int32
+	pingToken  atomic.Uint64
+	opened     atomic.Uint64
 }
+
+// maxIdleWorkers bounds the handler workers a serving session keeps parked.
+const maxIdleWorkers = 4
 
 func newSession(conn io.ReadWriteCloser, cfg Config, client bool, h Handler) *Session {
 	s := &Session{
@@ -168,6 +173,7 @@ func newSession(conn io.ReadWriteCloser, cfg Config, client bool, h Handler) *Se
 		handler: h,
 		streams: make(map[uint32]*stream),
 		done:    make(chan struct{}),
+		work:    make(chan *stream),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if client {
@@ -450,11 +456,11 @@ func (s *Session) SendResume(liveSessions int) error {
 
 // --- the receive path ---
 
-// readFrame is ReadFrame over the session's buffered reader, minus its
-// per-frame allocations: the header is parsed where it lies in the read
-// buffer, and so is a control frame's fixed few bytes of payload, which
-// dispatch is done with before the next read overwrites them. A stream
-// payload (DATA, abortive CLOSE) is allocated, for the stream to keep.
+// readFrame reads one frame off the session's buffered reader, caps
+// checked before any allocation. Header and control payloads are parsed
+// where they lie in the read buffer (dispatch is done with them before
+// the next read); a stream payload (DATA, abortive CLOSE) is allocated,
+// for the stream to keep.
 func (s *Session) readFrame() (Frame, error) {
 	hdr, err := s.br.Peek(headerLen)
 	if err != nil {
@@ -527,10 +533,8 @@ func (s *Session) dispatch(f Frame) error {
 	case FramePong:
 		// lastRecv already refreshed; that is the pong's whole job.
 	case FrameResume:
-		n := binary.BigEndian.Uint32(f.Payload)
-		s.resumedHint.Store(uint64(n))
 		if s.cfg.OnResume != nil {
-			s.cfg.OnResume(int(n))
+			s.cfg.OnResume(int(binary.BigEndian.Uint32(f.Payload)))
 		}
 	}
 	return nil
@@ -628,22 +632,43 @@ func (s *Session) onClose(f Frame) {
 	s.handleRequest(st, failed)
 }
 
-// handleRequest runs the handler for a completed request off the read
-// loop, then replies on the stream and retires it.
+// handleRequest hands a completed request to a parked worker or, when
+// none is parked, to a new one: a slow handler never queues another.
 func (s *Session) handleRequest(st *stream, failed bool) {
 	if failed {
 		s.drop(st)
 		return
 	}
-	go func() {
+	select {
+	case s.work <- st:
+	default:
+		go s.worker(st)
+	}
+}
+
+// worker serves st, then parks for the next request until the session
+// ends; it exits instead when maxIdleWorkers already park. A parked
+// worker keeps the stack its handler grew (the GC shrinks an idle one).
+func (s *Session) worker(st *stream) {
+	for {
 		resp, err := s.handler(s.ctx, st.kind, st.buf)
-		defer s.drop(st)
 		if err != nil {
 			s.writeCloseErr(st.id, err)
+		} else {
+			_ = s.send(s.ctx, st, false, resp)
+		}
+		s.drop(st)
+		if s.idle.Add(1) > maxIdleWorkers {
+			s.idle.Add(-1)
 			return
 		}
-		_ = s.send(s.ctx, st, false, resp)
-	}()
+		select {
+		case st = <-s.work:
+			s.idle.Add(-1)
+		case <-s.done:
+			return
+		}
+	}
 }
 
 // --- keepalive ---
