@@ -71,10 +71,7 @@ func run() error {
 		breakFails  = flag.Int("breaker-failures", 0, "consecutive failures that open an upstream's circuit breaker (0=default 3)")
 		breakerCool = flag.Duration("breaker-cooldown", 0, "how long an open breaker excludes its upstream (0=default 1s)")
 		noCoalesce  = flag.Bool("no-coalesce", false, "disable single-flight coalescing of concurrent identical queries")
-		shards      = flag.Int("shards", 1, "proxy-enclave shards behind a session-routing gateway (1=single node; the initial size when autoscaling)")
-		shardsMin   = flag.Int("shards-min", 0, "autoscaler floor: never retire below this many shards (needs -shards-max)")
-		shardsMax   = flag.Int("shards-max", 0, "autoscaler ceiling: enables gateway shard autoscaling between -shards-min and this")
-		scaleEvery  = flag.Duration("scale-interval", 0, "autoscaler load-sampling period (0=default 250ms; needs -shards-max)")
+		shards      = flag.Int("shards", 1, "proxy-enclave shards behind a session-routing gateway (1=single node; the ring is fixed at start)")
 		upstreamRPS = flag.Float64("upstream-rps", 0, "per-upstream token-bucket rate limit in req/s (0=unlimited)")
 		upstreamBst = flag.Int("upstream-burst", 0, "per-upstream token-bucket burst depth (0=ceil(rps))")
 		asyncOcalls = flag.Bool("async", false, "async ocall pipeline: switchless engine fetches, TCS released during the round trip")
@@ -83,7 +80,7 @@ func run() error {
 		batchMax    = flag.Int("batch-max", 0, "coalesce up to this many admitted requests into one vectorized ecall (0=off, min 2; needs -async)")
 		batchWindow = flag.Duration("batch-window", 0, "how long a partially filled batch waits for more requests (0=default 200µs; needs -batch-max)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: drain in-flight requests this long before destroying enclaves")
-		muxListen   = flag.String("mux-listen", "", "multiplexed client edge: raw-TCP listen address for brokers' sealed calls (xsearch-broker -transport mux -mux-addr; needs -shards or -shards-max)")
+		muxListen   = flag.String("mux-listen", "", "multiplexed client edge: raw-TCP listen address for brokers' sealed calls (xsearch-broker -transport mux -mux-addr; needs -shards)")
 		obsOn       = flag.Bool("obs", false, "observability: per-stage latency histograms, Prometheus /metrics, /events ring, pprof (content-free telemetry)")
 		eventsCap   = flag.Int("events", 0, "structured event ring capacity (0=default 1024; implies event logging)")
 		logJSON     = flag.Bool("log-json", false, "mirror every structured event to stderr as one JSON object per line")
@@ -157,31 +154,11 @@ func run() error {
 	default:
 		opts = append(opts, xsearch.WithEngines(engines...))
 	}
-	if (*shardsMin != 0 || *scaleEvery != 0) && *shardsMax == 0 {
-		return fmt.Errorf("-shards-min/-scale-interval have no effect without -shards-max")
-	}
-	if *muxListen != "" && *shards <= 1 && *shardsMax == 0 {
-		return fmt.Errorf("-mux-listen has no effect without -shards or -shards-max (the mux edge fronts the fleet gateway)")
-	}
-	if *shardsMax > 0 {
-		min := *shardsMin
-		if min < 1 {
-			min = 1
-		}
-		if *shardsMax < min {
-			return fmt.Errorf("-shards-max %d below -shards-min %d", *shardsMax, min)
-		}
-		return runFleet(fleetSpec{
-			shards:    *shards,
-			min:       min,
-			max:       *shardsMax,
-			interval:  *scaleEvery,
-			autoscale: true,
-			muxAddr:   *muxListen,
-		}, *addr, *k, *history, *drainWait, opts)
+	if *muxListen != "" && *shards <= 1 {
+		return fmt.Errorf("-mux-listen has no effect without -shards (the mux edge fronts the fleet gateway)")
 	}
 	if *shards > 1 {
-		return runFleet(fleetSpec{shards: *shards, muxAddr: *muxListen}, *addr, *k, *history, *drainWait, opts)
+		return runFleet(*shards, *muxListen, *addr, *k, *history, *drainWait, opts)
 	}
 	proxy, err := xsearch.NewProxy(opts...)
 	if err != nil {
@@ -249,52 +226,30 @@ func run() error {
 	return nil
 }
 
-// fleetSpec is the gateway sizing parsed from the -shards* flags.
-type fleetSpec struct {
-	shards    int
-	min, max  int
-	interval  time.Duration
-	autoscale bool
-	muxAddr   string
-}
-
-// runFleet serves a sharded fleet behind the session-routing gateway: the
-// same HTTP surface as a single node, with every proxy option applied to
-// each shard, optionally autoscaling between spec.min and spec.max.
-func runFleet(spec fleetSpec, addr string, k, history int, drainWait time.Duration, opts []xsearch.ProxyOption) error {
-	fopts := []xsearch.FleetOption{
-		xsearch.WithShardCount(spec.shards),
-		xsearch.WithShardConfig(opts...),
-	}
-	if spec.autoscale {
-		fopts = append(fopts, xsearch.WithAutoscale(spec.min, spec.max,
-			xsearch.AutoscalePolicy{Interval: spec.interval}))
-	}
-	f, err := xsearch.NewFleet(fopts...)
+// runFleet serves shards proxy nodes behind the session-routing gateway:
+// the same HTTP surface as a single node, with every proxy option applied
+// to each shard, and the mux edge on muxAddr when it is set.
+func runFleet(shards int, muxAddr, addr string, k, history int, drainWait time.Duration, opts []xsearch.ProxyOption) error {
+	f, err := xsearch.NewFleet(xsearch.WithShardCount(shards), xsearch.WithShardConfig(opts...))
 	if err != nil {
 		return err
 	}
 	if err := f.Start(addr); err != nil {
 		return err
 	}
-	if spec.muxAddr != "" {
-		if err := f.StartMux(spec.muxAddr); err != nil {
+	if muxAddr != "" {
+		if err := f.StartMux(muxAddr); err != nil {
 			return err
 		}
 	}
 	m := f.Measurement()
-	if spec.autoscale {
-		fmt.Printf("x-search fleet gateway listening on %s (%d shards, autoscaling %d..%d, k=%d, history=%d per shard)\n",
-			f.Addr(), f.ShardCount(), spec.min, spec.max, k, history)
-	} else {
-		fmt.Printf("x-search fleet gateway listening on %s (%d shards, k=%d, history=%d per shard)\n",
-			f.Addr(), spec.shards, k, history)
-	}
+	fmt.Printf("x-search fleet gateway listening on %s (%d shards, k=%d, history=%d per shard)\n",
+		f.Addr(), shards, k, history)
 	fmt.Printf("enclave measurement : %s (all shards)\n", hex.EncodeToString(m[:]))
 	fmt.Printf("attestation key     : %s\n", hex.EncodeToString(f.AttestationKey()))
 	fmt.Printf("clients             : xsearch-broker -proxy %s -measurement %x -attkey %x\n",
 		f.URL(), m[:], f.AttestationKey())
-	if spec.muxAddr != "" {
+	if muxAddr != "" {
 		fmt.Printf("mux edge            : tcp %s (sealed calls only)\n", f.MuxAddr())
 	}
 
@@ -323,10 +278,6 @@ func runFleet(spec fleetSpec, addr string, k, history int, drainWait time.Durati
 	if st.MuxConnsTotal > 0 {
 		fmt.Printf("mux edge: %d conns total, %d streams, %d sessions resumed without re-attestation\n",
 			st.MuxConnsTotal, st.MuxStreams, st.MuxResumes)
-	}
-	if st.ScaleUps+st.ScaleDowns > 0 || spec.autoscale {
-		fmt.Printf("autoscale: %d shards now, %d scale-ups, %d scale-downs; last decision: %s\n",
-			st.CurrentShards, st.ScaleUps, st.ScaleDowns, st.LastScaleDecision)
 	}
 	if st.AsyncSubmitted > 0 {
 		fmt.Printf("pipeline: %d async fetches; worst shard p99 %v\n", st.AsyncSubmitted, st.LatencyP99Max)

@@ -85,25 +85,8 @@
 // scales near-linearly with shards while the per-shard EPC invariant
 // (heap == history + cache + index) keeps holding.
 //
-// Autoscaling (WithAutoscale) makes the ring elastic between a minimum
-// and maximum shard count: the gateway samples the load signals every
-// shard already exports — async-pipeline admission occupancy, the p95
-// request-latency tail, and EPC heap pressure — and scales up by spawning
-// a shard on its own simulated platform, re-keyed under the fleet sealing
-// root and inserted into the HRW ring (new sessions rebalance naturally;
-// existing sessions stay pinned), or scales down by draining the coldest
-// shard through the same sealed handoff before retiring its enclave.
-// A wide occupancy hysteresis band plus a cooldown between scale events
-// keeps the fleet from flapping, and a scale-down is refused when the
-// merged history would overflow a single shard's sliding window — the
-// k-anonymity floor: FIFO eviction would silently discard real past
-// queries, the pool Algorithm 1 draws fakes from. Fleet.Stats reports the
-// current ring size, scale-up/down counters, and the autoscaler's last
-// decision reason; the decision core itself is a pure function
-// (fleet.DecideScale), unit-tested without enclaves; internal/fleet's
-// autoscaler tests tick the loop up from real occupancy and down from an
-// idle fleet, and its chaos soaks hold every request across every
-// spawn/drain/retire event.
+// The shard ring is fixed when NewFleet returns: KillShard and DrainShard
+// retire a shard in place, and nothing adds one.
 //
 // # Client edge
 //
@@ -268,8 +251,7 @@
 // merged view (counts summed, percentile tails from the worst shard,
 // the same conservative rule as Fleet.Stats) with a per-shard ?shard=N
 // selector, which /stats also honors. A structured event log
-// ring-buffers JSON events for fleet lifecycle transitions — scale
-// decisions with their DecideScale inputs, scale-ups/downs, drains,
+// ring-buffers JSON events for fleet lifecycle transitions — drains,
 // kills, shard deaths, failovers, breaker transitions —
 // exposed via /events and optionally streamed to stderr (-log-json);
 // WithEventLog sizes the ring independently of the tracing. Fourth,

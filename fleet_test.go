@@ -117,96 +117,6 @@ func TestFleetPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFleetAutoscalePublicAPI exercises the elastic surface end to end: a
-// WithAutoscale fleet accepts manual scale events, spawned shards serve
-// attested clients under the same pinned measurement, and retirement keeps
-// the merged history on a survivor.
-func TestFleetAutoscalePublicAPI(t *testing.T) {
-	engine := xsearch.NewEngine(xsearch.WithCorpusSize(20), xsearch.WithEngineSeed(1))
-	if err := engine.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = engine.Shutdown(ctx)
-	})
-
-	fleet, err := xsearch.NewFleet(
-		xsearch.WithShardCount(1),
-		xsearch.WithAutoscale(1, 3, xsearch.AutoscalePolicy{
-			// A slow sampling loop: this test drives the scale events
-			// manually and only wants the clamps and plumbing.
-			Interval: time.Hour,
-		}),
-		xsearch.WithShardConfig(
-			xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
-			xsearch.WithFakeQueries(2),
-			xsearch.WithProxySeed(1),
-		),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = fleet.Shutdown(ctx)
-	})
-	ctx := context.Background()
-
-	if _, err := fleet.ScaleUp(ctx); err != nil {
-		t.Fatalf("ScaleUp: %v", err)
-	}
-	if _, err := fleet.ScaleUp(ctx); err != nil {
-		t.Fatalf("second ScaleUp: %v", err)
-	}
-	if _, err := fleet.ScaleUp(ctx); err == nil {
-		t.Fatal("ScaleUp past the max accepted")
-	}
-	if fleet.ShardCount() != 3 {
-		t.Fatalf("ShardCount = %d, want 3", fleet.ShardCount())
-	}
-
-	// An attested client connects against the fleet-wide measurement —
-	// spawned shards attest identically to the founding one.
-	client, err := xsearch.NewClient(fleet.URL(),
-		xsearch.WithTrustedMeasurement(fleet.Measurement()),
-		xsearch.WithAttestationKey(fleet.AttestationKey()),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Connect(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := client.Search(ctx, fmt.Sprintf("elastic api search %d", i)); err != nil {
-			t.Fatalf("search %d: %v", i, err)
-		}
-	}
-
-	rep, err := fleet.ScaleDown(ctx)
-	if err != nil {
-		t.Fatalf("ScaleDown: %v", err)
-	}
-	st := fleet.Stats()
-	if st.CurrentShards != 2 || st.ScaleUps != 2 || st.ScaleDowns != 1 {
-		t.Fatalf("after scale events: current=%d ups=%d downs=%d", st.CurrentShards, st.ScaleUps, st.ScaleDowns)
-	}
-	for _, ss := range st.Shards {
-		if ss.Index == rep.Shard {
-			t.Fatalf("retired shard %d still reported", rep.Shard)
-		}
-	}
-	if _, err := client.Search(ctx, "after the retirement"); err != nil {
-		t.Fatalf("search after retirement: %v", err)
-	}
-}
-
 func TestFleetValidation(t *testing.T) {
 	if _, err := xsearch.NewFleet(xsearch.WithShardCount(0)); err == nil {
 		t.Error("zero shards accepted")

@@ -346,12 +346,6 @@ func (e *Enclave) ID() uint64 { return e.id }
 // Measurement returns MRENCLAVE.
 func (e *Enclave) Measurement() Measurement { return e.measurement }
 
-// TCSCount reports the enclave's effective thread-control-structure count
-// (the concurrent-ecall bound), with the builder's default applied —
-// callers sizing admission occupancy against it must not re-derive the
-// default.
-func (e *Enclave) TCSCount() int { return cap(e.tcs) }
-
 // MRSigner returns MRSIGNER.
 func (e *Enclave) MRSigner() Measurement { return e.signer }
 

@@ -18,25 +18,22 @@ import (
 )
 
 // TestChaosFleetSoak is the fleet's state-churn soak: while plain queries
-// and attested broker sessions hammer the gateway, a chaos driver
-// concurrently kills shards, triggers sealed drains, and fires manual
-// scale events, with the real autoscaler loop running underneath and
-// pulling the idle fleet back toward its minimum the whole time. The soak
-// asserts the properties every scale/crash path must preserve:
+// and attested broker sessions hammer a six-shard gateway, a chaos driver
+// alternately kills a shard and drains one through the sealed handoff.
+// The soak asserts the properties every crash and drain path must
+// preserve:
 //
 //   - No lost replies: every issued query — plain or secure — yields
 //     exactly one answer within a bounded retry budget (the budget models
 //     the broker's normal re-attest recovery, not a hidden failure mode).
-//   - No goroutine leaks: spawned shards, retired enclaves, drained
-//     pipelines, and the autoscaler itself all clean up after Shutdown.
+//   - No goroutine leaks: killed and drained enclaves and their pipelines
+//     all clean up after Shutdown.
 //   - The EPC invariant (enclave heap == history + cache + index bytes) holds on
 //     every surviving shard after the churn stops.
 //
 // The destructive schedule is arranged so the fleet can never reach zero
-// available shards: at most one chaos op and one autoscaler retirement
-// are in flight at once, each requiring at least three available shards
-// at issue time (the autoscaler via ShardsMin=2), so the worst
-// interleaving bottoms out at one.
+// available shards: one chaos op at a time, each issued only while at
+// least three shards are available, so the fleet bottoms out at two.
 //
 // The soak is sized to run race-clean inside tier-1: ~4s default, ~2s
 // with -short.
@@ -45,10 +42,10 @@ func TestChaosFleetSoak(t *testing.T) {
 }
 
 // TestChaosFleetSoakBatched reruns the chaos soak with every shard running
-// the batched ecall seam: kills, drains, and scale events now land while
-// request batches are mid-flight through the vectorized ecalls, so a
-// destroy can interleave with a batch's submission burst and a completion
-// batch can race a retiring shard. The same properties must hold — zero
+// the batched ecall seam: kills and drains now land while request batches
+// are mid-flight through the vectorized ecalls, so a destroy can
+// interleave with a batch's submission burst and a completion batch can
+// race a retiring shard. The same properties must hold — zero
 // lost replies, no goroutine leaks, the EPC invariant on every survivor —
 // and the batcher must actually have carried traffic.
 func TestChaosFleetSoakBatched(t *testing.T) {
@@ -65,7 +62,7 @@ func TestChaosFleetSoakBatched(t *testing.T) {
 // TestChaosFleetSoakIndexed reruns the chaos soak with the answer tier
 // enabled on every shard and a real corpus engine behind the fleet (echo
 // mode returns empty result lists, which would leave the index empty):
-// kills, drains, and scale events now land while index inserts, evictions,
+// kills and drains now land while index inserts, evictions,
 // and sealed index handoffs are in flight, and a repeat-heavy topical
 // workload keeps the tier churning. The same properties must hold — zero
 // lost replies, no goroutine leaks, the extended EPC invariant on every
@@ -117,13 +114,7 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	before := runtime.NumGoroutine()
 
 	g, err := New(Config{
-		Shards:    2,
-		ShardsMin: 2,
-		ShardsMax: 5,
-		Autoscale: &AutoscalePolicy{
-			Interval: 20 * time.Millisecond,
-			Cooldown: 100 * time.Millisecond,
-		},
+		Shards:         6,
 		ShardConfig:    shardCfg,
 		HealthInterval: 10 * time.Millisecond,
 	})
@@ -143,8 +134,8 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	var plainIssued, plainLost, secureIssued, secureLost atomic.Int64
 
 	// Plain-query churn: failover inside the gateway should absorb almost
-	// every chaos event; a query that still errs (its ring snapshot raced
-	// a kill) gets two retries before it counts as lost.
+	// every chaos event; a query that still errs (its ranked shard died
+	// mid-call) gets two retries before it counts as lost.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -177,7 +168,7 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	// Secure-session churn: brokers attest, search, and get abandoned;
 	// killed/drained sessions recover through the broker's transparent
 	// re-attest. A fresh broker per burst keeps handshakes flowing so the
-	// routing table churns alongside the ring.
+	// routing table churns alongside the shards.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -214,45 +205,36 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 		}(w)
 	}
 
-	// The chaos driver: one destructive op at a time, each gated on at
-	// least three available shards so the concurrent autoscaler
-	// retirement (ShardsMin=2) can never drive the fleet to zero.
-	var kills, drains, ups, downs int
+	// The chaos driver: every duration/6 it kills or drains (alternately)
+	// one shard the rng picks, but only while at least three are
+	// available, so the fleet can never be driven to zero.
+	var kills, drains int
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rng := mrand.New(mrand.NewPCG(7, 13))
-		for time.Now().Before(stopAt) {
-			time.Sleep(time.Duration(40+rng.IntN(80)) * time.Millisecond)
+		for op := 0; ; op++ {
+			time.Sleep(duration / 6)
+			if !time.Now().Before(stopAt) {
+				return
+			}
 			var avail []int
 			for _, ss := range g.Stats().Shards {
 				if ss.Alive && !ss.Draining {
 					avail = append(avail, ss.Index)
 				}
 			}
-			opCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 			if len(avail) < 3 {
-				// Spawn capacity so the destructive ops become eligible
-				// (the autoscaler is pulling the idle fleet down the
-				// whole time, so this keeps the tug-of-war going).
-				if _, err := g.ScaleUp(opCtx); err == nil {
-					ups++
+				continue
+			}
+			target := avail[rng.IntN(len(avail))]
+			opCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			if op%2 == 0 {
+				if err := g.Kill(opCtx, target); err == nil {
+					kills++
 				}
-			} else {
-				switch rng.IntN(3) {
-				case 0:
-					if err := g.Kill(opCtx, avail[rng.IntN(len(avail))]); err == nil {
-						kills++
-					}
-				case 1:
-					if _, err := g.Drain(opCtx, avail[rng.IntN(len(avail))]); err == nil {
-						drains++
-					}
-				case 2:
-					if _, err := g.ScaleDown(opCtx); err == nil {
-						downs++
-					}
-				}
+			} else if _, err := g.Drain(opCtx, target); err == nil {
+				drains++
 			}
 			cancel()
 		}
@@ -261,9 +243,9 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	wg.Wait()
 
 	st := g.Stats()
-	t.Logf("soak: %d plain / %d secure queries; chaos: %d kills, %d drains, %d manual ups, %d manual downs; fleet: ups=%d downs=%d drains=%d current=%d",
-		plainIssued.Load(), secureIssued.Load(), kills, drains, ups, downs,
-		st.ScaleUps, st.ScaleDowns, st.Drains, st.CurrentShards)
+	t.Logf("soak: %d plain / %d secure queries; chaos: %d kills, %d drains; fleet: drains=%d alive=%d of %d",
+		plainIssued.Load(), secureIssued.Load(), kills, drains,
+		st.Drains, st.AliveShards, st.CurrentShards)
 	if plainIssued.Load() == 0 || secureIssued.Load() == 0 {
 		t.Fatal("soak drove no traffic")
 	}
@@ -273,11 +255,8 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	if lost := secureLost.Load(); lost != 0 {
 		t.Fatalf("%d of %d secure queries lost", lost, secureIssued.Load())
 	}
-	if st.ScaleUps == 0 {
-		t.Fatalf("soak never scaled up: %+v", st)
-	}
-	if kills+drains+int(st.ScaleDowns) == 0 {
-		t.Fatalf("soak never removed a shard (kills=%d drains=%d downs=%d)", kills, drains, st.ScaleDowns)
+	if kills == 0 || drains == 0 {
+		t.Fatalf("soak did not both kill and drain a shard (kills=%d drains=%d)", kills, drains)
 	}
 	if shardCfg.BatchMax > 0 && st.BatchesSubmitted == 0 {
 		t.Fatal("batched soak submitted no vectorized ecalls")
@@ -293,9 +272,8 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 
 	if shardCfg.IndexBytes > 0 {
 		// The indexed soak must end with a working answer tier: drive a few
-		// post-churn topical queries (survivors spawned in the final moments
-		// may not have served traffic yet), then require indexed documents
-		// within the configured byte bound on the quiescent fleet.
+		// post-churn topical queries, then require indexed documents within
+		// the configured byte bound on the quiescent fleet.
 		for i := 0; i < len(chaosTopics); i++ {
 			if _, err := g.ServeQuery(ctx, chaosTopics[i]); err != nil {
 				t.Fatalf("post-soak query %d: %v", i, err)

@@ -65,23 +65,10 @@ const DefaultHealthInterval = 100 * time.Millisecond
 
 // Config parameterizes a fleet.
 type Config struct {
-	// Shards is the number of proxy-enclave shards at startup (at least 1).
-	// With Autoscale set it is the initial size, clamped into
-	// [ShardsMin, ShardsMax].
+	// Shards is the number of proxy-enclave shards (at least 1). The ring
+	// is fixed at New: Kill and Drain retire a shard in place, and nothing
+	// adds one.
 	Shards int
-	// ShardsMin and ShardsMax bound the elastic fleet: the autoscaler
-	// never retires below ShardsMin available shards (min 1) and never
-	// spawns above ShardsMax. Only consulted when Autoscale is set
-	// (ShardsMax also caps manual ScaleUp when positive).
-	ShardsMin int
-	ShardsMax int
-	// Autoscale, when non-nil, runs the gateway-level shard autoscaler:
-	// per-shard load signals (admission occupancy, p95 latency, EPC heap
-	// pressure) are sampled every Autoscale.Interval and the fleet scales
-	// up by spawning a shard on its own platform (re-keyed under the fleet
-	// sealing root, inserted into the HRW ring) or down by draining the
-	// coldest shard through the sealed handoff before retiring it.
-	Autoscale *AutoscalePolicy
 	// ShardConfig is the template every shard is built from — a full
 	// proxy.Config, so pools, caches, coalescing, rate limits, and the
 	// upstream registry all compose per shard. The fleet derives what must
@@ -104,8 +91,8 @@ type Config struct {
 	// eviction, like the per-shard session tables). Zero means
 	// Shards * 4096.
 	MaxSessions int
-	// EventLogSize caps the fleet-shared structured event ring (scale
-	// decisions, drains, kills, failovers, breaker transitions — see
+	// EventLogSize caps the fleet-shared structured event ring (drains,
+	// kills, shard deaths, failovers, breaker transitions — see
 	// internal/obs). Zero means obs.DefaultLogCapacity when the log
 	// exists at all: the fleet creates one shared log when
 	// ShardConfig.Observability is set, EventLogSize is positive, or
@@ -137,9 +124,9 @@ func (s *shard) live() bool { return s.alive.Load() && s.proxy.Healthy() }
 func (s *shard) available() bool { return s.live() && !s.draining.Load() }
 
 // Gateway fronts the shard fleet: it routes sessions and plain queries by
-// rendezvous hashing, probes shard health, fails over on death,
-// orchestrates sealed history handoff on drain, and — when autoscaling is
-// configured — grows and shrinks the shard ring with load.
+// rendezvous hashing, probes shard health, fails over on death, and
+// orchestrates sealed history handoff on drain. Its shard ring is fixed at
+// New; shard i sits at shards[i] for the gateway's life.
 type Gateway struct {
 	cfg     Config
 	service *attestation.Service
@@ -149,23 +136,13 @@ type Gateway struct {
 	httpFront
 	muxFront
 
-	// shardMu guards the mutable shard ring and the monotonically
-	// increasing shard index space (indices are stable identities and are
-	// never reused, so session pins and HRW names stay unambiguous across
-	// scale events).
-	shardMu sync.RWMutex
-	shards  []*shard
-	nextIdx int
+	// shards is the ring, written once by New and only read after.
+	shards []*shard
 
-	// scaleMu serializes ring mutations (spawn, retire) so the fleet
-	// changes one shard at a time and the min/max clamps are race-free;
-	// closed (set by Shutdown under scaleMu) refuses further scale
-	// operations so a racing ScaleUp cannot spawn a shard the teardown
-	// snapshot will never destroy.
-	scaleMu sync.Mutex
-	closed  bool
-
-	auto *Autoscaler
+	// drainMu serializes drains, so a drain's successor cannot itself be
+	// mid-drain (its window would be handed on before this one merged into
+	// it), and Shutdown waits out a drain in flight.
+	drainMu sync.Mutex
 
 	// events is the fleet-shared structured event log (nil when
 	// observability is off — every Append on it is then a no-op). One ring
@@ -191,58 +168,27 @@ type Gateway struct {
 	migratedQ    atomic.Uint64
 	migratedB    atomic.Int64
 	gwErrors     atomic.Uint64
-	scaleUps     atomic.Uint64
-	scaleDowns   atomic.Uint64
-
-	decisionMu   sync.Mutex
-	lastDecision string
 }
 
 // New builds the fleet: Shards proxy nodes from the shared template, one
-// attestation service, and the routing gateway (health loop — and, when
-// configured, the autoscaler — running; HTTP front not yet started).
+// attestation service, and the routing gateway (health loop running; HTTP
+// front not yet started).
 func New(cfg Config) (*Gateway, error) {
-	if cfg.Autoscale != nil {
-		if cfg.ShardsMin < 1 {
-			cfg.ShardsMin = 1
-		}
-		if cfg.ShardsMax == 0 {
-			cfg.ShardsMax = cfg.Shards
-		}
-		if cfg.ShardsMax < cfg.ShardsMin {
-			return nil, fmt.Errorf("fleet: ShardsMax %d below ShardsMin %d", cfg.ShardsMax, cfg.ShardsMin)
-		}
-		if cfg.Shards < cfg.ShardsMin {
-			cfg.Shards = cfg.ShardsMin
-		}
-		if cfg.Shards > cfg.ShardsMax {
-			cfg.Shards = cfg.ShardsMax
-		}
-		pol := cfg.Autoscale.withDefaults()
-		if err := pol.validate(); err != nil {
-			return nil, err
-		}
-		cfg.Autoscale = &pol
-	}
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("fleet: need at least 1 shard, got %d", cfg.Shards)
 	}
-	if cfg.ShardConfig.Platform != nil && (cfg.Shards > 1 || cfg.Autoscale != nil) {
+	if cfg.ShardConfig.Platform != nil && cfg.Shards > 1 {
 		// A shared platform would make every shard draw from ONE EPC —
 		// the exact bound sharding exists to lift — and double-count it in
 		// the aggregate stats. The fleet derives per-shard platforms; use
 		// MigrationSeed to control the shared sealing root.
-		return nil, fmt.Errorf("fleet: ShardConfig.Platform must be nil for a multi-shard or autoscaled fleet (each shard gets its own platform; set MigrationSeed for the shared sealing root)")
+		return nil, fmt.Errorf("fleet: ShardConfig.Platform must be nil for a multi-shard fleet (each shard gets its own platform; set MigrationSeed for the shared sealing root)")
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = DefaultHealthInterval
 	}
 	if cfg.MaxSessions <= 0 {
-		n := cfg.Shards
-		if cfg.ShardsMax > n {
-			n = cfg.ShardsMax
-		}
-		cfg.MaxSessions = n * 4096
+		cfg.MaxSessions = cfg.Shards * 4096
 	}
 	migSeed := cfg.MigrationSeed
 	if migSeed == nil {
@@ -299,13 +245,8 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.shards = append(g.shards, sh)
 	}
-	g.nextIdx = cfg.Shards
 	g.meas = g.shards[0].proxy.Measurement()
 	g.initHTTP()
-	if cfg.Autoscale != nil {
-		g.auto = newAutoscaler(g, cfg.ShardsMin, cfg.ShardsMax, *cfg.Autoscale)
-		go g.auto.run()
-	}
 	go g.healthLoop()
 	return g, nil
 }
@@ -313,7 +254,6 @@ func New(cfg Config) (*Gateway, error) {
 // buildShard instantiates one proxy-enclave node from the shared template:
 // its own platform (own EPC) derived from the fleet sealing root, a
 // distinct-but-reproducible obfuscation seed, and a per-index state path.
-// idx must be a fresh, never-reused shard index.
 func (g *Gateway) buildShard(idx int) (*shard, error) {
 	sc := g.cfg.ShardConfig
 	sc.AttestationService = g.service
@@ -321,8 +261,8 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 	if sc.Platform == nil {
 		// Every shard gets its own platform (its own EPC and cores — the
 		// point of sharding) but all derive the same fuse key, the fleet's
-		// provisioned migration sealing root, so a spawned shard can
-		// immediately receive (and later hand off) sealed history blobs.
+		// provisioned migration sealing root, so any shard can receive
+		// (and hand off) sealed history blobs.
 		sc.Platform = enclave.NewPlatform(enclave.WithFuseSeed(g.migSeed))
 	}
 	if sc.Seed != 0 {
@@ -333,7 +273,7 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 		sc.StatePath = fmt.Sprintf("%s-shard%d", g.cfg.ShardConfig.StatePath, idx)
 	}
 	// Every shard writes into the fleet-shared event ring under its stable
-	// index, so breaker events interleave with the gateway's scale
+	// index, so breaker events interleave with the gateway's drain, kill
 	// and failover events in one causally-ordered stream. The proxy only
 	// builds a private log when it is handed none.
 	sc.EventLog = g.events
@@ -348,38 +288,13 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 	return sh, nil
 }
 
-// list snapshots the shard ring: callers iterate the copy without holding
-// the ring lock across proxy calls.
-func (g *Gateway) list() []*shard {
-	g.shardMu.RLock()
-	defer g.shardMu.RUnlock()
-	out := make([]*shard, len(g.shards))
-	copy(out, g.shards)
-	return out
-}
-
-// shardByIndex resolves a stable shard index to its ring entry (nil when
-// the index never existed or was retired by a scale-down).
+// shardByIndex resolves a shard index to its ring entry (nil when out of
+// range).
 func (g *Gateway) shardByIndex(i int) *shard {
-	g.shardMu.RLock()
-	defer g.shardMu.RUnlock()
-	for _, sh := range g.shards {
-		if sh.index == i {
-			return sh
-		}
+	if i < 0 || i >= len(g.shards) {
+		return nil
 	}
-	return nil
-}
-
-// availableCount reports how many shards can take new work right now.
-func (g *Gateway) availableCount() int {
-	n := 0
-	for _, sh := range g.list() {
-		if sh.available() {
-			n++
-		}
-	}
-	return n
+	return g.shards[i]
 }
 
 // healthLoop probes each shard's enclave liveness every HealthInterval,
@@ -394,7 +309,7 @@ func (g *Gateway) healthLoop() {
 		case <-g.stopHealth:
 			return
 		case <-ticker.C:
-			for _, sh := range g.list() {
+			for _, sh := range g.shards {
 				if sh.alive.Load() && !sh.proxy.Healthy() {
 					g.noteDead(sh)
 				}
@@ -414,14 +329,12 @@ func (g *Gateway) noteDead(sh *shard) {
 	}
 }
 
-// ShardCount returns the current size of the shard ring (live or not;
-// scale-downs remove retired shards, kills leave dead entries in place
-// until the ring is next compacted by a scale event).
-func (g *Gateway) ShardCount() int { return len(g.list()) }
+// ShardCount returns the size of the shard ring: the configured Shards,
+// killed and drained ones included (they stay in place, dead).
+func (g *Gateway) ShardCount() int { return len(g.shards) }
 
 // Shard returns shard i's proxy node, for per-shard inspection (stats,
-// measurement) by operators, examples, and the bench harness. i is the
-// shard's stable index, not its ring position.
+// measurement) by operators, examples, and the bench harness.
 func (g *Gateway) Shard(i int) (*proxy.Proxy, error) {
 	sh := g.shardByIndex(i)
 	if sh == nil {
@@ -431,8 +344,8 @@ func (g *Gateway) Shard(i int) (*proxy.Proxy, error) {
 }
 
 // Measurement returns the enclave identity clients pin. Every shard is
-// built from the same measured template, so all shards — including ones
-// the autoscaler spawns later — share one MRENCLAVE.
+// built from the same measured template, so all shards share one
+// MRENCLAVE.
 func (g *Gateway) Measurement() enclave.Measurement { return g.meas }
 
 // AttestationService returns the fleet-shared verification service.
@@ -481,25 +394,26 @@ type DrainReport struct {
 	SessionsLost int `json:"sessions_lost"`
 }
 
-// Drain removes shard i from the fleet in an orderly way: stop routing new
-// work to it, seal its history window inside its enclave, hand the opaque
-// blob to the successor shard (the drained shard's next-highest HRW rank
-// among live shards), merge it there, then destroy the drained enclave.
-// The departing shard's established sessions keep being served until the
-// final destroy; the few queries they add after the snapshot fall outside
-// the migrated window, the same bounded loss as the sliding window's own
-// FIFO eviction. Their brokers then re-attest onto live shards.
+// Drain retires shard i in an orderly way: stop routing new work to it,
+// seal its history window inside its enclave, hand the opaque blob to the
+// successor shard (the drained shard's next-highest HRW rank among
+// available shards), merge it there, then destroy the drained enclave. The
+// shard stays in the ring, dead. The departing shard's established
+// sessions keep being served until the final destroy; the few queries they
+// add after the snapshot fall outside the migrated window, the same
+// bounded loss as the sliding window's own FIFO eviction. Their brokers
+// then re-attest onto live shards. Drains run one at a time.
 func (g *Gateway) Drain(ctx context.Context, i int) (*DrainReport, error) {
 	sh := g.shardByIndex(i)
 	if sh == nil {
 		return nil, fmt.Errorf("fleet: unknown shard %d", i)
 	}
+	g.drainMu.Lock()
+	defer g.drainMu.Unlock()
 	if !sh.live() {
 		return nil, fmt.Errorf("fleet: shard %d is dead; drain needs a live shard", i)
 	}
-	if !sh.draining.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("fleet: shard %d already draining", i)
-	}
+	sh.draining.Store(true)
 	succ := g.successor(sh)
 	if succ == nil {
 		sh.draining.Store(false)
@@ -562,21 +476,13 @@ func (g *Gateway) successor(sh *shard) *shard {
 	return nil
 }
 
-// Shutdown stops the autoscaler, health loop, and HTTP front and destroys
-// every live shard (persisting per-shard sealed state where configured).
+// Shutdown stops the health loop and HTTP front and destroys every live
+// shard (persisting per-shard sealed state where configured). It waits out
+// a drain in flight, and a drain called during or after it finds its shard
+// dead.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	if g.auto != nil {
-		// First, so no scale decision races the teardown: a tick in flight
-		// finishes before any shard is destroyed.
-		g.auto.stopWait()
-	}
-	// Then refuse manual scale operations: a ScaleUp that slipped past
-	// this point would spawn a shard after the teardown snapshot below
-	// and leak its enclave. Taking scaleMu also waits out any scale op
-	// already in flight.
-	g.scaleMu.Lock()
-	g.closed = true
-	g.scaleMu.Unlock()
+	g.drainMu.Lock()
+	defer g.drainMu.Unlock()
 	g.stopOnce.Do(func() { close(g.stopHealth) })
 	<-g.healthDone
 	g.muxStop()
@@ -584,7 +490,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	if g.front != nil {
 		err = g.front.Shutdown(ctx)
 	}
-	for _, sh := range g.list() {
+	for _, sh := range g.shards {
 		// Only orderly-shutdown shards that are actually still serving: a
 		// crashed shard whose flag the health loop has not yet cleared has
 		// nothing left to persist and would only report spurious errors.

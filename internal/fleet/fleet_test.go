@@ -266,7 +266,7 @@ func TestBrokerSessionsSurviveShardKill(t *testing.T) {
 
 // TestGatewaySessionOrderStaysBounded pins the eviction order to the live
 // pins. A fleet that loses and re-attests sessions below MaxSessions — every
-// shard kill, drain and scale-down does exactly that — must not grow order by
+// shard kill and drain does exactly that — must not grow order by
 // one id per handshake for the life of the process (forget and
 // dropShardSessions delete the pin and leave the id), and squeezing the
 // stale ids out must not disturb FIFO eviction among the pins still live.

@@ -36,10 +36,9 @@ func hrwScore(key, node string) uint64 {
 
 // rank returns every shard ordered by descending HRW score for key: the
 // preferred shard first, the failover candidates after. Callers still gate
-// each candidate on availability. The ring is snapshotted, so a scale
-// event mid-request at worst costs the request one failover hop.
+// each candidate on availability.
 func (g *Gateway) rank(key string) []*shard {
-	out := g.list()
+	out := slices.Clone(g.shards)
 	if len(out) == 1 {
 		return out
 	}
@@ -325,7 +324,7 @@ func (g *Gateway) shardParam(r *http.Request) (sh *shard, selected bool, err err
 // handleHealthz reports fleet liveness: OK while at least one shard can
 // take new work.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	for _, sh := range g.list() {
+	for _, sh := range g.shards {
 		if sh.available() {
 			w.WriteHeader(http.StatusOK)
 			return

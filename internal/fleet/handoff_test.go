@@ -16,6 +16,77 @@ import (
 	"xsearch/internal/simattack"
 )
 
+// reidentification is the SimAttack fixture of the drain-privacy tests:
+// fill holds real past queries to load shard windows with, and rate is the
+// attack's re-identification rate over 150 held-out records, each hidden
+// among 3 fakes drawn from pool.
+func reidentification(t *testing.T) (fill []string, rate func(pool []string) float64) {
+	t.Helper()
+	genCfg := dataset.DefaultGeneratorConfig()
+	genCfg.Users, genCfg.MeanQueries, genCfg.Seed = 40, 60, 3
+	gen, err := dataset.NewGenerator(genCfg)
+	if err != nil {
+		t.Fatalf("generator: %v", err)
+	}
+	train, test, err := gen.Generate().Split(0.5)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	attack, err := simattack.New(train, simattack.DefaultAlpha)
+	if err != nil {
+		t.Fatalf("simattack: %v", err)
+	}
+	fill = train.Queries()
+	if len(fill) > 1200 {
+		fill = fill[:1200]
+	}
+	testLog := &dataset.Log{Records: test.Records}
+	if len(testLog.Records) > 150 {
+		testLog.Records = testLog.Records[:150]
+	}
+	rate = func(pool []string) float64 {
+		h, err := core.NewHistory(len(pool) + 1)
+		if err != nil {
+			t.Fatalf("history: %v", err)
+		}
+		for _, q := range pool {
+			h.Add(q)
+		}
+		rng := mrand.New(mrand.NewPCG(11, 17))
+		return attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
+			fakes := h.Sample(3, rng.IntN)
+			pos := rng.IntN(len(fakes) + 1)
+			subs := make([]string, 0, len(fakes)+1)
+			subs = append(subs, fakes[:pos]...)
+			subs = append(subs, rec.Query)
+			subs = append(subs, fakes[pos:]...)
+			return simattack.Obfuscation{Subqueries: subs, OriginalIndex: pos}
+		})
+	}
+	return fill, rate
+}
+
+// fillMirrored serves queries through the fleet's plain path, mirroring
+// the HRW routing so the test knows each enclave's exact window contents
+// without ever opening a sealed blob: mirrors[i] is what shard i holds.
+func fillMirrored(t *testing.T, g *Gateway, queries []string) [][]string {
+	t.Helper()
+	mirrors := make([][]string, g.ShardCount())
+	for _, q := range queries {
+		idx := g.rank("q:" + q)[0].index
+		if _, err := g.ServeQuery(context.Background(), q); err != nil {
+			t.Fatalf("fill query: %v", err)
+		}
+		mirrors[idx] = append(mirrors[idx], q)
+	}
+	for i, m := range mirrors {
+		if len(m) == 0 {
+			t.Fatalf("degenerate routing: shard %d holds no query", i)
+		}
+	}
+	return mirrors
+}
+
 // requireInvariant asserts the per-shard EPC identity the whole memory
 // story rests on: enclave heap == history bytes + cache bytes + index
 // bytes.
@@ -35,22 +106,7 @@ func requireInvariant(t *testing.T, label string, ps proxy.Stats) {
 // improve after the migration (the merged fake pool is no easier to
 // attack than the successor's own).
 func TestDrainSealedHandoff(t *testing.T) {
-	genCfg := dataset.DefaultGeneratorConfig()
-	genCfg.Users, genCfg.MeanQueries, genCfg.Seed = 40, 60, 3
-	gen, err := dataset.NewGenerator(genCfg)
-	if err != nil {
-		t.Fatalf("generator: %v", err)
-	}
-	log := gen.Generate()
-	train, test, err := log.Split(0.5)
-	if err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	attack, err := simattack.New(train, simattack.DefaultAlpha)
-	if err != nil {
-		t.Fatalf("simattack: %v", err)
-	}
-
+	fill, rate := reidentification(t)
 	g, err := New(Config{
 		Shards:         2,
 		ShardConfig:    proxy.Config{K: 3, EchoMode: true, Seed: 9},
@@ -68,25 +124,7 @@ func TestDrainSealedHandoff(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	ctx := context.Background()
-
-	// Fill the shard histories with real past queries through the plain
-	// front, mirroring the HRW routing so the test knows each enclave's
-	// exact window contents without ever opening the sealed blob.
-	trainQueries := train.Queries()
-	if len(trainQueries) > 1200 {
-		trainQueries = trainQueries[:1200]
-	}
-	mirrors := make([][]string, 2)
-	for _, q := range trainQueries {
-		idx := g.rank("q:" + q)[0].index
-		if _, err := g.ServeQuery(ctx, q); err != nil {
-			t.Fatalf("fill query: %v", err)
-		}
-		mirrors[idx] = append(mirrors[idx], q)
-	}
-	if len(mirrors[0]) == 0 || len(mirrors[1]) == 0 {
-		t.Fatalf("degenerate routing: mirror sizes %d/%d", len(mirrors[0]), len(mirrors[1]))
-	}
+	mirrors := fillMirrored(t, g, fill)
 
 	// Establish live sessions on both shards — the drain happens
 	// mid-session.
@@ -125,29 +163,6 @@ func TestDrainSealedHandoff(t *testing.T) {
 
 	// Re-identification with the successor's own fake pool, before the
 	// migration changes it.
-	testLog := &dataset.Log{Records: test.Records}
-	if len(testLog.Records) > 150 {
-		testLog.Records = testLog.Records[:150]
-	}
-	rate := func(pool []string) float64 {
-		h, err := core.NewHistory(len(pool) + 1)
-		if err != nil {
-			t.Fatalf("history: %v", err)
-		}
-		for _, q := range pool {
-			h.Add(q)
-		}
-		rng := mrand.New(mrand.NewPCG(11, 17))
-		return attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-			fakes := h.Sample(3, rng.IntN)
-			pos := rng.IntN(len(fakes) + 1)
-			subs := make([]string, 0, len(fakes)+1)
-			subs = append(subs, fakes[:pos]...)
-			subs = append(subs, rec.Query)
-			subs = append(subs, fakes[pos:]...)
-			return simattack.Obfuscation{Subqueries: subs, OriginalIndex: pos}
-		})
-	}
 	preRate := rate(mirrors[1])
 
 	rep, err := g.Drain(ctx, 0)
@@ -191,5 +206,102 @@ func TestDrainSealedHandoff(t *testing.T) {
 	postRate := rate(append(append([]string{}, mirrors[1]...), mirrors[0]...))
 	if postRate > preRate+0.05 {
 		t.Fatalf("re-identification improved after migration: pre=%.3f post=%.3f", preRate, postRate)
+	}
+}
+
+// TestDrainKeepsObfuscationEffective drains the other direction from
+// TestDrainSealedHandoff, with no session open: shard 1's window merges
+// into shard 0, and SimAttack re-identification against the merged fake
+// pool must not improve over the survivor's own pool.
+func TestDrainKeepsObfuscationEffective(t *testing.T) {
+	fill, rate := reidentification(t)
+	g, err := New(Config{
+		Shards:         2,
+		ShardConfig:    proxy.Config{K: 3, EchoMode: true, Seed: 9},
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = g.Shutdown(ctx)
+	}()
+	mirrors := fillMirrored(t, g, fill)
+
+	const survivor, retired = 0, 1
+	if _, err := g.Drain(context.Background(), retired); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	st := g.Stats()
+	surv := st.Shards[survivor].Proxy
+	if want := len(mirrors[0]) + len(mirrors[1]); surv.HistoryLen != want {
+		t.Fatalf("survivor history %d, want %d (own + migrated)", surv.HistoryLen, want)
+	}
+	requireInvariant(t, "post-drain survivor", surv)
+
+	preRate := rate(mirrors[survivor])
+	postRate := rate(append(append([]string{}, mirrors[survivor]...), mirrors[retired]...))
+	if postRate > preRate+0.05 {
+		t.Fatalf("re-identification improved after the drain: pre=%.3f post=%.3f", preRate, postRate)
+	}
+}
+
+// TestConcurrentDrainsConserveHistory drains two shards of a three-shard
+// fleet at once, where each is the other's successor. Drains run one at a
+// time, so neither can merge its window into a shard that is itself being
+// handed on: every history entry the fleet held before ends up on the one
+// survivor.
+func TestConcurrentDrainsConserveHistory(t *testing.T) {
+	trials := 50
+	if testing.Short() {
+		trials = 10
+	}
+	for trial := 0; trial < trials; trial++ {
+		g := echoFleet(t, 3, time.Hour)
+		if g.successor(g.shards[0]).index != 2 || g.successor(g.shards[2]).index != 0 {
+			t.Fatal("HRW drain ranks changed: the test needs shards 0 and 2 to succeed each other")
+		}
+		ctx := context.Background()
+		for i := 0; i < 300; i++ {
+			if _, err := g.ServeQuery(ctx, fmt.Sprintf("trial %d fill %d", trial, i)); err != nil {
+				t.Fatalf("fill query: %v", err)
+			}
+		}
+		pre := 0
+		for _, ss := range g.Stats().Shards {
+			pre += ss.Proxy.HistoryLen
+		}
+
+		start := make(chan struct{})
+		errs := make(chan error, 2)
+		for _, i := range []int{0, 2} {
+			go func() {
+				<-start
+				_, err := g.Drain(ctx, i)
+				errs <- err
+			}()
+		}
+		close(start)
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatalf("trial %d: Drain: %v", trial, err)
+			}
+		}
+
+		post := 0
+		for _, ss := range g.Stats().Shards {
+			if ss.Alive {
+				requireInvariant(t, fmt.Sprintf("trial %d survivor %d", trial, ss.Index), ss.Proxy)
+				post += ss.Proxy.HistoryLen
+			}
+		}
+		if post != pre {
+			t.Fatalf("trial %d: survivors hold %d of %d history entries", trial, post, pre)
+		}
+		ctxS, cancel := context.WithTimeout(ctx, 2*time.Second)
+		_ = g.Shutdown(ctxS)
+		cancel()
 	}
 }

@@ -45,8 +45,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("xsearch_fleet_errors_total", "Requests the gateway answered with an error.", float64(s.Errors))
 	pw.Counter("xsearch_fleet_drains_total", "Completed sealed drain handoffs.", float64(s.Drains))
 	pw.Counter("xsearch_fleet_migrated_queries_total", "History entries moved by sealed handoffs.", float64(s.MigratedQueries))
-	pw.Counter("xsearch_fleet_scale_ups_total", "Shards spawned by scale events.", float64(s.ScaleUps))
-	pw.Counter("xsearch_fleet_scale_downs_total", "Shards retired by scale events.", float64(s.ScaleDowns))
 
 	// The fleet-merged stage view: counts summed, tails from the worst
 	// shard (percentiles do not merge across histograms — the same rule

@@ -214,11 +214,8 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := g.ScaleUp(ctx); err != nil {
-		t.Fatalf("ScaleUp: %v", err)
-	}
-	if _, err := g.ScaleDown(ctx); err != nil {
-		t.Fatalf("ScaleDown: %v", err)
+	if _, err := g.Drain(ctx, 2); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 
 	types := map[string]int{}
@@ -231,8 +228,7 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 		types[ev.Type]++
 	}
 	for _, want := range []string{
-		obs.EvKill, obs.EvShardDead, obs.EvFailover,
-		obs.EvScaleUp, obs.EvScaleDown, obs.EvDrain,
+		obs.EvKill, obs.EvShardDead, obs.EvFailover, obs.EvDrain,
 	} {
 		if types[want] == 0 {
 			t.Errorf("event log missing %q; saw %v", want, types)
@@ -257,6 +253,6 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 		t.Fatalf("/events decode: %v", err)
 	}
 	if len(evs) == 0 {
-		t.Error("/events empty after kill/failover/scale events")
+		t.Error("/events empty after kill/failover/drain events")
 	}
 }

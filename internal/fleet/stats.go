@@ -28,22 +28,13 @@ type ShardStats struct {
 // each shard's node snapshot, and cross-shard aggregates.
 type Stats struct {
 	Shards []ShardStats `json:"shards"`
-	// CurrentShards is the shard ring's size (scale-downs remove retired
-	// shards; killed shards stay as dead entries) and AliveShards counts
-	// the ones still able to serve.
+	// CurrentShards is the shard ring's size, fixed at start (killed and
+	// drained shards stay as dead entries) and AliveShards counts the ones
+	// still able to serve.
 	CurrentShards int `json:"current_shards"`
 	AliveShards   int `json:"alive_shards"`
 	// SessionsActive is the gateway routing table's size.
 	SessionsActive int `json:"sessions_active"`
-
-	// Autoscaling: shards spawned and retired by scale events (manual or
-	// autoscaler-initiated), and the autoscaler's most recent decision
-	// reason — "cooldown", "occupancy 0.88 >= 0.75", "k-anonymity floor",
-	// "steady", ... — so an operator can see WHY the fleet is (not)
-	// moving.
-	ScaleUps          uint64 `json:"scale_ups,omitempty"`
-	ScaleDowns        uint64 `json:"scale_downs,omitempty"`
-	LastScaleDecision string `json:"last_scale_decision,omitempty"`
 
 	// Gateway routing counters. PlainRouted/SecureRouted/Handshakes count
 	// requests entering each route; Failovers counts requests re-routed
@@ -124,16 +115,11 @@ func (g *Gateway) Stats() Stats {
 		Drains:          g.drains.Load(),
 		MigratedQueries: g.migratedQ.Load(),
 		MigratedBytes:   g.migratedB.Load(),
-		ScaleUps:        g.scaleUps.Load(),
-		ScaleDowns:      g.scaleDowns.Load(),
 		MuxConns:        g.muxActive.Load(),
 		MuxConnsTotal:   g.muxAccepted.Load(),
 		MuxStreams:      g.muxStreams.Load(),
 		MuxResumes:      g.muxResumes.Load(),
 	}
-	g.decisionMu.Lock()
-	s.LastScaleDecision = g.lastDecision
-	g.decisionMu.Unlock()
 	perShard := make(map[*shard]int)
 	g.mu.Lock()
 	s.SessionsActive = len(g.sessions)
@@ -143,10 +129,9 @@ func (g *Gateway) Stats() Stats {
 	g.mu.Unlock()
 
 	merged := make(map[string]proxy.UpstreamStats)
-	ring := g.list()
-	s.CurrentShards = len(ring)
+	s.CurrentShards = len(g.shards)
 	var localHits, localTotal uint64
-	for _, sh := range ring {
+	for _, sh := range g.shards {
 		ss := ShardStats{
 			Index:    sh.index,
 			Alive:    sh.live(),

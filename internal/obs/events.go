@@ -10,14 +10,6 @@ import (
 // Event types — the closed set of fleet/proxy lifecycle events. Nothing
 // traffic-derived may ever become a type tag.
 const (
-	// EvScaleDecision is one autoscaler tick's DecideScale outcome,
-	// carrying the decision inputs (load maxima, cooldown elapsed,
-	// min/max clamps) so operators can see WHY the fleet did or did not
-	// move.
-	EvScaleDecision = "scale_decision"
-	// EvScaleUp and EvScaleDown are executed ring mutations.
-	EvScaleUp   = "scale_up"
-	EvScaleDown = "scale_down"
 	// EvDrain is a completed sealed drain handoff (planned removal).
 	EvDrain = "drain"
 	// EvKill is a simulated shard crash (chaos/operator initiated).
@@ -36,33 +28,23 @@ const (
 )
 
 // Event is one structured, content-free fleet event. The shape is
-// constant: a fixed field set, types from the closed Ev* set, shard
-// indices and configured upstream hosts as the only identities, and
-// numeric load signals. No field ever carries query or result content.
+// constant: a fixed field set, types from the closed Ev* set, and shard
+// indices and configured upstream hosts as the only identities. No field
+// ever carries query or result content.
 type Event struct {
 	// Seq is a per-log monotonic sequence number: gaps after a Snapshot
 	// tell the reader exactly how many events the ring dropped.
 	Seq    uint64 `json:"seq"`
 	TimeNs int64  `json:"time_ns"`
 	Type   string `json:"type"`
-	// Shard is the subject shard's stable index (-1 when fleet-scoped).
+	// Shard is the subject shard's index in the fleet ring.
 	Shard int `json:"shard"`
 	// Upstream is the engine host for breaker events.
 	Upstream string `json:"upstream,omitempty"`
 	// Reason is a human-readable cause from a fixed format-string set
-	// (autoscaler decision reasons, drain causes). Numeric-bearing but
+	// (drain handoffs, dropped-session counts). Numeric-bearing but
 	// content-free.
 	Reason string `json:"reason,omitempty"`
-	// Autoscaler decision inputs (EvScaleDecision; zero elsewhere):
-	// current ring size and clamps, elapsed cooldown, and the load
-	// maxima DecideScale saw.
-	Shards         int     `json:"shards,omitempty"`
-	ShardsMin      int     `json:"shards_min,omitempty"`
-	ShardsMax      int     `json:"shards_max,omitempty"`
-	SinceLastMs    int64   `json:"since_last_ms,omitempty"`
-	MaxOccupancy   float64 `json:"max_occupancy,omitempty"`
-	MaxEPCFraction float64 `json:"max_epc_fraction,omitempty"`
-	MaxLatencyP95  int64   `json:"max_latency_p95_ns,omitempty"`
 }
 
 // Log is a fixed-capacity ring buffer of events, safe for concurrent

@@ -113,7 +113,7 @@ func TestLogConcurrentAppendSnapshot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.Append(Event{Type: EvScaleDecision, Shard: w})
+				l.Append(Event{Type: EvFailover, Shard: w})
 				if i%17 == 0 {
 					snap := l.Snapshot()
 					for j := 1; j < len(snap); j++ {
@@ -136,7 +136,7 @@ func TestLogConcurrentAppendSnapshot(t *testing.T) {
 func TestLogStreamEmitsJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLog(4, WithStream(&buf))
-	l.Append(Event{Type: EvScaleUp, Shard: 3, Shards: 4})
+	l.Append(Event{Type: EvKill, Shard: 3})
 	l.Append(Event{Type: EvDrain, Shard: 1, Reason: "sealed handoff"})
 	sc := bufio.NewScanner(&buf)
 	var lines int

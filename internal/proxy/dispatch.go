@@ -320,10 +320,8 @@ func (pl *pipelineRuntime) unregister(id uint64) {
 // crossing's own reply is, unless the request parked.
 func (p *Proxy) run(ctx context.Context, req envelope) (reply envelopeReply, err error) {
 	p.requests.Add(1)
-	p.inflight.Add(1)
 	start := time.Now()
 	defer func() {
-		p.inflight.Add(-1)
 		p.trusted.stages.Since(obs.StageReply, start)
 		if err != nil {
 			p.errors.Add(1)

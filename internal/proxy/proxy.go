@@ -208,7 +208,6 @@ type Proxy struct {
 	requests   atomic.Uint64
 	handshakes atomic.Uint64
 	errors     atomic.Uint64
-	inflight   atomic.Int64
 }
 
 // New builds the proxy: loads the trusted code into an enclave, registers
@@ -750,59 +749,6 @@ func (p *Proxy) Healthy() bool {
 		}
 	}
 	return true
-}
-
-// LoadSignals is the compact per-node load sample the fleet autoscaler
-// consumes: admission occupancy, the request-latency tail, EPC heap
-// pressure, and the history-window fill the k-anonymity floor reasons
-// about. All signals are cheap gauges — no locks beyond the stats the node
-// already keeps.
-type LoadSignals struct {
-	// InFlight and Capacity are the currently admitted requests and the
-	// admission bound they count against: PipelineDepth on the async path,
-	// the enclave's TCS count on the blocking path. Occupancy is their
-	// ratio (1.0 = saturated; further requests queue).
-	InFlight  int
-	Capacity  int
-	Occupancy float64
-	// LatencyP95 is the end-to-end query latency tail (zero before the
-	// first completed request).
-	LatencyP95 time.Duration
-	// EPCFraction is the enclave heap's share of the platform EPC limit —
-	// history plus cache bytes over the sealed-memory budget.
-	EPCFraction float64
-	// HistoryLen and HistoryCapacity describe the obfuscation window:
-	// how many real past queries it holds against its sliding-window
-	// bound. The fleet's scale-down floor uses them to refuse retirements
-	// whose sealed handoff would overflow (and so FIFO-evict) a single
-	// window.
-	HistoryLen      int
-	HistoryCapacity int
-}
-
-// Load returns the node's current load sample.
-func (p *Proxy) Load() LoadSignals {
-	ls := LoadSignals{InFlight: int(p.inflight.Load())}
-	if pl := p.pipeline; pl != nil {
-		ls.InFlight = pl.inFlight()
-		ls.Capacity = pl.depth
-	} else {
-		ls.Capacity = p.encl.TCSCount()
-	}
-	if ls.Capacity > 0 {
-		ls.Occupancy = float64(ls.InFlight) / float64(ls.Capacity)
-	}
-	if snap := p.latency.Snapshot(); snap.Count > 0 {
-		ls.LatencyP95 = snap.P95
-	}
-	es := p.encl.Stats()
-	if es.EPCLimit > 0 {
-		ls.EPCFraction = float64(es.HeapBytes) / float64(es.EPCLimit)
-	}
-	h := p.trusted.obfuscator.History()
-	ls.HistoryLen = h.Len()
-	ls.HistoryCapacity = h.Capacity()
-	return ls
 }
 
 // Handshake establishes an attested secure channel without going through

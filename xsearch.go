@@ -335,12 +335,6 @@ type FleetShardStats = fleet.ShardStats
 // FleetDrainReport describes a completed planned drain.
 type FleetDrainReport = fleet.DrainReport
 
-// AutoscalePolicy parameterizes fleet autoscaling (WithAutoscale): the
-// occupancy hysteresis band, optional p95-latency and EPC-pressure up
-// signals, the sampling interval, and the cooldown between scale events.
-// Zero fields take the fleet defaults.
-type AutoscalePolicy = fleet.AutoscalePolicy
-
 // FleetOption configures NewFleet.
 type FleetOption interface {
 	applyFleet(*fleet.Config)
@@ -365,24 +359,6 @@ func WithShardConfig(opts ...ProxyOption) FleetOption {
 		for _, o := range opts {
 			o.applyProxy(&c.ShardConfig)
 		}
-	})
-}
-
-// WithAutoscale makes the fleet elastic between min and max shards: the
-// gateway samples per-shard load signals (pipeline admission occupancy,
-// p95 request latency, EPC heap pressure) on the policy's interval and
-// scales up by spawning a shard on its own simulated platform — re-keyed
-// under the fleet sealing root and inserted into the HRW ring, so new
-// sessions rebalance naturally while existing sessions stay pinned — and
-// scales down by draining the coldest shard through the sealed handoff
-// before retiring its enclave. Hysteresis and a cooldown keep the fleet
-// from flapping, and a scale-down is refused when the merged history
-// would overflow a single shard's window (the k-anonymity floor).
-func WithAutoscale(min, max int, policy AutoscalePolicy) FleetOption {
-	return fleetOptionFunc(func(c *fleet.Config) {
-		c.ShardsMin = min
-		c.ShardsMax = max
-		c.Autoscale = &policy
 	})
 }
 
@@ -427,7 +403,8 @@ func (f *Fleet) URL() string { return f.inner.URL() }
 // Shutdown stops the gateway and destroys every live shard enclave.
 func (f *Fleet) Shutdown(ctx context.Context) error { return f.inner.Shutdown(ctx) }
 
-// ShardCount returns the configured number of shards.
+// ShardCount returns the configured number of shards: the ring is fixed
+// at NewFleet, and killed or drained shards keep their place in it.
 func (f *Fleet) ShardCount() int { return f.inner.ShardCount() }
 
 // Measurement returns the enclave identity clients pin; every shard is
@@ -452,17 +429,6 @@ func (f *Fleet) KillShard(ctx context.Context, i int) error { return f.inner.Kil
 // window to its successor as a sealed blob before destroying the enclave.
 func (f *Fleet) DrainShard(ctx context.Context, i int) (*FleetDrainReport, error) {
 	return f.inner.Drain(ctx, i)
-}
-
-// ScaleUp manually spawns one shard (own platform, fleet sealing root,
-// same measured template) and inserts it into the routing ring, returning
-// its stable index. Respects the WithAutoscale maximum when set.
-func (f *Fleet) ScaleUp(ctx context.Context) (int, error) { return f.inner.ScaleUp(ctx) }
-
-// ScaleDown manually retires the coldest shard through the sealed drain
-// handoff, respecting the configured minimum and the k-anonymity floor.
-func (f *Fleet) ScaleDown(ctx context.Context) (*FleetDrainReport, error) {
-	return f.inner.ScaleDown(ctx)
 }
 
 // --- Client ---
