@@ -79,9 +79,10 @@
 // caches and coalescing effective fleet-wide. The gateway health-checks shards, fails work over
 // to the next-ranked live shard on a crash (sessions on the dead shard
 // re-attest transparently), and on a planned drain (DrainShard) migrates
-// the departing shard's history window to its successor as a sealed blob
-// — the untrusted host moves opaque bytes; only the successor's enclave,
-// holding the fleet's provisioned sealing root, can open them. Throughput
+// the departing shard's history window and answer index to its successor
+// as one sealed blob — the untrusted host moves opaque bytes; only the
+// successor's enclave, holding the fleet's provisioned sealing root, can
+// open it, and it merges a blob once. Throughput
 // scales near-linearly with shards while the per-shard EPC invariant
 // (heap == history + cache + index) keeps holding.
 //
@@ -147,7 +148,7 @@
 // in which ecall under each configuration, and what the host can observe
 // at each seam — the full ecall list and the seam table (which message
 // is binary, which is still JSON and why), all of it part of the measured
-// identity (ident v2.2).
+// identity.
 //
 // Why park: the blocking engine stage holds one enclave thread (TCS) for
 // the full engine round trip — the thread-occupancy cost the SGX
@@ -222,8 +223,8 @@
 // is charged through the same env.Alloc/env.Free contract as the
 // history and the cache, extending the EPC invariant to heap == history
 // + cache + index; eviction is FIFO by document with TTL expiry. On a
-// planned drain the index migrates to the successor shard as a sealed
-// blob through the same handoff seam as the history, and the enclave
+// planned drain the index migrates to the successor shard inside the
+// same sealed blob as the history, and the enclave
 // identity measures the index configuration. Proxy.Stats reports
 // IndexHits/IndexDocs/IndexBytes and a LocalHitRatio combining
 // cache and index serving; the benchmark's `repeat` workload runs with

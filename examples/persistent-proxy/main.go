@@ -1,7 +1,7 @@
 // Persistent-proxy demonstrates sealed-state persistence: the proxy's
-// past-query history survives a restart as an enclave-sealed blob the host
-// cannot read, and a proxy on a different "machine" (different CPU fuse
-// key) cannot unseal it at all.
+// state — its past-query history and answer index — survives a restart as
+// an enclave-sealed blob the host cannot read, and a proxy on a different
+// "machine" (different CPU fuse key) cannot unseal it at all.
 package main
 
 import (
@@ -27,7 +27,7 @@ func run() error {
 		return err
 	}
 	defer func() { _ = os.RemoveAll(dir) }()
-	statePath := filepath.Join(dir, "history.sealed")
+	statePath := filepath.Join(dir, "state.sealed")
 	machine := []byte("rack-42-cpu-7") // stands in for the CPU fuse key
 
 	engine := xsearch.NewEngine()
@@ -82,7 +82,7 @@ func run() error {
 	fmt.Printf("sealed state on disk: %d bytes, plaintext queries visible to host: %t\n",
 		len(blob), leaked)
 
-	// --- Restart on the same machine: history restored inside the enclave.
+	// --- Restart on the same machine: state restored inside the enclave.
 	p2, err := xsearch.NewProxy(
 		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
 		xsearch.WithFakeQueries(2),

@@ -28,7 +28,6 @@
 package answer
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -274,37 +273,35 @@ func (x *Index) Query(q string, k int, now time.Time, free func(int64)) (results
 	return out, true
 }
 
-// snapshotDoc is the sealed wire form of one document. Term vectors are
-// not serialized — they are deterministic from the payload and rebuilt
-// on merge, keeping the blob minimal.
-type snapshotDoc struct {
+// SnapshotDoc is one document of a Snapshot. Term vectors are not
+// carried: they are deterministic from the payload and rebuilt on merge.
+type SnapshotDoc struct {
 	URL     string `json:"url"`
 	Title   string `json:"title"`
 	Snippet string `json:"snippet"`
 	Expires int64  `json:"expires"` // UnixNano; absolute so TTLs survive the handoff
 }
 
-type snapshotBlob struct {
-	Docs []snapshotDoc `json:"docs"`
-}
+// Snapshot is the index contents in FIFO order: the index section of the
+// enclave's sealed state. The caller encodes and seals it before it
+// crosses the enclave boundary; the host moves opaque bytes only.
+type Snapshot []SnapshotDoc
 
-// Snapshot serializes the index contents (FIFO order preserved) for
-// sealing. The caller seals the blob before it crosses the enclave
-// boundary; the host moves opaque bytes only.
-func (x *Index) Snapshot() ([]byte, error) {
+// Snapshot copies the index contents, FIFO order preserved.
+func (x *Index) Snapshot() Snapshot {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	blob := snapshotBlob{Docs: make([]snapshotDoc, 0, len(x.order))}
+	snap := make(Snapshot, 0, len(x.order))
 	for _, url := range x.order {
 		d := x.docs[url]
-		blob.Docs = append(blob.Docs, snapshotDoc{
+		snap = append(snap, SnapshotDoc{
 			URL:     d.res.URL,
 			Title:   d.res.Title,
 			Snippet: d.res.Snippet,
 			Expires: d.expires.UnixNano(),
 		})
 	}
-	return json.Marshal(&blob)
+	return snap
 }
 
 // Merge appends a snapshot from another index (the sealed drain/handoff
@@ -314,15 +311,11 @@ func (x *Index) Snapshot() ([]byte, error) {
 // merge, and a charge failure skips the document rather than corrupting
 // the meter. Documents already present keep the local (fresher or equal)
 // version. Returns how many documents were added and the bytes charged.
-func (x *Index) Merge(data []byte, now time.Time, charge func(int64) error, free func(int64)) (added int, bytes int64, err error) {
-	var blob snapshotBlob
-	if err := json.Unmarshal(data, &blob); err != nil {
-		return 0, 0, fmt.Errorf("answer: bad snapshot: %w", err)
-	}
+func (x *Index) Merge(snap Snapshot, now time.Time, charge func(int64) error, free func(int64)) (added int, bytes int64) {
 	// Normalise what is still fresh before taking the lock.
-	fresh := make([]core.Result, 0, len(blob.Docs))
-	expiries := make([]time.Time, 0, len(blob.Docs))
-	for _, sd := range blob.Docs {
+	fresh := make([]core.Result, 0, len(snap))
+	expiries := make([]time.Time, 0, len(snap))
+	for _, sd := range snap {
 		if expires := time.Unix(0, sd.Expires); !now.After(expires) {
 			fresh = append(fresh, core.Result{URL: sd.URL, Title: sd.Title, Snippet: sd.Snippet})
 			expiries = append(expiries, expires)
@@ -341,7 +334,7 @@ func (x *Index) Merge(data []byte, now time.Time, charge func(int64) error, free
 			added++
 		}
 	}
-	return added, x.bytes - before, nil
+	return added, x.bytes - before
 }
 
 // PurgeExpired drops every document stale at time now, releasing bytes

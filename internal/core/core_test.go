@@ -137,42 +137,6 @@ func TestHistorySampleCoversWindow(t *testing.T) {
 	}
 }
 
-func TestHistoryRestore(t *testing.T) {
-	h := mustHistory(t, 3)
-	h.Restore([]string{"a", "b", "c", "d", "e"})
-	want := []string{"c", "d", "e"}
-	if got := h.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Snapshot = %v, want %v", got, want)
-	}
-	// Continue adding after restore: FIFO continues correctly.
-	h.Add("f")
-	want = []string{"d", "e", "f"}
-	if got := h.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("after add = %v, want %v", got, want)
-	}
-}
-
-func TestHistoryJSONRoundTrip(t *testing.T) {
-	h := mustHistory(t, 4)
-	for _, q := range []string{"one", "two", "three"} {
-		h.Add(q)
-	}
-	data, err := h.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2 := mustHistory(t, 4)
-	if err := h2.UnmarshalJSON(data); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(h.Snapshot(), h2.Snapshot()) {
-		t.Errorf("round trip: %v vs %v", h.Snapshot(), h2.Snapshot())
-	}
-	if err := h2.UnmarshalJSON([]byte("{bad")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-}
-
 func TestHistoryConcurrentAdd(t *testing.T) {
 	h := mustHistory(t, 100)
 	var wg sync.WaitGroup

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 )
@@ -128,45 +127,4 @@ func (h *History) Snapshot() []string {
 		out[i] = h.at(i)
 	}
 	return out
-}
-
-// Restore replaces the contents with the snapshot (oldest-first), keeping
-// at most the most recent Capacity() entries. Returns the new byte size.
-func (h *History) Restore(queries []string) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.ring {
-		h.ring[i] = ""
-	}
-	h.head, h.size, h.bytes = 0, 0, 0
-	start := 0
-	if len(queries) > len(h.ring) {
-		start = len(queries) - len(h.ring)
-	}
-	for _, q := range queries[start:] {
-		h.ring[h.head] = q
-		h.head = (h.head + 1) % len(h.ring)
-		h.size++
-		h.bytes += int64(len(q)) + perQueryOverhead
-	}
-	if h.size == len(h.ring) {
-		// head already points at the oldest entry.
-		h.head %= len(h.ring)
-	}
-	return h.bytes
-}
-
-// MarshalJSON seals-friendly serialization of the window contents.
-func (h *History) MarshalJSON() ([]byte, error) {
-	return json.Marshal(h.Snapshot())
-}
-
-// UnmarshalJSON restores from serialized contents.
-func (h *History) UnmarshalJSON(data []byte) error {
-	var queries []string
-	if err := json.Unmarshal(data, &queries); err != nil {
-		return fmt.Errorf("core: history restore: %w", err)
-	}
-	h.Restore(queries)
-	return nil
 }

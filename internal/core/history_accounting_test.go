@@ -93,53 +93,50 @@ func TestHistorySnapshotRestoreRoundTripTable(t *testing.T) {
 	tests := []struct {
 		name      string
 		capacity  int
-		restore   []string
+		add       []string
 		wantSnap  []string
 		wantBytes int64
 	}{
 		{
 			name:      "fits exactly",
 			capacity:  3,
-			restore:   []string{"a", "bb", "ccc"},
+			add:       []string{"a", "bb", "ccc"},
 			wantSnap:  []string{"a", "bb", "ccc"},
 			wantBytes: 6 + 3*ov,
 		},
 		{
 			name:      "underfull",
 			capacity:  5,
-			restore:   []string{"a", "bb"},
+			add:       []string{"a", "bb"},
 			wantSnap:  []string{"a", "bb"},
 			wantBytes: 3 + 2*ov,
 		},
 		{
 			name:      "overfull keeps the most recent",
 			capacity:  2,
-			restore:   []string{"old", "mid", "newest"},
+			add:       []string{"old", "mid", "newest"},
 			wantSnap:  []string{"mid", "newest"},
 			wantBytes: 9 + 2*ov,
-		},
-		{
-			name:      "empty restore clears",
-			capacity:  2,
-			restore:   nil,
-			wantSnap:  []string{},
-			wantBytes: 0,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			h := mustHistory(t, tt.capacity)
-			h.Add("pre-existing state to be replaced")
-			gotBytes := h.Restore(tt.restore)
+			var gotBytes int64
+			for _, q := range tt.add {
+				gotBytes += h.Add(q)
+			}
 			if gotBytes != tt.wantBytes || h.Bytes() != tt.wantBytes {
-				t.Errorf("Restore = %d, Bytes = %d, want %d", gotBytes, h.Bytes(), tt.wantBytes)
+				t.Errorf("Add deltas sum to %d, Bytes = %d, want %d", gotBytes, h.Bytes(), tt.wantBytes)
 			}
 			if got := h.Snapshot(); !reflect.DeepEqual(got, tt.wantSnap) {
 				t.Errorf("Snapshot = %v, want %v", got, tt.wantSnap)
 			}
-			// Round trip: restoring a snapshot reproduces it.
+			// Round trip: adding a snapshot to an empty window reproduces it.
 			h2 := mustHistory(t, tt.capacity)
-			h2.Restore(h.Snapshot())
+			for _, q := range h.Snapshot() {
+				h2.Add(q)
+			}
 			if !reflect.DeepEqual(h2.Snapshot(), h.Snapshot()) {
 				t.Errorf("round trip diverged: %v vs %v", h2.Snapshot(), h.Snapshot())
 			}
@@ -150,11 +147,10 @@ func TestHistorySnapshotRestoreRoundTripTable(t *testing.T) {
 	}
 }
 
-// Concurrent Add/Snapshot/Restore/Sample must never race (run with -race)
+// Concurrent Add/Snapshot/Sample must never race (run with -race)
 // and must leave the byte meter equal to the stored contents.
 func TestHistoryConcurrentAddSnapshotRestore(t *testing.T) {
 	h := mustHistory(t, 64)
-	seedSnapshot := []string{"r1", "r2 longer", "r3"}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(3)
@@ -176,7 +172,6 @@ func TestHistoryConcurrentAddSnapshotRestore(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				h.Restore(seedSnapshot)
 				h.Sample(3, func(n int) int { return (w + i) % n })
 			}
 		}(w)

@@ -20,14 +20,16 @@
 // to the next-highest-ranked live shard; sessions on the dead shard are
 // dropped and the client broker transparently re-attests (its normal
 // response to session loss), landing on a live shard. On a planned
-// Drain, the departing shard's history window is handed to its successor
-// as a sealed blob: the enclave seals it under the fleet's shared sealing
-// root (MRSIGNER policy), the untrusted gateway moves the opaque bytes,
-// and the successor's enclave unseals and merges them — the privacy state
-// never exists in plaintext outside a trusted boundary. The shared root
-// models SGX fleet key provisioning (a migration key provisioned to every
-// attested fleet enclave); on real hardware the same handoff runs over an
-// attested enclave-to-enclave channel.
+// Drain, the departing shard's history window and answer index are
+// handed to its successor as one sealed blob: the enclave seals it under
+// the fleet's shared sealing root (MRSIGNER policy), the untrusted gateway
+// moves the opaque bytes, and the successor's enclave unseals and merges
+// it, once and all or nothing — the privacy state never exists in
+// plaintext outside a trusted boundary. The shared root models SGX fleet
+// key provisioning (a migration key provisioned to every attested fleet
+// enclave); on real hardware the same handoff runs over an attested
+// enclave-to-enclave channel, and a monotonic counter would catch what
+// the simulation does not: a persisted state file rolled back.
 package fleet
 
 import (
@@ -374,19 +376,19 @@ func (g *Gateway) Kill(_ context.Context, i int) error {
 	return nil
 }
 
-// DrainReport describes a completed planned drain.
+// DrainReport describes a completed planned drain: what the successor's
+// merge of the drained shard's one sealed-state blob added.
 type DrainReport struct {
 	// Shard and Successor are the drained shard and the shard that
-	// received its history window.
+	// received its sealed state.
 	Shard     int `json:"shard"`
 	Successor int `json:"successor"`
-	// MigratedQueries and MigratedBytes are what the sealed handoff
-	// carried (bytes is the successor's net EPC delta).
+	// MigratedQueries and MigratedBytes are the blob's history section
+	// (bytes is the successor's net EPC delta).
 	MigratedQueries int   `json:"migrated_queries"`
 	MigratedBytes   int64 `json:"migrated_bytes"`
-	// MigratedIndexDocs and MigratedIndexBytes are what the sealed
-	// answer-tier index handoff carried (documents added at the successor
-	// and its net EPC delta).
+	// MigratedIndexDocs and MigratedIndexBytes are its answer-index
+	// section (documents added at the successor and their net EPC delta).
 	MigratedIndexDocs  int   `json:"migrated_index_docs,omitempty"`
 	MigratedIndexBytes int64 `json:"migrated_index_bytes,omitempty"`
 	// SessionsLost is how many routed sessions died with the shard; their
@@ -395,14 +397,16 @@ type DrainReport struct {
 }
 
 // Drain retires shard i in an orderly way: stop routing new work to it,
-// seal its history window inside its enclave, hand the opaque blob to the
-// successor shard (the drained shard's next-highest HRW rank among
-// available shards), merge it there, then destroy the drained enclave. The
-// shard stays in the ring, dead. The departing shard's established
-// sessions keep being served until the final destroy; the few queries they
-// add after the snapshot fall outside the migrated window, the same
-// bounded loss as the sliding window's own FIFO eviction. Their brokers
-// then re-attest onto live shards. Drains run one at a time.
+// seal its privacy state (history window and answer index) inside its
+// enclave as one blob, hand the opaque blob to the successor shard (the
+// drained shard's next-highest HRW rank among available shards), merge it
+// there, then destroy the drained enclave. The merge is all or nothing and
+// single-use, so a drain that returns an error has moved nothing and may
+// be retried. The shard stays in the ring, dead. The departing shard's
+// established sessions keep being served until the final destroy; the few
+// queries they add after the snapshot fall outside the migrated window,
+// the same bounded loss as the sliding window's own FIFO eviction. Their
+// brokers then re-attest onto live shards. Drains run one at a time.
 func (g *Gateway) Drain(ctx context.Context, i int) (*DrainReport, error) {
 	sh := g.shardByIndex(i)
 	if sh == nil {
@@ -419,46 +423,32 @@ func (g *Gateway) Drain(ctx context.Context, i int) (*DrainReport, error) {
 		sh.draining.Store(false)
 		return nil, fmt.Errorf("fleet: no live successor for shard %d: %w", i, ErrNoLiveShard)
 	}
-	blob, err := sh.proxy.SnapshotHistory(ctx)
+	blob, err := sh.proxy.SnapshotState(ctx)
 	if err != nil {
 		sh.draining.Store(false)
 		return nil, fmt.Errorf("fleet: snapshot shard %d: %w", i, err)
 	}
-	added, bytes, err := succ.proxy.MergeHistory(ctx, blob)
+	rep, err := succ.proxy.MergeState(ctx, blob)
 	if err != nil {
 		sh.draining.Store(false)
 		return nil, fmt.Errorf("fleet: merge into shard %d: %w", succ.index, err)
-	}
-	// The answer-tier index rides the same sealed seam: snapshot inside
-	// the drained enclave, merge inside the successor's. A shard without
-	// an index snapshots nil and the successor's merge is a no-op, so the
-	// drain path stays uniform.
-	idxBlob, err := sh.proxy.SnapshotIndex(ctx)
-	if err != nil {
-		sh.draining.Store(false)
-		return nil, fmt.Errorf("fleet: snapshot index shard %d: %w", i, err)
-	}
-	idxAdded, idxBytes, err := succ.proxy.MergeIndex(ctx, idxBlob)
-	if err != nil {
-		sh.draining.Store(false)
-		return nil, fmt.Errorf("fleet: merge index into shard %d: %w", succ.index, err)
 	}
 	sh.alive.Store(false)
 	_ = sh.proxy.Shutdown(ctx)
 	lost := g.dropShardSessions(sh)
 	g.drains.Add(1)
-	g.migratedQ.Add(uint64(added))
-	g.migratedB.Add(bytes)
+	g.migratedQ.Add(uint64(rep.Queries))
+	g.migratedB.Add(rep.HistoryBytes)
 	g.events.Append(obs.Event{Type: obs.EvDrain, Shard: i,
 		Reason: fmt.Sprintf("sealed handoff to shard %d: %d queries, %d index docs, %d sessions lost",
-			succ.index, added, idxAdded, lost)})
+			succ.index, rep.Queries, rep.IndexDocs, lost)})
 	return &DrainReport{
 		Shard:              i,
 		Successor:          succ.index,
-		MigratedQueries:    added,
-		MigratedBytes:      bytes,
-		MigratedIndexDocs:  idxAdded,
-		MigratedIndexBytes: idxBytes,
+		MigratedQueries:    rep.Queries,
+		MigratedBytes:      rep.HistoryBytes,
+		MigratedIndexDocs:  rep.IndexDocs,
+		MigratedIndexBytes: rep.IndexBytes,
 		SessionsLost:       lost,
 	}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	mrand "math/rand/v2"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,5 +305,71 @@ func TestConcurrentDrainsConserveHistory(t *testing.T) {
 		ctxS, cancel := context.WithTimeout(ctx, 2*time.Second)
 		_ = g.Shutdown(ctxS)
 		cancel()
+	}
+}
+
+// cutCtx is a context that turns Canceled after its first n Err calls. An
+// ecall checks Err once on entry, so a drain run under it fails at its
+// (n+1)th enclave crossing.
+type cutCtx struct {
+	context.Context
+	left atomic.Int64
+	once sync.Once
+	done chan struct{}
+}
+
+func newCutCtx(n int) *cutCtx {
+	c := &cutCtx{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(int64(n))
+	return c
+}
+
+func (c *cutCtx) Err() error {
+	if c.left.Add(-1) >= 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+func (c *cutCtx) Done() <-chan struct{} { return c.done }
+
+// TestDrainRetryMergesOnce cuts a drain's context after each of its first
+// crossings and retries a failed drain with a live one: however the first
+// attempt ended, the successor holds its own window plus the drained one
+// exactly once, and the EPC identity holds.
+func TestDrainRetryMergesOnce(t *testing.T) {
+	for cut := 0; cut <= 4; cut++ {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			g := echoFleet(t, 3, time.Hour)
+			ctx := context.Background()
+			for i := 0; i < 300; i++ {
+				if _, err := g.ServeQuery(ctx, fmt.Sprintf("retried drain fill %d", i)); err != nil {
+					t.Fatalf("fill query: %v", err)
+				}
+			}
+			const drained = 0
+			succ := g.successor(g.shards[drained]).index
+			pre := g.Stats()
+			own, moved := pre.Shards[succ].Proxy.HistoryLen, pre.Shards[drained].Proxy.HistoryLen
+
+			rep, err := g.Drain(newCutCtx(cut), drained)
+			if err != nil {
+				if rep, err = g.Drain(ctx, drained); err != nil {
+					t.Fatalf("retried Drain: %v", err)
+				}
+			}
+			if rep.Successor != succ || rep.MigratedQueries != moved {
+				t.Errorf("drain report %+v, want %d queries into shard %d", rep, moved, succ)
+			}
+			post := g.Stats()
+			if post.Shards[drained].Alive {
+				t.Error("drained shard still alive")
+			}
+			requireInvariant(t, "successor", post.Shards[succ].Proxy)
+			if got := post.Shards[succ].Proxy.HistoryLen; got != own+moved {
+				t.Fatalf("successor holds %d queries, want %d (%d own + %d drained)", got, own+moved, own, moved)
+			}
+		})
 	}
 }

@@ -110,9 +110,9 @@ func TestDrainCarriesIndexBlob(t *testing.T) {
 
 	// The blob the gateway moves is sealed: the host-visible bytes must
 	// not leak the indexed plaintext.
-	blob, err := g.shardByIndex(0).proxy.SnapshotIndex(ctx)
+	blob, err := g.shardByIndex(0).proxy.SnapshotState(ctx)
 	if err != nil {
-		t.Fatalf("SnapshotIndex: %v", err)
+		t.Fatalf("SnapshotState: %v", err)
 	}
 	if len(blob) == 0 {
 		t.Fatal("empty index snapshot from a populated shard")

@@ -36,6 +36,14 @@ type pipelineRuntime struct {
 	nextID  uint64
 	waiters map[uint64]chan pendingOutcome
 
+	// crossings counts request crossings not yet back out of the enclave:
+	// queued for the batcher or inside "request"/"request-batch". It
+	// outlives the admission slot — a caller that gives up leaves its
+	// queued request to cross without it, obfuscation and its EPC charge
+	// included — so it, not inFlight, says when no request crossing can
+	// still move the meter. A count only: it carries no content.
+	crossings atomic.Int64
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	workers  sync.WaitGroup
@@ -348,15 +356,19 @@ func (p *Proxy) run(ctx context.Context, req envelope) (reply envelopeReply, err
 	// queued one's comes from the batcher (dispatchBatch).
 	id, ch := pl.register()
 	req.ID = id
+	pl.crossings.Add(1)
 	if pl.submitQ == nil {
 		reply, err = p.ecall(ctx, req)
+		pl.crossings.Add(-1)
 		ch <- pendingOutcome{reply, err}
 	} else {
 		select {
 		case pl.submitQ <- batchItem{id: id, arg: req.encode(), queued: time.Now()}:
 		case <-ctx.Done():
+			pl.crossings.Add(-1)
 			ch <- pendingOutcome{err: fmt.Errorf("proxy: batch submit: %w", ctx.Err())}
 		case <-pl.stop:
+			pl.crossings.Add(-1)
 			ch <- pendingOutcome{err: errors.New("proxy: pipeline stopped")}
 		}
 	}
@@ -473,6 +485,7 @@ func (pl *pipelineRuntime) dispatchBatch(batch []batchItem) {
 		pl.p.trusted.stages.Since(obs.StageSubmit, it.queued)
 		pl.deliver(it.id, out)
 	}
+	pl.crossings.Add(-int64(len(batch)))
 }
 
 // batchStats tracks batched boundary crossings: a total counter (request

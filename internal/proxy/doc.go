@@ -42,8 +42,8 @@
 // request has at most one fetch in flight at any time: one engine holds
 // its k+1 query until that fetch ends, and only then may a failover send
 // it to the next. The remaining
-// ecalls are "init" and the sealed-state pairs "restore"/"snapshot"/"merge"
-// and "snapshot-index"/"merge-index". The untrusted half (dispatch.go)
+// ecalls are "init" and the sealed-state pair "snapshot"/"merge". The
+// untrusted half (dispatch.go)
 // admits requests, names them, batches crossings, drains completions into
 // "resume" and hands outcomes to whoever waits under the id — an id nobody
 // waits under is a caller that has gone: its final outcome is dropped, its
@@ -90,8 +90,8 @@
 //	                                                the flight's adapter copies them: the one trusted copy)
 //	"abandon" argument                   binary     the request's id, eight little-endian bytes
 //	tokenList ("abandon" reply)          binary     the fetch token the runtime is to cancel (none, or one)
-//	snapshot/merge replies, sealed       JSON       start-up and drain paths, never per query
-//	  history and index blobs
+//	snapshot/merge reply, sealed state   JSON       start-up, shutdown and drain paths, never per query
+//	  blob
 //
 // The binary decoders follow decodeBatch's discipline: every length is
 // checked against the bytes present before it sizes anything, trailing
@@ -99,6 +99,22 @@
 // JSON inside the package: the client contract, the compatibility front
 // and handshake offers, and the sealed-state replies — nothing between a
 // request's admission and its reply.
+//
+// # Sealed state
+//
+// Everything private that outlives an enclave — the history window and
+// the answer index — leaves it as ONE blob sealed under stateAAD, and
+// moves through ONE pair: "snapshot" seals it under a fresh 16-byte id,
+// "merge" adds it to the local state. Start-up restore (StatePath) is a
+// merge into the empty window, shutdown persists a snapshot, and a fleet
+// drain moves one blob from the drained shard to its successor. A merge
+// is all or nothing (a refused one changes nothing, the EPC meter
+// included) and single-use: the enclave refuses an id it has merged.
+// Limit: that memory dies with the enclave, so a host that rolls the
+// StatePath file back to an older blob across a restart is not detected.
+// On real SGX a monotonic counter sealed beside the blob closes it, as
+// an attested enclave-to-enclave channel should carry the fleet handoff
+// instead of the shared sealing root.
 //
 // # TLS transport
 //

@@ -76,7 +76,7 @@ func TestRefusedHistoryChargeRecordsNothing(t *testing.T) {
 	}
 }
 
-// The same rule on the start-up path: "restore" charges the EPC for the
+// The same rule on the start-up path: "merge" charges the EPC for the
 // window it is about to load BEFORE touching the history, so a sealed
 // blob the enclave cannot afford is refused with nothing recorded — not
 // loaded first and left uncharged.
@@ -113,7 +113,7 @@ func TestRefusedRestoreRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Crash()
-	if _, err := p.encl.ECall(ctx, "restore", blob); err == nil || !strings.Contains(err.Error(), "history alloc") {
+	if _, err := p.encl.ECall(ctx, "merge", blob); err == nil || !strings.Contains(err.Error(), "history alloc") {
 		t.Fatalf("restore err = %v, want a history alloc refusal", err)
 	}
 	if n := p.trusted.obfuscator.History().Len(); n != 0 {

@@ -165,10 +165,13 @@ type Config struct {
 	// EngineLink injects WAN latency on the proxy <-> engine path
 	// (experiments); nil means none.
 	EngineLink *netsim.Link
-	// StatePath, when set, persists the query history as a sealed blob:
-	// restored (if present) at startup, written at shutdown. The blob is
-	// MRSIGNER-sealed, so upgraded proxy builds from the same vendor on
-	// the same platform can restore it — the host never reads it.
+	// StatePath, when set, persists the sealed state — the query history
+	// and the answer index's still-fresh documents — as one blob: merged
+	// (if present) into the empty state at startup, written at shutdown.
+	// The blob is MRSIGNER-sealed, so upgraded proxy builds from the same
+	// vendor on the same platform can restore it — the host never reads
+	// it. Rolling the file back to an older blob is not detected (see the
+	// package doc).
 	StatePath string
 	// PlatformSeed derives the platform fuse key deterministically,
 	// simulating restarts on the same physical machine. Ignored when
@@ -357,6 +360,7 @@ func New(cfg Config) (*Proxy, error) {
 		sessions:   make(map[string]*sessionState),
 		maxSess:    cfg.MaxSessions,
 		shard:      cfg.EventShard,
+		merged:     make(map[[16]byte]bool),
 	}
 	if cfg.Observability {
 		trusted.stages = obs.NewStages()
@@ -432,7 +436,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v2.9 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v3.0 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
@@ -460,15 +464,10 @@ func New(cfg Config) (*Proxy, error) {
 		// existing to match the paper's interface.
 		{"init", func(enclave.Env, []byte) ([]byte, error) { return nil, nil }},
 		{"request", trusted.handleRequest},
-		{"restore", trusted.handleRestore},
+		// The one sealed-state pair: start-up, shutdown and a fleet drain
+		// all move the privacy state through it.
 		{"snapshot", trusted.handleSnapshot},
 		{"merge", trusted.handleMerge},
-		// The answer index's sealed handoff seam, measured like the
-		// history's snapshot/merge pair (registered unconditionally so the
-		// drain path is uniform; with the index off they carry an empty
-		// index).
-		{"snapshot-index", trusted.handleSnapshotIndex},
-		{"merge-index", trusted.handleMergeIndex},
 	}
 	if cfg.AsyncOcalls {
 		// The parked request's re-entry points. They are part of the
@@ -566,8 +565,8 @@ func New(cfg Config) (*Proxy, error) {
 		encl.Destroy()
 		return nil, err
 	}
-	// Restore persisted history: the host hands the enclave the sealed
-	// blob; only the enclave can open it.
+	// Restore the persisted state: the host hands the enclave the sealed
+	// blob, which merges into the empty state; only the enclave can open it.
 	if cfg.StatePath != "" {
 		blob, err := os.ReadFile(cfg.StatePath)
 		switch {
@@ -577,7 +576,7 @@ func New(cfg Config) (*Proxy, error) {
 			encl.Destroy()
 			return nil, fmt.Errorf("proxy: read state: %w", err)
 		default:
-			if _, err := encl.ECall(context.Background(), "restore", blob); err != nil {
+			if _, err := encl.ECall(context.Background(), "merge", blob); err != nil {
 				encl.Destroy()
 				return nil, fmt.Errorf("proxy: restore state: %w", err)
 			}
@@ -620,7 +619,7 @@ const (
 	// bounded latency add for fuller batches only when the queue already
 	// shows depth.
 	DefaultBatchWindow = 200 * time.Microsecond
-	// snapshotTimeout bounds Shutdown's sealed-history snapshot ecall,
+	// snapshotTimeout bounds Shutdown's sealed-state snapshot ecall,
 	// which runs on its own context so a drain deadline that expired on
 	// stragglers cannot skip state persistence.
 	snapshotTimeout = 5 * time.Second
@@ -665,7 +664,7 @@ func (p *Proxy) URL() string { return "http://" + p.Addr() }
 
 // Shutdown stops the HTTP front, drains in-flight pipeline requests (each
 // already-admitted request finishes its staged fetch, bounded by ctx),
-// persists the sealed history when configured, and destroys the enclave.
+// persists the sealed state when configured, and destroys the enclave.
 // When the drain deadline expires with requests still in flight, Shutdown
 // may overrun ctx by up to stragglerGrace while the cancelled stragglers
 // finalize.
@@ -794,52 +793,45 @@ func (p *Proxy) Secure(ctx context.Context, session string, record []byte) ([]by
 	return reply.Record, err
 }
 
-// SnapshotHistory returns the query history as an enclave-sealed blob
-// (MRSIGNER policy): the host can store or forward it but never read it.
-// A fleet drain hands this blob to the successor shard's MergeHistory, so
-// the privacy state survives re-sharding without leaving a trusted
-// boundary in plaintext.
-func (p *Proxy) SnapshotHistory(ctx context.Context) ([]byte, error) {
+// SnapshotState returns the enclave's privacy state — the history window
+// and the answer index — as one enclave-sealed blob (MRSIGNER policy)
+// under a fresh id: the host can store or forward it but never read it.
+// A fleet drain hands it to the successor shard's MergeState, so the
+// privacy state survives re-sharding without leaving a trusted boundary
+// in plaintext.
+func (p *Proxy) SnapshotState(ctx context.Context) ([]byte, error) {
 	return p.encl.ECall(ctx, "snapshot", nil)
 }
 
-// MergeHistory unseals a history blob produced by SnapshotHistory on a
-// same-vendor enclave sharing this platform's sealing root and appends its
-// queries to the local window (oldest first, FIFO eviction applies),
-// charging the EPC for the growth. It returns how many queries arrived and
-// the net byte delta.
-func (p *Proxy) MergeHistory(ctx context.Context, blob []byte) (added int, bytes int64, err error) {
-	return p.mergeECall(ctx, "merge", blob)
+// MergeReport is what one accepted MergeState added to the enclave.
+type MergeReport struct {
+	// Queries is how many history queries the blob carried into the
+	// window (its newest Capacity() at most), and HistoryBytes the net EPC
+	// delta of appending them.
+	Queries      int   `json:"queries"`
+	HistoryBytes int64 `json:"history_bytes"`
+	// IndexDocs and IndexBytes are the still-fresh answer-index documents
+	// added and their net EPC delta (zero with the index off).
+	IndexDocs  int   `json:"index_docs"`
+	IndexBytes int64 `json:"index_bytes"`
 }
 
-func (p *Proxy) mergeECall(ctx context.Context, name string, blob []byte) (added int, bytes int64, err error) {
-	out, err := p.encl.ECall(ctx, name, blob)
+// MergeState unseals a blob produced by SnapshotState on a same-vendor
+// enclave sharing this platform's sealing root and adds it to the local
+// state: its queries append to the window (oldest first, FIFO eviction
+// applies) and its still-fresh index documents join the index, each
+// charged to the EPC. All or nothing: a refused merge changes nothing. A
+// blob this enclave has already merged is refused.
+func (p *Proxy) MergeState(ctx context.Context, blob []byte) (MergeReport, error) {
+	out, err := p.encl.ECall(ctx, "merge", blob)
 	if err != nil {
-		return 0, 0, err
+		return MergeReport{}, err
 	}
-	var rep mergeReply
+	var rep MergeReport
 	if err := json.Unmarshal(out, &rep); err != nil {
-		return 0, 0, fmt.Errorf("proxy: %s reply: %w", name, err)
+		return MergeReport{}, fmt.Errorf("proxy: merge reply: %w", err)
 	}
-	return rep.Added, rep.Bytes, nil
-}
-
-// SnapshotIndex returns the answer index as an enclave-sealed blob
-// (MRSIGNER policy, its own AAD): the host can move it but never read
-// it. With the index disabled it returns an empty blob that MergeIndex
-// treats as a no-op, so the fleet's drain path is uniform.
-func (p *Proxy) SnapshotIndex(ctx context.Context) ([]byte, error) {
-	return p.encl.ECall(ctx, "snapshot-index", nil)
-}
-
-// MergeIndex unseals an answer-index blob produced by SnapshotIndex on a
-// same-vendor enclave sharing this platform's sealing root and merges
-// its still-fresh documents into the local index, charging the EPC per
-// document under the index lock (so heap == history + cache + index
-// holds at every step). An empty blob, or a merge into a node with the
-// index disabled, is a no-op. Returns documents added and bytes charged.
-func (p *Proxy) MergeIndex(ctx context.Context, blob []byte) (added int, bytes int64, err error) {
-	return p.mergeECall(ctx, "merge-index", blob)
+	return rep, nil
 }
 
 // Stats reports request counters plus enclave resource accounting and the

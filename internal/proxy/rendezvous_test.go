@@ -21,24 +21,28 @@ import (
 // pending table: ids minted before the crossing, one waiter map, follower
 // replies riding "resume".
 
-// waitRendezvousEmpty polls, to a bounded deadline, until nothing waits in
-// the untrusted rendezvous and nothing is parked in the pending table.
+// waitRendezvousEmpty polls, to a bounded deadline, until no request
+// crossing is out, nothing waits in the untrusted rendezvous and nothing is
+// parked in the pending table. Crossings come first: a batched request
+// whose caller gave up still crosses, and parks only after it has charged
+// the EPC for its query.
 func waitRendezvousEmpty(t *testing.T, p *Proxy) {
 	t.Helper()
 	pl, pt := p.pipeline, p.trusted.pending
 	deadline := time.Now().Add(2 * time.Second)
 	for {
+		crossings := pl.crossings.Load()
 		pl.mu.Lock()
 		waiters := len(pl.waiters)
 		pl.mu.Unlock()
 		pt.mu.Lock()
 		ids, keys, tokens := len(pt.byID), len(pt.byKey), len(pt.byToken)
 		pt.mu.Unlock()
-		if waiters+ids+keys+tokens == 0 {
+		if crossings == 0 && waiters+ids+keys+tokens == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rendezvous never emptied: waiters=%d byID=%d byKey=%d byToken=%d", waiters, ids, keys, tokens)
+			t.Fatalf("rendezvous never emptied: crossings=%d waiters=%d byID=%d byKey=%d byToken=%d", crossings, waiters, ids, keys, tokens)
 		}
 		time.Sleep(time.Millisecond)
 	}

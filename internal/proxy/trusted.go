@@ -38,10 +38,14 @@ type trustedState struct {
 	// echo mode). It lives inside the trusted boundary; each upstream's
 	// pinned roots are part of the measured identity.
 	registry *upstreamRegistry
-	// sealer encrypts the history for persistence across restarts; set
-	// after the enclave is built (the sealing key derives from the
-	// enclave identity).
-	sealer *seal.Sealer
+	// sealer encrypts the sealed state (history and index) for
+	// persistence and drains; set after the enclave is built (the sealing
+	// key derives from the enclave identity). mergeMu serializes merges,
+	// and merged holds the id of every blob this enclave accepted, one
+	// entry per accepted merge, so none counts twice.
+	sealer  *seal.Sealer
+	mergeMu sync.Mutex
+	merged  map[[16]byte]bool
 	// cache short-circuits repeat queries (nil when caching is disabled);
 	// it lives inside the trusted boundary and charges its footprint to
 	// the EPC. flights coalesces concurrent identical original queries
@@ -98,143 +102,89 @@ func (ts *trustedState) stopFlights() {
 	ts.flightStopOnce.Do(func() { close(ts.flightStop) })
 }
 
-// historyAAD versions the sealed-history format.
-var historyAAD = []byte("xsearch-history-v1")
+// stateAAD versions the sealed-state format.
+var stateAAD = []byte("xsearch-state-v1")
 
-// indexAAD versions the sealed answer-index format. Distinct from
-// historyAAD so the host can never replay a blob across the two seams.
-var indexAAD = []byte("xsearch-index-v1")
+// sealedState is the plaintext of the one sealed-state blob: every piece
+// of privacy state that outlives an enclave, as one section each, under
+// the id that makes the blob single-use.
+type sealedState struct {
+	ID      [16]byte        `json:"id"`
+	History []string        `json:"history"`
+	Index   answer.Snapshot `json:"index,omitempty"`
+}
 
-// unsealHistory opens a history blob a same-vendor enclave sealed.
-func (ts *trustedState) unsealHistory(blob []byte) ([]string, error) {
+// handleSnapshot is the "snapshot" ecall: seal the history window and the
+// answer index, under a fresh id, for the untrusted runtime to persist or
+// hand to a successor (it can store the blob but not read it).
+func (ts *trustedState) handleSnapshot(env enclave.Env, _ []byte) ([]byte, error) {
 	if ts.sealer == nil {
 		return nil, fmt.Errorf("proxy: sealing not configured")
 	}
-	plaintext, err := ts.sealer.Unseal(blob, historyAAD)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: unseal history: %w", err)
+	st := sealedState{History: ts.obfuscator.History().Snapshot()}
+	if err := env.Read(st.ID[:]); err != nil {
+		return nil, fmt.Errorf("proxy: state id: %w", err)
 	}
-	var queries []string
-	if err := json.Unmarshal(plaintext, &queries); err != nil {
-		return nil, fmt.Errorf("proxy: history payload: %w", err)
+	if ts.index != nil {
+		st.Index = ts.index.Snapshot()
 	}
-	return queries, nil
-}
-
-// handleRestore is the "restore" ecall: unseal a persisted history blob
-// and load it into the window, charging the EPC for the restored bytes.
-// The charge comes first — exactly what the window will keep, its most
-// recent Capacity() queries — so a restore the EPC refuses leaves the
-// history as it was and heap == history + cache + index still true.
-func (ts *trustedState) handleRestore(env enclave.Env, arg []byte) ([]byte, error) {
-	queries, err := ts.unsealHistory(arg)
+	plaintext, err := json.Marshal(&st)
 	if err != nil {
 		return nil, err
 	}
+	return ts.sealer.Seal(plaintext, stateAAD)
+}
+
+// handleMerge is the "merge" ecall: unseal a blob a same-vendor enclave
+// snapshotted and add it to the local state — at start-up into the empty
+// window, on a fleet drain into the successor's own. It is all or nothing:
+// every step that can refuse (unseal, decode, the replay check, the history
+// charge) runs before anything is applied, and nothing after the charge can
+// fail, so a refused merge leaves the state and heap == history + cache +
+// index as they were. The incoming window is trimmed to the newest
+// Capacity() queries first (the rest would only be evicted), and the
+// charge is their cost, an upper bound on the real delta (evictions only
+// subtract); the difference is refunded. A blob merges at most once into
+// this enclave: merged remembers every accepted id.
+func (ts *trustedState) handleMerge(env enclave.Env, arg []byte) ([]byte, error) {
+	if ts.sealer == nil {
+		return nil, fmt.Errorf("proxy: sealing not configured")
+	}
+	plaintext, err := ts.sealer.Unseal(arg, stateAAD)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: unseal state: %w", err)
+	}
+	var st sealedState
+	if err := json.Unmarshal(plaintext, &st); err != nil {
+		return nil, fmt.Errorf("proxy: state payload: %w", err)
+	}
+	ts.mergeMu.Lock()
+	defer ts.mergeMu.Unlock()
+	if ts.merged[st.ID] {
+		// The host may move a blob, not choose how often it counts.
+		return nil, errors.New("proxy: sealed state already merged")
+	}
 	h := ts.obfuscator.History()
+	queries := st.History
 	if over := len(queries) - h.Capacity(); over > 0 {
 		queries = queries[over:]
 	}
-	if err := env.Alloc(core.HistoryCost(queries)); err != nil {
-		return nil, fmt.Errorf("proxy: history alloc: %w", err)
-	}
-	replaced := h.Bytes()
-	h.Restore(queries)
-	env.Free(replaced)
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, uint64(h.Len()))
-	return out, nil
-}
-
-// handleSnapshot is the "snapshot" ecall: seal the current history for
-// persistence by the untrusted runtime (which can store but not read it).
-func (ts *trustedState) handleSnapshot(_ enclave.Env, _ []byte) ([]byte, error) {
-	if ts.sealer == nil {
-		return nil, fmt.Errorf("proxy: sealing not configured")
-	}
-	plaintext, err := json.Marshal(ts.obfuscator.History().Snapshot())
-	if err != nil {
-		return nil, err
-	}
-	return ts.sealer.Seal(plaintext, historyAAD)
-}
-
-// handleMerge is the "merge" ecall, the receiving half of a fleet shard
-// handoff: unseal a history blob another same-vendor enclave snapshotted
-// and append its queries to the local window. Unlike restore, the local
-// history is kept — the successor shard serves both its own sessions and
-// the drained shard's future ones, so both windows' queries belong in its
-// fake pool. Growth is charged to the EPC via the same Alloc/Free contract
-// as live inserts, keeping heap == history + cache.
-func (ts *trustedState) handleMerge(env enclave.Env, arg []byte) ([]byte, error) {
-	queries, err := ts.unsealHistory(arg)
-	if err != nil {
-		return nil, err
-	}
-	h := ts.obfuscator.History()
-	// Charge an upper bound BEFORE touching the window: the real delta is
-	// at most the incoming bytes (evictions only subtract), so a merge
-	// that cannot fit fails here with the history untouched — the drain
-	// aborts cleanly and can be retried without double-merging — and the
-	// heap == history + cache invariant never breaks mid-append.
 	bound := core.HistoryCost(queries)
 	if bound > 0 {
 		if err := env.Alloc(bound); err != nil {
 			return nil, fmt.Errorf("proxy: history alloc: %w", err)
 		}
 	}
-	var delta int64
+	rep := MergeReport{Queries: len(queries)}
 	for _, q := range queries {
-		delta += h.Add(q)
+		rep.HistoryBytes += h.Add(q)
 	}
-	if refund := bound - delta; refund > 0 {
-		env.Free(refund)
+	env.Free(bound - rep.HistoryBytes)
+	if ts.index != nil {
+		rep.IndexDocs, rep.IndexBytes = ts.index.Merge(st.Index, time.Now(), env.Alloc, env.Free)
 	}
-	return json.Marshal(mergeReply{Added: len(queries), Bytes: delta})
-}
-
-// handleSnapshotIndex is the "snapshot-index" ecall: seal the answer
-// index for the fleet's drain handoff. With the index disabled it
-// returns an empty blob the receiving merge treats as a no-op, keeping
-// the drain path uniform across configurations.
-func (ts *trustedState) handleSnapshotIndex(_ enclave.Env, _ []byte) ([]byte, error) {
-	if ts.index == nil {
-		return nil, nil
-	}
-	if ts.sealer == nil {
-		return nil, fmt.Errorf("proxy: sealing not configured")
-	}
-	plaintext, err := ts.index.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return ts.sealer.Seal(plaintext, indexAAD)
-}
-
-// handleMergeIndex is the "merge-index" ecall, the receiving half of the
-// answer tier's sealed handoff: unseal an index blob another same-vendor
-// enclave snapshotted and merge its still-fresh documents into the local
-// index. Each document is charged to the EPC under the index lock
-// exactly like a live insert, so heap == history + cache + index holds
-// at every step and a charge failure skips the document instead of
-// corrupting the meter. An empty blob — or a node with the index
-// disabled — is a no-op.
-func (ts *trustedState) handleMergeIndex(env enclave.Env, arg []byte) ([]byte, error) {
-	if len(arg) == 0 || ts.index == nil {
-		return json.Marshal(mergeReply{})
-	}
-	if ts.sealer == nil {
-		return nil, fmt.Errorf("proxy: sealing not configured")
-	}
-	plaintext, err := ts.sealer.Unseal(arg, indexAAD)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: unseal index: %w", err)
-	}
-	added, bytes, err := ts.index.Merge(plaintext, time.Now(), env.Alloc, env.Free)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(mergeReply{Added: added, Bytes: bytes})
+	ts.merged[st.ID] = true
+	return json.Marshal(rep)
 }
 
 type sessionState struct {

@@ -138,13 +138,6 @@ func (e *envelopeReply) decode(b []byte) error {
 	return w.end()
 }
 
-// mergeReply is the result of the "merge" ecall: how many queries the
-// sealed handoff blob carried and the net EPC byte delta of appending them.
-type mergeReply struct {
-	Added int   `json:"added"`
-	Bytes int64 `json:"bytes"`
-}
-
 // --- async pipeline wire types ---
 
 // fetchReply is one engine exchange's outcome inside the enclave, handed

@@ -101,8 +101,9 @@ func WithProxySeed(seed uint64) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) { c.Seed = seed })
 }
 
-// WithStatePersistence persists the past-query history across restarts as
-// an enclave-sealed blob at path. platformSeed simulates the physical
+// WithStatePersistence persists the enclave's sealed state — the
+// past-query history and the answer index — across restarts as one
+// enclave-sealed blob at path. platformSeed simulates the physical
 // machine identity: restarts with the same seed can unseal, other machines
 // (and the host itself) cannot.
 func WithStatePersistence(path string, platformSeed []byte) ProxyOption {
@@ -426,7 +427,8 @@ func (f *Fleet) Stats() FleetStats { return f.inner.Stats() }
 func (f *Fleet) KillShard(ctx context.Context, i int) error { return f.inner.Kill(ctx, i) }
 
 // DrainShard removes shard i in an orderly way, migrating its history
-// window to its successor as a sealed blob before destroying the enclave.
+// window and answer index to its successor as one sealed blob before
+// destroying the enclave.
 func (f *Fleet) DrainShard(ctx context.Context, i int) (*FleetDrainReport, error) {
 	return f.inner.Drain(ctx, i)
 }
