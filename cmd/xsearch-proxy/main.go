@@ -70,10 +70,7 @@ func run() error {
 		indexScore  = flag.Float64("index-min-score", 0, "answer-tier confidence floor: min TF-IDF score to serve locally (0=default)")
 		breakFails  = flag.Int("breaker-failures", 0, "consecutive failures that open an upstream's circuit breaker (0=default 3)")
 		breakerCool = flag.Duration("breaker-cooldown", 0, "how long an open breaker excludes its upstream (0=default 1s)")
-		noCoalesce  = flag.Bool("no-coalesce", false, "disable single-flight coalescing of concurrent identical queries")
 		shards      = flag.Int("shards", 1, "proxy-enclave shards behind a session-routing gateway (1=single node; the ring is fixed at start)")
-		upstreamRPS = flag.Float64("upstream-rps", 0, "per-upstream token-bucket rate limit in req/s (0=unlimited)")
-		upstreamBst = flag.Int("upstream-burst", 0, "per-upstream token-bucket burst depth (0=ceil(rps))")
 		asyncOcalls = flag.Bool("async", false, "async ocall pipeline: switchless engine fetches, TCS released during the round trip")
 		pipeDepth   = flag.Int("pipeline-depth", 0, "concurrently staged requests in the async pipeline (0=default 64)")
 		fetchWait   = flag.Duration("fetch-timeout", 0, "deadline over one whole engine fetch, blocking or async: a hung upstream fails (and counts against its breaker) after this (0=off)")
@@ -105,12 +102,6 @@ func run() error {
 	}
 	if *indexBytes != 0 {
 		opts = append(opts, xsearch.WithLocalIndex(*indexBytes, *indexTTL, *indexScore))
-	}
-	if *noCoalesce {
-		opts = append(opts, xsearch.WithoutCoalescing())
-	}
-	if *upstreamRPS > 0 {
-		opts = append(opts, xsearch.WithUpstreamRateLimit(*upstreamRPS, *upstreamBst))
 	}
 	if *pipeDepth != 0 && !*asyncOcalls {
 		return fmt.Errorf("-pipeline-depth has no effect without -async")
@@ -220,8 +211,8 @@ func run() error {
 			st.BatchesSubmitted, st.BatchOccupancyP50, st.BatchOccupancyP95)
 	}
 	for _, u := range st.Upstreams {
-		fmt.Printf("upstream %s (w=%d): served %d, failures %d, rate-limited %d, cooling=%t, reuse %.0f%%\n",
-			u.Host, u.Weight, u.Served, u.Failures, u.RateLimited, u.CoolingDown, u.PoolReuseRatio*100)
+		fmt.Printf("upstream %s (w=%d): served %d, failures %d, cooling=%t, reuse %.0f%%\n",
+			u.Host, u.Weight, u.Served, u.Failures, u.CoolingDown, u.PoolReuseRatio*100)
 	}
 	return nil
 }
@@ -288,8 +279,8 @@ func runFleet(shards int, muxAddr, addr string, k, history int, drainWait time.D
 			ss.Proxy.HistoryLen, ss.Proxy.HistoryB, ss.Proxy.Enclave.HeapBytes)
 	}
 	for _, u := range st.Upstreams {
-		fmt.Printf("upstream %s: served %d, failures %d, rate-limited %d (fleet-wide)\n",
-			u.Host, u.Served, u.Failures, u.RateLimited)
+		fmt.Printf("upstream %s: served %d, failures %d (fleet-wide)\n",
+			u.Host, u.Served, u.Failures)
 	}
 	return nil
 }

@@ -53,18 +53,16 @@
 //     history, so the paper's Figure 6 memory accounting stays honest.
 //     Obfuscation still runs before the cache lookup: the history grows
 //     identically with and without caching.
-//   - Single-flight coalescing (on by default, WithoutCoalescing to
-//     disable) collapses N concurrent identical original queries into one
-//     engine round trip: the first becomes the leader, the rest share its
+//   - Single-flight coalescing (always on, on both engine stages)
+//     collapses N concurrent identical original queries into one engine
+//     round trip: the first becomes the leader, the rest share its
 //     filtered result, and the cache entry is charged to the EPC exactly
 //     once. Obfuscation still runs per request, so the history grows
-//     identically with and without coalescing.
+//     exactly as it would for N separate round trips.
 //   - Multi-engine fan-out (WithEngines) spreads obfuscated queries
 //     across weighted upstreams with automatic failover and a
-//     circuit-breaker cooldown (WithUpstreamBreaker) around dead ones,
-//     plus an optional per-upstream token bucket
-//     (WithUpstreamRateLimit) so no node exceeds its quota against a
-//     shared engine.
+//     circuit-breaker cooldown (WithUpstreamBreaker) around dead ones;
+//     the breaker is the only gate on an upstream's admission.
 //
 // # Fleet layer
 //
@@ -194,8 +192,8 @@
 // `pipeline` workload runs this configuration (async, batched, two TLS
 // engines, 2 TCS).
 //
-// Proxy.Stats reports the node gauges (per-upstream pool reuse, breaker
-// and rate-limit state in Stats.Upstreams — sorted by host for stable
+// Proxy.Stats reports the node gauges (per-upstream pool reuse and
+// breaker state in Stats.Upstreams — sorted by host for stable
 // diffs — cache hit ratio, coalesce ratio, async counters, and
 // p50/p95/p99 query latency from a fixed-bucket histogram, and
 // batch-submission counts with request-batch occupancy percentiles) and

@@ -72,7 +72,7 @@ type Config struct {
 	// adds one.
 	Shards int
 	// ShardConfig is the template every shard is built from — a full
-	// proxy.Config, so pools, caches, coalescing, rate limits, and the
+	// proxy.Config, so pools, caches, breakers, and the
 	// upstream registry all compose per shard. The fleet derives what must
 	// differ per shard: a dedicated platform (own EPC) sharing the fleet
 	// sealing root, a distinct obfuscation seed (template seed + index,

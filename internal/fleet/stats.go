@@ -98,8 +98,7 @@ type Stats struct {
 	// EventsLogged is the shared event ring's occupancy.
 	EventsLogged int `json:"events_logged,omitempty"`
 	// Upstreams merges the per-shard upstream breakdowns by host (sorted),
-	// showing each engine's fleet-wide traffic share — the view that makes
-	// per-upstream rate limits auditable.
+	// showing each engine's fleet-wide traffic share and failures.
 	Upstreams []proxy.UpstreamStats `json:"upstreams,omitempty"`
 }
 
@@ -175,7 +174,6 @@ func (g *Gateway) Stats() Stats {
 				m.Host, m.Weight = u.Host, u.Weight
 				m.Served += u.Served
 				m.Failures += u.Failures
-				m.RateLimited += u.RateLimited
 				m.CoolingDown = m.CoolingDown || u.CoolingDown
 				m.PoolIdle += u.PoolIdle
 				m.PoolReuses += u.PoolReuses

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,29 +174,52 @@ func TestFailoverAroundDeadUpstream(t *testing.T) {
 }
 
 // With every upstream dead, requests must fail fast once the breakers are
-// open — the cooldown error path, not a dial per request.
+// open — the cooldown error path, not a dial per request — and both engine
+// stages count coalescing alike: a leader that made a real attempt is led,
+// one no upstream admitted is not.
 func TestAllUpstreamsDeadFailsFast(t *testing.T) {
-	p, err := New(Config{
-		K:                     1,
-		Seed:                  1,
-		Engines:               []EngineSpec{{Host: reservePort(t)}},
-		UpstreamFailThreshold: 1,
-		UpstreamCooldown:      time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.encl.Destroy()
-	if _, err := p.ServeQuery(context.Background(), "first"); err == nil {
-		t.Fatal("dead upstream produced results")
-	}
-	// Breaker is now open: the next request must not dial at all.
-	ocallsBefore := p.encl.Stats().OCalls
-	if _, err := p.ServeQuery(context.Background(), "second"); err == nil {
-		t.Fatal("cooling-down upstream produced results")
-	}
-	if got := p.encl.Stats().OCalls - ocallsBefore; got != 0 {
-		t.Errorf("fast-fail request still issued %d ocalls", got)
+	for _, tc := range []struct {
+		name  string
+		async bool
+	}{{"blocking", false}, {"async", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := New(Config{
+				K:                     1,
+				Seed:                  1,
+				Engines:               []EngineSpec{{Host: reservePort(t)}},
+				UpstreamFailThreshold: 1,
+				UpstreamCooldown:      time.Hour,
+				AsyncOcalls:           tc.async,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Crash()
+			ctx := context.Background()
+			_, err = p.ServeQuery(ctx, "first")
+			if err == nil || strings.Contains(err.Error(), errNoUpstream.Error()) {
+				t.Fatalf("first query error = %v, want a failed attempt on the dead upstream", err)
+			}
+			if s := p.Stats(); s.CoalesceLed != 1 || s.CoalesceShared != 0 {
+				t.Fatalf("after a failed attempt coalesce led/shared = %d/%d, want 1/0", s.CoalesceLed, s.CoalesceShared)
+			}
+			// Breaker is now open: the next request must not dial at all.
+			before := p.Stats()
+			_, err = p.ServeQuery(ctx, "second")
+			if err == nil || !strings.Contains(err.Error(), errNoUpstream.Error()) {
+				t.Fatalf("second query error = %v, want %q", err, errNoUpstream)
+			}
+			after := p.Stats()
+			if got := after.Enclave.OCalls - before.Enclave.OCalls; got != 0 {
+				t.Errorf("fast-fail request still issued %d ocalls", got)
+			}
+			if got := after.AsyncSubmitted - before.AsyncSubmitted; got != 0 {
+				t.Errorf("fast-fail request still submitted %d async fetches", got)
+			}
+			if after.CoalesceLed != 1 || after.CoalesceShared != 0 {
+				t.Errorf("no admitted upstream, yet coalesce led/shared = %d/%d, want 1/0", after.CoalesceLed, after.CoalesceShared)
+			}
+		})
 	}
 }
 
@@ -335,41 +359,6 @@ func TestCoalescingCollapsesConcurrentIdenticalQueries(t *testing.T) {
 	}
 	if s.CoalesceRatio <= 0 {
 		t.Errorf("coalesce ratio = %f", s.CoalesceRatio)
-	}
-}
-
-// With coalescing disabled (the ablation baseline), every concurrent
-// identical query must pay its own round trip.
-func TestCoalescingDisabledFetchesPerRequest(t *testing.T) {
-	const workers = 8
-	se := newSlowEngine(t, 10*time.Millisecond)
-	p, err := New(Config{
-		K:                 1,
-		Seed:              1,
-		Engines:           []EngineSpec{{Host: se.ln.Addr().String()}},
-		DisableCoalescing: true,
-		EnclaveConfig:     enclave.Config{TCSCount: workers},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.encl.Destroy()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := p.ServeQuery(context.Background(), "the one hot query"); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := se.hits.Load(); got != workers {
-		t.Errorf("coalescing disabled but %d round trips for %d requests", got, workers)
-	}
-	if s := p.Stats(); s.CoalesceShared != 0 || s.CoalesceLed != 0 {
-		t.Errorf("disabled coalescing still counted: %+v", s)
 	}
 }
 

@@ -47,7 +47,6 @@ func WriteMetrics(w *obs.PromWriter, s Stats, labels ...string) {
 
 	w.Counter("xsearch_coalesce_shared_total", "Requests that rode another's flight.", float64(s.CoalesceShared), labels...)
 	w.Counter("xsearch_coalesce_led_total", "Requests that led a flight.", float64(s.CoalesceLed), labels...)
-	w.Counter("xsearch_rate_limited_total", "Engine attempts the token bucket refused.", float64(s.RateLimited), labels...)
 
 	w.Counter("xsearch_async_submitted_total", "Switchless fetch submissions.", float64(s.AsyncSubmitted), labels...)
 	w.Counter("xsearch_async_completed_total", "Switchless fetch completions serviced.", float64(s.AsyncCompleted), labels...)

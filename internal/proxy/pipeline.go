@@ -95,12 +95,12 @@ func newPendingTable() *pendingTable {
 }
 
 // nextCandidate picks the next upstream a parked request may try: the
-// registry's preference order minus already-tried upstreams, gated like
-// the blocking walk. Caller holds the pending-table lock (tried map); the
-// limiter/breaker have their own.
+// registry's preference order minus already-tried upstreams, gated by the
+// breaker like the blocking walk. Caller holds the pending-table lock
+// (tried map); the breaker has its own.
 func (ts *trustedState) nextCandidate(p *pendingReq) *upstream {
 	for _, u := range ts.registry.order() {
-		if !p.tried[u] && ts.admit(u, &p.lastErr) {
+		if !p.tried[u] && u.acquire(time.Now(), ts.registry.threshold) {
 			return u
 		}
 	}

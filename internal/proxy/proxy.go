@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -80,20 +79,6 @@ type Config struct {
 	// from selection before admitting a single probe request. Zero means
 	// DefaultUpstreamCooldown.
 	UpstreamCooldown time.Duration
-	// DisableCoalescing turns off single-flight coalescing of concurrent
-	// identical original queries (ablations; coalescing is on by default).
-	DisableCoalescing bool
-	// UpstreamRateLimit caps the sustained request rate this proxy sends to
-	// EACH engine upstream (token bucket, requests/second). Zero means
-	// unlimited. In a sharded fleet it keeps one hot shard from starving a
-	// shared engine: an upstream with no tokens is skipped like a
-	// cooling-down one, spilling the request to the next upstream.
-	UpstreamRateLimit float64
-	// UpstreamRateBurst is the token bucket depth (how far above the
-	// sustained rate a short burst may go). Zero means
-	// max(1, ceil(UpstreamRateLimit)); only consulted when
-	// UpstreamRateLimit > 0.
-	UpstreamRateBurst int
 	// AsyncOcalls switches the request stage's engine stage from blocking
 	// (the ecall→ocall chain) to parking: engine fetches are submitted to
 	// a switchless-style ocall ring serviced by untrusted worker
@@ -246,15 +231,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.UpstreamCooldown <= 0 {
 		cfg.UpstreamCooldown = DefaultUpstreamCooldown
 	}
-	if cfg.UpstreamRateLimit < 0 {
-		return nil, fmt.Errorf("proxy: negative upstream rate limit")
-	}
-	if cfg.UpstreamRateLimit > 0 && cfg.UpstreamRateBurst <= 0 {
-		cfg.UpstreamRateBurst = int(math.Ceil(cfg.UpstreamRateLimit))
-		if cfg.UpstreamRateBurst < 1 {
-			cfg.UpstreamRateBurst = 1
-		}
-	}
 	engines, err := normalizeEngines(&cfg)
 	if err != nil {
 		return nil, err
@@ -385,9 +361,7 @@ func New(cfg Config) (*Proxy, error) {
 			return nil, err
 		}
 		trusted.registry = registry
-		if !cfg.DisableCoalescing {
-			trusted.flights = core.NewFlightGroup()
-		}
+		trusted.flights = core.NewFlightGroup()
 		if ev := trusted.events; ev != nil {
 			// Breaker transitions become fleet events. The hook fires
 			// outside the upstream mutex on open/close edges only; the
@@ -436,12 +410,11 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v3.0 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g coalesce=%t breaker=%d/%s rate=%g/%d async=%t/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v3.1 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g breaker=%d/%s async=%t/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
-		!cfg.DisableCoalescing, cfg.UpstreamFailThreshold, cfg.UpstreamCooldown,
-		cfg.UpstreamRateLimit, cfg.UpstreamRateBurst,
+		cfg.UpstreamFailThreshold, cfg.UpstreamCooldown,
 		cfg.AsyncOcalls, cfg.PipelineDepth,
 		cfg.BatchMax, cfg.BatchWindow, cfg.Observability)
 	if err := builder.AddData([]byte(ident)); err != nil {
@@ -869,17 +842,15 @@ type Stats struct {
 	IndexMisses   uint64  `json:"index_misses,omitempty"`
 	IndexHitRatio float64 `json:"index_hit_ratio,omitempty"`
 	LocalHitRatio float64 `json:"local_hit_ratio,omitempty"`
-	// Single-flight coalescing: shared/led partition every engine-bound
-	// fetch (cache hits never reach a flight), so CoalesceRatio =
-	// shared/(shared+led) — the fraction of engine-bound requests that
-	// piggybacked on another request's round trip.
+	// Single-flight coalescing, counted alike on both engine stages: a
+	// request that rode another's flight is shared, whatever its error; a
+	// leader is led unless every upstream's breaker refused it. Cache
+	// hits never reach a flight. CoalesceRatio = shared/(shared+led) — the
+	// fraction of engine-bound requests that piggybacked on another
+	// request's round trip.
 	CoalesceShared uint64  `json:"coalesce_shared"`
 	CoalesceLed    uint64  `json:"coalesce_led"`
 	CoalesceRatio  float64 `json:"coalesce_ratio"`
-	// RateLimited counts engine-bound attempts the per-upstream token
-	// bucket turned away, summed across upstreams (zero when rate limiting
-	// is disabled).
-	RateLimited uint64 `json:"rate_limited"`
 	// Async pipeline gauges (zero when AsyncOcalls is off). AsyncSubmitted
 	// and AsyncCompleted count switchless fetch submissions and serviced
 	// completions; PipelineInFlight is the currently staged request count
@@ -955,7 +926,6 @@ func (p *Proxy) Stats() Stats {
 			s.PoolReuses += us.PoolReuses
 			s.PoolDials += us.PoolDials
 			s.PoolEvicted += us.PoolEvicted
-			s.RateLimited += us.RateLimited
 		}
 		sort.Slice(s.Upstreams, func(i, j int) bool {
 			return s.Upstreams[i].Host < s.Upstreams[j].Host

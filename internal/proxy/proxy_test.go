@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +76,16 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{K: 1}); err == nil {
 		t.Error("missing engine host accepted")
+	}
+}
+
+// Every Config field is a knob someone must understand, set and test.
+// ROADMAP aim 2: a new knob needs a measured reason, and raising this
+// number is an explicit edit, like scripts/loc.budget.
+func TestConfigFieldBudget(t *testing.T) {
+	const budget = 32
+	if n := reflect.TypeOf(Config{}).NumField(); n > budget {
+		t.Fatalf("proxy.Config has %d fields, budget %d", n, budget)
 	}
 }
 

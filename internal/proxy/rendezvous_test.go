@@ -304,7 +304,7 @@ func TestRendezvousExactlyOneOutcome(t *testing.T) {
 func TestRendezvousHostileIDs(t *testing.T) {
 	_, srv := newDelayEngine(t, 5*time.Second)
 	p, err := New(Config{K: 1, Seed: 1, Engines: []EngineSpec{{Host: srv.Addr()}},
-		AsyncOcalls: true, BatchMax: 4, DisableCoalescing: true})
+		AsyncOcalls: true, BatchMax: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,21 +264,8 @@ func enginePath(oq core.ObfuscatedQuery, count int) string {
 	return "/search?q=" + queryEscape(oq.Query()) + "&count=" + strconv.Itoa(count)
 }
 
-// admit gates one upstream for one fetch attempt: the rate limiter, then
-// the circuit breaker. The limiter goes first — a limited upstream must
-// not consume the breaker's half-open probe slot. A refusal worth
-// reporting is left in lastErr.
-func (ts *trustedState) admit(u *upstream, lastErr *string) bool {
-	if u.limiter != nil && !u.limiter.allow(time.Now()) {
-		u.rateLimited.Add(1)
-		*lastErr = fmt.Sprintf("proxy: engine %s rate-limited", u.host)
-		return false
-	}
-	return u.acquire(time.Now(), ts.registry.threshold)
-}
-
 // errNoUpstream is the request error when every upstream is cooling down.
-const errNoUpstream = "proxy: no engine upstream available (all cooling down)"
+var errNoUpstream = errors.New("proxy: no engine upstream available (all cooling down)")
 
 // fetch is the blocking engine stage: the entry's engine exchange runs to
 // completion inside this ecall, each of its steps a handful of the paper's
@@ -286,26 +273,24 @@ const errNoUpstream = "proxy: no engine upstream available (all cooling down)"
 // identical original queries are single-flighted: the first becomes the
 // leader and performs the round trip; the rest wait and share its filtered
 // result (and the cache, when enabled, is charged to the EPC exactly once,
-// by the leader).
+// by the leader). A sharer counts as shared whatever its error, and a
+// leader as led unless its walk admitted no upstream — the async stage's
+// rule (park).
 func (ts *trustedState) fetch(env enclave.Env, e *entry) {
 	if e.settled {
-		return
-	}
-	if ts.flights == nil {
-		results, err := ts.roundTripAndSettle(env, e)
-		ts.reply(e, results, errString(err))
 		return
 	}
 	results, shared, err := ts.flights.Do(e.key, func() ([]core.Result, error) {
 		return ts.roundTripAndSettle(env, e)
 	})
-	if err == nil && shared {
+	switch {
+	case shared:
 		// Another request's flight answered this one: no engine round
 		// trip, no second cache charge. Copy — the leader's slice is
 		// shared across every waiter.
 		ts.coalesce.Hit()
 		results = append([]core.Result(nil), results...)
-	} else if err == nil {
+	case err != errNoUpstream:
 		ts.coalesce.Miss()
 	}
 	ts.reply(e, results, errString(err))
@@ -313,32 +298,30 @@ func (ts *trustedState) fetch(env enclave.Env, e *entry) {
 
 // roundTripAndSettle spreads one obfuscated query across the upstream set
 // (CYCLOSA-style fan-out) from inside the enclave. It walks the registry's
-// weighted preference order: a rate-limited or cooling-down upstream is
-// skipped for free, a failed dial or exchange — or an engine error status
-// (5xx) — trips that upstream's breaker and fails over to the next, and
-// only when every upstream is exhausted does the request fail. The first
-// upstream that holds up its end has its response settled.
+// weighted preference order: an upstream whose circuit breaker refuses it
+// is skipped for free, a failed dial or exchange — or an engine error
+// status (5xx) — trips that upstream's breaker and fails over to the next,
+// and only when every upstream is exhausted does the request fail
+// (errNoUpstream when none was admitted). The first upstream that holds up
+// its end has its response settled.
 func (ts *trustedState) roundTripAndSettle(env enclave.Env, e *entry) ([]core.Result, error) {
 	path := enginePath(e.oq, e.count)
 	st := ocallStepper{env}
-	var lastErr string
+	lastErr := errNoUpstream
 	for _, u := range ts.registry.order() {
-		if !ts.admit(u, &lastErr) {
+		if !u.acquire(time.Now(), ts.registry.threshold) {
 			continue
 		}
 		out := ts.exchange(st, u, path)
 		st.close(u.release(&out, time.Now()))
 		if failMsg := ts.accountOutcome(u, &out.reply); failMsg != "" {
-			lastErr = fmt.Sprintf("proxy: engine %s: %s", u.host, failMsg)
+			lastErr = fmt.Errorf("proxy: engine %s: %s", u.host, failMsg)
 			continue
 		}
 		u.served.Add(1)
 		return ts.settle(env, e.oq, e.key, &out.reply)
 	}
-	if lastErr == "" {
-		lastErr = errNoUpstream
-	}
-	return nil, errors.New(lastErr)
+	return nil, lastErr
 }
 
 // park is the async engine stage: instead of holding the TCS for the
@@ -360,7 +343,6 @@ func (ts *trustedState) roundTripAndSettle(env enclave.Env, e *entry) ([]core.Re
 // reply, here, with no parked state left behind.
 func (ts *trustedState) park(env enclave.Env, es []entry) {
 	pt := ts.pending
-	coalesce := ts.flights != nil // same switch as the blocking stage
 
 	// One pending-table critical section builds every entry's flight —
 	// follower attach, or leader create + candidate + attempt reservation
@@ -378,14 +360,12 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			continue
 		}
 		e.p = &pendingReq{id: e.req.ID, kind: e.req.Type, session: e.req.Session, key: e.key}
-		if coalesce {
-			if leader, ok := pt.byKey[e.key]; ok && !leader.done {
-				// Follower: ride the leader's flight. No fetch of its own.
-				e.p.leader = leader
-				leader.waiters = append(leader.waiters, e.p)
-				pt.byID[e.p.id] = e.p
-				continue
-			}
+		if leader, ok := pt.byKey[e.key]; ok && !leader.done {
+			// Follower: ride the leader's flight. No fetch of its own.
+			e.p.leader = leader
+			leader.waiters = append(leader.waiters, e.p)
+			pt.byID[e.p.id] = e.p
+			continue
 		}
 		e.p.oq = e.oq
 		e.p.path = enginePath(e.oq, e.count)
@@ -393,9 +373,7 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 		if u := ts.nextCandidate(e.p); u != nil {
 			e.att = ts.reserveAttempt(e.p, u)
 			pt.byID[e.p.id] = e.p
-			if coalesce {
-				pt.byKey[e.key] = e.p
-			}
+			pt.byKey[e.key] = e.p
 		}
 	}
 	pt.mu.Unlock()
@@ -431,15 +409,10 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			}
 		case e.att == nil:
 			// No upstream would take it; the request was never indexed.
-			if e.p.lastErr == "" {
-				e.p.lastErr = errNoUpstream
-			}
-			ts.reply(e, nil, e.p.lastErr)
+			ts.reply(e, nil, errNoUpstream.Error())
 			continue
 		default:
-			if coalesce {
-				ts.coalesce.Miss()
-			}
+			ts.coalesce.Miss()
 			if err := ts.submitFetch(env, e.p, e.att); err != nil {
 				pt.unreserve(e.att)
 				pt.launched(e.p, err.Error())

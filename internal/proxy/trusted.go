@@ -49,7 +49,7 @@ type trustedState struct {
 	// cache short-circuits repeat queries (nil when caching is disabled);
 	// it lives inside the trusted boundary and charges its footprint to
 	// the EPC. flights coalesces concurrent identical original queries
-	// into one engine round trip (nil when coalescing is disabled).
+	// into one engine round trip (nil in echo mode).
 	cache     *core.ResultCache
 	cacheHits metrics.RatioCounter
 	flights   *core.FlightGroup

@@ -33,10 +33,9 @@ type EngineSpec struct {
 // state, and its traffic counters. All of it lives inside the trusted
 // boundary; the untrusted runtime only ever sees opaque socket handles.
 type upstream struct {
-	host    string
-	cas     *x509.CertPool // nil => plain TCP
-	weight  int
-	limiter *tokenBucket // nil when rate limiting is disabled
+	host   string
+	cas    *x509.CertPool // nil => plain TCP
+	weight int
 
 	// TLS client state, set iff cas != nil. tlsConf pins cas, fixes the
 	// ServerName, and carries one trusted ClientSessionCache, so sessions
@@ -61,10 +60,8 @@ type upstream struct {
 	poolDials   atomic.Uint64
 	poolEvicted atomic.Uint64
 
-	// served counts requests this upstream answered (any HTTP status);
-	// rateLimited counts attempts the token bucket turned away.
-	served      atomic.Uint64
-	rateLimited atomic.Uint64
+	// served counts requests this upstream answered (any HTTP status).
+	served atomic.Uint64
 
 	// Breaker state. After threshold consecutive failures the upstream is
 	// "open": excluded from selection until openUntil, after which exactly
@@ -153,42 +150,6 @@ func (u *upstream) coolingDown(now time.Time, threshold int) bool {
 	return u.consecFails >= threshold && now.Before(u.openUntil)
 }
 
-// tokenBucket is the per-upstream rate limiter: tokens refill continuously
-// at rate per second up to burst, and each engine-bound request spends one.
-// An empty bucket answers false immediately — the caller spills the request
-// to the next upstream rather than queueing inside the enclave (a shared
-// engine must never see this shard exceed its quota, and queueing would tie
-// up a TCS slot).
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int, now time.Time) *tokenBucket {
-	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), last: now}
-}
-
-// allow spends one token if available, refilling for elapsed time first.
-func (b *tokenBucket) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if now.After(b.last) {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
 // upstreamRegistry owns the proxy's engine upstreams: weighted selection
 // across the healthy ones, failover order for the rest, and the breaker
 // parameters. Selection walks a weighted ring — an upstream with weight w
@@ -248,9 +209,6 @@ type UpstreamStats struct {
 	Served      uint64 `json:"served"`
 	Failures    uint64 `json:"failures"`
 	CoolingDown bool   `json:"cooling_down"`
-	// RateLimited counts attempts the per-upstream token bucket turned
-	// away (zero when rate limiting is disabled).
-	RateLimited uint64 `json:"rate_limited"`
 	// Pool gauges, scoped to this upstream's keep-alive pool.
 	PoolIdle       int     `json:"pool_idle"`
 	PoolReuses     uint64  `json:"pool_reuses"`
@@ -271,7 +229,6 @@ func (u *upstream) stats(now time.Time, threshold int) UpstreamStats {
 		Served:      u.served.Load(),
 		Failures:    failures,
 		CoolingDown: cooling,
-		RateLimited: u.rateLimited.Load(),
 	}
 	u.idleMu.Lock()
 	s.PoolIdle = len(u.idle)
@@ -340,9 +297,6 @@ func buildRegistry(engines []EngineSpec, cfg *Config) (*upstreamRegistry, error)
 				// skips a full handshake's worth of ring round trips.
 				ClientSessionCache: tls.NewLRUClientSessionCache(0),
 			}
-		}
-		if cfg.UpstreamRateLimit > 0 {
-			u.limiter = newTokenBucket(cfg.UpstreamRateLimit, cfg.UpstreamRateBurst, time.Now())
 		}
 		ups[i] = u
 	}

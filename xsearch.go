@@ -120,26 +120,6 @@ func WithEnginePool(size int) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) { c.PoolSize = size })
 }
 
-// WithUpstreamRateLimit caps the sustained request rate this node sends to
-// EACH engine upstream (token bucket: rps sustained, burst depth above it;
-// burst <= 0 means max(1, ceil(rps))). An upstream with no tokens is
-// skipped like a cooling-down one, spilling the request to the next
-// upstream — in a sharded fleet this keeps one hot shard from starving a
-// shared engine. Zero rps leaves the rate unlimited.
-func WithUpstreamRateLimit(rps float64, burst int) ProxyOption {
-	return proxyOptionFunc(func(c *proxy.Config) {
-		c.UpstreamRateLimit = rps
-		c.UpstreamRateBurst = burst
-	})
-}
-
-// WithoutCoalescing disables single-flight coalescing of concurrent
-// identical original queries (on by default: N concurrent identical
-// queries cost one engine round trip). Mainly useful for ablations.
-func WithoutCoalescing() ProxyOption {
-	return proxyOptionFunc(func(c *proxy.Config) { c.DisableCoalescing = true })
-}
-
 // WithAsyncOcalls switches the request hot path to the staged asynchronous
 // pipeline: the enclave submits engine fetches to a switchless-style ocall
 // ring serviced by untrusted workers, releasing its thread (TCS) for the
@@ -352,9 +332,9 @@ func WithShardCount(n int) FleetOption {
 }
 
 // WithShardConfig applies proxy options to every shard's template — each
-// shard is a full proxy node, so engine sets, pools, caches, coalescing,
-// rate limits, and breakers all compose per shard. The fleet derives what
-// must differ per shard (platform, obfuscation seed, state path suffix).
+// shard is a full proxy node, so engine sets, pools, caches and breakers
+// all compose per shard. The fleet derives what must differ per shard
+// (platform, obfuscation seed, state path suffix).
 func WithShardConfig(opts ...ProxyOption) FleetOption {
 	return fleetOptionFunc(func(c *fleet.Config) {
 		for _, o := range opts {
