@@ -14,7 +14,8 @@ import (
 // are all host-controlled input. Insert and Query must never panic, the
 // byte accounting must stay exact (meter == Bytes() after every
 // operation), the configured bound must hold, every charge must stay
-// arena-quantized, and a drained index must return every charged byte.
+// arena-quantized, a drained index must return every charged byte, and
+// every query must get the answer the reference (queryRef) gives.
 func FuzzIndexInsertQuery(f *testing.F) {
 	f.Add("http://a", "chicken recipe", "oven baked chicken", "chicken recipe")
 	// Term bomb: one term repeated far past any sane frequency.
@@ -36,6 +37,7 @@ func FuzzIndexInsertQuery(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, rm := newRefIndex(4*arenaQuantum, time.Minute, 0), &meter{limit: 4 * arenaQuantum}
 		now := time.Now()
 
 		// Insert the hostile payload alongside a second doc derived from
@@ -45,15 +47,19 @@ func FuzzIndexInsertQuery(f *testing.F) {
 			{URL: url + "/2", Title: snippet, Snippet: title},
 		}
 		x.Insert(docs, now, m.charge, m.free)
+		ref.insert(docs, now, rm.charge, rm.free)
 		requireBalanced(t, "after insert", x, m)
-		if x.Bytes() > x.MaxBytes() {
-			t.Fatalf("index bytes %d exceed bound %d", x.Bytes(), x.MaxBytes())
+		requireSameState(t, "after insert", x, ref)
+		if x.Bytes() > x.maxBytes {
+			t.Fatalf("index bytes %d exceed bound %d", x.Bytes(), x.maxBytes)
 		}
 		if x.Bytes()%arenaQuantum != 0 {
 			t.Fatalf("index bytes %d not arena-quantized", x.Bytes())
 		}
 
 		results, ok := x.Query(query, 10, now, m.free)
+		want, wantOK := ref.queryRef(query, 10, now, rm.free)
+		requireSameAnswer(t, "query", results, ok, want, wantOK)
 		requireBalanced(t, "after query", x, m)
 		if ok && len(results) == 0 {
 			t.Fatal("hit with zero results")
@@ -65,7 +71,12 @@ func FuzzIndexInsertQuery(f *testing.F) {
 
 		// Re-inserting the same URL replaces, never double-charges.
 		x.Insert(docs[:1], now, m.charge, m.free)
+		ref.insert(docs[:1], now, rm.charge, rm.free)
 		requireBalanced(t, "after reinsert", x, m)
+		requireSameState(t, "after reinsert", x, ref)
+		results, ok = x.Query(query, 10, now, m.free)
+		want, wantOK = ref.queryRef(query, 10, now, rm.free)
+		requireSameAnswer(t, "query after reinsert", results, ok, want, wantOK)
 
 		// Snapshot/merge of hostile content must never corrupt the
 		// accounting.
@@ -78,7 +89,7 @@ func FuzzIndexInsertQuery(f *testing.F) {
 		requireBalanced(t, "after merge", y, m2)
 
 		// Drain: expiring everything must return every charged byte.
-		x.PurgeExpired(now.Add(2*time.Minute), m.free)
+		x.Insert(nil, now.Add(2*time.Minute), nil, m.free)
 		requireBalanced(t, "after purge", x, m)
 		if x.Docs() != 0 || x.Bytes() != 0 || m.balance() != 0 {
 			t.Fatalf("drained index retains docs=%d bytes=%d meter=%d",

@@ -25,12 +25,25 @@
 // document was indexed under. Inserts happen only inside the
 // already-measured winner/resume ecalls; there is no per-insert ecall
 // whose timing could key on index contents.
+//
+// Layout: every stored document holds a dense int32 slot (freed slots are
+// reused) and keeps its term list for removal. Postings are pointer-free:
+// term -> []posting{slot, tf}. Query adds weights into an index-owned
+// []float64 indexed by slot, records the slots it touched, divides them by
+// their norms in place, sorts only those (score descending, then URL) and
+// zeroes them before it unlocks: no per-query map, and no allocation but
+// its terms and its result slice. The per-document EPC charge (docSize) is
+// unchanged by the layout. Query's memory access pattern — which posting
+// lists and slots it reads — is still data-dependent: the page-level
+// channel ROADMAP item 12 models for the history ring.
 package answer
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,11 +59,11 @@ const (
 	// similar size charge identical amounts, so the host's EPC trace
 	// cannot distinguish them.
 	arenaQuantum = 512
-	// docOverhead approximates one document's fixed cost: map slots in
-	// the doc table and FIFO order entry, the doc struct, expiry, norm.
+	// docOverhead approximates one document's fixed cost: its URL-to-slot
+	// map entry and order entry, the doc struct, expiry, norm.
 	docOverhead = 160
-	// termOverhead approximates the per-distinct-term cost: the posting
-	// map entry, the tf map entry, and string-header slack.
+	// termOverhead approximates the per-distinct-term cost: the posting,
+	// the doc's term-list entry, and string-header slack.
 	termOverhead = 64
 	// minMatchingDocs is the confidence floor's second leg: a query that
 	// matches fewer than this many indexed documents falls through to the
@@ -68,22 +81,35 @@ const DefaultMinScore = 0.1
 // Index is the shard-local answer index. Safe for concurrent use; all
 // EPC charging happens under its lock.
 type Index struct {
-	mu       sync.Mutex
-	maxBytes int64
-	ttl      time.Duration
-	minScore float64
-	docs     map[string]*doc // keyed by URL
-	order    []string        // insertion order, oldest first (FIFO eviction)
-	postings map[string]map[string]float64
-	bytes    int64 // quantized, charged footprint
+	mu        sync.Mutex
+	maxBytes  int64
+	ttl       time.Duration
+	minScore  float64
+	slots     map[string]int32 // URL -> slot of a stored doc
+	docs      []doc            // by slot; a freed slot holds the zero doc
+	freeSlots []int32          // freed slots, reused before docs grows
+	order     []int32          // stored slots by expiry, earliest first (FIFO eviction)
+	postings  map[string][]posting
+	bytes     int64 // quantized, charged footprint
+
+	// Query's scratch, used under mu and zero between queries: acc holds
+	// one score per slot, touched the slots the current query scored.
+	acc     []float64
+	touched []int32
+}
+
+// posting is one document's entry in a term's posting list.
+type posting struct {
+	slot int32
+	tf   float64
 }
 
 // doc is one indexed result document.
 type doc struct {
 	res     core.Result
-	terms   map[string]float64 // tf per normalized term (title terms x2)
-	norm    float64            // vector norm for cosine normalization
-	size    int64              // quantized charged size
+	terms   []string // normalized terms, one per posting the doc holds
+	norm    float64  // vector norm for cosine normalization
+	size    int64    // quantized charged size
 	expires time.Time
 }
 
@@ -104,8 +130,8 @@ func New(maxBytes int64, ttl time.Duration, minScore float64) (*Index, error) {
 		maxBytes: maxBytes,
 		ttl:      ttl,
 		minScore: minScore,
-		docs:     make(map[string]*doc),
-		postings: make(map[string]map[string]float64),
+		slots:    make(map[string]int32),
+		postings: make(map[string][]posting),
 	}, nil
 }
 
@@ -185,31 +211,39 @@ func (x *Index) insertLocked(r core.Result, tf map[string]float64, expires time.
 		return false
 	}
 	for x.bytes+size > x.maxBytes && len(x.order) > 0 {
-		x.removeLocked(x.order[0], free)
+		x.removeLocked(x.docs[x.order[0]].res.URL, free)
 	}
 	if charge != nil {
 		if err := charge(size); err != nil {
 			return false
 		}
 	}
-	d := &doc{
+	slot := int32(len(x.docs))
+	if n := len(x.freeSlots); n > 0 {
+		slot = x.freeSlots[n-1]
+		x.freeSlots = x.freeSlots[:n-1]
+	} else {
+		x.docs = append(x.docs, doc{})
+		x.acc = append(x.acc, 0)
+	}
+	terms := make([]string, 0, len(tf))
+	for t, f := range tf {
+		terms = append(terms, t)
+		x.postings[t] = append(x.postings[t], posting{slot, f})
+	}
+	x.docs[slot] = doc{
 		res:     core.Result{URL: r.URL, Title: r.Title, Snippet: r.Snippet},
-		terms:   tf,
+		terms:   terms,
 		norm:    math.Sqrt(norm),
 		size:    size,
 		expires: expires,
 	}
-	x.docs[r.URL] = d
-	x.order = append(x.order, r.URL)
+	x.slots[r.URL] = slot
+	// order stays sorted by expiry: a live insert lands at the back, a
+	// merged document (foreign expiry) where its expiry falls.
+	at := sort.Search(len(x.order), func(i int) bool { return x.docs[x.order[i]].expires.After(expires) })
+	x.order = slices.Insert(x.order, at, slot)
 	x.bytes += size
-	for t, f := range tf {
-		posts := x.postings[t]
-		if posts == nil {
-			posts = make(map[string]float64)
-			x.postings[t] = posts
-		}
-		posts[r.URL] = f
-	}
 	return true
 }
 
@@ -228,49 +262,56 @@ func (x *Index) Query(q string, k int, now time.Time, free func(int64)) (results
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.purgeExpiredLocked(now, free)
-	n := len(x.docs)
+	n := len(x.slots)
 	if n < minMatchingDocs {
 		return nil, false
 	}
-	scores := make(map[string]float64)
+	defer func() { // runs before the unlock: the scratch is zero between queries
+		for _, s := range x.touched {
+			x.acc[s] = 0
+		}
+		x.touched = x.touched[:0]
+	}()
+	// Per document the weights are summed in query-term order, so a score
+	// is the same float whatever order its postings are in.
 	for _, t := range terms {
 		posts, present := x.postings[t]
 		if !present {
 			continue
 		}
 		w := math.Log(1 + float64(n)/float64(len(posts)+1))
-		for url, f := range posts {
-			scores[url] += f * w * w
+		for _, p := range posts {
+			// Every weight is positive (tf >= 1, and df <= n keeps w >=
+			// log 1.5), so a zero accumulator means a first touch.
+			if x.acc[p.slot] == 0 {
+				x.touched = append(x.touched, p.slot)
+			}
+			x.acc[p.slot] += p.tf * w * w
 		}
 	}
-	if len(scores) < minMatchingDocs {
+	if len(x.touched) < minMatchingDocs {
 		return nil, false
 	}
-	type scored struct {
-		url   string
-		score float64
+	for _, s := range x.touched {
+		x.acc[s] /= x.docs[s].norm
 	}
-	all := make([]scored, 0, len(scores))
-	for url, s := range scores {
-		all = append(all, scored{url, s / x.docs[url].norm})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	slices.SortFunc(x.touched, func(a, b int32) int {
+		if sa, sb := x.acc[a], x.acc[b]; sa != sb {
+			if sa > sb {
+				return -1
+			}
+			return 1
 		}
-		return all[i].url < all[j].url
+		return strings.Compare(x.docs[a].res.URL, x.docs[b].res.URL)
 	})
-	if all[0].score < x.minScore {
+	if x.acc[x.touched[0]] < x.minScore {
 		return nil, false
 	}
-	if k > len(all) {
-		k = len(all)
+	results = make([]core.Result, min(k, len(x.touched)))
+	for i := range results {
+		results[i] = x.docs[x.touched[i]].res
 	}
-	out := make([]core.Result, k)
-	for i := 0; i < k; i++ {
-		out[i] = x.docs[all[i].url].res
-	}
-	return out, true
+	return results, true
 }
 
 // SnapshotDoc is one document of a Snapshot. Term vectors are not
@@ -282,18 +323,18 @@ type SnapshotDoc struct {
 	Expires int64  `json:"expires"` // UnixNano; absolute so TTLs survive the handoff
 }
 
-// Snapshot is the index contents in FIFO order: the index section of the
+// Snapshot is the index contents in expiry order: the index section of the
 // enclave's sealed state. The caller encodes and seals it before it
 // crosses the enclave boundary; the host moves opaque bytes only.
 type Snapshot []SnapshotDoc
 
-// Snapshot copies the index contents, FIFO order preserved.
+// Snapshot copies the index contents, expiry order preserved.
 func (x *Index) Snapshot() Snapshot {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	snap := make(Snapshot, 0, len(x.order))
-	for _, url := range x.order {
-		d := x.docs[url]
+	for _, slot := range x.order {
+		d := &x.docs[slot]
 		snap = append(snap, SnapshotDoc{
 			URL:     d.res.URL,
 			Title:   d.res.Title,
@@ -304,13 +345,13 @@ func (x *Index) Snapshot() Snapshot {
 	return snap
 }
 
-// Merge appends a snapshot from another index (the sealed drain/handoff
+// Merge adds a snapshot from another index (the sealed drain/handoff
 // path): every still-fresh document not already present is inserted with
-// its original expiry, charged through charge under the lock exactly
-// like a live insert — so the EPC invariant holds at every step of the
-// merge, and a charge failure skips the document rather than corrupting
-// the meter. Documents already present keep the local (fresher or equal)
-// version. Returns how many documents were added and the bytes charged.
+// its original expiry, at its place in the expiry order, and charged
+// through charge under the lock exactly like a live insert — so the EPC
+// invariant holds at every step of the merge, and a charge failure skips
+// the document rather than corrupting the meter. Documents already present
+// keep the local version. Returns how many were added and the bytes charged.
 func (x *Index) Merge(snap Snapshot, now time.Time, charge func(int64) error, free func(int64)) (added int, bytes int64) {
 	// Normalise what is still fresh before taking the lock.
 	fresh := make([]core.Result, 0, len(snap))
@@ -327,7 +368,7 @@ func (x *Index) Merge(snap Snapshot, now time.Time, charge func(int64) error, fr
 	x.purgeExpiredLocked(now, free)
 	before := x.bytes
 	for i, r := range fresh {
-		if _, present := x.docs[r.URL]; present {
+		if _, present := x.slots[r.URL]; present {
 			continue
 		}
 		if x.insertLocked(r, tfs[i], expiries[i], charge, free) {
@@ -337,19 +378,11 @@ func (x *Index) Merge(snap Snapshot, now time.Time, charge func(int64) error, fr
 	return added, x.bytes - before
 }
 
-// PurgeExpired drops every document stale at time now, releasing bytes
-// through free under the lock.
-func (x *Index) PurgeExpired(now time.Time, free func(int64)) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.purgeExpiredLocked(now, free)
-}
-
 // Docs returns the number of indexed documents.
 func (x *Index) Docs() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return len(x.docs)
+	return len(x.slots)
 }
 
 // Bytes returns the charged (quantized) footprint.
@@ -359,58 +392,43 @@ func (x *Index) Bytes() int64 {
 	return x.bytes
 }
 
-// MaxBytes returns the configured byte bound.
-func (x *Index) MaxBytes() int64 { return x.maxBytes }
-
-// TTL returns the configured per-document lifetime.
-func (x *Index) TTL() time.Duration { return x.ttl }
-
-// MinScore returns the configured score floor.
-func (x *Index) MinScore() float64 { return x.minScore }
-
-// removeLocked unlinks url from the doc table, every posting list, the
-// FIFO order, and the byte meter, releasing its quantized size through
-// free (may be nil). Caller holds x.mu.
+// removeLocked unlinks url from the slot table, every posting list, the
+// expiry order, and the byte meter, releasing its quantized size through
+// free (may be nil) and its slot for reuse. Caller holds x.mu.
 func (x *Index) removeLocked(url string, free func(int64)) {
-	d, present := x.docs[url]
+	slot, present := x.slots[url]
 	if !present {
 		return
 	}
-	delete(x.docs, url)
+	d := &x.docs[slot]
+	delete(x.slots, url)
 	x.bytes -= d.size
-	for t := range d.terms {
-		posts := x.postings[t]
-		delete(posts, url)
-		if len(posts) == 0 {
+	for _, t := range d.terms {
+		if posts := slices.DeleteFunc(x.postings[t], func(p posting) bool { return p.slot == slot }); len(posts) > 0 {
+			x.postings[t] = posts
+		} else {
 			delete(x.postings, t)
 		}
 	}
-	for i, u := range x.order {
-		if u == url {
-			x.order = append(x.order[:i], x.order[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(x.order, slot)
+	x.order = slices.Delete(x.order, i, i+1)
 	if free != nil {
 		free(d.size)
 	}
+	*d = doc{}
+	x.freeSlots = append(x.freeSlots, slot)
 }
 
 // purgeExpiredLocked drops stale documents, releasing bytes through
-// free. Caller holds x.mu. Documents enter only at the back of the
-// order with a shared TTL (insertLocked removes any old doc for the URL
-// first), so with monotonic insertion times the order is expiry-sorted
-// and stopping at the first fresh document keeps the purge O(expired).
-// Merge is the exception — it preserves foreign expiries, which may
-// interleave — so Merge-carried docs hiding behind a fresh one are
-// still collected by the full sweep a later purge or removal performs
-// once they reach the front.
+// free. Caller holds x.mu. The order is sorted by expiry (insertLocked
+// keeps it so, merged documents included), so stopping at the first
+// fresh document keeps the purge O(expired) and leaves nothing stale.
 func (x *Index) purgeExpiredLocked(now time.Time, free func(int64)) {
 	for len(x.order) > 0 {
-		url := x.order[0]
-		if d := x.docs[url]; !now.After(d.expires) {
+		d := &x.docs[x.order[0]]
+		if !now.After(d.expires) {
 			return
 		}
-		x.removeLocked(url, free)
+		x.removeLocked(d.res.URL, free)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"xsearch/internal/core"
+	"xsearch/internal/raceflag"
+	"xsearch/internal/searchengine"
 )
 
 // meter is a test EPC stand-in: charge/free move a balance the way
@@ -158,8 +160,8 @@ func TestIndexEvictionAndTTL(t *testing.T) {
 			rdoc(fmt.Sprintf("http://d%d", i), "chicken recipe", fmt.Sprintf("roast chicken variant %d", i)),
 		}, now.Add(time.Duration(i)*time.Millisecond), m.charge, m.free)
 		requireBalanced(t, fmt.Sprintf("insert %d", i), x, m)
-		if x.Bytes() > x.MaxBytes() {
-			t.Fatalf("insert %d: bytes %d over bound %d", i, x.Bytes(), x.MaxBytes())
+		if x.Bytes() > x.maxBytes {
+			t.Fatalf("insert %d: bytes %d over bound %d", i, x.Bytes(), x.maxBytes)
 		}
 	}
 	if x.Docs() == 0 || x.Docs() >= 10 {
@@ -172,8 +174,9 @@ func TestIndexEvictionAndTTL(t *testing.T) {
 		now.Add(20*time.Millisecond), m.charge, m.free)
 	requireBalanced(t, "after replace", x, m)
 
-	// Everything expires; the purge releases every byte.
-	x.PurgeExpired(now.Add(time.Hour), m.free)
+	// Everything expires; an empty insert an hour on purges it and
+	// releases every byte.
+	x.Insert(nil, now.Add(time.Hour), nil, m.free)
 	if x.Docs() != 0 || x.Bytes() != 0 {
 		t.Fatalf("after TTL purge: %d docs, %d bytes", x.Docs(), x.Bytes())
 	}
@@ -259,6 +262,82 @@ func TestIndexSnapshotMerge(t *testing.T) {
 	requireBalanced(t, "after stale merge", late, lm)
 }
 
+// TestIndexMergedExpiredNeverServed: a merged document keeps its foreign
+// expiry, which may fall before those of the local documents already held.
+// Once it passes, the document must be gone — never served, its bytes
+// freed — even though it arrived after fresh local documents.
+func TestIndexMergedExpiredNeverServed(t *testing.T) {
+	now := time.Now()
+	src, err := New(1<<20, time.Minute, 1e-9)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	src.Insert([]core.Result{rdoc("http://old", "chicken recipe", "roast chicken with herbs")},
+		now.Add(-55*time.Second), nil, nil) // expires at now+5s
+
+	dst, err := New(1<<20, time.Minute, 1e-9)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	m := &meter{}
+	dst.Insert([]core.Result{
+		rdoc("http://fresh1", "chicken recipe oven", "oven baked chicken"),
+		rdoc("http://fresh2", "chicken soup", "chicken noodle soup"),
+	}, now, m.charge, m.free) // expire at now+60s
+	local := dst.Bytes()
+	if added, _ := dst.Merge(src.Snapshot(), now, m.charge, m.free); added != 1 {
+		t.Fatalf("Merge added %d docs, want 1", added)
+	}
+
+	later := now.Add(10 * time.Second)
+	res, ok := dst.Query("chicken recipe", 10, later, m.free)
+	if !ok {
+		t.Fatal("fresh local documents not served")
+	}
+	for _, r := range res {
+		if r.URL == "http://old" {
+			t.Fatalf("served a merged document 5s past its expiry: %+v", res)
+		}
+	}
+	if dst.Docs() != 2 || dst.Bytes() != local {
+		t.Fatalf("after its expiry the merged doc is still held: %d docs, %d bytes (local %d)",
+			dst.Docs(), dst.Bytes(), local)
+	}
+	requireBalanced(t, "after expiry", dst, m)
+}
+
+// TestIndexQueryAllocBudget: a warm query the index answers allocates its
+// query terms (three for this one: textutil.UniqueTerms' slice, term
+// strings and sort order) and its result slice — no score map, nothing per
+// matching document.
+func TestIndexQueryAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are the race detector's under -race")
+	}
+	const budget = 4
+	corpus := searchengine.GenerateCorpus(searchengine.CorpusConfig{DocsPerTopic: 40, Seed: 1})
+	results := make([]core.Result, len(corpus))
+	for i, d := range corpus {
+		results[i] = core.Result{URL: d.URL, Title: d.Title, Snippet: d.Snippet}
+	}
+	x, err := New(64<<20, time.Hour, 0)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	now := time.Now()
+	x.Insert(results, now, nil, nil)
+	q := corpus[0].Title
+	res, ok := x.Query(q, 20, now, nil)
+	if !ok || len(res) != 20 {
+		t.Fatalf("Query(%q) over %d docs: ok=%t, %d results; the gate needs an answered query", q, x.Docs(), ok, len(res))
+	}
+	got := testing.AllocsPerRun(200, func() { x.Query(q, 20, now, nil) })
+	if got > budget {
+		t.Errorf("warm Query(%q): %v allocations, budget %d", q, got, budget)
+	}
+	t.Logf("warm Query allocs: %v over %d docs", got, x.Docs())
+}
+
 // TestIndexChurnRace hammers one index from concurrent inserters,
 // queriers, and expirers (run under -race): byte accounting must stay
 // exact against the shared meter at every quiescent point, and the byte
@@ -297,16 +376,16 @@ func TestIndexChurnRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for time.Now().Before(stop) {
-			x.PurgeExpired(time.Now(), m.free)
+			x.Insert(nil, time.Now(), nil, m.free) // purges what is stale
 			time.Sleep(time.Millisecond)
 		}
 	}()
 	wg.Wait()
 	requireBalanced(t, "after churn", x, m)
-	if x.Bytes() > x.MaxBytes() {
-		t.Fatalf("byte bound breached: %d > %d", x.Bytes(), x.MaxBytes())
+	if x.Bytes() > x.maxBytes {
+		t.Fatalf("byte bound breached: %d > %d", x.Bytes(), x.maxBytes)
 	}
-	x.PurgeExpired(time.Now().Add(time.Hour), m.free)
+	x.Insert(nil, time.Now().Add(time.Hour), nil, m.free)
 	if m.balance() != 0 {
 		t.Fatalf("meter left at %d after draining the index", m.balance())
 	}
@@ -323,7 +402,7 @@ func TestIndexConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if x.MinScore() != DefaultMinScore {
-		t.Fatalf("default min score %g, want %g", x.MinScore(), DefaultMinScore)
+	if x.minScore != DefaultMinScore {
+		t.Fatalf("default min score %g, want %g", x.minScore, DefaultMinScore)
 	}
 }

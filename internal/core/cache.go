@@ -130,26 +130,6 @@ func (c *ResultCache) Put(key string, results []Result, now time.Time, charge fu
 	return true
 }
 
-// Remove deletes key, releasing its bytes through free under the lock.
-// Returns whether an entry was removed.
-func (c *ResultCache) Remove(key string, free func(int64)) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, present := c.entries[key]; !present {
-		return false
-	}
-	c.removeLocked(key, free)
-	return true
-}
-
-// PurgeExpired drops every entry stale at time now, releasing their bytes
-// through free under the lock.
-func (c *ResultCache) PurgeExpired(now time.Time, free func(int64)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.purgeExpiredLocked(now, free)
-}
-
 // Len returns the number of cached entries.
 func (c *ResultCache) Len() int {
 	c.mu.Lock()

@@ -194,18 +194,21 @@ func TestCacheOversizeEntryRejected(t *testing.T) {
 	}
 }
 
+// An entry leaves the cache exactly once: the first Get past its expiry
+// removes it and frees its bytes, a second finds nothing and frees nothing.
 func TestCacheRemove(t *testing.T) {
 	c := mustCache(t, 1<<20, time.Minute)
 	m := &epcMirror{}
 	c.Put("q", cacheResults(2), cacheT0, m.charge, m.free)
-	if !c.Remove("q", m.free) {
-		t.Error("Remove missed a present entry")
+	later := cacheT0.Add(time.Hour)
+	if _, ok := c.Get("q", later, m.free); ok {
+		t.Error("Get served an expired entry")
 	}
 	if m.freed != m.charged {
-		t.Errorf("Remove freed %d, want %d", m.freed, m.charged)
+		t.Errorf("removal freed %d, want %d", m.freed, m.charged)
 	}
-	if c.Remove("q", m.free) {
-		t.Error("second Remove reported an entry")
+	if _, ok := c.Get("q", later, m.free); ok || m.freed != m.charged {
+		t.Errorf("second Get: ok=%t, freed %d of %d charged", ok, m.freed, m.charged)
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Errorf("Len/Bytes = %d/%d after remove", c.Len(), c.Bytes())
@@ -226,8 +229,8 @@ func TestCacheAllocFreeSymmetry(t *testing.T) {
 		switch i % 5 {
 		case 3:
 			c.Get(key, now, m.free)
-		case 4:
-			c.Remove(key, m.free)
+		case 4: // a Get an hour on removes the key
+			c.Get(key, now.Add(time.Hour), m.free)
 		default:
 			c.Put(key, cacheResults(1+i%4), now, m.charge, m.free)
 		}
@@ -235,9 +238,11 @@ func TestCacheAllocFreeSymmetry(t *testing.T) {
 			t.Fatalf("step %d: charged-freed = %d, live bytes = %d", i, got, c.Bytes())
 		}
 	}
-	c.PurgeExpired(now.Add(time.Hour), m.free)
+	for i := 0; i < 7; i++ {
+		c.Get(fmt.Sprintf("key-%02d", i), now.Add(time.Hour), m.free)
+	}
 	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("purge left Len=%d Bytes=%d", c.Len(), c.Bytes())
+		t.Fatalf("expiry left Len=%d Bytes=%d", c.Len(), c.Bytes())
 	}
 	if m.charged != m.freed {
 		t.Errorf("total charged %d != total freed %d after full churn", m.charged, m.freed)
@@ -266,8 +271,8 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					c.Get(key, cacheT0, freeFn)
-				case 1:
-					c.Remove(key, freeFn)
+				case 1: // a Get an hour on removes the key
+					c.Get(key, cacheT0.Add(time.Hour), freeFn)
 				default:
 					c.Put(key, cacheResults(i%3), cacheT0, chargeFn, freeFn)
 				}

@@ -19,7 +19,7 @@
 // A Termer runs the kernel behind a token→stem memo, so a word that occurs
 // in fifty result snippets is looked up in the stopword list and stemmed
 // once. Its scope is ONE call that normalises many related texts — one
-// searchengine.BuildIndex, one answer.Index.Insert, and (ROADMAP item 1b) one
+// searchengine.BuildIndex, one answer.Index.Insert, and (ROADMAP item 1) one
 // core.FilterResults — and it is declared inside that call:
 //
 //   - not shared: it has no lock, and needs none while it stays local;
