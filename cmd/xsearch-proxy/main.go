@@ -270,15 +270,15 @@ func runFleet(shards int, muxAddr, addr string, k, history int, drainWait time.D
 		fmt.Printf("mux edge: %d conns total, %d streams, %d sessions resumed without re-attestation\n",
 			st.MuxConnsTotal, st.MuxStreams, st.MuxResumes)
 	}
-	if st.AsyncSubmitted > 0 {
-		fmt.Printf("pipeline: %d async fetches; worst shard p99 %v\n", st.AsyncSubmitted, st.LatencyP99Max)
+	if st.Total.AsyncSubmitted > 0 {
+		fmt.Printf("pipeline: %d async fetches; worst shard p99 %v\n", st.Total.AsyncSubmitted, st.Total.LatencyP99)
 	}
 	for _, ss := range st.Shards {
 		fmt.Printf("shard %d: alive=%t sessions=%d requests=%d history=%d/%dB heap=%dB\n",
 			ss.Index, ss.Alive, ss.Sessions, ss.Proxy.Requests,
 			ss.Proxy.HistoryLen, ss.Proxy.HistoryB, ss.Proxy.Enclave.HeapBytes)
 	}
-	for _, u := range st.Upstreams {
+	for _, u := range st.Total.Upstreams {
 		fmt.Printf("upstream %s: served %d, failures %d (fleet-wide)\n",
 			u.Host, u.Served, u.Failures)
 	}

@@ -258,7 +258,7 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	if kills == 0 || drains == 0 {
 		t.Fatalf("soak did not both kill and drain a shard (kills=%d drains=%d)", kills, drains)
 	}
-	if shardCfg.BatchMax > 0 && st.BatchesSubmitted == 0 {
+	if shardCfg.BatchMax > 0 && st.Total.BatchesSubmitted == 0 {
 		t.Fatal("batched soak submitted no vectorized ecalls")
 	}
 
@@ -280,7 +280,7 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 			}
 		}
 		ist := g.Stats()
-		if ist.IndexDocs == 0 {
+		if ist.Total.IndexDocs == 0 {
 			t.Fatal("indexed soak ended with an empty answer tier fleet-wide")
 		}
 		for _, ss := range ist.Shards {

@@ -166,8 +166,8 @@ func TestFleetPassesPipelineConfigAndMergesGauges(t *testing.T) {
 	if shardsUsed < 2 {
 		t.Errorf("only %d of 2 shards ran async fetches", shardsUsed)
 	}
-	if st.AsyncSubmitted != perShard || st.AsyncSubmitted == 0 {
-		t.Errorf("merged AsyncSubmitted = %d, per-shard sum = %d", st.AsyncSubmitted, perShard)
+	if st.Total.AsyncSubmitted != perShard || st.Total.AsyncSubmitted == 0 {
+		t.Errorf("merged AsyncSubmitted = %d, per-shard sum = %d", st.Total.AsyncSubmitted, perShard)
 	}
 }
 
@@ -259,8 +259,8 @@ func TestBrokerSessionsSurviveShardKill(t *testing.T) {
 	if st.Shards[0].Alive || !st.Shards[1].Alive {
 		t.Fatalf("shard liveness wrong: %+v", st.Shards)
 	}
-	if len(st.Upstreams) != 1 || st.Upstreams[0].Served == 0 {
-		t.Fatalf("merged upstream stats wrong: %+v", st.Upstreams)
+	if len(st.Total.Upstreams) != 1 || st.Total.Upstreams[0].Served == 0 {
+		t.Fatalf("merged upstream stats wrong: %+v", st.Total.Upstreams)
 	}
 }
 

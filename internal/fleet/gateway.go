@@ -238,6 +238,10 @@ func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]
 	return reply, nil
 }
 
+// Refused counts a call a client edge refused before routing as one of the
+// gateway's errors; no shard saw it.
+func (g *Gateway) Refused() { g.gwErrors.Add(1) }
+
 // --- HTTP front ---
 
 // httpFront is the gateway's HTTP server state. The endpoint surface is

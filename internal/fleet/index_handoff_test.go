@@ -104,8 +104,8 @@ func TestDrainCarriesIndexBlob(t *testing.T) {
 	if pre.Shards[0].Proxy.IndexDocs == 0 {
 		t.Fatal("shard 0 indexed nothing; the drain would carry an empty blob")
 	}
-	if pre.IndexDocs != pre.Shards[0].Proxy.IndexDocs+pre.Shards[1].Proxy.IndexDocs {
-		t.Errorf("fleet IndexDocs %d != per-shard sum", pre.IndexDocs)
+	if pre.Total.IndexDocs != pre.Shards[0].Proxy.IndexDocs+pre.Shards[1].Proxy.IndexDocs {
+		t.Errorf("fleet IndexDocs %d != per-shard sum", pre.Total.IndexDocs)
 	}
 
 	// The blob the gateway moves is sealed: the host-visible bytes must
@@ -155,7 +155,7 @@ func TestDrainCarriesIndexBlob(t *testing.T) {
 			len(got), len(upstream))
 	}
 	final := g.Stats()
-	if final.IndexHits == 0 {
+	if final.Total.IndexHits == 0 {
 		t.Error("no index hits after probing migrated documents")
 	}
 	requireInvariant(t, "post-probe successor", final.Shards[1].Proxy)

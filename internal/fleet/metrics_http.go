@@ -47,9 +47,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("xsearch_fleet_migrated_queries_total", "History entries moved by sealed handoffs.", float64(s.MigratedQueries))
 
 	// The fleet-merged stage view: counts summed, tails from the worst
-	// shard (percentiles do not merge across histograms — the same rule
-	// as Stats.LatencyP99Max).
-	pw.StageSummaries("xsearch_fleet_stage_latency_seconds", "Fleet-merged per-stage latency (counts summed, tails worst-shard).", s.Stages)
+	// shard (percentiles do not merge across histograms — the rule
+	// proxy.Stats.Merge applies to every tail).
+	pw.StageSummaries("xsearch_fleet_stage_latency_seconds", "Fleet-merged per-stage latency (counts summed, tails worst-shard).", s.Total.Stages)
 	pw.Gauge("xsearch_fleet_events_logged", "Shared event-ring occupancy.", float64(s.EventsLogged))
 
 	// Per-shard series: every live shard's full node surface, stamped

@@ -69,7 +69,7 @@ func TestMuxReconnectResumesSecureSession(t *testing.T) {
 		if st.MuxConns == 0 {
 			t.Fatalf("no mux conns held, stats: %+v", st)
 		}
-		historyBefore := st.HistoryLen
+		historyBefore := st.Total.HistoryLen
 
 		b.KillConn()
 
@@ -93,8 +93,8 @@ func TestMuxReconnectResumesSecureSession(t *testing.T) {
 		}
 		// History preserved and grown across the reconnect: the
 		// enclave state never depended on the carrier.
-		if st.HistoryLen <= historyBefore {
-			t.Fatalf("history %d -> %d across reconnect; want growth", historyBefore, st.HistoryLen)
+		if st.Total.HistoryLen <= historyBefore {
+			t.Fatalf("history %d -> %d across reconnect; want growth", historyBefore, st.Total.HistoryLen)
 		}
 		if st.MuxStreams < 10 {
 			t.Fatalf("MuxStreams = %d, want >= 10", st.MuxStreams)

@@ -48,7 +48,7 @@ func TestFleetStageMergeSumsCountsTakesWorstTails(t *testing.T) {
 		}
 	}
 	fs := g.Stats()
-	if fs.Stages == nil {
+	if fs.Total.Stages == nil {
 		t.Fatal("fleet stats carry no merged stages")
 	}
 	for _, stage := range []string{obs.StageObfuscate, obs.StageReply} {
@@ -64,7 +64,7 @@ func TestFleetStageMergeSumsCountsTakesWorstTails(t *testing.T) {
 				maxMax = snap.Max
 			}
 		}
-		merged := fs.Stages[stage]
+		merged := fs.Total.Stages[stage]
 		if merged.Count != sum {
 			t.Errorf("stage %q merged count = %d, want sum %d", stage, merged.Count, sum)
 		}
@@ -75,8 +75,8 @@ func TestFleetStageMergeSumsCountsTakesWorstTails(t *testing.T) {
 			t.Errorf("stage %q merged max = %v, want worst-shard %v", stage, merged.Max, maxMax)
 		}
 	}
-	if fs.Stages[obs.StageReply].Count != 60 {
-		t.Errorf("reply count = %d, want 60", fs.Stages[obs.StageReply].Count)
+	if fs.Total.Stages[obs.StageReply].Count != 60 {
+		t.Errorf("reply count = %d, want 60", fs.Total.Stages[obs.StageReply].Count)
 	}
 }
 

@@ -112,8 +112,8 @@ func BenchmarkMuxSecureCall(b *testing.B) {
 
 // TestOldFormatSecureBodyIsAPerStreamRefusal: a legacy broker's JSON
 // SecureEnvelope on a KindSecure stream — and any other malformed secure
-// body — fails that stream with the front's bad-body error and leaves the
-// session serving.
+// body — fails that stream with the front's bad-body error, counts as one
+// gateway error and no shard's, and leaves the session serving.
 func TestOldFormatSecureBodyIsAPerStreamRefusal(t *testing.T) {
 	g, _ := edgeStack(t)
 	conn, err := net.Dial("tcp", g.MuxAddr())
@@ -132,10 +132,15 @@ func TestOldFormatSecureBodyIsAPerStreamRefusal(t *testing.T) {
 		"truncated id": {32, 'a', 'b'},
 		"zero-length":  {0, 1, 2, 3},
 	} {
+		before := g.Stats()
 		_, err := s.Call(ctx, mux.KindSecure, body)
 		var remote *mux.RemoteError
 		if !errors.As(err, &remote) || remote.Msg != "bad secure body" {
 			t.Errorf("%s: err = %v, want the stream refused with \"bad secure body\"", name, err)
+		}
+		if after := g.Stats(); after.Errors != before.Errors+1 || after.Total.Errors != before.Total.Errors {
+			t.Errorf("%s: gateway errors %d -> %d, shard errors %d -> %d; want +1 and +0",
+				name, before.Errors, after.Errors, before.Total.Errors, after.Total.Errors)
 		}
 	}
 	muxHandshake(ctx, t, s) // the session survived the refusals
@@ -143,8 +148,9 @@ func TestOldFormatSecureBodyIsAPerStreamRefusal(t *testing.T) {
 
 // TestOldFormatHTTPSecureBodyRefused is the same refusal on the HTTP edge,
 // of a node and of the gateway: the JSON SecureEnvelope a broker from
-// before ISSUE 20 POSTs to /secure is a 400 "bad secure body", the node
-// counts it as an error, and an established session answers the next call.
+// before the binary secure body POSTs to /secure is a 400 "bad secure
+// body", the front that refused it — node or gateway — counts it as one
+// error, and an established session answers the next call.
 func TestOldFormatHTTPSecureBodyRefused(t *testing.T) {
 	node, err := proxy.New(proxy.Config{K: 2, EchoMode: true, Seed: 5})
 	if err != nil {
@@ -162,6 +168,10 @@ func TestOldFormatHTTPSecureBodyRefused(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
+	errorCount := map[string]func() uint64{
+		"node":    func() uint64 { return node.Stats().Errors },
+		"gateway": func() uint64 { return g.Stats().Errors },
+	}
 	for name, front := range map[string]attestedFront{"node": node, "gateway": g} {
 		b, err := broker.New(broker.Config{
 			ProxyURL:   front.URL(),
@@ -177,7 +187,7 @@ func TestOldFormatHTTPSecureBodyRefused(t *testing.T) {
 		if _, err := b.Search(ctx, "before the legacy body"); err != nil {
 			t.Fatalf("%s: search: %v", name, err)
 		}
-		errorsBefore := node.Stats().Errors
+		errorsBefore := errorCount[name]()
 
 		legacy, _ := json.Marshal(proxy.SecureEnvelope{Session: strings.Repeat("ab", 16), Record: make([]byte, 60)})
 		resp, err := http.Post(front.URL()+"/secure", "application/json", bytes.NewReader(legacy))
@@ -189,8 +199,8 @@ func TestOldFormatHTTPSecureBodyRefused(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || strings.TrimSpace(string(msg)) != "bad secure body" {
 			t.Errorf("%s: legacy JSON body: %d %q, want 400 \"bad secure body\"", name, resp.StatusCode, msg)
 		}
-		if name == "node" && node.Stats().Errors != errorsBefore+1 {
-			t.Errorf("node errors %d -> %d, want +1", errorsBefore, node.Stats().Errors)
+		if got := errorCount[name](); got != errorsBefore+1 {
+			t.Errorf("%s errors %d -> %d, want +1", name, errorsBefore, got)
 		}
 		if _, err := b.Search(ctx, "after the legacy body"); err != nil {
 			t.Errorf("%s: the session did not survive the refusal: %v", name, err)

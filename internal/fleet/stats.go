@@ -1,13 +1,6 @@
 package fleet
 
-import (
-	"sort"
-	"time"
-
-	"xsearch/internal/metrics"
-	"xsearch/internal/obs"
-	"xsearch/internal/proxy"
-)
+import "xsearch/internal/proxy"
 
 // ShardStats is one shard's slice of the fleet snapshot.
 type ShardStats struct {
@@ -25,7 +18,7 @@ type ShardStats struct {
 }
 
 // Stats is the fleet-wide operational snapshot: gateway routing counters,
-// each shard's node snapshot, and cross-shard aggregates.
+// each shard's node snapshot, and their merged Total.
 type Stats struct {
 	Shards []ShardStats `json:"shards"`
 	// CurrentShards is the shard ring's size, fixed at start (killed and
@@ -53,40 +46,6 @@ type Stats struct {
 	MigratedQueries uint64 `json:"migrated_queries"`
 	MigratedBytes   int64  `json:"migrated_bytes"`
 
-	// Aggregates over live shards.
-	Requests    uint64 `json:"requests"`
-	HistoryLen  int    `json:"history_len"`
-	HistoryB    int64  `json:"history_bytes"`
-	CacheB      int64  `json:"cache_bytes"`
-	EnclaveHeap int64  `json:"enclave_heap_bytes"`
-	EPCUsed     int64  `json:"epc_used_bytes"`
-	// Answer-tier aggregates: indexed documents and EPC bytes across live
-	// shards, index probe hits, and the fleet-wide local-hit ratio (the
-	// fraction of probed queries served without an upstream round trip),
-	// recomputed from the summed hit/miss counters so it is a true fleet
-	// ratio rather than an average of per-shard ratios.
-	IndexDocs     int     `json:"index_docs,omitempty"`
-	IndexB        int64   `json:"index_bytes,omitempty"`
-	IndexHits     uint64  `json:"index_hits,omitempty"`
-	LocalHitRatio float64 `json:"local_hit_ratio,omitempty"`
-	// Async pipeline gauges, summed over live shards (zero when shards run
-	// the blocking path).
-	AsyncSubmitted   uint64 `json:"async_submitted,omitempty"`
-	AsyncCompleted   uint64 `json:"async_completed,omitempty"`
-	PipelineInFlight int    `json:"pipeline_in_flight,omitempty"`
-	// Ecall batching gauges: vectorized boundary crossings summed over live
-	// shards, and the worst per-shard request-batch occupancy p95
-	// (occupancy distributions, like latency percentiles, do not merge).
-	BatchesSubmitted     uint64  `json:"batches_submitted,omitempty"`
-	BatchOccupancyP95Max float64 `json:"batch_occupancy_p95_max,omitempty"`
-	// LatencyP99Max is the worst per-shard p99 query latency — percentiles
-	// do not merge across histograms, so the fleet reports the most
-	// conservative tail (per-shard percentiles live in Shards[i].Proxy).
-	LatencyP99Max time.Duration `json:"latency_p99_max_ns,omitempty"`
-	// Stages is the fleet-merged per-stage latency view (observability
-	// on): counts summed over live shards, percentile/mean/max fields from
-	// the worst shard — the same conservative-tail rule as LatencyP99Max.
-	Stages map[string]metrics.LatencySnapshot `json:"stages,omitempty"`
 	// Mux-edge gauges: transport connections currently held open (each
 	// carrying many logical streams), connections accepted over the
 	// fleet's lifetime, streams opened across all conns, and secure
@@ -95,11 +54,13 @@ type Stats struct {
 	MuxConnsTotal uint64 `json:"mux_conns_total,omitempty"`
 	MuxStreams    uint64 `json:"mux_streams,omitempty"`
 	MuxResumes    uint64 `json:"mux_resumes,omitempty"`
-	// EventsLogged is the shared event ring's occupancy.
+	// EventsLogged is the occupancy of the one event ring all shards
+	// share.
 	EventsLogged int `json:"events_logged,omitempty"`
-	// Upstreams merges the per-shard upstream breakdowns by host (sorted),
-	// showing each engine's fleet-wide traffic share and failures.
-	Upstreams []proxy.UpstreamStats `json:"upstreams,omitempty"`
+	// Total is the merge of the live shards' node snapshots (see
+	// proxy.Stats.Merge): counts and gauges summed, ratios derived from
+	// the sums, tails from the worst shard, upstreams merged by host.
+	Total proxy.Stats `json:"total"`
 }
 
 // Stats returns the fleet snapshot.
@@ -127,9 +88,7 @@ func (g *Gateway) Stats() Stats {
 	}
 	g.mu.Unlock()
 
-	merged := make(map[string]proxy.UpstreamStats)
 	s.CurrentShards = len(g.shards)
-	var localHits, localTotal uint64
 	for _, sh := range g.shards {
 		ss := ShardStats{
 			Index:    sh.index,
@@ -140,59 +99,9 @@ func (g *Gateway) Stats() Stats {
 		if ss.Alive {
 			ss.Proxy = sh.proxy.Stats()
 			s.AliveShards++
-			s.Requests += ss.Proxy.Requests
-			s.HistoryLen += ss.Proxy.HistoryLen
-			s.HistoryB += ss.Proxy.HistoryB
-			s.CacheB += ss.Proxy.CacheB
-			s.IndexDocs += ss.Proxy.IndexDocs
-			s.IndexB += ss.Proxy.IndexB
-			s.IndexHits += ss.Proxy.IndexHits
-			// Per-shard denominator: cache probes when the shard runs a
-			// cache (the index only probes on cache misses), index probes
-			// otherwise — the same rule Proxy.Stats applies per node.
-			localHits += ss.Proxy.CacheHits + ss.Proxy.IndexHits
-			if t := ss.Proxy.CacheHits + ss.Proxy.CacheMisses; t > 0 {
-				localTotal += t
-			} else {
-				localTotal += ss.Proxy.IndexHits + ss.Proxy.IndexMisses
-			}
-			s.EnclaveHeap += ss.Proxy.Enclave.HeapBytes
-			s.EPCUsed += ss.Proxy.Enclave.EPCUsed
-			s.AsyncSubmitted += ss.Proxy.AsyncSubmitted
-			s.AsyncCompleted += ss.Proxy.AsyncCompleted
-			s.PipelineInFlight += ss.Proxy.PipelineInFlight
-			s.BatchesSubmitted += ss.Proxy.BatchesSubmitted
-			if ss.Proxy.BatchOccupancyP95 > s.BatchOccupancyP95Max {
-				s.BatchOccupancyP95Max = ss.Proxy.BatchOccupancyP95
-			}
-			if ss.Proxy.LatencyP99 > s.LatencyP99Max {
-				s.LatencyP99Max = ss.Proxy.LatencyP99
-			}
-			s.Stages = obs.MergeStages(s.Stages, ss.Proxy.Stages)
-			for _, u := range ss.Proxy.Upstreams {
-				m := merged[u.Host]
-				m.Host, m.Weight = u.Host, u.Weight
-				m.Served += u.Served
-				m.Failures += u.Failures
-				m.CoolingDown = m.CoolingDown || u.CoolingDown
-				m.PoolIdle += u.PoolIdle
-				m.PoolReuses += u.PoolReuses
-				m.PoolDials += u.PoolDials
-				m.PoolEvicted += u.PoolEvicted
-				merged[u.Host] = m
-			}
+			s.Total.Merge(ss.Proxy)
 		}
 		s.Shards = append(s.Shards, ss)
-	}
-	for _, m := range merged {
-		if total := m.PoolReuses + m.PoolDials; total > 0 {
-			m.PoolReuseRatio = float64(m.PoolReuses) / float64(total)
-		}
-		s.Upstreams = append(s.Upstreams, m)
-	}
-	sort.Slice(s.Upstreams, func(i, j int) bool { return s.Upstreams[i].Host < s.Upstreams[j].Host })
-	if localTotal > 0 {
-		s.LocalHitRatio = float64(localHits) / float64(localTotal)
 	}
 	s.EventsLogged = g.events.Len()
 	return s

@@ -135,7 +135,7 @@ func (s *Stages) Snapshot() map[string]metrics.LatencySnapshot {
 // counts sum (every shard's samples are real samples), percentile and
 // max fields take the worst shard (percentiles from different histograms
 // cannot be averaged; the worst shard's tail is the honest fleet answer,
-// the same rule fleet.Stats already applies to LatencyP99Max).
+// the rule proxy.Stats.Merge applies to every other tail).
 func MergeStages(dst map[string]metrics.LatencySnapshot, src map[string]metrics.LatencySnapshot) map[string]metrics.LatencySnapshot {
 	if len(src) == 0 {
 		return dst

@@ -21,6 +21,9 @@ import (
 type Front interface {
 	Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*HandshakeResponse, error)
 	Secure(ctx context.Context, session string, record []byte) ([]byte, error)
+	// Refused counts one call ServeCall refused before reaching the
+	// front (a BadRequest) as one of the front's errors.
+	Refused()
 }
 
 // HandshakeResponse is what the front returns for a handshake call.
@@ -78,12 +81,14 @@ func (e BadRequest) Error() string { return string(e) }
 // call, and return the reply body for the edge to send as it stands — an
 // HTTP response, a mux frame. Secure: AppendSecureBody in, the raw sealed
 // record out. Handshake: {"offer": <client offer JSON>, "nonce": <base64>}
-// in, a HandshakeResponse out. Any other kind is the call's BadRequest.
+// in, a HandshakeResponse out. Any other kind is the call's BadRequest,
+// which f counts through Refused.
 func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, error) {
 	switch kind {
 	case mux.KindSecure:
 		session, record, err := ParseSecureBody(body)
 		if err != nil {
+			f.Refused()
 			return nil, err
 		}
 		return f.Secure(ctx, session, record)
@@ -93,6 +98,7 @@ func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, er
 			Nonce []byte          `json:"nonce"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
+			f.Refused()
 			return nil, BadRequest("bad handshake body")
 		}
 		resp, err := f.Handshake(ctx, req.Offer, req.Nonce)
@@ -101,6 +107,7 @@ func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, er
 		}
 		return json.Marshal(resp)
 	default:
+		f.Refused()
 		return nil, BadRequest(fmt.Sprintf("unknown stream kind 0x%x", kind))
 	}
 }
@@ -135,10 +142,6 @@ func frontHandler(f Front, kind byte) http.HandlerFunc {
 			var bad BadRequest
 			if errors.As(err, &bad) {
 				status = http.StatusBadRequest
-				// Refused before run could count it: a node error.
-				if p, ok := f.(*Proxy); ok {
-					p.errors.Add(1)
-				}
 			}
 			http.Error(w, err.Error(), status)
 			return

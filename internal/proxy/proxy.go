@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -766,6 +767,10 @@ func (p *Proxy) Secure(ctx context.Context, session string, record []byte) ([]by
 	return reply.Record, err
 }
 
+// Refused counts a call a client edge refused before it reached the node
+// as one of the node's errors.
+func (p *Proxy) Refused() { p.errors.Add(1) }
+
 // SnapshotState returns the enclave's privacy state — the history window
 // and the answer index — as one enclave-sealed blob (MRSIGNER policy)
 // under a fresh id: the host can store or forward it but never read it.
@@ -930,47 +935,121 @@ func (p *Proxy) Stats() Stats {
 		sort.Slice(s.Upstreams, func(i, j int) bool {
 			return s.Upstreams[i].Host < s.Upstreams[j].Host
 		})
-		// Derive the ratios from the snapshotted counts so the reported
-		// fields always satisfy their own identity under concurrency.
-		if total := s.PoolReuses + s.PoolDials; total > 0 {
-			s.PoolReuseRatio = float64(s.PoolReuses) / float64(total)
-		}
 	}
 	s.CoalesceShared, s.CoalesceLed = p.trusted.coalesce.Counts()
-	if total := s.CoalesceShared + s.CoalesceLed; total > 0 {
-		s.CoalesceRatio = float64(s.CoalesceShared) / float64(total)
-	}
 	if cache := p.trusted.cache; cache != nil {
 		s.CacheLen = cache.Len()
 		s.CacheB = cache.Bytes()
 		s.CacheHits, s.CacheMisses = p.trusted.cacheHits.Counts()
-		if total := s.CacheHits + s.CacheMisses; total > 0 {
-			s.CacheHitRatio = float64(s.CacheHits) / float64(total)
-		}
 	}
 	if idx := p.trusted.index; idx != nil {
 		s.IndexDocs = idx.Docs()
 		s.IndexB = idx.Bytes()
 		s.IndexHits, s.IndexMisses = p.trusted.indexHits.Counts()
-		if total := s.IndexHits + s.IndexMisses; total > 0 {
-			s.IndexHitRatio = float64(s.IndexHits) / float64(total)
-		}
 	}
+	s.Stages = p.trusted.stages.Snapshot()
+	s.EventsLogged = p.trusted.events.Len()
+	s.derive()
+	return s
+}
+
+// derive sets the five ratios from the snapshotted counts they are ratios
+// of, so each satisfies its own identity under concurrency, in one node's
+// snapshot and in a merged total alike.
+func (s *Stats) derive() {
+	s.PoolReuseRatio = ratio(s.PoolReuses, s.PoolReuses+s.PoolDials)
+	s.CacheHitRatio = ratio(s.CacheHits, s.CacheHits+s.CacheMisses)
+	s.IndexHitRatio = ratio(s.IndexHits, s.IndexHits+s.IndexMisses)
+	s.CoalesceRatio = ratio(s.CoalesceShared, s.CoalesceShared+s.CoalesceLed)
 	// LocalHitRatio: probed queries answered without an upstream round
 	// trip. With the cache on, every probed query counts one cache lookup
 	// (the index probe only runs on cache misses); cache-off index-on
 	// counts index probes alone.
-	localHits := s.CacheHits + s.IndexHits
-	localTotal := s.CacheHits + s.CacheMisses
-	if p.trusted.cache == nil {
-		localTotal = s.IndexHits + s.IndexMisses
+	probed := s.CacheHits + s.CacheMisses
+	if probed == 0 {
+		probed = s.IndexHits + s.IndexMisses
 	}
-	if localTotal > 0 {
-		s.LocalHitRatio = float64(localHits) / float64(localTotal)
+	s.LocalHitRatio = ratio(s.CacheHits+s.IndexHits, probed)
+}
+
+func ratio(part, whole uint64) float64 {
+	if whole == 0 {
+		return 0
 	}
-	s.Stages = p.trusted.stages.Snapshot()
-	s.EventsLogged = p.trusted.events.Len()
-	return s
+	return float64(part) / float64(whole)
+}
+
+// Merge folds one node's snapshot n into s, a running total over nodes
+// that each run their own enclave — a fleet's live shards. Counters and
+// gauges sum and the ratios are derived again from the summed counts
+// (never averaged). Percentiles and the latency mean take the worst
+// node's: percentiles of different histograms do not merge, and the worst
+// tail is the honest total — the rule obs.MergeStages applies to stages.
+// Upstreams merge by host, sorted. EventsLogged is the largest: a fleet's
+// shards log to one shared ring.
+func (s *Stats) Merge(n Stats) {
+	s.Requests += n.Requests
+	s.Handshakes += n.Handshakes
+	s.Errors += n.Errors
+	e, ne := &s.Enclave, n.Enclave
+	e.ECalls += ne.ECalls
+	e.OCalls += ne.OCalls
+	e.HeapBytes += ne.HeapBytes
+	e.PeakHeap += ne.PeakHeap
+	e.StaticBytes += ne.StaticBytes
+	e.EPCUsed += ne.EPCUsed
+	e.EPCLimit += ne.EPCLimit
+	e.PageFaults += ne.PageFaults
+	e.AsyncSubmitted += ne.AsyncSubmitted
+	e.AsyncCompleted += ne.AsyncCompleted
+	s.HistoryLen += n.HistoryLen
+	s.HistoryB += n.HistoryB
+	s.PoolIdle += n.PoolIdle
+	s.PoolReuses += n.PoolReuses
+	s.PoolDials += n.PoolDials
+	s.PoolEvicted += n.PoolEvicted
+	s.CacheLen += n.CacheLen
+	s.CacheB += n.CacheB
+	s.CacheHits += n.CacheHits
+	s.CacheMisses += n.CacheMisses
+	s.IndexDocs += n.IndexDocs
+	s.IndexB += n.IndexB
+	s.IndexHits += n.IndexHits
+	s.IndexMisses += n.IndexMisses
+	s.CoalesceShared += n.CoalesceShared
+	s.CoalesceLed += n.CoalesceLed
+	s.AsyncSubmitted += n.AsyncSubmitted
+	s.AsyncCompleted += n.AsyncCompleted
+	s.PipelineInFlight += n.PipelineInFlight
+	s.PipelineDepth += n.PipelineDepth
+	s.BatchesSubmitted += n.BatchesSubmitted
+	s.BatchOccupancyP50 = max(s.BatchOccupancyP50, n.BatchOccupancyP50)
+	s.BatchOccupancyP95 = max(s.BatchOccupancyP95, n.BatchOccupancyP95)
+	s.LatencyCount += n.LatencyCount
+	s.LatencyMean = max(s.LatencyMean, n.LatencyMean)
+	s.LatencyP50 = max(s.LatencyP50, n.LatencyP50)
+	s.LatencyP95 = max(s.LatencyP95, n.LatencyP95)
+	s.LatencyP99 = max(s.LatencyP99, n.LatencyP99)
+	s.Stages = obs.MergeStages(s.Stages, n.Stages)
+	s.EventsLogged = max(s.EventsLogged, n.EventsLogged)
+	for _, u := range n.Upstreams {
+		i, found := slices.BinarySearchFunc(s.Upstreams, u.Host, func(m UpstreamStats, host string) int {
+			return strings.Compare(m.Host, host)
+		})
+		if !found {
+			s.Upstreams = slices.Insert(s.Upstreams, i, UpstreamStats{Host: u.Host, Weight: u.Weight})
+		}
+		m := &s.Upstreams[i]
+		m.Served += u.Served
+		m.Failures += u.Failures
+		m.CoolingDown = m.CoolingDown || u.CoolingDown
+		m.PoolIdle += u.PoolIdle
+		m.PoolReuses += u.PoolReuses
+		m.PoolDials += u.PoolDials
+		m.PoolEvicted += u.PoolEvicted
+		m.PoolReuseRatio = ratio(m.PoolReuses, m.PoolReuses+m.PoolDials)
+	}
+	s.derive()
 }
 
 // Events returns the proxy's structured event log (nil when neither

@@ -236,9 +236,7 @@ func (u *upstream) stats(now time.Time, threshold int) UpstreamStats {
 	s.PoolReuses = u.poolReuses.Load()
 	s.PoolDials = u.poolDials.Load()
 	s.PoolEvicted = u.poolEvicted.Load()
-	if total := s.PoolReuses + s.PoolDials; total > 0 {
-		s.PoolReuseRatio = float64(s.PoolReuses) / float64(total)
-	}
+	s.PoolReuseRatio = ratio(s.PoolReuses, s.PoolReuses+s.PoolDials)
 	return s
 }
 

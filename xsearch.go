@@ -307,7 +307,8 @@ type Fleet struct {
 
 // FleetStats is the fleet-wide operational snapshot: gateway routing
 // counters, per-shard node snapshots (EPC heap, history bytes,
-// cache/coalesce/pool gauges), and cross-shard aggregates.
+// cache/coalesce/pool gauges), and Total, the merge of the live shards'
+// snapshots (sums, ratios of the sums, worst-shard tails).
 type FleetStats = fleet.Stats
 
 // FleetShardStats is one shard's slice of FleetStats.
