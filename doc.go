@@ -70,11 +70,14 @@
 // proxy enclaves — each with its own (simulated) SGX platform, EPC
 // budget, history window, and full scaling-layer configuration
 // (WithShardConfig) — behind a gateway that routes by rendezvous (HRW)
-// hashing. Each attested session is pinned to one shard, so a user's
+// hashing. Each attested session lives on one shard, so a user's
 // obfuscation always draws fakes from the same in-enclave history window
-// and Algorithm 1's k-anonymity semantics hold per shard; in-process plain
-// queries (the capacity path) hash on the query text, keeping per-shard
-// caches and coalescing effective fleet-wide. The gateway health-checks shards, fails work over
+// and Algorithm 1's k-anonymity semantics hold per shard. The session id
+// the broker holds names that shard ("<index>." + the enclave's id), so
+// the gateway keeps no session table: each shard enclave's own table, as in
+// the paper's single proxy, is the only one. In-process plain queries (the
+// capacity path) hash on the query text, keeping per-shard caches and
+// coalescing effective fleet-wide. The gateway health-checks shards, fails work over
 // to the next-ranked live shard on a crash (sessions on the dead shard
 // re-attest transparently), and on a planned drain (DrainShard) migrates
 // the departing shard's history window and answer index to its successor

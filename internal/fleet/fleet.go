@@ -16,10 +16,13 @@
 // itself, which also keeps each shard's result cache and single-flight
 // coalescing effective across the fleet.
 //
-// The gateway health-checks shards and, when one dies, fails new work over
-// to the next-highest-ranked live shard; sessions on the dead shard are
-// dropped and the client broker transparently re-attests (its normal
-// response to session loss), landing on a live shard. On a planned
+// The gateway holds nothing per session: the session id it hands a broker
+// is the shard's index, a dot, and the enclave's own session id, so a
+// secure call names its shard and each shard's enclave session table is
+// the only one. The gateway health-checks shards and, when one dies, fails
+// new work over to the next-highest-ranked live shard; sessions on the
+// dead shard are lost and the client broker transparently re-attests (its
+// normal response to session loss), landing on a live shard. On a planned
 // Drain, the departing shard's history window and answer index are
 // handed to its successor as one sealed blob: the enclave seals it under
 // the fleet's shared sealing root (MRSIGNER policy), the untrusted gateway
@@ -52,11 +55,11 @@ import (
 var (
 	// ErrNoLiveShard means every shard is dead or draining.
 	ErrNoLiveShard = errors.New("fleet: no live shard available")
-	// ErrUnknownSession means the gateway has no routing entry for the
-	// session (never seen, evicted, or lost with its shard). Clients
-	// re-attest, exactly as for a proxy restart.
+	// ErrUnknownSession means the session id names no shard of the ring;
+	// no shard saw the call. Clients re-attest, exactly as for a proxy
+	// restart.
 	ErrUnknownSession = errors.New("fleet: unknown session")
-	// ErrShardDown means the session's pinned shard died; the channel
+	// ErrShardDown means the shard the session id names died; the channel
 	// state died with its enclave. Clients re-attest.
 	ErrShardDown = errors.New("fleet: session's shard is down; re-attest")
 )
@@ -89,10 +92,6 @@ type Config struct {
 	// HealthInterval is the gateway's shard liveness probe period. Zero
 	// means DefaultHealthInterval.
 	HealthInterval time.Duration
-	// MaxSessions bounds the gateway's session-routing table (FIFO
-	// eviction, like the per-shard session tables). Zero means
-	// Shards * 4096.
-	MaxSessions int
 	// EventLogSize caps the fleet-shared structured event ring (drains,
 	// kills, shard deaths, failovers, breaker transitions — see
 	// internal/obs). Zero means obs.DefaultLogCapacity when the log
@@ -114,6 +113,9 @@ type shard struct {
 
 	alive    atomic.Bool
 	draining atomic.Bool
+	// minted counts the sessions the gateway's handshakes opened here.
+	minted atomic.Int64
+	bound  int64 // the enclave session table's size limit
 }
 
 // live reports ground-truth liveness: the gateway's view (alive flag) AND
@@ -124,6 +126,10 @@ func (s *shard) live() bool { return s.alive.Load() && s.proxy.Healthy() }
 // available reports whether new work may be routed to the shard. Draining
 // shards keep serving their established sessions but take nothing new.
 func (s *shard) available() bool { return s.live() && !s.draining.Load() }
+
+// sessions is how many sessions the shard's enclave table holds: every one
+// the gateway minted, up to the bound its FIFO eviction keeps it at.
+func (s *shard) sessions() int { return int(min(s.minted.Load(), s.bound)) }
 
 // Gateway fronts the shard fleet: it routes sessions and plain queries by
 // rendezvous hashing, probes shard health, fails over on death, and
@@ -151,10 +157,6 @@ type Gateway struct {
 	// for the whole fleet: shard events carry their shard index, so the
 	// merged stream preserves cross-shard causal order.
 	events *obs.Log
-
-	mu       sync.Mutex
-	sessions map[string]*shard // session id -> pinned shard
-	order    []string          // FIFO insertion order for eviction
 
 	stopHealth chan struct{}
 	healthDone chan struct{}
@@ -189,8 +191,8 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = DefaultHealthInterval
 	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = cfg.Shards * 4096
+	if cfg.ShardConfig.MaxSessions <= 0 {
+		cfg.ShardConfig.MaxSessions = proxy.DefaultMaxSessions
 	}
 	migSeed := cfg.MigrationSeed
 	if migSeed == nil {
@@ -215,7 +217,6 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:        cfg,
 		service:    service,
 		migSeed:    migSeed,
-		sessions:   make(map[string]*shard),
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
@@ -285,7 +286,7 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &shard{index: idx, name: fmt.Sprintf("shard-%d", idx), proxy: p}
+	sh := &shard{index: idx, name: fmt.Sprintf("shard-%d", idx), proxy: p, bound: int64(sc.MaxSessions)}
 	sh.alive.Store(true)
 	return sh, nil
 }
@@ -320,12 +321,23 @@ func (g *Gateway) healthLoop() {
 	}
 }
 
+// retire takes a shard out of routing once, however its end was seen, and
+// counts its sessions lost (their brokers re-attest onto live shards).
+// ok is false when the shard was already retired.
+func (g *Gateway) retire(sh *shard) (lost int, ok bool) {
+	if !sh.alive.CompareAndSwap(true, false) {
+		return 0, false
+	}
+	lost = sh.sessions()
+	g.sessionsLost.Add(uint64(lost))
+	return lost, true
+}
+
 // noteDead retires a shard the moment its death is observed (health probe
-// or request-path error): no further routing, and its sessions are dropped
-// so brokers re-attest instead of timing out against a dead enclave.
+// or request-path error): no further routing, and its sessions' calls get
+// ErrShardDown, so brokers re-attest instead of timing out on it.
 func (g *Gateway) noteDead(sh *shard) {
-	if sh.alive.CompareAndSwap(true, false) {
-		lost := g.dropShardSessions(sh)
+	if lost, ok := g.retire(sh); ok {
 		g.events.Append(obs.Event{Type: obs.EvShardDead, Shard: sh.index,
 			Reason: fmt.Sprintf("%d sessions dropped", lost)})
 	}
@@ -391,8 +403,8 @@ type DrainReport struct {
 	// section (documents added at the successor and their net EPC delta).
 	MigratedIndexDocs  int   `json:"migrated_index_docs,omitempty"`
 	MigratedIndexBytes int64 `json:"migrated_index_bytes,omitempty"`
-	// SessionsLost is how many routed sessions died with the shard; their
-	// brokers re-attest onto live shards.
+	// SessionsLost is how many sessions the shard's enclave table held when
+	// it was drained; their brokers re-attest onto live shards.
 	SessionsLost int `json:"sessions_lost"`
 }
 
@@ -433,9 +445,8 @@ func (g *Gateway) Drain(ctx context.Context, i int) (*DrainReport, error) {
 		sh.draining.Store(false)
 		return nil, fmt.Errorf("fleet: merge into shard %d: %w", succ.index, err)
 	}
-	sh.alive.Store(false)
+	lost, _ := g.retire(sh)
 	_ = sh.proxy.Shutdown(ctx)
-	lost := g.dropShardSessions(sh)
 	g.drains.Add(1)
 	g.migratedQ.Add(uint64(rep.Queries))
 	g.migratedB.Add(rep.HistoryBytes)

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"xsearch/internal/core"
@@ -59,69 +60,27 @@ func sessionKey(offer json.RawMessage) string {
 	return "session:" + string(sum[:])
 }
 
-// --- session-routing table ---
+// --- session ids ---
 
-// remember pins session to a shard, evicting the oldest pin when the
-// table is full (mirroring the per-shard session tables' FIFO policy).
-// forget and dropShardSessions delete pins and leave their ids in order
-// (eviction skips them); once those outnumber the live pins they are
-// squeezed out here, FIFO order among the live ones kept, so order is
-// bounded by the table and not by the handshakes the process has ever seen.
-func (g *Gateway) remember(session string, sh *shard) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for len(g.sessions) >= g.cfg.MaxSessions && len(g.order) > 0 {
-		oldest := g.order[0]
-		g.order = g.order[1:]
-		delete(g.sessions, oldest)
+// sessionShard parses a gateway session id, "<shard index>." + the
+// enclave's own id, strictly (a decimal index inside the ring without sign
+// or leading zero, a non-empty enclave id) into its shard and enclave id.
+// The id names its shard, so the gateway keeps no session table: each
+// shard enclave's (FIFO) table is the only one.
+func (g *Gateway) sessionShard(session string) (*shard, string, bool) {
+	idx, id, _ := strings.Cut(session, ".")
+	n, err := strconv.ParseUint(idx, 10, 0)
+	if err != nil || n >= uint64(len(g.shards)) || (len(idx) > 1 && idx[0] == '0') || id == "" {
+		return nil, "", false
 	}
-	g.sessions[session] = sh
-	g.order = append(g.order, session)
-	if len(g.order) > 2*len(g.sessions) {
-		g.order = slices.DeleteFunc(g.order, func(s string) bool {
-			_, live := g.sessions[s]
-			return !live
-		})
-	}
+	return g.shards[n], id, true
 }
 
-// lookup resolves a session to its pinned shard.
-func (g *Gateway) lookup(session string) (*shard, bool) {
-	g.mu.Lock()
-	sh, ok := g.sessions[session]
-	g.mu.Unlock()
-	return sh, ok
-}
-
-// forget drops one session pin (its order entry is skipped at eviction).
-func (g *Gateway) forget(session string) {
-	g.mu.Lock()
-	delete(g.sessions, session)
-	g.mu.Unlock()
-}
-
-// dropShardSessions removes every session pinned to the given shard,
-// returning how many were lost (their brokers re-attest onto live shards).
-func (g *Gateway) dropShardSessions(sh *shard) int {
-	g.mu.Lock()
-	n := 0
-	for s, pinned := range g.sessions {
-		if pinned == sh {
-			delete(g.sessions, s)
-			n++
-		}
-	}
-	g.mu.Unlock()
-	g.sessionsLost.Add(uint64(n))
-	return n
-}
-
-// ShardOf reports which shard index a session is currently pinned to.
+// ShardOf reports which shard index a gateway session id names, ok only
+// while that shard is live.
 func (g *Gateway) ShardOf(session string) (int, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	sh, ok := g.sessions[session]
-	if !ok {
+	sh, _, ok := g.sessionShard(session)
+	if !ok || !sh.live() {
 		return 0, false
 	}
 	return sh.index, true
@@ -188,54 +147,50 @@ func (g *Gateway) ServeQuery(ctx context.Context, query string) ([]core.Result, 
 	return results, nil
 }
 
-// Handshake establishes an attested session on the offer's HRW shard and
-// pins the resulting session ID to it, failing over down the rank order if
-// the preferred shard is dead.
+// Handshake establishes an attested session on the offer's HRW shard,
+// failing over down the rank order if the preferred shard is dead, and
+// hands the broker a session id that names the shard.
 func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*proxy.HandshakeResponse, error) {
 	g.handshakes.Add(1)
 	var resp *proxy.HandshakeResponse
 	err := g.route(sessionKey(offer), func(sh *shard) (err error) {
 		if resp, err = sh.proxy.Handshake(ctx, offer, nonce); err == nil {
-			g.remember(resp.Session, sh)
+			resp.Session = strconv.Itoa(sh.index) + "." + resp.Session
+			sh.minted.Add(1)
 		}
 		return err
 	})
 	return resp, err
 }
 
-// Secure routes one sealed record to the session's pinned shard. The
-// channel keys live only inside that shard's enclave, so there is no
-// failing over a secure request: if the shard is gone the session is gone,
-// and the error tells the broker to re-attest (its normal recovery).
-// Draining shards still serve their established sessions.
+// Secure forwards one sealed record to the shard its session id names,
+// under the bare enclave id. The channel keys live only inside that
+// shard's enclave, so there is no failing over a secure request: if the
+// shard is gone the session is gone, and the error tells the broker to
+// re-attest (its normal recovery). Draining shards still serve their
+// established sessions.
 func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]byte, error) {
 	g.secureRouted.Add(1)
-	sh, ok := g.lookup(session)
+	sh, id, ok := g.sessionShard(session)
 	if !ok {
 		g.gwErrors.Add(1)
 		return nil, ErrUnknownSession
 	}
 	if !sh.live() {
-		// noteDead drops the shard's pins only on the first observation;
-		// forget covers the case where the shard was already retired but
-		// this pin was re-added by a racing handshake.
 		g.noteDead(sh)
-		g.forget(session)
 		g.gwErrors.Add(1)
 		return nil, ErrShardDown
 	}
-	reply, err := sh.proxy.Secure(ctx, session, record)
-	if err != nil {
-		if !sh.proxy.Healthy() {
-			g.noteDead(sh)
-			g.forget(session)
-			g.gwErrors.Add(1)
-			return nil, ErrShardDown
-		}
-		g.gwErrors.Add(1)
-		return nil, err
+	reply, err := sh.proxy.Secure(ctx, id, record)
+	if err == nil {
+		return reply, nil
 	}
-	return reply, nil
+	g.gwErrors.Add(1)
+	if !sh.proxy.Healthy() {
+		g.noteDead(sh)
+		return nil, ErrShardDown
+	}
+	return nil, err
 }
 
 // Refused counts a call a client edge refused before routing as one of the

@@ -36,12 +36,12 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s := g.Stats()
 	pw.Gauge("xsearch_fleet_shards", "Shard ring size.", float64(s.CurrentShards))
 	pw.Gauge("xsearch_fleet_shards_alive", "Shards still able to serve.", float64(s.AliveShards))
-	pw.Gauge("xsearch_fleet_sessions_active", "Gateway session-routing table size.", float64(s.SessionsActive))
+	pw.Gauge("xsearch_fleet_sessions_active", "Sessions the live shards' enclave tables hold.", float64(s.SessionsActive))
 	pw.Counter("xsearch_fleet_plain_routed_total", "Plain queries routed.", float64(s.PlainRouted))
 	pw.Counter("xsearch_fleet_secure_routed_total", "Secure records routed.", float64(s.SecureRouted))
 	pw.Counter("xsearch_fleet_handshakes_total", "Attested handshakes routed.", float64(s.Handshakes))
 	pw.Counter("xsearch_fleet_failovers_total", "Requests re-routed past an unavailable shard.", float64(s.Failovers))
-	pw.Counter("xsearch_fleet_sessions_lost_total", "Session pins dropped with their shard.", float64(s.SessionsLost))
+	pw.Counter("xsearch_fleet_sessions_lost_total", "Sessions lost with their shard.", float64(s.SessionsLost))
 	pw.Counter("xsearch_fleet_errors_total", "Requests the gateway answered with an error.", float64(s.Errors))
 	pw.Counter("xsearch_fleet_drains_total", "Completed sealed drain handoffs.", float64(s.Drains))
 	pw.Counter("xsearch_fleet_migrated_queries_total", "History entries moved by sealed handoffs.", float64(s.MigratedQueries))

@@ -7,8 +7,9 @@ type ShardStats struct {
 	Index    int  `json:"index"`
 	Alive    bool `json:"alive"`
 	Draining bool `json:"draining"`
-	// Sessions counts the sessions the gateway currently pins to this
-	// shard.
+	// Sessions counts the sessions the shard's enclave table holds: those
+	// the gateway's handshakes minted on it, capped at the table's bound.
+	// Zero for a dead shard.
 	Sessions int `json:"sessions"`
 	// Proxy is the shard's full node snapshot (per-shard EPC heap, history
 	// bytes, cache/coalesce/pool gauges, upstream breakdown). Zero for a
@@ -26,14 +27,14 @@ type Stats struct {
 	// still able to serve.
 	CurrentShards int `json:"current_shards"`
 	AliveShards   int `json:"alive_shards"`
-	// SessionsActive is the gateway routing table's size.
+	// SessionsActive is the sum of the live shards' Sessions.
 	SessionsActive int `json:"sessions_active"`
 
 	// Gateway routing counters. PlainRouted/SecureRouted/Handshakes count
 	// requests entering each route; Failovers counts requests re-routed
-	// past a dead shard; SessionsLost counts session pins dropped because
-	// their shard died or drained; Errors counts requests the gateway
-	// answered with an error.
+	// past a dead shard; SessionsLost counts the sessions a shard held when
+	// the gateway saw it die or drained it; Errors counts requests the
+	// gateway answered with an error.
 	PlainRouted  uint64 `json:"plain_routed"`
 	SecureRouted uint64 `json:"secure_routed"`
 	Handshakes   uint64 `json:"handshakes"`
@@ -80,23 +81,16 @@ func (g *Gateway) Stats() Stats {
 		MuxStreams:      g.muxStreams.Load(),
 		MuxResumes:      g.muxResumes.Load(),
 	}
-	perShard := make(map[*shard]int)
-	g.mu.Lock()
-	s.SessionsActive = len(g.sessions)
-	for _, sh := range g.sessions {
-		perShard[sh]++
-	}
-	g.mu.Unlock()
-
 	s.CurrentShards = len(g.shards)
 	for _, sh := range g.shards {
 		ss := ShardStats{
 			Index:    sh.index,
 			Alive:    sh.live(),
 			Draining: sh.draining.Load(),
-			Sessions: perShard[sh],
 		}
 		if ss.Alive {
+			ss.Sessions = sh.sessions()
+			s.SessionsActive += ss.Sessions
 			ss.Proxy = sh.proxy.Stats()
 			s.AliveShards++
 			s.Total.Merge(ss.Proxy)

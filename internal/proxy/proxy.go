@@ -46,6 +46,7 @@ type Config struct {
 	// Seed fixes obfuscation randomness; zero draws a random seed.
 	Seed uint64
 	// MaxSessions bounds concurrent secure channels (FIFO eviction).
+	// Zero means DefaultMaxSessions.
 	MaxSessions int
 	// PoolSize bounds the enclave's pool of idle keep-alive connections
 	// to the engine. Zero means DefaultPoolSize; negative disables
@@ -212,7 +213,7 @@ func New(cfg Config) (*Proxy, error) {
 		cfg.ResultsPerList = 20
 	}
 	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 4096
+		cfg.MaxSessions = DefaultMaxSessions
 	}
 	if cfg.PoolSize == 0 {
 		cfg.PoolSize = DefaultPoolSize
@@ -562,9 +563,11 @@ func New(cfg Config) (*Proxy, error) {
 // VendorSigner is the MRSIGNER identity of the (fictional) X-Search vendor.
 var VendorSigner = enclave.Measurement{0x58, 0x53} // "XS"
 
-// Scaling-layer defaults (engine connection pool, result cache, upstream
-// circuit breaker).
+// Scaling-layer defaults (session table, engine connection pool, result
+// cache, upstream circuit breaker).
 const (
+	// DefaultMaxSessions bounds the enclave session table when MaxSessions is 0.
+	DefaultMaxSessions = 4096
 	// DefaultPoolSize is the idle engine-connection bound when
 	// Config.PoolSize is zero.
 	DefaultPoolSize = 8

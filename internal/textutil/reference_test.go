@@ -62,15 +62,6 @@ func refCommonWords(a, b string) int {
 	return n
 }
 
-func refJaccard(a, b string) float64 {
-	ta, tb := refUniqueTerms(a), refUniqueTerms(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 0
-	}
-	inter := refCommonWords(a, b)
-	return float64(inter) / float64(len(ta)+len(tb)-inter)
-}
-
 // requireMatchesReference checks every kernel entry point against the
 // reference on one pair of texts.
 func requireMatchesReference(t *testing.T, a, b string) {
@@ -84,9 +75,6 @@ func requireMatchesReference(t *testing.T, a, b string) {
 	}
 	if got, want := CommonWords(a, b), refCommonWords(a, b); got != want {
 		t.Fatalf("CommonWords(%q, %q) = %d, reference %d", a, b, got, want)
-	}
-	if got, want := Jaccard(a, b), refJaccard(a, b); got != want {
-		t.Fatalf("Jaccard(%q, %q) = %v, reference %v", a, b, got, want)
 	}
 
 	// One Termer over both texts, b first so a's tokens can hit the memo,

@@ -40,7 +40,3 @@ func IsStopword(w string) bool {
 	_, ok := stopwords[w]
 	return ok
 }
-
-// StopwordCount returns the size of the embedded stopword list, exposed for
-// documentation and tests.
-func StopwordCount() int { return len(stopwords) }

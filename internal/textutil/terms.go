@@ -1,7 +1,7 @@
 // Package textutil provides the text-processing primitives shared by the
 // search engine, the SimAttack re-identification attack, the PEAS fake-query
 // generator and the X-Search result filter: tokenization, stopword removal,
-// Porter stemming, term vectors and similarity measures.
+// Porter stemming, term vectors and term-overlap counts.
 //
 // # The normalisation kernel
 //
@@ -11,8 +11,8 @@
 // lowered string, drop one-byte tokens and stopwords, Porter-stem the rest
 // (Stem returns its argument when nothing changes). A term is therefore a
 // substring of the lowered text or a freshly stemmed string; no token is
-// built rune by rune. Tokenize is the separate, unstemmed tokenizer that
-// NormalizeQuery needs.
+// built rune by rune. Tokenize is the separate, unstemmed tokenizer the
+// reference pipelines in the tests are written with.
 //
 // # Termer: scope rule
 //
@@ -51,16 +51,15 @@
 //
 // # What the wrappers cost
 //
-// Terms, UniqueTerms and Jaccard are stateless wrappers for a single text or
-// pair: they run the kernel without a memo — no map is allocated for one
-// short query — and pay one slice per text, one string per token whose stem
-// differs from it, and a lowered copy only when the text has upper-case or
-// non-ASCII letters. Their terms may alias the argument. UniqueTerms adds
-// one index slice for its order-preserving de-duplication; Jaccard sorts in
-// place and intersects by merging. CommonWords pays for one PairCounter's
-// buffers (a few allocations, whatever the number of terms); a counter
-// reused across pairs pays nothing once warm on ASCII text, and a lowered
-// copy per non-ASCII text.
+// Terms and UniqueTerms are stateless wrappers for a single text: they run
+// the kernel without a memo — no map is allocated for one short query — and
+// pay one slice per text, one string per token whose stem differs from it,
+// and a lowered copy only when the text has upper-case or non-ASCII letters.
+// Their terms may alias the argument. UniqueTerms adds one index slice for
+// its order-preserving de-duplication. CommonWords pays for one
+// PairCounter's buffers (a few allocations, whatever the number of terms); a
+// counter reused across pairs pays nothing once warm on ASCII text, and a
+// lowered copy per non-ASCII text.
 package textutil
 
 import (

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -26,49 +25,6 @@ func TestVectorAdd(t *testing.T) {
 	}
 }
 
-func TestCosine(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b string
-		want float64
-	}{
-		{"identical", "red car", "red car", 1},
-		{"disjoint", "red car", "blue boat", 0},
-		{"empty", "", "red car", 0},
-		{"half overlap", "red car", "red boat", 0.5},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := CosineStrings(tt.a, tt.b)
-			if !almostEqual(got, tt.want) {
-				t.Errorf("CosineStrings(%q, %q) = %f, want %f", tt.a, tt.b, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestCosineProperties(t *testing.T) {
-	// Symmetry and range on arbitrary strings.
-	f := func(a, b string) bool {
-		x := CosineStrings(a, b)
-		y := CosineStrings(b, a)
-		return almostEqual(x, y) && x >= 0 && x <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Self-similarity is 1 for any string with at least one term.
-	g := func(a string) bool {
-		if len(Terms(a)) == 0 {
-			return CosineStrings(a, a) == 0
-		}
-		return almostEqual(CosineStrings(a, a), 1)
-	}
-	if err := quick.Check(g, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDotSymmetry(t *testing.T) {
 	a := NewVector("private web search enclave")
 	b := NewVector("web search engine ranking")
@@ -83,58 +39,5 @@ func TestClone(t *testing.T) {
 	c["red"] = 99
 	if a["red"] == 99 {
 		t.Error("Clone did not deep-copy")
-	}
-}
-
-func TestTopTerms(t *testing.T) {
-	v := Vector{"alpha": 3, "beta": 1, "gamma": 3, "delta": 2}
-	got := v.TopTerms(3)
-	// Weight desc, ties lexicographic: alpha(3), gamma(3), delta(2).
-	want := []string{"alpha", "gamma", "delta"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TopTerms = %v, want %v", got, want)
-	}
-	if n := len(v.TopTerms(100)); n != 4 {
-		t.Errorf("TopTerms(100) returned %d terms, want 4", n)
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want float64
-	}{
-		{"red car", "red car", 1},
-		{"red car", "blue boat", 0},
-		{"red car", "red boat", 1.0 / 3.0},
-		{"", "", 0},
-	}
-	for _, tt := range tests {
-		if got := Jaccard(tt.a, tt.b); !almostEqual(got, tt.want) {
-			t.Errorf("Jaccard(%q, %q) = %f, want %f", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
-func TestNormalizeQuery(t *testing.T) {
-	if got := NormalizeQuery("  Red   CAR!! "); got != "red car" {
-		t.Errorf("NormalizeQuery = %q, want %q", got, "red car")
-	}
-}
-
-func TestAddVector(t *testing.T) {
-	a := Vector{"x": 1}
-	a.AddVector(Vector{"x": 2, "y": 1}, 0.5)
-	if !almostEqual(a["x"], 2) || !almostEqual(a["y"], 0.5) {
-		t.Errorf("AddVector result %v", a)
-	}
-}
-
-func BenchmarkCosine(b *testing.B) {
-	v1 := NewVector("private web search using intel sgx enclaves")
-	v2 := NewVector("anonymous communication onion routing network latency")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v1.Cosine(v2)
 	}
 }
