@@ -75,9 +75,8 @@
 // and Algorithm 1's k-anonymity semantics hold per shard. The session id
 // the broker holds names that shard ("<index>." + the enclave's id), so
 // the gateway keeps no session table: each shard enclave's own table, as in
-// the paper's single proxy, is the only one. In-process plain queries (the
-// capacity path) hash on the query text, keeping per-shard caches and
-// coalescing effective fleet-wide. The gateway health-checks shards, fails work over
+// the paper's single proxy, is the only one, and the gateway serves sealed
+// calls only. The gateway health-checks shards, fails work over
 // to the next-ranked live shard on a crash (sessions on the dead shard
 // re-attest transparently), and on a planned drain (DrainShard) migrates
 // the departing shard's history window and answer index to its successor

@@ -17,13 +17,13 @@ import (
 	"xsearch/internal/proxy"
 )
 
-// TestChaosFleetSoak is the fleet's state-churn soak: while plain queries
-// and attested broker sessions hammer a six-shard gateway, a chaos driver
+// TestChaosFleetSoak is the fleet's state-churn soak: while long-lived and
+// freshly attested broker sessions hammer a six-shard gateway, a chaos driver
 // alternately kills a shard and drains one through the sealed handoff.
 // The soak asserts the properties every crash and drain path must
 // preserve:
 //
-//   - No lost replies: every issued query — plain or secure — yields
+//   - No lost replies: every issued query — steady or churned session — yields
 //     exactly one answer within a bounded retry budget (the budget models
 //     the broker's normal re-attest recovery, not a hidden failure mode).
 //   - No goroutine leaks: killed and drained enclaves and their pipelines
@@ -88,7 +88,7 @@ func TestChaosFleetSoakIndexed(t *testing.T) {
 	})
 }
 
-// chaosTopics phrases the plain-worker queries from the corpus vocabulary
+// chaosTopics phrases the steady workers' queries from the corpus vocabulary
 // when the soak runs against a real engine, so fetches return documents
 // and the answer tier sees inserts; workers rotate and rephrase them into
 // a repeat-heavy stream.
@@ -129,16 +129,39 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	hc := &http.Client{Transport: tr, Timeout: 5 * time.Second}
 
 	ctx := context.Background()
+	newBroker := func() (*broker.Broker, error) {
+		return broker.New(broker.Config{
+			ProxyURL:   g.URL(),
+			ServiceKey: g.AttestationService().PublicKey(),
+			HTTPClient: hc,
+			Policy: attestation.Policy{
+				AcceptedMeasurements: []enclave.Measurement{g.Measurement()},
+			},
+		})
+	}
+	// Long-lived brokers, attested before the chaos starts: the query
+	// stream of a user who stays.
+	steady := make([]*broker.Broker, 4)
+	for w := range steady {
+		b, err := newBroker()
+		if err == nil {
+			err = b.Connect(ctx)
+		}
+		if err != nil {
+			t.Fatalf("steady broker %d: %v", w, err)
+		}
+		steady[w] = b
+	}
 	stopAt := time.Now().Add(duration)
 	var wg sync.WaitGroup
-	var plainIssued, plainLost, secureIssued, secureLost atomic.Int64
+	var steadyIssued, steadyLost, secureIssued, secureLost atomic.Int64
 
-	// Plain-query churn: failover inside the gateway should absorb almost
-	// every chaos event; a query that still errs (its ranked shard died
-	// mid-call) gets two retries before it counts as lost.
-	for w := 0; w < 4; w++ {
+	// Steady sessions: a kill or drain takes a broker's session with its
+	// shard, and the broker's transparent re-attest lands it on a live one;
+	// a query that still errs gets two retries before it counts as lost.
+	for w, b := range steady {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, b *broker.Broker) {
 			defer wg.Done()
 			for i := 0; time.Now().Before(stopAt); i++ {
 				q := fmt.Sprintf("chaos w%d q%d", w, i)
@@ -151,18 +174,18 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 						q = fmt.Sprintf("%s w%d q%d", q, w, i)
 					}
 				}
-				plainIssued.Add(1)
+				steadyIssued.Add(1)
 				ok := false
 				for attempt := 0; attempt < 3 && !ok; attempt++ {
-					if _, err := g.ServeQuery(ctx, q); err == nil {
+					if _, err := b.Search(ctx, q); err == nil {
 						ok = true
 					}
 				}
 				if !ok {
-					plainLost.Add(1)
+					steadyLost.Add(1)
 				}
 			}
-		}(w)
+		}(w, b)
 	}
 
 	// Secure-session churn: brokers attest, search, and get abandoned;
@@ -174,14 +197,7 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; time.Now().Before(stopAt); i++ {
-				b, err := broker.New(broker.Config{
-					ProxyURL:   g.URL(),
-					ServiceKey: g.AttestationService().PublicKey(),
-					HTTPClient: hc,
-					Policy: attestation.Policy{
-						AcceptedMeasurements: []enclave.Measurement{g.Measurement()},
-					},
-				})
+				b, err := newBroker()
 				if err != nil {
 					t.Errorf("broker.New: %v", err)
 					return
@@ -243,14 +259,14 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	wg.Wait()
 
 	st := g.Stats()
-	t.Logf("soak: %d plain / %d secure queries; chaos: %d kills, %d drains; fleet: drains=%d alive=%d of %d",
-		plainIssued.Load(), secureIssued.Load(), kills, drains,
+	t.Logf("soak: %d steady / %d churned-session queries; chaos: %d kills, %d drains; fleet: drains=%d alive=%d of %d",
+		steadyIssued.Load(), secureIssued.Load(), kills, drains,
 		st.Drains, st.AliveShards, st.CurrentShards)
-	if plainIssued.Load() == 0 || secureIssued.Load() == 0 {
+	if steadyIssued.Load() == 0 || secureIssued.Load() == 0 {
 		t.Fatal("soak drove no traffic")
 	}
-	if lost := plainLost.Load(); lost != 0 {
-		t.Fatalf("%d of %d plain queries lost", lost, plainIssued.Load())
+	if lost := steadyLost.Load(); lost != 0 {
+		t.Fatalf("%d of %d steady-session queries lost", lost, steadyIssued.Load())
 	}
 	if lost := secureLost.Load(); lost != 0 {
 		t.Fatalf("%d of %d secure queries lost", lost, secureIssued.Load())
@@ -275,7 +291,7 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 		// post-churn topical queries, then require indexed documents within
 		// the configured byte bound on the quiescent fleet.
 		for i := 0; i < len(chaosTopics); i++ {
-			if _, err := g.ServeQuery(ctx, chaosTopics[i]); err != nil {
+			if _, err := steady[i%len(steady)].Search(ctx, chaosTopics[i]); err != nil {
 				t.Fatalf("post-soak query %d: %v", i, err)
 			}
 		}
@@ -301,6 +317,9 @@ func runChaosFleetSoak(t *testing.T, shardCfg proxy.Config, preLeakCheck ...func
 	defer cancel()
 	if err := g.Shutdown(sctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+	for _, b := range steady {
+		_ = b.Close()
 	}
 	tr.CloseIdleConnections()
 	for _, hook := range preLeakCheck {

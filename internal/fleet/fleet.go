@@ -11,10 +11,9 @@
 // — the client's channel-establishment offer, the one stable public value
 // a session has before the enclave mints its session ID — so a user's
 // obfuscation always draws fakes from the same in-enclave history window
-// and Algorithm 1's k-anonymity argument holds per shard. In-process plain
-// queries (Gateway.ServeQuery, the capacity path) hash on the query
-// itself, which also keeps each shard's result cache and single-flight
-// coalescing effective across the fleet.
+// and Algorithm 1's k-anonymity argument holds per shard. The gateway
+// serves sealed calls only; an in-process caller searching one shard uses
+// that shard's Proxy.ServeQuery, itself a sealed client of its enclave.
 //
 // The gateway holds nothing per session: the session id it hands a broker
 // is the shard's index, a dot, and the enclave's own session id, so a
@@ -131,10 +130,10 @@ func (s *shard) available() bool { return s.live() && !s.draining.Load() }
 // the gateway minted, up to the bound its FIFO eviction keeps it at.
 func (s *shard) sessions() int { return int(min(s.minted.Load(), s.bound)) }
 
-// Gateway fronts the shard fleet: it routes sessions and plain queries by
-// rendezvous hashing, probes shard health, fails over on death, and
-// orchestrates sealed history handoff on drain. Its shard ring is fixed at
-// New; shard i sits at shards[i] for the gateway's life.
+// Gateway fronts the shard fleet: it routes sessions by rendezvous
+// hashing, probes shard health, fails over on death, and orchestrates
+// sealed history handoff on drain. Its shard ring is fixed at New; shard i
+// sits at shards[i] for the gateway's life.
 type Gateway struct {
 	cfg     Config
 	service *attestation.Service
@@ -163,7 +162,6 @@ type Gateway struct {
 	stopOnce   sync.Once
 
 	// Routing counters (see Stats for semantics).
-	plainRouted  atomic.Uint64
 	secureRouted atomic.Uint64
 	handshakes   atomic.Uint64
 	failovers    atomic.Uint64

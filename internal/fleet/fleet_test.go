@@ -48,7 +48,7 @@ func TestHRWRoutingIsDeterministicAndSpreads(t *testing.T) {
 	g := echoFleet(t, 4, time.Hour)
 	seen := make(map[int]int)
 	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("q:query %d", i)
+		key := fmt.Sprintf("offer %d", i)
 		first := g.rank(key)[0].index
 		for rep := 0; rep < 3; rep++ {
 			if got := g.rank(key)[0].index; got != first {
@@ -62,22 +62,24 @@ func TestHRWRoutingIsDeterministicAndSpreads(t *testing.T) {
 	}
 }
 
-func TestPlainQueriesFailOverOnShardKill(t *testing.T) {
+// A handshake whose HRW shard is dead fails over down the rank order: every
+// one still lands, on a live shard, and the walk past the dead one counts.
+func TestHandshakesFailOverOnShardKill(t *testing.T) {
 	g := echoFleet(t, 4, time.Hour) // health loop effectively off
 	ctx := context.Background()
 	for i := 0; i < 40; i++ {
-		if _, err := g.ServeQuery(ctx, fmt.Sprintf("warm query %d", i)); err != nil {
-			t.Fatalf("warm query %d: %v", i, err)
-		}
+		gatewayHandshake(t, g)
 	}
 	if err := g.Kill(ctx, 2); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
-	// Every query must still succeed; the ones whose HRW shard was killed
-	// discover the death on first touch and fail over.
+	// Every handshake must still succeed; the ones whose HRW shard was
+	// killed fail over to their next-ranked live shard.
 	for i := 0; i < 40; i++ {
-		if _, err := g.ServeQuery(ctx, fmt.Sprintf("warm query %d", i)); err != nil {
-			t.Fatalf("post-kill query %d: %v", i, err)
+		session, preferred := gatewayHandshake(t, g)
+		shard, ok := g.ShardOf(session)
+		if !ok || shard == 2 || (preferred != 2 && shard != preferred) {
+			t.Fatalf("post-kill handshake %d landed on shard %d (%t), ranked first %d", i, shard, ok, preferred)
 		}
 	}
 	st := g.Stats()
@@ -157,7 +159,11 @@ func TestFleetPassesPipelineConfigAndMergesGauges(t *testing.T) {
 
 	ctx := context.Background()
 	for i := 0; i < 16; i++ {
-		if _, err := g.ServeQuery(ctx, fmt.Sprintf("pipeline fleet query %d", i)); err != nil {
+		p, err := g.Shard(i % 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ServeQuery(ctx, fmt.Sprintf("pipeline fleet query %d", i)); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}

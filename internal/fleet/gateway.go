@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"xsearch/internal/core"
 	"xsearch/internal/obs"
 	"xsearch/internal/proxy"
 	"xsearch/internal/serve"
@@ -88,8 +87,8 @@ func (g *Gateway) ShardOf(session string) (int, bool) {
 
 // --- request routing ---
 
-// route is the one failover walk under ServeQuery and Handshake: it tries
-// call on key's HRW shards in rank order, skipping unavailable ones. A
+// route is Handshake's failover walk: it tries call on key's HRW shards
+// in rank order, skipping unavailable ones. A
 // failure on a shard that is still healthy is the request's own (engine
 // down, bad query) and is returned as is — retrying siblings would only
 // multiply it; a shard that turns out dead is retired and the walk goes on.
@@ -127,24 +126,6 @@ func (g *Gateway) route(key string, call func(*shard) error) error {
 	}
 	g.gwErrors.Add(1)
 	return lastErr
-}
-
-// ServeQuery runs one plain query on the fleet in-process (the §6.3-style
-// capacity path); no client edge reaches it. The query routes to its HRW shard —
-// identical queries always hit the same shard, so per-shard caches and
-// single-flight coalescing stay effective fleet-wide — and fails over down
-// the rank order when a shard turns out to be dead.
-func (g *Gateway) ServeQuery(ctx context.Context, query string) ([]core.Result, error) {
-	g.plainRouted.Add(1)
-	var results []core.Result
-	err := g.route("q:"+query, func(sh *shard) (err error) {
-		results, err = sh.proxy.ServeQuery(ctx, query)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // Handshake establishes an attested session on the offer's HRW shard,

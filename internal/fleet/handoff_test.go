@@ -68,15 +68,20 @@ func reidentification(t *testing.T) (fill []string, rate func(pool []string) flo
 	return fill, rate
 }
 
-// fillMirrored serves queries through the fleet's plain path, mirroring
-// the HRW routing so the test knows each enclave's exact window contents
-// without ever opening a sealed blob: mirrors[i] is what shard i holds.
+// fillMirrored serves queries round-robin over the shards, each through
+// its own node's in-process client, mirroring the assignment so the test
+// knows each enclave's exact window contents without ever opening a
+// sealed blob: mirrors[i] is what shard i holds.
 func fillMirrored(t *testing.T, g *Gateway, queries []string) [][]string {
 	t.Helper()
 	mirrors := make([][]string, g.ShardCount())
-	for _, q := range queries {
-		idx := g.rank("q:" + q)[0].index
-		if _, err := g.ServeQuery(context.Background(), q); err != nil {
+	for i, q := range queries {
+		idx := i % g.ShardCount()
+		p, err := g.Shard(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ServeQuery(context.Background(), q); err != nil {
 			t.Fatalf("fill query: %v", err)
 		}
 		mirrors[idx] = append(mirrors[idx], q)
@@ -87,6 +92,16 @@ func fillMirrored(t *testing.T, g *Gateway, queries []string) [][]string {
 		}
 	}
 	return mirrors
+}
+
+// fillNumbered fills the shards' windows with n numbered queries.
+func fillNumbered(t *testing.T, g *Gateway, n int, format string, args ...any) {
+	t.Helper()
+	queries := make([]string, n)
+	for i := range queries {
+		queries[i] = fmt.Sprintf(format, append(args, i)...)
+	}
+	fillMirrored(t, g, queries)
 }
 
 // requireInvariant asserts the per-shard EPC identity the whole memory
@@ -266,11 +281,7 @@ func TestConcurrentDrainsConserveHistory(t *testing.T) {
 			t.Fatal("HRW drain ranks changed: the test needs shards 0 and 2 to succeed each other")
 		}
 		ctx := context.Background()
-		for i := 0; i < 300; i++ {
-			if _, err := g.ServeQuery(ctx, fmt.Sprintf("trial %d fill %d", trial, i)); err != nil {
-				t.Fatalf("fill query: %v", err)
-			}
-		}
+		fillNumbered(t, g, 300, "trial %d fill %d", trial)
 		pre := 0
 		for _, ss := range g.Stats().Shards {
 			pre += ss.Proxy.HistoryLen
@@ -343,11 +354,7 @@ func TestDrainRetryMergesOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			g := echoFleet(t, 3, time.Hour)
 			ctx := context.Background()
-			for i := 0; i < 300; i++ {
-				if _, err := g.ServeQuery(ctx, fmt.Sprintf("retried drain fill %d", i)); err != nil {
-					t.Fatalf("fill query: %v", err)
-				}
-			}
+			fillNumbered(t, g, 300, "retried drain fill %d")
 			const drained = 0
 			succ := g.successor(g.shards[drained]).index
 			pre := g.Stats()

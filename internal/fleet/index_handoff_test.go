@@ -74,8 +74,8 @@ func TestDrainCarriesIndexBlob(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Seed both shards' indexes; keep one topical query known to route to
-	// shard 0 so the post-drain probe targets migrated documents.
+	// Seed both shards' indexes, alternately; seeds[0] goes to shard 0, so
+	// the post-drain probe of its rephrase targets migrated documents.
 	seeds := []string{
 		"chicken recipe oven baking",
 		"mortgage refinance loan rates",
@@ -84,17 +84,16 @@ func TestDrainCarriesIndexBlob(t *testing.T) {
 		"playoff scores roster draft",
 		"laptop wireless router software",
 	}
-	var fromShard0 string
-	for _, q := range seeds {
-		if _, err := g.ServeQuery(ctx, q); err != nil {
-			t.Fatalf("seed query %q: %v", q, err)
-		}
-		if fromShard0 == "" && g.rank("q:" + q)[0].index == 0 {
-			fromShard0 = q
+	shards := make([]*proxy.Proxy, 2)
+	for i := range shards {
+		if shards[i], err = g.Shard(i); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if fromShard0 == "" {
-		t.Fatal("no seed query routed to shard 0")
+	for i, q := range seeds {
+		if _, err := shards[i%2].ServeQuery(ctx, q); err != nil {
+			t.Fatalf("seed query %q: %v", q, err)
+		}
 	}
 
 	pre := g.Stats()
@@ -142,8 +141,8 @@ func TestDrainCarriesIndexBlob(t *testing.T) {
 	// Migrated sessions keep their answer tier: a rephrase of a query the
 	// DRAINED shard indexed must now hit locally on the successor.
 	upstream := engine.QueryLog()
-	rephrased := rephrase(fromShard0)
-	results, err := g.ServeQuery(ctx, rephrased)
+	rephrased := rephrase(seeds[0])
+	results, err := shards[1].ServeQuery(ctx, rephrased)
 	if err != nil {
 		t.Fatalf("post-drain rephrase: %v", err)
 	}

@@ -37,7 +37,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("xsearch_fleet_shards", "Shard ring size.", float64(s.CurrentShards))
 	pw.Gauge("xsearch_fleet_shards_alive", "Shards still able to serve.", float64(s.AliveShards))
 	pw.Gauge("xsearch_fleet_sessions_active", "Sessions the live shards' enclave tables hold.", float64(s.SessionsActive))
-	pw.Counter("xsearch_fleet_plain_routed_total", "Plain queries routed.", float64(s.PlainRouted))
 	pw.Counter("xsearch_fleet_secure_routed_total", "Secure records routed.", float64(s.SecureRouted))
 	pw.Counter("xsearch_fleet_handshakes_total", "Attested handshakes routed.", float64(s.Handshakes))
 	pw.Counter("xsearch_fleet_failovers_total", "Requests re-routed past an unavailable shard.", float64(s.Failovers))

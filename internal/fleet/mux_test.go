@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,7 +147,7 @@ func TestMuxDoubleStartAndStats(t *testing.T) {
 // TestMuxEdgeRefusesPlainStreams: both client edges carry sealed calls
 // only. A stream of the old plain kind (0x3) fails alone with a remote
 // error, the session then completes a handshake, and no plain query
-// reached the fleet. Neither the WebSocket route nor GET /search is left
+// reached a shard. Neither the WebSocket route nor GET /search is left
 // on the HTTP front.
 func TestMuxEdgeRefusesPlainStreams(t *testing.T) {
 	g := echoFleet(t, 1, time.Hour)
@@ -164,16 +165,26 @@ func TestMuxEdgeRefusesPlainStreams(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	plainBefore := g.Stats().PlainRouted
+	// load is every shard's request and ecall counts: what a query that
+	// reached a node would move.
+	load := func() []uint64 {
+		var out []uint64
+		for _, ss := range g.Stats().Shards {
+			out = append(out, ss.Proxy.Requests, ss.Proxy.Enclave.ECalls)
+		}
+		return out
+	}
+	before := load()
 	_, err = s.Call(ctx, 0x3, []byte("chicken recipe"))
 	var remote *mux.RemoteError
 	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unknown stream kind") {
 		t.Fatalf("plain stream over mux: err = %v, want a per-stream unknown-kind refusal", err)
 	}
-	muxHandshake(ctx, t, s)
-	if got := g.Stats().PlainRouted; got != plainBefore {
-		t.Fatalf("PlainRouted %d -> %d: a plain query crossed the mux edge", plainBefore, got)
+	if got := load(); !slices.Equal(got, before) {
+		t.Fatalf("shard requests/ecalls %v -> %v: a plain query crossed the mux edge", before, got)
 	}
+	muxHandshake(ctx, t, s)
+	before = load()
 	for _, path := range []string{"/mux", "/search?q=chicken+recipe"} {
 		resp, err := http.Get(g.URL() + path)
 		if err != nil {
@@ -184,8 +195,8 @@ func TestMuxEdgeRefusesPlainStreams(t *testing.T) {
 			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
-	if got := g.Stats().PlainRouted; got != plainBefore {
-		t.Fatalf("PlainRouted %d -> %d: GET /search reached the fleet", plainBefore, got)
+	if got := load(); !slices.Equal(got, before) {
+		t.Fatalf("shard requests/ecalls %v -> %v: GET /search reached the fleet", before, got)
 	}
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -41,12 +40,7 @@ func obsFleet(t *testing.T, shards int) *Gateway {
 
 func TestFleetStageMergeSumsCountsTakesWorstTails(t *testing.T) {
 	g := obsFleet(t, 3)
-	ctx := context.Background()
-	for i := 0; i < 60; i++ {
-		if _, err := g.ServeQuery(ctx, fmt.Sprintf("merge query %d", i)); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
+	fillNumbered(t, g, 60, "merge query %d")
 	fs := g.Stats()
 	if fs.Total.Stages == nil {
 		t.Fatal("fleet stats carry no merged stages")
@@ -85,12 +79,7 @@ func TestGatewayMetricsEndpointMergedAndPerShard(t *testing.T) {
 	if err := g.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if _, err := g.ServeQuery(ctx, fmt.Sprintf("gateway metrics %d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fillNumbered(t, g, 20, "gateway metrics %d")
 	get := func(path string) (int, string, string) {
 		resp, err := http.Get(g.URL() + path)
 		if err != nil {
@@ -114,7 +103,6 @@ func TestGatewayMetricsEndpointMergedAndPerShard(t *testing.T) {
 	for _, want := range []string{
 		"xsearch_fleet_shards 2",
 		"xsearch_fleet_shards_alive 2",
-		"xsearch_fleet_plain_routed_total 20",
 		"# TYPE xsearch_fleet_stage_latency_seconds summary",
 		`xsearch_requests_total{shard="0"}`,
 		`xsearch_requests_total{shard="1"}`,
@@ -165,8 +153,8 @@ func TestGatewayMetricsEndpointMergedAndPerShard(t *testing.T) {
 
 func TestFleetEventsCaptureLifecycle(t *testing.T) {
 	// A fast health probe so the gateway formally notes the killed
-	// shard's death (EvShardDead) — the plain request path only routes
-	// around it.
+	// shard's death (EvShardDead) — the handshake path only routes around
+	// it.
 	g, err := New(Config{
 		Shards: 3,
 		ShardConfig: proxy.Config{
@@ -186,19 +174,13 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for i := 0; i < 30; i++ {
-		if _, err := g.ServeQuery(ctx, fmt.Sprintf("lifecycle %d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fillNumbered(t, g, 30, "lifecycle %d")
 	if err := g.Kill(ctx, 1); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
-	// Queries that ranked the dead shard discover the death and fail over.
+	// Handshakes that ranked the dead shard first fail over.
 	for i := 0; i < 30; i++ {
-		if _, err := g.ServeQuery(ctx, fmt.Sprintf("lifecycle %d", i)); err != nil {
-			t.Fatal(err)
-		}
+		gatewayHandshake(t, g)
 	}
 	// Wait for the health probe to note the death.
 	deadline := time.Now().Add(2 * time.Second)

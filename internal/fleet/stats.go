@@ -30,12 +30,11 @@ type Stats struct {
 	// SessionsActive is the sum of the live shards' Sessions.
 	SessionsActive int `json:"sessions_active"`
 
-	// Gateway routing counters. PlainRouted/SecureRouted/Handshakes count
-	// requests entering each route; Failovers counts requests re-routed
+	// Gateway routing counters. SecureRouted/Handshakes count requests
+	// entering each route; Failovers counts requests re-routed
 	// past a dead shard; SessionsLost counts the sessions a shard held when
 	// the gateway saw it die or drained it; Errors counts requests the
 	// gateway answered with an error.
-	PlainRouted  uint64 `json:"plain_routed"`
 	SecureRouted uint64 `json:"secure_routed"`
 	Handshakes   uint64 `json:"handshakes"`
 	Failovers    uint64 `json:"failovers"`
@@ -67,7 +66,6 @@ type Stats struct {
 // Stats returns the fleet snapshot.
 func (g *Gateway) Stats() Stats {
 	s := Stats{
-		PlainRouted:     g.plainRouted.Load(),
 		SecureRouted:    g.secureRouted.Load(),
 		Handshakes:      g.handshakes.Load(),
 		Failovers:       g.failovers.Load(),

@@ -314,9 +314,10 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 	}
 
 	const entries, allowed = 4, 2
+	channel := pairedSession(t, ts, "burst")
 	blobs := make([][]byte, entries)
 	for i := range blobs {
-		req := envelope{Type: typePlain, ID: uint64(i + 1), Query: fmt.Sprintf("burst query %d", i)}
+		req := envelope{Type: typeSecure, ID: uint64(i + 1), Session: "burst", Record: sealQuery(t, channel, fmt.Sprintf("burst query %d", i))}
 		blobs[i] = req.encode()
 	}
 	env := &burstEnv{allow: allowed}
@@ -342,8 +343,8 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 			if err := reply.decode(item.Reply); err != nil || reply.Pending == 0 {
 				t.Errorf("entry %d: not parked (%v, %+v)", i, err, reply)
 			}
-		} else if !strings.Contains(item.Err, "destroyed") {
-			t.Errorf("entry %d (submitted after destroy): err %q, want a terminal ErrDestroyed failure", i, item.Err)
+		} else if _, errstr := openFinal(t, channel, item.Reply); item.Err != "" || !strings.Contains(errstr, "destroyed") {
+			t.Errorf("entry %d (submitted after destroy): sealed error %q, want a terminal ErrDestroyed failure", i, errstr)
 		}
 	}
 	if env.calls != entries {
@@ -539,9 +540,13 @@ func TestQueuedRequestsCrossInOneBatch(t *testing.T) {
 	// A second runtime over the same enclave, its batcher not yet started.
 	pl := newPipelineRuntime(p, n, n, 5*time.Second)
 	defer pl.stopDispatch()
+	channel, session, err := churnClient(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	waiting := make([]chan pendingOutcome, n)
 	for i := range waiting {
-		req := envelope{Type: typePlain, Query: fmt.Sprintf("queued before the batcher ran %d", i)}
+		req := envelope{Type: typeSecure, Session: session, Record: sealQuery(t, channel, fmt.Sprintf("queued before the batcher ran %d", i))}
 		req.ID, waiting[i] = pl.register()
 		pl.submitQ <- batchItem{id: req.ID, arg: req.encode(), queued: time.Now()}
 	}

@@ -48,7 +48,7 @@ type pipelineRuntime struct {
 	stopOnce sync.Once
 	workers  sync.WaitGroup
 
-	// Ecall batching (BatchMax >= 2): admitted plain/secure requests are
+	// Ecall batching (BatchMax >= 2): admitted secure requests are
 	// funneled through submitQ into one group-commit batcher goroutine
 	// that vectorizes request crossings, and the resume workers drain
 	// completions in batches of the same bound (one at a time when
@@ -321,7 +321,7 @@ func (pl *pipelineRuntime) unregister(id uint64) {
 	pl.mu.Unlock()
 }
 
-// run serves one query envelope (plain or secure) and keeps the node's
+// run serves one secure query envelope and keeps the node's
 // request counters and latency histogram. Blocking, it is the "request"
 // ecall; pipelined, it is admit, register, the request crossing (queued for
 // the batcher when one runs), and a wait for the final outcome — which the

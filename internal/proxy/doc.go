@@ -4,9 +4,10 @@
 // paper's ocall interface (sock_connect/send/recv/close), filters the
 // merged results back down to the original query's results, and returns
 // them over the attested secure channel. Its client edge carries sealed
-// calls only (POST /handshake, POST /secure): the untrusted host never
-// sees a query in the clear. ServeQuery runs a plain query in-process for
-// the capacity experiments; no route reaches it.
+// calls only (POST /handshake, POST /secure), and so does the enclave: it
+// decodes no query but a sealed one, so the untrusted host never sees a
+// query in the clear. ServeQuery, for the capacity experiments, is an
+// in-process client of that seam; no route reaches it.
 //
 // # Request stage
 //
@@ -68,13 +69,13 @@
 //	                                                path of every broker; ServeCall is both edges' one reader
 //	HTTP POST /handshake and the mux     JSON       one handshake a session: the client's offer and nonce up,
 //	  KindHandshake stream                          the enclave's offer, session id and verification report back
-//	envelope ("request", entries of      binary     every request into the enclave, under the runtime's id
-//	  "request-batch")                              for it; byte fields alias the ecall argument, no []byte
-//	                                                is ever base64'd
+//	envelope ("request", entries of      binary     a handshake or a sealed query, under the runtime's id for
+//	  "request-batch")                              it (any other type byte is refused at decode); byte
+//	                                                fields alias the ecall argument
 //	envelopeReply ("request"; nested in  binary     ONE encoding of a reply on the blocking, batched and
-//	  the two below)                                async-resume paths; parked, it is the id alone.
-//	                                                A secure reply's Record is its last field and is sealed
-//	                                                inside the frame: one buffer, no plaintext copy outside it
+//	  the two below)                                async-resume paths; parked, it is the id alone. A final
+//	                                                reply's Record is its last field and is sealed inside
+//	                                                the frame: one buffer, no plaintext copy outside it
 //	batchItemReply ("request-batch")     binary     an encoded envelopeReply, or the entry's error
 //	resumeReply ("resume")               binary     verdict, id, done token, the leader's encoded envelopeReply
 //	                                                and one (id, envelopeReply or error) per follower

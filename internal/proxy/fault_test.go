@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,11 +36,12 @@ func TestEngineUnreachable(t *testing.T) {
 		defer cancel()
 		_ = p.Shutdown(ctx)
 	}()
-	if _, err := p.ServeQuery(context.Background(), "anything"); err == nil {
-		t.Error("dead engine produced OK response")
+	if _, err := p.ServeQuery(context.Background(), "anything"); err == nil || !strings.Contains(err.Error(), deadAddr) {
+		t.Errorf("dead engine: err = %v, want the failed dial", err)
 	}
-	if p.Stats().Errors == 0 {
-		t.Error("error not counted")
+	// The failure travelled sealed: the host has no error to count.
+	if n := p.Stats().Errors; n != 0 {
+		t.Errorf("errors = %d: the host saw a sealed failure", n)
 	}
 }
 

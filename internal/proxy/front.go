@@ -17,7 +17,8 @@ import (
 // multiplexed edge both reach it through ServeCall, so a client cannot
 // tell the transports — or a node from a fleet — apart past the edge. It
 // carries sealed calls only, so the untrusted host never sees a query in
-// the clear; in-process callers have ServeQuery on the node and gateway.
+// the clear; an in-process caller has the node's ServeQuery, itself a
+// sealed client.
 type Front interface {
 	Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*HandshakeResponse, error)
 	Secure(ctx context.Context, session string, record []byte) ([]byte, error)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -12,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
-
-	"xsearch/internal/core"
 )
 
 // FuzzParseResponse fuzzes the enclave's HTTP/1.1 streaming response
@@ -270,27 +269,30 @@ func FuzzTLSRecordAdapter(f *testing.F) {
 // tokenList. None may panic or size an allocation from a length the
 // input does not back; what one accepts must re-encode to exactly the
 // bytes it was decoded from (so trailing bytes cannot be accepted), and
-// decoding that again must give the same value.
+// decoding that again must give the same value. An envelope is a
+// handshake or a sealed query: a type-1 frame (a query in the clear, as
+// the host once could send one) is refused whatever follows it.
 func FuzzSeamCodec(f *testing.F) {
 	secure := envelope{Type: typeSecure, Session: "0123456789abcdef0123456789abcdef", Record: []byte("sealed")}
-	plain := envelope{Type: typePlain, ID: 7, Query: "chicken recipe"}
-	results := envelopeReply{Results: []core.Result{{URL: "u", Title: "t", Snippet: "s"}, {}}}
+	final := envelopeReply{Record: []byte("sealed reply")}
 	parked := envelopeReply{Pending: 7}
 	hs := envelopeReply{Offer: []byte(`{"role":2}`), Session: "ab", ReportData: make([]byte, 64)}
-	followers := []followerReply{{ID: 4, Reply: results.encode()}, {ID: 5, Err: "proxy: unknown session"}}
-	done := resumeReply{State: resumeDone, PendingID: 3, Reply: results.encode(), Followers: followers, DoneToken: 2}
-	failed := resumeReply{State: resumeDone, PendingID: 3, Err: "proxy: engine status 500"}
+	followers := []followerReply{{ID: 4, Reply: final.encode()}, {ID: 5, Err: "proxy: unknown session"}}
+	done := resumeReply{State: resumeDone, PendingID: 3, Reply: final.encode(), Followers: followers, DoneToken: 2}
+	failed := resumeReply{State: resumeDone, PendingID: 3, Err: "proxy: unknown session"}
 	item := batchItemReply{Reply: parked.encode()}
-	itemErr := batchItemReply{Err: "proxy: empty query"}
+	itemErr := batchItemReply{Err: "proxy: bad secure request"}
+	typeOne := append([]byte{1}, secure.encode()[1:]...) // a sealed envelope relabelled
 	for _, seed := range [][]byte{
-		secure.encode(), plain.encode(), results.encode(), parked.encode(), hs.encode(),
+		secure.encode(), final.encode(), parked.encode(), hs.encode(),
 		done.encode(), failed.encode(), item.encode(), itemErr.encode(), tokenList{9, 11}.encode(),
-		{}, {typePlain}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
-		append(plain.encode(), 0xAA),                                     // trailing byte
-		{typePlain, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 'q'}, // length far past the input
-		append(make([]byte, 8+3*4), 0xFF, 0xFF, 0xFF, 0xFF),              // reply: result-count bomb
-		append(make([]byte, 1+8+8+4+4), 0xFF, 0xFF, 0xFF, 0x0F),          // resume: follower-count bomb
-		{0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3, 4, 5, 6, 7, 8},                 // abandon: token-count bomb
+		{}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		typeOne, plainEnvelope(7, "chicken recipe"), {1},
+		append(secure.encode(), 0xAA),                                     // trailing byte
+		{typeSecure, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 'q'}, // length far past the input
+		append(make([]byte, 8+3*4), 0xFF, 0xFF, 0xFF, 0xFF),               // reply: record-length bomb
+		append(make([]byte, 1+8+8+4+4), 0xFF, 0xFF, 0xFF, 0x0F),           // resume: follower-count bomb
+		{0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3, 4, 5, 6, 7, 8},                  // abandon: token-count bomb
 	} {
 		f.Add(seed)
 	}
@@ -320,6 +322,9 @@ func FuzzSeamCodec(f *testing.F) {
 			if err != nil {
 				continue
 			}
+			if e, ok := v.(*envelope); ok && e.Type != typeHandshake && e.Type != typeSecure {
+				t.Fatalf("envelope of type %d accepted", e.Type)
+			}
 			if !bytes.Equal(v.encode(), data) {
 				t.Fatalf("%T: accepted frame does not re-encode to itself", v)
 			}
@@ -329,6 +334,15 @@ func FuzzSeamCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// plainEnvelope is the frame a plaintext query crossed in before the
+// decoder stopped admitting one: type 1, the runtime's id, the query, and
+// empty offer, session and record fields.
+func plainEnvelope(id uint64, query string) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte{1}, id)
+	b = append(binary.LittleEndian.AppendUint32(b, uint32(len(query))), query...)
+	return append(b, make([]byte, 3*4)...)
 }
 
 // FuzzMuxSecureBody fuzzes the gateway's parse of a KindSecure mux stream

@@ -19,7 +19,7 @@ import (
 // onto w. The extra labels (k,v pairs) are appended to every sample; the
 // fleet gateway uses them to stamp a shard index on each shard's series.
 func WriteMetrics(w *obs.PromWriter, s Stats, labels ...string) {
-	w.Counter("xsearch_requests_total", "Queries accepted (plain + secure).", float64(s.Requests), labels...)
+	w.Counter("xsearch_requests_total", "Secure queries accepted.", float64(s.Requests), labels...)
 	w.Counter("xsearch_handshakes_total", "Attested channel handshakes.", float64(s.Handshakes), labels...)
 	w.Counter("xsearch_errors_total", "Requests that ended in an error.", float64(s.Errors), labels...)
 

@@ -43,8 +43,7 @@ type pendingAttempt struct {
 // untrusted runtime's (envelope.ID).
 type pendingReq struct {
 	id      uint64
-	kind    byte   // typePlain or typeSecure
-	session string // typeSecure only
+	session string
 	key     string
 	oq      core.ObfuscatedQuery
 	path    string
@@ -315,10 +314,10 @@ func (ts *trustedState) finalizeLocked(pt *pendingTable, p *pendingReq, results 
 	pt.mu.Unlock()
 
 	rr := resumeReply{State: resumeDone, PendingID: p.id}
-	reply, err := ts.finishReply(p.kind, p.session, results, errstr)
+	reply, err := ts.finishReply(p.session, results, errstr)
 	rr.Reply, rr.Err = reply, errString(err)
 	for _, w := range followers {
-		reply, err := ts.finishReply(w.kind, w.session, results, errstr)
+		reply, err := ts.finishReply(w.session, results, errstr)
 		rr.Followers = append(rr.Followers, followerReply{ID: w.id, Reply: reply, Err: errString(err)})
 	}
 	return rr

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"xsearch/internal/netsim"
 	"xsearch/internal/obs"
 	"xsearch/internal/seal"
+	"xsearch/internal/securechannel"
 	"xsearch/internal/serve"
 )
 
@@ -198,6 +200,10 @@ type Proxy struct {
 	requests   atomic.Uint64
 	handshakes atomic.Uint64
 	errors     atomic.Uint64
+
+	// clients is ServeQuery's free list of idle sessions.
+	clientsMu sync.Mutex
+	clients   []*clientSession
 }
 
 // New builds the proxy: loads the trusted code into an enclave, registers
@@ -412,7 +418,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v3.1 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g breaker=%d/%s async=%t/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v3.2 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g breaker=%d/%s async=%t/%d batch=%d/%s obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
@@ -818,8 +824,11 @@ func (p *Proxy) MergeState(ctx context.Context, blob []byte) (MergeReport, error
 // Stats reports request counters plus enclave resource accounting and the
 // scaling layer's gauges (connection reuse, cache effectiveness).
 type Stats struct {
-	Requests   uint64        `json:"requests"`
-	Handshakes uint64        `json:"handshakes"`
+	Requests   uint64 `json:"requests"`
+	Handshakes uint64 `json:"handshakes"`
+	// Errors counts the calls the host saw fail (a refused body, a failed
+	// handshake, a record that did not open); a query the enclave fails
+	// is sealed in its reply, and not counted.
 	Errors     uint64        `json:"errors"`
 	Enclave    enclave.Stats `json:"enclave"`
 	HistoryLen int           `json:"history_len"`
@@ -875,7 +884,7 @@ type Stats struct {
 	BatchesSubmitted  uint64  `json:"batches_submitted,omitempty"`
 	BatchOccupancyP50 float64 `json:"batch_occupancy_p50,omitempty"`
 	BatchOccupancyP95 float64 `json:"batch_occupancy_p95,omitempty"`
-	// End-to-end query latency percentiles (plain + secure paths),
+	// End-to-end query latency percentiles (secure requests),
 	// recorded on a fixed-bucket histogram with no hot-path allocations.
 	LatencyCount uint64        `json:"latency_count,omitempty"`
 	LatencyP50   time.Duration `json:"latency_p50_ns,omitempty"`
@@ -1065,15 +1074,82 @@ func (p *Proxy) StageSnapshots() map[string]metrics.LatencySnapshot {
 	return p.trusted.stages.Snapshot()
 }
 
-// ServeQuery runs one plain query through the full enclave pipeline
-// (ecall -> Algorithm 1 -> engine fetch or echo -> Algorithm 2). It is an
-// in-process entry point, not a client edge: no route reaches it. The
-// capacity experiments use it to measure the proxy's processing limit
-// without the host network stack in the way, as the paper's
-// wrk2-on-bare-metal setup does.
+// ServeQuery runs one query through the full enclave pipeline (ecall ->
+// Algorithm 1 -> engine fetch or echo -> Algorithm 2) as an in-process
+// sealed client: the query is sealed on a session of its own, served by
+// Secure, and the reply opened here. No route reaches it; the capacity
+// experiments use it to measure the proxy without the host network stack
+// in the way, as the paper's wrk2-on-bare-metal setup does. A failure the
+// enclave seals (engine down, blank query) is returned, but the host never
+// sees it, so it does not count in Stats.Errors.
 func (p *Proxy) ServeQuery(ctx context.Context, query string) ([]core.Result, error) {
-	reply, err := p.run(ctx, envelope{Type: typePlain, Query: query})
-	return reply.Results, err
+	var s *clientSession
+	p.clientsMu.Lock()
+	if n := len(p.clients); n > 0 {
+		s, p.clients = p.clients[n-1], p.clients[:n-1]
+	}
+	p.clientsMu.Unlock()
+	for {
+		var err error
+		if s == nil {
+			if s, err = p.handshake(ctx); err != nil {
+				return nil, err
+			}
+		}
+		// Sealed where it is written, as a broker seals it.
+		buf := make([]byte, securechannel.HeaderSize, securechannel.HeaderSize+len(query)+64+securechannel.SealRoom)
+		reply, err := p.Secure(ctx, s.id, s.channel.SealAt(core.AppendSecureRequest(buf, query, 0), 0))
+		if err != nil {
+			// A session whose call failed is dropped. An evicted one is
+			// replaced (under handshake churn even a fresh one can go
+			// before its first record lands); the error crosses the
+			// batched seam as text.
+			if strings.Contains(err.Error(), errUnknownSession.Error()) && ctx.Err() == nil {
+				s = nil
+				continue
+			}
+			return nil, err
+		}
+		plaintext, err := s.channel.OpenInPlace(reply)
+		if err != nil {
+			return nil, fmt.Errorf("proxy: open reply: %w", err)
+		}
+		p.clientsMu.Lock()
+		p.clients = append(p.clients, s)
+		p.clientsMu.Unlock()
+		results, errstr, err := core.ParseSecureReply(plaintext, p.cfg.ResultsPerList)
+		if err == nil && errstr != "" {
+			return nil, errors.New(errstr)
+		}
+		return results, err
+	}
+}
+
+// clientSession is one of ServeQuery's sessions. One caller holds it at a
+// time, so its records reach the enclave in the order they were sealed.
+type clientSession struct {
+	channel *securechannel.Channel
+	id      string
+}
+
+// handshake establishes a session through the "request" ecall: a broker's
+// handshake without the quote, which the enclave's own host has no use for.
+func (p *Proxy) handshake(ctx context.Context) (*clientSession, error) {
+	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
+	if err != nil {
+		return nil, err
+	}
+	offer, _ := hs.Offer().Marshal() // a role and two byte slices: it cannot fail
+	reply, err := p.ecall(ctx, envelope{Type: typeHandshake, Offer: offer})
+	if err != nil {
+		return nil, err
+	}
+	peer, err := securechannel.UnmarshalOffer(reply.Offer)
+	if err != nil {
+		return nil, err
+	}
+	channel, err := hs.Complete(peer)
+	return &clientSession{channel: channel, id: reply.Session}, err
 }
 
 // ecall sends an envelope through the "request" ecall.

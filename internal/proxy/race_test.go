@@ -17,30 +17,14 @@ import (
 // access surfaces as a race report rather than a lucky pass.
 
 // churnClient performs one handshake directly through the "request" ecall
-// (the paths the HTTP front exercises, without the HTTP overhead) and
-// returns the established channel and session id.
+// (ServeQuery's own handshake: the paths the HTTP front exercises, without
+// the HTTP overhead) and returns the established channel and session id.
 func churnClient(p *Proxy) (*securechannel.Channel, string, error) {
-	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
+	s, err := p.handshake(context.Background())
 	if err != nil {
 		return nil, "", err
 	}
-	offerJSON, err := hs.Offer().Marshal()
-	if err != nil {
-		return nil, "", err
-	}
-	reply, err := p.ecall(context.Background(), envelope{Type: typeHandshake, Offer: offerJSON})
-	if err != nil {
-		return nil, "", err
-	}
-	serverOffer, err := securechannel.UnmarshalOffer(reply.Offer)
-	if err != nil {
-		return nil, "", err
-	}
-	channel, err := hs.Complete(serverOffer)
-	if err != nil {
-		return nil, "", err
-	}
-	return channel, reply.Session, nil
+	return s.channel, s.id, nil
 }
 
 // TestConcurrentSessionChurn drives handshakes and secure queries from

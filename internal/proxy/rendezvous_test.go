@@ -74,11 +74,58 @@ func sealQuery(t *testing.T, channel *securechannel.Channel, query string) []byt
 	return pt
 }
 
+// pairedSession installs a session named id in ts's table, as a handshake
+// would, and returns the client's end of its channel: hand-made crossings
+// on a trustedState with no enclave around it.
+func pairedSession(t *testing.T, ts *trustedState, id string) *securechannel.Channel {
+	t.Helper()
+	client, err := securechannel.NewHandshake(securechannel.RoleClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := securechannel.NewHandshake(securechannel.RoleServer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, err := client.Complete(server.Offer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	theirs, err := server.Complete(client.Offer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.sessions == nil {
+		ts.sessions = make(map[string]*sessionState)
+	}
+	ts.sessions[id] = &sessionState{channel: theirs}
+	return mine
+}
+
+// openFinal opens a final reply frame on channel: its results and its
+// sealed error.
+func openFinal(t *testing.T, channel *securechannel.Channel, frame []byte) ([]core.Result, string) {
+	t.Helper()
+	var reply envelopeReply
+	if err := reply.decode(frame); err != nil || reply.Pending != 0 {
+		t.Fatalf("final reply %+v, %v: want a sealed record", reply, err)
+	}
+	pt, err := channel.Open(reply.Record)
+	if err != nil {
+		t.Fatalf("final reply does not open on its channel: %v", err)
+	}
+	var resp secureResponse
+	if err := json.Unmarshal(pt, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results, resp.Err
+}
+
 // A final outcome can overtake its own crossing's reply — the fetch is
 // submitted inside the crossing, so a dead upstream's refused dial comes
 // back through "resume" while the crossing is still returning. The id was
 // registered before the crossing, so the outcome finds its waiter: the
-// caller gets the engine error (not a timeout), the late Pending reply is
+// caller gets the sealed engine error (not a timeout), the late Pending reply is
 // answered with a no-op abandon, and nothing is left behind. The crossing
 // is made by hand so the order is forced, not raced.
 func TestOutcomeBeforeCrossingReturnsIsDelivered(t *testing.T) {
@@ -92,8 +139,12 @@ func TestOutcomeBeforeCrossingReturnsIsDelivered(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 
+	channel, session, err := churnClient(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, ch := pl.register()
-	parked, err := p.ecall(ctx, envelope{Type: typePlain, ID: id, Query: "doomed before it returns"})
+	parked, err := p.ecall(ctx, envelope{Type: typeSecure, ID: id, Session: session, Record: sealQuery(t, channel, "doomed before it returns")})
 	if err != nil || parked.Pending != id {
 		t.Fatalf("crossing = %+v, %v; want parked under id %d", parked, err, id)
 	}
@@ -105,8 +156,12 @@ func TestOutcomeBeforeCrossingReturnsIsDelivered(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	pl.deliver(id, pendingOutcome{reply: parked})
-	if _, err := pl.wait(ctx, id, ch); err == nil || !strings.Contains(err.Error(), dead) {
-		t.Fatalf("wait = %v, want the engine's dial failure", err)
+	final, err := pl.wait(ctx, id, ch)
+	if err != nil {
+		t.Fatalf("wait = %v, want the sealed reply", err)
+	}
+	if _, errstr := openFinal(t, channel, final.encode()); !strings.Contains(errstr, dead) {
+		t.Fatalf("sealed error %q, want the engine's dial failure", errstr)
 	}
 	if ctx.Err() != nil {
 		t.Fatal("wait blocked on an outcome that was already delivered")
@@ -137,9 +192,13 @@ func TestGoneCallerParkedReplyIsAbandoned(t *testing.T) {
 	defer p.Crash()
 	pl, pt := p.pipeline, p.trusted.pending
 
+	channel, session, err := churnClient(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, _ := pl.register()
 	pl.unregister(id) // the caller gave up before the crossing came back
-	parked, err := p.ecall(context.Background(), envelope{Type: typePlain, ID: id, Query: "parked for nobody"})
+	parked, err := p.ecall(context.Background(), envelope{Type: typeSecure, ID: id, Session: session, Record: sealQuery(t, channel, "parked for nobody")})
 	if err != nil || parked.Pending != id {
 		t.Fatalf("crossing = %+v, %v; want parked under id %d", parked, err, id)
 	}
@@ -311,8 +370,19 @@ func TestRendezvousHostileIDs(t *testing.T) {
 	defer p.Crash()
 	pl, pt := p.pipeline, p.trusted.pending
 	ctx := context.Background()
+	channel, session, err := churnClient(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := func(id uint64, query string) envelope {
+		return envelope{Type: typeSecure, ID: id, Session: session, Record: sealQuery(t, channel, query)}
+	}
+	blob := func(id uint64, query string) []byte {
+		e := sealed(id, query)
+		return e.encode()
+	}
 
-	parked, err := p.ecall(ctx, envelope{Type: typePlain, ID: 5, Query: "the parked one"})
+	parked, err := p.ecall(ctx, sealed(5, "the parked one"))
 	if err != nil || parked.Pending != 5 {
 		t.Fatalf("crossing = %+v, %v; want parked under id 5", parked, err)
 	}
@@ -330,7 +400,7 @@ func TestRendezvousHostileIDs(t *testing.T) {
 	}
 
 	for _, id := range []uint64{0, 5} {
-		if _, err := p.ecall(ctx, envelope{Type: typePlain, ID: id, Query: "an impostor"}); err == nil ||
+		if _, err := p.ecall(ctx, sealed(id, "an impostor")); err == nil ||
 			!strings.Contains(err.Error(), "zero or already parked") {
 			t.Errorf("request with id %d: err = %v, want a refusal", id, err)
 		}
@@ -338,10 +408,10 @@ func TestRendezvousHostileIDs(t *testing.T) {
 	}
 
 	blobs := [][]byte{
-		(&envelope{Type: typePlain, ID: 0, Query: "batch impostor zero"}).encode(),
-		(&envelope{Type: typePlain, ID: 5, Query: "batch impostor five"}).encode(),
-		(&envelope{Type: typePlain, ID: 6, Query: "batch newcomer"}).encode(),
-		(&envelope{Type: typePlain, ID: 6, Query: "batch newcomer's twin"}).encode(),
+		blob(0, "batch impostor zero"),
+		blob(5, "batch impostor five"),
+		blob(6, "batch newcomer"),
+		blob(6, "batch newcomer's twin"),
 	}
 	frames, err := pl.batchECall("request-batch", blobs)
 	if err != nil {
@@ -459,6 +529,15 @@ func TestCoalescedFlightCostsNineEcalls(t *testing.T) {
 	defer p.Crash()
 
 	const workers = 8
+	// Each concurrent caller holds a session of its own, handshaken before
+	// the count starts.
+	for i := 0; i < workers; i++ {
+		s, err := p.handshake(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.clients = append(p.clients, s)
+	}
 	before := p.Stats().Enclave
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -599,8 +678,9 @@ func TestCoalescedFollowerFinalizedMidCrossingStaysPending(t *testing.T) {
 	defer ts.stopFlights()
 	env := &inlineEngineEnv{ts: ts}
 
-	leader := (&envelope{Type: typePlain, ID: 1, Query: "finalized mid crossing"}).encode()
-	follower := (&envelope{Type: typePlain, ID: 2, Query: "finalized mid crossing"}).encode()
+	channels := map[string]*securechannel.Channel{"leader": pairedSession(t, ts, "leader"), "follower": pairedSession(t, ts, "follower")}
+	leader := (&envelope{Type: typeSecure, ID: 1, Session: "leader", Record: sealQuery(t, channels["leader"], "finalized mid crossing")}).encode()
+	follower := (&envelope{Type: typeSecure, ID: 2, Session: "follower", Record: sealQuery(t, channels["follower"], "finalized mid crossing")}).encode()
 	out, err := ts.handleRequestBatch(env, encodeBatch([][]byte{leader, follower}))
 	if err != nil {
 		t.Fatal(err)
@@ -624,9 +704,8 @@ func TestCoalescedFollowerFinalizedMidCrossingStaysPending(t *testing.T) {
 		t.Fatalf("resumes = %+v, want one final reply for 1 carrying follower 2", env.resumed)
 	}
 	for who, raw := range map[string][]byte{"leader": env.resumed[0].Reply, "follower": env.resumed[0].Followers[0].Reply} {
-		var reply envelopeReply
-		if err := reply.decode(raw); err != nil || len(reply.Results) != 1 {
-			t.Errorf("%s's final reply: %+v, %v; want the engine's one result", who, reply, err)
+		if results, errstr := openFinal(t, channels[who], raw); len(results) != 1 || errstr != "" {
+			t.Errorf("%s's final reply: %d results, %q; want the engine's one result", who, len(results), errstr)
 		}
 	}
 	pt := ts.pending

@@ -70,8 +70,8 @@ func (ts *trustedState) handleRequest(env enclave.Env, arg []byte) ([]byte, erro
 // per-entry by batchItemReply, while the stages pay their fixed costs —
 // the obfuscator lock, the EPC settlement, the pending-table critical
 // section — once. Handshakes never batch (the untrusted batcher routes
-// them to "request"; one arriving here is a per-entry error, not a batch
-// failure).
+// them to "request"; one arriving here names no session, and open fails
+// that entry alone).
 func (ts *trustedState) handleRequestBatch(env enclave.Env, arg []byte) ([]byte, error) {
 	blobs, err := decodeBatch(arg)
 	if err != nil {
@@ -110,44 +110,42 @@ func (ts *trustedState) serve(env enclave.Env, es []entry) {
 	}
 }
 
-// open turns a decoded envelope into a query and a result count: a plain
-// (curl/wget) query as-is, a secure one by opening its sealed record on
-// the session's channel. Failures here are ecall errors — there is no
-// usable channel to seal them under. Records from one session arrive in
-// submission order, so channel sequencing is preserved across a batch.
+// open turns a decoded envelope into a query and a result count by
+// opening its sealed record on the session's channel (the decoder admits
+// no other query type). Failures to open are ecall errors: there is no
+// usable channel to seal them under. A blank query is refused sealed,
+// before obfuscation: it is charged nothing and never enters the history,
+// which would serve it to other users as a fake. Records from one session
+// arrive in submission order, so channel sequencing holds across a batch.
 func (ts *trustedState) open(e *entry) {
 	if e.settled {
 		return
 	}
-	switch e.req.Type {
-	case typePlain:
-		if strings.TrimSpace(e.req.Query) == "" {
-			e.fail(fmt.Errorf("proxy: empty query"))
-			return
-		}
-		e.query, e.count = e.req.Query, ts.perList
-	case typeSecure:
-		sess, err := ts.session(e.req.Session)
-		if err != nil {
-			e.fail(err)
-			return
-		}
-		plaintext, err := sess.channel.Open(e.req.Record)
-		if err != nil {
-			e.fail(fmt.Errorf("proxy: open record: %w", err))
-			return
-		}
-		if e.query, e.count, err = core.ParseSecureRequest(plaintext); err != nil {
-			e.fail(fmt.Errorf("proxy: bad secure request: %w", err))
-			return
-		}
-		if e.count <= 0 || e.count > 100 {
-			e.count = ts.perList
-		}
-	default:
-		e.fail(fmt.Errorf("proxy: request type %d is not a query", e.req.Type))
+	sess, err := ts.session(e.req.Session)
+	if err != nil {
+		e.fail(err)
+		return
+	}
+	plaintext, err := sess.channel.Open(e.req.Record)
+	if err != nil {
+		e.fail(fmt.Errorf("proxy: open record: %w", err))
+		return
+	}
+	if e.query, e.count, err = core.ParseSecureRequest(plaintext); err != nil {
+		e.fail(fmt.Errorf("proxy: bad secure request: %w", err))
+		return
+	}
+	if strings.TrimSpace(e.query) == "" {
+		ts.reply(e, nil, "proxy: empty query")
+		return
+	}
+	if e.count <= 0 || e.count > 100 {
+		e.count = ts.perList
 	}
 }
+
+// errUnknownSession: an id never minted, or evicted since.
+var errUnknownSession = errors.New("proxy: unknown session")
 
 // session looks an established secure channel up by id.
 func (ts *trustedState) session(id string) (*sessionState, error) {
@@ -155,7 +153,7 @@ func (ts *trustedState) session(id string) (*sessionState, error) {
 	sess, ok := ts.sessions[id]
 	ts.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("proxy: unknown session %q", id)
+		return nil, fmt.Errorf("%w %q", errUnknownSession, id)
 	}
 	return sess, nil
 }
@@ -359,7 +357,7 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			e.fail(fmt.Errorf("proxy: request id %d is zero or already parked", e.req.ID))
 			continue
 		}
-		e.p = &pendingReq{id: e.req.ID, kind: e.req.Type, session: e.req.Session, key: e.key}
+		e.p = &pendingReq{id: e.req.ID, session: e.req.Session, key: e.key}
 		if leader, ok := pt.byKey[e.key]; ok && !leader.done {
 			// Follower: ride the leader's flight. No fetch of its own.
 			e.p.leader = leader
@@ -476,30 +474,17 @@ func (ts *trustedState) settle(env enclave.Env, oq core.ObfuscatedQuery, key str
 
 // reply settles e with its final reply.
 func (ts *trustedState) reply(e *entry, results []core.Result, errstr string) {
-	e.settle(ts.finishReply(e.req.Type, e.req.Session, results, errstr))
+	e.settle(ts.finishReply(e.req.Session, results, errstr))
 }
 
-// finishReply builds the final encoded reply for one request. A plain
-// query's failure is the ecall's error; a secure query's is folded into
-// the sealed reply (core.AppendSecureReply), so only the client reads it,
-// and sealed inside its frame (sealedReply). The session is looked up at
-// seal time: a session evicted while its request was in the engine stage
-// fails here (the channel died with its table slot).
-func (ts *trustedState) finishReply(kind byte, session string, results []core.Result, errstr string) ([]byte, error) {
-	switch kind {
-	case typePlain:
-		if errstr != "" {
-			return nil, errors.New(errstr)
-		}
-		reply := envelopeReply{Results: results}
-		return reply.encode(), nil
-	case typeSecure:
-		sess, err := ts.session(session)
-		if err != nil {
-			return nil, err
-		}
-		return sealedReply(sess.channel, results, errstr), nil
-	default:
-		return nil, fmt.Errorf("proxy: unknown pending kind %d", kind)
+// finishReply seals one request's outcome, a failure included, in its
+// reply frame (sealedReply), so only the client reads it. The session is
+// looked up at seal time: one evicted while its request was in the engine
+// stage fails here (the channel died with its table slot).
+func (ts *trustedState) finishReply(session string, results []core.Result, errstr string) ([]byte, error) {
+	sess, err := ts.session(session)
+	if err != nil {
+		return nil, err
 	}
+	return sealedReply(sess.channel, results, errstr), nil
 }

@@ -200,8 +200,12 @@ func TestFailedSubmitFailsAttachedFollowers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Crash()
-	first := (&envelope{Type: typePlain, ID: 1, Query: "identical pair"}).encode()
-	second := (&envelope{Type: typePlain, ID: 2, Query: "identical pair"}).encode()
+	channel, session, err := churnClient(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := (&envelope{Type: typeSecure, ID: 1, Session: session, Record: sealQuery(t, channel, "identical pair")}).encode()
+	second := (&envelope{Type: typeSecure, ID: 2, Session: session, Record: sealQuery(t, channel, "identical pair")}).encode()
 	frames, err := p.pipeline.batchECall("request-batch", [][]byte{first, second})
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +215,8 @@ func TestFailedSubmitFailsAttachedFollowers(t *testing.T) {
 		if err := item.decode(raw); err != nil {
 			t.Fatal(err)
 		}
-		if item.Err == "" {
-			t.Errorf("entry %d got a reply (parked?) though no fetch was ever submitted", i)
+		if _, errstr := openFinal(t, channel, item.Reply); item.Err != "" || errstr == "" {
+			t.Errorf("entry %d: err %q, sealed error %q; want a final sealed failure though no fetch was ever submitted", i, item.Err, errstr)
 		}
 	}
 	if s := p.Stats(); s.CoalesceShared != 1 || s.CoalesceLed != 1 {

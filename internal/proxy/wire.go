@@ -19,9 +19,10 @@ import (
 
 // Request types crossing the enclave boundary. The envelope is what the
 // untrusted runtime encodes into the single "request" ecall, mirroring the
-// paper's narrow enclave interface.
+// paper's narrow enclave interface: a handshake, or a query sealed on an
+// established channel. The decoder refuses every other type byte — type 1,
+// a query in the clear, included — before any stage runs.
 const (
-	typePlain     = 1
 	typeHandshake = 2
 	typeSecure    = 3
 )
@@ -34,8 +35,6 @@ type envelope struct {
 	// request under it, and every later outcome and control names it. The
 	// blocking stage ignores it.
 	ID uint64
-	// Plain query (Type == typePlain).
-	Query string
 	// Handshake offer from the client (Type == typeHandshake).
 	Offer json.RawMessage
 	// Secure record (Type == typeSecure).
@@ -44,16 +43,15 @@ type envelope struct {
 }
 
 func (e *envelope) walk(w *wire) {
-	w.u8(&e.Type, typePlain, typeSecure)
+	w.u8(&e.Type, typeHandshake, typeSecure)
 	w.u64(&e.ID)
-	w.str(&e.Query)
 	w.bytes((*[]byte)(&e.Offer))
 	w.str(&e.Session)
 	w.bytes(&e.Record)
 }
 
 func (e *envelope) encode() []byte {
-	w := wire{b: make([]byte, 0, 1+8+4*4+len(e.Query)+len(e.Offer)+len(e.Session)+len(e.Record))}
+	w := wire{b: make([]byte, 0, 1+8+3*4+len(e.Offer)+len(e.Session)+len(e.Record))}
 	e.walk(&w)
 	return w.b
 }
@@ -68,8 +66,6 @@ func (e *envelope) decode(b []byte) error {
 // resumeReply and batchItemReply, the one encoding of a reply on every
 // path.
 type envelopeReply struct {
-	// Results of a plain query.
-	Results []core.Result
 	// Handshake reply.
 	Offer   json.RawMessage
 	Session string
@@ -90,24 +86,11 @@ func (e *envelopeReply) walk(w *wire) {
 	w.bytes((*[]byte)(&e.Offer))
 	w.str(&e.Session)
 	w.bytes(&e.ReportData)
-	// A result is at least its three length prefixes.
-	if n := w.count(len(e.Results), 3*4); w.dec && n > 0 {
-		e.Results = make([]core.Result, n)
-	}
-	for i := range e.Results {
-		w.str(&e.Results[i].URL)
-		w.str(&e.Results[i].Title)
-		w.str(&e.Results[i].Snippet)
-	}
 	w.bytes(&e.Record)
 }
 
 func (e *envelopeReply) size() int {
-	n := 8 + 5*4 + len(e.Offer) + len(e.Session) + len(e.ReportData) + len(e.Record)
-	for _, r := range e.Results {
-		n += 3*4 + len(r.URL) + len(r.Title) + len(r.Snippet)
-	}
-	return n
+	return 8 + 4*4 + len(e.Offer) + len(e.Session) + len(e.ReportData) + len(e.Record)
 }
 
 func (e *envelopeReply) encode() []byte {
@@ -171,8 +154,8 @@ type resumeReply struct {
 	State     byte
 	PendingID uint64
 	// Reply is the leader's final encoded envelopeReply (resumeDone); Err
-	// is the final request error when there is no reply (plain-query
-	// failures surface as request errors, as on the blocking stage).
+	// is the final request error when there is no reply (the session was
+	// evicted while the request was parked, so nothing can be sealed).
 	Reply []byte
 	Err   string
 	// Followers carries every coalesced follower's own final reply — a

@@ -86,12 +86,16 @@ done
 # 6. No client query reaches the host in the clear: the node's and the
 #    gateway's client edges serve sealed calls only, so no non-test file in
 #    internal/proxy or internal/fleet registers a /search route or reads a
-#    q parameter (the gateway's admin ?shard= selector stays legal).
-out=$(grep -rnE 'Handle(Func)?\("/search|Query\(\)\.Get\("q"\)|FormValue\("q"\)' \
+#    q parameter (the gateway's admin ?shard= selector stays legal). Nor
+#    does one cross into the enclave: no typePlain envelope type anywhere,
+#    and no ServeQuery method on the gateway (a shard's Proxy.ServeQuery
+#    is a sealed client; the fleet has nothing to route in the clear).
+out=$(grep -rnE 'Handle(Func)?\("/search|Query\(\)\.Get\("q"\)|FormValue\("q"\)|typePlain' \
     internal/proxy internal/fleet --include='*.go' | grep -v '_test.go')
+out="$out$(grep -rnE '^func \([^)]*\) ServeQuery\(' internal/fleet --include='*.go' | grep -v '_test.go')"
 if [ -n "$out" ]; then
     echo "$out"
-    note "a client edge takes a plaintext query (/search route or q parameter)"
+    note "a plaintext query reaches the host or the enclave (/search route, q parameter, typePlain, fleet ServeQuery)"
 fi
 
 if [ "$status" -ne 0 ]; then
