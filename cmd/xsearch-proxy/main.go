@@ -264,8 +264,8 @@ func runFleet(shards int, muxAddr, addr string, k, history int, drainWait time.D
 		fmt.Printf("shutdown: %v\n", err)
 	}
 	st := f.Stats()
-	fmt.Printf("gateway: %d secure, %d handshakes, %d failovers, %d sessions lost, %d drains\n",
-		st.SecureRouted, st.Handshakes, st.Failovers, st.SessionsLost, st.Drains)
+	fmt.Printf("gateway: %d secure, %d handshakes, %d sessions lost, %d drains\n",
+		st.SecureRouted, st.Handshakes, st.SessionsLost, st.Drains)
 	if st.MuxConnsTotal > 0 {
 		fmt.Printf("mux edge: %d conns total, %d streams, %d sessions resumed without re-attestation\n",
 			st.MuxConnsTotal, st.MuxStreams, st.MuxResumes)

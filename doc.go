@@ -69,22 +69,23 @@
 // Above the single node, NewFleet shards the whole system: N independent
 // proxy enclaves — each with its own (simulated) SGX platform, EPC
 // budget, history window, and full scaling-layer configuration
-// (WithShardConfig) — behind a gateway that routes by rendezvous (HRW)
-// hashing. Each attested session lives on one shard, so a user's
-// obfuscation always draws fakes from the same in-enclave history window
-// and Algorithm 1's k-anonymity semantics hold per shard. The session id
-// the broker holds names that shard ("<index>." + the enclave's id), so
-// the gateway keeps no session table: each shard enclave's own table, as in
-// the paper's single proxy, is the only one, and the gateway serves sealed
-// calls only. The gateway health-checks shards, fails work over
-// to the next-ranked live shard on a crash (sessions on the dead shard
-// re-attest transparently), and on a planned drain (DrainShard) migrates
-// the departing shard's history window and answer index to its successor
-// as one sealed blob — the untrusted host moves opaque bytes; only the
-// successor's enclave, holding the fleet's provisioned sealing root, can
-// open it, and it merges a blob once. Throughput
-// scales near-linearly with shards while the per-shard EPC invariant
-// (heap == history + cache + index) keeps holding.
+// (WithShardConfig) — behind a gateway that opens each attested session on
+// the available shard with the fewest sessions it minted (the lowest index
+// on a tie). The session lives on that shard, so its obfuscation always
+// draws fakes from the same in-enclave history window and Algorithm 1's
+// k-anonymity semantics hold per shard. The session id the broker holds
+// names that shard ("<index>." + the enclave's id), so the gateway keeps
+// no session table: each shard enclave's own table, as in the paper's
+// single proxy, is the only one, and the gateway serves sealed calls only.
+// The gateway health-checks shards and opens no session on a dead one
+// (sessions on a crashed shard re-attest transparently onto live shards),
+// and on a planned drain (DrainShard) migrates the departing shard's
+// history window and answer index to its successor, picked as a new
+// session's shard is, as one sealed blob — the untrusted host moves opaque
+// bytes; only the successor's enclave, holding the fleet's provisioned
+// sealing root, can open it, and it merges a blob once. Throughput scales
+// near-linearly with shards while the per-shard EPC invariant (heap ==
+// history + cache + index) keeps holding.
 //
 // The shard ring is fixed when NewFleet returns: KillShard and DrainShard
 // retire a shard in place, and nothing adds one.
@@ -253,7 +254,7 @@
 // the same conservative rule as Fleet.Stats) with a per-shard ?shard=N
 // selector, which /stats also honors. A structured event log
 // ring-buffers JSON events for fleet lifecycle transitions — drains,
-// kills, shard deaths, failovers, breaker transitions —
+// kills, shard deaths, breaker transitions —
 // exposed via /events and optionally streamed to stderr (-log-json);
 // WithEventLog sizes the ring independently of the tracing. Fourth,
 // pprof handlers ride the admin mux (profiles describe the untrusted

@@ -1,10 +1,11 @@
 // Fleet demonstrates the sharded enclave fleet live: a session-routing
-// gateway fronts four proxy-enclave shards, pinning each attested session
-// to one shard by rendezvous hashing so its obfuscation always draws from
-// that shard's in-enclave history window. The demo then kills one shard
-// (clients fail over by re-attesting, no request is lost) and drains
-// another (its history window migrates to a successor as a sealed blob the
-// host can move but never read).
+// gateway fronts four proxy-enclave shards and opens each attested session
+// on the shard with the fewest sessions (the lowest index on a tie), where
+// it stays, so its obfuscation always draws from that shard's in-enclave
+// history window. The demo then kills one shard (clients re-attest onto
+// live shards, no request is lost) and drains another (its history window
+// migrates to a successor as a sealed blob the host can move but never
+// read). It exits 1 if any client's search fails.
 package main
 
 import (
@@ -52,7 +53,7 @@ func run() error {
 		fleet.Addr(), fleet.ShardCount(), fleet.Measurement())
 
 	// A handful of users, each a broker with an attested session. The
-	// gateway pins each session to its rendezvous shard.
+	// gateway spreads the sessions evenly: 8 clients, 2 per shard.
 	var clients []*xsearch.Client
 	for i := 0; i < 8; i++ {
 		c, err := xsearch.NewClient(fleet.URL(),
@@ -85,7 +86,7 @@ func run() error {
 		return err
 	}
 	st := fleet.Stats()
-	fmt.Println("phase 1 (steady state): sessions pinned by rendezvous hashing")
+	fmt.Println("phase 1 (steady state): sessions spread over the least-loaded shards")
 	for _, ss := range st.Shards {
 		fmt.Printf("  shard %d: %d sessions, history %d queries / %d B (enclave heap %d B)\n",
 			ss.Index, ss.Sessions, ss.Proxy.HistoryLen, ss.Proxy.HistoryB,
@@ -130,8 +131,8 @@ func run() error {
 	st = fleet.Stats()
 	fmt.Printf("  all clients still served on %d remaining shards\n\n", st.AliveShards)
 
-	fmt.Printf("gateway totals: %d handshakes, %d secure requests, %d failovers, %d drains\n",
-		st.Handshakes, st.SecureRouted, st.Failovers, st.Drains)
+	fmt.Printf("gateway totals: %d handshakes, %d secure requests, %d sessions lost, %d drains\n",
+		st.Handshakes, st.SecureRouted, st.SessionsLost, st.Drains)
 	fmt.Println("\nkilling a shard costs its sessions one re-attestation; draining one costs")
 	fmt.Println("nothing — the privacy state moves, sealed, and k-anonymity holds per shard.")
 	return nil

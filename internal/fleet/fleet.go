@@ -6,24 +6,24 @@
 // The paper's §6.3 throughput is bounded by one enclave's EPC and one
 // host's cores; the fleet lifts both bounds the way CYCLOSA
 // (arXiv:1805.01548) and Wally (arXiv:2406.06761) scale private search:
-// by sharding state across many trusted nodes. Each client session is
-// pinned to one shard by rendezvous (HRW) hashing of its session identity
-// — the client's channel-establishment offer, the one stable public value
-// a session has before the enclave mints its session ID — so a user's
-// obfuscation always draws fakes from the same in-enclave history window
-// and Algorithm 1's k-anonymity argument holds per shard. The gateway
-// serves sealed calls only; an in-process caller searching one shard uses
-// that shard's Proxy.ServeQuery, itself a sealed client of its enclave.
+// by sharding state across many trusted nodes. Each client session lives
+// on one shard for its whole life — the gateway opens it on the available
+// shard with the fewest sessions it minted, the lowest index on a tie — so
+// a session's obfuscation always draws fakes from the same in-enclave
+// history window and Algorithm 1's k-anonymity argument holds per shard.
+// The gateway serves sealed calls only; an in-process caller searching one
+// shard uses that shard's Proxy.ServeQuery, itself a sealed client of its
+// enclave.
 //
 // The gateway holds nothing per session: the session id it hands a broker
 // is the shard's index, a dot, and the enclave's own session id, so a
 // secure call names its shard and each shard's enclave session table is
-// the only one. The gateway health-checks shards and, when one dies, fails
-// new work over to the next-highest-ranked live shard; sessions on the
-// dead shard are lost and the client broker transparently re-attests (its
-// normal response to session loss), landing on a live shard. On a planned
-// Drain, the departing shard's history window and answer index are
-// handed to its successor as one sealed blob: the enclave seals it under
+// the only one. The gateway health-checks shards and opens no session on a
+// dead one; sessions on the dead shard are lost and the client broker
+// transparently re-attests (its normal response to session loss), landing
+// on a live shard. On a planned Drain, the departing shard's history
+// window and answer index are handed to its successor, picked the way a
+// new session's shard is, as one sealed blob: the enclave seals it under
 // the fleet's shared sealing root (MRSIGNER policy), the untrusted gateway
 // moves the opaque bytes, and the successor's enclave unseals and merges
 // it, once and all or nothing — the privacy state never exists in
@@ -39,7 +39,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,34 +79,23 @@ type Config struct {
 	// sealing root, a distinct obfuscation seed (template seed + index,
 	// when set), and a per-shard StatePath suffix (when set). The
 	// AttestationService is shared across shards so clients pin one
-	// service key for the whole fleet.
+	// service key for the whole fleet. The template's PlatformSeed derives the fleet-wide sealing root
+	// every shard platform shares, enabling sealed shard handoff (nil: a
+	// random per-fleet seed, so handoff works within the fleet's lifetime
+	// but sealed state does not survive the process). Its event-log
+	// settings size the one event ring the gateway and every shard share
+	// (drains, kills, shard deaths, breaker transitions — see
+	// internal/obs), so /events shows one fleet-wide, causally-ordered
+	// stream.
 	ShardConfig proxy.Config
-	// MigrationSeed derives the fleet-wide sealing root every shard
-	// platform shares, enabling sealed shard handoff. Nil falls back to
-	// ShardConfig.PlatformSeed, then to a random per-fleet seed (handoff
-	// works within the fleet's lifetime but sealed state does not survive
-	// the process).
-	MigrationSeed []byte
 	// HealthInterval is the gateway's shard liveness probe period. Zero
 	// means DefaultHealthInterval.
 	HealthInterval time.Duration
-	// EventLogSize caps the fleet-shared structured event ring (drains,
-	// kills, shard deaths, failovers, breaker transitions — see
-	// internal/obs). Zero means obs.DefaultLogCapacity when the log
-	// exists at all: the fleet creates one shared log when
-	// ShardConfig.Observability is set, EventLogSize is positive, or
-	// EventStream is non-nil, and injects it into every shard so the
-	// /events endpoint shows one fleet-wide, causally-ordered stream.
-	EventLogSize int
-	// EventStream, when non-nil, mirrors every fleet event to it as one
-	// JSON object per line (the -log-json stderr stream).
-	EventStream io.Writer
 }
 
 // shard is one proxy-enclave node plus the gateway's view of it.
 type shard struct {
 	index int
-	name  string // stable HRW identity
 	proxy *proxy.Proxy
 
 	alive    atomic.Bool
@@ -130,10 +118,10 @@ func (s *shard) available() bool { return s.live() && !s.draining.Load() }
 // the gateway minted, up to the bound its FIFO eviction keeps it at.
 func (s *shard) sessions() int { return int(min(s.minted.Load(), s.bound)) }
 
-// Gateway fronts the shard fleet: it routes sessions by rendezvous
-// hashing, probes shard health, fails over on death, and orchestrates
-// sealed history handoff on drain. Its shard ring is fixed at New; shard i
-// sits at shards[i] for the gateway's life.
+// Gateway fronts the shard fleet: it opens each session on the
+// least-loaded available shard (pick), probes shard health, retires dead
+// shards, and orchestrates sealed history handoff on drain. Its shard ring
+// is fixed at New; shard i sits at shards[i] for the gateway's life.
 type Gateway struct {
 	cfg     Config
 	service *attestation.Service
@@ -164,7 +152,6 @@ type Gateway struct {
 	// Routing counters (see Stats for semantics).
 	secureRouted atomic.Uint64
 	handshakes   atomic.Uint64
-	failovers    atomic.Uint64
 	sessionsLost atomic.Uint64
 	drains       atomic.Uint64
 	migratedQ    atomic.Uint64
@@ -183,8 +170,8 @@ func New(cfg Config) (*Gateway, error) {
 		// A shared platform would make every shard draw from ONE EPC —
 		// the exact bound sharding exists to lift — and double-count it in
 		// the aggregate stats. The fleet derives per-shard platforms; use
-		// MigrationSeed to control the shared sealing root.
-		return nil, fmt.Errorf("fleet: ShardConfig.Platform must be nil for a multi-shard fleet (each shard gets its own platform; set MigrationSeed for the shared sealing root)")
+		// ShardConfig.PlatformSeed to control the shared sealing root.
+		return nil, fmt.Errorf("fleet: ShardConfig.Platform must be nil for a multi-shard fleet (each shard gets its own platform; set ShardConfig.PlatformSeed for the shared sealing root)")
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = DefaultHealthInterval
@@ -192,10 +179,7 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ShardConfig.MaxSessions <= 0 {
 		cfg.ShardConfig.MaxSessions = proxy.DefaultMaxSessions
 	}
-	migSeed := cfg.MigrationSeed
-	if migSeed == nil {
-		migSeed = cfg.ShardConfig.PlatformSeed
-	}
+	migSeed := cfg.ShardConfig.PlatformSeed
 	if migSeed == nil {
 		migSeed = make([]byte, 32)
 		if _, err := rand.Read(migSeed); err != nil {
@@ -218,23 +202,14 @@ func New(cfg Config) (*Gateway, error) {
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
-	// Event-log settings can arrive on the fleet Config directly or ride
-	// the shard template (WithEventLog applied through WithShardConfig);
-	// either way the fleet owns ONE shared ring injected into every shard.
-	logSize := cfg.EventLogSize
-	if logSize == 0 {
-		logSize = cfg.ShardConfig.EventLogSize
-	}
-	stream := cfg.EventStream
-	if stream == nil {
-		stream = cfg.ShardConfig.EventStream
-	}
-	if cfg.ShardConfig.Observability || logSize > 0 || stream != nil {
+	// The event-log settings ride the shard template; the fleet owns ONE
+	// ring built from them and injects it into every shard.
+	if sc := cfg.ShardConfig; sc.Observability || sc.EventLogSize > 0 || sc.EventStream != nil {
 		var opts []obs.LogOption
-		if stream != nil {
-			opts = append(opts, obs.WithStream(stream))
+		if sc.EventStream != nil {
+			opts = append(opts, obs.WithStream(sc.EventStream))
 		}
-		g.events = obs.NewLog(logSize, opts...)
+		g.events = obs.NewLog(sc.EventLogSize, opts...)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := g.buildShard(i)
@@ -275,7 +250,7 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 	}
 	// Every shard writes into the fleet-shared event ring under its stable
 	// index, so breaker events interleave with the gateway's drain, kill
-	// and failover events in one causally-ordered stream. The proxy only
+	// and shard-death events in one causally-ordered stream. The proxy only
 	// builds a private log when it is handed none.
 	sc.EventLog = g.events
 	sc.EventShard = idx
@@ -284,7 +259,7 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &shard{index: idx, name: fmt.Sprintf("shard-%d", idx), proxy: p, bound: int64(sc.MaxSessions)}
+	sh := &shard{index: idx, proxy: p, bound: int64(sc.MaxSessions)}
 	sh.alive.Store(true)
 	return sh, nil
 }
@@ -409,14 +384,15 @@ type DrainReport struct {
 // Drain retires shard i in an orderly way: stop routing new work to it,
 // seal its privacy state (history window and answer index) inside its
 // enclave as one blob, hand the opaque blob to the successor shard (the
-// drained shard's next-highest HRW rank among available shards), merge it
-// there, then destroy the drained enclave. The merge is all or nothing and
-// single-use, so a drain that returns an error has moved nothing and may
-// be retried. The shard stays in the ring, dead. The departing shard's
-// established sessions keep being served until the final destroy; the few
-// queries they add after the snapshot fall outside the migrated window,
-// the same bounded loss as the sliding window's own FIFO eviction. Their
-// brokers then re-attest onto live shards. Drains run one at a time.
+// one pick names once shard i is draining: the least-loaded other
+// available shard), merge it there, then destroy the drained enclave. The
+// merge is all or nothing and single-use, so a drain that returns an error
+// has moved nothing and may be retried. The shard stays in the ring, dead.
+// The departing shard's established sessions keep being served until the
+// final destroy; the few queries they add after the snapshot fall outside
+// the migrated window, the same bounded loss as the sliding window's own
+// FIFO eviction. Their brokers then re-attest onto live shards. Drains run
+// one at a time, so a successor is never itself mid-drain.
 func (g *Gateway) Drain(ctx context.Context, i int) (*DrainReport, error) {
 	sh := g.shardByIndex(i)
 	if sh == nil {
@@ -428,7 +404,7 @@ func (g *Gateway) Drain(ctx context.Context, i int) (*DrainReport, error) {
 		return nil, fmt.Errorf("fleet: shard %d is dead; drain needs a live shard", i)
 	}
 	sh.draining.Store(true)
-	succ := g.successor(sh)
+	succ := g.pick() // never sh: a draining shard is not available
 	if succ == nil {
 		sh.draining.Store(false)
 		return nil, fmt.Errorf("fleet: no live successor for shard %d: %w", i, ErrNoLiveShard)
@@ -460,19 +436,6 @@ func (g *Gateway) Drain(ctx context.Context, i int) (*DrainReport, error) {
 		MigratedIndexBytes: rep.IndexBytes,
 		SessionsLost:       lost,
 	}, nil
-}
-
-// successor picks the shard that inherits a draining shard's history: the
-// top-ranked available shard under the drained shard's own HRW key, so
-// repeated drains of the same shard name always pick the same inheritor
-// while the rest of the fleet re-ranks automatically as shards die.
-func (g *Gateway) successor(sh *shard) *shard {
-	for _, cand := range g.rank("drain:" + sh.name) {
-		if cand.index != sh.index && cand.available() {
-			return cand
-		}
-	}
-	return nil
 }
 
 // Shutdown stops the health loop and HTTP front and destroys every live

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,32 +39,52 @@ func echoFleet(t testing.TB, shards int, healthInterval time.Duration) *Gateway 
 // Every Config field is a knob someone must understand, set and test; as
 // with proxy.Config, raising this number is an explicit edit.
 func TestFleetConfigFieldBudget(t *testing.T) {
-	const budget = 6
+	const budget = 3
 	if n := reflect.TypeOf(Config{}).NumField(); n > budget {
 		t.Fatalf("fleet.Config has %d fields, budget %d", n, budget)
 	}
 }
 
-func TestHRWRoutingIsDeterministicAndSpreads(t *testing.T) {
+// TestHandshakesSpreadEvenly: a new session goes to the available shard
+// with the fewest minted sessions, the lowest index on a tie, so
+// handshakes fill the ring evenly and a dead shard takes none.
+func TestHandshakesSpreadEvenly(t *testing.T) {
 	g := echoFleet(t, 4, time.Hour)
-	seen := make(map[int]int)
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("offer %d", i)
-		first := g.rank(key)[0].index
-		for rep := 0; rep < 3; rep++ {
-			if got := g.rank(key)[0].index; got != first {
-				t.Fatalf("key %q ranked shard %d then %d", key, first, got)
-			}
+	minted := func() []int64 {
+		var out []int64
+		for _, sh := range g.shards {
+			out = append(out, sh.minted.Load())
 		}
-		seen[first]++
+		return out
 	}
-	if len(seen) != 4 {
-		t.Fatalf("64 keys landed on only %d of 4 shards: %v", len(seen), seen)
+	if session, _ := gatewayHandshake(t, g); !strings.HasPrefix(session, "0.") {
+		t.Fatalf("first handshake on a fresh fleet got %q, want shard 0 (the tie rule)", session)
+	}
+	for i := 1; i < 40; i++ {
+		gatewayHandshake(t, g)
+	}
+	if got := minted(); !reflect.DeepEqual(got, []int64{10, 10, 10, 10}) {
+		t.Fatalf("40 handshakes spread %v, want 10 on each shard", got)
+	}
+	if err := g.Kill(context.Background(), 2); err != nil {
+		t.Fatalf("Kill: %v", err)
+	}
+	for i := 0; i < 30; i++ {
+		session, _ := gatewayHandshake(t, g)
+		if shard, ok := g.ShardOf(session); !ok || shard == 2 {
+			t.Fatalf("post-kill handshake %d landed on shard %d (%t)", i, shard, ok)
+		}
+	}
+	if got := minted(); !reflect.DeepEqual(got, []int64{20, 20, 10, 20}) {
+		t.Fatalf("30 more handshakes with shard 2 dead spread %v, want 20 on each live shard", got)
+	}
+	if st := g.Stats(); st.Errors != 0 {
+		t.Fatalf("no handshake should have failed, got %d errors", st.Errors)
 	}
 }
 
-// A handshake whose HRW shard is dead fails over down the rank order: every
-// one still lands, on a live shard, and the walk past the dead one counts.
+// A killed shard takes no new session: every handshake still lands, on the
+// live shard the pick named.
 func TestHandshakesFailOverOnShardKill(t *testing.T) {
 	g := echoFleet(t, 4, time.Hour) // health loop effectively off
 	ctx := context.Background()
@@ -73,19 +94,15 @@ func TestHandshakesFailOverOnShardKill(t *testing.T) {
 	if err := g.Kill(ctx, 2); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
-	// Every handshake must still succeed; the ones whose HRW shard was
-	// killed fail over to their next-ranked live shard.
+	// Every handshake must still succeed, on a live shard: the one picked.
 	for i := 0; i < 40; i++ {
 		session, preferred := gatewayHandshake(t, g)
 		shard, ok := g.ShardOf(session)
 		if !ok || shard == 2 || (preferred != 2 && shard != preferred) {
-			t.Fatalf("post-kill handshake %d landed on shard %d (%t), ranked first %d", i, shard, ok, preferred)
+			t.Fatalf("post-kill handshake %d landed on shard %d (%t), picked %d", i, shard, ok, preferred)
 		}
 	}
 	st := g.Stats()
-	if st.Failovers == 0 {
-		t.Fatalf("expected failovers after killing a shard, stats: %+v", st)
-	}
 	if st.Errors != 0 {
 		t.Fatalf("no request should have failed, got %d errors", st.Errors)
 	}
@@ -117,6 +134,24 @@ func TestDrainNeedsALiveSuccessor(t *testing.T) {
 	}
 	if !g.shards[0].available() {
 		t.Fatal("failed drain must leave the shard available")
+	}
+}
+
+// TestDrainSuccessorIsTheLeastLoadedShard: a drain's successor is the
+// pick a new session would get once the drained shard stops taking work —
+// the fewest minted sessions, not the lowest index, with the lowest index
+// only breaking the tie between shards 2 and 3.
+func TestDrainSuccessorIsTheLeastLoadedShard(t *testing.T) {
+	g := echoFleet(t, 4, time.Hour)
+	for i, n := range []int64{3, 2, 1, 1} {
+		g.shards[i].minted.Store(n)
+	}
+	rep, err := g.Drain(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if rep.Successor != 2 {
+		t.Fatalf("successor = %d, want 2 (fewest minted, lowest index of the tie)", rep.Successor)
 	}
 }
 
@@ -188,9 +223,9 @@ func TestFleetPassesPipelineConfigAndMergesGauges(t *testing.T) {
 }
 
 // TestBrokerSessionsSurviveShardKill runs the attested client path end to
-// end through the gateway: brokers handshake onto HRW-pinned shards, a
-// shard is killed, and every broker keeps working because session loss
-// makes it re-attest onto a live shard.
+// end through the gateway: brokers handshake onto the shards the gateway
+// picks, a shard is killed, and every broker keeps working because session
+// loss makes it re-attest onto a live shard.
 func TestBrokerSessionsSurviveShardKill(t *testing.T) {
 	engine := searchengine.NewEngine(searchengine.WithCorpus(
 		searchengine.GenerateCorpus(searchengine.CorpusConfig{DocsPerTopic: 10, Seed: 1})))
@@ -227,7 +262,7 @@ func TestBrokerSessionsSurviveShardKill(t *testing.T) {
 
 	ctx := context.Background()
 	// Keep connecting brokers until both shards hold at least one session
-	// (offers are random, so placement is random but quickly covers both).
+	// (the pick alternates them, so two brokers cover both).
 	var brokers []*broker.Broker
 	shardsCovered := func() bool {
 		st := g.Stats()

@@ -2,62 +2,17 @@ package fleet
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"xsearch/internal/obs"
 	"xsearch/internal/proxy"
 	"xsearch/internal/serve"
 )
-
-// --- rendezvous (HRW) routing ---
-
-// hrwScore ranks one shard for one routing key. Rendezvous hashing gives
-// every (key, shard) pair an independent score; the key routes to its
-// highest-scoring live shard, and when that shard dies the key falls to
-// its next-highest — only the dead shard's keys move, with no ring state
-// to rebalance.
-func hrwScore(key, node string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(node))
-	return h.Sum64()
-}
-
-// rank returns every shard ordered by descending HRW score for key: the
-// preferred shard first, the failover candidates after. Callers still gate
-// each candidate on availability.
-func (g *Gateway) rank(key string) []*shard {
-	out := slices.Clone(g.shards)
-	if len(out) == 1 {
-		return out
-	}
-	score := make(map[*shard]uint64, len(out))
-	for _, sh := range out {
-		score[sh] = hrwScore(key, sh.name)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return score[out[i]] > score[out[j]] })
-	return out
-}
-
-// sessionKey derives the HRW routing key of a new session from the
-// client's channel offer — the one stable public value a session has
-// before the enclave mints its ID. Hashing it (rather than using it raw)
-// keeps key length bounded.
-func sessionKey(offer json.RawMessage) string {
-	sum := sha256.Sum256(offer)
-	return "session:" + string(sum[:])
-}
 
 // --- session ids ---
 
@@ -87,61 +42,45 @@ func (g *Gateway) ShardOf(session string) (int, bool) {
 
 // --- request routing ---
 
-// route is Handshake's failover walk: it tries call on key's HRW shards
-// in rank order, skipping unavailable ones. A
-// failure on a shard that is still healthy is the request's own (engine
-// down, bad query) and is returned as is — retrying siblings would only
-// multiply it; a shard that turns out dead is retired and the walk goes on.
-// A request counts as failed-over exactly once: the moment it first routes
-// past (or retries off) a shard that is not merely draining. The event
-// carries only the avoided shard's index — never the key.
-func (g *Gateway) route(key string, call func(*shard) error) error {
-	lastErr := ErrNoLiveShard
-	deviated := false
-	deviate := func(sh *shard) {
-		if !deviated {
-			deviated = true
-			g.failovers.Add(1)
-			g.events.Append(obs.Event{Type: obs.EvFailover, Shard: sh.index})
+// pick names the shard a new session goes to, and a drain's successor: the
+// available shard with the fewest sessions the gateway minted, the lowest
+// index on a tie, or nil when no shard is available. It reads minted, not
+// sessions(): that count is capped at the enclave table's bound, so once
+// every shard reached it all would tie and shard 0 would take every new
+// session. Proxy.ServeQuery's in-process sessions are not minted here, so
+// the pick does not see them.
+func (g *Gateway) pick() *shard {
+	var best *shard
+	for _, sh := range g.shards {
+		if sh.available() && (best == nil || sh.minted.Load() < best.minted.Load()) {
+			best = sh
 		}
 	}
-	for _, sh := range g.rank(key) {
-		if !sh.available() {
-			if !sh.draining.Load() {
-				deviate(sh)
-			}
-			continue
-		}
-		err := call(sh)
+	return best
+}
+
+// Handshake establishes an attested session on the picked shard and hands
+// the broker a session id that names it. A failure on a shard that is
+// still healthy is the handshake's own and is returned as is; a shard that
+// turns out dead is retired and the next pick is tried, so each pass
+// retires one shard and the loop ends.
+func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*proxy.HandshakeResponse, error) {
+	g.handshakes.Add(1)
+	for sh := g.pick(); sh != nil; sh = g.pick() {
+		resp, err := sh.proxy.Handshake(ctx, offer, nonce)
 		if err == nil {
-			return nil
+			resp.Session = strconv.Itoa(sh.index) + "." + resp.Session
+			sh.minted.Add(1)
+			return resp, nil
 		}
 		if sh.proxy.Healthy() {
 			g.gwErrors.Add(1)
-			return err
+			return nil, err
 		}
-		lastErr = err
 		g.noteDead(sh)
-		deviate(sh)
 	}
 	g.gwErrors.Add(1)
-	return lastErr
-}
-
-// Handshake establishes an attested session on the offer's HRW shard,
-// failing over down the rank order if the preferred shard is dead, and
-// hands the broker a session id that names the shard.
-func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*proxy.HandshakeResponse, error) {
-	g.handshakes.Add(1)
-	var resp *proxy.HandshakeResponse
-	err := g.route(sessionKey(offer), func(sh *shard) (err error) {
-		if resp, err = sh.proxy.Handshake(ctx, offer, nonce); err == nil {
-			resp.Session = strconv.Itoa(sh.index) + "." + resp.Session
-			sh.minted.Add(1)
-		}
-		return err
-	})
-	return resp, err
+	return nil, ErrNoLiveShard
 }
 
 // Secure forwards one sealed record to the shard its session id names,

@@ -265,11 +265,12 @@ func TestDrainKeepsObfuscationEffective(t *testing.T) {
 	}
 }
 
-// TestConcurrentDrainsConserveHistory drains two shards of a three-shard
-// fleet at once, where each is the other's successor. Drains run one at a
-// time, so neither can merge its window into a shard that is itself being
-// handed on: every history entry the fleet held before ends up on the one
-// survivor.
+// TestConcurrentDrainsConserveHistory drains shards 0 and 1 of a
+// three-shard fleet at once. With equal minted counts each is the other's
+// successor, so whichever drain runs first hands its window to the other
+// drained shard. Drains run one at a time, so the second drain hands that
+// merged window on to the survivor instead of racing the merge: every
+// history entry the fleet held before ends up on shard 2.
 func TestConcurrentDrainsConserveHistory(t *testing.T) {
 	trials := 50
 	if testing.Short() {
@@ -277,8 +278,13 @@ func TestConcurrentDrainsConserveHistory(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		g := echoFleet(t, 3, time.Hour)
-		if g.successor(g.shards[0]).index != 2 || g.successor(g.shards[2]).index != 0 {
-			t.Fatal("HRW drain ranks changed: the test needs shards 0 and 2 to succeed each other")
+		for _, pair := range [][2]int{{0, 1}, {1, 0}} {
+			g.shards[pair[0]].draining.Store(true)
+			succ := g.pick()
+			g.shards[pair[0]].draining.Store(false)
+			if succ != g.shards[pair[1]] {
+				t.Fatalf("draining shard %d picks shard %d: the test needs shards 0 and 1 to succeed each other", pair[0], succ.index)
+			}
 		}
 		ctx := context.Background()
 		fillNumbered(t, g, 300, "trial %d fill %d", trial)
@@ -289,7 +295,7 @@ func TestConcurrentDrainsConserveHistory(t *testing.T) {
 
 		start := make(chan struct{})
 		errs := make(chan error, 2)
-		for _, i := range []int{0, 2} {
+		for _, i := range []int{0, 1} {
 			go func() {
 				<-start
 				_, err := g.Drain(ctx, i)
@@ -355,8 +361,9 @@ func TestDrainRetryMergesOnce(t *testing.T) {
 			g := echoFleet(t, 3, time.Hour)
 			ctx := context.Background()
 			fillNumbered(t, g, 300, "retried drain fill %d")
-			const drained = 0
-			succ := g.successor(g.shards[drained]).index
+			// Every minted count is 0, so the pick's tie rule names the
+			// lowest other index.
+			const drained, succ = 0, 1
 			pre := g.Stats()
 			own, moved := pre.Shards[succ].Proxy.HistoryLen, pre.Shards[drained].Proxy.HistoryLen
 

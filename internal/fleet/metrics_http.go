@@ -39,7 +39,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("xsearch_fleet_sessions_active", "Sessions the live shards' enclave tables hold.", float64(s.SessionsActive))
 	pw.Counter("xsearch_fleet_secure_routed_total", "Secure records routed.", float64(s.SecureRouted))
 	pw.Counter("xsearch_fleet_handshakes_total", "Attested handshakes routed.", float64(s.Handshakes))
-	pw.Counter("xsearch_fleet_failovers_total", "Requests re-routed past an unavailable shard.", float64(s.Failovers))
 	pw.Counter("xsearch_fleet_sessions_lost_total", "Sessions lost with their shard.", float64(s.SessionsLost))
 	pw.Counter("xsearch_fleet_errors_total", "Requests the gateway answered with an error.", float64(s.Errors))
 	pw.Counter("xsearch_fleet_drains_total", "Completed sealed drain handoffs.", float64(s.Drains))

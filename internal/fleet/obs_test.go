@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +153,76 @@ func TestGatewayMetricsEndpointMergedAndPerShard(t *testing.T) {
 	}
 }
 
+// TestShardTemplateEventRingIsShared: event-log settings on the shard
+// template alone give the gateway and every shard one ring of the
+// template's size, mirrored to the template's stream.
+func TestShardTemplateEventRingIsShared(t *testing.T) {
+	var stream bytes.Buffer // written under the ring's lock only
+	g, err := New(Config{
+		Shards: 6,
+		ShardConfig: proxy.Config{
+			K: 2, EchoMode: true, Seed: 5, EventLogSize: 8, EventStream: &stream,
+		},
+		HealthInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { _ = g.Shutdown(context.Background()) })
+	if g.Events() == nil {
+		t.Fatal("template event-log settings built no fleet ring")
+	}
+	for _, sh := range g.shards {
+		if sh.proxy.Events() != g.Events() {
+			t.Fatalf("shard %d appends to its own ring, not the gateway's", sh.index)
+		}
+	}
+
+	// Four kills and the health probe's four deaths fill the ring of 8;
+	// the drain's event pushes the first kill out.
+	ctx := context.Background()
+	for i := 1; i <= 4; i++ {
+		if err := g.Kill(ctx, i); err != nil {
+			t.Fatalf("Kill %d: %v", i, err)
+		}
+	}
+	count := func(typ string) (n int) {
+		for _, ev := range g.Events().Snapshot() {
+			if ev.Type == typ {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(2 * time.Second); count(obs.EvShardDead) < 4; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("health probe noted %d of 4 deaths", count(obs.EvShardDead))
+		}
+	}
+	if _, err := g.Drain(ctx, 0); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+
+	ring := g.Events().Snapshot()
+	if len(ring) != 8 || ring[0].Seq != 2 || ring[7].Type != obs.EvDrain {
+		t.Fatalf("ring holds %+v, want the last 8 of 9 events, ending in the drain", ring)
+	}
+	types := map[string]int{}
+	dec := json.NewDecoder(&stream)
+	for {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("stream is not JSON lines: %v", err)
+		}
+		types[ev.Type]++
+	}
+	if want := map[string]int{obs.EvKill: 4, obs.EvShardDead: 4, obs.EvDrain: 1}; !reflect.DeepEqual(types, want) {
+		t.Fatalf("stream carried %v, want %v", types, want)
+	}
+}
+
 func TestFleetEventsCaptureLifecycle(t *testing.T) {
 	// A fast health probe so the gateway formally notes the killed
 	// shard's death (EvShardDead) — the handshake path only routes around
@@ -178,7 +250,7 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 	if err := g.Kill(ctx, 1); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
-	// Handshakes that ranked the dead shard first fail over.
+	// Handshakes go to the live shards only.
 	for i := 0; i < 30; i++ {
 		gatewayHandshake(t, g)
 	}
@@ -210,7 +282,7 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 		types[ev.Type]++
 	}
 	for _, want := range []string{
-		obs.EvKill, obs.EvShardDead, obs.EvFailover, obs.EvDrain,
+		obs.EvKill, obs.EvShardDead, obs.EvDrain,
 	} {
 		if types[want] == 0 {
 			t.Errorf("event log missing %q; saw %v", want, types)
@@ -235,6 +307,6 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 		t.Fatalf("/events decode: %v", err)
 	}
 	if len(evs) == 0 {
-		t.Error("/events empty after kill/failover/drain events")
+		t.Error("/events empty after kill/drain events")
 	}
 }

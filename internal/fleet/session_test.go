@@ -15,7 +15,7 @@ import (
 
 // gatewayHandshake opens one session through g as a broker would — a fresh
 // client offer — and returns the session id the gateway handed out with
-// the shard the offer ranks first.
+// the shard pick named just before the call.
 func gatewayHandshake(t *testing.T, g *Gateway) (session string, preferred int) {
 	t.Helper()
 	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
@@ -26,11 +26,12 @@ func gatewayHandshake(t *testing.T, g *Gateway) (session string, preferred int) 
 	if err != nil {
 		t.Fatalf("offer: %v", err)
 	}
+	picked := g.pick()
 	resp, err := g.Handshake(context.Background(), offer, make([]byte, 16))
 	if err != nil {
 		t.Fatalf("Handshake: %v", err)
 	}
-	return resp.Session, g.rank(sessionKey(offer))[0].index
+	return resp.Session, picked.index
 }
 
 func shardSessions(g *Gateway) []int {

@@ -31,13 +31,11 @@ type Stats struct {
 	SessionsActive int `json:"sessions_active"`
 
 	// Gateway routing counters. SecureRouted/Handshakes count requests
-	// entering each route; Failovers counts requests re-routed
-	// past a dead shard; SessionsLost counts the sessions a shard held when
-	// the gateway saw it die or drained it; Errors counts requests the
+	// entering each route; SessionsLost counts the sessions a shard held
+	// when the gateway saw it die or drained it; Errors counts requests the
 	// gateway answered with an error.
 	SecureRouted uint64 `json:"secure_routed"`
 	Handshakes   uint64 `json:"handshakes"`
-	Failovers    uint64 `json:"failovers"`
 	SessionsLost uint64 `json:"sessions_lost"`
 	Errors       uint64 `json:"errors"`
 	// Drain bookkeeping: completed drains and what their sealed handoffs
@@ -68,7 +66,6 @@ func (g *Gateway) Stats() Stats {
 	s := Stats{
 		SecureRouted:    g.secureRouted.Load(),
 		Handshakes:      g.handshakes.Load(),
-		Failovers:       g.failovers.Load(),
 		SessionsLost:    g.sessionsLost.Load(),
 		Errors:          g.gwErrors.Load(),
 		Drains:          g.drains.Load(),

@@ -17,9 +17,6 @@ const (
 	// EvShardDead is the gateway discovering a shard death (health probe
 	// or request-path failure).
 	EvShardDead = "shard_dead"
-	// EvFailover is new work deviating from its ranked shard to the next
-	// live one.
-	EvFailover = "failover"
 	// EvBreakerOpen and EvBreakerClose are upstream circuit-breaker
 	// transitions (the upstream host is already host-visible: the
 	// untrusted runtime dials it).

@@ -113,7 +113,7 @@ func TestLogConcurrentAppendSnapshot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.Append(Event{Type: EvFailover, Shard: w})
+				l.Append(Event{Type: EvKill, Shard: w})
 				if i%17 == 0 {
 					snap := l.Snapshot()
 					for j := 1; j < len(snap); j++ {

@@ -353,15 +353,11 @@ func New(cfg Config) (*Proxy, error) {
 	case cfg.EventLog != nil:
 		trusted.events = cfg.EventLog
 	case cfg.Observability || cfg.EventLogSize > 0 || cfg.EventStream != nil:
-		size := cfg.EventLogSize
-		if size == 0 {
-			size = obs.DefaultLogCapacity
-		}
 		var lopts []obs.LogOption
 		if cfg.EventStream != nil {
 			lopts = append(lopts, obs.WithStream(cfg.EventStream))
 		}
-		trusted.events = obs.NewLog(size, lopts...)
+		trusted.events = obs.NewLog(cfg.EventLogSize, lopts...)
 	}
 	if !cfg.EchoMode {
 		registry, err := buildRegistry(engines, &cfg)
@@ -663,11 +659,11 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 		// Cancel in-flight fetches BEFORE stopping the resume workers:
 		// stragglers past the drain deadline then flow through the resume
 		// ecall's cancelled-completion path and finalize with a definitive
-		// reply (the closed step handler cancels their failovers too) instead
-		// of parking until the stop signal. The bounded re-drain gives
-		// those cancelled completions time to traverse the rings — without
-		// it, close(stop) races the completion and the straggler usually
-		// gets the generic stop error instead.
+		// reply (the closed step handler cancels their retries on other
+		// upstreams too) instead of parking until the stop signal. The
+		// bounded re-drain gives those cancelled completions time to
+		// traverse the rings — without it, close(stop) races the completion
+		// and the straggler usually gets the generic stop error instead.
 		p.conns.closeAll()
 		grace, cancel := context.WithTimeout(context.Background(), stragglerGrace)
 		_ = p.pipeline.drain(grace)

@@ -189,23 +189,6 @@ func WithLocalIndex(maxBytes int64, ttl time.Duration, minScore float64) ProxyOp
 	})
 }
 
-// ObsOption configures the privacy-safe observability layer. It is both
-// a ProxyOption and a FleetOption: on a Proxy it configures that node,
-// on a Fleet it configures every shard plus the gateway's fleet-shared
-// event log and merged /metrics.
-type ObsOption interface {
-	ProxyOption
-	FleetOption
-}
-
-type obsOption struct {
-	proxy func(*proxy.Config)
-	fleet func(*fleet.Config)
-}
-
-func (o obsOption) applyProxy(c *proxy.Config) { o.proxy(c) }
-func (o obsOption) applyFleet(c *fleet.Config) { o.fleet(c) }
-
 // WithObservability enables the full observability layer: trusted-side
 // per-stage latency histograms (admit → obfuscate → probe → submit →
 // fetch → resume → filter → reply) exported only as aggregates on
@@ -215,37 +198,27 @@ func (o obsOption) applyFleet(c *fleet.Config) { o.fleet(c) }
 // construction — no query or result text ever reaches a metric or event,
 // and every label value comes from a closed set — so the host-visible
 // surface gains no re-identification signal (the SimAttack adversary
-// learns nothing new). On a Fleet, the gateway additionally serves a
-// fleet-merged /metrics (per-shard series labelled by shard index,
-// ?shard=N to narrow) and one shared /events stream.
-func WithObservability() ObsOption {
-	return obsOption{
-		proxy: func(c *proxy.Config) { c.Observability = true },
-		fleet: func(c *fleet.Config) { c.ShardConfig.Observability = true },
-	}
+// learns nothing new). On a Fleet it rides WithShardConfig like every
+// other per-shard option; the gateway then also serves a fleet-merged
+// /metrics (per-shard series labelled by shard index, ?shard=N to narrow)
+// and one shared /events stream.
+func WithObservability() ProxyOption {
+	return proxyOptionFunc(func(c *proxy.Config) { c.Observability = true })
 }
 
 // WithEventLog sizes the structured event ring (size <= 0 keeps the
 // default, 1024) and, when stream is non-nil, mirrors every event to it
 // as one JSON object per line (the -log-json stderr stream). Enables
 // event logging by itself; combine with WithObservability for stage
-// tracing and pprof too. On a Fleet the ring and stream are shared by
-// the gateway and every shard.
-func WithEventLog(size int, stream io.Writer) ObsOption {
-	return obsOption{
-		proxy: func(c *proxy.Config) {
-			if size > 0 {
-				c.EventLogSize = size
-			}
-			c.EventStream = stream
-		},
-		fleet: func(c *fleet.Config) {
-			if size > 0 {
-				c.EventLogSize = size
-			}
-			c.EventStream = stream
-		},
-	}
+// tracing and pprof too. On a Fleet it rides WithShardConfig, and the
+// ring and stream are shared by the gateway and every shard.
+func WithEventLog(size int, stream io.Writer) ProxyOption {
+	return proxyOptionFunc(func(c *proxy.Config) {
+		if size > 0 {
+			c.EventLogSize = size
+		}
+		c.EventStream = stream
+	})
 }
 
 // NewProxy builds the enclave-hosted proxy.
@@ -294,11 +267,11 @@ func (p *Proxy) Stats() Stats { return p.inner.Stats() }
 
 // --- Fleet ---
 
-// Fleet is a gateway fronting N independent proxy-enclave shards: client
-// sessions are pinned to shards by rendezvous hashing (each user's
-// obfuscation always draws from the same in-enclave history window), dead
-// shards fail over to the next-ranked live one, and a planned Drain hands
-// a shard's history to its successor as a sealed blob. Its client edge is a
+// Fleet is a gateway fronting N independent proxy-enclave shards: each
+// client session is opened on the live shard with the fewest sessions and
+// stays there (its obfuscation always draws from that shard's in-enclave
+// history window), sessions on a dead shard re-attest onto live ones, and a
+// planned Drain hands a shard's history to its successor as a sealed blob. Its client edge is a
 // single Proxy's (POST /handshake, POST /secure), so brokers point at a
 // fleet unchanged.
 type Fleet struct {
@@ -404,7 +377,8 @@ func (f *Fleet) AttestationKey() ed25519.PublicKey {
 func (f *Fleet) Stats() FleetStats { return f.inner.Stats() }
 
 // KillShard simulates shard i crashing: its enclave is destroyed with no
-// drain; the gateway discovers the death and fails over.
+// drain; the gateway opens no new session on it, and its sessions'
+// brokers re-attest onto live shards.
 func (f *Fleet) KillShard(ctx context.Context, i int) error { return f.inner.Kill(ctx, i) }
 
 // DrainShard removes shard i in an orderly way, migrating its history
@@ -581,7 +555,6 @@ type LoggedQuery struct {
 // Verify interface compliance of option implementations.
 var (
 	_ ProxyOption  = proxyOptionFunc(nil)
-	_ ObsOption    = obsOption{}
 	_ ClientOption = clientOptionFunc(nil)
 	_ EngineOption = engineOptionFunc(nil)
 	_ FleetOption  = fleetOptionFunc(nil)
