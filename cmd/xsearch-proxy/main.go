@@ -75,7 +75,6 @@ func run() error {
 		pipeDepth   = flag.Int("pipeline-depth", 0, "concurrently staged requests in the async pipeline (0=default 64)")
 		fetchWait   = flag.Duration("fetch-timeout", 0, "deadline over one whole engine fetch, blocking or async: a hung upstream fails (and counts against its breaker) after this (0=off)")
 		batchMax    = flag.Int("batch-max", 0, "coalesce up to this many admitted requests into one vectorized ecall (0=off, min 2; needs -async)")
-		batchWindow = flag.Duration("batch-window", 0, "how long a partially filled batch waits for more requests (0=default 200µs; needs -batch-max)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: drain in-flight requests this long before destroying enclaves")
 		muxListen   = flag.String("mux-listen", "", "multiplexed client edge: raw-TCP listen address for brokers' sealed calls (xsearch-broker -transport mux -mux-addr; needs -shards)")
 		obsOn       = flag.Bool("obs", false, "observability: per-stage latency histograms, Prometheus /metrics, /events ring, pprof (content-free telemetry)")
@@ -112,14 +111,8 @@ func run() error {
 	if *fetchWait > 0 {
 		opts = append(opts, xsearch.WithFetchTimeout(*fetchWait))
 	}
-	if *batchMax != 0 && !*asyncOcalls {
-		return fmt.Errorf("-batch-max requires -async")
-	}
-	if *batchWindow != 0 && *batchMax == 0 {
-		return fmt.Errorf("-batch-window has no effect without -batch-max")
-	}
 	if *batchMax != 0 {
-		opts = append(opts, xsearch.WithBatching(*batchMax, *batchWindow))
+		opts = append(opts, xsearch.WithBatching(*batchMax))
 	}
 	if *obsOn {
 		opts = append(opts, xsearch.WithObservability())

@@ -176,22 +176,19 @@
 // "request" and "resume" — and with transitions priced (EENTER/EEXIT
 // cost) that fixed tax bounds throughput regardless of TCS count.
 // WithBatching adds group commit at the ecall seam: admitted requests
-// queue briefly in front of a single batcher goroutine that coalesces up
-// to BatchMax of them into one "request-batch" ecall — one obfuscator
-// pass drawing noise for the whole batch, one EPC settlement, one
-// pending-table critical section, one ring submission burst — and the
-// resume workers carry up to BatchMax ready completions per "resume",
-// dividing the transition tax by the batch occupancy. The policy is
-// adaptive and the hold has to earn itself: a genuinely idle proxy (sole
-// request in flight) submits immediately, requests found queued together
-// are held up to BatchWindow for the batch to fill, and a lone request
-// with others admitted is held only while the previous such hold
-// actually collected a companion — a few callers parked at a slow engine
-// are not a batch about to form, and stop paying the window after one
-// empty one. Under real load batching improves latency as well as
-// throughput, because requests stop queueing behind other requests'
-// transition spins. Each batch entry parks individually, so failover,
-// coalescing and abandonment work unchanged. The repository benchmark's
+// queue in front of a single batcher goroutine that takes the first of
+// them plus whatever else is already queued, up to BatchMax, into one
+// "request-batch" ecall — one obfuscator pass drawing noise for the whole
+// batch, one EPC settlement, one pending-table critical section, one ring
+// submission burst — and the resume workers carry up to BatchMax ready
+// completions per "resume", dividing the transition tax by the batch
+// occupancy. Nothing is held for company: a lone request crosses at once,
+// and under load the next batch fills while the previous one's ecall
+// runs, so load, not a tuning knob, sets the occupancy. Under real load
+// batching improves latency as well as throughput, because requests stop
+// queueing behind other requests' transition spins. Each batch entry
+// parks individually, so failover, coalescing and abandonment work
+// unchanged. The repository benchmark's
 // `pipeline` workload runs this configuration (async, batched, two TLS
 // engines, 2 TCS).
 //

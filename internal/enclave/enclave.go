@@ -366,18 +366,10 @@ func (e *Enclave) RegisterOCall(name string, h OCallHandler) error {
 }
 
 // ECall enters the enclave through entry point name (EENTER), blocking for
-// a TCS slot. ctx bounds the wait.
+// a TCS slot. ctx bounds the wait. Liveness is checked once the TCS is
+// held, so a call that queued behind a busy TCS never enters an enclave
+// destroyed during its wait.
 func (e *Enclave) ECall(ctx context.Context, name string, arg []byte) ([]byte, error) {
-	e.mu.Lock()
-	if e.destroyed {
-		e.mu.Unlock()
-		return nil, ErrDestroyed
-	}
-	h, ok := e.ecalls[name]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownECall, name)
-	}
 	// An already-cancelled context never enters, even if a TCS is free.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("enclave: context: %w", err)
@@ -388,6 +380,16 @@ func (e *Enclave) ECall(ctx context.Context, name string, arg []byte) ([]byte, e
 		return nil, fmt.Errorf("enclave: waiting for TCS: %w", ctx.Err())
 	}
 	defer func() { e.tcs <- struct{}{} }()
+	e.mu.Lock()
+	destroyed := e.destroyed
+	h, ok := e.ecalls[name]
+	e.mu.Unlock()
+	if destroyed {
+		return nil, ErrDestroyed
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownECall, name)
+	}
 
 	e.ecallCount.Add(1)
 	e.payTransition() // EENTER

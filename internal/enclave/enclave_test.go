@@ -349,6 +349,42 @@ func TestTCSContextCancel(t *testing.T) {
 	close(block)
 }
 
+// A call queued behind a busy TCS re-checks liveness once it holds the
+// TCS: an enclave destroyed during the wait runs no handler for it.
+func TestQueuedECallNeverEntersDestroyedEnclave(t *testing.T) {
+	p := NewPlatform()
+	b := p.NewBuilder(Config{TCSCount: 1})
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	if err := b.RegisterECall("busy", func(env Env, arg []byte) ([]byte, error) {
+		entered <- struct{}{}
+		<-release
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _, _ = e.ECall(context.Background(), "busy", nil) }()
+	<-entered // the only TCS is held inside
+	queued := make(chan error, 1)
+	go func() {
+		_, err := e.ECall(context.Background(), "busy", nil)
+		queued <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the second call queue for the TCS
+	e.Destroy()
+	close(release)
+	if err := <-queued; !errors.Is(err, ErrDestroyed) {
+		t.Errorf("queued call on a destroyed enclave: err = %v, want ErrDestroyed", err)
+	}
+	if len(entered) != 0 {
+		t.Error("the queued call's handler ran inside a destroyed enclave")
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	p := NewPlatform()
 	b := p.NewBuilder(Config{})

@@ -100,7 +100,8 @@ type shard struct {
 
 	alive    atomic.Bool
 	draining atomic.Bool
-	// minted counts the sessions the gateway's handshakes opened here.
+	// minted counts the sessions the gateway's handshakes opened here,
+	// and those it has reserved here for a handshake in flight.
 	minted atomic.Int64
 	bound  int64 // the enclave session table's size limit
 }
@@ -133,6 +134,8 @@ type Gateway struct {
 
 	// shards is the ring, written once by New and only read after.
 	shards []*shard
+	// pickMu makes a handshake's pick and its minted count one step.
+	pickMu sync.Mutex
 
 	// drainMu serializes drains, so a drain's successor cannot itself be
 	// mid-drain (its window would be handed on before this one merged into

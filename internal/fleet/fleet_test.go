@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"xsearch/internal/enclave"
 	"xsearch/internal/proxy"
 	"xsearch/internal/searchengine"
+	"xsearch/internal/securechannel"
 )
 
 // echoFleet builds a fleet of echo-mode shards (no engine needed) with a
@@ -108,6 +110,103 @@ func TestHandshakesFailOverOnShardKill(t *testing.T) {
 	}
 	if st.AliveShards != 3 {
 		t.Fatalf("AliveShards = %d, want 3", st.AliveShards)
+	}
+}
+
+// slowEchoFleet is echoFleet with one TCS per shard and a priced
+// transition, so a test can hold a handshake inside a shard's enclave.
+func slowEchoFleet(t *testing.T, shards int, transition time.Duration) *Gateway {
+	t.Helper()
+	g, err := New(Config{
+		Shards: shards,
+		ShardConfig: proxy.Config{K: 2, EchoMode: true, Seed: 5,
+			EnclaveConfig: enclave.Config{TCSCount: 1, TransitionCost: transition}},
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { _ = g.Shutdown(context.Background()) })
+	return g
+}
+
+// handshakeAsync runs one gateway handshake with a fresh client offer and
+// delivers the session id it handed out, or the error.
+func handshakeAsync(g *Gateway, out chan<- string, errs chan<- error) {
+	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
+	if err != nil {
+		errs <- err
+		return
+	}
+	offer, err := hs.Offer().Marshal()
+	if err != nil {
+		errs <- err
+		return
+	}
+	resp, err := g.Handshake(context.Background(), offer, make([]byte, 16))
+	if err != nil {
+		errs <- err
+		return
+	}
+	out <- resp.Session
+}
+
+// A shard that dies under a handshake is retired and the next pick is
+// tried, whether the handshake completed inside it (A, already in the
+// enclave at the kill) or failed there (B, queued behind A for the one
+// TCS): neither hands the broker a session on the dead shard.
+func TestHandshakeOnADyingShardMovesToTheNext(t *testing.T) {
+	g := slowEchoFleet(t, 2, 30*time.Millisecond)
+	g.shards[1].minted.Store(5) // both handshakes pick shard 0
+	sessions, errs := make(chan string, 2), make(chan error, 2)
+	shard0 := g.shards[0]
+	spinUntil := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	entered := shard0.proxy.Stats().Enclave.ECalls
+	go handshakeAsync(g, sessions, errs)
+	spinUntil("handshake A inside shard 0", func() bool { return shard0.proxy.Stats().Enclave.ECalls > entered })
+	go handshakeAsync(g, sessions, errs)
+	spinUntil("handshake B's pick of shard 0", func() bool { return shard0.minted.Load() == 2 })
+	if err := g.Kill(context.Background(), 0); err != nil {
+		t.Fatalf("Kill: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case s := <-sessions:
+			if !strings.HasPrefix(s, "1.") {
+				t.Errorf("handshake %d handed out %q, want a session on shard 1", i, s)
+			}
+		case err := <-errs:
+			t.Errorf("handshake %d: %v", i, err)
+		}
+	}
+	if st := g.Stats(); st.Errors != 0 {
+		t.Errorf("gateway errors = %d, want 0", st.Errors)
+	}
+}
+
+// Handshakes in flight together see each other's picks: 8 concurrent
+// handshakes on 4 shards spread 2/2/2/2, as 8 sequential ones would.
+func TestConcurrentHandshakesSpreadLikeSequentialOnes(t *testing.T) {
+	g := slowEchoFleet(t, 4, 20*time.Millisecond)
+	sessions, errs := make(chan string, 8), make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		go handshakeAsync(g, sessions, errs)
+	}
+	for i := 0; i < 8; i++ {
+		select {
+		case <-sessions:
+		case err := <-errs:
+			t.Fatalf("handshake %d: %v", i, err)
+		}
+	}
+	if got := shardSessions(g); !reflect.DeepEqual(got, []int{2, 2, 2, 2}) {
+		t.Fatalf("8 concurrent handshakes spread %v, want 2 on each shard", got)
 	}
 }
 

@@ -59,21 +59,37 @@ func (g *Gateway) pick() *shard {
 	return best
 }
 
-// Handshake establishes an attested session on the picked shard and hands
-// the broker a session id that names it. A failure on a shard that is
-// still healthy is the handshake's own and is returned as is; a shard that
-// turns out dead is retired and the next pick is tried, so each pass
-// retires one shard and the loop ends.
+// reserve picks a new session's shard and counts the session on it in one
+// step, so handshakes in flight together see each other's picks and spread
+// like sequential ones. A handshake that does not hand its session out
+// takes the count back.
+func (g *Gateway) reserve() *shard {
+	g.pickMu.Lock()
+	defer g.pickMu.Unlock()
+	sh := g.pick()
+	if sh != nil {
+		sh.minted.Add(1)
+	}
+	return sh
+}
+
+// Handshake establishes an attested session on the reserved shard and
+// hands the broker a session id that names it. A shard that turns out dead
+// once the call returns, whether the handshake failed or completed, is
+// retired and the next pick is tried, so each pass retires one shard and
+// the loop ends; a failure on a shard that is still healthy is the
+// handshake's own and is returned as is.
 func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*proxy.HandshakeResponse, error) {
 	g.handshakes.Add(1)
-	for sh := g.pick(); sh != nil; sh = g.pick() {
+	for sh := g.reserve(); sh != nil; sh = g.reserve() {
 		resp, err := sh.proxy.Handshake(ctx, offer, nonce)
-		if err == nil {
+		healthy := sh.proxy.Healthy()
+		if healthy && err == nil {
 			resp.Session = strconv.Itoa(sh.index) + "." + resp.Session
-			sh.minted.Add(1)
 			return resp, nil
 		}
-		if sh.proxy.Healthy() {
+		sh.minted.Add(-1)
+		if healthy {
 			g.gwErrors.Add(1)
 			return nil, err
 		}

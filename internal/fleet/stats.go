@@ -9,7 +9,8 @@ type ShardStats struct {
 	Draining bool `json:"draining"`
 	// Sessions counts the sessions the shard's enclave table holds: those
 	// the gateway's handshakes minted on it, capped at the table's bound.
-	// Zero for a dead shard.
+	// A handshake in flight counts from its pick (see reserve). Zero for
+	// a dead shard.
 	Sessions int `json:"sessions"`
 	// Proxy is the shard's full node snapshot (per-shard EPC heap, history
 	// bytes, cache/coalesce/pool gauges, upstream breakdown). Zero for a

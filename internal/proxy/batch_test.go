@@ -100,23 +100,6 @@ func TestBatchConfigValidation(t *testing.T) {
 	{
 		cfg := base()
 		cfg.AsyncOcalls = true
-		cfg.BatchMax = 4
-		cfg.BatchWindow = -time.Millisecond
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "BatchWindow") {
-			t.Errorf("negative BatchWindow: err = %v, want rejection", err)
-		}
-	}
-	{
-		cfg := base()
-		cfg.AsyncOcalls = true
-		cfg.BatchWindow = time.Millisecond // window without BatchMax
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "BatchWindow") {
-			t.Errorf("BatchWindow without BatchMax: err = %v, want rejection", err)
-		}
-	}
-	{
-		cfg := base()
-		cfg.AsyncOcalls = true
 		cfg.PipelineDepth = 4
 		cfg.BatchMax = 8 // a batch cannot fill past admission
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "BatchMax") {
@@ -148,8 +131,7 @@ func TestBatchConfigValidation(t *testing.T) {
 			t.Errorf("undersized AsyncRingDepth with batching: err = %v, want rejection", err)
 		}
 	}
-	// A coherent batching config builds, defaults the window, and sizes
-	// the rings itself.
+	// A coherent batching config builds and sizes the rings itself.
 	{
 		cfg := base()
 		cfg.Seed = 1
@@ -161,9 +143,6 @@ func TestBatchConfigValidation(t *testing.T) {
 			t.Fatalf("valid batching config rejected: %v", err)
 		}
 		defer p.Crash()
-		if p.cfg.BatchWindow != DefaultBatchWindow {
-			t.Errorf("BatchWindow = %v, want default %v", p.cfg.BatchWindow, DefaultBatchWindow)
-		}
 	}
 }
 
@@ -466,79 +445,48 @@ func TestObfuscateBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// The group-commit window must pay for itself. A lone request whose peers
-// are admitted but parked elsewhere (at a slow engine, not on their way to
-// the batcher) is held for the window once; when that hold comes back
-// empty the batcher stops holding lone requests, until a drain finds two
-// queued together. collect is driven synchronously here, and every phase
-// that must NOT wait runs under a 5 s window, so the wall clock can fail
-// the test only one way.
-func TestBatchWindowMustPayForItself(t *testing.T) {
-	pl := newPipelineRuntime(nil, 8, 8, time.Millisecond)
+// A batch is what is already queued, never more: a lone request comes
+// back alone at once even with peers admitted (parked elsewhere, not on
+// their way to the batcher), and a queue deeper than BatchMax yields one
+// full batch and leaves the rest queued. collect is driven synchronously.
+func TestCollectTakesOnlyQueuedRequests(t *testing.T) {
+	pl := newPipelineRuntime(nil, 8, 8)
 	for i := 0; i < 4; i++ {
 		pl.sem <- struct{}{} // four admitted: this request and three parked peers
 	}
+	start := time.Now()
 	if got := pl.collect(batchItem{}); len(got) != 1 {
-		t.Fatalf("first lone collect returned %d items", len(got))
+		t.Fatalf("lone collect returned %d items, want 1", len(got))
 	}
-	if pl.windowPays {
-		t.Fatal("an empty window left the batcher still expecting companions")
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("lone request held %v for companions that had not arrived", d)
 	}
 
-	immediate := func(what string, want int) {
-		t.Helper()
-		start := time.Now()
-		if got := pl.collect(batchItem{}); len(got) != want {
-			t.Fatalf("%s: %d items, want %d", what, len(got), want)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("%s waited %v of the 5s window", what, d)
-		}
-	}
-	pl.batchWindow = 5 * time.Second
-	immediate("lone request after an empty window", 1)
-
-	// Company in the queue re-arms the bit (and a full batch never waits).
-	for i := 0; i < 7; i++ {
+	pl.batchMax = 2
+	for i := 0; i < 2; i++ {
 		pl.submitQ <- batchItem{}
 	}
-	immediate("full batch", 8)
-	if !pl.windowPays {
-		t.Fatal("a drain that found company did not re-arm the window")
+	if got := pl.collect(batchItem{}); len(got) != 2 {
+		t.Fatalf("collect with 3 queued and BatchMax 2 returned %d items, want 2", len(got))
 	}
-
-	// Re-armed, a lone request is held again — and a companion arriving
-	// inside the window is collected and keeps the bit set.
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		pl.submitQ <- batchItem{}
-	}()
-	pl.batchMax = 2 // so the companion completes the batch and ends the hold
-	immediate("held request joined by a companion", 2)
-	if !pl.windowPays {
-		t.Fatal("a window that collected a companion cleared the bit")
+	if left := len(pl.submitQ); left != 1 {
+		t.Fatalf("%d left queued after a full batch, want 1", left)
 	}
-
-	// A sole request in flight never waits, whatever the bit says.
-	for len(pl.sem) > 1 {
-		<-pl.sem
-	}
-	immediate("idle proxy", 1)
 }
 
 // Whatever is already queued when the batcher turns to the queue crosses
 // in ONE request-batch: N items enqueued before it runs share a crossing
-// (occupancy N) without waiting out the window.
+// (occupancy N).
 func TestQueuedRequestsCrossInOneBatch(t *testing.T) {
 	const n = 4
 	p, err := New(Config{K: 1, Seed: 1, EchoMode: true, AsyncOcalls: true,
-		BatchMax: n, BatchWindow: 5 * time.Second})
+		BatchMax: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Crash()
 	// A second runtime over the same enclave, its batcher not yet started.
-	pl := newPipelineRuntime(p, n, n, 5*time.Second)
+	pl := newPipelineRuntime(p, n, n)
 	defer pl.stopDispatch()
 	channel, session, err := churnClient(p)
 	if err != nil {

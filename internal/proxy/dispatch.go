@@ -53,14 +53,10 @@ type pipelineRuntime struct {
 	// that vectorizes request crossings, and the resume workers drain
 	// completions in batches of the same bound (one at a time when
 	// batching is off). Handshakes and the control ecalls stay
-	// singletons. submitQ is nil when batching is off. windowPays is the
-	// batcher's one bit of feedback (see collect); only the batcher
-	// goroutine touches it.
-	batchMax    int
-	batchWindow time.Duration
-	submitQ     chan batchItem
-	bstats      *batchStats
-	windowPays  bool
+	// singletons. submitQ is nil when batching is off.
+	batchMax int
+	submitQ  chan batchItem
+	bstats   *batchStats
 }
 
 // pendingOutcome is what reaches a waiting request goroutine: its
@@ -90,16 +86,14 @@ func outcomeOf(reply []byte, errstr string) (out pendingOutcome) {
 // overlapping without hogging TCS slots.
 const resumeWorkerCount = 4
 
-func newPipelineRuntime(p *Proxy, depth, batchMax int, batchWindow time.Duration) *pipelineRuntime {
+func newPipelineRuntime(p *Proxy, depth, batchMax int) *pipelineRuntime {
 	pl := &pipelineRuntime{
-		p:           p,
-		depth:       depth,
-		sem:         make(chan struct{}, depth),
-		waiters:     make(map[uint64]chan pendingOutcome),
-		stop:        make(chan struct{}),
-		batchMax:    batchMax,
-		batchWindow: batchWindow,
-		windowPays:  true,
+		p:        p,
+		depth:    depth,
+		sem:      make(chan struct{}, depth),
+		waiters:  make(map[uint64]chan pendingOutcome),
+		stop:     make(chan struct{}),
+		batchMax: batchMax,
 	}
 	if batchMax > 1 {
 		// Buffered to the admission depth: a sender that won admission
@@ -399,62 +393,18 @@ func (pl *pipelineRuntime) batcherLoop() {
 	}
 }
 
-// collect forms one batch around the first queued request: whatever else
-// is already queued is drained opportunistically, and then the batch may
-// be held for up to BatchWindow toward a full one. What the hold waits
-// for is a companion, and it has to have been seen to come:
-//
-//   - two or more drained together are the evidence itself — the batch
-//     is held, and windowPays is set;
-//   - a lone request is held on the strength of the admission gauge
-//     (more requests admitted than collected: concurrency is present even
-//     when the scheduler hands submissions over one at a time) only while
-//     windowPays — while the last such hold actually collected a
-//     companion. One that comes back empty clears the bit, and lone
-//     requests cross immediately until a drain finds company again;
-//   - a genuinely idle proxy (sole request in flight) never waits.
-//
-// Without the bit, admitted-but-elsewhere was taken for about-to-submit:
-// a few closed-loop callers parked at a slow engine (the bench's
-// `pipeline`: 4 callers, 2 ms engine, occupancy p50 = 1) paid the whole
-// window plus its timer slop on every request for batches that cannot
-// form — their peers are waiting on the network, not on the batcher.
-// Under load that does queue (16 workers behind a 200 µs transition;
-// TestQueuedRequestsCrossInOneBatch) a drain finds company: no change.
+// collect forms one batch around the first queued request plus whatever
+// else is already queued, up to batchMax. It never waits for a request
+// that has not arrived.
 func (pl *pipelineRuntime) collect(first batchItem) []batchItem {
 	batch := append(make([]batchItem, 0, pl.batchMax), first)
-drain:
 	for len(batch) < pl.batchMax {
 		select {
 		case it := <-pl.submitQ:
 			batch = append(batch, it)
 		default:
-			break drain
+			return batch
 		}
-	}
-	lone := len(batch) == 1
-	if !lone {
-		pl.windowPays = true
-	}
-	if len(batch) == pl.batchMax || pl.batchWindow <= 0 ||
-		lone && !(pl.windowPays && pl.inFlight() > 1) {
-		return batch
-	}
-	timer := time.NewTimer(pl.batchWindow)
-fill:
-	for len(batch) < pl.batchMax {
-		select {
-		case it := <-pl.submitQ:
-			batch = append(batch, it)
-		case <-timer.C:
-			break fill
-		case <-pl.stop:
-			break fill
-		}
-	}
-	timer.Stop()
-	if lone {
-		pl.windowPays = len(batch) > 1
 	}
 	return batch
 }
@@ -481,7 +431,7 @@ func (pl *pipelineRuntime) dispatchBatch(batch []batchItem) {
 			}
 		}
 		// The submit stage measures the batcher hold: queue wait plus
-		// group-commit window plus the shared stage-1 crossing.
+		// the shared stage-1 crossing.
 		pl.p.trusted.stages.Since(obs.StageSubmit, it.queued)
 		pl.deliver(it.id, out)
 	}
@@ -490,8 +440,7 @@ func (pl *pipelineRuntime) dispatchBatch(batch []batchItem) {
 
 // batchStats tracks batched boundary crossings: a total counter (request
 // plus resume batches) and an occupancy histogram over request batches —
-// how many requests shared one transition, the distribution BatchWindow
-// trades latency against.
+// how many requests shared one transition.
 type batchStats struct {
 	submitted atomic.Uint64
 	mu        sync.Mutex

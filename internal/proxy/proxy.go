@@ -109,7 +109,7 @@ type Config struct {
 	// refused response. Zero (the default) preserves the previous
 	// behaviour: no per-fetch deadline.
 	FetchTimeout time.Duration
-	// BatchMax enables the adaptive ecall batcher when >= 2: admitted
+	// BatchMax enables the group-commit ecall batcher when >= 2: queued
 	// requests are coalesced into vectorized "request-batch" ecalls of up
 	// to BatchMax entries, and each "resume" ecall carries up to BatchMax
 	// ready completions, amortizing the fixed enclave transition cost (and
@@ -119,13 +119,6 @@ type Config struct {
 	// from admitted requests and can never fill past the admission
 	// bound).
 	BatchMax int
-	// BatchWindow is how long a forming request batch waits for more
-	// entries once the queue shows depth (two or more waiting): a shallow
-	// queue submits immediately (latency-first), a deepening one
-	// coalesces until BatchMax entries or BatchWindow elapses, whichever
-	// first. Zero means DefaultBatchWindow; only consulted when BatchMax
-	// is set.
-	BatchWindow time.Duration
 	// Observability enables the privacy-safe observability layer: trusted-
 	// side per-stage latency histograms (admit → obfuscate → probe → submit
 	// → fetch → resume → filter → reply) exported only as aggregates
@@ -255,14 +248,8 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.BatchMax == 1 {
 		return nil, fmt.Errorf("proxy: BatchMax 1 is the unbatched path (use 0 to disable batching)")
 	}
-	if cfg.BatchWindow < 0 {
-		return nil, fmt.Errorf("proxy: negative BatchWindow")
-	}
 	if cfg.BatchMax > 0 && !cfg.AsyncOcalls {
 		return nil, fmt.Errorf("proxy: ecall batching rides the async pipeline (BatchMax requires AsyncOcalls)")
-	}
-	if cfg.BatchWindow > 0 && cfg.BatchMax == 0 {
-		return nil, fmt.Errorf("proxy: BatchWindow has no effect without BatchMax")
 	}
 	if cfg.AsyncOcalls {
 		if cfg.PipelineDepth <= 0 {
@@ -271,9 +258,6 @@ func New(cfg Config) (*Proxy, error) {
 		if cfg.BatchMax > cfg.PipelineDepth {
 			return nil, fmt.Errorf("proxy: BatchMax %d above PipelineDepth %d: a batch is drawn from admitted requests and can never fill past the admission bound",
 				cfg.BatchMax, cfg.PipelineDepth)
-		}
-		if cfg.BatchMax > 0 && cfg.BatchWindow == 0 {
-			cfg.BatchWindow = DefaultBatchWindow
 		}
 		// One worker per possible concurrent fetch (a staged request has
 		// at most one attempt in flight), so a full pipeline never queues
@@ -414,13 +398,13 @@ func New(cfg Config) (*Proxy, error) {
 	for i, e := range engines {
 		engineIdent[i] = fmt.Sprintf("%s*%d", e.Host, e.Weight)
 	}
-	ident := fmt.Sprintf("xsearch-proxy v3.2 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g breaker=%d/%s async=%t/%d batch=%d/%s obs=%t",
+	ident := fmt.Sprintf("xsearch-proxy v3.2 k=%d history=%d engines=[%s] echo=%t pool=%d cache=%d/%s index=%d/%s/%g breaker=%d/%s async=%t/%d batch=%d obs=%t",
 		cfg.K, cfg.HistoryCapacity, strings.Join(engineIdent, " "), cfg.EchoMode,
 		cfg.PoolSize, cfg.CacheBytes, cfg.CacheTTL,
 		cfg.IndexBytes, cfg.IndexTTL, cfg.IndexMinScore,
 		cfg.UpstreamFailThreshold, cfg.UpstreamCooldown,
 		cfg.AsyncOcalls, cfg.PipelineDepth,
-		cfg.BatchMax, cfg.BatchWindow, cfg.Observability)
+		cfg.BatchMax, cfg.Observability)
 	if err := builder.AddData([]byte(ident)); err != nil {
 		return nil, err
 	}
@@ -514,7 +498,7 @@ func New(cfg Config) (*Proxy, error) {
 		latency:  metrics.NewHistogram(),
 	}
 	if cfg.AsyncOcalls {
-		p.pipeline = newPipelineRuntime(p, cfg.PipelineDepth, cfg.BatchMax, cfg.BatchWindow)
+		p.pipeline = newPipelineRuntime(p, cfg.PipelineDepth, cfg.BatchMax)
 		p.pipeline.start()
 	}
 	mux := http.NewServeMux()
@@ -592,12 +576,6 @@ const (
 	// DefaultPipelineDepth bounds concurrently staged requests when
 	// Config.AsyncOcalls is on and Config.PipelineDepth is zero.
 	DefaultPipelineDepth = 64
-	// DefaultBatchWindow is how long a deepening request batch waits for
-	// more entries before submitting (Config.BatchMax set, BatchWindow
-	// zero). Small against any engine round trip: the window trades a
-	// bounded latency add for fuller batches only when the queue already
-	// shows depth.
-	DefaultBatchWindow = 200 * time.Microsecond
 	// snapshotTimeout bounds Shutdown's sealed-state snapshot ecall,
 	// which runs on its own context so a drain deadline that expired on
 	// stragglers cannot skip state persistence.
@@ -875,8 +853,7 @@ type Stats struct {
 	// Ecall batching gauges (zero when BatchMax is off). BatchesSubmitted
 	// counts vectorized boundary crossings (request and resume batches);
 	// the occupancy percentiles describe how many requests shared one
-	// request-batch crossing — the signal BatchWindow trades latency
-	// against.
+	// request-batch crossing.
 	BatchesSubmitted  uint64  `json:"batches_submitted,omitempty"`
 	BatchOccupancyP50 float64 `json:"batch_occupancy_p50,omitempty"`
 	BatchOccupancyP95 float64 `json:"batch_occupancy_p95,omitempty"`

@@ -83,7 +83,7 @@ func TestNewValidation(t *testing.T) {
 // ROADMAP aim 2: a new knob needs a measured reason, and raising this
 // number is an explicit edit, like scripts/loc.budget.
 func TestConfigFieldBudget(t *testing.T) {
-	const budget = 32
+	const budget = 31
 	if n := reflect.TypeOf(Config{}).NumField(); n > budget {
 		t.Fatalf("proxy.Config has %d fields, budget %d", n, budget)
 	}

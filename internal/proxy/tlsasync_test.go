@@ -87,10 +87,7 @@ func TestAsyncTLSFetch(t *testing.T) {
 // flight.
 func TestAsyncTLSBatchedFetch(t *testing.T) {
 	srv, pem := newTLSDelayEngine(t, nil)
-	p := newAsyncTLSProxy(t, func(c *Config) {
-		c.BatchMax = 4
-		c.BatchWindow = 2 * time.Millisecond
-	}, EngineSpec{Host: srv.Addr(), RootsPEM: pem})
+	p := newAsyncTLSProxy(t, func(c *Config) { c.BatchMax = 4 }, EngineSpec{Host: srv.Addr(), RootsPEM: pem})
 
 	var wg sync.WaitGroup
 	errs := make([]error, 16)

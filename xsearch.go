@@ -125,8 +125,10 @@ func WithEnginePool(size int) ProxyOption {
 // ring serviced by untrusted workers, releasing its thread (TCS) for the
 // duration of the network round trip, so obfuscation/filtering of the next
 // request overlaps the engine wait of the previous one. depth bounds
-// concurrently staged requests (0 = default 64). Requires plain-TCP
-// upstreams: in-enclave TLS termination needs the blocking path.
+// concurrently staged requests (0 = default 64). TLS upstreams work
+// unchanged: the enclave still terminates TLS, and each step of a
+// connection's handshake or exchange parks the request on one async
+// "tls_step" ocall instead of holding its TCS.
 func WithAsyncOcalls(depth int) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) {
 		c.AsyncOcalls = true
@@ -150,17 +152,13 @@ func WithFetchTimeout(d time.Duration) ProxyOption {
 // crossings (requires WithAsyncOcalls): up to max requests share one
 // "request-batch" ecall — one enclave transition, one obfuscator pass, one
 // EPC settlement — and completions drain in batches the same way. The
-// batcher is adaptive: a shallow queue submits immediately (an idle proxy
-// pays no batching latency), a deepening queue coalesces until max entries
-// or window elapses, whichever first. max must be at least 2 and at most
-// the pipeline depth; a zero window uses the default (200µs). Handshakes
-// and per-request semantics (failover, coalescing) are untouched
-// — only the boundary crossing is shared.
-func WithBatching(max int, window time.Duration) ProxyOption {
-	return proxyOptionFunc(func(c *proxy.Config) {
-		c.BatchMax = max
-		c.BatchWindow = window
-	})
+// batcher is group commit: a batch is the first request plus whatever is
+// already queued behind it, so load decides the occupancy and a lone
+// request never waits for company. max must be at least 2 and at most
+// the pipeline depth. Handshakes and per-request semantics (failover,
+// coalescing) are untouched — only the boundary crossing is shared.
+func WithBatching(max int) ProxyOption {
+	return proxyOptionFunc(func(c *proxy.Config) { c.BatchMax = max })
 }
 
 // WithResultCache enables the in-enclave obfuscated-result cache: filtered
