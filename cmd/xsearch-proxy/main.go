@@ -260,8 +260,7 @@ func runFleet(shards int, muxAddr, addr string, k, history int, drainWait time.D
 	fmt.Printf("gateway: %d secure, %d handshakes, %d sessions lost, %d drains\n",
 		st.SecureRouted, st.Handshakes, st.SessionsLost, st.Drains)
 	if st.MuxConnsTotal > 0 {
-		fmt.Printf("mux edge: %d conns total, %d streams, %d sessions resumed without re-attestation\n",
-			st.MuxConnsTotal, st.MuxStreams, st.MuxResumes)
+		fmt.Printf("mux edge: %d conns total, %d streams\n", st.MuxConnsTotal, st.MuxStreams)
 	}
 	if st.Total.AsyncSubmitted > 0 {
 		fmt.Printf("pipeline: %d async fetches; worst shard p99 %v\n", st.Total.AsyncSubmitted, st.Total.LatencyP99)

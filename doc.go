@@ -100,11 +100,13 @@
 // long-lived multiplexed TCP connection per client host, served by the
 // gateway's raw-TCP listener (Fleet.StartMux, -mux-listen): every sealed
 // call — attestation handshakes and secure records — is a logical stream
-// framed onto the shared conn (internal/mux), with per-stream
-// flow-control credits so one large response never stalls the rest,
-// keepalive heartbeats with dead-peer detection, and hostile-input caps on
-// every frame mirroring the enclave wire parser. Both ends run the mux
-// defaults; nothing outside internal/mux configures a session. Neither
+// framed onto the shared conn (internal/mux). A large body goes out one
+// chunk per write, so other streams' frames interleave with it instead of
+// waiting; per-stream size caps and a stream cap bound what a session
+// buffers, and TCP paces the conn. Keepalive heartbeats detect dead peers,
+// and hostile-input caps on every frame mirror the enclave wire parser.
+// Both ends run the mux defaults; nothing outside internal/mux configures
+// a session. Neither
 // edge carries a query in the clear: a stream or route that is not a
 // handshake or a secure call is refused, per call. Past the edge both
 // fronts call the same Handshake/Secure methods, so a mux client and an
@@ -122,15 +124,15 @@
 // the broker's local endpoint) goes through it.
 //
 // The transport conn is expendable by design: the secure channel's keys
-// live in the broker and the enclave, never in the carrier, so when an
-// edge LB drops the conn mid-session the broker re-dials, announces its
-// live sessions (a resume the gateway counts, not a handshake), re-seals
-// the in-flight query as a fresh record, and continues — zero lost
-// replies, zero re-attestations. Remote refusals stay distinct from
-// transport loss so session eviction still takes the full re-attestation
-// path. Fleet.Stats reports conns held, total accepted, streams served,
-// and sessions resumed; the repository benchmark's `edge` workload
-// (bench/) measures a secure call over this edge.
+// live in the broker and the enclave, never in the carrier, and a session
+// id names its shard, so when an edge LB drops the conn mid-session the
+// broker re-dials, re-seals the in-flight query as a fresh record, and
+// continues — zero lost replies, zero re-attestations, and nothing for
+// the gateway to be told. Remote refusals stay distinct from transport
+// loss so session eviction still takes the full re-attestation path.
+// Fleet.Stats reports conns held, total accepted and streams served; the
+// repository benchmark's `edge` workload (bench/) measures a secure call
+// over this edge.
 //
 // # Request stage
 //

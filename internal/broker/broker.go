@@ -52,9 +52,10 @@ type Config struct {
 	// HTTP request per call) or "mux" (one long-lived multiplexed TCP conn
 	// to MuxAddr carrying every call as a logical stream, with the mux
 	// defaults the gateway also runs). On mux a dropped conn is re-dialed
-	// and the attested channel resumed without re-attestation: the channel
-	// keys live here and in the enclave, so only the carrier needs
-	// replacing.
+	// and the attested channel carries on without re-attestation: the
+	// channel keys live here and in the enclave, and the session id names
+	// its shard, so only the carrier needs replacing and the gateway is
+	// told nothing.
 	Transport string
 	// MuxAddr is the gateway's raw-TCP mux address (host:port); required
 	// when Transport is "mux".
@@ -97,16 +98,9 @@ func New(cfg Config) (*Broker, error) {
 		if cfg.MuxAddr == "" {
 			return nil, fmt.Errorf("broker: Transport \"mux\" requires MuxAddr")
 		}
-		// The redialer announces on reconnect how many live attested
-		// sessions ride the new conn — resumed without re-attestation.
 		b.rd = mux.NewRedialer(func(ctx context.Context) (io.ReadWriteCloser, error) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", cfg.MuxAddr)
-		}, func() int {
-			if b.Connected() {
-				return 1
-			}
-			return 0
 		})
 	default:
 		return nil, fmt.Errorf("broker: unknown transport %q (want http or mux)", cfg.Transport)

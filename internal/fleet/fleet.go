@@ -82,11 +82,11 @@ type Config struct {
 	// service key for the whole fleet. The template's PlatformSeed derives the fleet-wide sealing root
 	// every shard platform shares, enabling sealed shard handoff (nil: a
 	// random per-fleet seed, so handoff works within the fleet's lifetime
-	// but sealed state does not survive the process). Its event-log
-	// settings size the one event ring the gateway and every shard share
-	// (drains, kills, shard deaths, breaker transitions — see
-	// internal/obs), so /events shows one fleet-wide, causally-ordered
-	// stream.
+	// but sealed state does not survive the process). Its EventLog is
+	// the one event ring the gateway and every shard share (drains,
+	// kills, shard deaths, breaker transitions — see internal/obs), made
+	// at default size when the template has none and Observability is
+	// on, so /events shows one fleet-wide, causally-ordered stream.
 	ShardConfig proxy.Config
 	// HealthInterval is the gateway's shard liveness probe period. Zero
 	// means DefaultHealthInterval.
@@ -100,10 +100,11 @@ type shard struct {
 
 	alive    atomic.Bool
 	draining atomic.Bool
-	// minted counts the sessions the gateway's handshakes opened here,
-	// and those it has reserved here for a handshake in flight.
-	minted atomic.Int64
-	bound  int64 // the enclave session table's size limit
+	// minted counts the sessions the gateway's handshakes opened here;
+	// reserved counts the handshakes in flight here, not yet sessions.
+	minted   atomic.Int64
+	reserved atomic.Int64
+	bound    int64 // the enclave session table's size limit
 }
 
 // live reports ground-truth liveness: the gateway's view (alive flag) AND
@@ -116,7 +117,9 @@ func (s *shard) live() bool { return s.alive.Load() && s.proxy.Healthy() }
 func (s *shard) available() bool { return s.live() && !s.draining.Load() }
 
 // sessions is how many sessions the shard's enclave table holds: every one
-// the gateway minted, up to the bound its FIFO eviction keeps it at.
+// the gateway minted, up to the bound its FIFO eviction keeps it at. A
+// handshake in flight is no session yet, so a shard that dies under one
+// loses none for it.
 func (s *shard) sessions() int { return int(min(s.minted.Load(), s.bound)) }
 
 // Gateway fronts the shard fleet: it opens each session on the
@@ -205,14 +208,11 @@ func New(cfg Config) (*Gateway, error) {
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
-	// The event-log settings ride the shard template; the fleet owns ONE
-	// ring built from them and injects it into every shard.
-	if sc := cfg.ShardConfig; sc.Observability || sc.EventLogSize > 0 || sc.EventStream != nil {
-		var opts []obs.LogOption
-		if sc.EventStream != nil {
-			opts = append(opts, obs.WithStream(sc.EventStream))
-		}
-		g.events = obs.NewLog(sc.EventLogSize, opts...)
+	// The fleet owns ONE event ring, the template's log or a default one
+	// under Observability, and injects it into every shard.
+	g.events = cfg.ShardConfig.EventLog
+	if g.events == nil && cfg.ShardConfig.Observability {
+		g.events = obs.NewLog(0)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := g.buildShard(i)
@@ -257,7 +257,6 @@ func (g *Gateway) buildShard(idx int) (*shard, error) {
 	// builds a private log when it is handed none.
 	sc.EventLog = g.events
 	sc.EventShard = idx
-	sc.EventStream = nil // the shared log already carries the stream
 	p, err := proxy.New(sc)
 	if err != nil {
 		return nil, err

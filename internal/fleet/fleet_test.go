@@ -154,7 +154,8 @@ func handshakeAsync(g *Gateway, out chan<- string, errs chan<- error) {
 // A shard that dies under a handshake is retired and the next pick is
 // tried, whether the handshake completed inside it (A, already in the
 // enclave at the kill) or failed there (B, queued behind A for the one
-// TCS): neither hands the broker a session on the dead shard.
+// TCS): neither hands the broker a session on the dead shard. Neither was
+// a session when the shard died, so the shard loses none.
 func TestHandshakeOnADyingShardMovesToTheNext(t *testing.T) {
 	g := slowEchoFleet(t, 2, 30*time.Millisecond)
 	g.shards[1].minted.Store(5) // both handshakes pick shard 0
@@ -171,7 +172,7 @@ func TestHandshakeOnADyingShardMovesToTheNext(t *testing.T) {
 	go handshakeAsync(g, sessions, errs)
 	spinUntil("handshake A inside shard 0", func() bool { return shard0.proxy.Stats().Enclave.ECalls > entered })
 	go handshakeAsync(g, sessions, errs)
-	spinUntil("handshake B's pick of shard 0", func() bool { return shard0.minted.Load() == 2 })
+	spinUntil("handshake B's pick of shard 0", func() bool { return shard0.reserved.Load() == 2 })
 	if err := g.Kill(context.Background(), 0); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
@@ -185,8 +186,12 @@ func TestHandshakeOnADyingShardMovesToTheNext(t *testing.T) {
 			t.Errorf("handshake %d: %v", i, err)
 		}
 	}
-	if st := g.Stats(); st.Errors != 0 {
+	st := g.Stats()
+	if st.Errors != 0 {
 		t.Errorf("gateway errors = %d, want 0", st.Errors)
+	}
+	if st.SessionsLost != 0 {
+		t.Errorf("sessions lost = %d, want 0: two handshakes in flight are no sessions", st.SessionsLost)
 	}
 }
 

@@ -43,32 +43,34 @@ func (g *Gateway) ShardOf(session string) (int, bool) {
 // --- request routing ---
 
 // pick names the shard a new session goes to, and a drain's successor: the
-// available shard with the fewest sessions the gateway minted, the lowest
-// index on a tie, or nil when no shard is available. It reads minted, not
-// sessions(): that count is capped at the enclave table's bound, so once
-// every shard reached it all would tie and shard 0 would take every new
-// session. Proxy.ServeQuery's in-process sessions are not minted here, so
-// the pick does not see them.
+// available shard with the fewest sessions the gateway minted or reserved,
+// the lowest index on a tie, or nil when no shard is available. It reads
+// the uncapped counts, not sessions(): that is capped at the enclave
+// table's bound, so once every shard reached it all would tie and shard 0
+// would take every new session. Proxy.ServeQuery's in-process sessions are
+// not minted here, so the pick does not see them.
 func (g *Gateway) pick() *shard {
 	var best *shard
+	var bestLoad int64
 	for _, sh := range g.shards {
-		if sh.available() && (best == nil || sh.minted.Load() < best.minted.Load()) {
-			best = sh
+		load := sh.minted.Load() + sh.reserved.Load()
+		if sh.available() && (best == nil || load < bestLoad) {
+			best, bestLoad = sh, load
 		}
 	}
 	return best
 }
 
-// reserve picks a new session's shard and counts the session on it in one
-// step, so handshakes in flight together see each other's picks and spread
-// like sequential ones. A handshake that does not hand its session out
-// takes the count back.
+// reserve picks a new session's shard and reserves it there in one step,
+// so handshakes in flight together see each other's picks and spread like
+// sequential ones. The handshake gives the reservation back when it ends,
+// and a minted session takes its place first if it succeeded.
 func (g *Gateway) reserve() *shard {
 	g.pickMu.Lock()
 	defer g.pickMu.Unlock()
 	sh := g.pick()
 	if sh != nil {
-		sh.minted.Add(1)
+		sh.reserved.Add(1)
 	}
 	return sh
 }
@@ -85,10 +87,12 @@ func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []
 		resp, err := sh.proxy.Handshake(ctx, offer, nonce)
 		healthy := sh.proxy.Healthy()
 		if healthy && err == nil {
+			sh.minted.Add(1)
+			sh.reserved.Add(-1)
 			resp.Session = strconv.Itoa(sh.index) + "." + resp.Session
 			return resp, nil
 		}
-		sh.minted.Add(-1)
+		sh.reserved.Add(-1)
 		if healthy {
 			g.gwErrors.Add(1)
 			return nil, err

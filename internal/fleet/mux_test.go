@@ -85,12 +85,9 @@ func TestMuxReconnectResumesSecureSession(t *testing.T) {
 		}
 		st = g.Stats()
 		// The resumed session never re-attested: still exactly one
-		// handshake, and the gateway saw the resume announcement.
+		// handshake.
 		if st.Handshakes != 1 {
 			t.Fatalf("handshakes after reconnect = %d, want 1 (no re-attestation)", st.Handshakes)
-		}
-		if st.MuxResumes != 1 {
-			t.Fatalf("MuxResumes = %d, want 1", st.MuxResumes)
 		}
 		// History preserved and grown across the reconnect: the
 		// enclave state never depended on the carrier.

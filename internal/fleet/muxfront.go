@@ -33,7 +33,6 @@ type muxFront struct {
 	muxAccepted atomic.Uint64
 	muxActive   atomic.Int64
 	muxStreams  atomic.Uint64
-	muxResumes  atomic.Uint64
 }
 
 var errMuxStarted = errors.New("already started")
@@ -88,7 +87,7 @@ func (g *Gateway) acceptMux(ln net.Listener) {
 }
 
 // serveMuxConn runs one mux session to completion, tracking the conn for
-// shutdown and the stream/resume counters for Stats. A conn accepted as
+// shutdown and the conn counters for Stats. A conn accepted as
 // muxStop ran is closed unserved: muxStop's snapshot never saw it.
 func (g *Gateway) serveMuxConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
@@ -110,12 +109,7 @@ func (g *Gateway) serveMuxConn(conn net.Conn) {
 		delete(g.muxConns, conn)
 		g.muxMu.Unlock()
 	}()
-	_ = mux.Serve(conn, g.serveMuxRequest, mux.Config{OnResume: func(sessions int) {
-		// A reconnecting client announcing live sessions is the signal the
-		// resume path worked: those sessions ride the new conn with no
-		// re-attestation (their channel keys never left the enclave).
-		g.muxResumes.Add(uint64(sessions))
-	}})
+	_ = mux.Serve(conn, g.serveMuxRequest, mux.Config{})
 }
 
 // serveMuxRequest serves one completed stream as the call its kind names.

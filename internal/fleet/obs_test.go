@@ -153,15 +153,15 @@ func TestGatewayMetricsEndpointMergedAndPerShard(t *testing.T) {
 	}
 }
 
-// TestShardTemplateEventRingIsShared: event-log settings on the shard
-// template alone give the gateway and every shard one ring of the
-// template's size, mirrored to the template's stream.
+// TestShardTemplateEventRingIsShared: an event log on the shard template
+// alone gives the gateway and every shard that one ring, of the template
+// log's size and mirrored to its stream.
 func TestShardTemplateEventRingIsShared(t *testing.T) {
 	var stream bytes.Buffer // written under the ring's lock only
 	g, err := New(Config{
 		Shards: 6,
 		ShardConfig: proxy.Config{
-			K: 2, EchoMode: true, Seed: 5, EventLogSize: 8, EventStream: &stream,
+			K: 2, EchoMode: true, Seed: 5, EventLog: obs.NewLog(8, obs.WithStream(&stream)),
 		},
 		HealthInterval: 5 * time.Millisecond,
 	})

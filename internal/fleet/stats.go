@@ -9,8 +9,8 @@ type ShardStats struct {
 	Draining bool `json:"draining"`
 	// Sessions counts the sessions the shard's enclave table holds: those
 	// the gateway's handshakes minted on it, capped at the table's bound.
-	// A handshake in flight counts from its pick (see reserve). Zero for
-	// a dead shard.
+	// A handshake in flight is not counted until it completes (the pick
+	// sees its reservation; see reserve). Zero for a dead shard.
 	Sessions int `json:"sessions"`
 	// Proxy is the shard's full node snapshot (per-shard EPC heap, history
 	// bytes, cache/coalesce/pool gauges, upstream breakdown). Zero for a
@@ -47,12 +47,10 @@ type Stats struct {
 
 	// Mux-edge gauges: transport connections currently held open (each
 	// carrying many logical streams), connections accepted over the
-	// fleet's lifetime, streams opened across all conns, and secure
-	// sessions resumed over reconnected conns without re-attestation.
+	// fleet's lifetime, and streams opened across all conns.
 	MuxConns      int64  `json:"mux_conns,omitempty"`
 	MuxConnsTotal uint64 `json:"mux_conns_total,omitempty"`
 	MuxStreams    uint64 `json:"mux_streams,omitempty"`
-	MuxResumes    uint64 `json:"mux_resumes,omitempty"`
 	// EventsLogged is the occupancy of the one event ring all shards
 	// share.
 	EventsLogged int `json:"events_logged,omitempty"`
@@ -75,7 +73,6 @@ func (g *Gateway) Stats() Stats {
 		MuxConns:        g.muxActive.Load(),
 		MuxConnsTotal:   g.muxAccepted.Load(),
 		MuxStreams:      g.muxStreams.Load(),
-		MuxResumes:      g.muxResumes.Load(),
 	}
 	s.CurrentShards = len(g.shards)
 	for _, sh := range g.shards {

@@ -11,38 +11,29 @@
 //   - the frame codec (this file): length-prefixed binary frames with
 //     hostile-input caps checked before any allocation, mirroring the
 //     ecall wire codec's discipline (internal/proxy/wire.go);
-//   - sessions and streams (session.go): per-stream credit-based flow
-//     control, keepalive heartbeats with dead-peer detection, and a
-//     one-request/one-response stream RPC shape;
-//   - the reconnecting client (redial.go): a dropped transport conn
-//     re-dials and resumes live secure-channel sessions by session ID
+//   - sessions and streams (session.go): a one-request/one-response
+//     stream RPC shape, per-stream size caps, and keepalive heartbeats
+//     with dead-peer detection;
+//   - the reconnecting client (redial.go): a dropped transport conn is
+//     re-dialed and the live secure-channel sessions ride the new one
 //     without re-attestation — the channel keys live in the broker and
-//     the enclave, so only the carrier needs replacing.
+//     the enclave, and a session id names its shard, so only the carrier
+//     needs replacing and the server needs no word of it.
 //
 // # What an exchange costs on the conn
 //
 // A small call is one conn write and one conn read in each direction and
-// no flow-control traffic; three rules get it there.
+// nothing else; two rules get it there.
 //
 // Writes are coalesced. A stream's frames leave in as few conn writes as
 // the data allows: OPEN, DATA and CLOSE of a request that fits one chunk
-// are one write, the reply's DATA and CLOSE another. A larger or
-// credit-blocked body is the same loop writing once per chunk. One write
-// never exceeds headerLen+MaxFramePayload bytes — the largest frame a peer
-// may send — so a session's write buffer stays one frame long however big
-// the body; that is why a chunk of stream data is a little under
-// MaxFramePayload (maxChunk leaves room for the OPEN and CLOSE around
-// it). Control frames (ping, pong, window, resume, abortive close) are
-// written alone.
-//
-// Credit is returned lazily. A receiver adds up what it has buffered per
-// stream and sends one WINDOW once half a window (Config.Window/2) is
-// owed — none for an exchange smaller than that, none for a stream whose
-// peer has already finished. The sender still never has more than Window
-// unacknowledged bytes on a stream, and the rule cannot deadlock: a
-// sender stalled at zero credit has a whole Window in flight, so when it
-// lands the receiver owes at least Window/2 and says so. Both ends must
-// run the same Window; the broker and the gateway both run the default.
+// are one write, the reply's DATA and CLOSE another. A larger body is the
+// same loop writing once per chunk. One write never exceeds
+// headerLen+MaxFramePayload bytes — the largest frame a peer may send — so
+// a session's write buffer stays one frame long however big the body;
+// that is why a chunk of stream data is a little under MaxFramePayload
+// (maxChunk leaves room for the OPEN and CLOSE around it). Control frames
+// (ping, pong, abortive close) are written alone.
 //
 // Reads are buffered per conn. readLoop reads through one bufio.Reader,
 // so the frames of a coalesced write arrive in one read; headers and
@@ -50,6 +41,16 @@
 // allocated, and a one-frame body is handed to the stream without a
 // copy. The buffer belongs to the conn, not to the attested sessions
 // riding it, so the per-session footprint of the edge is unchanged.
+//
+// # What bounds a session
+//
+// Caps and chunks bound memory and fairness. A stream's buffered bytes
+// are capped (maxRequest on the serving side, maxResponse on the calling
+// side: past the cap the stream is aborted, the session lives) and
+// MaxStreams caps the streams, so a session's memory is bounded with no
+// flow-control window of its own; TCP's flow control paces the conn. Each chunk is its own write under the session's write
+// lock, so one large body interleaves with the other streams' frames
+// instead of stalling them.
 //
 // # Who runs the handler
 //
@@ -67,7 +68,8 @@ import (
 	"fmt"
 )
 
-// Frame types. The codec rejects anything else before reading a payload.
+// Frame types. The codec rejects any other before reading a payload; the
+// retired 0x6 and 0x7 are never reused, so an old peer's is refused.
 const (
 	// FrameOpen opens a client-initiated stream; payload is the 1-byte
 	// stream kind.
@@ -82,16 +84,6 @@ const (
 	// 8-byte opaque token the pong echoes.
 	FramePing byte = 0x4
 	FramePong byte = 0x5
-	// FrameWindow grants the peer send credit on a stream; payload is a
-	// 4-byte big-endian byte count.
-	FrameWindow byte = 0x6
-	// FrameResume announces, after a transport reconnect, how many live
-	// secure-channel sessions the client is resuming (4-byte count).
-	// Purely observational: session state lives in the gateway and the
-	// enclaves, so resumption needs no server-side action — but the
-	// fleet counts it, and TestMuxReconnectResumesSecureSession asserts
-	// resumed sessions never re-attest.
-	FrameResume byte = 0x7
 )
 
 // FlagError on a FrameClose marks an abortive close; the payload is the
@@ -142,7 +134,7 @@ type Frame struct {
 func parseHeader(hdr []byte, maxPayload uint32) (f Frame, length uint32, err error) {
 	f = Frame{Type: hdr[0], Flags: hdr[1], Stream: binary.BigEndian.Uint32(hdr[2:6])}
 	length = binary.BigEndian.Uint32(hdr[6:10])
-	if f.Type < FrameOpen || f.Type > FrameResume {
+	if f.Type < FrameOpen || f.Type > FramePong {
 		return Frame{}, 0, fmt.Errorf("%w: unknown type 0x%x", ErrBadFrame, f.Type)
 	}
 	if length > maxPayload {
@@ -152,10 +144,6 @@ func parseHeader(hdr []byte, maxPayload uint32) (f Frame, length uint32, err err
 	case FramePing, FramePong:
 		if length != pingPayloadLen {
 			return Frame{}, 0, fmt.Errorf("%w: ping payload %d bytes, want %d", ErrBadFrame, length, pingPayloadLen)
-		}
-	case FrameWindow, FrameResume:
-		if length != 4 {
-			return Frame{}, 0, fmt.Errorf("%w: type 0x%x payload %d bytes, want 4", ErrBadFrame, f.Type, length)
 		}
 	case FrameOpen:
 		if length != 1 {

@@ -10,17 +10,18 @@ import (
 // broker sends. Neither may panic or allocate past the cap; on every input
 // both accept the same frame or both reject (readFrame's EOF and
 // ErrUnexpectedEOF are rejections), and a decoded frame survives a
-// re-encode. The corpus seeds cover every frame type plus each cap
-// boundary.
+// re-encode. The corpus seeds cover every frame type, the retired types
+// 0x6 and 0x7 (refused), and each cap boundary.
 func FuzzDecodeMuxFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, Frame{Type: FrameOpen, Stream: 1, Payload: []byte{KindSecure}}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameData, Stream: 3, Payload: []byte("hello")}))
 	f.Add(AppendFrame(nil, Frame{Type: FrameClose, Flags: FlagError, Stream: 5, Payload: []byte("err")}))
 	f.Add(AppendFrame(nil, Frame{Type: FramePing, Payload: []byte("12345678")}))
-	f.Add(AppendFrame(nil, Frame{Type: FrameWindow, Stream: 9, Payload: []byte{0, 0, 4, 0}}))
-	f.Add(AppendFrame(nil, Frame{Type: FrameResume, Payload: []byte{0, 0, 0, 1}}))
-	// Hostile headers: oversize length, unknown type, wrong fixed sizes.
+	// Hostile headers: oversize length, unknown and retired types, wrong
+	// fixed sizes.
+	f.Add(AppendFrame(nil, Frame{Type: 0x6, Stream: 9, Payload: []byte{0, 0, 4, 0}}))
+	f.Add(AppendFrame(nil, Frame{Type: 0x7, Payload: []byte{0, 0, 0, 1}}))
 	f.Add([]byte{FrameData, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0xEE, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{FramePing, 0, 0, 0, 0, 0, 0, 0, 0, 3})

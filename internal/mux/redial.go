@@ -25,28 +25,23 @@ type DialFunc func(ctx context.Context) (io.ReadWriteCloser, error)
 // dropped conn is re-dialed and the session layer rebuilt; the layers
 // above — attested secure channels keyed by session ID — survive
 // untouched, because their state lives in the broker and the enclave,
-// not in the carrier. On each reconnect it announces how many live
-// sessions ride the new conn (FrameResume), so the fleet can count
-// resumes that skipped re-attestation.
+// not in the carrier. The new conn needs no announcement: a session id
+// names its shard, so the gateway serves the next call as it would have
+// on the old conn.
 type Redialer struct {
 	dial DialFunc
-	// LiveSessions, when set, reports how many secure-channel sessions
-	// the owner is currently holding open; announced on reconnect.
-	liveSessions func() int
 
-	mu         sync.Mutex
-	sess       *Session
-	generation uint64 // bumps on every successful (re)dial
-	closed     bool
+	mu     sync.Mutex
+	sess   *Session
+	closed bool
 
 	reconnects atomic.Uint64
-	dialCount  atomic.Uint64
 }
 
 // NewRedialer wraps dial in reconnect-on-failure behavior. Its sessions
-// run the default Config, as the gateway's do. liveSessions may be nil.
-func NewRedialer(dial DialFunc, liveSessions func() int) *Redialer {
-	return &Redialer{dial: dial, liveSessions: liveSessions}
+// run the default Config, as the gateway's do.
+func NewRedialer(dial DialFunc) *Redialer {
+	return &Redialer{dial: dial}
 }
 
 // Reconnects counts successful re-dials after the first connect.
@@ -86,7 +81,7 @@ func (r *Redialer) session(ctx context.Context) (*Session, error) {
 			return r.sess, nil
 		}
 	}
-	reconnect := r.generation > 0
+	reconnect := r.sess != nil // only Close sets it back to nil
 	var lastErr error
 	backoff := 10 * time.Millisecond
 	for attempt := 0; attempt < 5; attempt++ {
@@ -103,16 +98,9 @@ func (r *Redialer) session(ctx context.Context) (*Session, error) {
 			lastErr = err
 			continue
 		}
-		r.dialCount.Add(1)
 		r.sess = Client(conn, Config{})
-		r.generation++
 		if reconnect {
 			r.reconnects.Add(1)
-			live := 0
-			if r.liveSessions != nil {
-				live = r.liveSessions()
-			}
-			_ = r.sess.SendResume(live)
 		}
 		return r.sess, nil
 	}

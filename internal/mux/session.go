@@ -41,23 +41,12 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "mux: remote: " + e.Msg }
 
-// Config parameterizes a session. The zero value takes every default.
+// Config parameterizes a session. The zero value takes every default,
+// which is what the broker and the gateway run.
 type Config struct {
 	// MaxStreams bounds concurrent streams per session (default 1024).
 	// Opens beyond it are refused per-stream; the session survives.
 	MaxStreams int
-	// Window is the per-stream, per-direction flow-control window: the
-	// sender may have at most this many unacknowledged bytes in flight
-	// on one stream (default 256 KiB). Receivers grant credit back once
-	// half a window is owed, so a stalled peer exerts backpressure instead
-	// of growing buffers. Both ends of a session use the same value.
-	Window int
-	// MaxRequest caps one stream's accumulated request bytes on the
-	// serving side (default 1 MiB, matching the HTTP fronts'
-	// MaxBytesReader cap). MaxResponse caps the reply on the calling
-	// side (default 4 MiB).
-	MaxRequest  int
-	MaxResponse int
 	// KeepAlive is the heartbeat interval; DeadAfter is how long the
 	// session tolerates total silence before declaring the peer dead
 	// (defaults 15s and 3×KeepAlive).
@@ -67,26 +56,23 @@ type Config struct {
 	// before the session is closed as hostile (default 64 — a correct
 	// peer sends one).
 	PingBudget int
-	// WriteTimeout bounds one frame write when the conn supports write
-	// deadlines (default 30s).
-	WriteTimeout time.Duration
-	// OnResume, on a serving session, observes FrameResume announcements
-	// (the count of live secure sessions a reconnecting client reports).
-	OnResume func(sessions int)
 }
+
+// Fixed session limits.
+const (
+	// maxRequest caps one stream's request bytes on a serving session,
+	// matching the HTTP fronts' MaxBytesReader cap; maxResponse caps the
+	// reply on a calling session.
+	maxRequest  = 1 << 20
+	maxResponse = 4 << 20
+	// writeTimeout bounds one conn write when the conn supports write
+	// deadlines.
+	writeTimeout = 30 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 1024
-	}
-	if c.Window <= 0 {
-		c.Window = 256 << 10
-	}
-	if c.MaxRequest <= 0 {
-		c.MaxRequest = 1 << 20
-	}
-	if c.MaxResponse <= 0 {
-		c.MaxResponse = 4 << 20
 	}
 	if c.KeepAlive <= 0 {
 		c.KeepAlive = 15 * time.Second
@@ -96,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PingBudget <= 0 {
 		c.PingBudget = 64
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -117,8 +100,6 @@ type stream struct {
 	buf    []byte // received bytes
 	fin    bool   // peer finished writing
 	ferr   error  // abortive close or session death
-	credit int    // bytes we may still send
-	owed   int    // bytes received and not yet credited back to the peer
 	notify chan struct{}
 }
 
@@ -268,8 +249,9 @@ type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
 // write serializes frames onto the conn in ONE conn.Write, under one lock,
 // so concurrent streams never interleave bytes. Callers keep the encoded
 // total within headerLen+MaxFramePayload, the largest frame a peer may
-// send, so wbuf stays one frame long. Control frames (ping, pong, window, resume, abortive close) go out
-// one per call; send coalesces a stream's OPEN, DATA and CLOSE.
+// send, so wbuf stays one frame long. Control frames (ping, pong, abortive
+// close) go out one per call; send coalesces a stream's OPEN, DATA and
+// CLOSE.
 func (s *Session) write(frames ...Frame) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -279,7 +261,7 @@ func (s *Session) write(frames ...Frame) error {
 	default:
 	}
 	if wd, ok := s.conn.(writeDeadliner); ok {
-		_ = wd.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		_ = wd.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 	s.wbuf = s.wbuf[:0]
 	for _, f := range frames {
@@ -290,12 +272,6 @@ func (s *Session) write(frames ...Frame) error {
 		return s.sessionErr(err)
 	}
 	return nil
-}
-
-func (s *Session) writeU32(typ byte, stream, v uint32) error {
-	var p [4]byte
-	binary.BigEndian.PutUint32(p[:], v)
-	return s.write(Frame{Type: typ, Stream: stream, Payload: p[:]})
 }
 
 // writeCloseErr aborts a stream toward the peer, truncating long texts.
@@ -344,9 +320,9 @@ func (s *Session) lookup(id uint32) (*stream, bool) {
 // --- the client call path ---
 
 // Call runs one request/response exchange: open a stream of the given
-// kind, send req (chunked under flow control), half-close, and collect
-// the response until the peer closes. Transport death surfaces as
-// ErrSessionClosed; a handler failure as *RemoteError.
+// kind, send req (chunked), half-close, and collect the response until the
+// peer closes. Transport death surfaces as ErrSessionClosed; a handler
+// failure as *RemoteError.
 func (s *Session) Call(ctx context.Context, kind byte, req []byte) ([]byte, error) {
 	if !s.client {
 		return nil, fmt.Errorf("%w: Call on a serving session", errProtocol)
@@ -355,12 +331,12 @@ func (s *Session) Call(ctx context.Context, kind byte, req []byte) ([]byte, erro
 	id := s.nextID
 	s.nextID += 2
 	s.mu.Unlock()
-	st := &stream{id: id, kind: kind, credit: s.cfg.Window, notify: make(chan struct{}, 1)}
+	st := &stream{id: id, kind: kind, notify: make(chan struct{}, 1)}
 	if err := s.register(st); err != nil {
 		return nil, err
 	}
 	defer s.drop(st)
-	if err := s.send(ctx, st, true, req); err != nil {
+	if err := s.send(st, true, req); err != nil {
 		return nil, err
 	}
 	return s.awaitReply(ctx, st)
@@ -371,32 +347,21 @@ func (s *Session) Call(ctx context.Context, kind byte, req []byte) ([]byte, erro
 // the headerLen+MaxFramePayload a single write may span.
 const maxChunk = MaxFramePayload - (headerLen + 1) - headerLen
 
-// send writes data under the stream's credit, then half-closes. Frames are
-// coalesced: each pass of the loop is one write carrying the stream's OPEN
-// (first pass of a call), as much DATA as credit and maxChunk allow, and
-// the CLOSE (last pass) — so an exchange that fits one chunk is one write,
-// and a larger or credit-blocked one is the same loop flushing per chunk.
-func (s *Session) send(ctx context.Context, st *stream, open bool, data []byte) error {
+// send writes data in chunks, then half-closes. Frames are coalesced: each
+// pass of the loop is one write carrying the stream's OPEN (first pass of
+// a call), up to maxChunk of DATA, and the CLOSE (last pass) — so an
+// exchange that fits one chunk is one write, and a larger one is the same
+// loop flushing per chunk, the write lock released between chunks. A
+// stream the peer has aborted stops sending.
+func (s *Session) send(st *stream, open bool, data []byte) error {
 	for {
 		st.mu.Lock()
-		if st.ferr != nil {
-			err := st.ferr
-			st.mu.Unlock()
+		err := st.ferr
+		st.mu.Unlock()
+		if err != nil {
 			return err
 		}
-		n := min(len(data), st.credit, maxChunk)
-		st.credit -= n
-		st.mu.Unlock()
-		if n == 0 && len(data) > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-s.done:
-				return s.sessionErr(s.Err())
-			case <-st.notify:
-			}
-			continue
-		}
+		n := min(len(data), maxChunk)
 		var frames [3]Frame
 		k := 0
 		if open {
@@ -442,16 +407,6 @@ func (s *Session) awaitReply(ctx context.Context, st *stream) ([]byte, error) {
 		case <-st.notify:
 		}
 	}
-}
-
-// SendResume announces, after a reconnect, how many live secure-channel
-// sessions this client is resuming (observability only; resumption
-// itself needs no handshake because the channel keys survived).
-func (s *Session) SendResume(liveSessions int) error {
-	if liveSessions < 0 {
-		liveSessions = 0
-	}
-	return s.writeU32(FrameResume, 0, uint32(liveSessions))
 }
 
 // --- the receive path ---
@@ -518,13 +473,6 @@ func (s *Session) dispatch(f Frame) error {
 		s.onData(f)
 	case FrameClose:
 		s.onClose(f)
-	case FrameWindow:
-		if st, ok := s.lookup(f.Stream); ok {
-			st.mu.Lock()
-			st.credit += int(binary.BigEndian.Uint32(f.Payload))
-			st.mu.Unlock()
-			st.signal()
-		}
 	case FramePing:
 		if s.pingsInWin.Add(1) > int32(s.cfg.PingBudget) {
 			return ErrPingFlood
@@ -532,10 +480,6 @@ func (s *Session) dispatch(f Frame) error {
 		return s.write(Frame{Type: FramePong, Stream: f.Stream, Payload: f.Payload})
 	case FramePong:
 		// lastRecv already refreshed; that is the pong's whole job.
-	case FrameResume:
-		if s.cfg.OnResume != nil {
-			s.cfg.OnResume(int(binary.BigEndian.Uint32(f.Payload)))
-		}
 	}
 	return nil
 }
@@ -548,7 +492,7 @@ func (s *Session) onOpen(f Frame) error {
 	if f.Stream%2 != 1 {
 		return fmt.Errorf("%w: client stream %d must be odd", errProtocol, f.Stream)
 	}
-	st := &stream{id: f.Stream, kind: f.Payload[0], credit: s.cfg.Window, notify: make(chan struct{}, 1)}
+	st := &stream{id: f.Stream, kind: f.Payload[0], notify: make(chan struct{}, 1)}
 	switch err := s.register(st); {
 	case errors.Is(err, ErrTooManyStreams):
 		// Refuse the stream, keep the session: a busy-but-honest client
@@ -562,19 +506,18 @@ func (s *Session) onOpen(f Frame) error {
 	return nil
 }
 
-// onData appends to the stream's buffer and returns credit lazily: bytes
-// received accumulate as owed, and one WINDOW goes back once half a window
-// is owed (the package comment has the rule and why it cannot deadlock).
-// Frames for unknown streams are dropped: they are the benign tail of a
-// canceled or refused stream racing in flight.
+// onData appends to the stream's buffer up to its cap; past the cap the
+// stream is aborted toward the peer and the session lives. Frames for
+// unknown streams are dropped: they are the benign tail of a canceled,
+// refused or aborted stream racing in flight.
 func (s *Session) onData(f Frame) {
 	st, ok := s.lookup(f.Stream)
 	if !ok {
 		return
 	}
-	limit := s.cfg.MaxResponse
+	limit := maxResponse
 	if !s.client {
-		limit = s.cfg.MaxRequest
+		limit = maxRequest
 	}
 	st.mu.Lock()
 	if st.fin || st.ferr != nil {
@@ -596,18 +539,8 @@ func (s *Session) onData(f Frame) {
 	} else {
 		st.buf = append(st.buf, f.Payload...)
 	}
-	grant := 0
-	if st.owed += len(f.Payload); st.owed >= s.cfg.Window/2 {
-		grant, st.owed = st.owed, 0
-	}
 	st.mu.Unlock()
 	st.signal()
-	if grant > 0 {
-		// The cap above bounds the buffer, so credit need not wait for the
-		// consumer: returning it as soon as it is worth a frame keeps one
-		// slow stream from idling the window.
-		_ = s.writeU32(FrameWindow, st.id, uint32(grant))
-	}
 }
 
 // onClose finishes (clean) or fails (FlagError) the stream; on a serving
@@ -655,7 +588,7 @@ func (s *Session) worker(st *stream) {
 		if err != nil {
 			s.writeCloseErr(st.id, err)
 		} else {
-			_ = s.send(s.ctx, st, false, resp)
+			_ = s.send(st, false, resp)
 		}
 		s.drop(st)
 		if s.idle.Add(1) > maxIdleWorkers {

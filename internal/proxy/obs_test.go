@@ -199,13 +199,13 @@ func TestStageSnapshotsNilWithoutObservability(t *testing.T) {
 	}
 }
 
-// TestEventLogWithoutObservability: WithEventLog-style config (EventLogSize
-// alone) enables the ring without the stage tracing.
+// TestEventLogSizeAloneEnablesRing: WithEventLog-style config (a sized
+// EventLog alone) enables the ring without the stage tracing.
 func TestEventLogSizeAloneEnablesRing(t *testing.T) {
-	st := newTestStack(t, func(c *Config) { c.EventLogSize = 16 })
+	st := newTestStack(t, func(c *Config) { c.EventLog = obs.NewLog(16) })
 	plainSearch(t, st.proxy, "ring only")
 	if st.proxy.Events() == nil {
-		t.Fatal("EventLogSize > 0 but no ring")
+		t.Fatal("EventLog set but no ring")
 	}
 	if got := st.proxy.StageSnapshots(); got != nil {
 		t.Errorf("stage tracing on without Observability: %v", got)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -128,22 +127,16 @@ type Config struct {
 	// label values from closed sets only — so the host-visible surface
 	// stays constant-shape regardless of traffic.
 	Observability bool
-	// EventLogSize bounds the in-memory event ring (drop-oldest). Zero
-	// means obs.DefaultLogCapacity; a positive value enables event
-	// logging even without Observability. Ignored when EventLog is set.
-	EventLogSize int
-	// EventLog, when set, is a shared event log this proxy appends to
-	// instead of creating its own — the fleet gateway injects one log per
-	// fleet so shard events interleave in one stream. Implies event
-	// logging even without Observability (the fleet decides).
+	// EventLog is the structured event ring this proxy appends to
+	// (xsearch.WithEventLog builds one of a given size, optionally
+	// mirrored to a JSON-lines stream); the fleet gateway hands every
+	// shard the one log it shares, so shard events interleave in one
+	// stream. Set, it logs events even without Observability; nil, the
+	// proxy makes a default-sized ring only under Observability.
 	EventLog *obs.Log
 	// EventShard is the shard index stamped on this proxy's events (fleet
 	// wiring; standalone proxies leave it 0).
 	EventShard int
-	// EventStream, when set, receives every appended event as one JSON
-	// line (the -log-json stderr stream). Only consulted when this proxy
-	// creates its own log (EventLog nil).
-	EventStream io.Writer
 	// EngineLink injects WAN latency on the proxy <-> engine path
 	// (experiments); nil means none.
 	EngineLink *netsim.Link
@@ -318,9 +311,6 @@ func New(cfg Config) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.EventLogSize < 0 {
-		return nil, fmt.Errorf("proxy: negative EventLogSize")
-	}
 	trusted := &trustedState{
 		obfuscator: obfuscator,
 		perList:    cfg.ResultsPerList,
@@ -333,15 +323,9 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Observability {
 		trusted.stages = obs.NewStages()
 	}
-	switch {
-	case cfg.EventLog != nil:
-		trusted.events = cfg.EventLog
-	case cfg.Observability || cfg.EventLogSize > 0 || cfg.EventStream != nil:
-		var lopts []obs.LogOption
-		if cfg.EventStream != nil {
-			lopts = append(lopts, obs.WithStream(cfg.EventStream))
-		}
-		trusted.events = obs.NewLog(cfg.EventLogSize, lopts...)
+	trusted.events = cfg.EventLog
+	if trusted.events == nil && cfg.Observability {
+		trusted.events = obs.NewLog(0)
 	}
 	if !cfg.EchoMode {
 		registry, err := buildRegistry(engines, &cfg)
@@ -870,7 +854,7 @@ type Stats struct {
 	// stages are omitted.
 	Stages map[string]metrics.LatencySnapshot `json:"stages,omitempty"`
 	// EventsLogged is the structured event ring's current occupancy
-	// (bounded by EventLogSize, drop-oldest).
+	// (bounded by the ring's size, drop-oldest).
 	EventsLogged int `json:"events_logged,omitempty"`
 	// Upstreams is the per-engine-upstream breakdown: traffic share,
 	// failures, breaker state, and each upstream's pool gauges. Sorted by

@@ -98,6 +98,18 @@ if [ -n "$out" ]; then
     note "a plaintext query reaches the host or the enclave (/search route, q parameter, typePlain, fleet ServeQuery)"
 fi
 
+# 7. The mux edge frames calls and nothing else: no per-stream credit
+#    (WINDOW) frame and no RESUME announcement come back in non-test code.
+#    A reconnecting broker tells the gateway nothing, because a session id
+#    names its shard; per-stream size caps and chunked writes bound a
+#    session without a flow-control window.
+out=$(grep -rnE 'FrameWindow|FrameResume|OnResume|SendResume' --include='*.go' \
+    internal cmd examples ./*.go | grep -v '_test.go')
+if [ -n "$out" ]; then
+    echo "$out"
+    note "the mux edge regrew a credit or resume frame (FrameWindow, FrameResume, OnResume, SendResume)"
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "telemetry-lint: FAILED" >&2
     exit 1

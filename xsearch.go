@@ -12,6 +12,7 @@ import (
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/fleet"
+	"xsearch/internal/obs"
 	"xsearch/internal/proxy"
 	"xsearch/internal/searchengine"
 )
@@ -204,7 +205,7 @@ func WithObservability() ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) { c.Observability = true })
 }
 
-// WithEventLog sizes the structured event ring (size <= 0 keeps the
+// WithEventLog builds the structured event ring (size <= 0 keeps the
 // default, 1024) and, when stream is non-nil, mirrors every event to it
 // as one JSON object per line (the -log-json stderr stream). Enables
 // event logging by itself; combine with WithObservability for stage
@@ -212,10 +213,11 @@ func WithObservability() ProxyOption {
 // ring and stream are shared by the gateway and every shard.
 func WithEventLog(size int, stream io.Writer) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) {
-		if size > 0 {
-			c.EventLogSize = size
+		var opts []obs.LogOption
+		if stream != nil {
+			opts = append(opts, obs.WithStream(stream))
 		}
-		c.EventStream = stream
+		c.EventLog = obs.NewLog(size, opts...)
 	})
 }
 
@@ -435,8 +437,9 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 // WithMuxTransport carries every proxy RPC over one long-lived
 // multiplexed TCP connection to the gateway's mux edge at muxAddr
 // (Fleet.StartMux), instead of one HTTP request per call. A dropped
-// conn is transparently re-dialed and live attested sessions resume
-// without re-attestation.
+// conn is transparently re-dialed and the live attested session carries
+// on over the new one without re-attestation; the gateway needs no word
+// of it, because the session id names its shard.
 func WithMuxTransport(muxAddr string) ClientOption {
 	return clientOptionFunc(func(c *broker.Config) {
 		c.Transport = "mux"
