@@ -283,31 +283,3 @@ func BenchmarkEngineRoundTripPooled(b *testing.B) {
 func BenchmarkEngineRoundTripCached(b *testing.B) {
 	benchmarkEngineRoundTrip(b, 8, 4<<20, true)
 }
-
-// BenchmarkAnonymityBaselines regenerates the extension comparison of the
-// four anonymity substrates (Dissent DC-net, RAC ring, Tor, X-Search).
-func BenchmarkAnonymityBaselines(b *testing.B) {
-	f := getBenchFixture(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAnonBench(f, experiments.AnonBenchConfig{
-			GroupSize:    6,
-			HopMedian:    20 * time.Millisecond,
-			Scale:        0.1,
-			Duration:     300 * time.Millisecond,
-			Workers:      32,
-			DissentRates: []float64{10, 50},
-			RACRates:     []float64{25, 100},
-			TorRates:     []float64{100, 400},
-			XSearchRates: []float64{2000, 20000},
-			MaxP50:       2 * time.Second,
-			Seed:         1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Knee["X-Search"] <= res.Knee["Dissent"] {
-			b.Fatal("ordering violated")
-		}
-	}
-}

@@ -1,7 +1,7 @@
 // Command xsearch-bench regenerates the paper's evaluation: Figures 1, 3, 4,
-// 5, 6 and 7, the paper's own ablations (fake source, filtering, history
-// size, transition cost) and the §2.1.1 anonymity-system comparison, each
-// printed as an aligned data table with a paper-vs-measured summary. "Did
+// 5, 6 and 7 and the paper's own ablations (fake source, filtering, history
+// size, transition cost), each printed as an aligned data table with a
+// paper-vs-measured summary. "Did
 // this change make the system faster" is not asked here: that is bench/
 // (`bash bench/run.sh`).
 package main
@@ -43,12 +43,11 @@ var figures = []struct {
 	{"6", runFig6},
 	{"7", runFig7},
 	{"ablations", runAblations},
-	{"anon", runAnonBench},
 }
 
 func run() error {
 	var o options
-	figs := flag.String("figs", "1,3,4,5,6,7,ablations,anon", "comma-separated figures to run")
+	figs := flag.String("figs", "1,3,4,5,6,7,ablations", "comma-separated figures to run")
 	flag.BoolVar(&o.quick, "quick", false, "scaled-down sizes (CI-friendly)")
 	flag.Uint64Var(&o.seed, "seed", 1, "experiment seed")
 	flag.BoolVar(&o.useHTTP, "http", false, "Figure 5 over real loopback HTTP (bare-metal runs)")
@@ -255,22 +254,5 @@ func runAblations(f *experiments.Fixture, o options) error {
 	fmt.Printf("# Ablation: enclave transition cost (3us per crossing, serial ecalls)\n")
 	fmt.Printf("with cost     %.0f req/s\n", withCost)
 	fmt.Printf("without cost  %.0f req/s\n\n", withoutCost)
-	return nil
-}
-
-func runAnonBench(f *experiments.Fixture, o options) error {
-	cfg := experiments.DefaultAnonBenchConfig()
-	if o.quick {
-		cfg.Duration = 500 * time.Millisecond
-	}
-	res, err := experiments.RunAnonBench(f, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Figure.Render())
-	fmt.Printf("# knees (last sub-second p50, req/s): Dissent=%.0f RAC=%.0f Tor=%.0f X-Search=%.0f\n",
-		res.Knee["Dissent"], res.Knee["RAC"], res.Knee["Tor"], res.Knee["X-Search"])
-	fmt.Printf("# paper (§2.1.1 qualitative): Dissent < RAC < Tor << X-Search\n")
-	fmt.Printf("# (WAN compressed %gx; ratios, not absolutes, are the claim)\n\n", 1/cfg.Scale)
 	return nil
 }

@@ -1,38 +1,35 @@
-// Package broker implements the client-side query broker (§4.2): a local
-// daemon running in the user's trust domain that attests the remote
-// X-Search enclave, establishes the encrypted tunnel terminating inside it,
-// and exposes a plain local HTTP endpoint to the user's web client. The
-// broker is the only component besides the enclave that ever sees the
-// user's cleartext query.
+// Package broker is the client-side query broker (§4.2): a local daemon in
+// the user's trust domain, and besides the enclave the only component that
+// sees the user's cleartext query. It keeps its Config, the local Server
+// for the user's web client, and the two transports (an HTTP POST per call,
+// or one multiplexed conn) its one attested internal/client session rides.
 package broker
 
 import (
 	"bytes"
 	"context"
 	"crypto/ed25519"
-	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"xsearch/internal/attestation"
+	"xsearch/internal/client"
 	"xsearch/internal/core"
 	"xsearch/internal/mux"
-	"xsearch/internal/proxy"
-	"xsearch/internal/securechannel"
 	"xsearch/internal/serve"
 )
 
-// Errors returned by the broker.
+// Errors returned by the broker: the client's, under the broker's names.
+// ErrProxyStatus marks a call the proxy refused (an HTTP status other than
+// 200, a mux stream error).
 var (
-	ErrNotConnected = errors.New("broker: not connected; call Connect first")
-	ErrProxyStatus  = errors.New("broker: proxy returned non-OK status")
+	ErrNotConnected = client.ErrNotConnected
+	ErrProxyStatus  = client.ErrRefused
 )
 
 // Config parameterizes a broker.
@@ -62,15 +59,11 @@ type Config struct {
 	MuxAddr string
 }
 
-// Broker is an attested client of one X-Search node.
+// Broker is an attested client of one X-Search node: an internal/client
+// session (Connect, Connected, Search) over the configured transport.
 type Broker struct {
-	cfg    Config
-	client *http.Client
-	rd     *mux.Redialer // non-nil on the "mux" transport
-
-	mu      sync.Mutex
-	channel *securechannel.Channel
-	session string
+	*client.Client
+	rd *mux.Redialer // non-nil on the "mux" transport
 }
 
 // New validates cfg and returns an unconnected broker.
@@ -87,11 +80,12 @@ func New(cfg Config) (*Broker, error) {
 	if cfg.Count <= 0 {
 		cfg.Count = 20
 	}
-	client := cfg.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+	hc := cfg.HTTPClient
+	if hc == nil {
+		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	b := &Broker{cfg: cfg, client: client}
+	b := &Broker{}
+	var caller client.Caller = &httpCaller{url: cfg.ProxyURL, client: hc}
 	switch cfg.Transport {
 	case "", "http":
 	case "mux":
@@ -102,9 +96,11 @@ func New(cfg Config) (*Broker, error) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", cfg.MuxAddr)
 		})
+		caller = muxCaller{b.rd}
 	default:
 		return nil, fmt.Errorf("broker: unknown transport %q (want http or mux)", cfg.Transport)
 	}
+	b.Client = client.New(caller, attestation.Verifier{ServiceKey: cfg.ServiceKey, Policy: cfg.Policy}, cfg.Count)
 	return b, nil
 }
 
@@ -135,194 +131,46 @@ func (b *Broker) KillConn() {
 	}
 }
 
-// Connect performs the attested handshake: it verifies the proxy enclave's
-// quote (measurement policy, debug bit, nonce freshness) and checks that
-// the channel key is the one bound inside the attestation report before
-// keying the channel. On success subsequent Search calls use the tunnel.
-func (b *Broker) Connect(ctx context.Context) error {
-	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
-	if err != nil {
-		return err
-	}
-	offerJSON, err := hs.Offer().Marshal()
-	if err != nil {
-		return err
-	}
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return fmt.Errorf("broker: nonce: %w", err)
-	}
-	reqBody, err := json.Marshal(struct {
-		Offer json.RawMessage `json:"offer"`
-		Nonce []byte          `json:"nonce"`
-	}{offerJSON, nonce})
-	if err != nil {
-		return err
-	}
-	respBody, err := b.rpc(ctx, mux.KindHandshake, reqBody, nil)
-	if errors.Is(err, mux.ErrConnLost) {
-		// The conn died under the handshake. Re-posting the same offer is
-		// safe — at worst the server minted a session the broker never
-		// uses, which ages out of its FIFO table.
-		respBody, err = b.rpc(ctx, mux.KindHandshake, reqBody, nil)
-	}
-	if err != nil {
-		return err
-	}
-	var resp proxy.HandshakeResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return fmt.Errorf("broker: handshake response: %w", err)
-	}
+// muxCaller carries each call as one stream on the re-dialing mux conn; a
+// stream error from the gateway is its refusal.
+type muxCaller struct{ rd *mux.Redialer }
 
-	serverOffer, err := securechannel.UnmarshalOffer(resp.Offer)
-	if err != nil {
-		return err
-	}
-	// Verify attestation BEFORE completing the channel: the report must
-	// bind exactly the server public key we are about to use.
-	var vr attestation.VerificationReport
-	if err := json.Unmarshal(resp.VerificationReport, &vr); err != nil {
-		return fmt.Errorf("broker: verification report: %w", err)
-	}
-	verifier := &attestation.Verifier{ServiceKey: b.cfg.ServiceKey, Policy: b.cfg.Policy}
-	expect := attestation.BindKey(serverOffer.PubKey)
-	if _, err := verifier.Verify(&vr, nonce, &expect); err != nil {
-		return fmt.Errorf("broker: attestation failed: %w", err)
-	}
-
-	channel, err := hs.Complete(serverOffer)
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	b.channel = channel
-	b.session = resp.Session
-	b.mu.Unlock()
-	return nil
-}
-
-// Connected reports whether an attested channel is established.
-func (b *Broker) Connected() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.channel != nil
-}
-
-// Search sends one query through the attested tunnel and returns the
-// filtered results. If the proxy no longer knows the session (restart or
-// session-table eviction), the broker transparently re-attests once and
-// retries — the paper's broker is a long-lived daemon and proxies are
-// Byzantine, so session loss is an expected event, not an error.
-func (b *Broker) Search(ctx context.Context, query string) ([]core.Result, error) {
-	results, err := b.searchOnce(ctx, query)
-	if errors.Is(err, mux.ErrConnLost) {
-		// The transport conn died mid-call, but the attested channel
-		// survived — its keys live here and in the enclave, not in the
-		// carrier. Re-seal the query (a fresh record with a fresh sequence
-		// number, so it is safe whether or not the lost call was
-		// processed) and retry over the re-dialed conn. No re-attestation.
-		results, err = b.searchOnce(ctx, query)
-	}
-	if err == nil || !errors.Is(err, ErrProxyStatus) {
-		return results, err
-	}
-	// Session likely lost. Re-attest (full verification again) and retry.
-	if rerr := b.Connect(ctx); rerr != nil {
-		return nil, fmt.Errorf("broker: reconnect after %v: %w", err, rerr)
-	}
-	return b.searchOnce(ctx, query)
-}
-
-// replyBufs recycles the HTTP transport's secure-reply buffers: a reply is
-// read, opened and parsed in one, and ParseSecureReply copies out what the
-// results keep before the buffer goes back. One grown past maxPooledReply
-// is left to the collector.
-var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledReply = 64 << 10
-
-func (b *Broker) searchOnce(ctx context.Context, query string) ([]core.Result, error) {
-	b.mu.Lock()
-	channel, session := b.channel, b.session
-	b.mu.Unlock()
-	if channel == nil {
-		return nil, ErrNotConnected
-	}
-	// The query is sealed where it is written, inside the body that carries
-	// it (room for a query needing no escapes).
-	body := proxy.AppendSecureBody(make([]byte, 0, 1+len(session)+securechannel.HeaderSize+len(query)+64+securechannel.SealRoom), session, nil)
-	at := len(body)
-	body = core.AppendSecureRequest(append(body, make([]byte, securechannel.HeaderSize)...), query, b.cfg.Count)
-	body = channel.SealAt(body, at)
-
-	buf := replyBufs.Get().(*[]byte)
-	defer replyBufs.Put(buf)
-	reply, err := b.rpc(ctx, mux.KindSecure, body, *buf)
-	if err != nil {
-		return nil, err
-	}
-	if b.rd == nil && cap(reply) <= maxPooledReply {
-		*buf = reply[:0] // ReadBody grows the buffer when a reply outsizes it
-	}
-	// Opened where it was read: the pooled buffer over HTTP, the frame
-	// payload a mux call allocates for its caller.
-	respPT, err := channel.OpenInPlace(reply)
-	if err != nil {
-		return nil, fmt.Errorf("broker: open response: %w", err)
-	}
-	results, errstr, err := core.ParseSecureReply(respPT, b.cfg.Count)
-	if err != nil {
-		return nil, fmt.Errorf("broker: response payload: %w", err)
-	}
-	if errstr != "" {
-		return nil, fmt.Errorf("broker: proxy error: %s", errstr)
-	}
-	return results, nil
-}
-
-// rpc issues one proxy call of the given stream kind over the configured
-// transport — a logical stream on the multiplexed conn, or an HTTP POST to
-// the kind's route — and returns the reply body (over HTTP, read into dst's
-// storage when it has room). Error classes are kept
-// distinct because the recovery differs: a remote refusal maps onto
-// ErrProxyStatus (the re-attest path — the server answered, the session
-// is likely gone), while transport loss stays mux.ErrConnLost (the
-// re-seal-and-retry path — the server may never have answered, but the
-// channel is intact).
-func (b *Broker) rpc(ctx context.Context, kind byte, body, dst []byte) ([]byte, error) {
-	path, contentType := "/handshake", "application/json"
-	if kind == mux.KindSecure {
-		path, contentType = "/secure", "application/octet-stream"
-	}
-	if b.rd == nil {
-		return b.post(ctx, path, contentType, body, dst)
-	}
-	resp, err := b.rd.Call(ctx, kind, body)
+func (m muxCaller) Call(ctx context.Context, kind byte, body, _ []byte) ([]byte, error) {
+	resp, err := m.rd.Call(ctx, kind, body)
 	if err != nil {
 		var remote *mux.RemoteError
 		if errors.As(err, &remote) {
-			return nil, fmt.Errorf("%w: %s: %s", ErrProxyStatus, path, remote.Msg)
+			return nil, fmt.Errorf("%w: %s", ErrProxyStatus, remote.Msg)
 		}
-		return nil, fmt.Errorf("broker: %s: %w", path, err)
+		return nil, err
 	}
 	return resp, nil
 }
 
-// maxReplyBytes caps what post reads of a reply: the proxy is Byzantine,
-// and the largest honest reply is a sealed list cut from an engine body
-// the enclave itself caps at 8 MiB.
+// maxReplyBytes caps what httpCaller reads of a reply: the proxy is
+// Byzantine, and the largest honest reply is a sealed list cut from an
+// engine body the enclave itself caps at 8 MiB.
 const maxReplyBytes = 8 << 20
 
-// post sends one HTTP POST and returns the reply body, read into dst's
-// storage when it has room.
-func (b *Broker) post(ctx context.Context, path, contentType string, body, dst []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		b.cfg.ProxyURL+path, bytes.NewReader(body))
+// httpCaller carries each call as one HTTP POST to the kind's route and
+// reads the reply into dst's storage when it has room; a status other than
+// 200 is the proxy's refusal.
+type httpCaller struct {
+	url    string
+	client *http.Client
+}
+
+func (h *httpCaller) Call(ctx context.Context, kind byte, body, dst []byte) ([]byte, error) {
+	path, contentType := "/handshake", "application/json"
+	if kind == mux.KindSecure {
+		path, contentType = "/secure", "application/octet-stream"
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.url+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	resp, err := b.client.Do(req)
+	resp, err := h.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("broker: %s: %w", path, err)
 	}

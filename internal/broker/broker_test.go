@@ -15,6 +15,7 @@ import (
 	"xsearch/internal/attestation"
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
+	"xsearch/internal/mux"
 	"xsearch/internal/proxy"
 	"xsearch/internal/raceflag"
 	"xsearch/internal/searchengine"
@@ -379,15 +380,8 @@ func TestResultsOutliveTheirReadBuffer(t *testing.T) {
 		t.Fatalf("first search: %d results, %v", len(first), err)
 	}
 	want := string(core.AppendResultsJSON(nil, first))
-	// Scribble over whatever buffer went back to the pool, then let a second
-	// search read a different reply into it.
-	if buf := replyBufs.Get().(*[]byte); cap(*buf) > 0 {
-		full := (*buf)[:cap(*buf)]
-		for i := range full {
-			full[i] = 0xff
-		}
-		replyBufs.Put(buf)
-	}
+	// A second search reads a different reply into the buffer that went
+	// back to the pool.
 	if second, err := b.Search(ctx, "mortgage refinance rates"); err != nil || len(second) == 0 {
 		t.Fatalf("second search: %d results, %v", len(second), err)
 	}
@@ -415,14 +409,10 @@ func TestReplyOverCapIsAnErrorNotAnAllocation(t *testing.T) {
 		}
 	}))
 	defer hostile.Close()
-	b, err := New(Config{ProxyURL: hostile.URL, ServiceKey: make([]byte, 32),
-		Policy: attestation.Policy{AcceptedMeasurements: []enclave.Measurement{{1}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := &httpCaller{url: hostile.URL, client: http.DefaultClient}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = b.post(context.Background(), "/secure", "application/octet-stream", []byte("body"), nil)
+	_, err := h.Call(context.Background(), mux.KindSecure, []byte("body"), nil)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, serve.ErrBodyTooLarge) {
 		t.Errorf("declared 1 GiB reply: err = %v, want ErrBodyTooLarge", err)
@@ -430,7 +420,7 @@ func TestReplyOverCapIsAnErrorNotAnAllocation(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("refusing a declared 1 GiB reply allocated %d bytes", grew)
 	}
-	if _, err := b.post(context.Background(), "/handshake", "application/json", []byte("{}"), nil); !errors.Is(err, serve.ErrBodyTooLarge) {
+	if _, err := h.Call(context.Background(), mux.KindHandshake, []byte("{}"), nil); !errors.Is(err, serve.ErrBodyTooLarge) {
 		t.Errorf("undeclared reply past the cap: err = %v, want ErrBodyTooLarge", err)
 	}
 }

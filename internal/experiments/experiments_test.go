@@ -297,40 +297,3 @@ func TestAblationTransitionCost(t *testing.T) {
 		t.Errorf("transition cost did not reduce throughput: %f >= %f", withCost, withoutCost)
 	}
 }
-
-func TestAnonBenchOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep in -short mode")
-	}
-	if raceflag.Enabled {
-		t.Skip("wall-clock knee ordering is unreliable under the race detector")
-	}
-	f := smallFixture(t)
-	res, err := RunAnonBench(f, AnonBenchConfig{
-		GroupSize:    6,
-		HopMedian:    20 * time.Millisecond,
-		Scale:        0.1,
-		Duration:     400 * time.Millisecond,
-		Workers:      32,
-		DissentRates: []float64{5, 50},
-		RACRates:     []float64{10, 100},
-		TorRates:     []float64{50, 400},
-		XSearchRates: []float64{1000, 20000},
-		MaxP50:       2 * time.Second,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper's qualitative ordering (§2.1.1): X-Search >> Tor, and
-	// Tor above the accountable protocols.
-	if res.Knee["X-Search"] <= res.Knee["Tor"] {
-		t.Errorf("X-Search knee %f <= Tor knee %f", res.Knee["X-Search"], res.Knee["Tor"])
-	}
-	if res.Knee["Tor"] < res.Knee["Dissent"] {
-		t.Errorf("Tor knee %f < Dissent knee %f", res.Knee["Tor"], res.Knee["Dissent"])
-	}
-	if res.Figure == nil || len(res.Figure.Series) != 4 {
-		t.Error("figure incomplete")
-	}
-}

@@ -1,10 +1,9 @@
 // Package experiments contains one driver per figure of the paper's
-// evaluation (Figures 1, 3, 4, 5, 6, 7), the paper's own ablations and the
-// §2.1.1 anonymity-system comparison — and nothing else: whether a change
-// made the system faster is bench/'s question. Each driver is parameterized
-// by size so scaled-down versions run in go test, and every driver is
-// deterministic under its seed. cmd/xsearch-bench runs the full-size
-// versions and renders their tables.
+// evaluation (Figures 1, 3, 4, 5, 6, 7) and the paper's own ablations —
+// and nothing else: whether a change made the system faster is bench/'s
+// question. Each driver is parameterized by size so scaled-down versions
+// run in go test, and every driver is deterministic under its seed.
+// cmd/xsearch-bench runs the full-size versions and renders their tables.
 package experiments
 
 import (

@@ -11,9 +11,9 @@
 // shard with the fewest sessions it minted, the lowest index on a tie — so
 // a session's obfuscation always draws fakes from the same in-enclave
 // history window and Algorithm 1's k-anonymity argument holds per shard.
-// The gateway serves sealed calls only; an in-process caller searching one
-// shard uses that shard's Proxy.ServeQuery, itself a sealed client of its
-// enclave.
+// The gateway serves sealed calls only; a caller in the same process is an
+// internal/client session over proxy.InProcess, of the gateway or, to
+// search one shard, of that shard's Proxy (its ServeQuery).
 //
 // The gateway holds nothing per session: the session id it hands a broker
 // is the shard's index, a dot, and the enclave's own session id, so a

@@ -47,8 +47,8 @@ func (g *Gateway) ShardOf(session string) (int, bool) {
 // the lowest index on a tie, or nil when no shard is available. It reads
 // the uncapped counts, not sessions(): that is capped at the enclave
 // table's bound, so once every shard reached it all would tie and shard 0
-// would take every new session. Proxy.ServeQuery's in-process sessions are
-// not minted here, so the pick does not see them.
+// would take every new session. A shard's own ServeQuery sessions are not
+// minted here (an in-process client of the gateway is), so it misses them.
 func (g *Gateway) pick() *shard {
 	var best *shard
 	var bestLoad int64

@@ -16,6 +16,7 @@ import (
 
 	"xsearch/internal/attestation"
 	"xsearch/internal/broker"
+	"xsearch/internal/client"
 	"xsearch/internal/enclave"
 	"xsearch/internal/mux"
 	"xsearch/internal/proxy"
@@ -128,7 +129,7 @@ func TestOldFormatSecureBodyIsAPerStreamRefusal(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"legacy JSON":  legacy,
 		"empty":        nil,
-		"id only":      proxy.AppendSecureBody(nil, strings.Repeat("ab", 16), nil),
+		"id only":      client.AppendSecureBody(nil, strings.Repeat("ab", 16), nil),
 		"truncated id": {32, 'a', 'b'},
 		"zero-length":  {0, 1, 2, 3},
 	} {

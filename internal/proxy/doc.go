@@ -7,7 +7,7 @@
 // calls only (POST /handshake, POST /secure), and so does the enclave: it
 // decodes no query but a sealed one, so the untrusted host never sees a
 // query in the clear. ServeQuery, for the capacity experiments, is an
-// in-process client of that seam; no route reaches it.
+// internal/client session over InProcess; no route reaches it.
 //
 // # Request stage
 //

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"xsearch/internal/client"
 	"xsearch/internal/mux"
 	"xsearch/internal/serve"
 )
@@ -17,8 +18,8 @@ import (
 // multiplexed edge both reach it through ServeCall, so a client cannot
 // tell the transports — or a node from a fleet — apart past the edge. It
 // carries sealed calls only, so the untrusted host never sees a query in
-// the clear; an in-process caller has the node's ServeQuery, itself a
-// sealed client.
+// the clear; a caller in the same process is an internal/client session
+// over InProcess (as ServeQuery is), attested and minted like a broker's.
 type Front interface {
 	Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*HandshakeResponse, error)
 	Secure(ctx context.Context, session string, record []byte) ([]byte, error)
@@ -27,47 +28,15 @@ type Front interface {
 	Refused()
 }
 
-// HandshakeResponse is what the front returns for a handshake call.
-type HandshakeResponse struct {
-	// Offer is the enclave's securechannel offer.
-	Offer json.RawMessage `json:"offer"`
-	// Session identifies the established channel on subsequent requests.
-	Session string `json:"session"`
-	// VerificationReport is the attestation service's signed statement
-	// covering the enclave quote (bound to Offer's public key).
-	VerificationReport []byte `json:"verification_report"`
-}
+// HandshakeResponse is client.HandshakeResponse under the name bench/trace.go spells.
+type HandshakeResponse = client.HandshakeResponse
 
 // SecureEnvelope was the JSON/base64 body of HTTP /secure before both edges
-// carried AppendSecureBody. The type stays, unused by the module, because
-// the repo benchmark (bench/) still sizes its mux.call rung with it.
+// carried client.AppendSecureBody. It stays, unused by the module, because
+// bench/trace.go still sizes its mux.call rung with it.
 type SecureEnvelope struct {
 	Session string `json:"session"`
 	Record  []byte `json:"record"`
-}
-
-// maxSessionIDBytes caps the session id of a secure body. Ids are 32 hex
-// digits; the cap also turns an old-format JSON body (first byte '{', 123)
-// into a clean refusal.
-const maxSessionIDBytes = 64
-
-// AppendSecureBody encodes the request of a secure call — a KindSecure mux
-// stream or an HTTP POST /secure — onto dst: len(1) ‖ session id ‖ raw
-// sealed record.
-func AppendSecureBody(dst []byte, session string, record []byte) []byte {
-	dst = append(dst, byte(len(session)))
-	dst = append(dst, session...)
-	return append(dst, record...)
-}
-
-// ParseSecureBody reverses AppendSecureBody on hostile input. The record
-// aliases body.
-func ParseSecureBody(body []byte) (session string, record []byte, err error) {
-	if len(body) == 0 || body[0] == 0 || body[0] > maxSessionIDBytes || len(body) <= 1+int(body[0]) {
-		return "", nil, BadRequest("bad secure body")
-	}
-	n := 1 + int(body[0])
-	return string(body[1:n]), body[n:], nil
 }
 
 // BadRequest is a ServeCall failure that is the client's doing — a
@@ -80,24 +49,21 @@ func (e BadRequest) Error() string { return string(e) }
 // ServeCall runs one client call against f: decode the body of the given
 // kind (the mux stream kinds, which map one-to-one onto the HTTP routes),
 // call, and return the reply body for the edge to send as it stands — an
-// HTTP response, a mux frame. Secure: AppendSecureBody in, the raw sealed
-// record out. Handshake: {"offer": <client offer JSON>, "nonce": <base64>}
-// in, a HandshakeResponse out. Any other kind is the call's BadRequest,
-// which f counts through Refused.
+// HTTP response, a mux frame. Secure: client.AppendSecureBody in, the raw
+// sealed record out. Handshake: a client.HandshakeRequest in, a
+// HandshakeResponse out. Any other kind is the call's BadRequest, which f
+// counts through Refused.
 func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, error) {
 	switch kind {
 	case mux.KindSecure:
-		session, record, err := ParseSecureBody(body)
-		if err != nil {
+		session, record, ok := client.ParseSecureBody(body)
+		if !ok {
 			f.Refused()
-			return nil, err
+			return nil, BadRequest("bad secure body")
 		}
 		return f.Secure(ctx, session, record)
 	case mux.KindHandshake:
-		var req struct {
-			Offer json.RawMessage `json:"offer"`
-			Nonce []byte          `json:"nonce"`
-		}
+		var req client.HandshakeRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			f.Refused()
 			return nil, BadRequest("bad handshake body")
@@ -111,6 +77,19 @@ func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, er
 		f.Refused()
 		return nil, BadRequest(fmt.Sprintf("unknown stream kind 0x%x", kind))
 	}
+}
+
+// InProcess is the client.Caller of a Front in this process: ServeCall with
+// no edge around it, every failure the front's refusal as an edge reports it.
+type InProcess struct{ Front }
+
+// Call serves one call of the given kind.
+func (c InProcess) Call(ctx context.Context, kind byte, body, _ []byte) ([]byte, error) {
+	reply, err := ServeCall(ctx, c.Front, kind, body)
+	if err != nil {
+		err = fmt.Errorf("%w: %w", client.ErrRefused, err)
+	}
+	return reply, err
 }
 
 // maxBodyBytes caps request bodies on the client-facing handlers. The

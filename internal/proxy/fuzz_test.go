@@ -3,9 +3,11 @@ package proxy
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -13,6 +15,9 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"xsearch/internal/client"
+	"xsearch/internal/mux"
 )
 
 // FuzzParseResponse fuzzes the enclave's HTTP/1.1 streaming response
@@ -345,34 +350,54 @@ func plainEnvelope(id uint64, query string) []byte {
 	return append(b, make([]byte, 3*4)...)
 }
 
-// FuzzMuxSecureBody fuzzes the gateway's parse of a KindSecure mux stream
-// body (len ‖ session id ‖ record): hostile bytes are refused as a
-// BadRequest — never a panic — and an accepted body is exactly what
-// AppendSecureBody builds from the parsed parts.
+// FuzzMuxSecureBody fuzzes the edges' parse of a secure call body (len ‖
+// session id ‖ record) through ServeCall: hostile bytes are refused as a
+// BadRequest the front counts — never a panic — and an accepted body is
+// exactly what client.AppendSecureBody builds from the parts the front was
+// handed.
 func FuzzMuxSecureBody(f *testing.F) {
 	id := "0123456789abcdef0123456789abcdef"
-	f.Add(AppendSecureBody(nil, id, []byte("sealed record")))
-	f.Add(AppendSecureBody(nil, id, nil))                            // empty record
-	f.Add([]byte{})                                                  // empty body
-	f.Add([]byte{32, 'a', 'b'})                                      // truncated id
-	f.Add(append([]byte{200}, make([]byte, 300)...))                 // over-long id
-	f.Add([]byte{0, 'r'})                                            // empty id
-	f.Add([]byte(`{"session":"ab","record":"c2VhbGVk"}`))            // the old JSON body
-	f.Add(AppendSecureBody(nil, strings.Repeat("s", 64), []byte{1})) // id at the cap
+	f.Add(client.AppendSecureBody(nil, id, []byte("sealed record")))
+	f.Add(client.AppendSecureBody(nil, id, nil))                            // empty record
+	f.Add([]byte{})                                                         // empty body
+	f.Add([]byte{32, 'a', 'b'})                                             // truncated id
+	f.Add(append([]byte{200}, make([]byte, 300)...))                        // over-long id
+	f.Add([]byte{0, 'r'})                                                   // empty id
+	f.Add([]byte(`{"session":"ab","record":"c2VhbGVk"}`))                   // the old JSON body
+	f.Add(client.AppendSecureBody(nil, strings.Repeat("s", 64), []byte{1})) // id at the cap
 	f.Fuzz(func(t *testing.T, body []byte) {
-		session, record, err := ParseSecureBody(body)
+		front := &recordingFront{}
+		_, err := ServeCall(context.Background(), front, mux.KindSecure, body)
 		if err != nil {
 			var bad BadRequest
-			if !errors.As(err, &bad) {
-				t.Fatalf("refusal %v is not a BadRequest", err)
+			if !errors.As(err, &bad) || !front.refused {
+				t.Fatalf("refusal %v is not a counted BadRequest", err)
 			}
 			return
 		}
-		if session == "" || len(session) > maxSessionIDBytes || len(record) == 0 {
-			t.Fatalf("accepted session %q with a %d-byte record", session, len(record))
+		if front.session == "" || len(front.session) > 64 || len(front.record) == 0 {
+			t.Fatalf("accepted session %q with a %d-byte record", front.session, len(front.record))
 		}
-		if !bytes.Equal(AppendSecureBody(nil, session, record), body) {
-			t.Fatal("accepted body does not round-trip through AppendSecureBody")
+		if !bytes.Equal(client.AppendSecureBody(nil, front.session, front.record), body) {
+			t.Fatal("accepted body does not round-trip through client.AppendSecureBody")
 		}
 	})
 }
+
+// recordingFront keeps what ServeCall handed it.
+type recordingFront struct {
+	session string
+	record  []byte
+	refused bool
+}
+
+func (f *recordingFront) Handshake(context.Context, json.RawMessage, []byte) (*HandshakeResponse, error) {
+	return nil, errors.New("recordingFront: no handshakes")
+}
+
+func (f *recordingFront) Secure(_ context.Context, session string, record []byte) ([]byte, error) {
+	f.session, f.record = session, record
+	return nil, nil
+}
+
+func (f *recordingFront) Refused() { f.refused = true }

@@ -92,9 +92,9 @@ func TestServeQueryConcurrentCallersOwnSessions(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			p.clientsMu.Lock()
-			idle := len(p.clients)
-			p.clientsMu.Unlock()
+			p.idleMu.Lock()
+			idle := len(p.idle)
+			p.idleMu.Unlock()
 			p.trusted.mu.Lock()
 			held := len(p.trusted.sessions)
 			p.trusted.mu.Unlock()

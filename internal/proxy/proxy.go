@@ -17,13 +17,13 @@ import (
 
 	"xsearch/internal/answer"
 	"xsearch/internal/attestation"
+	"xsearch/internal/client"
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/metrics"
 	"xsearch/internal/netsim"
 	"xsearch/internal/obs"
 	"xsearch/internal/seal"
-	"xsearch/internal/securechannel"
 	"xsearch/internal/serve"
 )
 
@@ -187,9 +187,9 @@ type Proxy struct {
 	handshakes atomic.Uint64
 	errors     atomic.Uint64
 
-	// clients is ServeQuery's free list of idle sessions.
-	clientsMu sync.Mutex
-	clients   []*clientSession
+	// idle is ServeQuery's free list of connected in-process clients.
+	idleMu sync.Mutex
+	idle   []*client.Client
 }
 
 // New builds the proxy: loads the trusted code into an enclave, registers
@@ -1032,81 +1032,37 @@ func (p *Proxy) StageSnapshots() map[string]metrics.LatencySnapshot {
 }
 
 // ServeQuery runs one query through the full enclave pipeline (ecall ->
-// Algorithm 1 -> engine fetch or echo -> Algorithm 2) as an in-process
-// sealed client: the query is sealed on a session of its own, served by
-// Secure, and the reply opened here. No route reaches it; the capacity
-// experiments use it to measure the proxy without the host network stack
-// in the way, as the paper's wrk2-on-bare-metal setup does. A failure the
-// enclave seals (engine down, blank query) is returned, but the host never
-// sees it, so it does not count in Stats.Errors.
+// Algorithm 1 -> engine fetch or echo -> Algorithm 2) on an internal/client
+// session over InProcess{p}, attested against the node's own quote and
+// minted by Handshake (so in Stats.Handshakes and the enclave's FIFO table
+// beside brokers' sessions). Each concurrent caller holds a client of its
+// own, so a session's records reach the enclave in the order they were
+// sealed; a client the enclave refused is not given back. No route reaches
+// it; the capacity experiments and bench/trace.go use it to measure the
+// node without the host network stack, as the paper's wrk2-on-bare-metal
+// setup does. A failure the enclave seals is returned but not counted in
+// Stats.Errors.
 func (p *Proxy) ServeQuery(ctx context.Context, query string) ([]core.Result, error) {
-	var s *clientSession
-	p.clientsMu.Lock()
-	if n := len(p.clients); n > 0 {
-		s, p.clients = p.clients[n-1], p.clients[:n-1]
+	var c *client.Client
+	p.idleMu.Lock()
+	if n := len(p.idle); n > 0 {
+		c, p.idle = p.idle[n-1], p.idle[:n-1]
 	}
-	p.clientsMu.Unlock()
-	for {
-		var err error
-		if s == nil {
-			if s, err = p.handshake(ctx); err != nil {
-				return nil, err
-			}
-		}
-		// Sealed where it is written, as a broker seals it.
-		buf := make([]byte, securechannel.HeaderSize, securechannel.HeaderSize+len(query)+64+securechannel.SealRoom)
-		reply, err := p.Secure(ctx, s.id, s.channel.SealAt(core.AppendSecureRequest(buf, query, 0), 0))
-		if err != nil {
-			// A session whose call failed is dropped. An evicted one is
-			// replaced (under handshake churn even a fresh one can go
-			// before its first record lands); the error crosses the
-			// batched seam as text.
-			if strings.Contains(err.Error(), errUnknownSession.Error()) && ctx.Err() == nil {
-				s = nil
-				continue
-			}
+	p.idleMu.Unlock()
+	if c == nil {
+		c = client.New(InProcess{p}, attestation.Verifier{ServiceKey: p.service.PublicKey(),
+			Policy: attestation.Policy{AcceptedMeasurements: []enclave.Measurement{p.Measurement()}}}, p.cfg.ResultsPerList)
+		if err := c.Connect(ctx); err != nil {
 			return nil, err
 		}
-		plaintext, err := s.channel.OpenInPlace(reply)
-		if err != nil {
-			return nil, fmt.Errorf("proxy: open reply: %w", err)
-		}
-		p.clientsMu.Lock()
-		p.clients = append(p.clients, s)
-		p.clientsMu.Unlock()
-		results, errstr, err := core.ParseSecureReply(plaintext, p.cfg.ResultsPerList)
-		if err == nil && errstr != "" {
-			return nil, errors.New(errstr)
-		}
-		return results, err
 	}
-}
-
-// clientSession is one of ServeQuery's sessions. One caller holds it at a
-// time, so its records reach the enclave in the order they were sealed.
-type clientSession struct {
-	channel *securechannel.Channel
-	id      string
-}
-
-// handshake establishes a session through the "request" ecall: a broker's
-// handshake without the quote, which the enclave's own host has no use for.
-func (p *Proxy) handshake(ctx context.Context) (*clientSession, error) {
-	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
-	if err != nil {
-		return nil, err
+	results, err := c.Search(ctx, query)
+	if !errors.Is(err, client.ErrRefused) {
+		p.idleMu.Lock()
+		p.idle = append(p.idle, c)
+		p.idleMu.Unlock()
 	}
-	offer, _ := hs.Offer().Marshal() // a role and two byte slices: it cannot fail
-	reply, err := p.ecall(ctx, envelope{Type: typeHandshake, Offer: offer})
-	if err != nil {
-		return nil, err
-	}
-	peer, err := securechannel.UnmarshalOffer(reply.Offer)
-	if err != nil {
-		return nil, err
-	}
-	channel, err := hs.Complete(peer)
-	return &clientSession{channel: channel, id: reply.Session}, err
+	return results, err
 }
 
 // ecall sends an envelope through the "request" ecall.

@@ -16,15 +16,25 @@ import (
 // at once, well past the FIFO eviction thresholds, so any unsynchronized
 // access surfaces as a race report rather than a lucky pass.
 
-// churnClient performs one handshake directly through the "request" ecall
-// (ServeQuery's own handshake: the paths the HTTP front exercises, without
-// the HTTP overhead) and returns the established channel and session id.
+// churnClient mints one session through Handshake (the Front call both
+// edges and ServeQuery's sessions make, without the HTTP overhead) and
+// returns the client's end of its channel and the session id.
 func churnClient(p *Proxy) (*securechannel.Channel, string, error) {
-	s, err := p.handshake(context.Background())
+	hs, err := securechannel.NewHandshake(securechannel.RoleClient)
 	if err != nil {
 		return nil, "", err
 	}
-	return s.channel, s.id, nil
+	offer, _ := hs.Offer().Marshal() // a role and two byte slices: it cannot fail
+	resp, err := p.Handshake(context.Background(), offer, make([]byte, 16))
+	if err != nil {
+		return nil, "", err
+	}
+	peer, err := securechannel.UnmarshalOffer(resp.Offer)
+	if err != nil {
+		return nil, "", err
+	}
+	channel, err := hs.Complete(peer)
+	return channel, resp.Session, err
 }
 
 // TestConcurrentSessionChurn drives handshakes and secure queries from

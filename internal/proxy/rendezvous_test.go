@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"xsearch/internal/attestation"
+	"xsearch/internal/client"
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/securechannel"
@@ -532,11 +534,12 @@ func TestCoalescedFlightCostsNineEcalls(t *testing.T) {
 	// Each concurrent caller holds a session of its own, handshaken before
 	// the count starts.
 	for i := 0; i < workers; i++ {
-		s, err := p.handshake(context.Background())
-		if err != nil {
+		c := client.New(InProcess{p}, attestation.Verifier{ServiceKey: p.service.PublicKey(),
+			Policy: attestation.Policy{AcceptedMeasurements: []enclave.Measurement{p.Measurement()}}}, p.cfg.ResultsPerList)
+		if err := c.Connect(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		p.clients = append(p.clients, s)
+		p.idle = append(p.idle, c)
 	}
 	before := p.Stats().Enclave
 	var wg sync.WaitGroup

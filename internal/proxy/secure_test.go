@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"xsearch/internal/attestation"
+	"xsearch/internal/client"
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/securechannel"
@@ -35,7 +36,7 @@ type secureResponse struct {
 // raw sealed record on a 200).
 func postSecure(t *testing.T, base, session string, record []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/secure", "application/octet-stream", bytes.NewReader(AppendSecureBody(nil, session, record)))
+	resp, err := http.Post(base+"/secure", "application/octet-stream", bytes.NewReader(client.AppendSecureBody(nil, session, record)))
 	if err != nil {
 		t.Fatal(err)
 	}
