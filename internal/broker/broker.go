@@ -25,8 +25,8 @@ import (
 )
 
 // Errors returned by the broker: the client's, under the broker's names.
-// ErrProxyStatus marks a call the proxy refused (an HTTP status other than
-// 200, a mux stream error).
+// ErrProxyStatus marks a call the proxy refused (an HTTP 502, a mux stream
+// error); any other status is the broker's own fault and a plain error.
 var (
 	ErrNotConnected = client.ErrNotConnected
 	ErrProxyStatus  = client.ErrRefused
@@ -45,14 +45,10 @@ type Config struct {
 	HTTPClient *http.Client
 	// Count is the default result count per query (default 20).
 	Count int
-	// Transport selects the carrier for proxy RPCs: "http" (default, one
-	// HTTP request per call) or "mux" (one long-lived multiplexed TCP conn
-	// to MuxAddr carrying every call as a logical stream, with the mux
-	// defaults the gateway also runs). On mux a dropped conn is re-dialed
-	// and the attested channel carries on without re-attestation: the
-	// channel keys live here and in the enclave, and the session id names
-	// its shard, so only the carrier needs replacing and the gateway is
-	// told nothing.
+	// Transport selects the carrier: "http" (default, one POST per call) or
+	// "mux" (one multiplexed TCP conn to MuxAddr, a stream per call). A
+	// dropped mux conn is re-dialed without re-attestation: the channel
+	// keys live here and in the enclave, and the session id names its shard.
 	Transport string
 	// MuxAddr is the gateway's raw-TCP mux address (host:port); required
 	// when Transport is "mux".
@@ -138,13 +134,12 @@ type muxCaller struct{ rd *mux.Redialer }
 func (m muxCaller) Call(ctx context.Context, kind byte, body, _ []byte) ([]byte, error) {
 	resp, err := m.rd.Call(ctx, kind, body)
 	if err != nil {
-		var remote *mux.RemoteError
+		var remote *mux.RemoteError // declared here: &remote escapes
 		if errors.As(err, &remote) {
-			return nil, fmt.Errorf("%w: %s", ErrProxyStatus, remote.Msg)
+			err = fmt.Errorf("%w: %s", ErrProxyStatus, remote.Msg)
 		}
-		return nil, err
 	}
-	return resp, nil
+	return resp, err
 }
 
 // maxReplyBytes caps what httpCaller reads of a reply: the proxy is
@@ -153,8 +148,8 @@ func (m muxCaller) Call(ctx context.Context, kind byte, body, _ []byte) ([]byte,
 const maxReplyBytes = 8 << 20
 
 // httpCaller carries each call as one HTTP POST to the kind's route and
-// reads the reply into dst's storage when it has room; a status other than
-// 200 is the proxy's refusal.
+// reads the reply into dst's storage when it has room; a 502 is the
+// proxy's refusal, any other status but 200 a plain error.
 type httpCaller struct {
 	url    string
 	client *http.Client
@@ -175,8 +170,10 @@ func (h *httpCaller) Call(ctx context.Context, kind byte, body, dst []byte) ([]b
 		return nil, fmt.Errorf("broker: %s: %w", path, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode == http.StatusBadGateway {
 		return nil, fmt.Errorf("%w: %s %d", ErrProxyStatus, path, resp.StatusCode)
+	} else if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("broker: %s: status %d", path, resp.StatusCode)
 	}
 	out, err := serve.ReadBody(dst, resp.Body, resp.ContentLength, maxReplyBytes)
 	if err != nil {

@@ -1,14 +1,14 @@
 // Package client is the client end of the attested channel (§4.2), the one
 // piece of code outside the enclave that holds a query in the clear: it
 // verifies the enclave's quote, seals each query where it is written and
-// opens each reply where it was read. A Caller carries its calls — the
-// broker's HTTP POST or mux stream, or a front in the same process — and
-// one rule recovers a failed call whatever carried it: a lost carrier
-// (mux.ErrConnLost) is re-sealed and retried once, since the channel keys
-// live here and in the enclave, not in the carrier; a refusal (ErrRefused:
-// the session was evicted, or its shard died) is re-attested and retried
-// while each re-attestation succeeds and the context lives. The package
-// also holds the edge's wire contract, which the fronts import.
+// opens each reply where it was read. A Caller carries its calls (an HTTP
+// POST, a mux stream, a front in this process), and one rule recovers a
+// failed call whatever carried it: a lost carrier (mux.ErrConnLost) is
+// re-sealed and retried once, since the channel keys live here and in the
+// enclave; a refusal (ErrRefused: the session was evicted, or its shard
+// died) is re-attested and retried, up to MaxReattests times, while each
+// re-attestation succeeds and the context lives; a failure of the caller's
+// own is returned as it stands. The edge's wire contract is here too.
 package client
 
 import (
@@ -17,7 +17,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	mrand "math/rand/v2"
 	"sync"
+	"time"
 
 	"xsearch/internal/attestation"
 	"xsearch/internal/core"
@@ -28,10 +30,19 @@ import (
 // Errors returned by a client.
 var (
 	ErrNotConnected = errors.New("client: not connected; call Connect first")
-	// ErrRefused marks a call the front answered with a refusal (an HTTP
-	// status other than 200, a mux stream error).
+	// ErrRefused marks a call the front refused for a reason a fresh session
+	// can cure (an HTTP 502, a mux stream error), not for the caller's fault.
 	ErrRefused = errors.New("client: front refused the call")
 )
+
+// MaxReattests bounds the re-attestations one Search makes, backing off
+// from the second on, so a front that attests but refuses every call costs
+// a caller with no deadline this many handshakes (about 0.5 s), not a spin.
+const MaxReattests = 32
+
+// MaxBodyBytes caps one call's body: the fronts read no more (a real body is
+// a few KB), and Search refuses a query sealed past it instead of calling.
+const MaxBodyBytes = 1 << 20
 
 // Caller carries one call of a kind (mux.KindHandshake, mux.KindSecure) to
 // a front and returns the reply body, which the client then owns; it may
@@ -110,9 +121,7 @@ func (c *Client) Connect(ctx context.Context) error {
 	body, _ := json.Marshal(HandshakeRequest{Offer: offer, Nonce: nonce})
 	reply, err := c.caller.Call(ctx, mux.KindHandshake, body, nil)
 	if errors.Is(err, mux.ErrConnLost) {
-		// Re-posting the offer is safe: at worst the front minted a session
-		// nobody uses, which ages out of its FIFO table.
-		reply, err = c.caller.Call(ctx, mux.KindHandshake, body, nil)
+		reply, err = c.caller.Call(ctx, mux.KindHandshake, body, nil) // at worst an unused session ages out
 	}
 	if err != nil {
 		return err
@@ -158,8 +167,14 @@ func (c *Client) Search(ctx context.Context, query string) ([]core.Result, error
 	if errors.Is(err, mux.ErrConnLost) {
 		results, err = c.searchOnce(ctx, query) // a fresh record, so safe either way
 	}
-	for errors.Is(err, ErrRefused) && ctx.Err() == nil {
+	for n := 0; errors.Is(err, ErrRefused) && n < MaxReattests && ctx.Err() == nil; n++ {
 		refusal := err
+		if n > 0 { // a fresh session refused: callers fill the table faster than they use it
+			select { // so back off, jittered, up to 32 ms
+			case <-ctx.Done():
+			case <-time.After(mrand.N(time.Millisecond << min(n, 5))):
+			}
+		}
 		if err = c.Connect(ctx); err != nil {
 			return nil, fmt.Errorf("client: reconnect after %w: %w", refusal, err)
 		}
@@ -189,6 +204,9 @@ func (c *Client) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	at := len(body)
 	body = core.AppendSecureRequest(append(body, make([]byte, securechannel.HeaderSize)...), query, c.count)
 	body = channel.SealAt(body, at)
+	if len(body) > MaxBodyBytes {
+		return nil, fmt.Errorf("client: a %d-byte call is over the %d-byte cap", len(body), MaxBodyBytes)
+	}
 
 	buf := replyBufs.Get().(*[]byte)
 	defer replyBufs.Put(buf)

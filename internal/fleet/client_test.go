@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,57 +75,112 @@ func TestOneRetryRuleOnTheMuxEdge(t *testing.T) {
 	}
 }
 
-// refusingFront attests through the gateway it wraps but refuses every
-// secure call.
-type refusingFront struct{ *Gateway }
-
-func (refusingFront) Secure(context.Context, string, []byte) ([]byte, error) {
-	return nil, errors.New("refusingFront: refused")
+// faultyFront attests through the gateway it wraps but fails every secure
+// call with err: a BadRequest is the caller's fault, any other error the
+// front's refusal.
+type faultyFront struct {
+	*Gateway
+	err error
 }
 
-// A front that attests but refuses every secure call keeps the client
-// re-attesting while the context lives, and no longer: Search returns the
-// refusal, as ErrProxyStatus, by the context's deadline — over HTTP and in
-// process alike.
-func TestRefusingFrontEndsAtTheDeadline(t *testing.T) {
-	g := echoFleet(t, 1, time.Hour)
-	front := refusingFront{g}
+func (f faultyFront) Secure(context.Context, string, []byte) ([]byte, error) { return nil, f.err }
+
+// searcher is what a broker and a client.Client have in common.
+type searcher interface {
+	Connect(context.Context) error
+	Search(context.Context, string) ([]core.Result, error)
+}
+
+// searchers returns a client of f over HTTP (a broker) and one in process.
+func searchers(t *testing.T, g *Gateway, f proxy.Front) map[string]searcher {
 	routes := http.NewServeMux()
-	proxy.HandleFront(routes, front)
+	proxy.HandleFront(routes, f)
 	srv := httptest.NewServer(routes)
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	b, err := broker.New(broker.Config{ProxyURL: srv.URL, ServiceKey: g.AttestationService().PublicKey(),
 		Policy: gatewayVerifier(g).Policy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]interface {
-		Connect(context.Context) error
-		Search(context.Context, string) ([]core.Result, error)
-	}{
-		"http":       b,
-		"in-process": client.New(proxy.InProcess{Front: front}, gatewayVerifier(g), 0),
-	} {
+	return map[string]searcher{"http": b, "in-process": client.New(proxy.InProcess{Front: f}, gatewayVerifier(g), 0)}
+}
+
+// A front that attests but refuses every secure call is re-attested at most
+// client.MaxReattests times, and not past the context: with no deadline
+// Search returns the refusal, as ErrProxyStatus, after exactly that many
+// re-attestations (backing off, about half a second); under a 200 ms
+// deadline it returns it by the deadline after at least one — over HTTP and
+// in process alike.
+func TestRefusingFrontEndsAtTheDeadline(t *testing.T) {
+	g := echoFleet(t, 1, time.Hour)
+	for name, c := range searchers(t, g, faultyFront{g, errors.New("faultyFront: refused")}) {
+		for _, deadline := range []time.Duration{0, 200 * time.Millisecond} {
+			t.Run(fmt.Sprintf("%s deadline %v", name, deadline), func(t *testing.T) {
+				if err := c.Connect(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				if deadline > 0 {
+					ctx, cancel = context.WithTimeout(context.Background(), deadline)
+				}
+				defer cancel()
+				before, start := g.Stats().Handshakes, time.Now()
+				_, err := c.Search(ctx, "never served")
+				took := time.Since(start)
+				if !errors.Is(err, broker.ErrProxyStatus) {
+					t.Fatalf("Search = %v, want the refusal as ErrProxyStatus", err)
+				}
+				if deadline > 0 && took > deadline+300*time.Millisecond {
+					t.Errorf("Search returned %v after it started, past its %v deadline", took, deadline)
+				}
+				n := g.Stats().Handshakes - before
+				t.Logf("%d re-attestations in %v", n, took)
+				if n > client.MaxReattests || n < 1 || deadline == 0 && n != client.MaxReattests {
+					t.Errorf("%d re-attestations in %v, want 1 to %d (all of them with no deadline)", n, took, client.MaxReattests)
+				}
+			})
+		}
+	}
+}
+
+// A failure that is the caller's own costs no re-attestation and is not a
+// refusal, even with no deadline: a front's BadRequest (an HTTP 400 over
+// the edge) and a query whose sealed body is over client.MaxBodyBytes, which
+// the client refuses before any call on every carrier.
+func TestCallersFaultIsNotReattested(t *testing.T) {
+	g := echoFleet(t, 1, time.Hour)
+	if err := g.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := g.StartMux("127.0.0.1:0"); err != nil {
+		t.Fatalf("StartMux: %v", err)
+	}
+	overCap := strings.Repeat("q", client.MaxBodyBytes)
+	type call struct {
+		c     searcher
+		query string
+	}
+	cases := map[string]call{
+		"over cap http":       {connectedBroker(t, g, "http"), overCap},
+		"over cap mux":        {connectedBroker(t, g, "mux"), overCap},
+		"over cap in-process": {client.New(proxy.InProcess{Front: g}, gatewayVerifier(g), 0), overCap},
+	}
+	for name, c := range searchers(t, g, faultyFront{g, proxy.BadRequest("faultyFront: bad request")}) {
+		cases["bad request "+name] = call{c, "a query"}
+	}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := c.Connect(context.Background()); err != nil {
+			ctx := context.Background()
+			if err := tc.c.Connect(ctx); err != nil {
 				t.Fatal(err)
 			}
-			const deadline = 200 * time.Millisecond
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			before, start := g.Stats().Handshakes, time.Now()
-			_, err := c.Search(ctx, "never served")
-			took := time.Since(start)
-			if !errors.Is(err, broker.ErrProxyStatus) {
-				t.Fatalf("Search = %v, want the refusal as ErrProxyStatus", err)
+			before := g.Stats().Handshakes
+			_, err := tc.c.Search(ctx, tc.query)
+			if err == nil || errors.Is(err, broker.ErrProxyStatus) {
+				t.Fatalf("Search = %v, want the caller's own error, not a refusal", err)
 			}
-			if took > deadline+300*time.Millisecond {
-				t.Errorf("Search returned %v after it started, past its %v deadline", took, deadline)
-			}
-			n := g.Stats().Handshakes - before
-			t.Logf("%d re-attestations in %v", n, took)
-			if n < 2 {
-				t.Errorf("%d re-attestations in %v, want the client to keep re-attesting while each succeeds", n, took)
+			if n := g.Stats().Handshakes - before; n != 0 {
+				t.Errorf("%d re-attestations, want none", n)
 			}
 		})
 	}

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"xsearch/internal/client"
 )
 
 // TestHandlersRejectOversizeBodies is the request-body-cap regression
-// test: a client POSTing more than maxBodyBytes to the client-facing
+// test: a client POSTing more than client.MaxBodyBytes to the client-facing
 // endpoints must get a clean 4xx, not balloon host memory or hang. A
 // normally-sized request on the same server must still work.
 func TestHandlersRejectOversizeBodies(t *testing.T) {
@@ -26,7 +28,7 @@ func TestHandlersRejectOversizeBodies(t *testing.T) {
 		_ = p.Shutdown(ctx)
 	}()
 
-	oversize := bytes.Repeat([]byte("A"), maxBodyBytes+1024)
+	oversize := bytes.Repeat([]byte("A"), client.MaxBodyBytes+1024)
 	for _, path := range []string{"/handshake", "/secure"} {
 		resp, err := http.Post(p.URL()+path, "application/json", bytes.NewReader(oversize))
 		if err != nil {

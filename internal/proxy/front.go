@@ -80,24 +80,19 @@ func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, er
 }
 
 // InProcess is the client.Caller of a Front in this process: ServeCall with
-// no edge around it, every failure the front's refusal as an edge reports it.
+// no edge around it, each failure mapped as the HTTP edge maps it — a
+// BadRequest is the caller's error, any other the front's refusal.
 type InProcess struct{ Front }
 
 // Call serves one call of the given kind.
 func (c InProcess) Call(ctx context.Context, kind byte, body, _ []byte) ([]byte, error) {
 	reply, err := ServeCall(ctx, c.Front, kind, body)
-	if err != nil {
+	var bad BadRequest
+	if err != nil && !errors.As(err, &bad) {
 		err = fmt.Errorf("%w: %w", client.ErrRefused, err)
 	}
 	return reply, err
 }
-
-// maxBodyBytes caps request bodies on the client-facing handlers. The
-// front runs in the untrusted host, but an unbounded body still lets a
-// hostile client balloon host memory and starve the fronting process;
-// every legitimate body — a channel offer, a sealed query record — is a
-// few KB.
-const maxBodyBytes = 1 << 20
 
 // HandleFront registers f's client routes on routes: POST /handshake and
 // POST /secure, the two calls a broker makes.
@@ -115,7 +110,7 @@ func frontHandler(f Front, kind byte) http.HandlerFunc {
 		}
 		// A body that cannot be read (over the cap, cut short) goes on as
 		// no body, which ServeCall refuses as it does a bad one.
-		body, _ := serve.ReadBody(nil, r.Body, r.ContentLength, maxBodyBytes)
+		body, _ := serve.ReadBody(nil, r.Body, r.ContentLength, client.MaxBodyBytes)
 		reply, err := ServeCall(r.Context(), f, kind, body)
 		if err != nil {
 			status := http.StatusBadGateway

@@ -142,14 +142,6 @@ func (u *upstream) reportFailure(now time.Time, threshold int, cooldown time.Dur
 	}
 }
 
-// coolingDown reports whether the breaker currently excludes the upstream
-// (open and still inside the cooldown window).
-func (u *upstream) coolingDown(now time.Time, threshold int) bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.consecFails >= threshold && now.Before(u.openUntil)
-}
-
 // upstreamRegistry owns the proxy's engine upstreams: weighted selection
 // across the healthy ones, failover order for the rest, and the breaker
 // parameters. Selection walks a weighted ring — an upstream with weight w
