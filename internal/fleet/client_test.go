@@ -146,7 +146,8 @@ func TestRefusingFrontEndsAtTheDeadline(t *testing.T) {
 // A failure that is the caller's own costs no re-attestation and is not a
 // refusal, even with no deadline: a front's BadRequest (an HTTP 400 over
 // the edge) and a query whose sealed body is over client.MaxBodyBytes, which
-// the client refuses before any call on every carrier.
+// the client refuses before any call on every carrier, and whose session
+// then serves the next query.
 func TestCallersFaultIsNotReattested(t *testing.T) {
 	g := echoFleet(t, 1, time.Hour)
 	if err := g.Start("127.0.0.1:0"); err != nil {
@@ -178,6 +179,11 @@ func TestCallersFaultIsNotReattested(t *testing.T) {
 			_, err := tc.c.Search(ctx, tc.query)
 			if err == nil || errors.Is(err, broker.ErrProxyStatus) {
 				t.Fatalf("Search = %v, want the caller's own error, not a refusal", err)
+			}
+			if tc.query == overCap {
+				if _, err := tc.c.Search(ctx, "a query"); err != nil {
+					t.Errorf("the next search: %v", err)
+				}
 			}
 			if n := g.Stats().Handshakes - before; n != 0 {
 				t.Errorf("%d re-attestations, want none", n)
