@@ -7,11 +7,10 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
+	"xsearch/internal/core"
 	"xsearch/internal/dataset"
 	"xsearch/internal/experiments"
-	"xsearch/internal/simattack"
 )
 
 func main() {
@@ -44,27 +43,16 @@ func run() error {
 
 	const k = 3
 	// PEAS: synthetic fakes from the co-occurrence matrix.
-	peasRate := fixture.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-		fakes := make([]string, 0, k)
-		n := len(strings.Fields(rec.Query))
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < k; i++ {
-			fq, err := fixture.CoMatrix.FakeQuery(rng, n)
-			if err != nil {
-				fq = ""
-			}
-			fakes = append(fakes, fq)
-		}
-		return obfuscate(rng.IntN, rec.Query, fakes)
+	peasRate := fixture.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
+		fakes, _ := fixture.CoMatrix.Fakes(rng, rec.Query, k) // never empty: NewFixture refuses one
+		return core.Place(rng.IntN, rec.Query, fakes)
 	})
 	fmt.Printf("%-34s re-identification rate = %.3f\n",
 		fmt.Sprintf("PEAS (k=%d, co-occurrence):", k), peasRate)
 
 	// X-Search: fakes are real past queries of other users.
-	xsRate := fixture.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-		return obfuscate(rng.IntN, rec.Query, fixture.RandomTrainQueries(k))
+	xsRate := fixture.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
+		return core.Place(rng.IntN, rec.Query, fixture.RandomTrainQueries(k))
 	})
 	fmt.Printf("%-34s re-identification rate = %.3f\n",
 		fmt.Sprintf("X-Search (k=%d, real queries):", k), xsRate)
@@ -80,16 +68,4 @@ func run() error {
 	fmt.Println("so the attacker's argmax is pulled toward other users; PEAS fakes")
 	fmt.Println("are word combinations no user ever issued and rarely win the argmax.")
 	return nil
-}
-
-func obfuscate(intn func(int) int, original string, fakes []string) simattack.Obfuscation {
-	pos := 0
-	if len(fakes) > 0 {
-		pos = intn(len(fakes) + 1)
-	}
-	subs := make([]string, 0, len(fakes)+1)
-	subs = append(subs, fakes[:pos]...)
-	subs = append(subs, original)
-	subs = append(subs, fakes[pos:]...)
-	return simattack.Obfuscation{Subqueries: subs, OriginalIndex: pos}
 }

@@ -128,14 +128,14 @@ func (b *Broker) KillConn() {
 }
 
 // muxCaller carries each call as one stream on the re-dialing mux conn; a
-// stream error from the gateway is its refusal.
+// stream error is the gateway's refusal unless it blames the caller (a 400).
 type muxCaller struct{ rd *mux.Redialer }
 
 func (m muxCaller) Call(ctx context.Context, kind byte, body, _ []byte) ([]byte, error) {
 	resp, err := m.rd.Call(ctx, kind, body)
 	if err != nil {
 		var remote *mux.RemoteError // declared here: &remote escapes
-		if errors.As(err, &remote) {
+		if errors.As(err, &remote) && !remote.CallerFault {
 			err = fmt.Errorf("%w: %s", ErrProxyStatus, remote.Msg)
 		}
 	}

@@ -77,15 +77,15 @@ func AppendSecureBody(dst []byte, session string, record []byte) []byte {
 	return append(dst, record...)
 }
 
-// ParseSecureBody reverses AppendSecureBody on hostile input; the record
-// aliases body. An id is at most 64 bytes, which also refuses an old-format
+// ParseSecureBody reverses AppendSecureBody on hostile input; id and record
+// alias body. An id is at most 64 bytes, which also refuses an old-format
 // JSON body (first byte '{', 123).
-func ParseSecureBody(body []byte) (session string, record []byte, ok bool) {
+func ParseSecureBody(body []byte) (session, record []byte, ok bool) {
 	if len(body) == 0 || body[0] == 0 || body[0] > 64 || len(body) <= 1+int(body[0]) {
-		return "", nil, false
+		return nil, nil, false
 	}
 	n := 1 + int(body[0])
-	return string(body[1:n]), body[n:], true
+	return body[1:n:n], body[n:], true
 }
 
 // Client is an attested client of one front, holding one session at a time.
@@ -198,8 +198,7 @@ func (c *Client) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	if channel == nil {
 		return nil, ErrNotConnected
 	}
-	// Sealed inside the body that carries it (room for a query needing no
-	// escapes).
+	// Sealed inside the body that carries it (room for an unescaped query).
 	body := AppendSecureBody(make([]byte, 0, 1+len(session)+securechannel.HeaderSize+len(query)+64+securechannel.SealRoom), session, nil)
 	at := len(body)
 	body = core.AppendSecureRequest(append(body, make([]byte, securechannel.HeaderSize)...), query, c.count)

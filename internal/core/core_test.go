@@ -319,6 +319,31 @@ func TestObfuscateDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// Place with no fakes (k = 0) returns the original alone and draws
+// nothing; with k fakes it draws once, intn(k+1), puts the original there
+// and keeps the fakes' order around it.
+func TestPlace(t *testing.T) {
+	draws := 0
+	intn := func(n int) int { draws++; return n - 1 }
+	for _, fakes := range [][]string{nil, {}} {
+		if oq := Place(intn, "orig", fakes); draws != 0 || oq.OriginalIndex != 0 || !reflect.DeepEqual(oq.Subqueries, []string{"orig"}) {
+			t.Errorf("Place(%#v) = %+v after %d draws, want the original alone and no draw", fakes, oq, draws)
+		}
+	}
+	oq := Place(func(n int) int {
+		if draws++; n != 4 {
+			t.Errorf("Place drew intn(%d) over three fakes, want intn(4)", n)
+		}
+		return 1
+	}, "orig", []string{"a", "b", "c"})
+	if draws != 1 || oq.OriginalIndex != 1 || !reflect.DeepEqual(oq.Subqueries, []string{"a", "orig", "b", "c"}) {
+		t.Errorf("Place = %+v after %d draws, want [a orig b c] at 1 after one", oq, draws)
+	}
+	if oq := Place(intn, "orig", []string{"a", "b"}); oq.OriginalIndex != 2 || oq.Original() != "orig" || !reflect.DeepEqual(oq.Fakes(), []string{"a", "b"}) {
+		t.Errorf("Place at the last position = %+v", oq)
+	}
+}
+
 func TestFilterResultsKeepsOriginalTopic(t *testing.T) {
 	results := []Result{
 		{URL: "u1", Title: "red sports car dealer", Snippet: "buy red sports car"},

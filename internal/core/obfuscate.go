@@ -107,56 +107,33 @@ func (ob *Obfuscator) K() int { return ob.k }
 func (ob *Obfuscator) History() *History { return ob.history }
 
 // Obfuscate runs Algorithm 1 on query: draw k past queries, place the
-// original at a uniformly random position among them, then record the
-// original into the history (line 9). It returns the obfuscated query and
-// the history byte delta (for EPC accounting).
+// original among them (Place), then record the original into the history
+// (line 9) — all three under one lock, so a seeded sequence of calls is a
+// function of their order alone and a batch of queries obfuscated in turn
+// is a sequence like any other. It returns the obfuscated query and the
+// history byte delta (for EPC accounting).
 //
 // When the history holds fewer than one query (cold start) the query is
 // sent with however many fakes are available — zero at first; the window
 // fills as traffic flows, exactly as a freshly deployed proxy behaves.
 func (ob *Obfuscator) Obfuscate(query string) (ObfuscatedQuery, int64) {
 	ob.mu.Lock()
-	fakes := ob.history.Sample(ob.k, ob.rng.IntN)
-	position := 0
-	if n := len(fakes) + 1; n > 1 {
-		position = ob.rng.IntN(n)
-	}
-	ob.mu.Unlock()
-
-	subs := make([]string, 0, len(fakes)+1)
-	subs = append(subs, fakes[:position]...)
-	subs = append(subs, query)
-	subs = append(subs, fakes[position:]...)
-
-	delta := ob.history.Add(query)
-	return ObfuscatedQuery{Subqueries: subs, OriginalIndex: position}, delta
+	defer ob.mu.Unlock()
+	oq := Place(ob.rng.IntN, query, ob.history.Sample(ob.k, ob.rng.IntN))
+	return oq, ob.history.Add(query)
 }
 
-// ObfuscateBatch runs Algorithm 1 over a batch of queries under a single
-// acquisition of the obfuscator's lock, preserving the sequential
-// semantics of calling Obfuscate once per query in order: each query is
-// recorded into the history before the next draws its fakes, so later
-// entries may sample earlier ones as noise. The aggregate history byte
-// delta is returned once so the caller can settle the EPC charge in one
-// step. This is the batched request ecall's amortization: one lock
-// acquisition draws noise for the whole batch.
-func (ob *Obfuscator) ObfuscateBatch(queries []string) ([]ObfuscatedQuery, int64) {
-	out := make([]ObfuscatedQuery, len(queries))
-	var total int64
-	ob.mu.Lock()
-	for i, query := range queries {
-		fakes := ob.history.Sample(ob.k, ob.rng.IntN)
-		position := 0
-		if n := len(fakes) + 1; n > 1 {
-			position = ob.rng.IntN(n)
-		}
-		subs := make([]string, 0, len(fakes)+1)
-		subs = append(subs, fakes[:position]...)
-		subs = append(subs, query)
-		subs = append(subs, fakes[position:]...)
-		total += ob.history.Add(query)
-		out[i] = ObfuscatedQuery{Subqueries: subs, OriginalIndex: position}
+// Place builds a k+1 set, the one way any is built: original at a position
+// drawn as intn(len(fakes)+1) among fakes, whose order it keeps. With no
+// fakes it draws nothing and returns original alone.
+func Place(intn func(int) int, original string, fakes []string) ObfuscatedQuery {
+	pos := 0
+	if len(fakes) > 0 {
+		pos = intn(len(fakes) + 1)
 	}
-	ob.mu.Unlock()
-	return out, total
+	subs := make([]string, 0, len(fakes)+1)
+	subs = append(subs, fakes[:pos]...)
+	subs = append(subs, original)
+	subs = append(subs, fakes[pos:]...)
+	return ObfuscatedQuery{Subqueries: subs, OriginalIndex: pos}
 }

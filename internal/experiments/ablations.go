@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"xsearch/internal/core"
@@ -11,7 +10,6 @@ import (
 	"xsearch/internal/enclave"
 	"xsearch/internal/metrics"
 	"xsearch/internal/searchengine"
-	"xsearch/internal/simattack"
 )
 
 // AblationFakeSource quantifies the paper's central design choice — real
@@ -28,23 +26,12 @@ func AblationFakeSource(f *Fixture, k, testQueries int) (realRate, syntheticRate
 	}
 	testLog := &dataset.Log{Records: sample}
 	rng := f.Rand()
-	realRate = f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-		return obfuscateWith(rng.IntN, rec.Query, f.RandomTrainQueries(k))
+	realRate = f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
+		return core.Place(rng.IntN, rec.Query, f.RandomTrainQueries(k))
 	})
-	syntheticRate = f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-		fakes := make([]string, 0, k)
-		n := len(strings.Fields(rec.Query))
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < k; i++ {
-			fq, ferr := f.CoMatrix.FakeQuery(rng, n)
-			if ferr != nil {
-				fq = ""
-			}
-			fakes = append(fakes, fq)
-		}
-		return obfuscateWith(rng.IntN, rec.Query, fakes)
+	syntheticRate = f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
+		fakes, _ := f.CoMatrix.Fakes(rng, rec.Query, k) // never empty: NewFixture refuses one
+		return core.Place(rng.IntN, rec.Query, fakes)
 	})
 	return realRate, syntheticRate, nil
 }
@@ -68,7 +55,7 @@ func AblationFiltering(f *Fixture, k, queries, topN int) (withFilter, withoutFil
 		if len(reference) == 0 {
 			continue
 		}
-		ob := obfuscateWith(rng.IntN, rec.Query, f.RandomTrainQueries(k))
+		ob := core.Place(rng.IntN, rec.Query, f.RandomTrainQueries(k))
 		lists := make([][]searchengine.Result, len(ob.Subqueries))
 		for i, q := range ob.Subqueries {
 			lists[i] = idx.Search(q, topN)
@@ -136,9 +123,8 @@ func AblationHistorySize(f *Fixture, k int, capacities []int, testQueries int) (
 		for _, q := range f.TrainPool {
 			h.Add(q)
 		}
-		rate := f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-			fakes := h.Sample(k, rng.IntN)
-			return obfuscateWith(rng.IntN, rec.Query, fakes)
+		rate := f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
+			return core.Place(rng.IntN, rec.Query, h.Sample(k, rng.IntN))
 		})
 		out = append(out, HistorySizePoint{Capacity: capacity, Bytes: h.Bytes(), Rate: rate})
 	}

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
+	"xsearch/internal/core"
 	"xsearch/internal/dataset"
 	"xsearch/internal/metrics"
-	"xsearch/internal/simattack"
 )
 
 // Fig3Config sizes the re-identification experiment.
@@ -59,24 +58,14 @@ func RunFig3(f *Fixture, cfg Fig3Config) (*Fig3Result, error) {
 
 	for k := 0; k <= cfg.MaxK; k++ {
 		// X-Search: fakes drawn from the history of real past queries.
-		xsRate := f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-			return obfuscateWith(rng.IntN, rec.Query, f.RandomTrainQueries(k))
+		xsRate := f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
+			return core.Place(rng.IntN, rec.Query, f.RandomTrainQueries(k))
 		})
-		// PEAS: fakes from the co-occurrence matrix.
-		peasRate := f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
-			fakes := make([]string, 0, k)
-			nTerms := len(strings.Fields(rec.Query))
-			if nTerms < 1 {
-				nTerms = 1
-			}
-			for i := 0; i < k; i++ {
-				fq, err := f.CoMatrix.FakeQuery(rng, nTerms)
-				if err != nil {
-					fq = "" // matrix can never be empty here; keep shape
-				}
-				fakes = append(fakes, fq)
-			}
-			return obfuscateWith(rng.IntN, rec.Query, fakes)
+		// PEAS: fakes from the co-occurrence matrix (never empty: NewFixture
+		// refuses one, the only error Fakes has).
+		peasRate := f.Attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
+			fakes, _ := f.CoMatrix.Fakes(rng, rec.Query, k)
+			return core.Place(rng.IntN, rec.Query, fakes)
 		})
 		res.XSearch[k] = xsRate
 		res.PEAS[k] = peasRate
@@ -88,17 +77,4 @@ func RunFig3(f *Fixture, cfg Fig3Config) (*Fig3Result, error) {
 	}
 	res.Figure = fig
 	return res, nil
-}
-
-// obfuscateWith places the original at a random position among fakes.
-func obfuscateWith(intn func(int) int, original string, fakes []string) simattack.Obfuscation {
-	pos := 0
-	if len(fakes) > 0 {
-		pos = intn(len(fakes) + 1)
-	}
-	subs := make([]string, 0, len(fakes)+1)
-	subs = append(subs, fakes[:pos]...)
-	subs = append(subs, original)
-	subs = append(subs, fakes[pos:]...)
-	return simattack.Obfuscation{Subqueries: subs, OriginalIndex: pos}
 }

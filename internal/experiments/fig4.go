@@ -79,7 +79,7 @@ func RunFig4(f *Fixture, cfg Fig4Config) (*Fig4Result, error) {
 			// Paper methodology: run each sub-query independently and
 			// merge the k+1 result lists; the original sits at a random
 			// position.
-			ob := obfuscateWith(rng.IntN, rec.Query, fakes)
+			ob := core.Place(rng.IntN, rec.Query, fakes)
 			lists := make([][]searchengine.Result, len(ob.Subqueries))
 			for i, q := range ob.Subqueries {
 				lists[i] = idx.Search(q, cfg.TopN)

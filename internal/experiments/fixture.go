@@ -74,12 +74,16 @@ func NewFixture(cfg FixtureConfig) (*Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
+	co := peas.BuildCoMatrix(train.Queries())
+	if co.NumTerms() == 0 {
+		return nil, fmt.Errorf("experiments: no terms in the training log")
+	}
 	return &Fixture{
 		Log:       active,
 		Train:     train,
 		Test:      test,
 		Attack:    attack,
-		CoMatrix:  peas.BuildCoMatrix(train.Queries()),
+		CoMatrix:  co,
 		TrainPool: train.Queries(),
 		rng:       mrand.New(mrand.NewPCG(cfg.Seed, cfg.Seed^0x5851f42d4c957f2d)),
 	}, nil

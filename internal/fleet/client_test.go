@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -16,6 +17,7 @@ import (
 	"xsearch/internal/client"
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
+	"xsearch/internal/mux"
 	"xsearch/internal/proxy"
 )
 
@@ -83,7 +85,7 @@ type faultyFront struct {
 	err error
 }
 
-func (f faultyFront) Secure(context.Context, string, []byte) ([]byte, error) { return nil, f.err }
+func (f faultyFront) SecureCall(context.Context, []byte, []byte) ([]byte, error) { return nil, f.err }
 
 // searcher is what a broker and a client.Client have in common.
 type searcher interface {
@@ -91,30 +93,58 @@ type searcher interface {
 	Search(context.Context, string) ([]core.Result, error)
 }
 
-// searchers returns a client of f over HTTP (a broker) and one in process.
+// searchers returns a client of f over HTTP and over mux (brokers), and
+// one in process.
 func searchers(t *testing.T, g *Gateway, f proxy.Front) map[string]searcher {
 	routes := http.NewServeMux()
 	proxy.HandleFront(routes, f)
 	srv := httptest.NewServer(routes)
 	t.Cleanup(srv.Close)
-	b, err := broker.New(broker.Config{ProxyURL: srv.URL, ServiceKey: g.AttestationService().PublicKey(),
-		Policy: gatewayVerifier(g).Policy})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]searcher{"http": b, "in-process": client.New(proxy.InProcess{Front: f}, gatewayVerifier(g), 0)}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				_ = mux.Serve(conn, func(ctx context.Context, kind byte, body []byte) ([]byte, error) {
+					return proxy.ServeCall(ctx, f, kind, body)
+				}, mux.Config{})
+			}()
+		}
+	}()
+	out := map[string]searcher{"in-process": client.New(proxy.InProcess{Front: f}, gatewayVerifier(g), 0)}
+	for _, transport := range []string{"http", "mux"} {
+		b, err := broker.New(broker.Config{ProxyURL: srv.URL, ServiceKey: g.AttestationService().PublicKey(),
+			Policy: gatewayVerifier(g).Policy, Transport: transport, MuxAddr: ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = b.Close() })
+		out[transport] = b
+	}
+	return out
 }
 
 // A front that attests but refuses every secure call is re-attested at most
 // client.MaxReattests times, and not past the context: with no deadline
 // Search returns the refusal, as ErrProxyStatus, after exactly that many
 // re-attestations (backing off, about half a second); under a 200 ms
-// deadline it returns it by the deadline after at least one — over HTTP and
-// in process alike.
+// deadline it returns it by the deadline after at least one — over HTTP,
+// over mux and in process alike. Every client runs with no deadline before
+// any runs with one: a handshake a deadline cut off on the edge may still
+// complete on the gateway, and it must not land in an exact count.
 func TestRefusingFrontEndsAtTheDeadline(t *testing.T) {
 	g := echoFleet(t, 1, time.Hour)
-	for name, c := range searchers(t, g, faultyFront{g, errors.New("faultyFront: refused")}) {
-		for _, deadline := range []time.Duration{0, 200 * time.Millisecond} {
+	clients := searchers(t, g, faultyFront{g, errors.New("faultyFront: refused")})
+	for _, deadline := range []time.Duration{0, 200 * time.Millisecond} {
+		for name, c := range clients {
 			t.Run(fmt.Sprintf("%s deadline %v", name, deadline), func(t *testing.T) {
 				if err := c.Connect(context.Background()); err != nil {
 					t.Fatal(err)
@@ -144,8 +174,8 @@ func TestRefusingFrontEndsAtTheDeadline(t *testing.T) {
 }
 
 // A failure that is the caller's own costs no re-attestation and is not a
-// refusal, even with no deadline: a front's BadRequest (an HTTP 400 over
-// the edge) and a query whose sealed body is over client.MaxBodyBytes, which
+// refusal, even with no deadline: a front's BadRequest (an HTTP 400, a mux
+// close with FlagCallerFault) and a query whose sealed body is over client.MaxBodyBytes, which
 // the client refuses before any call on every carrier, and whose session
 // then serves the next query.
 func TestCallersFaultIsNotReattested(t *testing.T) {

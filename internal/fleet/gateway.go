@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"xsearch/internal/proxy"
@@ -20,20 +19,24 @@ import (
 // enclave's own id, strictly (a decimal index inside the ring without sign
 // or leading zero, a non-empty enclave id) into its shard and enclave id.
 // The id names its shard, so the gateway keeps no session table: each
-// shard enclave's (FIFO) table is the only one.
-func (g *Gateway) sessionShard(session string) (*shard, string, bool) {
-	idx, id, _ := strings.Cut(session, ".")
-	n, err := strconv.ParseUint(idx, 10, 0)
-	if err != nil || n >= uint64(len(g.shards)) || (len(idx) > 1 && idx[0] == '0') || id == "" {
-		return nil, "", false
+// shard enclave's (FIFO) table is the only one. It reads the id where it
+// lies, a secure call's body or a string, and copies neither.
+func sessionShard[T string | []byte](g *Gateway, session T) (*shard, T, bool) {
+	dot := 0
+	for dot < len(session) && session[dot] != '.' {
+		dot++
 	}
-	return g.shards[n], id, true
+	n, err := strconv.ParseUint(string(session[:dot]), 10, 0)
+	if err != nil || n >= uint64(len(g.shards)) || (dot > 1 && session[0] == '0') || dot+1 >= len(session) {
+		return nil, session[:0], false
+	}
+	return g.shards[n], session[dot+1:], true
 }
 
 // ShardOf reports which shard index a gateway session id names, ok only
 // while that shard is live.
 func (g *Gateway) ShardOf(session string) (int, bool) {
-	sh, _, ok := g.sessionShard(session)
+	sh, _, ok := sessionShard(g, session)
 	if !ok || !sh.live() {
 		return 0, false
 	}
@@ -108,10 +111,10 @@ func (g *Gateway) Handshake(ctx context.Context, offer json.RawMessage, nonce []
 // shard's enclave, so there is no failing over a secure request: if the
 // shard is gone the session is gone, and the error tells the broker to
 // re-attest (its normal recovery). Draining shards still serve their
-// established sessions.
-func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]byte, error) {
+// established sessions. Neither argument is kept past the call.
+func (g *Gateway) SecureCall(ctx context.Context, session, record []byte) ([]byte, error) {
 	g.secureRouted.Add(1)
-	sh, id, ok := g.sessionShard(session)
+	sh, id, ok := sessionShard(g, session)
 	if !ok {
 		g.gwErrors.Add(1)
 		return nil, ErrUnknownSession
@@ -121,7 +124,7 @@ func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]
 		g.gwErrors.Add(1)
 		return nil, ErrShardDown
 	}
-	reply, err := sh.proxy.Secure(ctx, id, record)
+	reply, err := sh.proxy.SecureCall(ctx, id, record)
 	if err == nil {
 		return reply, nil
 	}
@@ -131,6 +134,11 @@ func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]
 		return nil, ErrShardDown
 	}
 	return nil, err
+}
+
+// Secure is SecureCall with a string id, the form bench/trace.go and tests call.
+func (g *Gateway) Secure(ctx context.Context, session string, record []byte) ([]byte, error) {
+	return g.SecureCall(ctx, []byte(session), record)
 }
 
 // Refused counts a call a client edge refused before routing as one of the

@@ -55,14 +55,9 @@ func reidentification(t *testing.T) (fill []string, rate func(pool []string) flo
 			h.Add(q)
 		}
 		rng := mrand.New(mrand.NewPCG(11, 17))
-		return attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
+		return attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
 			fakes := h.Sample(3, rng.IntN)
-			pos := rng.IntN(len(fakes) + 1)
-			subs := make([]string, 0, len(fakes)+1)
-			subs = append(subs, fakes[:pos]...)
-			subs = append(subs, rec.Query)
-			subs = append(subs, fakes[pos:]...)
-			return simattack.Obfuscation{Subqueries: subs, OriginalIndex: pos}
+			return core.Place(rng.IntN, rec.Query, fakes)
 		})
 	}
 	return fill, rate

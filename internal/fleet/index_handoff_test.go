@@ -258,21 +258,16 @@ func TestIndexDoesNotImproveReidentification(t *testing.T) {
 	rate := func(withIndex bool) float64 {
 		rng := mrand.New(mrand.NewPCG(13, 19))
 		i := -1
-		return attack.EvaluateObfuscated(testLog, func(rec dataset.Record) simattack.Obfuscation {
+		return attack.EvaluateObfuscated(testLog, func(rec dataset.Record) core.ObfuscatedQuery {
 			i++
 			fakes := h.Sample(3, rng.IntN)
 			if withIndex && localServed[i] {
 				// Served in-enclave: the engines saw nothing for this
 				// query. The attacker has no emission to score, which
 				// EvaluateObfuscated models as an unguessable original.
-				return simattack.Obfuscation{Subqueries: fakes, OriginalIndex: -1}
+				return core.ObfuscatedQuery{Subqueries: fakes, OriginalIndex: -1}
 			}
-			pos := rng.IntN(len(fakes) + 1)
-			subs := make([]string, 0, len(fakes)+1)
-			subs = append(subs, fakes[:pos]...)
-			subs = append(subs, rec.Query)
-			subs = append(subs, fakes[pos:]...)
-			return simattack.Obfuscation{Subqueries: subs, OriginalIndex: pos}
+			return core.Place(rng.IntN, rec.Query, fakes)
 		})
 	}
 	baseline := rate(false)

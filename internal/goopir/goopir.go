@@ -63,15 +63,7 @@ func (o *Obfuscator) Obfuscate(query string) core.ObfuscatedQuery {
 		}
 		fakes[i] = strings.Join(words, " ")
 	}
-	pos := 0
-	if o.k > 0 {
-		pos = o.rng.IntN(o.k + 1)
-	}
-	subs := make([]string, 0, o.k+1)
-	subs = append(subs, fakes[:pos]...)
-	subs = append(subs, query)
-	subs = append(subs, fakes[pos:]...)
-	return core.ObfuscatedQuery{Subqueries: subs, OriginalIndex: pos}
+	return core.Place(o.rng.IntN, query, fakes)
 }
 
 // Filter keeps the results related to the original query, using the same

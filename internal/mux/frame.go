@@ -87,8 +87,10 @@ const (
 )
 
 // FlagError on a FrameClose marks an abortive close; the payload is the
-// error message.
-const FlagError byte = 0x1
+// error message. FlagCallerFault beside it: the handler blamed the request
+// (a malformed body, an unknown kind), which no retry cures. A peer that
+// reads no such bit sees a plain abortive close.
+const FlagError, FlagCallerFault byte = 0x1, 0x2
 
 // Stream kinds carried in FrameOpen payloads. They map one-to-one onto
 // the gateway's client-facing endpoints.

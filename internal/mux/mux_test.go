@@ -51,8 +51,17 @@ func echoHandler(_ context.Context, kind byte, req []byte) ([]byte, error) {
 	if kind == kindTest && string(req) == "fail" {
 		return nil, errors.New("handler refused")
 	}
+	if kind == kindTest && string(req) == "bad" {
+		return nil, fmt.Errorf("handler: %w", callerFault("bad request"))
+	}
 	return append([]byte{kind}, req...), nil
 }
+
+// callerFault is a handler error that blames the request.
+type callerFault string
+
+func (e callerFault) Error() string   { return string(e) }
+func (callerFault) CallerFault() bool { return true }
 
 // --- frame codec ---
 
@@ -185,8 +194,13 @@ func TestCallRemoteError(t *testing.T) {
 	defer cancel()
 	_, err := s.Call(ctx, kindTest, []byte("fail"))
 	var remote *RemoteError
-	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "handler refused") {
-		t.Fatalf("err = %v, want RemoteError carrying the handler text", err)
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "handler refused") || remote.CallerFault {
+		t.Fatalf("err = %v, want RemoteError carrying the handler text, not the caller's fault", err)
+	}
+	// A handler error that blames the request says so in FlagCallerFault.
+	_, err = s.Call(ctx, kindTest, []byte("bad"))
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "bad request") || !remote.CallerFault {
+		t.Fatalf("err = %v, want RemoteError marked the caller's fault", err)
 	}
 	// The session survives a per-stream failure.
 	if resp, err := s.Call(ctx, kindTest, []byte("ok")); err != nil || string(resp[1:]) != "ok" {

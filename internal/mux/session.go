@@ -36,8 +36,12 @@ var (
 // RemoteError is a handler failure relayed by an abortive stream close:
 // the request reached the far side and was refused there, as opposed to
 // the transport failing. The broker maps it onto its proxy-status error
-// so the existing re-attest fallback fires on session loss.
-type RemoteError struct{ Msg string }
+// so the re-attest fallback fires on session loss, unless CallerFault
+// (FlagCallerFault) says the request itself was at fault.
+type RemoteError struct {
+	Msg         string
+	CallerFault bool
+}
 
 func (e *RemoteError) Error() string { return "mux: remote: " + e.Msg }
 
@@ -88,7 +92,8 @@ func (c Config) withDefaults() Config {
 
 // Handler serves one completed mux request on a serving session: the
 // stream kind and the request bytes in, the response bytes out. An error
-// becomes an abortive close carrying err.Error() to the caller.
+// becomes an abortive close carrying err.Error() to the caller, marked
+// FlagCallerFault when the error blames the request (writeCloseErr).
 type Handler func(ctx context.Context, kind byte, req []byte) ([]byte, error)
 
 // stream is one logical exchange in flight on a session.
@@ -274,13 +279,19 @@ func (s *Session) write(frames ...Frame) error {
 	return nil
 }
 
-// writeCloseErr aborts a stream toward the peer, truncating long texts.
+// writeCloseErr aborts a stream toward the peer, truncating long texts; an
+// err with a CallerFault() bool method reporting true sets FlagCallerFault.
 func (s *Session) writeCloseErr(stream uint32, err error) {
 	msg := err.Error()
 	if len(msg) > maxCloseErrBytes {
 		msg = msg[:maxCloseErrBytes]
 	}
-	_ = s.write(Frame{Type: FrameClose, Flags: FlagError, Stream: stream, Payload: []byte(msg)})
+	flags := FlagError
+	var fault interface{ CallerFault() bool }
+	if errors.As(err, &fault) && fault.CallerFault() {
+		flags |= FlagCallerFault
+	}
+	_ = s.write(Frame{Type: FrameClose, Flags: flags, Stream: stream, Payload: []byte(msg)})
 }
 
 // --- stream registry ---
@@ -552,7 +563,7 @@ func (s *Session) onClose(f Frame) {
 	}
 	st.mu.Lock()
 	if f.Flags&FlagError != 0 {
-		st.ferr = &RemoteError{Msg: string(f.Payload)}
+		st.ferr = &RemoteError{Msg: string(f.Payload), CallerFault: f.Flags&FlagCallerFault != 0}
 	} else {
 		st.fin = true
 	}

@@ -62,6 +62,21 @@ func BuildCoMatrix(queries []string) *CoMatrix {
 // NumTerms returns the vocabulary size of the matrix.
 func (m *CoMatrix) NumTerms() int { return len(m.terms) }
 
+// Fakes draws the k fakes of one PEAS k+1 set for query: k walks, each as
+// long as query has words. Its one error is FakeQuery's, an empty matrix;
+// k = 0 draws nothing, so a nil matrix serves it.
+func (m *CoMatrix) Fakes(rng *mrand.Rand, query string, k int) ([]string, error) {
+	fakes, words := make([]string, k), len(strings.Fields(query))
+	for i := range fakes {
+		fq, err := m.FakeQuery(rng, words)
+		if err != nil {
+			return nil, err
+		}
+		fakes[i] = fq
+	}
+	return fakes, nil
+}
+
 // FakeQuery generates one fake query of the given term count by a
 // frequency-weighted start followed by a co-occurrence walk. Returns an
 // error if the matrix is empty.

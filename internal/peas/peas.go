@@ -15,7 +15,6 @@ import (
 	mrand "math/rand/v2"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -390,30 +389,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // Obfuscate builds the OR-aggregated query: k co-occurrence fakes plus the
 // original at a random position. Exposed for the privacy experiments.
-func (c *Client) Obfuscate(query string) (core.ObfuscatedQuery, error) {
+func (c *Client) Obfuscate(query string) (oq core.ObfuscatedQuery, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nTerms := len(strings.Fields(query))
-	if nTerms < 1 {
-		nTerms = 1
+	fakes, err := c.cfg.Matrix.Fakes(c.rng, query, c.cfg.K)
+	if err == nil {
+		oq = core.Place(c.rng.IntN, query, fakes)
 	}
-	fakes := make([]string, 0, c.cfg.K)
-	for i := 0; i < c.cfg.K; i++ {
-		fq, err := c.cfg.Matrix.FakeQuery(c.rng, nTerms)
-		if err != nil {
-			return core.ObfuscatedQuery{}, err
-		}
-		fakes = append(fakes, fq)
-	}
-	pos := 0
-	if len(fakes) > 0 {
-		pos = c.rng.IntN(len(fakes) + 1)
-	}
-	subs := make([]string, 0, len(fakes)+1)
-	subs = append(subs, fakes[:pos]...)
-	subs = append(subs, query)
-	subs = append(subs, fakes[pos:]...)
-	return core.ObfuscatedQuery{Subqueries: subs, OriginalIndex: pos}, nil
+	return oq, err
 }
 
 // Search runs one private query through the PEAS chain and returns results

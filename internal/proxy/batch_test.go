@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -296,7 +297,7 @@ func TestBatchDestroyMidBurst(t *testing.T) {
 	channel := pairedSession(t, ts, "burst")
 	blobs := make([][]byte, entries)
 	for i := range blobs {
-		req := envelope{Type: typeSecure, ID: uint64(i + 1), Session: "burst", Record: sealQuery(t, channel, fmt.Sprintf("burst query %d", i))}
+		req := envelope{Type: typeSecure, ID: uint64(i + 1), Session: []byte("burst"), Record: sealQuery(t, channel, fmt.Sprintf("burst query %d", i))}
 		blobs[i] = req.encode()
 	}
 	env := &burstEnv{allow: allowed}
@@ -397,51 +398,64 @@ func TestBatchCompletionVsAbandonRace(t *testing.T) {
 	assertEPCInvariant(t, p)
 }
 
-// ObfuscateBatch must preserve Obfuscate's sequential semantics exactly:
-// same seed, same queries, same draws — batch entry i matches what the i-th
-// sequential Obfuscate call would have produced, including later queries
-// sampling earlier batch entries as noise.
-func TestObfuscateBatchMatchesSequential(t *testing.T) {
-	queries := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+// heapEnv is an Env that keeps the EPC balance a crossing leaves.
+type heapEnv struct {
+	burstEnv
+	heap int64
+}
 
-	seqHist, _ := core.NewHistory(64)
-	seqOb, _ := core.NewObfuscator(seqHist, 2, core.WithSeed(7))
-	var seqOut []core.ObfuscatedQuery
-	var seqDelta int64
-	// Pre-warm so sampling has material.
-	for _, q := range []string{"warm one", "warm two", "warm three"} {
-		_, d := seqOb.Obfuscate(q)
-		seqDelta += d
-	}
-	for _, q := range queries {
-		oq, d := seqOb.Obfuscate(q)
-		seqOut = append(seqOut, oq)
-		seqDelta += d
-	}
+func (h *heapEnv) Alloc(n int64) error { h.heap += n; return nil }
+func (h *heapEnv) Free(n int64)        { h.heap -= n }
 
-	batHist, _ := core.NewHistory(64)
-	batOb, _ := core.NewObfuscator(batHist, 2, core.WithSeed(7))
-	var batDelta int64
-	for _, q := range []string{"warm one", "warm two", "warm three"} {
-		_, d := batOb.Obfuscate(q)
-		batDelta += d
-	}
-	batOut, d := batOb.ObfuscateBatch(queries)
-	batDelta += d
-
-	if batDelta != seqDelta {
-		t.Errorf("aggregate delta %d != sequential %d", batDelta, seqDelta)
-	}
-	if len(batOut) != len(seqOut) {
-		t.Fatalf("%d batch outputs, want %d", len(batOut), len(seqOut))
-	}
-	for i := range seqOut {
-		if batOut[i].OriginalIndex != seqOut[i].OriginalIndex ||
-			strings.Join(batOut[i].Subqueries, "|") != strings.Join(seqOut[i].Subqueries, "|") {
-			t.Errorf("entry %d diverged:\n batch: %v @%d\n   seq: %v @%d",
-				i, batOut[i].Subqueries, batOut[i].OriginalIndex,
-				seqOut[i].Subqueries, seqOut[i].OriginalIndex)
+// A batch through the obfuscate stage draws exactly what its queries
+// obfuscated one by one draw: under seed 7, N entries decoded and opened
+// in one crossing get the k+1 sets, the positions and the EPC delta of N
+// sequential Obfuscate calls, later entries sampling earlier ones as fakes,
+// and an entry settled before the stage (a blank query) draws nothing.
+func TestObfuscateStageBatchMatchesSequential(t *testing.T) {
+	queries := []string{"alpha", "beta", " ", "gamma", "delta", "epsilon", "zeta"}
+	warmed := func() *core.Obfuscator {
+		history, _ := core.NewHistory(64)
+		ob, _ := core.NewObfuscator(history, 2, core.WithSeed(7))
+		for _, q := range []string{"warm one", "warm two", "warm three"} {
+			ob.Obfuscate(q) // so the first entries have fakes to draw
 		}
+		return ob
+	}
+
+	seq := warmed()
+	var want []core.ObfuscatedQuery
+	var wantDelta int64
+	for _, q := range queries {
+		if strings.TrimSpace(q) != "" {
+			oq, d := seq.Obfuscate(q)
+			want, wantDelta = append(want, oq), wantDelta+d
+		}
+	}
+
+	ts := &trustedState{obfuscator: warmed(), perList: 5}
+	channel := pairedSession(t, ts, "batch")
+	es := make([]entry, len(queries))
+	for i, q := range queries {
+		es[i].decode((&envelope{Type: typeSecure, ID: uint64(i + 1), Session: []byte("batch"), Record: sealQuery(t, channel, q)}).encode())
+		ts.open(&es[i])
+	}
+	env := &heapEnv{}
+	ts.obfuscate(env, es)
+
+	var got []core.ObfuscatedQuery
+	for i := range es {
+		if blank := strings.TrimSpace(queries[i]) == ""; es[i].settled != blank {
+			t.Fatalf("entry %d (%q) settled = %t, want %t", i, queries[i], es[i].settled, blank)
+		} else if !blank {
+			got = append(got, es[i].oq)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the stage's k+1 sets diverged from sequential Obfuscate:\n stage: %v\n   seq: %v", got, want)
+	}
+	if env.heap != wantDelta {
+		t.Errorf("the crossing left %d bytes charged, sequential history grew %d", env.heap, wantDelta)
 	}
 }
 
@@ -494,7 +508,7 @@ func TestQueuedRequestsCrossInOneBatch(t *testing.T) {
 	}
 	waiting := make([]chan pendingOutcome, n)
 	for i := range waiting {
-		req := envelope{Type: typeSecure, Session: session, Record: sealQuery(t, channel, fmt.Sprintf("queued before the batcher ran %d", i))}
+		req := envelope{Type: typeSecure, Session: []byte(session), Record: sealQuery(t, channel, fmt.Sprintf("queued before the batcher ran %d", i))}
 		req.ID, waiting[i] = pl.register()
 		pl.submitQ <- batchItem{id: req.ID, arg: req.encode(), queued: time.Now()}
 	}

@@ -21,7 +21,8 @@
 //
 //	stage      function            blocking        async                     what the host can observe at the seam
 //	open       open                "request"       "request[-batch]"         a sealed record in, its size
-//	obfuscate  obfuscate           "request"       "request[-batch]"         one EPC charge + refund ≈ query length
+//	obfuscate  obfuscate           "request"       "request[-batch]"         one EPC charge + refund per crossing ≈ Σ query
+//	           (one draw per entry)                                          length
 //	probe      probe               "request"       "request[-batch]"         hit or miss (a hit replies at once)
 //	engine     fetch (blocking)    socket ocalls,  parks: "tls_step" flight  the k+1 obfuscated query (ciphertext
 //	           park (async)        TCS held        submitted, TCS released   under TLS), the upstream, timing
@@ -66,7 +67,8 @@
 //	                                                bench/ keep encoding/json on the other side of it
 //	secure call: HTTP POST /secure       binary     len(1) ‖ session id ‖ raw record up, the raw sealed record
 //	  and the mux KindSecure stream                 back (application/octet-stream over HTTP) — the per-query
-//	                                                path of every broker; ServeCall is both edges' one reader
+//	                                                path of every broker; ServeCall, both edges' one reader, hands
+//	                                                the front the id and the record as slices of the body
 //	HTTP POST /handshake and the mux     JSON       one handshake a session: the client's offer and nonce up,
 //	  KindHandshake stream                          the enclave's offer, session id and verification report back
 //	envelope ("request", entries of      binary     a handshake or a sealed query, under the runtime's id for

@@ -464,7 +464,7 @@ func TestConcurrentCoalescingWithSessionChurn(t *testing.T) {
 				// churn working, not a test failure.
 				_, _ = p.ecall(context.Background(), envelope{
 					Type:    typeSecure,
-					Session: session,
+					Session: []byte(session),
 					Record:  record,
 				})
 			}

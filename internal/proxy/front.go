@@ -22,7 +22,9 @@ import (
 // over InProcess (as ServeQuery is), attested and minted like a broker's.
 type Front interface {
 	Handshake(ctx context.Context, offer json.RawMessage, nonce []byte) (*HandshakeResponse, error)
-	Secure(ctx context.Context, session string, record []byte) ([]byte, error)
+	// SecureCall serves one sealed record on the session the id names; both
+	// alias the call's body, so nothing may keep them after it returns.
+	SecureCall(ctx context.Context, session, record []byte) ([]byte, error)
 	// Refused counts one call ServeCall refused before reaching the
 	// front (a BadRequest) as one of the front's errors.
 	Refused()
@@ -31,9 +33,8 @@ type Front interface {
 // HandshakeResponse is client.HandshakeResponse under the name bench/trace.go spells.
 type HandshakeResponse = client.HandshakeResponse
 
-// SecureEnvelope was the JSON/base64 body of HTTP /secure before both edges
-// carried client.AppendSecureBody. It stays, unused by the module, because
-// bench/trace.go still sizes its mux.call rung with it.
+// SecureEnvelope was HTTP /secure's JSON body before client.AppendSecureBody;
+// it stays, unused by the module, for bench/trace.go's mux.call rung.
 type SecureEnvelope struct {
 	Session string `json:"session"`
 	Record  []byte `json:"record"`
@@ -41,10 +42,12 @@ type SecureEnvelope struct {
 
 // BadRequest is a ServeCall failure that is the client's doing — a
 // malformed body, an unknown kind — as opposed to the node's or the
-// engine's: HTTP 400 instead of 502.
+// engine's: HTTP 400 instead of 502, and (CallerFault) a mux close with
+// FlagCallerFault.
 type BadRequest string
 
-func (e BadRequest) Error() string { return string(e) }
+func (e BadRequest) Error() string   { return string(e) }
+func (BadRequest) CallerFault() bool { return true }
 
 // ServeCall runs one client call against f: decode the body of the given
 // kind (the mux stream kinds, which map one-to-one onto the HTTP routes),
@@ -61,7 +64,7 @@ func ServeCall(ctx context.Context, f Front, kind byte, body []byte) ([]byte, er
 			f.Refused()
 			return nil, BadRequest("bad secure body")
 		}
-		return f.Secure(ctx, session, record)
+		return f.SecureCall(ctx, session, record)
 	case mux.KindHandshake:
 		var req client.HandshakeRequest
 		if err := json.Unmarshal(body, &req); err != nil {

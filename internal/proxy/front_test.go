@@ -1,9 +1,15 @@
 package proxy
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"xsearch/internal/client"
+	"xsearch/internal/mux"
 )
 
 // The node's HTTP front keeps what its per-route handlers did before they
@@ -48,4 +54,38 @@ func TestHTTPFrontKeepsNodeBehaviour(t *testing.T) {
 	if s := st.proxy.Stats(); s.CacheHits != 0 || s.CacheMisses != 2 {
 		t.Errorf("padded query: cache hits=%d misses=%d, want 0 and 2 (padding is part of the key)", s.CacheHits, s.CacheMisses)
 	}
+}
+
+// A secure call's session id and record alias the body it arrived in, so
+// nothing may keep them past the call: on either engine stage, a body
+// scribbled over as soon as ServeCall returns leaves the reply it returned
+// opening, and the session serving the next call.
+func TestSecureCallKeepsNoneOfItsBody(t *testing.T) {
+	forEachStage(t, func(t *testing.T, async bool) {
+		st := newTestStack(t, func(c *Config) { c.AsyncOcalls = async })
+		sess := openSecureSession(t, st.proxy)
+		for i := 0; i < 3; i++ {
+			pt, err := json.Marshal(secureRequest{Query: fmt.Sprintf("chicken recipe %d", i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			record, err := sess.channel.Seal(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Room to spare, as a pooled read buffer has: a reply written
+			// into the body's storage would be scribbled over too.
+			body := client.AppendSecureBody(make([]byte, 0, 64<<10), sess.session, record)
+			reply, err := ServeCall(context.Background(), st.proxy, mux.KindSecure, body)
+			for j := range body {
+				body[j] = 0xff
+			}
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			if _, err := sess.channel.Open(reply); err != nil {
+				t.Fatalf("call %d: the reply does not open once its body is scribbled over: %v", i, err)
+			}
+		}
+	})
 }

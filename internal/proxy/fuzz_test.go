@@ -278,7 +278,7 @@ func FuzzTLSRecordAdapter(f *testing.F) {
 // handshake or a sealed query: a type-1 frame (a query in the clear, as
 // the host once could send one) is refused whatever follows it.
 func FuzzSeamCodec(f *testing.F) {
-	secure := envelope{Type: typeSecure, Session: "0123456789abcdef0123456789abcdef", Record: []byte("sealed")}
+	secure := envelope{Type: typeSecure, Session: []byte("0123456789abcdef0123456789abcdef"), Record: []byte("sealed")}
 	final := envelopeReply{Record: []byte("sealed reply")}
 	parked := envelopeReply{Pending: 7}
 	hs := envelopeReply{Offer: []byte(`{"role":2}`), Session: "ab", ReportData: make([]byte, 64)}
@@ -395,8 +395,8 @@ func (f *recordingFront) Handshake(context.Context, json.RawMessage, []byte) (*H
 	return nil, errors.New("recordingFront: no handshakes")
 }
 
-func (f *recordingFront) Secure(_ context.Context, session string, record []byte) ([]byte, error) {
-	f.session, f.record = session, record
+func (f *recordingFront) SecureCall(_ context.Context, session, record []byte) ([]byte, error) {
+	f.session, f.record = string(session), record
 	return nil, nil
 }
 

@@ -73,7 +73,7 @@ func crossSecure(t *testing.T, p *Proxy, session string, record []byte) (frames 
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req := envelope{Type: typeSecure, Session: session, Record: record}
+	req := envelope{Type: typeSecure, Session: []byte(session), Record: record}
 	if p.pipeline != nil {
 		req.ID, _ = p.pipeline.register()
 		defer p.pipeline.unregister(req.ID)

@@ -179,7 +179,7 @@ func TestTypeOneEnvelopeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relabelled := (&envelope{Type: typeSecure, ID: 41, Session: session, Record: sealQuery(t, channel, "mortgage refinance rates")}).encode()
+	relabelled := (&envelope{Type: typeSecure, ID: 41, Session: []byte(session), Record: sealQuery(t, channel, "mortgage refinance rates")}).encode()
 	relabelled[0] = 1
 	before, logged := privacyState(p), len(engine.QueryLog())
 	for name, arg := range map[string][]byte{

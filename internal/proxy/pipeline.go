@@ -43,7 +43,7 @@ type pendingAttempt struct {
 // untrusted runtime's (envelope.ID).
 type pendingReq struct {
 	id      uint64
-	session string
+	session []byte // a copy: the crossing's envelope is gone when it replies
 	key     string
 	oq      core.ObfuscatedQuery
 	path    string

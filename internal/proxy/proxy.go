@@ -112,7 +112,7 @@ type Config struct {
 	// requests are coalesced into vectorized "request-batch" ecalls of up
 	// to BatchMax entries, and each "resume" ecall carries up to BatchMax
 	// ready completions, amortizing the fixed enclave transition cost (and
-	// the per-crossing obfuscator-lock and EPC traffic) across the batch.
+	// the per-crossing EPC charge) across the batch.
 	// Zero disables batching — every request pays its own EENTER pair.
 	// Requires AsyncOcalls; capped by PipelineDepth (a batch is drawn
 	// from admitted requests and can never fill past the admission
@@ -726,12 +726,16 @@ func (p *Proxy) Handshake(ctx context.Context, offer json.RawMessage, nonce []by
 	}, nil
 }
 
-// Secure serves one sealed query record on an established session and
-// returns the sealed response record. Fleet gateways call it directly to
-// route a pinned session's traffic to its shard.
-func (p *Proxy) Secure(ctx context.Context, session string, record []byte) ([]byte, error) {
+// SecureCall serves one sealed query record on an established session and
+// returns the sealed reply record, keeping neither argument past the call.
+func (p *Proxy) SecureCall(ctx context.Context, session, record []byte) ([]byte, error) {
 	reply, err := p.run(ctx, envelope{Type: typeSecure, Session: session, Record: record})
 	return reply.Record, err
+}
+
+// Secure is SecureCall with a string id, the form bench/trace.go and tests call.
+func (p *Proxy) Secure(ctx context.Context, session string, record []byte) ([]byte, error) {
+	return p.SecureCall(ctx, []byte(session), record)
 }
 
 // Refused counts a call a client edge refused before it reached the node

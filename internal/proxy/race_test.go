@@ -88,7 +88,7 @@ func TestConcurrentSessionChurn(t *testing.T) {
 					// any other failure mode is not.
 					_, err = p.ecall(context.Background(), envelope{
 						Type:    typeSecure,
-						Session: session,
+						Session: []byte(session),
 						Record:  record,
 					})
 					if err != nil {

@@ -146,7 +146,7 @@ func TestOutcomeBeforeCrossingReturnsIsDelivered(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, ch := pl.register()
-	parked, err := p.ecall(ctx, envelope{Type: typeSecure, ID: id, Session: session, Record: sealQuery(t, channel, "doomed before it returns")})
+	parked, err := p.ecall(ctx, envelope{Type: typeSecure, ID: id, Session: []byte(session), Record: sealQuery(t, channel, "doomed before it returns")})
 	if err != nil || parked.Pending != id {
 		t.Fatalf("crossing = %+v, %v; want parked under id %d", parked, err, id)
 	}
@@ -200,7 +200,7 @@ func TestGoneCallerParkedReplyIsAbandoned(t *testing.T) {
 	}
 	id, _ := pl.register()
 	pl.unregister(id) // the caller gave up before the crossing came back
-	parked, err := p.ecall(context.Background(), envelope{Type: typeSecure, ID: id, Session: session, Record: sealQuery(t, channel, "parked for nobody")})
+	parked, err := p.ecall(context.Background(), envelope{Type: typeSecure, ID: id, Session: []byte(session), Record: sealQuery(t, channel, "parked for nobody")})
 	if err != nil || parked.Pending != id {
 		t.Fatalf("crossing = %+v, %v; want parked under id %d", parked, err, id)
 	}
@@ -377,7 +377,7 @@ func TestRendezvousHostileIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealed := func(id uint64, query string) envelope {
-		return envelope{Type: typeSecure, ID: id, Session: session, Record: sealQuery(t, channel, query)}
+		return envelope{Type: typeSecure, ID: id, Session: []byte(session), Record: sealQuery(t, channel, query)}
 	}
 	blob := func(id uint64, query string) []byte {
 		e := sealed(id, query)
@@ -682,8 +682,8 @@ func TestCoalescedFollowerFinalizedMidCrossingStaysPending(t *testing.T) {
 	env := &inlineEngineEnv{ts: ts}
 
 	channels := map[string]*securechannel.Channel{"leader": pairedSession(t, ts, "leader"), "follower": pairedSession(t, ts, "follower")}
-	leader := (&envelope{Type: typeSecure, ID: 1, Session: "leader", Record: sealQuery(t, channels["leader"], "finalized mid crossing")}).encode()
-	follower := (&envelope{Type: typeSecure, ID: 2, Session: "follower", Record: sealQuery(t, channels["follower"], "finalized mid crossing")}).encode()
+	leader := (&envelope{Type: typeSecure, ID: 1, Session: []byte("leader"), Record: sealQuery(t, channels["leader"], "finalized mid crossing")}).encode()
+	follower := (&envelope{Type: typeSecure, ID: 2, Session: []byte("follower"), Record: sealQuery(t, channels["follower"], "finalized mid crossing")}).encode()
 	out, err := ts.handleRequestBatch(env, encodeBatch([][]byte{leader, follower}))
 	if err != nil {
 		t.Fatal(err)

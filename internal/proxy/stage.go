@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -68,10 +69,9 @@ func (ts *trustedState) handleRequest(env enclave.Env, arg []byte) ([]byte, erro
 // requests cross the boundary in one transition. Each entry ends with
 // exactly the reply (or error) it would have gotten alone, framed
 // per-entry by batchItemReply, while the stages pay their fixed costs —
-// the obfuscator lock, the EPC settlement, the pending-table critical
-// section — once. Handshakes never batch (the untrusted batcher routes
-// them to "request"; one arriving here names no session, and open fails
-// that entry alone).
+// the EPC charge, the pending-table critical section — once. Handshakes
+// never batch (the untrusted batcher routes them to "request"; one arriving
+// here names no session, and open fails that entry alone).
 func (ts *trustedState) handleRequestBatch(env enclave.Env, arg []byte) ([]byte, error) {
 	blobs, err := decodeBatch(arg)
 	if err != nil {
@@ -148,9 +148,9 @@ func (ts *trustedState) open(e *entry) {
 var errUnknownSession = errors.New("proxy: unknown session")
 
 // session looks an established secure channel up by id.
-func (ts *trustedState) session(id string) (*sessionState, error) {
+func (ts *trustedState) session(id []byte) (*sessionState, error) {
 	ts.mu.Lock()
-	sess, ok := ts.sessions[id]
+	sess, ok := ts.sessions[string(id)]
 	ts.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w %q", errUnknownSession, id)
@@ -158,52 +158,42 @@ func (ts *trustedState) session(id string) (*sessionState, error) {
 	return sess, nil
 }
 
-// obfuscate is Algorithm 1 for every live entry plus the EPC settlement
-// of the history growth — the only place either happens. The per-query
-// upper bound is charged BEFORE the window is touched and the difference
-// refunded after (the real delta is at most the bound: evictions only
-// subtract), so a charge the EPC refuses records nothing: the entries
-// fail with the history untouched and heap == history + cache + index
-// still true. More than one live entry is one pass under one obfuscator
-// lock, with the sequential semantics of obfuscating them in order.
+// obfuscate is Algorithm 1 for every unsettled entry plus the EPC
+// settlement of the history growth — the only place either happens. The
+// crossing's upper bound is charged once, BEFORE the window is touched, and
+// the difference refunded after (evictions only subtract), so a charge the
+// EPC refuses records nothing: the entries fail with the history untouched
+// and heap == history + cache + index still true. The entries then draw in
+// order, one Obfuscate each: a batch of N draws what N lone requests would.
 func (ts *trustedState) obfuscate(env enclave.Env, es []entry) {
 	start := time.Now()
-	var one [1]*entry // a batch of one must not allocate its live list
-	live := one[:0]
 	var bound int64
 	for i := range es {
 		if !es[i].settled {
-			live = append(live, &es[i])
 			bound += core.QueryCost(es[i].query)
 		}
 	}
-	if len(live) == 0 {
+	if bound == 0 { // nothing unsettled: every query costs at least its overhead
 		return
 	}
 	if err := env.Alloc(bound); err != nil {
-		for _, e := range live {
-			ts.reply(e, nil, fmt.Sprintf("proxy: history alloc: %v", err))
+		for i := range es {
+			if !es[i].settled {
+				ts.reply(&es[i], nil, fmt.Sprintf("proxy: history alloc: %v", err))
+			}
 		}
 		return
 	}
 	var delta int64
-	if len(live) == 1 {
-		live[0].oq, delta = ts.obfuscator.Obfuscate(live[0].query)
-	} else {
-		queries := make([]string, len(live))
-		for i, e := range live {
-			queries[i] = e.query
-		}
-		var oqs []core.ObfuscatedQuery
-		oqs, delta = ts.obfuscator.ObfuscateBatch(queries)
-		for i, e := range live {
-			e.oq = oqs[i]
+	for i := range es {
+		if e := &es[i]; !e.settled {
+			oq, d := ts.obfuscator.Obfuscate(e.query)
+			e.oq, delta = oq, delta+d
 		}
 	}
 	env.Free(bound - delta)
-	// One observation per crossing: for a batch the amortized cost IS the
-	// quantity of interest, and per-entry splits of a shared pass would be
-	// arbitrary.
+	// One observation per crossing: for a batch the whole pass IS the
+	// quantity of interest, and per-entry splits of it would be arbitrary.
 	ts.stages.Since(obs.StageObfuscate, start)
 }
 
@@ -357,7 +347,7 @@ func (ts *trustedState) park(env enclave.Env, es []entry) {
 			e.fail(fmt.Errorf("proxy: request id %d is zero or already parked", e.req.ID))
 			continue
 		}
-		e.p = &pendingReq{id: e.req.ID, session: e.req.Session, key: e.key}
+		e.p = &pendingReq{id: e.req.ID, session: bytes.Clone(e.req.Session), key: e.key}
 		if leader, ok := pt.byKey[e.key]; ok && !leader.done {
 			// Follower: ride the leader's flight. No fetch of its own.
 			e.p.leader = leader
@@ -481,7 +471,7 @@ func (ts *trustedState) reply(e *entry, results []core.Result, errstr string) {
 // reply frame (sealedReply), so only the client reads it. The session is
 // looked up at seal time: one evicted while its request was in the engine
 // stage fails here (the channel died with its table slot).
-func (ts *trustedState) finishReply(session string, results []core.Result, errstr string) ([]byte, error) {
+func (ts *trustedState) finishReply(session []byte, results []core.Result, errstr string) ([]byte, error) {
 	sess, err := ts.session(session)
 	if err != nil {
 		return nil, err

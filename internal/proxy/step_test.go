@@ -204,8 +204,8 @@ func TestFailedSubmitFailsAttachedFollowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := (&envelope{Type: typeSecure, ID: 1, Session: session, Record: sealQuery(t, channel, "identical pair")}).encode()
-	second := (&envelope{Type: typeSecure, ID: 2, Session: session, Record: sealQuery(t, channel, "identical pair")}).encode()
+	first := (&envelope{Type: typeSecure, ID: 1, Session: []byte(session), Record: sealQuery(t, channel, "identical pair")}).encode()
+	second := (&envelope{Type: typeSecure, ID: 2, Session: []byte(session), Record: sealQuery(t, channel, "identical pair")}).encode()
 	frames, err := p.pipeline.batchECall("request-batch", [][]byte{first, second})
 	if err != nil {
 		t.Fatal(err)

@@ -37,8 +37,8 @@ type envelope struct {
 	ID uint64
 	// Handshake offer from the client (Type == typeHandshake).
 	Offer json.RawMessage
-	// Secure record (Type == typeSecure).
-	Session string
+	// Secure record (Type == typeSecure). Decoded, both alias the frame.
+	Session []byte
 	Record  []byte
 }
 
@@ -46,7 +46,7 @@ func (e *envelope) walk(w *wire) {
 	w.u8(&e.Type, typeHandshake, typeSecure)
 	w.u64(&e.ID)
 	w.bytes((*[]byte)(&e.Offer))
-	w.str(&e.Session)
+	w.bytes(&e.Session)
 	w.bytes(&e.Record)
 }
 

@@ -5,7 +5,10 @@
 // a similarity between the query and every profile — the exponential
 // smoothing (alpha = 0.5) of the ascending-sorted cosine similarities
 // between the query and each profile query — and re-identifies the
-// (query, user) pair with the unique highest similarity.
+// (query, user) pair with the unique highest similarity. A protected query
+// is a core.ObfuscatedQuery, the k+1 set core.Place builds for every
+// mechanism evaluated (X-Search, PEAS, GooPIR), so the attack scores each
+// the same way.
 package simattack
 
 import (
@@ -13,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"xsearch/internal/core"
 	"xsearch/internal/dataset"
 	"xsearch/internal/textutil"
 )
@@ -229,18 +233,11 @@ func (a *Attack) EvaluateUnlinkability(test *dataset.Log) float64 {
 	return float64(hits) / float64(len(test.Records))
 }
 
-// Obfuscation produces the protected form of a query for evaluation:
-// the sub-queries and the index of the original.
-type Obfuscation struct {
-	Subqueries    []string
-	OriginalIndex int
-}
-
 // EvaluateObfuscated measures the re-identification rate of an
 // obfuscation mechanism: protect every test query with protect, then count
 // the fraction where SimAttack recovers BOTH the original sub-query and
 // the requesting user (the paper's re-identification rate, §5.4.1).
-func (a *Attack) EvaluateObfuscated(test *dataset.Log, protect func(rec dataset.Record) Obfuscation) float64 {
+func (a *Attack) EvaluateObfuscated(test *dataset.Log, protect func(rec dataset.Record) core.ObfuscatedQuery) float64 {
 	if len(test.Records) == 0 {
 		return 0
 	}

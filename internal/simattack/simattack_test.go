@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"xsearch/internal/core"
 	"xsearch/internal/dataset"
 )
 
@@ -180,7 +181,7 @@ func TestEvaluateObfuscatedReducesRate(t *testing.T) {
 	// records of the log.
 	pool := train.Queries()
 	i := 0
-	obfuscated := a.EvaluateObfuscated(test, func(rec dataset.Record) Obfuscation {
+	obfuscated := a.EvaluateObfuscated(test, func(rec dataset.Record) core.ObfuscatedQuery {
 		subs := []string{
 			pool[(i*3)%len(pool)],
 			rec.Query,
@@ -188,7 +189,7 @@ func TestEvaluateObfuscatedReducesRate(t *testing.T) {
 			pool[(i*3+2)%len(pool)],
 		}
 		i++
-		return Obfuscation{Subqueries: subs, OriginalIndex: 1}
+		return core.ObfuscatedQuery{Subqueries: subs, OriginalIndex: 1}
 	})
 	if obfuscated >= baseline {
 		t.Errorf("obfuscation did not reduce re-identification: %f >= %f",

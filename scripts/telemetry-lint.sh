@@ -110,6 +110,17 @@ if [ -n "$out" ]; then
     note "the mux edge regrew a credit or resume frame (FrameWindow, FrameResume, OnResume, SendResume)"
 fi
 
+# 8. Algorithm 1 is written once: every k+1 set is built by core.Place (the
+#    enclave's through Obfuscator.Obfuscate, one draw per query), so no
+#    non-test file outside internal/core builds an ObfuscatedQuery literal,
+#    and no second, batched draw (ObfuscateBatch) comes back.
+out=$(grep -rnE 'ObfuscatedQuery\{|ObfuscateBatch' --include='*.go' . |
+    grep -v '_test.go' | grep -v '^\./internal/core/')
+if [ -n "$out" ]; then
+    echo "$out"
+    note "a k+1 set is built outside core.Place (an ObfuscatedQuery literal, or ObfuscateBatch)"
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "telemetry-lint: FAILED" >&2
     exit 1
