@@ -198,7 +198,8 @@ func (c *Client) searchOnce(ctx context.Context, query string) ([]core.Result, e
 	if channel == nil {
 		return nil, ErrNotConnected
 	}
-	// Sealed inside the body that carries it (room for an unescaped query).
+	// Sealed inside the body that carries it (room for a query needing no
+	// escapes).
 	body := AppendSecureBody(make([]byte, 0, 1+len(session)+securechannel.HeaderSize+len(query)+64+securechannel.SealRoom), session, nil)
 	at := len(body)
 	body = core.AppendSecureRequest(append(body, make([]byte, securechannel.HeaderSize)...), query, c.count)

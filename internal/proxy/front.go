@@ -33,8 +33,9 @@ type Front interface {
 // HandshakeResponse is client.HandshakeResponse under the name bench/trace.go spells.
 type HandshakeResponse = client.HandshakeResponse
 
-// SecureEnvelope was HTTP /secure's JSON body before client.AppendSecureBody;
-// it stays, unused by the module, for bench/trace.go's mux.call rung.
+// SecureEnvelope was the JSON/base64 body of HTTP /secure before both edges
+// carried client.AppendSecureBody. It stays, unused by the module, because
+// bench/trace.go still sizes its mux.call rung with it.
 type SecureEnvelope struct {
 	Session string `json:"session"`
 	Record  []byte `json:"record"`

@@ -192,8 +192,9 @@ func (ts *trustedState) obfuscate(env enclave.Env, es []entry) {
 		}
 	}
 	env.Free(bound - delta)
-	// One observation per crossing: for a batch the whole pass IS the
-	// quantity of interest, and per-entry splits of it would be arbitrary.
+	// One observation per crossing: for a batch the amortized cost IS the
+	// quantity of interest, and per-entry splits of a shared pass would be
+	// arbitrary.
 	ts.stages.Since(obs.StageObfuscate, start)
 }
 
