@@ -37,8 +37,8 @@ func stemTail(w []byte, from int) []byte {
 	word = step1a(word)
 	word = step1b(word)
 	word = step1c(word)
-	word = step2(word)
-	word = step3(word)
+	word = replaceFirst(word, &step2Rules)
+	word = replaceFirst(word, &step3Rules)
 	word = step4(word)
 	word = step5a(word)
 	word = step5b(word)
@@ -129,20 +129,6 @@ func hasSuffix(w []byte, s string) bool {
 	return string(w[len(w)-len(s):]) == s
 }
 
-// replaceSuffix replaces suffix s with r when the stem before s has
-// measure > m. Returns the new word and whether a replacement happened
-// (i.e. the suffix matched, regardless of the measure condition).
-func replaceSuffix(w []byte, s, r string, m int) ([]byte, bool) {
-	if !hasSuffix(w, s) {
-		return w, false
-	}
-	stem := w[:len(w)-len(s)]
-	if measure(stem) > m {
-		return append(stem, r...), true
-	}
-	return w, true
-}
-
 func step1a(w []byte) []byte {
 	switch {
 	case hasSuffix(w, "sses"):
@@ -197,61 +183,65 @@ func step1c(w []byte) []byte {
 	return w
 }
 
-var step2Rules = []struct{ from, to string }{
-	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"},
-	{"anci", "ance"}, {"izer", "ize"}, {"abli", "able"},
-	{"alli", "al"}, {"entli", "ent"}, {"eli", "e"},
-	{"ousli", "ous"}, {"ization", "ize"}, {"ation", "ate"},
-	{"ator", "ate"}, {"alism", "al"}, {"iveness", "ive"},
-	{"fulness", "ful"}, {"ousness", "ous"}, {"aliti", "al"},
-	{"iviti", "ive"}, {"biliti", "ble"},
+// rule replaces a step 2 or step 3 suffix.
+type rule struct{ from, to string }
+
+// The suffixes of steps 2-4 are filed by their penultimate letter, in
+// Porter's order within each bucket, and a step scans only the bucket of
+// the word's penultimate letter (Porter's own code switches on it). That is
+// exact: every suffix here is at least two bytes long, so one that ends the
+// word has the word's penultimate letter as its own, and the first match in
+// the bucket is the first match in Porter's list.
+var step2Rules = [256][]rule{
+	'a': {{"ational", "ate"}, {"tional", "tion"}},
+	'c': {{"enci", "ence"}, {"anci", "ance"}}, 'e': {{"izer", "ize"}},
+	'l': {{"abli", "able"}, {"alli", "al"}, {"entli", "ent"}, {"eli", "e"}, {"ousli", "ous"}},
+	'o': {{"ization", "ize"}, {"ation", "ate"}, {"ator", "ate"}},
+	's': {{"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"}, {"ousness", "ous"}},
+	't': {{"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"}},
 }
 
-func step2(w []byte) []byte {
-	for _, r := range step2Rules {
+var step3Rules = [256][]rule{
+	'a': {{"ical", "ic"}}, 's': {{"ness", ""}}, 't': {{"icate", "ic"}, {"iciti", "ic"}},
+	'u': {{"ful", ""}}, 'v': {{"ative", ""}}, 'z': {{"alize", "al"}},
+}
+
+var step4Suffixes = [256][]string{
+	'a': {"al"}, 'c': {"ance", "ence"}, 'e': {"er"}, 'i': {"ic"},
+	'l': {"able", "ible"}, 'n': {"ant", "ement", "ment", "ent"},
+	'o': {"ion", "ou"}, 's': {"ism"}, 't': {"ate", "iti"},
+	'u': {"ous"}, 'v': {"ive"}, 'z': {"ize"},
+}
+
+// replaceFirst is steps 2 and 3: it replaces the first suffix of w's bucket
+// in rules that ends w, when the stem before it has measure > 0.
+func replaceFirst(w []byte, rules *[256][]rule) []byte {
+	if len(w) < 2 {
+		return w
+	}
+	for _, r := range rules[w[len(w)-2]] {
 		if hasSuffix(w, r.from) {
-			w, _ = replaceSuffix(w, r.from, r.to, 0)
+			if stem := w[:len(w)-len(r.from)]; measure(stem) > 0 {
+				return append(stem, r.to...)
+			}
 			return w
 		}
 	}
 	return w
-}
-
-var step3Rules = []struct{ from, to string }{
-	{"icate", "ic"}, {"ative", ""}, {"alize", "al"},
-	{"iciti", "ic"}, {"ical", "ic"}, {"ful", ""}, {"ness", ""},
-}
-
-func step3(w []byte) []byte {
-	for _, r := range step3Rules {
-		if hasSuffix(w, r.from) {
-			w, _ = replaceSuffix(w, r.from, r.to, 0)
-			return w
-		}
-	}
-	return w
-}
-
-var step4Suffixes = []string{
-	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-	"ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 }
 
 func step4(w []byte) []byte {
-	for _, s := range step4Suffixes {
+	if len(w) < 2 {
+		return w
+	}
+	for _, s := range step4Suffixes[w[len(w)-2]] {
 		if !hasSuffix(w, s) {
 			continue
 		}
 		stem := w[:len(w)-len(s)]
-		if s == "ion" {
-			// "ion" only strips when the stem ends in s or t.
-			if len(stem) == 0 {
-				return w
-			}
-			last := stem[len(stem)-1]
-			if last != 's' && last != 't' {
-				return w
-			}
+		// "ion" only strips when the stem ends in s or t.
+		if s == "ion" && !hasSuffix(stem, "s") && !hasSuffix(stem, "t") {
+			return w
 		}
 		if measure(stem) > 1 {
 			return stem

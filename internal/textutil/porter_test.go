@@ -137,15 +137,6 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
-func BenchmarkStem(b *testing.B) {
-	words := []string{"relational", "privacy", "searching", "obfuscation",
-		"enclaves", "anonymity", "queries", "identification"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Stem(words[i%len(words)])
-	}
-}
-
 // TestStemMatchesFrozenSteps: the linear stemmer gives the stem the Porter
 // steps it replaced gave, on Porter's vocabulary and on short words built
 // to walk the y rule (package textutil_test adds the corpora).
@@ -194,4 +185,123 @@ func TestStemIsLinear(t *testing.T) {
 			t.Errorf("Stem lengthened a %d-byte token to %d bytes", len(w), len(got))
 		}
 	}
+}
+
+// TestStepRulesKeyedByPenultimateLetter: a step scans only the bucket of the
+// word's penultimate letter, so a rule filed under another letter would
+// never match. Every bucket holds suffixes with its letter second from the
+// end, and the buckets hold exactly the frozen steps' rules, each bucket in
+// the frozen list's order.
+func TestStepRulesKeyedByPenultimateLetter(t *testing.T) {
+	step2 := make([]rule, len(frozenStep2Rules))
+	for i, r := range frozenStep2Rules {
+		step2[i] = rule(r)
+	}
+	step3 := make([]rule, len(frozenStep3Rules))
+	for i, r := range frozenStep3Rules {
+		step3[i] = rule(r)
+	}
+	from := func(r rule) string { return r.from }
+	checkBuckets(t, "step 2", &step2Rules, step2, from)
+	checkBuckets(t, "step 3", &step3Rules, step3, from)
+	checkBuckets(t, "step 4", &step4Suffixes, frozenStep4Suffixes, func(s string) string { return s })
+}
+
+func checkBuckets[T comparable](t *testing.T, step string, buckets *[256][]T, frozen []T, suffix func(T) string) {
+	t.Helper()
+	pos := map[T]int{}
+	for i, r := range frozen {
+		pos[r] = i
+	}
+	seen := map[T]bool{}
+	for c, bucket := range buckets {
+		last := -1
+		for _, r := range bucket {
+			s := suffix(r)
+			if len(s) < 2 || s[len(s)-2] != byte(c) {
+				t.Errorf("%s: %q is filed under %q, not its penultimate letter", step, s, byte(c))
+			}
+			i, ok := pos[r]
+			switch {
+			case !ok:
+				t.Errorf("%s: %v is not one of the frozen rules", step, r)
+			case seen[r]:
+				t.Errorf("%s: %v is filed twice", step, r)
+			case i < last:
+				t.Errorf("%s: %v comes before a rule it follows in the frozen list", step, r)
+			}
+			seen[r], last = true, i
+		}
+	}
+	if len(seen) != len(frozen) {
+		t.Errorf("%s: the buckets hold %d of the %d frozen rules", step, len(seen), len(frozen))
+	}
+}
+
+// ruleStems are stems of measure 0, 1 and 2 (by index), each ending in s,
+// in t and in another letter, so every suffix is tried with and without
+// the measure its rule needs and "ion" with and without its s or t.
+var ruleStems = [3][]string{
+	{"", "ps", "st", "tr"},
+	{"ros", "oat", "hop"},
+	{"adopts", "privat", "conform"},
+}
+
+// TestStemMatchesFrozenOnEveryRule: every suffix of steps 2-4, on stems of
+// each measure, alone and pluralised, stems as the frozen steps stem it.
+func TestStemMatchesFrozenOnEveryRule(t *testing.T) {
+	var suffixes []string
+	for _, r := range frozenStep2Rules {
+		suffixes = append(suffixes, r.from)
+	}
+	for _, r := range frozenStep3Rules {
+		suffixes = append(suffixes, r.from)
+	}
+	suffixes = append(suffixes, frozenStep4Suffixes...)
+	for m, stems := range ruleStems {
+		for _, stem := range stems {
+			if got := measure([]byte(stem)); got != m {
+				t.Fatalf("measure(%q) = %d, want %d", stem, got, m)
+			}
+			for _, s := range suffixes {
+				for _, w := range []string{stem + s, stem + s + "s"} {
+					if got, want := Stem(w), frozenStem(w); got != want {
+						t.Errorf("Stem(%q) = %q, frozen steps %q", w, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bucketTexts returns one text per non-empty bucket of steps 2-4: each of
+// the bucket's suffixes on each measure-2 stem of ruleStems.
+func bucketTexts() []string {
+	var texts []string
+	add := func(suffixes []string) {
+		var words []string
+		for _, stem := range ruleStems[2] {
+			for _, s := range suffixes {
+				words = append(words, stem+s)
+			}
+		}
+		texts = append(texts, strings.Join(words, " "))
+	}
+	for _, table := range []*[256][]rule{&step2Rules, &step3Rules} {
+		for _, bucket := range table {
+			var suffixes []string
+			for _, r := range bucket {
+				suffixes = append(suffixes, r.from)
+			}
+			if len(suffixes) > 0 {
+				add(suffixes)
+			}
+		}
+	}
+	for _, bucket := range step4Suffixes {
+		if len(bucket) > 0 {
+			add(bucket)
+		}
+	}
+	return texts
 }

@@ -128,6 +128,12 @@ func FuzzTermsMatchReference(f *testing.F) {
 	// so it stays short).
 	f.Add(strings.Repeat("y", 200)+"ational "+strings.Repeat("ay", 40), "SAYYYING "+strings.Repeat("Y", 200)+"ate")
 	f.Add("internationalizations"+strings.Repeat("ness", 12)+" Conditionally", "conditional "+strings.Repeat("Ab", 40)+"ing")
+	// One seed per suffix bucket of Porter steps 2-4, each paired with
+	// the next bucket's text.
+	texts := bucketTexts()
+	for i, text := range texts {
+		f.Add(text, texts[(i+1)%len(texts)])
+	}
 	f.Fuzz(func(t *testing.T, a, b string) {
 		requireMatchesReference(t, a, b)
 		requireMatchesReference(t, b, a)

@@ -12,7 +12,10 @@
 // (Stem returns its argument when nothing changes). A term is therefore a
 // substring of the lowered text or a freshly stemmed string; no token is
 // built rune by rune. Tokenize is the separate, unstemmed tokenizer the
-// reference pipelines in the tests are written with.
+// reference pipelines in the tests are written with. Stemming is the
+// kernel's main cost: each Porter step is linear in the word, and steps 2-4
+// compare it only with the suffixes that share its penultimate letter (at
+// most five a step, of 46).
 //
 // # Termer: scope rule
 //
