@@ -46,10 +46,12 @@ type AsyncCompletion struct {
 // Called from Build when Config.AsyncWorkers > 0.
 func (e *Enclave) startAsyncWorkers() {
 	workers := e.cfg.AsyncWorkers
-	depth := e.cfg.AsyncRingDepth
-	if depth <= 0 {
-		depth = 2 * workers
-	}
+	// Both rings are 2 × AsyncWorkers deep. A full submission ring blocks
+	// OCallAsync (backpressure inside the enclave); a full completion ring
+	// blocks workers (backpressure on the untrusted runtime's drain loop).
+	// The proxy already requires at least 2 × PipelineDepth + BatchMax
+	// workers, its most outstanding steps, so its rings hold twice that.
+	depth := 2 * workers
 	e.asyncSub = make(chan asyncCall, depth)
 	e.asyncDone = make(chan AsyncCompletion, depth)
 	e.asyncStop = make(chan struct{})

@@ -157,7 +157,7 @@ func TestAsyncManyConcurrent(t *testing.T) {
 func TestAsyncDestroyMidFlight(t *testing.T) {
 	p := NewPlatform()
 	release := make(chan struct{})
-	b := p.NewBuilder(Config{AsyncWorkers: 2, AsyncRingDepth: 2})
+	b := p.NewBuilder(Config{AsyncWorkers: 2})
 	if err := b.RegisterECall("submit", func(env Env, arg []byte) ([]byte, error) {
 		_, err := env.OCallAsync("block", arg)
 		return nil, err

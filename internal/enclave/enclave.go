@@ -161,9 +161,10 @@ type Config struct {
 	// (EENTER/EEXIT, ~2-4 us on real hardware). Applied on each ecall
 	// and ocall entry and exit when positive.
 	TransitionCost time.Duration
-	// HeapPaging controls what happens when the enclave heap exceeds
-	// available EPC: if true (default semantics of SGX1), allocations
-	// succeed but count page faults; if false, allocations fail.
+	// DisablePaging controls what happens when the enclave heap exceeds
+	// available EPC: if true, an allocation past the EPC fails with
+	// ErrEPCExhausted; if false (SGX1's paging), it succeeds and counts
+	// page faults.
 	DisablePaging bool
 	// AsyncWorkers, when positive, enables switchless-style async ocalls:
 	// trusted code may submit ocalls to a shared-memory ring via
@@ -172,11 +173,6 @@ type Config struct {
 	// results to the completion ring (Enclave.Completions). Zero disables
 	// the rings; OCallAsync then fails with ErrAsyncDisabled.
 	AsyncWorkers int
-	// AsyncRingDepth bounds the submission and completion rings. Zero
-	// means 2 * AsyncWorkers. A full submission ring blocks OCallAsync
-	// (backpressure inside the enclave); a full completion ring blocks
-	// workers (backpressure on the untrusted runtime's drain loop).
-	AsyncRingDepth int
 }
 
 // NewBuilder starts building an enclave on the platform.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,16 @@ func buildTestEnclave(t *testing.T, p *Platform, cfg Config) *Enclave {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// Every Config field is a knob of the simulated enclave; the ring depth
+// follows AsyncWorkers. Raising this number is an explicit edit, like
+// scripts/loc.budget.
+func TestEnclaveConfigFieldBudget(t *testing.T) {
+	const budget = 4
+	if n := reflect.TypeOf(Config{}).NumField(); n > budget {
+		t.Fatalf("enclave.Config has %d fields, budget %d", n, budget)
+	}
 }
 
 func TestMeasurementDeterministic(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package goopir implements the GooPIR baseline (Domingo-Ferrer et al.):
 // client-side obfuscation that ORs the real query with k fake queries built
-// from randomly selected dictionary keywords, plus client-side filtering of
-// the merged results. Its weakness — dictionary words are distinguishable
-// from organic query terms — motivates X-Search's use of real past queries.
+// from randomly selected dictionary keywords; the client filters the merged
+// results with core.FilterResults, as X-Search's enclave does. Its weakness
+// — dictionary words are distinguishable from organic query terms —
+// motivates X-Search's use of real past queries.
 package goopir
 
 import (
@@ -64,11 +65,4 @@ func (o *Obfuscator) Obfuscate(query string) core.ObfuscatedQuery {
 		fakes[i] = strings.Join(words, " ")
 	}
 	return core.Place(o.rng.IntN, query, fakes)
-}
-
-// Filter keeps the results related to the original query, using the same
-// common-words scoring as X-Search's Algorithm 2 (GooPIR filters on the
-// client since only the client knows the real query).
-func (o *Obfuscator) Filter(oq core.ObfuscatedQuery, results []core.Result) []core.Result {
-	return core.FilterResults(oq.Original(), oq.Fakes(), results)
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"xsearch/internal/core"
 	"xsearch/internal/dataset"
 )
 
@@ -55,22 +54,6 @@ func TestObfuscateK0(t *testing.T) {
 	oq := ob.Obfuscate("plain query")
 	if len(oq.Subqueries) != 1 || oq.Original() != "plain query" {
 		t.Errorf("oq = %+v", oq)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	ob, err := New(2, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oq := ob.Obfuscate("red car")
-	results := []core.Result{
-		{URL: "u1", Title: "red car sale", Snippet: "buy a red car"},
-		{URL: "u2", Title: oq.Fakes()[0], Snippet: "dictionary nonsense"},
-	}
-	kept := ob.Filter(oq, results)
-	if len(kept) != 1 || kept[0].URL != "u1" {
-		t.Errorf("kept = %+v", kept)
 	}
 }
 

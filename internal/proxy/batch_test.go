@@ -122,16 +122,6 @@ func TestBatchConfigValidation(t *testing.T) {
 			t.Errorf("undersized AsyncWorkers with batching: err = %v, want batch-burst rejection", err)
 		}
 	}
-	{
-		cfg := base()
-		cfg.AsyncOcalls = true
-		cfg.PipelineDepth = 8
-		cfg.BatchMax = 8
-		cfg.EnclaveConfig = enclave.Config{AsyncWorkers: 16, AsyncRingDepth: 8}
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "AsyncRingDepth") {
-			t.Errorf("undersized AsyncRingDepth with batching: err = %v, want rejection", err)
-		}
-	}
 	// A coherent batching config builds and sizes the rings itself.
 	{
 		cfg := base()

@@ -231,15 +231,6 @@ func TestPipelineConfigValidation(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "AsyncWorkers") {
 		t.Errorf("undersized AsyncWorkers: err = %v, want rejection", err)
 	}
-	if _, err := New(Config{
-		K:             1,
-		Engines:       []EngineSpec{{Host: "127.0.0.1:1"}},
-		AsyncOcalls:   true,
-		PipelineDepth: 8,
-		EnclaveConfig: enclave.Config{AsyncWorkers: 8, AsyncRingDepth: 4},
-	}); err == nil || !strings.Contains(err.Error(), "AsyncRingDepth") {
-		t.Errorf("undersized AsyncRingDepth: err = %v, want rejection", err)
-	}
 }
 
 // A cancelled completion for a request that is NOT done (closeAll marking

@@ -265,7 +265,7 @@ func New(cfg Config) (*Proxy, error) {
 		// every TCS, starving the resume workers that drain the
 		// completion ring the async workers are blocked pushing to — a
 		// four-way deadlock Shutdown cannot break. needNote tells the
-		// sizing errors below why the requirement is above PipelineDepth.
+		// sizing error below why the requirement is above PipelineDepth.
 		workersNeed, needNote := 2*cfg.PipelineDepth, " ×2 close-step headroom"
 		// A batched stage-1 ecall bursts up to BatchMax submissions while
 		// holding its TCS, so the ring must guarantee that much free
@@ -278,10 +278,6 @@ func New(cfg Config) (*Proxy, error) {
 		if cfg.BatchMax > 0 {
 			workersNeed += cfg.BatchMax
 			needNote += fmt.Sprintf(" +%d batch-burst headroom", cfg.BatchMax)
-		}
-		if d := cfg.EnclaveConfig.AsyncRingDepth; d != 0 && d < workersNeed {
-			return nil, fmt.Errorf("proxy: EnclaveConfig.AsyncRingDepth %d below the pipeline's requirement %d (PipelineDepth%s): undersized rings can deadlock the pipeline — raise AsyncRingDepth or lower PipelineDepth",
-				d, workersNeed, needNote)
 		}
 		if cfg.EnclaveConfig.AsyncWorkers == 0 {
 			cfg.EnclaveConfig.AsyncWorkers = workersNeed

@@ -89,6 +89,16 @@ func TestConfigFieldBudget(t *testing.T) {
 	}
 }
 
+// Every EngineSpec field is a per-upstream knob; the pool bound is
+// Config.PoolSize for all of them. Raising this number is an explicit
+// edit, like scripts/loc.budget.
+func TestEngineSpecFieldBudget(t *testing.T) {
+	const budget = 3
+	if n := reflect.TypeOf(EngineSpec{}).NumField(); n > budget {
+		t.Fatalf("proxy.EngineSpec has %d fields, budget %d", n, budget)
+	}
+}
+
 func TestPlainSearchEndToEnd(t *testing.T) {
 	st := newTestStack(t, nil)
 	// Warm the history so obfuscation has fakes.

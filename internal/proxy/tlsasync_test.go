@@ -116,8 +116,8 @@ func TestAsyncTLSBatchedFetch(t *testing.T) {
 // actual reuse.
 func TestAsyncTLSSessionReuseChurn(t *testing.T) {
 	srv, pem := newTLSDelayEngine(t, nil)
-	p := newAsyncTLSProxy(t, nil,
-		EngineSpec{Host: srv.Addr(), RootsPEM: pem, MaxConns: 2})
+	p := newAsyncTLSProxy(t, func(c *Config) { c.PoolSize = 2 },
+		EngineSpec{Host: srv.Addr(), RootsPEM: pem})
 
 	const workers = 8
 	const perWorker = 8

@@ -11,8 +11,8 @@ import (
 
 // EngineSpec describes one engine upstream in the proxy's upstream set:
 // where to reach it, how to authenticate it, and how much of the
-// obfuscated traffic it should carry. The zero Weight means 1; the zero
-// MaxConns inherits Config.PoolSize.
+// obfuscated traffic it should carry. The zero Weight means 1. Every
+// upstream's idle keep-alive pool is bounded by Config.PoolSize.
 type EngineSpec struct {
 	// Host is the engine's host:port.
 	Host string
@@ -23,9 +23,6 @@ type EngineSpec struct {
 	// Weight is the upstream's relative share of the fan-out (CYCLOSA-style
 	// load spreading). Zero means 1.
 	Weight int
-	// MaxConns bounds this upstream's idle keep-alive pool. Zero inherits
-	// the proxy-wide Config.PoolSize.
-	MaxConns int
 }
 
 // upstream is the in-enclave state of one engine upstream: its address and
@@ -236,7 +233,7 @@ func (u *upstream) stats(now time.Time, threshold int) UpstreamStats {
 // per-spec defaults.
 func normalizeEngines(cfg *Config) ([]EngineSpec, error) {
 	// Copy before filling defaults: callers may reuse one spec slice
-	// across proxies with different PoolSize etc.
+	// across proxies.
 	engines := append([]EngineSpec(nil), cfg.Engines...)
 	seen := make(map[string]bool, len(engines))
 	for i := range engines {
@@ -257,9 +254,6 @@ func normalizeEngines(cfg *Config) ([]EngineSpec, error) {
 		if e.Weight == 0 {
 			e.Weight = 1
 		}
-		if e.MaxConns == 0 {
-			e.MaxConns = cfg.PoolSize
-		}
 	}
 	return engines, nil
 }
@@ -269,7 +263,7 @@ func normalizeEngines(cfg *Config) ([]EngineSpec, error) {
 func buildRegistry(engines []EngineSpec, cfg *Config) (*upstreamRegistry, error) {
 	ups := make([]*upstream, len(engines))
 	for i, e := range engines {
-		u := &upstream{host: e.Host, weight: e.Weight, maxIdle: e.MaxConns, idleTTL: poolIdleTimeout}
+		u := &upstream{host: e.Host, weight: e.Weight, maxIdle: cfg.PoolSize, idleTTL: poolIdleTimeout}
 		if len(e.RootsPEM) > 0 {
 			pool := x509.NewCertPool()
 			if !pool.AppendCertsFromPEM(e.RootsPEM) {

@@ -10,10 +10,8 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"xsearch/internal/enclave"
 )
@@ -22,7 +20,6 @@ import (
 var (
 	ErrCorrupt  = errors.New("seal: blob corrupt or wrong key")
 	ErrTooShort = errors.New("seal: blob too short")
-	ErrReplay   = errors.New("seal: counter replay detected")
 )
 
 // Sealer binds AES-256-GCM sealed blobs to an enclave identity.
@@ -78,59 +75,4 @@ func (s *Sealer) Unseal(blob, aad []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	return pt, nil
-}
-
-// CounterStore models SGX monotonic counters, defending sealed state
-// against rollback: state is sealed together with a counter value, and on
-// unseal the embedded value must be at least the stored counter.
-type CounterStore struct {
-	mu       sync.Mutex
-	counters map[string]uint64
-}
-
-// NewCounterStore creates an empty counter store.
-func NewCounterStore() *CounterStore {
-	return &CounterStore{counters: make(map[string]uint64)}
-}
-
-// Increment bumps the named counter and returns the new value.
-func (c *CounterStore) Increment(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counters[name]++
-	return c.counters[name]
-}
-
-// Read returns the current value.
-func (c *CounterStore) Read(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters[name]
-}
-
-// SealWithCounter seals plaintext together with the next value of the named
-// monotonic counter. Unsealing verifies the embedded value matches the
-// current counter, rejecting replayed older blobs.
-func (s *Sealer) SealWithCounter(cs *CounterStore, name string, plaintext []byte) ([]byte, error) {
-	v := cs.Increment(name)
-	buf := make([]byte, 8+len(plaintext))
-	binary.LittleEndian.PutUint64(buf, v)
-	copy(buf[8:], plaintext)
-	return s.Seal(buf, []byte("ctr:"+name))
-}
-
-// UnsealWithCounter reverses SealWithCounter, enforcing freshness.
-func (s *Sealer) UnsealWithCounter(cs *CounterStore, name string, blob []byte) ([]byte, error) {
-	pt, err := s.Unseal(blob, []byte("ctr:"+name))
-	if err != nil {
-		return nil, err
-	}
-	if len(pt) < 8 {
-		return nil, ErrTooShort
-	}
-	v := binary.LittleEndian.Uint64(pt)
-	if v != cs.Read(name) {
-		return nil, ErrReplay
-	}
-	return pt[8:], nil
 }

@@ -199,45 +199,3 @@ func TestSealRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCounterStore(t *testing.T) {
-	cs := NewCounterStore()
-	if cs.Read("a") != 0 {
-		t.Error("fresh counter not zero")
-	}
-	if cs.Increment("a") != 1 || cs.Increment("a") != 2 {
-		t.Error("increments wrong")
-	}
-	if cs.Read("b") != 0 {
-		t.Error("counters not independent")
-	}
-}
-
-func TestSealWithCounterReplayProtection(t *testing.T) {
-	p := enclave.NewPlatform(enclave.WithFuseSeed([]byte("m1")))
-	e := buildEnclave(t, p, "proxy")
-	s, err := New(p, e, enclave.PolicyMRENCLAVE, [16]byte{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := NewCounterStore()
-	blob1, err := s.SealWithCounter(cs, "history", []byte("state v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Current blob unseals.
-	back, err := s.UnsealWithCounter(cs, "history", blob1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(back) != "state v1" {
-		t.Errorf("got %q", back)
-	}
-	// Newer state supersedes; replaying blob1 must now fail.
-	if _, err := s.SealWithCounter(cs, "history", []byte("state v2")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.UnsealWithCounter(cs, "history", blob1); !errors.Is(err, ErrReplay) {
-		t.Errorf("replay err = %v", err)
-	}
-}

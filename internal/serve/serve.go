@@ -120,13 +120,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Started reports whether Start has succeeded.
-func (s *Server) Started() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.started
-}
-
 // Shutdown gracefully stops the server: the listener closes, never-used
 // conns are reaped immediately (see the package comment), and in-flight
 // requests get until ctx to finish.

@@ -252,9 +252,6 @@ func (a *Attack) EvaluateObfuscated(test *dataset.Log, protect func(rec dataset.
 	return float64(hits) / float64(len(test.Records))
 }
 
-// ProfileSize returns the number of training queries held for a user.
-func (a *Attack) ProfileSize(user int) int { return len(a.profiles[user]) }
-
 // MaxQuerySimilarity returns the maximum cosine similarity between query
 // and any profile query of any user — the metric behind Figure 1 (how
 // close fake queries come to real past queries).

@@ -217,22 +217,6 @@ func TestMaxQuerySimilarity(t *testing.T) {
 	}
 }
 
-func TestProfileSize(t *testing.T) {
-	a, err := New(tinyLog(), DefaultAlpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ProfileSize(1) != 5 || a.ProfileSize(2) != 5 {
-		t.Errorf("profile sizes = %d, %d", a.ProfileSize(1), a.ProfileSize(2))
-	}
-	if a.ProfileSize(99) != 0 {
-		t.Error("unknown user has non-empty profile")
-	}
-	if len(a.Users()) != 2 {
-		t.Errorf("Users = %v", a.Users())
-	}
-}
-
 func BenchmarkGuessPair(b *testing.B) {
 	cfg := dataset.DefaultGeneratorConfig()
 	cfg.Users = 50

@@ -1,27 +1,22 @@
 // Package tmn implements the TrackMeNot baseline (Howe & Nissenbaum):
-// a client-side agent that periodically emits fake queries drawn from RSS
-// news feeds, independent of the user's real queries. The paper's Figure 1
-// shows why this fails: RSS vocabulary is so different from real query
-// vocabulary that fakes are trivially distinguishable. The package
-// simulates the RSS feeds with a seeded headline generator over a news
-// vocabulary disjoint from the query topics.
+// fake queries drawn from RSS news feeds, independent of the user's real
+// queries. The paper's Figure 1 shows why this fails: RSS vocabulary is so
+// different from real query vocabulary that fakes are trivially
+// distinguishable. The package simulates the RSS feeds with a seeded
+// headline generator over a news vocabulary disjoint from the query topics.
 package tmn
 
 import (
-	"context"
 	"fmt"
 	mrand "math/rand/v2"
 	"strings"
 	"sync"
-	"time"
 
 	"xsearch/internal/dataset"
 )
 
-// Feed simulates an RSS news feed: a rolling set of headlines.
+// Feed simulates an RSS news feed: a fixed set of headlines.
 type Feed struct {
-	mu        sync.Mutex
-	rng       *mrand.Rand
 	headlines []string
 }
 
@@ -31,41 +26,22 @@ func NewFeed(numHeadlines int, seed uint64) (*Feed, error) {
 	if numHeadlines <= 0 {
 		return nil, fmt.Errorf("tmn: numHeadlines must be positive, got %d", numHeadlines)
 	}
-	f := &Feed{rng: mrand.New(mrand.NewPCG(seed, seed^0x6a09e667f3bcc909))}
-	f.headlines = make([]string, numHeadlines)
+	rng := mrand.New(mrand.NewPCG(seed, seed^0x6a09e667f3bcc909))
+	f := &Feed{headlines: make([]string, numHeadlines)}
 	for i := range f.headlines {
-		f.headlines[i] = f.headline()
+		f.headlines[i] = headline(rng)
 	}
 	return f, nil
 }
 
 // headline builds one synthetic news headline (4-8 news-vocabulary words).
-func (f *Feed) headline() string {
-	n := 4 + f.rng.IntN(5)
+func headline(rng *mrand.Rand) string {
+	n := 4 + rng.IntN(5)
 	words := make([]string, n)
 	for i := range words {
-		words[i] = dataset.NewsWords[f.rng.IntN(len(dataset.NewsWords))]
+		words[i] = dataset.NewsWords[rng.IntN(len(dataset.NewsWords))]
 	}
 	return strings.Join(words, " ")
-}
-
-// Headlines returns the current feed contents.
-func (f *Feed) Headlines() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, len(f.headlines))
-	copy(out, f.headlines)
-	return out
-}
-
-// Refresh replaces a fraction of headlines, simulating feed churn.
-func (f *Feed) Refresh(fraction float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := int(float64(len(f.headlines)) * fraction)
-	for i := 0; i < n; i++ {
-		f.headlines[f.rng.IntN(len(f.headlines))] = f.headline()
-	}
 }
 
 // Generator produces TrackMeNot-style fake queries from a feed.
@@ -89,8 +65,7 @@ func NewGenerator(feed *Feed, seed uint64) *Generator {
 func (g *Generator) FakeQuery() string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	headlines := g.feed.Headlines()
-	h := headlines[g.rng.IntN(len(headlines))]
+	h := g.feed.headlines[g.rng.IntN(len(g.feed.headlines))]
 	words := strings.Fields(h)
 	n := 1 + g.rng.IntN(3)
 	if n > len(words) {
@@ -98,38 +73,4 @@ func (g *Generator) FakeQuery() string {
 	}
 	start := g.rng.IntN(len(words) - n + 1)
 	return strings.Join(words[start:start+n], " ")
-}
-
-// Agent periodically sends fake queries to a sink, mimicking the browser
-// plugin's background behaviour. It stops when the context is cancelled.
-type Agent struct {
-	gen      *Generator
-	interval time.Duration
-	send     func(query string)
-}
-
-// NewAgent builds an agent emitting one fake query per interval through
-// send.
-func NewAgent(gen *Generator, interval time.Duration, send func(query string)) (*Agent, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("tmn: interval must be positive, got %v", interval)
-	}
-	if send == nil {
-		return nil, fmt.Errorf("tmn: send callback required")
-	}
-	return &Agent{gen: gen, interval: interval, send: send}, nil
-}
-
-// Run emits fakes until ctx is done. It blocks; run it in a goroutine.
-func (a *Agent) Run(ctx context.Context) {
-	ticker := time.NewTicker(a.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			a.send(a.gen.FakeQuery())
-		}
-	}
 }

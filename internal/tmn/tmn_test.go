@@ -1,11 +1,8 @@
 package tmn
 
 import (
-	"context"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"xsearch/internal/dataset"
 )
@@ -29,7 +26,7 @@ func TestFeedHeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := f.Headlines()
+	hs := f.headlines
 	if len(hs) != 50 {
 		t.Fatalf("got %d headlines", len(hs))
 	}
@@ -56,30 +53,11 @@ func TestFeedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, h2 := f1.Headlines(), f2.Headlines()
+	h1, h2 := f1.headlines, f2.headlines
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatal("feeds differ under same seed")
 		}
-	}
-}
-
-func TestFeedRefresh(t *testing.T) {
-	f, err := NewFeed(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := f.Headlines()
-	f.Refresh(0.5)
-	after := f.Headlines()
-	changed := 0
-	for i := range before {
-		if before[i] != after[i] {
-			changed++
-		}
-	}
-	if changed == 0 {
-		t.Error("refresh changed nothing")
 	}
 }
 
@@ -129,46 +107,5 @@ func TestFakesDisjointFromQueryTopics(t *testing.T) {
 	}
 	if overlap > trials/10 {
 		t.Errorf("news fakes overlap topic vocabulary %d times", overlap)
-	}
-}
-
-func TestNewAgentValidation(t *testing.T) {
-	f, err := NewFeed(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGenerator(f, 1)
-	if _, err := NewAgent(g, 0, func(string) {}); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := NewAgent(g, time.Second, nil); err == nil {
-		t.Error("nil send accepted")
-	}
-}
-
-func TestAgentEmitsFakes(t *testing.T) {
-	f, err := NewFeed(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGenerator(f, 1)
-	var mu sync.Mutex
-	var got []string
-	agent, err := NewAgent(g, 5*time.Millisecond, func(q string) {
-		mu.Lock()
-		got = append(got, q)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	agent.Run(ctx)
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n < 3 {
-		t.Errorf("agent emitted only %d fakes", n)
 	}
 }

@@ -30,9 +30,7 @@ type Stats = proxy.Stats
 type UpstreamStats = proxy.UpstreamStats
 
 // EngineSpec describes one engine upstream for WithEngines: address,
-// optional pinned TLS roots, fan-out weight (zero means 1), and an
-// optional per-upstream idle-connection bound (zero inherits the proxy's
-// pool size).
+// optional pinned TLS roots and fan-out weight (zero means 1).
 type EngineSpec = proxy.EngineSpec
 
 // --- Proxy ---
