@@ -144,9 +144,6 @@ func (c *ResultCache) Bytes() int64 {
 	return c.bytes
 }
 
-// MaxBytes returns the configured byte bound.
-func (c *ResultCache) MaxBytes() int64 { return c.maxBytes }
-
 // TTL returns the configured per-entry lifetime.
 func (c *ResultCache) TTL() time.Duration { return c.ttl }
 

@@ -283,7 +283,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	if got := charged.Load() - freed.Load(); got != c.Bytes() {
 		t.Errorf("charged-freed = %d, live bytes = %d", got, c.Bytes())
 	}
-	if c.Bytes() > c.MaxBytes() {
-		t.Errorf("cache exceeded its bound: %d > %d", c.Bytes(), c.MaxBytes())
+	if c.Bytes() > c.maxBytes {
+		t.Errorf("cache exceeded its bound: %d > %d", c.Bytes(), c.maxBytes)
 	}
 }

@@ -23,15 +23,24 @@ func TestVocabulary(t *testing.T) {
 			t.Errorf("topic %q has only %d words", topic.Name, len(topic.Words))
 		}
 	}
-	if VocabularySize() < 500 {
-		t.Errorf("vocabulary too small: %d", VocabularySize())
+	words := map[string]bool{}
+	for _, topic := range Topics {
+		for _, w := range topic.Words {
+			words[w] = true
+		}
 	}
-	if TopicByName("health") == nil {
-		t.Error("TopicByName(health) = nil")
+	if len(words) < 500 {
+		t.Errorf("vocabulary too small: %d distinct words", len(words))
 	}
-	if TopicByName("nonexistent") != nil {
-		t.Error("TopicByName(nonexistent) != nil")
+}
+
+// byUser groups records by user ID, preserving record order.
+func byUser(l *Log) map[int][]Record {
+	m := make(map[int][]Record)
+	for _, r := range l.Records {
+		m[r.UserID] = append(m[r.UserID], r)
 	}
+	return m
 }
 
 func TestNewGeneratorValidation(t *testing.T) {
@@ -102,9 +111,9 @@ func TestGenerateShape(t *testing.T) {
 		t.Errorf("window violated: [%v, %v]", stats.Start, stats.End)
 	}
 	// Activity is skewed: first user must have more queries than the last.
-	byUser := log.ByUser()
-	if len(byUser[1]) <= len(byUser[30]) {
-		t.Errorf("activity not skewed: user1=%d user30=%d", len(byUser[1]), len(byUser[30]))
+	users := byUser(log)
+	if len(users[1]) <= len(users[30]) {
+		t.Errorf("activity not skewed: user1=%d user30=%d", len(users[1]), len(users[30]))
 	}
 	// Clicked records have both rank and URL; unclicked neither.
 	for _, r := range log.Records {
@@ -202,7 +211,7 @@ func TestSplit(t *testing.T) {
 		t.Fatal("split lost records")
 	}
 	// Per user: train is a chronological prefix.
-	trainBy, testBy := train.ByUser(), test.ByUser()
+	trainBy, testBy := byUser(train), byUser(test)
 	for uid, trainRecs := range trainBy {
 		testRecs := testBy[uid]
 		if len(trainRecs) == 0 || len(testRecs) == 0 {

@@ -99,15 +99,6 @@ func ReadTSV(r io.Reader) (*Log, error) {
 	return log, nil
 }
 
-// ByUser groups records by user ID, preserving record order.
-func (l *Log) ByUser() map[int][]Record {
-	m := make(map[int][]Record)
-	for _, r := range l.Records {
-		m[r.UserID] = append(m[r.UserID], r)
-	}
-	return m
-}
-
 // UserIDs returns the distinct user IDs in ascending order.
 func (l *Log) UserIDs() []int {
 	seen := map[int]struct{}{}

@@ -101,25 +101,3 @@ var DomainSuffixes = []string{
 	"central", "hub", "world", "zone", "depot", "guide", "source",
 	"place", "spot", "net",
 }
-
-// TopicByName returns the topic with the given name, or nil.
-func TopicByName(name string) *Topic {
-	for i := range Topics {
-		if Topics[i].Name == name {
-			return &Topics[i]
-		}
-	}
-	return nil
-}
-
-// VocabularySize returns the total number of distinct topic words, exposed
-// for tests and documentation.
-func VocabularySize() int {
-	seen := map[string]struct{}{}
-	for _, t := range Topics {
-		for _, w := range t.Words {
-			seen[w] = struct{}{}
-		}
-	}
-	return len(seen)
-}

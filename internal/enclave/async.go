@@ -79,7 +79,7 @@ func (e *Enclave) asyncWorker() {
 			if !ok {
 				c.Err = fmt.Errorf("%w: %q", ErrUnknownOCall, call.name)
 			} else {
-				c.Result, c.Err = h(call.arg)
+				c.Result, c.Err = h(call.arg, nil)
 			}
 			e.asyncCompleted.Add(1)
 			select {

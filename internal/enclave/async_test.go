@@ -32,7 +32,7 @@ func buildAsyncEnclave(t *testing.T, workers int) *Enclave {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterOCall("echo", func(arg []byte) ([]byte, error) {
+	if err := e.RegisterOCall("echo", func(arg, _ []byte) ([]byte, error) {
 		return append([]byte("echo:"), arg...), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestAsyncDestroyMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterOCall("block", func(arg []byte) ([]byte, error) {
+	if err := e.RegisterOCall("block", func(_, _ []byte) ([]byte, error) {
 		<-release
 		return nil, nil
 	}); err != nil {

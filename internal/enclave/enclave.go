@@ -282,18 +282,31 @@ func (b *Builder) Build() (*Enclave, error) {
 // argument, returning the marshalled result.
 type ECallHandler func(env Env, arg []byte) ([]byte, error)
 
-// OCallHandler runs OUTSIDE the enclave, in the untrusted runtime.
-type OCallHandler func(arg []byte) ([]byte, error)
+// OCallHandler runs OUTSIDE the enclave, in the untrusted runtime. arg is
+// untrusted memory holding the call's argument, and scratch is untrusted
+// memory the handler may build its result in (nil on the async ring).
+// Under OCall both belong to the edge again once the handler returns:
+// its result is copied out before either is reused, and a handler that
+// kept them reaches no enclave memory through them.
+type OCallHandler func(arg, scratch []byte) ([]byte, error)
 
 // Env is the view enclave code has of its runtime.
 type Env interface {
 	// OCall invokes a registered untrusted function, paying transition
-	// costs both ways.
-	OCall(name string, arg []byte) ([]byte, error)
+	// costs both ways. It is the edge, with SGX's copy rule: arg is an
+	// [in] buffer, copied to pooled untrusted memory before the handler
+	// runs, and the result is an [out] buffer, copied after the handler
+	// returns into out, which the caller lends: OCall returns out with
+	// the result appended. The handler's scratch is as long as out's
+	// spare capacity, so a result that fits there costs no allocation on
+	// either side, and no handler ever holds a slice of enclave memory.
+	OCall(name string, arg, out []byte) ([]byte, error)
 	// OCallAsync submits an untrusted function call to the switchless
 	// submission ring and returns a completion handle without paying any
 	// transition cost; the result arrives on the enclave's completion
-	// ring. Fails with ErrAsyncDisabled unless Config.AsyncWorkers > 0.
+	// ring. arg is the descriptor written to the ring's shared memory:
+	// the caller hands it over and does not touch it again. Fails with
+	// ErrAsyncDisabled unless Config.AsyncWorkers > 0.
 	OCallAsync(name string, arg []byte) (uint64, error)
 	// Alloc charges n bytes to the enclave heap (EPC). Free releases.
 	Alloc(n int64) error
@@ -475,20 +488,36 @@ type env struct {
 	e *Enclave
 }
 
-func (v *env) OCall(name string, arg []byte) ([]byte, error) {
+func (v *env) OCall(name string, arg, out []byte) ([]byte, error) {
 	e := v.e
 	e.mu.Lock()
 	h, ok := e.ocalls[name]
 	e.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownOCall, name)
+		return out, fmt.Errorf("%w: %q", ErrUnknownOCall, name)
 	}
 	e.ocallCount.Add(1)
+	m := edgeMemory.Get().(*untrusted)
+	m.arg = append(m.arg[:0], arg...) // [in]
+	spare := cap(out) - len(out)
+	if cap(m.res) < spare {
+		m.res = make([]byte, spare)
+	}
 	e.payTransition() // exit to untrusted
-	res, err := h(arg)
+	res, err := h(m.arg, m.res[:spare])
 	e.payTransition() // re-enter
-	return res, err
+	// [out]: copied back before the scratch is reused.
+	out = append(out, res...)
+	edgeMemory.Put(m)
+	return out, err
 }
+
+// untrusted is one synchronous ocall's host-side memory: the copy of its
+// argument and the scratch its result is built in. Pooled, so an ocall in
+// steady state allocates neither.
+type untrusted struct{ arg, res []byte }
+
+var edgeMemory = sync.Pool{New: func() any { return new(untrusted) }}
 
 func (v *env) Alloc(n int64) error {
 	if n < 0 {

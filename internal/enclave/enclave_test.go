@@ -144,7 +144,7 @@ func TestOCallRoundTrip(t *testing.T) {
 	p := NewPlatform()
 	b := p.NewBuilder(Config{})
 	if err := b.RegisterECall("fetch", func(env Env, arg []byte) ([]byte, error) {
-		return env.OCall("network", arg)
+		return env.OCall("network", arg, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestOCallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Destroy()
-	if err := e.RegisterOCall("network", func(arg []byte) ([]byte, error) {
+	if err := e.RegisterOCall("network", func(arg, _ []byte) ([]byte, error) {
 		return append([]byte("response to "), arg...), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestUnknownOCall(t *testing.T) {
 	p := NewPlatform()
 	b := p.NewBuilder(Config{})
 	if err := b.RegisterECall("f", func(env Env, arg []byte) ([]byte, error) {
-		return env.OCall("missing", nil)
+		return env.OCall("missing", nil, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDestroyedEnclaveRejectsCalls(t *testing.T) {
 	}
 	// Double destroy is safe.
 	e.Destroy()
-	if err := e.RegisterOCall("x", func([]byte) ([]byte, error) { return nil, nil }); !errors.Is(err, ErrDestroyed) {
+	if err := e.RegisterOCall("x", func(_, _ []byte) ([]byte, error) { return nil, nil }); !errors.Is(err, ErrDestroyed) {
 		t.Errorf("RegisterOCall err = %v", err)
 	}
 }

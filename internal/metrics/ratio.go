@@ -2,11 +2,11 @@ package metrics
 
 import "sync/atomic"
 
-// RatioCounter tracks a hit/miss pair and reports the hit ratio. It backs
-// the proxy's operational gauges (engine-connection reuse ratio, result-
-// cache hit ratio) and is safe for concurrent use from enclave worker
-// threads: both counters are independent atomics, so a snapshot may be
-// off by one event under contention but never corrupt.
+// RatioCounter tracks a hit/miss pair; readers take the ratio from
+// Counts. It backs the proxy's operational gauges (engine-connection
+// reuse ratio, result-cache hit ratio) and is safe for concurrent use from
+// enclave worker threads: both counters are independent atomics, so a
+// snapshot may be off by one event under contention but never corrupt.
 type RatioCounter struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -21,13 +21,4 @@ func (r *RatioCounter) Miss() { r.misses.Add(1) }
 // Counts returns the raw (hits, misses) pair.
 func (r *RatioCounter) Counts() (hits, misses uint64) {
 	return r.hits.Load(), r.misses.Load()
-}
-
-// Ratio returns hits/(hits+misses), or 0 before any event.
-func (r *RatioCounter) Ratio() float64 {
-	h, m := r.Counts()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

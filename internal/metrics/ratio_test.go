@@ -7,9 +7,6 @@ import (
 
 func TestRatioCounterZero(t *testing.T) {
 	var r RatioCounter
-	if got := r.Ratio(); got != 0 {
-		t.Errorf("empty ratio = %f", got)
-	}
 	if h, m := r.Counts(); h != 0 || m != 0 {
 		t.Errorf("counts = %d/%d", h, m)
 	}
@@ -21,9 +18,6 @@ func TestRatioCounterRatio(t *testing.T) {
 	r.Hit()
 	r.Hit()
 	r.Miss()
-	if got := r.Ratio(); got != 0.75 {
-		t.Errorf("ratio = %f, want 0.75", got)
-	}
 	if h, m := r.Counts(); h != 3 || m != 1 {
 		t.Errorf("counts = %d/%d", h, m)
 	}
@@ -48,8 +42,5 @@ func TestRatioCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if h, m := r.Counts(); h != 6000 || m != 2000 {
 		t.Errorf("counts = %d/%d, want 6000/2000", h, m)
-	}
-	if got := r.Ratio(); got != 0.75 {
-		t.Errorf("ratio = %f", got)
 	}
 }

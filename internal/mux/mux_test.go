@@ -177,11 +177,14 @@ func TestCallRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.StreamsOpened(); got != 8 {
-		t.Fatalf("StreamsOpened = %d, want 8", got)
+	s.mu.Lock()
+	opened, active := (s.nextID-1)/2, len(s.streams)
+	s.mu.Unlock()
+	if opened != 8 {
+		t.Fatalf("%d streams opened, want 8", opened)
 	}
-	if got := s.ActiveStreams(); got != 0 {
-		t.Fatalf("ActiveStreams = %d after completion, want 0", got)
+	if active != 0 {
+		t.Fatalf("%d streams active after completion, want 0", active)
 	}
 }
 

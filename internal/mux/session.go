@@ -144,7 +144,6 @@ type Session struct {
 	lastRecv   atomic.Int64 // unix nanos of the last frame received
 	pingsInWin atomic.Int32
 	pingToken  atomic.Uint64
-	opened     atomic.Uint64
 }
 
 // maxIdleWorkers bounds the handler workers a serving session keeps parked.
@@ -198,15 +197,6 @@ func (s *Session) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closeErr
-}
-
-// StreamsOpened counts streams opened over the session's lifetime;
-// ActiveStreams counts those currently in flight.
-func (s *Session) StreamsOpened() uint64 { return s.opened.Load() }
-func (s *Session) ActiveStreams() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.streams)
 }
 
 // Close tears the session down (ErrSessionClosed to in-flight calls).
@@ -311,7 +301,6 @@ func (s *Session) register(st *stream) error {
 		return fmt.Errorf("%w: stream %d reused", errProtocol, st.id)
 	}
 	s.streams[st.id] = st
-	s.opened.Add(1)
 	return nil
 }
 

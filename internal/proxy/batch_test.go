@@ -233,8 +233,8 @@ type burstEnv struct {
 	calls int
 }
 
-func (f *burstEnv) OCall(string, []byte) ([]byte, error) {
-	return nil, fmt.Errorf("unexpected sync ocall")
+func (f *burstEnv) OCall(_ string, _, out []byte) ([]byte, error) {
+	return out, fmt.Errorf("unexpected sync ocall")
 }
 
 func (f *burstEnv) OCallAsync(string, []byte) (uint64, error) {

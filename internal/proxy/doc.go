@@ -82,15 +82,18 @@
 //	resumeReply ("resume")               binary     verdict, id, done token, the leader's encoded envelopeReply
 //	                                                and one (id, envelopeReply or error) per follower
 //	batch framing (both batched ecalls)  binary     u32 count, u32 length per entry
-//	socket ocalls (sock_connect host:port binary    the paper's sock_* interface. A recv reads at most
-//	  bytes; send/recv/close fds, deadlines)        tlsStepReadMax (the one read cap of both engine
-//	                                                stages) and replies with just the bytes that arrived
+//	socket ocalls (sock_connect, send,   binary     the paper's sock_* interface, header ‖ bytes: a host:port, or
+//	  recv, close, sock_check)                      an fd ‖ the bytes to send, or an fd ‖ read cap ‖ deadline. The
+//	                                                edge (enclave.Env.OCall) copies them out and copies the reply
+//	                                                back into a buffer the exchange lends: recv's reply, the bytes
+//	                                                read ‖ an EOF flag, lands straight in stepConn.rbuf, at most
+//	                                                tlsStepReadMax (the one read cap of both engine stages)
 //	tlsStepArg ("tls_step" ocall)        binary     token first, then conn id, dial/read flags, deadline,
 //	                                                host, the bytes to send (raw) and conns to close
 //	tlsStepReply (its completion, an     binary     token first — "resume" routes on those 8 bytes and the
 //	  entry of "resume")                            flight decodes the rest once — then eof/cancelled, the
 //	                                                error, and the bytes read (raw, aliasing the frame until
-//	                                                the flight's adapter copies them: the one trusted copy)
+//	                                                the flight copies them into the adapter's read buffer)
 //	"abandon" argument                   binary     the request's id, eight little-endian bytes
 //	tokenList ("abandon" reply)          binary     the fetch token the runtime is to cancel (none, or one)
 //	snapshot/merge reply, sealed state   JSON       start-up, shutdown and drain paths, never per query

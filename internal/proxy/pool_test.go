@@ -2,29 +2,33 @@ package proxy
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/rand"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"xsearch/internal/enclave"
 )
 
 // stubEnv satisfies enclave.Env for pool unit tests, routing ocalls to a
 // real connTable (and thus real loopback sockets) without building an
-// enclave.
+// enclave. Its OCall copies both ways as the enclave's edge does.
 type stubEnv struct {
-	handlers map[string]func([]byte) ([]byte, error)
+	handlers map[string]enclave.OCallHandler
 }
 
 func newStubEnv(ct *connTable) *stubEnv { return &stubEnv{handlers: ct.handlers()} }
 
-func (s *stubEnv) OCall(name string, arg []byte) ([]byte, error) {
+func (s *stubEnv) OCall(name string, arg, out []byte) ([]byte, error) {
 	h, ok := s.handlers[name]
 	if !ok {
-		return nil, fmt.Errorf("stub: unknown ocall %q", name)
+		return out, fmt.Errorf("stub: unknown ocall %q", name)
 	}
-	return h(arg)
+	res, err := h(bytes.Clone(arg), make([]byte, cap(out)-len(out)))
+	return append(out, res...), err
 }
 func (s *stubEnv) OCallAsync(name string, arg []byte) (uint64, error) {
 	return 0, fmt.Errorf("stub: async ocalls not supported")
@@ -40,9 +44,9 @@ func (s *stubEnv) Read(buf []byte) error {
 // blocking stepper needs; accepted server-side conns are retained for the
 // tests to kill.
 type poolFixture struct {
-	ln net.Listener
-	ct *connTable
-	st ocallStepper
+	ln  net.Listener
+	ct  *connTable
+	env *stubEnv
 
 	mu       sync.Mutex
 	accepted []net.Conn
@@ -55,7 +59,7 @@ func newPoolFixture(t *testing.T) *poolFixture {
 		t.Fatal(err)
 	}
 	f := &poolFixture{ln: ln, ct: newConnTable(nil)}
-	f.st = ocallStepper{newStubEnv(f.ct)}
+	f.env = newStubEnv(f.ct)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -74,27 +78,33 @@ func newPoolFixture(t *testing.T) *poolFixture {
 	return f
 }
 
+// stepper is a request's blocking stepper: one per caller, as each
+// "request" ecall makes its own.
+func (f *poolFixture) stepper() *ocallStepper { return &ocallStepper{env: f.env} }
+
 // dial opens a pooled-style session through the sock_connect ocall.
 func (f *poolFixture) dial(t *testing.T) *idleConn {
 	t.Helper()
-	fd, err := ocallConnect(f.st.env, f.ln.Addr().String())
+	st := f.stepper()
+	fd, err := st.connect(f.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &stepConn{st: f.st, connID: fd, live: true}
+	sc := &stepConn{st: st, connID: fd, live: true}
 	return &idleConn{rw: sc, sc: sc, br: bufio.NewReader(sc)}
 }
 
 // checkout and checkin drive the upstream's pool the way the blocking
 // stage does: probe through sock_check, close victims through close ocalls.
 func (f *poolFixture) checkout(u *upstream) *idleConn {
-	ic, closes := u.checkout(f.st, time.Now())
-	f.st.close(closes)
+	st := f.stepper()
+	ic, closes := u.checkout(st, time.Now())
+	st.close(closes)
 	return ic
 }
 
 func (f *poolFixture) checkin(u *upstream, ic *idleConn) {
-	f.st.close(u.checkinIdle(ic, time.Now()))
+	f.stepper().close(u.checkinIdle(ic, time.Now()))
 }
 
 // fdClosed reports whether the runtime's socket table no longer holds fd.

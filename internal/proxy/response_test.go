@@ -92,9 +92,10 @@ type fixedReadConn struct {
 func (c *fixedReadConn) Read(p []byte) (int, error)      { return copy(p, c.payload), nil }
 func (c *fixedReadConn) SetReadDeadline(time.Time) error { return nil }
 
-// The host's recv handler reads into a pooled buffer and replies with one
-// fresh slice sized to what arrived: the EOF flag and those bytes, never a
-// read cap's worth. A caller asking past tlsStepReadMax gets the cap.
+// The host's recv handler reads into the edge's scratch — the untrusted
+// mirror of the read buffer the exchange lends — and replies there: what
+// arrived, then the EOF flag. It allocates nothing, and reads no more than
+// the read cap or the lent room allow.
 func TestRecvReplyAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -103,10 +104,12 @@ func TestRecvReplyAllocBudget(t *testing.T) {
 		name        string
 		arrived     int
 		ask         uint64
+		room        int
 		wantPayload int
 	}{
-		{"a small read", 1234, tlsStepReadMax, 1234},
-		{"a read past the cap", tlsStepReadMax + 8<<10, 1 << 20, tlsStepReadMax},
+		{"a small read", 1234, tlsStepReadMax, recvRoom, 1234},
+		{"a read past the cap", tlsStepReadMax + 8<<10, 1 << 20, recvRoom + 8<<10, tlsStepReadMax},
+		{"a read past the lent room", 1234, tlsStepReadMax, 1001, 1000},
 	} {
 		payload := bytes.Repeat([]byte{'r'}, c.arrived)
 		ct := newConnTable(nil)
@@ -115,18 +118,20 @@ func TestRecvReplyAllocBudget(t *testing.T) {
 		binary.LittleEndian.PutUint64(arg, 1)
 		binary.LittleEndian.PutUint64(arg[8:], c.ask)
 		binary.LittleEndian.PutUint64(arg[16:], 1000)
+		scratch := make([]byte, c.room)
 		var reply []byte
 		got := testing.AllocsPerRun(100, func() {
 			var err error
-			if reply, err = ct.ocallRecv(arg); err != nil {
+			if reply, err = ct.ocallRecv(arg, scratch); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if got > 1 {
-			t.Errorf("%s: %.1f allocations per recv, want 1", c.name, got)
+		if got != 0 {
+			t.Errorf("%s: %.1f allocations per recv, want 0", c.name, got)
 		}
-		if len(reply) != 1+c.wantPayload || reply[0] != 0 || !bytes.Equal(reply[1:], payload[:c.wantPayload]) {
-			t.Errorf("%s: reply of %d bytes (flag %d), want 1+%d", c.name, len(reply), reply[0], c.wantPayload)
+		n := c.wantPayload
+		if len(reply) != n+1 || reply[n] != 0 || !bytes.Equal(reply[:n], payload[:n]) {
+			t.Errorf("%s: reply of %d bytes, want %d and a clear EOF flag", c.name, len(reply), n+1)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"xsearch/internal/enclave"
 	"xsearch/internal/netsim"
 )
 
@@ -73,8 +74,8 @@ func (d *delayedConn) Read(p []byte) (int, error) {
 // register installs the socket ocall handlers on the enclave: the paper's
 // four (sock_connect/send/recv/close) plus sock_check, the liveness probe
 // backing the enclave's connection pool.
-func (ct *connTable) handlers() map[string]func([]byte) ([]byte, error) {
-	h := map[string]func([]byte) ([]byte, error){
+func (ct *connTable) handlers() map[string]enclave.OCallHandler {
+	h := map[string]enclave.OCallHandler{
 		"sock_connect": ct.ocallConnect,
 		"send":         ct.ocallSend,
 		"recv":         ct.ocallRecv,
@@ -91,8 +92,8 @@ func (ct *connTable) handlers() map[string]func([]byte) ([]byte, error) {
 }
 
 // ocallConnect dials the host:port the argument's bytes spell, as a
-// tls_step's dial does.
-func (ct *connTable) ocallConnect(arg []byte) ([]byte, error) {
+// tls_step's dial does, and replies with the descriptor.
+func (ct *connTable) ocallConnect(arg, scratch []byte) ([]byte, error) {
 	conn, err := ct.dial(string(arg))
 	if err != nil {
 		return nil, fmt.Errorf("proxy: %w", err)
@@ -102,9 +103,7 @@ func (ct *connTable) ocallConnect(arg []byte) ([]byte, error) {
 	fd := ct.nextFD
 	ct.conns[fd] = conn
 	ct.mu.Unlock()
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, uint64(fd))
-	return out, nil
+	return binary.LittleEndian.AppendUint64(scratch[:0], uint64(fd)), nil
 }
 
 // dial opens an engine connection on behalf of any of the ocalls,
@@ -134,7 +133,7 @@ func (ct *connTable) lookup(fd int64) (net.Conn, error) {
 	return conn, nil
 }
 
-func (ct *connTable) ocallSend(arg []byte) ([]byte, error) {
+func (ct *connTable) ocallSend(arg, _ []byte) ([]byte, error) {
 	if len(arg) < 8 {
 		return nil, fmt.Errorf("proxy: send arg too short")
 	}
@@ -149,37 +148,40 @@ func (ct *connTable) ocallSend(arg []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// ocallRecv reads at most tlsStepReadMax into a pooled buffer and replies
-// with a fresh 1+n bytes: the EOF flag, then what arrived. The pooled buffer
-// never leaves the handler: the enclave must not alias memory the host reuses.
-func (ct *connTable) ocallRecv(arg []byte) ([]byte, error) {
+// ocallRecv reads at most tlsStepReadMax, and at most all but one byte of
+// scratch, into scratch and replies with what arrived followed by the EOF
+// flag. scratch is the edge's untrusted mirror of the read buffer the
+// exchange lent (stepConn.rbuf's spare room): the edge copies the reply
+// there, so neither side allocates and the host never holds rbuf itself.
+func (ct *connTable) ocallRecv(arg, scratch []byte) ([]byte, error) {
 	if len(arg) < 24 {
 		return nil, fmt.Errorf("proxy: recv arg too short")
 	}
 	fd := int64(binary.LittleEndian.Uint64(arg))
-	max := binary.LittleEndian.Uint64(arg[8:])
-	if max == 0 || max > tlsStepReadMax {
-		max = tlsStepReadMax
+	want := binary.LittleEndian.Uint64(arg[8:])
+	if want == 0 || want > tlsStepReadMax {
+		want = tlsStepReadMax
+	}
+	room := len(scratch) - 1 // the EOF flag's byte
+	if room < 1 {
+		return nil, fmt.Errorf("proxy: recv fd %d: no room lent to read into", fd)
 	}
 	conn, err := ct.lookup(fd)
 	if err != nil {
 		return nil, err
 	}
-	buf := stepBufs.Get().(*[tlsStepReadMax]byte)
-	defer stepBufs.Put(buf)
-	n, err := readStep(conn, binary.LittleEndian.Uint64(arg[16:]), buf[:max])
+	n, err := readStep(conn, binary.LittleEndian.Uint64(arg[16:]), scratch[:min(int(want), room)])
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("proxy: read fd %d: %w", fd, err)
 	}
-	out := make([]byte, 1+n)
+	scratch[n] = 0
 	if err == io.EOF {
-		out[0] = 1 // EOF marker
+		scratch[n] = 1 // EOF marker
 	}
-	copy(out[1:], buf[:n])
-	return out, nil
+	return scratch[:n+1], nil
 }
 
-func (ct *connTable) ocallClose(arg []byte) ([]byte, error) {
+func (ct *connTable) ocallClose(arg, _ []byte) ([]byte, error) {
 	if len(arg) < 8 {
 		return nil, fmt.Errorf("proxy: close arg too short")
 	}
@@ -202,19 +204,16 @@ func (ct *connTable) ocallClose(arg []byte) ([]byte, error) {
 // exchange left the stream desynced, or the server sent an early close).
 // Returns one byte: 1 = alive, 0 = dead. Never an error — the enclave
 // treats any failure as "dead" anyway.
-func (ct *connTable) ocallCheck(arg []byte) ([]byte, error) {
+func (ct *connTable) ocallCheck(arg, scratch []byte) ([]byte, error) {
 	if len(arg) < 8 {
 		return nil, fmt.Errorf("proxy: check arg too short")
 	}
 	fd := int64(binary.LittleEndian.Uint64(arg))
 	conn, err := ct.lookup(fd)
-	if err != nil {
-		return []byte{0}, nil
+	if err == nil && probeConn(conn) {
+		return append(scratch[:0], 1), nil
 	}
-	if probeConn(conn) {
-		return []byte{1}, nil
-	}
-	return []byte{0}, nil
+	return append(scratch[:0], 0), nil
 }
 
 // probeConn checks socket liveness. The platform fast path (peekProbe,
@@ -346,9 +345,10 @@ func (f *fetcher) closeAll() {
 	}
 }
 
-// stepBufs recycles the engine read buffers of both stages' handlers
-// (tls_step and recv): a read lands in one, and the reply copies out only
-// the bytes that arrived.
+// stepBufs recycles the async stage's engine read buffers: a tls_step
+// read lands in one, and its reply frame copies out only the bytes that
+// arrived, because a completion outlives its handler. (The blocking
+// stage's recv reads into the edge's scratch instead.)
 var stepBufs = sync.Pool{New: func() any { return new([tlsStepReadMax]byte) }}
 
 // ocallTLSStep services one I/O round of a trusted flight. It never fails
@@ -356,7 +356,7 @@ var stepBufs = sync.Pool{New: func() any { return new([tlsStepReadMax]byte) }}
 // reply so the token always reaches the enclave. A step with Token 0 is a
 // pure close batch and returns no payload at all — the resume loop skips
 // empty completions.
-func (f *fetcher) ocallTLSStep(arg []byte) ([]byte, error) {
+func (f *fetcher) ocallTLSStep(arg, _ []byte) ([]byte, error) {
 	var sa tlsStepArg
 	if err := sa.decode(arg); err != nil {
 		return nil, fmt.Errorf("proxy: tls step arg: %w", err)

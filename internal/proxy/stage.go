@@ -295,7 +295,7 @@ func (ts *trustedState) fetch(env enclave.Env, e *entry) {
 // its end has its response settled.
 func (ts *trustedState) roundTripAndSettle(env enclave.Env, e *entry) ([]core.Result, error) {
 	path := enginePath(e.oq, e.count)
-	st := ocallStepper{env}
+	st := &ocallStepper{env: env}
 	lastErr := errNoUpstream
 	for _, u := range ts.registry.order() {
 		if !u.acquire(time.Now(), ts.registry.threshold) {

@@ -294,7 +294,7 @@ func TestAsyncTLSStepAllocBudget(t *testing.T) {
 	got := 0
 	step := func() {
 		arg := (&tlsStepArg{Token: 7, ConnID: 1, Send: send, Read: true}).encode()
-		out, err := f.ocallTLSStep(arg)
+		out, err := f.ocallTLSStep(arg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,10 +50,12 @@ const tlsStepReadMax = 32 << 10
 // stepper is the exchange's whole view of the host: how one I/O round is
 // carried out, and whether a pooled conn is worth reusing.
 type stepper interface {
-	// do carries out one step and returns its completion. A dial step's
-	// completion names the conn it opened. False means the exchange was
-	// cancelled under the step.
-	do(ask *tlsStepArg) (tlsStepIn, bool)
+	// do carries out one step and returns its completion. A read's bytes
+	// are appended to into, the exchange's read buffer, and the
+	// completion's data is into so grown. A dial step's completion names
+	// the conn it opened. False means the exchange was cancelled under
+	// the step.
+	do(ask *tlsStepArg, into []byte) (tlsStepIn, bool)
 	// alive is the pre-use probe of a pooled conn.
 	alive(connID uint64) bool
 }
@@ -65,8 +67,10 @@ var tlsConnIDs atomic.Uint64
 // rather than by the upstream.
 var errTLSCancelled = errors.New("proxy: tls fetch cancelled")
 
-// tlsStepIn is one step completion fed back into the exchange; data
-// aliases the completion frame. connID is set by the stepper on a dial.
+// tlsStepIn is one step completion. Fed into a flight, data aliases the
+// completion frame; returned by a stepper, it is the exchange's read
+// buffer with the step's bytes appended. connID is set by the stepper on
+// a dial.
 type tlsStepIn struct {
 	connID    uint64
 	data      []byte
@@ -172,7 +176,7 @@ func (f *tlsFlight) finish(out tlsStepOut) { flightSend(f, f.out, out) }
 // stepper). The flight mints the handle a dialled conn is registered under
 // — it owns conn lifecycles across pooled exchanges; the untrusted handler
 // just keys its table by them.
-func (f *tlsFlight) do(ask *tlsStepArg) (tlsStepIn, bool) {
+func (f *tlsFlight) do(ask *tlsStepArg, into []byte) (tlsStepIn, bool) {
 	ask.Token = f.token
 	if ask.Dial {
 		ask.ConnID = tlsConnIDs.Add(1)
@@ -183,6 +187,7 @@ func (f *tlsFlight) do(ask *tlsStepArg) (tlsStepIn, bool) {
 		f.connID.Store(0) // the handler closed and deregistered the conn itself
 	}
 	in.connID = ask.ConnID
+	in.data = append(into, in.data...) // the one copy out of the frame
 	return in, ok
 }
 
@@ -197,8 +202,9 @@ func (f *tlsFlight) alive(uint64) bool { return true }
 // TLS 1.3 exchange costs two round trips (dial + ClientHello + read, then
 // Finished + HTTP request + read); a pooled one, and any plain-TCP one
 // (dial + request + read), costs one while the response fits a read. Step
-// data is copied once on its way in, into rbuf, which keeps its capacity
-// across the exchanges of a pooled session.
+// data lands once, in rbuf, which keeps its capacity across the exchanges
+// of a pooled session: the flight copies a completion frame's bytes there,
+// and the blocking stage's recv edge copies the host's read there.
 type stepConn struct {
 	st     stepper
 	connID uint64
@@ -263,7 +269,9 @@ func (sc *stepConn) flush(read bool) error {
 		ask.Dial = true
 		ask.Host = sc.host
 	}
-	in, ok := sc.st.do(ask)
+	// Read flushes only once every received byte was read, so the step's
+	// bytes start the read buffer afresh.
+	in, ok := sc.st.do(ask, sc.rbuf[:0])
 	if !ok {
 		return errTLSCancelled
 	}
@@ -283,12 +291,7 @@ func (sc *stepConn) flush(read bool) error {
 	if len(in.data) > tlsStepReadMax {
 		return fmt.Errorf("proxy: tls step returned %d bytes (cap %d)", len(in.data), tlsStepReadMax)
 	}
-	if len(in.data) > 0 {
-		if sc.buffered() == 0 {
-			sc.rbuf, sc.rpos = sc.rbuf[:0], 0
-		}
-		sc.rbuf = append(sc.rbuf, in.data...)
-	}
+	sc.rbuf, sc.rpos = in.data, 0
 	if in.eof {
 		sc.eof = true
 		sc.live = false

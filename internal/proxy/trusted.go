@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -444,12 +445,34 @@ func lowerPrefix(b []byte, want string) (end int) {
 // lowerIs is strings.ToLower(string(b)) == want.
 func lowerIs(b []byte, want string) bool { return lowerPrefix(b, want) == len(b) }
 
-// --- ocall wrappers (the paper's table in §5.3.3) ---
+// --- the paper's socket ocalls (§5.3.3), as the blocking stage's stepper ---
 
-// ocallConnect opens a socket to the upstream's host:port; the handle it
+// ocallStepper is the blocking stage's stepper: each step of the exchange
+// (tlsasync.go) is carried out in place, inside the "request" ecall, as
+// the paper's socket ocalls — close*, sock_connect, send, recv — with
+// sock_check as the pre-use probe only a synchronous caller can afford.
+// Conn handles are the host's descriptors. Like the async step handler it
+// closes a conn whose send or recv failed, or that read EOF, itself: the
+// adapter takes such a conn for gone. One stepper serves one request: its
+// ocalls write their headers into arg, and sock_connect's and
+// sock_check's replies land in res, so no ocall allocates a buffer of its
+// own. The edge copies both out and back (enclave.Env.OCall).
+type ocallStepper struct {
+	env enclave.Env
+	arg []byte  // the current ocall's argument: header ‖ bytes
+	res [8]byte // the [out] buffer of the fixed-size replies
+}
+
+// withFD starts o.arg with a descriptor header.
+func (o *ocallStepper) withFD(fd uint64) {
+	o.arg = binary.LittleEndian.AppendUint64(o.arg[:0], fd)
+}
+
+// connect opens a socket to the upstream's host:port; the handle it
 // returns is the host's descriptor, opaque to the enclave.
-func ocallConnect(env enclave.Env, addr string) (uint64, error) {
-	res, err := env.OCall("sock_connect", []byte(addr))
+func (o *ocallStepper) connect(addr string) (uint64, error) {
+	o.arg = append(o.arg[:0], addr...)
+	res, err := o.env.OCall("sock_connect", o.arg, o.res[:0])
 	if err != nil {
 		return 0, fmt.Errorf("proxy: sock_connect: %w", err)
 	}
@@ -459,84 +482,77 @@ func ocallConnect(env enclave.Env, addr string) (uint64, error) {
 	return binary.LittleEndian.Uint64(res), nil
 }
 
-func ocallSend(env enclave.Env, fd uint64, data []byte) error {
-	arg := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint64(arg, fd)
-	copy(arg[8:], data)
-	if _, err := env.OCall("send", arg); err != nil {
+func (o *ocallStepper) send(fd uint64, data []byte) error {
+	o.withFD(fd)
+	o.arg = append(o.arg, data...)
+	if _, err := o.env.OCall("send", o.arg, nil); err != nil {
 		return fmt.Errorf("proxy: send: %w", err)
 	}
 	return nil
 }
 
-func ocallRecv(env enclave.Env, fd, timeoutMS uint64) (data []byte, eof bool, err error) {
+// recv appends what the host read to into, the exchange's read buffer,
+// which lends at least recvRoom spare bytes: the edge copies the reply
+// there — the bytes, then the EOF flag, which is dropped — so the bytes
+// land once, in place, and an exchange makes as many recvs as a full
+// tlsStepReadMax per read allows.
+func (o *ocallStepper) recv(fd, timeoutMS uint64, into []byte) ([]byte, bool, error) {
 	// Bytes 16:24 carry the remaining read budget in milliseconds (0 = no
 	// deadline), so the untrusted handler arms a real socket deadline.
-	arg := make([]byte, 24)
-	binary.LittleEndian.PutUint64(arg, fd)
-	binary.LittleEndian.PutUint64(arg[8:], tlsStepReadMax)
-	binary.LittleEndian.PutUint64(arg[16:], timeoutMS)
-	res, err := env.OCall("recv", arg)
+	o.withFD(fd)
+	o.arg = binary.LittleEndian.AppendUint64(o.arg, tlsStepReadMax)
+	o.arg = binary.LittleEndian.AppendUint64(o.arg, timeoutMS)
+	res, err := o.env.OCall("recv", o.arg, into)
 	if err != nil {
-		return nil, false, fmt.Errorf("proxy: recv: %w", err)
+		return into, false, fmt.Errorf("proxy: recv: %w", err)
 	}
-	if len(res) < 1 {
-		return nil, false, fmt.Errorf("proxy: recv returned empty result")
+	if len(res) == len(into) {
+		return into, false, fmt.Errorf("proxy: recv returned empty result")
 	}
-	return res[1:], res[0] == 1, nil
+	return res[:len(res)-1], res[len(res)-1] == 1, nil
 }
 
-func ocallClose(env enclave.Env, fd uint64) {
-	arg := make([]byte, 8)
-	binary.LittleEndian.PutUint64(arg, fd)
-	// Best effort; the runtime reaps leaked conns on shutdown anyway.
-	_, _ = env.OCall("close", arg)
+// recvRoom is the spare room a recv lends: a full read and its EOF flag.
+const recvRoom = tlsStepReadMax + 1
+
+// closeFD is best effort; the runtime reaps leaked conns on shutdown anyway.
+func (o *ocallStepper) closeFD(fd uint64) {
+	o.withFD(fd)
+	_, _ = o.env.OCall("close", o.arg, nil)
 }
 
-// ocallCheck asks the untrusted runtime whether the socket is still usable
-// for a fresh request: open, with no unread bytes (leftover data means the
+func (o *ocallStepper) close(fds []uint64) {
+	for _, fd := range fds {
+		o.closeFD(fd)
+	}
+}
+
+// alive asks the untrusted runtime whether the socket is still usable for
+// a fresh request: open, with no unread bytes (leftover data means the
 // previous HTTP exchange desynced).
-func ocallCheck(env enclave.Env, fd uint64) bool {
-	arg := make([]byte, 8)
-	binary.LittleEndian.PutUint64(arg, fd)
-	res, err := env.OCall("sock_check", arg)
+func (o *ocallStepper) alive(fd uint64) bool {
+	o.withFD(fd)
+	res, err := o.env.OCall("sock_check", o.arg, o.res[:0])
 	return err == nil && len(res) == 1 && res[0] == 1
 }
 
-// ocallStepper is the blocking stage's stepper: each step of the exchange
-// (tlsasync.go) is carried out in place, inside the "request" ecall, as
-// the paper's socket ocalls — close*, sock_connect, send, recv — with
-// sock_check as the pre-use probe only a synchronous caller can afford.
-// Conn handles are the host's descriptors. Like the async step handler it
-// closes a conn whose send or recv failed, or that read EOF, itself: the
-// adapter takes such a conn for gone.
-type ocallStepper struct{ env enclave.Env }
-
-func (o ocallStepper) alive(fd uint64) bool { return ocallCheck(o.env, fd) }
-
-func (o ocallStepper) close(fds []uint64) {
-	for _, fd := range fds {
-		ocallClose(o.env, fd)
-	}
-}
-
-func (o ocallStepper) do(ask *tlsStepArg) (tlsStepIn, bool) {
+func (o *ocallStepper) do(ask *tlsStepArg, into []byte) (tlsStepIn, bool) {
 	o.close(ask.Close)
-	in := tlsStepIn{connID: ask.ConnID}
+	in := tlsStepIn{connID: ask.ConnID, data: into}
 	var err error
 	if ask.Dial {
-		if in.connID, err = ocallConnect(o.env, ask.Host); err != nil {
+		if in.connID, err = o.connect(ask.Host); err != nil {
 			return tlsStepIn{errstr: err.Error()}, true
 		}
 	}
 	if len(ask.Send) > 0 {
-		err = ocallSend(o.env, in.connID, ask.Send)
+		err = o.send(in.connID, ask.Send)
 	}
 	if err == nil && ask.Read {
-		in.data, in.eof, err = ocallRecv(o.env, in.connID, ask.TimeoutMS)
+		in.data, in.eof, err = o.recv(in.connID, ask.TimeoutMS, slices.Grow(into, recvRoom))
 	}
 	if err != nil || in.eof {
-		ocallClose(o.env, in.connID)
+		o.closeFD(in.connID)
 	}
 	if err != nil {
 		return tlsStepIn{errstr: err.Error()}, true

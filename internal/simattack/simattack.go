@@ -82,29 +82,6 @@ func New(train *dataset.Log, alpha float64) (*Attack, error) {
 // Users returns the profiled user IDs.
 func (a *Attack) Users() []int { return a.users }
 
-// Similarity computes sim(q, P_u): exponential smoothing over the
-// ascending-sorted cosine similarities between q and every query of u's
-// profile.
-func (a *Attack) Similarity(query string, user int) float64 {
-	sims := a.similaritiesForUser(query, user)
-	return a.smooth(sims)
-}
-
-func (a *Attack) similaritiesForUser(query string, user int) []float64 {
-	qv := textutil.NewVector(query)
-	qn := qv.Norm()
-	if qn == 0 {
-		return nil
-	}
-	var sims []float64
-	for _, pq := range a.profiles[user] {
-		if s := cosine(qv, qn, pq); s > 0 {
-			sims = append(sims, s)
-		}
-	}
-	return sims
-}
-
 // smooth folds ascending-sorted positive similarities with S_i = alpha*x_i
 // + (1-alpha)*S_{i-1}, starting from S = 0 (zeros at the front of the
 // ascending order leave the accumulator at zero, so they need not be

@@ -8,6 +8,7 @@ import (
 
 	"xsearch/internal/core"
 	"xsearch/internal/dataset"
+	"xsearch/internal/textutil"
 )
 
 // tinyLog builds a deterministic two-user log with clearly separated
@@ -31,6 +32,24 @@ func tinyLog() *dataset.Log {
 	return log
 }
 
+// similarity is sim(q, P_u) by brute force: exponential smoothing over
+// the ascending-sorted positive cosine similarities between q and every
+// query of u's profile.
+func similarity(a *Attack, query string, user int) float64 {
+	qv := textutil.NewVector(query)
+	qn := qv.Norm()
+	if qn == 0 {
+		return 0
+	}
+	var sims []float64
+	for _, pq := range a.profiles[user] {
+		if s := cosine(qv, qn, pq); s > 0 {
+			sims = append(sims, s)
+		}
+	}
+	return a.smooth(sims)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(tinyLog(), 0); err == nil {
 		t.Error("alpha 0 accepted")
@@ -45,13 +64,13 @@ func TestSimilarityDiscriminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	carUser1 := a.Similarity("car transmission noise", 1)
-	carUser2 := a.Similarity("car transmission noise", 2)
+	carUser1 := similarity(a, "car transmission noise", 1)
+	carUser2 := similarity(a, "car transmission noise", 2)
 	if carUser1 <= carUser2 {
 		t.Errorf("car query: sim(u1)=%f <= sim(u2)=%f", carUser1, carUser2)
 	}
-	cookUser2 := a.Similarity("casserole dinner ideas", 2)
-	cookUser1 := a.Similarity("casserole dinner ideas", 1)
+	cookUser2 := similarity(a, "casserole dinner ideas", 2)
+	cookUser1 := similarity(a, "casserole dinner ideas", 1)
 	if cookUser2 <= cookUser1 {
 		t.Errorf("cooking query: sim(u2)=%f <= sim(u1)=%f", cookUser2, cookUser1)
 	}
@@ -64,9 +83,9 @@ func TestSimilarityRange(t *testing.T) {
 	}
 	for _, q := range []string{"car", "recipe", "nothing relevant here", ""} {
 		for _, u := range a.Users() {
-			s := a.Similarity(q, u)
+			s := similarity(a, q, u)
 			if s < 0 || s > 1 {
-				t.Errorf("Similarity(%q, %d) = %f out of range", q, u, s)
+				t.Errorf("similarity(%q, %d) = %f out of range", q, u, s)
 			}
 		}
 	}
@@ -79,7 +98,7 @@ func TestSmoothingWeightsTopSimilarity(t *testing.T) {
 	}
 	// Exact match of a profile query should approach the profile's top:
 	// ascending smoothing gives the last (largest) value weight alpha.
-	s := a.Similarity("red sports car", 1)
+	s := similarity(a, "red sports car", 1)
 	if s < DefaultAlpha*0.99 {
 		t.Errorf("exact-match similarity %f < alpha", s)
 	}
@@ -281,7 +300,7 @@ func TestExactQueryFavorsOwnerProperty(t *testing.T) {
 	}
 	carQueries := []string{"used car dealer", "car engine repair", "red sports car"}
 	for _, q := range carQueries {
-		if a.Similarity(q, 1) < a.Similarity(q, 2) {
+		if similarity(a, q, 1) < similarity(a, q, 2) {
 			t.Errorf("query %q scored higher for non-owner", q)
 		}
 	}

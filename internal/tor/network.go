@@ -90,9 +90,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return n, nil
 }
 
-// NumRelays returns the directory size.
-func (n *Network) NumRelays() int { return len(n.relays) }
-
 // Close stops all relays.
 func (n *Network) Close() {
 	if !n.closed.CompareAndSwap(false, true) {

@@ -233,8 +233,8 @@ func TestBuildCircuitValidation(t *testing.T) {
 	if _, err := n.BuildCircuit(99); err == nil {
 		t.Error("too many hops accepted")
 	}
-	if n.NumRelays() != 5 {
-		t.Errorf("NumRelays = %d", n.NumRelays())
+	if len(n.relays) != 5 {
+		t.Errorf("%d relays in the directory, want 5", len(n.relays))
 	}
 }
 
