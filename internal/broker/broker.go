@@ -24,13 +24,10 @@ import (
 	"xsearch/internal/serve"
 )
 
-// Errors returned by the broker: the client's, under the broker's names.
 // ErrProxyStatus marks a call the proxy refused (an HTTP 502, a mux stream
-// error); any other status is the broker's own fault and a plain error.
-var (
-	ErrNotConnected = client.ErrNotConnected
-	ErrProxyStatus  = client.ErrRefused
-)
+// error): the client's error, under the broker's name. Any other status is
+// the broker's own fault and a plain error.
+var ErrProxyStatus = client.ErrRefused
 
 // Config parameterizes a broker.
 type Config struct {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"xsearch/internal/attestation"
+	"xsearch/internal/client"
 	"xsearch/internal/core"
 	"xsearch/internal/enclave"
 	"xsearch/internal/mux"
@@ -109,7 +110,7 @@ func TestSearchRequiresConnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Search(context.Background(), "q"); !errors.Is(err, ErrNotConnected) {
+	if _, err := b.Search(context.Background(), "q"); !errors.Is(err, client.ErrNotConnected) {
 		t.Errorf("err = %v", err)
 	}
 	if b.Connected() {

@@ -144,9 +144,6 @@ func (c *ResultCache) Bytes() int64 {
 	return c.bytes
 }
 
-// TTL returns the configured per-entry lifetime.
-func (c *ResultCache) TTL() time.Duration { return c.ttl }
-
 // removeLocked unlinks key from the map, the FIFO order, and the byte
 // meter, releasing its size through free (may be nil). Caller holds c.mu.
 func (c *ResultCache) removeLocked(key string, free func(int64)) {

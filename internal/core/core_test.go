@@ -174,8 +174,8 @@ func TestNewObfuscatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ob.K() != 3 || ob.History() != h {
-		t.Error("accessors wrong")
+	if ob.k != 3 || ob.History() != h {
+		t.Error("k or history not kept")
 	}
 }
 

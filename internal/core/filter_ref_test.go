@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -107,7 +108,7 @@ func corpusCases(tb testing.TB, n, k, perList int) []filterCase {
 	for i := range cases {
 		subs := queries[i*(k+1) : (i+1)*(k+1)]
 		c := filterCase{original: subs[0], fakes: subs[1:]}
-		for _, hit := range corpusIndex().SearchOR(searchengine.JoinOR(subs), perList) {
+		for _, hit := range corpusIndex().SearchOR(strings.Join(subs, " OR "), perList) {
 			c.results = append(c.results, Result{URL: hit.URL, Title: hit.Title, Snippet: hit.Snippet})
 		}
 		cases[i] = c

@@ -100,9 +100,6 @@ func NewObfuscator(history *History, k int, opts ...ObfuscatorOption) (*Obfuscat
 	}, nil
 }
 
-// K returns the configured number of fake queries.
-func (ob *Obfuscator) K() int { return ob.k }
-
 // History returns the underlying past-query window.
 func (ob *Obfuscator) History() *History { return ob.history }
 

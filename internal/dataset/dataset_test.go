@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -128,7 +127,7 @@ func TestUserModelWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range g.Users() {
+	for _, u := range g.users {
 		var sum float64
 		for _, w := range u.TopicWeights {
 			if w <= 0 {
@@ -149,51 +148,24 @@ func TestUserModelWeights(t *testing.T) {
 	}
 }
 
-func TestTSVRoundTrip(t *testing.T) {
-	g, err := NewGenerator(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := g.Generate()
+// TestWriteTSVGolden pins WriteTSV's bytes: the AOL header, one
+// tab-separated line per record, and a blank rank and click for a record
+// without a click.
+func TestWriteTSVGolden(t *testing.T) {
+	t0 := time.Date(2006, 3, 1, 10, 4, 5, 0, time.UTC)
+	log := &Log{Records: []Record{
+		{UserID: 12, Query: "red sports car", Time: t0, ItemRank: 3, ClickURL: "http://www.car.com/x"},
+		{UserID: 7, Query: "chicken recipe", Time: t0.Add(90 * time.Minute)},
+	}}
 	var buf bytes.Buffer
 	if err := log.WriteTSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "AnonID\tQuery\tQueryTime") {
-		t.Error("missing AOL header")
-	}
-	back, err := ReadTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Records) != len(log.Records) {
-		t.Fatalf("round trip lost records: %d vs %d", len(back.Records), len(log.Records))
-	}
-	for i := range back.Records {
-		a, b := log.Records[i], back.Records[i]
-		if a.UserID != b.UserID || a.Query != b.Query || !a.Time.Equal(b.Time) ||
-			a.ItemRank != b.ItemRank || a.ClickURL != b.ClickURL {
-			t.Fatalf("record %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
-func TestReadTSVSkipsGarbage(t *testing.T) {
-	in := "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n" +
-		"notanint\tfoo\t2006-03-01 00:00:00\t\t\n" +
-		"12\tvalid query\t2006-03-01 10:00:00\t3\thttp://example.com\n" +
-		"13\tbad time\tnot-a-time\t\t\n" +
-		"short\tline\n"
-	log, err := ReadTSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(log.Records) != 1 {
-		t.Fatalf("got %d records, want 1", len(log.Records))
-	}
-	r := log.Records[0]
-	if r.UserID != 12 || r.Query != "valid query" || r.ItemRank != 3 {
-		t.Errorf("parsed record wrong: %+v", r)
+	want := "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n" +
+		"12\tred sports car\t2006-03-01 10:04:05\t3\thttp://www.car.com/x\n" +
+		"7\tchicken recipe\t2006-03-01 11:34:05\t\t\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteTSV wrote\n%q\nwant\n%q", got, want)
 	}
 }
 

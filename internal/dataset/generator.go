@@ -123,9 +123,6 @@ func (g *Generator) buildUsers() {
 	}
 }
 
-// Users returns the generated user population (ground truth for attacks).
-func (g *Generator) Users() []UserModel { return g.users }
-
 // pickTopic samples a topic index for user u from their weight vector.
 func (g *Generator) pickTopic(u *UserModel) int {
 	x := g.rng.Float64()

@@ -12,7 +12,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -55,48 +54,6 @@ func (l *Log) WriteTSV(w io.Writer) error {
 		return fmt.Errorf("dataset: flush: %w", err)
 	}
 	return nil
-}
-
-// ReadTSV parses an AOL-format log. Lines that do not parse are skipped,
-// matching how the research community consumes the (noisy) original file.
-func ReadTSV(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	log := &Log{}
-	first := true
-	for sc.Scan() {
-		line := sc.Text()
-		if first {
-			first = false
-			if strings.HasPrefix(line, "AnonID") {
-				continue
-			}
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) < 3 {
-			continue
-		}
-		uid, err := strconv.Atoi(fields[0])
-		if err != nil {
-			continue
-		}
-		ts, err := time.Parse(aolTimeLayout, fields[2])
-		if err != nil {
-			continue
-		}
-		rec := Record{UserID: uid, Query: fields[1], Time: ts}
-		if len(fields) >= 5 && fields[3] != "" {
-			if rank, err := strconv.Atoi(fields[3]); err == nil {
-				rec.ItemRank = rank
-				rec.ClickURL = fields[4]
-			}
-		}
-		log.Records = append(log.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scan: %w", err)
-	}
-	return log, nil
 }
 
 // UserIDs returns the distinct user IDs in ascending order.

@@ -100,9 +100,6 @@ func NewPlatform(opts ...PlatformOption) *Platform {
 	return p
 }
 
-// EPC returns the platform's enclave page cache meter.
-func (p *Platform) EPC() *EPC { return p.epc }
-
 // SealKeyPolicy selects which identity binds a sealing key, mirroring the
 // SGX KEYREQUEST policy bits.
 type SealKeyPolicy int
@@ -348,9 +345,6 @@ type Enclave struct {
 	asyncSubmitted atomic.Uint64
 	asyncCompleted atomic.Uint64
 }
-
-// ID returns the platform-local enclave ID.
-func (e *Enclave) ID() uint64 { return e.id }
 
 // Measurement returns MRENCLAVE.
 func (e *Enclave) Measurement() Measurement { return e.measurement }

@@ -48,7 +48,7 @@ func TestMeasurementDeterministic(t *testing.T) {
 	if e1.Measurement() != e2.Measurement() {
 		t.Error("same pages must give same MRENCLAVE")
 	}
-	if e1.ID() == e2.ID() {
+	if e1.id == e2.id {
 		t.Error("enclave IDs must differ")
 	}
 }
@@ -205,17 +205,17 @@ func TestDestroyedEnclaveRejectsCalls(t *testing.T) {
 
 func TestEPCAccounting(t *testing.T) {
 	p := NewPlatform(WithEPCLimit(1 << 20))
-	used0, limit, _ := p.EPC().Usage()
+	used0, limit, _ := p.epc.Usage()
 	if limit != 1<<20 {
 		t.Fatalf("limit = %d", limit)
 	}
 	e := buildTestEnclave(t, p, Config{})
-	used1, _, _ := p.EPC().Usage()
+	used1, _, _ := p.epc.Usage()
 	if used1 <= used0 {
 		t.Error("static pages not charged to EPC")
 	}
 	e.Destroy()
-	used2, _, _ := p.EPC().Usage()
+	used2, _, _ := p.epc.Usage()
 	if used2 != used0 {
 		t.Errorf("EPC not released: %d != %d", used2, used0)
 	}

@@ -33,7 +33,7 @@ func TestFixtureShape(t *testing.T) {
 	if got := len(f.Log.UserIDs()); got != 40 {
 		t.Errorf("active users = %d", got)
 	}
-	if len(f.Attack.Users()) == 0 {
+	if f.Attack.MaxQuerySimilarity(f.Train.Records[0].Query) == 0 {
 		t.Error("attack has no profiles")
 	}
 	if f.CoMatrix.NumTerms() == 0 {

@@ -340,11 +340,6 @@ func (g *Gateway) Measurement() enclave.Measurement { return g.meas }
 // AttestationService returns the fleet-shared verification service.
 func (g *Gateway) AttestationService() *attestation.Service { return g.service }
 
-// Events returns the fleet-shared structured event log (nil when
-// observability is off; a nil *obs.Log is a valid no-op for both Append
-// and Snapshot).
-func (g *Gateway) Events() *obs.Log { return g.events }
-
 // Kill simulates a shard crash: the shard's enclave is destroyed with no
 // drain, no handoff, and no sealed-state persistence, exactly as a host
 // failure would. The gateway is NOT pre-warned — it discovers the death

@@ -169,13 +169,8 @@ func TestShardTemplateEventRingIsShared(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(func() { _ = g.Shutdown(context.Background()) })
-	if g.Events() == nil {
+	if g.events == nil {
 		t.Fatal("template event-log settings built no fleet ring")
-	}
-	for _, sh := range g.shards {
-		if sh.proxy.Events() != g.Events() {
-			t.Fatalf("shard %d appends to its own ring, not the gateway's", sh.index)
-		}
 	}
 
 	// Four kills and the health probe's four deaths fill the ring of 8;
@@ -187,7 +182,7 @@ func TestShardTemplateEventRingIsShared(t *testing.T) {
 		}
 	}
 	count := func(typ string) (n int) {
-		for _, ev := range g.Events().Snapshot() {
+		for _, ev := range g.events.Snapshot() {
 			if ev.Type == typ {
 				n++
 			}
@@ -203,9 +198,17 @@ func TestShardTemplateEventRingIsShared(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 
-	ring := g.Events().Snapshot()
+	ring := g.events.Snapshot()
 	if len(ring) != 8 || ring[0].Seq != 2 || ring[7].Type != obs.EvDrain {
 		t.Fatalf("ring holds %+v, want the last 8 of 9 events, ending in the drain", ring)
+	}
+	// The fleet cannot reach a shard's log, so occupancy stands in for the
+	// pointer comparison: a shard with a ring of its own holds at most the
+	// few events it logged itself, never the gateway ring's 8.
+	for _, sh := range g.shards {
+		if n := sh.proxy.Stats().EventsLogged; n != len(ring) {
+			t.Fatalf("shard %d counts %d events, not the gateway ring's %d: it has a ring of its own", sh.index, n, len(ring))
+		}
 	}
 	types := map[string]int{}
 	dec := json.NewDecoder(&stream)
@@ -258,7 +261,7 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		seen := false
-		for _, ev := range g.Events().Snapshot() {
+		for _, ev := range g.events.Snapshot() {
 			if ev.Type == obs.EvShardDead {
 				seen = true
 			}
@@ -274,7 +277,7 @@ func TestFleetEventsCaptureLifecycle(t *testing.T) {
 
 	types := map[string]int{}
 	var lastSeq uint64
-	for _, ev := range g.Events().Snapshot() {
+	for _, ev := range g.events.Snapshot() {
 		if ev.Seq <= lastSeq {
 			t.Errorf("event seq not increasing: %d after %d", ev.Seq, lastSeq)
 		}

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -23,9 +22,6 @@ func (d *Distribution) Add(v float64) {
 	d.samples = append(d.samples, v)
 	d.sorted = false
 }
-
-// Count returns the number of samples.
-func (d *Distribution) Count() int { return len(d.samples) }
 
 func (d *Distribution) ensureSorted() {
 	if !d.sorted {
@@ -50,18 +46,6 @@ func (d *Distribution) Max() float64 {
 	}
 	d.ensureSorted()
 	return d.samples[len(d.samples)-1]
-}
-
-// Mean returns the arithmetic mean, or 0 if empty.
-func (d *Distribution) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range d.samples {
-		s += v
-	}
-	return s / float64(len(d.samples))
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using
@@ -124,12 +108,6 @@ func (d *Distribution) CDFSeries(n int) []Point {
 		pts = append(pts, Point{X: x, Y: d.CDF(x)})
 	}
 	return pts
-}
-
-// Summary returns a one-line human-readable summary.
-func (d *Distribution) Summary() string {
-	return fmt.Sprintf("n=%d min=%.4g p50=%.4g mean=%.4g p99=%.4g max=%.4g",
-		d.Count(), d.Min(), d.Median(), d.Mean(), d.Percentile(99), d.Max())
 }
 
 // Point is a single (x, y) sample of a plotted series.

@@ -90,19 +90,9 @@ func NewStages() *Stages {
 	return s
 }
 
-// Record adds one observation to a stage's histogram. Unknown stages are
-// dropped (closed set), as is everything on a nil recorder.
-func (s *Stages) Record(stage string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	if h, ok := s.hists[stage]; ok {
-		h.Record(d)
-	}
-}
-
-// Since records the elapsed time from start to now for a stage —
-// hot-path sugar that costs nothing when the recorder is nil.
+// Since records the elapsed time from start to now for a stage. Unknown
+// stages are dropped (closed set), as is everything on a nil recorder, so
+// the hot path pays one nil check when observability is off.
 func (s *Stages) Since(stage string, start time.Time) {
 	if s == nil {
 		return

@@ -15,8 +15,7 @@ import (
 
 func TestStagesNilSafe(t *testing.T) {
 	var s *Stages
-	s.Record(StageReply, time.Millisecond) // must not panic
-	s.Since(StageReply, time.Now())
+	s.Since(StageReply, time.Now()) // must not panic
 	if snap := s.Snapshot(); snap != nil {
 		t.Fatalf("nil Stages snapshot = %v, want nil", snap)
 	}
@@ -27,8 +26,8 @@ func TestStagesSnapshotOmitsEmptyStages(t *testing.T) {
 	if snap := s.Snapshot(); snap != nil {
 		t.Fatalf("empty Stages snapshot = %v, want nil", snap)
 	}
-	s.Record(StageFetch, 2*time.Millisecond)
-	s.Record(StageFetch, 3*time.Millisecond)
+	s.Since(StageFetch, time.Now().Add(-2*time.Millisecond))
+	s.Since(StageFetch, time.Now().Add(-3*time.Millisecond))
 	snap := s.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("snapshot has %d stages, want 1: %v", len(snap), snap)
@@ -38,7 +37,7 @@ func TestStagesSnapshotOmitsEmptyStages(t *testing.T) {
 	}
 	// Unknown stage names must be rejected, not silently create a new
 	// series — the closed set is the cardinality guarantee.
-	s.Record("totally-new-stage", time.Millisecond)
+	s.Since("totally-new-stage", time.Now())
 	if got := len(s.Snapshot()); got != 1 {
 		t.Fatalf("unknown stage created a series: %d stages", got)
 	}

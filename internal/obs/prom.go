@@ -41,9 +41,6 @@ func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: w, fams: make(map[string]*famBuf)}
 }
 
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
-
 // fam returns the family's buffer, creating it (and recording its
 // HELP/TYPE, first caller wins) on first use.
 func (p *PromWriter) fam(name, help, typ string) *famBuf {

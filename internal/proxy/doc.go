@@ -88,7 +88,7 @@
 //	                                                back into a buffer the exchange lends: recv's reply, the bytes
 //	                                                read ‖ an EOF flag, lands straight in stepConn.rbuf, at most
 //	                                                tlsStepReadMax (the one read cap of both engine stages)
-//	tlsStepArg ("tls_step" ocall)        binary     token first, then conn id, dial/read flags, deadline,
+//	tlsStepArg ("tls_step" ocall)        binary     token first, then conn id, the dial flag, deadline,
 //	                                                host, the bytes to send (raw) and conns to close
 //	tlsStepReply (its completion, an     binary     token first — "resume" routes on those 8 bytes and the
 //	  entry of "resume")                            flight decodes the rest once — then eof/cancelled, the

@@ -243,16 +243,14 @@ func FuzzTLSRecordAdapter(f *testing.F) {
 			if out.ask == nil {
 				t.Fatal("non-terminal park without a step ask")
 			}
-			var in tlsStepIn
-			if out.ask.Read && len(rest) > 0 {
+			in := tlsStepIn{eof: true}
+			if len(rest) > 0 {
 				n := size
 				if n > len(rest) {
 					n = len(rest)
 				}
 				in = tlsStepIn{data: rest[:n]}
 				rest = rest[n:]
-			} else if out.ask.Read {
-				in = tlsStepIn{eof: true}
 			}
 			out, ok = fl.step(in)
 		}

@@ -194,7 +194,7 @@ func TestStageSnapshotsNilWithoutObservability(t *testing.T) {
 	if got := st.proxy.StageSnapshots(); got != nil {
 		t.Errorf("StageSnapshots with obs off = %v, want nil", got)
 	}
-	if st.proxy.Events().Len() != 0 {
+	if st.proxy.trusted.events.Len() != 0 {
 		t.Errorf("event log live with obs off")
 	}
 }
@@ -204,7 +204,7 @@ func TestStageSnapshotsNilWithoutObservability(t *testing.T) {
 func TestEventLogSizeAloneEnablesRing(t *testing.T) {
 	st := newTestStack(t, func(c *Config) { c.EventLog = obs.NewLog(16) })
 	plainSearch(t, st.proxy, "ring only")
-	if st.proxy.Events() == nil {
+	if st.proxy.trusted.events == nil {
 		t.Fatal("EventLog set but no ring")
 	}
 	if got := st.proxy.StageSnapshots(); got != nil {

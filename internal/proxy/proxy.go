@@ -1021,10 +1021,6 @@ func (s *Stats) Merge(n Stats) {
 	s.derive()
 }
 
-// Events returns the proxy's structured event log (nil when neither
-// Observability nor an injected fleet log enabled it).
-func (p *Proxy) Events() *obs.Log { return p.trusted.events }
-
 // StageSnapshots returns the per-stage latency summaries (nil when
 // Observability is off or nothing has been recorded yet).
 func (p *Proxy) StageSnapshots() map[string]metrics.LatencySnapshot {

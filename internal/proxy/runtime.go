@@ -426,9 +426,6 @@ func (f *fetcher) step(sa *tlsStepArg, buf []byte) tlsStepReply {
 			return f.outcome(sa.Token, fmt.Sprintf("send: %v", err))
 		}
 	}
-	if !sa.Read {
-		return tlsStepReply{}
-	}
 	n, err := readStep(conn, sa.TimeoutMS, buf)
 	switch {
 	case err == io.EOF:

@@ -22,12 +22,12 @@ import (
 // The step frames, byte for byte: a layout change must be deliberate (the
 // token leads both so "resume" can route a completion by peeking 8 bytes).
 func TestStepCodecGoldenFrames(t *testing.T) {
-	arg := tlsStepArg{Token: 0x0102, ConnID: 3, Dial: true, Read: true, TimeoutMS: 150,
+	arg := tlsStepArg{Token: 0x0102, ConnID: 3, Dial: true, TimeoutMS: 150,
 		Host: "e:1", Send: []byte("GET"), Close: []uint64{9}}
 	wantArg := []byte{
 		0x02, 0x01, 0, 0, 0, 0, 0, 0, // token
 		3, 0, 0, 0, 0, 0, 0, 0, // conn id
-		1, 1, // dial, read
+		1,                        // dial
 		150, 0, 0, 0, 0, 0, 0, 0, // timeout ms
 		3, 0, 0, 0, 'e', ':', '1', // host
 		3, 0, 0, 0, 'G', 'E', 'T', // send
@@ -60,7 +60,7 @@ func TestStepCodecGoldenFrames(t *testing.T) {
 // frame re-encodes to itself, and decode(encode(v)) is v.
 func FuzzStepCodec(f *testing.F) {
 	for _, seed := range [][]byte{
-		(&tlsStepArg{Token: 7, ConnID: 2, Dial: true, Host: "127.0.0.1:443", Send: []byte("hello"), Read: true, TimeoutMS: 9}).encode(),
+		(&tlsStepArg{Token: 7, ConnID: 2, Dial: true, Host: "127.0.0.1:443", Send: []byte("hello"), TimeoutMS: 9}).encode(),
 		(&tlsStepArg{Close: []uint64{1, 2, 3}}).encode(), // pure close batch
 		(&tlsStepReply{Token: 7, Data: bytes.Repeat([]byte{0x17}, 64)}).encode(),
 		(&tlsStepReply{Token: 7, Err: "read: connection reset"}).encode(),
@@ -293,7 +293,7 @@ func TestAsyncTLSStepAllocBudget(t *testing.T) {
 	send := make([]byte, reqLen)
 	got := 0
 	step := func() {
-		arg := (&tlsStepArg{Token: 7, ConnID: 1, Send: send, Read: true}).encode()
+		arg := (&tlsStepArg{Token: 7, ConnID: 1, Send: send}).encode()
 		out, err := f.ocallTLSStep(arg, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -230,7 +230,7 @@ func (sc *stepConn) Read(p []byte) (int, error) {
 		if sc.eof {
 			return 0, io.EOF
 		}
-		if err := sc.flush(true); err != nil {
+		if err := sc.flush(); err != nil {
 			return 0, err
 		}
 	}
@@ -247,9 +247,8 @@ func (sc *stepConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// flush spends one step carrying everything buffered. read asks the host
-// to block for bytes.
-func (sc *stepConn) flush(read bool) error {
+// flush spends one step carrying everything buffered, and reads.
+func (sc *stepConn) flush() error {
 	var timeoutMS uint64
 	if !sc.deadline.IsZero() {
 		remain := time.Until(sc.deadline)
@@ -261,7 +260,6 @@ func (sc *stepConn) flush(read bool) error {
 	ask := &tlsStepArg{
 		ConnID:    sc.connID,
 		Send:      sc.wbuf,
-		Read:      read,
 		Close:     sc.closes,
 		TimeoutMS: timeoutMS,
 	}

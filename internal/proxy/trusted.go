@@ -548,7 +548,7 @@ func (o *ocallStepper) do(ask *tlsStepArg, into []byte) (tlsStepIn, bool) {
 	if len(ask.Send) > 0 {
 		err = o.send(in.connID, ask.Send)
 	}
-	if err == nil && ask.Read {
+	if err == nil {
 		in.data, in.eof, err = o.recv(in.connID, ask.TimeoutMS, slices.Grow(into, recvRoom))
 	}
 	if err != nil || in.eof {

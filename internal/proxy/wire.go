@@ -213,8 +213,10 @@ func (rr *resumeReply) decode(b []byte) error {
 // tlsStepArg is one socket I/O round of an engine exchange: what the
 // blocking stage's stepper carries out in place over the socket ocalls, and
 // the argument of the async "tls_step" ocall. The handler only ever moves
-// opaque bytes — dial the engine, write the enclave's bytes, read at most
-// tlsStepReadMax back, close retired conns — so the host's view of a fetch
+// opaque bytes — close retired conns, dial the engine, write the enclave's
+// bytes, then read at most tlsStepReadMax back (every live step ends in
+// that one read: the exchange steps only when it has nothing left to
+// read) — so the host's view of a fetch
 // is the same on both stages: ciphertext and timing for a pinned-root
 // upstream, the obfuscated request for a plain one. Token is the enclave-chosen correlation
 // handle: the completion echoes it, "resume" routes by it, cancellation
@@ -224,11 +226,10 @@ type tlsStepArg struct {
 	Token  uint64
 	ConnID uint64
 	// Dial opens a fresh TCP conn to Host and registers it under ConnID
-	// before any Send/Read of this same step (TLS 1.3 lets the first
+	// before this same step's send and read (TLS 1.3 lets the first
 	// step carry dial + ClientHello + read in one ring round trip; a plain
 	// exchange's only step carries dial + request + read).
 	Dial bool
-	Read bool
 	// TimeoutMS, when positive, arms a read deadline of that many
 	// milliseconds on the step (the remaining slice of the flight's
 	// absolute FetchTimeout); zero clears any previous deadline.
@@ -245,7 +246,6 @@ func (a *tlsStepArg) walk(w *wire) {
 	w.u64(&a.Token)
 	w.u64(&a.ConnID)
 	w.flag(&a.Dial)
-	w.flag(&a.Read)
 	w.u64(&a.TimeoutMS)
 	w.str(&a.Host)
 	w.bytes(&a.Send)
@@ -253,7 +253,7 @@ func (a *tlsStepArg) walk(w *wire) {
 }
 
 func (a *tlsStepArg) encode() []byte {
-	w := wire{b: make([]byte, 0, 3*8+2+3*4+len(a.Host)+len(a.Send)+8*len(a.Close))}
+	w := wire{b: make([]byte, 0, 3*8+1+3*4+len(a.Host)+len(a.Send)+8*len(a.Close))}
 	a.walk(&w)
 	return w.b
 }

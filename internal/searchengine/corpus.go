@@ -1,8 +1,8 @@
 // Package searchengine implements the web search engine substrate the
 // X-Search evaluation queries: a ranked inverted-index engine over a
 // synthetic topical corpus with Bing-compatible OR semantics, an HTTP JSON
-// front end, per-client rate limiting, and the honest-but-curious behaviour
-// the paper's adversary model assumes (query logging and profile building).
+// front end, and the honest-but-curious behaviour the paper's adversary
+// model assumes (a query log an attack builds profiles from).
 package searchengine
 
 import (

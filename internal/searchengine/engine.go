@@ -1,25 +1,19 @@
 package searchengine
 
 import (
-	"fmt"
 	"sync"
 	"time"
-
-	"xsearch/internal/textutil"
 )
 
 // Engine is the complete search engine: index + the honest-but-curious
-// behaviours the adversary model assumes (§3): it answers queries
-// faithfully but logs every (source, query) pair and builds per-source
-// interest profiles that a re-identification attack can consume.
+// behaviour the adversary model assumes (§3): it answers queries
+// faithfully but logs every (source, query) pair, the log a
+// re-identification attack derives per-source profiles from.
 type Engine struct {
 	index *Index
 
 	mu       sync.Mutex
 	queryLog []LoggedQuery
-	profiles map[string]textutil.Vector
-
-	limiter *RateLimiter
 }
 
 // LoggedQuery is one entry of the engine's query log.
@@ -35,8 +29,7 @@ type Option interface {
 }
 
 type engineOptions struct {
-	corpus  []Document
-	limiter *RateLimiter
+	corpus []Document
 }
 
 type corpusOption []Document
@@ -45,14 +38,6 @@ func (c corpusOption) apply(o *engineOptions) { o.corpus = c }
 
 // WithCorpus supplies a pre-built corpus instead of the default one.
 func WithCorpus(docs []Document) Option { return corpusOption(docs) }
-
-type limiterOption struct{ l *RateLimiter }
-
-func (l limiterOption) apply(o *engineOptions) { o.limiter = l.l }
-
-// WithRateLimiter installs a per-source rate limiter, modelling the
-// query-per-day caps Bing imposed on the paper's experiments.
-func WithRateLimiter(l *RateLimiter) Option { return limiterOption{l} }
 
 // NewEngine builds an engine over the default (or supplied) corpus.
 func NewEngine(opts ...Option) *Engine {
@@ -63,39 +48,17 @@ func NewEngine(opts ...Option) *Engine {
 	if o.corpus == nil {
 		o.corpus = GenerateCorpus(DefaultCorpusConfig())
 	}
-	return &Engine{
-		index:    BuildIndex(o.corpus),
-		profiles: make(map[string]textutil.Vector),
-		limiter:  o.limiter,
-	}
+	return &Engine{index: BuildIndex(o.corpus)}
 }
 
-// ErrRateLimited is returned when a source exceeds its query budget.
-var ErrRateLimited = fmt.Errorf("searchengine: rate limited")
-
-// Search runs a query on behalf of source, logging it and updating the
-// source's profile (curious behaviour). perList bounds each sub-query's
-// result list; OR queries are split and merged per the paper's methodology.
+// Search runs a query on behalf of source and logs it (curious
+// behaviour). perList bounds each sub-query's result list; OR queries are
+// split and merged per the paper's methodology. The error is always nil.
 func (e *Engine) Search(source, query string, perList int) ([]Result, error) {
-	if e.limiter != nil && !e.limiter.Allow(source) {
-		return nil, ErrRateLimited
-	}
-	e.observe(source, query)
-	return e.index.SearchOR(query, perList), nil
-}
-
-// observe implements the curious side: log the query and fold its terms
-// into the source's profile.
-func (e *Engine) observe(source, query string) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.queryLog = append(e.queryLog, LoggedQuery{Source: source, Query: query, Time: time.Now()})
-	p, ok := e.profiles[source]
-	if !ok {
-		p = textutil.Vector{}
-		e.profiles[source] = p
-	}
-	p.Add(query, 1)
+	e.mu.Unlock()
+	return e.index.SearchOR(query, perList), nil
 }
 
 // QueryLog returns a copy of the engine's query log.
@@ -105,59 +68,4 @@ func (e *Engine) QueryLog() []LoggedQuery {
 	out := make([]LoggedQuery, len(e.queryLog))
 	copy(out, e.queryLog)
 	return out
-}
-
-// Profile returns a copy of the interest profile observed for source.
-func (e *Engine) Profile(source string) textutil.Vector {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p, ok := e.profiles[source]; ok {
-		return p.Clone()
-	}
-	return textutil.Vector{}
-}
-
-// NumDocs exposes the corpus size.
-func (e *Engine) NumDocs() int { return e.index.NumDocs() }
-
-// RateLimiter caps queries per source per window (token bucket refilled on
-// window boundaries).
-type RateLimiter struct {
-	mu     sync.Mutex
-	limit  int
-	window time.Duration
-	counts map[string]*windowCount
-	now    func() time.Time
-}
-
-type windowCount struct {
-	windowStart time.Time
-	n           int
-}
-
-// NewRateLimiter allows limit requests per source per window.
-func NewRateLimiter(limit int, window time.Duration) *RateLimiter {
-	return &RateLimiter{
-		limit:  limit,
-		window: window,
-		counts: make(map[string]*windowCount),
-		now:    time.Now,
-	}
-}
-
-// Allow reports whether source may issue one more request.
-func (r *RateLimiter) Allow(source string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.now()
-	wc, ok := r.counts[source]
-	if !ok || now.Sub(wc.windowStart) >= r.window {
-		r.counts[source] = &windowCount{windowStart: now, n: 1}
-		return true
-	}
-	if wc.n >= r.limit {
-		return false
-	}
-	wc.n++
-	return true
 }

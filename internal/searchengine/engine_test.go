@@ -31,60 +31,6 @@ func TestEngineSearchLogsQueries(t *testing.T) {
 	}
 }
 
-func TestEngineProfiles(t *testing.T) {
-	e := testEngine(t)
-	for i := 0; i < 3; i++ {
-		if _, err := e.Search("10.0.0.9", "chicken recipe oven", 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := e.Profile("10.0.0.9")
-	if p["chicken"] != 3 {
-		t.Errorf("profile chicken weight = %f, want 3", p["chicken"])
-	}
-	if len(e.Profile("unknown")) != 0 {
-		t.Error("unknown source should have empty profile")
-	}
-	// Profile returns a copy.
-	p["chicken"] = 99
-	if e.Profile("10.0.0.9")["chicken"] == 99 {
-		t.Error("Profile leaked internal state")
-	}
-}
-
-func TestEngineRateLimit(t *testing.T) {
-	rl := NewRateLimiter(2, time.Hour)
-	e := testEngine(t, WithRateLimiter(rl))
-	for i := 0; i < 2; i++ {
-		if _, err := e.Search("1.2.3.4", "car", 5); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	if _, err := e.Search("1.2.3.4", "car", 5); err != ErrRateLimited {
-		t.Errorf("expected ErrRateLimited, got %v", err)
-	}
-	// Other sources unaffected.
-	if _, err := e.Search("5.6.7.8", "car", 5); err != nil {
-		t.Errorf("other source limited: %v", err)
-	}
-}
-
-func TestRateLimiterWindowReset(t *testing.T) {
-	rl := NewRateLimiter(1, time.Minute)
-	now := time.Unix(0, 0)
-	rl.now = func() time.Time { return now }
-	if !rl.Allow("a") {
-		t.Fatal("first request denied")
-	}
-	if rl.Allow("a") {
-		t.Fatal("second request allowed within window")
-	}
-	now = now.Add(2 * time.Minute)
-	if !rl.Allow("a") {
-		t.Fatal("request denied after window reset")
-	}
-}
-
 func TestEngineConcurrentSearch(t *testing.T) {
 	e := testEngine(t)
 	var wg sync.WaitGroup

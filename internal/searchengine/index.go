@@ -65,9 +65,6 @@ func BuildIndex(docs []Document) *Index {
 	return idx
 }
 
-// NumDocs returns the corpus size.
-func (idx *Index) NumDocs() int { return len(idx.docs) }
-
 // idf is the smoothed inverse document frequency of term t.
 func (idx *Index) idf(t string) float64 {
 	df := len(idx.postings[t])
@@ -164,11 +161,6 @@ func SplitOR(query string) []string {
 		subs = append(subs, strings.Join(cur, " "))
 	}
 	return subs
-}
-
-// JoinOR builds an obfuscated query string from sub-queries.
-func JoinOR(subs []string) string {
-	return strings.Join(subs, " OR ")
 }
 
 // MergeResultLists interleaves ranked lists position by position,

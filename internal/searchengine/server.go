@@ -103,10 +103,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.engine.Search(source, q, count)
 	if err != nil {
-		if err == ErrRateLimited {
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

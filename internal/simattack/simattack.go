@@ -79,9 +79,6 @@ func New(train *dataset.Log, alpha float64) (*Attack, error) {
 	return a, nil
 }
 
-// Users returns the profiled user IDs.
-func (a *Attack) Users() []int { return a.users }
-
 // smooth folds ascending-sorted positive similarities with S_i = alpha*x_i
 // + (1-alpha)*S_{i-1}, starting from S = 0 (zeros at the front of the
 // ascending order leave the accumulator at zero, so they need not be

@@ -82,7 +82,7 @@ func TestSimilarityRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"car", "recipe", "nothing relevant here", ""} {
-		for _, u := range a.Users() {
+		for _, u := range a.users {
 			s := similarity(a, q, u)
 			if s < 0 || s > 1 {
 				t.Errorf("similarity(%q, %d) = %f out of range", q, u, s)

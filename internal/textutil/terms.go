@@ -11,8 +11,9 @@
 // lowered string, drop one-byte tokens and stopwords, Porter-stem the rest
 // (Stem returns its argument when nothing changes). A term is therefore a
 // substring of the lowered text or a freshly stemmed string; no token is
-// built rune by rune. Tokenize is the separate, unstemmed tokenizer the
-// reference pipelines in the tests are written with. Stemming is the
+// built rune by rune. Tokenize is the reference: the separate, unstemmed,
+// rune-by-rune tokenizer the tests' reference pipelines are written with,
+// kept for them alone (scripts/deadcode allows it). Stemming is the
 // kernel's main cost: each Porter step is linear in the word, and steps 2-4
 // compare it only with the suffixes that share its penultimate letter (at
 // most five a step, of 46).

@@ -1,6 +1,7 @@
 package textutil_test
 
 import (
+	"strings"
 	"testing"
 
 	"xsearch/internal/dataset"
@@ -19,7 +20,7 @@ func BenchmarkTermSet(b *testing.B) {
 	idx := searchengine.BuildIndex(searchengine.GenerateCorpus(
 		searchengine.CorpusConfig{DocsPerTopic: 40, Seed: 1}))
 	var texts []string
-	for _, hit := range idx.SearchOR(searchengine.JoinOR(gen.GenerateQueries(4)), 20) {
+	for _, hit := range idx.SearchOR(strings.Join(gen.GenerateQueries(4), " OR "), 20) {
 		texts = append(texts, hit.Title, hit.Snippet)
 	}
 	b.ReportAllocs()

@@ -15,14 +15,6 @@ func NewVector(s string) Vector {
 	return v
 }
 
-// Add accumulates the terms of s into v, weighting each occurrence by w.
-// It is used to build user profiles incrementally from query histories.
-func (v Vector) Add(s string, w float64) {
-	for _, t := range Terms(s) {
-		v[t] += w
-	}
-}
-
 // Norm returns the Euclidean norm of v.
 func (v Vector) Norm() float64 {
 	var s float64
@@ -45,13 +37,4 @@ func (v Vector) Dot(o Vector) float64 {
 		}
 	}
 	return s
-}
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	for t, f := range v {
-		c[t] = f
-	}
-	return c
 }

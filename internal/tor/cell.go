@@ -92,8 +92,8 @@ func unpackMessage(cells []Cell) []byte {
 }
 
 // reassembler rebuilds messages from cells that may arrive out of order
-// (WAN links reorder). Cells carry consecutive sequence numbers; a message
-// spans base..endSeq where the endSeq cell carries flagEnd.
+// (WAN links reorder). Cells carry consecutive sequence numbers from 0; a
+// message spans base..endSeq where the endSeq cell carries flagEnd.
 type reassembler struct {
 	base  uint64
 	cells map[uint64]Cell
@@ -101,8 +101,8 @@ type reassembler struct {
 	seen  bool // an end cell has arrived
 }
 
-func newReassembler(base uint64) *reassembler {
-	return &reassembler{base: base, cells: make(map[uint64]Cell)}
+func newReassembler() *reassembler {
+	return &reassembler{cells: make(map[uint64]Cell)}
 }
 
 // Add registers a cell; when the message is complete it returns it and

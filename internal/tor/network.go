@@ -145,7 +145,7 @@ func (n *Network) BuildCircuit(hops int) (*Circuit, error) {
 		id:      id,
 		hops:    idxs,
 		pending: make(chan Cell, 2048),
-		reasm:   newReassembler(0),
+		reasm:   newReassembler(),
 	}
 	// Handshake with each hop (client pays one ECDH per hop, as in Tor's
 	// telescoping build; the extend relaying itself is elided).

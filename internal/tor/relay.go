@@ -127,7 +127,7 @@ func (r *Relay) process(task relayTask) {
 	}
 	// This relay is the exit: reassemble, run the request, reply.
 	if circ.reasm == nil {
-		circ.reasm = newReassembler(0)
+		circ.reasm = newReassembler()
 	}
 	request, complete := circ.reasm.Add(cell)
 	if !complete {
