@@ -268,24 +268,14 @@
 // off by in-flight requests. Quiesce the proxy before asserting exact
 // cross-field invariants.
 //
-// # Quick start
+// # Examples
 //
-//	engine := xsearch.NewEngine()
-//	_ = engine.Start("127.0.0.1:0")
-//	defer engine.Shutdown(context.Background())
-//
-//	proxy, _ := xsearch.NewProxy(
-//		xsearch.WithEngines(xsearch.EngineSpec{Host: engine.Addr()}),
-//		xsearch.WithFakeQueries(3),
-//	)
-//	_ = proxy.Start("127.0.0.1:0")
-//	defer proxy.Shutdown(context.Background())
-//
-//	client, _ := xsearch.NewClient(proxy.URL(),
-//		xsearch.WithTrustedMeasurement(proxy.Measurement()),
-//		xsearch.WithAttestationKey(proxy.AttestationKey()))
-//	_ = client.Connect(context.Background())
-//	results, _ := client.Search(context.Background(), "private web search")
+// Example is the quick start: an engine, a proxy with k = 3 and an
+// attested client, one private search, and the OR query the engine saw.
+// ExampleWithFakeQueries sweeps k over 0, 1, 3 and 5 and sets the filtered
+// results beside the unprotected ones. Both are seeded and checked by go
+// test against their Output blocks. examples/fleet (go run ./examples/fleet)
+// drives a four-shard fleet through a shard kill and a sealed drain.
 //
 // The enclave, attestation service, sealing, onion-routing and PEAS
 // baselines, the SimAttack re-identification attack, and the full

@@ -139,33 +139,13 @@ func (a *Attack) allSimilarities(query string) map[int]float64 {
 	return out
 }
 
-// GuessUser attacks an unlinkability-only system (Tor, or X-Search k=0):
-// it returns the user whose profile is uniquely most similar to the query,
-// and false when there is no unique maximum (attack unsuccessful).
-func (a *Attack) GuessUser(query string) (int, bool) {
-	sims := a.allSimilarities(query)
-	best, unique := -1, false
-	var bestSim float64
-	for uid, s := range sims {
-		switch {
-		case s > bestSim:
-			best, bestSim, unique = uid, s, true
-		case s == bestSim && uid != best:
-			unique = false
-		}
-	}
-	if !unique || best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
 // GuessPair attacks an obfuscated query: for every sub-query it computes
 // the similarity against every user profile; if exactly one
 // (sub-query, user) pair attains the global maximum, it is returned
 // (§5.3.1: "If only one couple of query and user have the highest
 // similarities, SimAttack returns this couple. Otherwise, the attack is
-// unsuccessful.").
+// unsuccessful."). An unprotected query (Tor, or X-Search at k = 0) is a
+// set of one.
 func (a *Attack) GuessPair(subqueries []string) (queryIdx int, user int, ok bool) {
 	type pair struct {
 		qi  int
@@ -188,23 +168,6 @@ func (a *Attack) GuessPair(subqueries []string) (queryIdx int, user int, ok bool
 		return 0, 0, false
 	}
 	return best.qi, best.uid, true
-}
-
-// EvaluateUnlinkability measures the re-identification rate of an
-// unlinkability-only mechanism over the test log: the fraction of queries
-// whose true user is uniquely re-identified. This is the Figure 3 k=0
-// point (~40% in the paper).
-func (a *Attack) EvaluateUnlinkability(test *dataset.Log) float64 {
-	if len(test.Records) == 0 {
-		return 0
-	}
-	hits := 0
-	for _, rec := range test.Records {
-		if uid, ok := a.GuessUser(rec.Query); ok && uid == rec.UserID {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(test.Records))
 }
 
 // EvaluateObfuscated measures the re-identification rate of an

@@ -104,21 +104,20 @@ func TestSmoothingWeightsTopSimilarity(t *testing.T) {
 	}
 }
 
+// TestGuessUser: an unprotected query is a set of one sub-query, and the
+// attack names its user.
 func TestGuessUser(t *testing.T) {
 	a, err := New(tinyLog(), DefaultAlpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uid, ok := a.GuessUser("car engine overhaul")
-	if !ok || uid != 1 {
-		t.Errorf("GuessUser(car) = %d, %v", uid, ok)
-	}
-	uid, ok = a.GuessUser("cake recipe easy")
-	if !ok || uid != 2 {
-		t.Errorf("GuessUser(cooking) = %d, %v", uid, ok)
+	for q, want := range map[string]int{"car engine overhaul": 1, "cake recipe easy": 2} {
+		if qi, uid, ok := a.GuessPair([]string{q}); !ok || qi != 0 || uid != want {
+			t.Errorf("GuessPair(%q) = %d, %d, %v; want 0, %d, true", q, qi, uid, ok, want)
+		}
 	}
 	// Query matching nothing: no unique maximum.
-	if _, ok := a.GuessUser("zzz qqq xxx"); ok {
+	if _, _, ok := a.GuessPair([]string{"zzz qqq xxx"}); ok {
 		t.Error("nonsense query should not re-identify")
 	}
 }
@@ -149,27 +148,6 @@ func TestGuessPair(t *testing.T) {
 	}
 }
 
-func TestEvaluateUnlinkability(t *testing.T) {
-	train := tinyLog()
-	a, err := New(train, DefaultAlpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Test queries strongly in-profile: rate should be high.
-	t0 := time.Now()
-	test := &dataset.Log{Records: []dataset.Record{
-		{UserID: 1, Query: "car dealer prices", Time: t0},
-		{UserID: 2, Query: "casserole recipe chicken", Time: t0},
-	}}
-	rate := a.EvaluateUnlinkability(test)
-	if rate != 1 {
-		t.Errorf("rate = %f, want 1 on easy test set", rate)
-	}
-	if got := a.EvaluateUnlinkability(&dataset.Log{}); got != 0 {
-		t.Errorf("empty test rate = %f", got)
-	}
-}
-
 func TestEvaluateObfuscatedReducesRate(t *testing.T) {
 	// Synthetic log with enough users for obfuscation to matter.
 	cfg := dataset.DefaultGeneratorConfig()
@@ -191,7 +169,11 @@ func TestEvaluateObfuscatedReducesRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := a.EvaluateUnlinkability(test)
+	// The baseline is unlinkability alone: k = 0 fakes, as Fig. 3's k = 0
+	// point is.
+	baseline := a.EvaluateObfuscated(test, func(rec dataset.Record) core.ObfuscatedQuery {
+		return core.ObfuscatedQuery{Subqueries: []string{rec.Query}}
+	})
 	if baseline <= 0.02 {
 		t.Fatalf("baseline re-identification %f suspiciously low", baseline)
 	}

@@ -1,14 +1,15 @@
-// Command deadcode is the gate on dead generality: code under internal/
-// that nothing runs, or that runs one way only. It fails on two kinds of
-// finding:
+// Command deadcode is the gate on dead generality: code that nothing
+// runs, or that runs one way only. It fails on two kinds of finding:
 //
-//   - an exported package-level name, or an exported method, that no
-//     non-test file of the module (or of a module nested in it, such as
-//     bench/) references;
-//   - a parameter of an unexported function to which every non-test call
-//     site passes the same constant. A function taken as a value, the
-//     variadic parameter, and a method that satisfies an interface are
-//     skipped.
+//   - an exported package-level name under internal/, or an exported
+//     method there, that no non-test file of the module (or of a module
+//     nested in it, such as bench/) references;
+//   - a parameter of an unexported function, in the root package or under
+//     internal/, cmd/ or examples/, to which every non-test call site
+//     passes the same constant. A function taken as a value, the variadic
+//     parameter, and a method that satisfies an interface are skipped.
+//     scripts/ is left out (its tests drive its functions with other
+//     arguments), and so is a nested module.
 //
 // A method counts as used when its type satisfies an interface the
 // modules declare or use (error, fmt.Stringer and http.RoundTripper among
@@ -69,7 +70,8 @@ func main() {
 type pkg struct {
 	path     string
 	rel      string // the directory, relative to its module's root
-	internal bool   // under the root module's internal/: only it is reported on
+	internal bool   // under the root module's internal/: rule 1 reports on it
+	params   bool   // the root package, or under internal/, cmd/ or examples/: rule 2 does
 	files    []*ast.File
 	types    *types.Package
 	info     *types.Info
@@ -187,7 +189,12 @@ func (l *loader) scan(root string) error {
 		if rel != "." {
 			ip += "/" + rel
 		}
-		p := &pkg{path: ip, rel: rel, internal: m.dir == root && (rel == "internal" || strings.HasPrefix(rel, "internal/"))}
+		p := &pkg{path: ip, rel: rel}
+		if m.dir == root {
+			top, _, _ := strings.Cut(rel, "/")
+			p.internal = top == "internal"
+			p.params = rel == "." || top == "internal" || top == "cmd" || top == "examples"
+		}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(l.fset, filepath.Join(path, name), nil, parser.SkipObjectResolution)
 			if err != nil {
@@ -322,7 +329,7 @@ func analyze(l *loader, pkgs []*pkg) *analysis {
 		}
 	}
 	for _, p := range pkgs {
-		if !p.internal {
+		if !p.params { // every package either rule reports on (internal/ is among them)
 			continue
 		}
 		scope := p.types.Scope()
@@ -407,12 +414,12 @@ type callSites struct {
 	info  *types.Info
 }
 
-// constParams reports the parameters of unexported functions under
-// internal/ to which every call site passes the same constant.
+// constParams reports the parameters of unexported functions in the
+// packages rule 2 covers to which every call site passes the same constant.
 func (a *analysis) constParams() []finding {
 	funcs := map[types.Object]*callSites{}
 	for _, p := range a.pkgs {
-		if !p.internal {
+		if !p.params {
 			continue
 		}
 		for _, f := range p.files {

@@ -15,6 +15,7 @@ func TestFindings(t *testing.T) {
 	for _, tc := range []struct{ tree, want string }{
 		{"orphan", "internal/lib/lib.go:8: Orphan: exported, referenced by no non-test file\n"},
 		{"constparam", "internal/lib/lib.go:7: scale: parameter factor is 2 at every call site (2)\n"},
+		{"scope", "cmd/tool/main.go:6: pad: parameter width is 8 at every call site (2)\n"}, // not scripts/
 		{"iface", ""},     // a method called through a module interface
 		{"stringer", ""},  // a String method fmt calls through fmt.Stringer
 		{"funcvalue", ""}, // a function also taken as a value

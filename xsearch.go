@@ -177,7 +177,8 @@ func WithResultCache(maxBytes int64, ttl time.Duration) ProxyOption {
 // index (charged against the EPC like the history window and result
 // cache), ttl bounds document freshness (zero uses the default, 120s), and
 // minScore is the confidence floor below which a probe falls through to
-// the upstream pipeline (zero or negative uses the default).
+// the upstream pipeline (zero uses the default; NewProxy refuses a
+// negative one).
 func WithLocalIndex(maxBytes int64, ttl time.Duration, minScore float64) ProxyOption {
 	return proxyOptionFunc(func(c *proxy.Config) {
 		c.IndexBytes = maxBytes

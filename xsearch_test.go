@@ -151,6 +151,9 @@ func TestPublicAPIValidation(t *testing.T) {
 	if _, err := xsearch.NewClient(""); err == nil {
 		t.Error("client without URL accepted")
 	}
+	if _, err := xsearch.NewProxy(xsearch.WithEchoMode(), xsearch.WithLocalIndex(1<<20, 0, -1)); err == nil {
+		t.Error("negative index minScore accepted")
+	}
 }
 
 func TestEchoModeProxyPublicAPI(t *testing.T) {
